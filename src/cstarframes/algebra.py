@@ -131,10 +131,6 @@ class AlgElement:
         """Involution: blockwise conjugate transpose."""
         return AlgElement(self.spec, [x.conj().T for x in self.blocks])
 
-    @property
-    def H(self) -> "AlgElement":
-        return self.adjoint()
-
     # -- analysis -----------------------------------------------------------
 
     def norm(self) -> float:
@@ -149,9 +145,6 @@ class AlgElement:
 
     def _scale(self) -> float:
         return max(1.0, self.norm())
-
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return (self - self.adjoint()).norm() <= tol * self._scale()
 
     def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
         """Hermitian within tol and all block eigenvalues >= -tol, relatively scaled."""

@@ -93,11 +93,3 @@ def combine(claim: str, parts: list[Certificate], extra: Optional[dict] = None) 
         elif c.status == INCONCLUSIVE and status == CERTIFIED:
             status = INCONCLUSIVE
     return Certificate(status, claim, witness, tolerances, witness_vector=witness_vector)
-
-
-def worst_status(statuses: list[str]) -> str:
-    if FALSIFIED in statuses:
-        return FALSIFIED
-    if INCONCLUSIVE in statuses:
-        return INCONCLUSIVE
-    return CERTIFIED

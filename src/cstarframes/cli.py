@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_defaults(args, inst: Instance | None) -> None:
     """Flag > instance file > built-in default, applied in place."""
     if args.tol is None:
-        args.tol = (inst.tolerances.get("tol") if inst else None) or 1e-9
+        tol = inst.tolerances.get("tol") if inst else None
+        args.tol = 1e-9 if tol is None else tol
     if args.seed is None:
         args.seed = (inst.seed if inst and inst.seed is not None else None) or 0
 

@@ -37,6 +37,7 @@ from .hilbmod import (
     ModuleVector,
     central_mult,
     coordinate_vector,
+    from_block_matrices,
     identity_operator,
 )
 from .sampling import random_vector, stream
@@ -59,8 +60,10 @@ class FrameSeq:
         self.spec = spec
         self.rank = rank
         self.members = tuple(members)
-        grid = [[m.entries[i] for i in range(rank)] for m in self.members]
-        self.synthesis_op = ModuleOperator(spec, grid)
+        per_block = zip(*(m.stacks for m in self.members))
+        self.synthesis_op = from_block_matrices(
+            spec, len(members), rank, [np.hstack(s) for s in per_block]
+        )
         self.analysis_op = self.synthesis_op.adjoint()
         self.frame_op = self.synthesis_op.compose(self.analysis_op)
         scale = max(1.0, self.frame_op.norm())
@@ -93,10 +96,6 @@ class FrameSeq:
             f"FrameSeq(J={self.n_members}, rank={self.rank}, "
             f"spec={self.spec.block_dims})"
         )
-
-
-def frame_operator(frame: FrameSeq) -> ModuleOperator:
-    return frame.frame_op
 
 
 def coordinate_frame(spec, rank: int) -> FrameSeq:
@@ -280,7 +279,7 @@ def dual_atoms(
     q, _, _ = atomic_coefficients(frame, k_op, tol, samples=0)
     q_adj = q.adjoint()
     atoms = [
-        ModuleVector(frame.spec, [q_adj.entries[j][i] for i in range(frame.rank)])
+        q_adj.apply(coordinate_vector(frame.spec, frame.n_members, j))
         for j in range(frame.n_members)
     ]
     rng = stream(seed, 0xDA)

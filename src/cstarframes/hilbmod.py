@@ -12,6 +12,14 @@ n * sum(d_i^2) with inner product (f, g) = trace<f, g>.  The flattened
 matrix of an operator is permutation-similar to a direct sum over blocks
 of d_b copies of a reduced block matrix, so all spectral quantities are
 computed per block without assembling the big matrix.
+
+These per-block arrays are the only stored form.  An operator A^n -> A^m
+holds per block b its reduced (m*d_b) x (n*d_b) matrix M_b, with (i, j)
+sub-block t[j][i]_b^T; a rank-n vector holds per block an (n*d_b) x d_b
+array F_b whose k-th slab of d_b rows is (f_k)_b^T.  Then Tf is M_b F_b,
+<f, g> is F_b^T conj(G_b), a.f is F_b a_b^T and T* is M_b^H, one matrix
+product per block.  The arrays are read-only; `entries`, the algebra
+elements, is rebuilt from them on every access, so callers bind it once.
 """
 
 from __future__ import annotations
@@ -25,9 +33,11 @@ from .errors import InputError, PreconditionError
 
 
 class ModuleVector:
-    """Element of A^n: an ordered tuple of n algebra elements."""
+    """Element (f_1, ..., f_n) of A^n, built from its n algebra elements
+    and stored only as `stacks`: per block b an (n*d_b) x d_b array whose
+    slab k is (f_k)_b^T.  `entries` rebuilds the elements on each access."""
 
-    __slots__ = ("spec", "entries")
+    __slots__ = ("spec", "rank", "stacks")
 
     def __init__(self, spec: AlgebraSpec, entries: Sequence[AlgElement]):
         if not entries:
@@ -36,46 +46,54 @@ class ModuleVector:
             if e.spec != spec:
                 raise InputError("all vector entries must share the algebra spec")
         self.spec = spec
-        self.entries = tuple(entries)
+        self.rank = len(entries)
+        self.stacks = _readonly(
+            [np.vstack([e.blocks[b].T for e in entries]) for b in range(spec.n_blocks)]
+        )
 
     @property
-    def rank(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[AlgElement, ...]:
+        """The n algebra elements, rebuilt on each access."""
+        dims = self.spec.block_dims
+        return tuple(
+            AlgElement(self.spec, [s[k * d : (k + 1) * d].T for d, s in zip(dims, self.stacks)])
+            for k in range(self.rank)
+        )
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_compatible(other)
-        return ModuleVector(self.spec, [a + b for a, b in zip(self.entries, other.entries)])
+        return _vector(self.spec, [a + b for a, b in zip(self.stacks, other.stacks)])
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_compatible(other)
-        return ModuleVector(self.spec, [a - b for a, b in zip(self.entries, other.entries)])
+        return _vector(self.spec, [a - b for a, b in zip(self.stacks, other.stacks)])
 
     def __neg__(self) -> "ModuleVector":
-        return ModuleVector(self.spec, [-a for a in self.entries])
+        return _vector(self.spec, [-a for a in self.stacks])
 
     def module_mul(self, a: AlgElement) -> "ModuleVector":
         """Left module action a . f = (a f_1, ..., a f_n)."""
         if a.spec != self.spec:
             raise InputError("algebra spec mismatch in module action")
-        return ModuleVector(self.spec, [a * e for e in self.entries])
+        return _vector(self.spec, [s @ blk.T for s, blk in zip(self.stacks, a.blocks)])
 
     def scalar_mul(self, z: complex) -> "ModuleVector":
-        return ModuleVector(self.spec, [z * e for e in self.entries])
+        return _vector(self.spec, [complex(z) * s for s in self.stacks])
 
     def inner(self, other: "ModuleVector") -> AlgElement:
         """A-valued inner product <f, g> = sum_k f_k (g_k)*."""
         self._check_compatible(other)
-        acc = self.spec.zero()
-        for a, b in zip(self.entries, other.entries):
-            acc = acc + a * b.adjoint()
-        return acc
+        return AlgElement(
+            self.spec, [f.T @ g.conj() for f, g in zip(self.stacks, other.stacks)]
+        )
 
     def norm(self) -> float:
         """Module norm ||<f, f>||^(1/2)."""
         return float(np.sqrt(self.inner(self).norm()))
 
     def flat(self) -> np.ndarray:
-        """Coordinates in the tracial complex representation."""
+        """Coordinates in the tracial complex representation, read from the
+        entries like `ModuleOperator.flatten`."""
         return np.concatenate(
             [np.concatenate([blk.ravel() for blk in e.blocks]) for e in self.entries]
         )
@@ -99,84 +117,88 @@ def coordinate_vector(spec: AlgebraSpec, rank: int, slot: int) -> ModuleVector:
 
 def unflatten_vector(spec: AlgebraSpec, rank: int, x: np.ndarray) -> ModuleVector:
     """Inverse of ModuleVector.flat."""
-    d2 = spec.total_dim
-    if x.shape != (rank * d2,):
+    if rank < 1:
+        raise InputError("rank-0 module vectors are rejected")
+    if x.shape != (rank * spec.total_dim,):
         raise InputError(f"flat vector has wrong length {x.shape}")
-    entries = []
-    for k in range(rank):
-        seg = x[k * d2 : (k + 1) * d2]
-        blocks, off = [], 0
-        for d in spec.block_dims:
-            blocks.append(seg[off : off + d * d].reshape(d, d))
-            off += d * d
-        entries.append(AlgElement(spec, blocks))
-    return ModuleVector(spec, entries)
+    dims = spec.block_dims
+    slots = np.array(x, dtype=complex).reshape(rank, spec.total_dim)
+    segs = np.split(slots, np.cumsum([d * d for d in dims])[:-1], axis=1)
+    return _vector(
+        spec,
+        [
+            s.reshape(rank, d, d).transpose(0, 2, 1).reshape(rank * d, d)
+            for d, s in zip(dims, segs)
+        ],
+    )
 
 
 class ModuleOperator:
-    """Adjointable A-linear map A^n -> A^m stored as an n x m grid of
-    algebra elements t[j][i] (input index first)."""
+    """Adjointable A-linear map A^n -> A^m, built from its n x m grid of
+    algebra elements t[j][i] (input index first) and stored only as one
+    reduced (m*d_b) x (n*d_b) matrix per block b, with (i, j) sub-block
+    t[j][i]_b^T.  `entries` rebuilds the grid on each access;
+    `from_block_matrices` builds an operator from the matrices."""
 
-    __slots__ = ("spec", "in_rank", "out_rank", "entries", "_blockmats")
+    __slots__ = ("spec", "in_rank", "out_rank", "_mats")
 
     def __init__(self, spec: AlgebraSpec, entries: Sequence[Sequence[AlgElement]]):
         if not entries or not entries[0]:
             raise InputError("empty operator matrices are rejected")
-        in_rank = len(entries)
         out_rank = len(entries[0])
-        rows = []
         for row in entries:
             if len(row) != out_rank:
                 raise InputError("ragged operator entry grid")
             for e in row:
                 if e.spec != spec:
                     raise InputError("all operator entries must share the algebra spec")
-            rows.append(tuple(row))
         self.spec = spec
-        self.in_rank = in_rank
+        self.in_rank = len(entries)
         self.out_rank = out_rank
-        self.entries = tuple(rows)
-        self._blockmats = None
+        self._mats = _readonly(
+            [
+                np.block([[row[i].blocks[b].T for row in entries] for i in range(out_rank)])
+                for b in range(spec.n_blocks)
+            ]
+        )
 
     # -- representations ----------------------------------------------------
 
-    def block_matrices(self) -> list[np.ndarray]:
-        """Reduced complex matrix per algebra block.
+    @property
+    def entries(self) -> tuple[tuple[AlgElement, ...], ...]:
+        """The n x m grid t[j][i], rebuilt on each access; row j is the
+        image of the j-th coordinate vector."""
+        dims = self.spec.block_dims
+        images = (
+            _vector(self.spec, [m[:, j * d : (j + 1) * d] for d, m in zip(dims, self._mats)])
+            for j in range(self.in_rank)
+        )
+        return tuple(f.entries for f in images)
+
+    def block_matrices(self) -> tuple[np.ndarray, ...]:
+        """Reduced complex matrix per algebra block, the stored form.
 
         Block b gives a (out_rank*d_b) x (in_rank*d_b) matrix whose (i, j)
         sub-block is t[j][i]^T; the full flattening is d_b identical copies
         of it, so norms, spectra and pseudo-inverses are computed here.
         """
-        if self._blockmats is None:
-            mats = []
-            for b, d in enumerate(self.spec.block_dims):
-                m = np.zeros((self.out_rank * d, self.in_rank * d), dtype=complex)
-                for j in range(self.in_rank):
-                    for i in range(self.out_rank):
-                        m[i * d : (i + 1) * d, j * d : (j + 1) * d] = (
-                            self.entries[j][i].blocks[b].T
-                        )
-                mats.append(m)
-            self._blockmats = mats
-        return self._blockmats
+        return self._mats
 
     def flatten(self) -> np.ndarray:
         """Full complex matrix of f -> Tf on the tracial representation.
 
         Rows/columns are indexed by (slot, block, row, col) of the vector
         coordinates; the result satisfies flatten(T) @ f.flat() = (Tf).flat().
+        Assembled from the entry grid, independently of the reduced matrices.
         """
         d2 = self.spec.total_dim
         out = np.zeros((self.out_rank * d2, self.in_rank * d2), dtype=complex)
-        offs = []
-        off = 0
-        for d in self.spec.block_dims:
-            offs.append(off)
-            off += d * d
+        offs = np.cumsum([0] + [d * d for d in self.spec.block_dims])
+        entries = self.entries
         for j in range(self.in_rank):
             for i in range(self.out_rank):
                 for b, d in enumerate(self.spec.block_dims):
-                    blk = self.entries[j][i].blocks[b]
+                    blk = entries[j][i].blocks[b]
                     sub = np.kron(np.eye(d), blk.T)
                     r0 = i * d2 + offs[b]
                     c0 = j * d2 + offs[b]
@@ -188,54 +210,33 @@ class ModuleOperator:
     def apply(self, f: ModuleVector) -> ModuleVector:
         if f.spec != self.spec or f.rank != self.in_rank:
             raise InputError("operator/vector shape mismatch")
-        out_entries = [[None] * self.spec.n_blocks for _ in range(self.out_rank)]
-        for b, d in enumerate(self.spec.block_dims):
-            fb = np.vstack([e.blocks[b].T for e in f.entries])
-            gb = self.block_matrices()[b] @ fb
-            for i in range(self.out_rank):
-                out_entries[i][b] = gb[i * d : (i + 1) * d, :].T
-        return ModuleVector(
-            self.spec, [AlgElement(self.spec, blocks) for blocks in out_entries]
-        )
+        return _vector(self.spec, [m @ s for m, s in zip(self._mats, f.stacks)])
 
     def adjoint(self) -> "ModuleOperator":
-        grid = [
-            [self.entries[j][i].adjoint() for j in range(self.in_rank)]
-            for i in range(self.out_rank)
-        ]
-        return ModuleOperator(self.spec, grid)
+        return _operator(
+            self.spec, self.out_rank, self.in_rank, [m.conj().T for m in self._mats]
+        )
 
     def compose(self, other: "ModuleOperator") -> "ModuleOperator":
         """self after other (matrix product of the flattenings)."""
         if other.spec != self.spec or other.out_rank != self.in_rank:
             raise InputError("operator composition shape mismatch")
-        mats = [
-            sm @ om for sm, om in zip(self.block_matrices(), other.block_matrices())
-        ]
-        return from_block_matrices(self.spec, other.in_rank, self.out_rank, mats)
+        mats = [sm @ om for sm, om in zip(self._mats, other._mats)]
+        return _operator(self.spec, other.in_rank, self.out_rank, mats)
 
     def __add__(self, other: "ModuleOperator") -> "ModuleOperator":
         self._check_same_shape(other)
-        grid = [
-            [self.entries[j][i] + other.entries[j][i] for i in range(self.out_rank)]
-            for j in range(self.in_rank)
-        ]
-        return ModuleOperator(self.spec, grid)
+        mats = [a + b for a, b in zip(self._mats, other._mats)]
+        return _operator(self.spec, self.in_rank, self.out_rank, mats)
 
     def __sub__(self, other: "ModuleOperator") -> "ModuleOperator":
         self._check_same_shape(other)
-        grid = [
-            [self.entries[j][i] - other.entries[j][i] for i in range(self.out_rank)]
-            for j in range(self.in_rank)
-        ]
-        return ModuleOperator(self.spec, grid)
+        mats = [a - b for a, b in zip(self._mats, other._mats)]
+        return _operator(self.spec, self.in_rank, self.out_rank, mats)
 
     def scalar_mul(self, z: complex) -> "ModuleOperator":
-        grid = [
-            [z * self.entries[j][i] for i in range(self.out_rank)]
-            for j in range(self.in_rank)
-        ]
-        return ModuleOperator(self.spec, grid)
+        mats = [complex(z) * m for m in self._mats]
+        return _operator(self.spec, self.in_rank, self.out_rank, mats)
 
     def _check_same_shape(self, other: "ModuleOperator") -> None:
         if (
@@ -249,9 +250,7 @@ class ModuleOperator:
 
     def norm(self) -> float:
         """Operator norm: largest singular value of the flattening."""
-        return max(
-            float(np.linalg.norm(m, ord=2)) for m in self.block_matrices()
-        )
+        return max(float(np.linalg.norm(m, ord=2)) for m in self._mats)
 
     def herm_eigs(self) -> np.ndarray:
         """Eigenvalues of the Hermitian part of the reduced block matrices.
@@ -261,7 +260,7 @@ class ModuleOperator:
         """
         if self.in_rank != self.out_rank:
             raise InputError("eigenvalues need a square operator")
-        vals = [np.linalg.eigvalsh(0.5 * (m + m.conj().T)) for m in self.block_matrices()]
+        vals = [np.linalg.eigvalsh(0.5 * (m + m.conj().T)) for m in self._mats]
         return np.concatenate(vals)
 
     def min_herm_eig(self) -> float:
@@ -292,29 +291,25 @@ class ModuleOperator:
         if self.in_rank != self.out_rank:
             raise InputError("inverse needs a square operator")
         try:
-            mats = [np.linalg.inv(m) for m in self.block_matrices()]
+            mats = [np.linalg.inv(m) for m in self._mats]
         except np.linalg.LinAlgError as exc:
             raise PreconditionError(f"operator is not invertible: {exc}") from exc
-        return from_block_matrices(self.spec, self.in_rank, self.out_rank, mats)
+        return _operator(self.spec, self.in_rank, self.out_rank, mats)
 
     def negative_witness(self) -> tuple[float, ModuleVector]:
         """Most negative Hermitian-part eigenvalue with a module vector
         witnessing it: trace<Tf, f> equals the returned eigenvalue."""
         best = None
-        for b, (d, m) in enumerate(zip(self.spec.block_dims, self.block_matrices())):
+        for b, m in enumerate(self._mats):
             w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
             if best is None or w[0] < best[0]:
                 best = (float(w[0]), b, v[:, 0])
         lam, b, vec = best
-        d = self.spec.block_dims[b]
-        entries = []
-        for j in range(self.in_rank):
-            blocks = [np.zeros((dd, dd), dtype=complex) for dd in self.spec.block_dims]
-            sl = np.zeros((d, d), dtype=complex)
-            sl[:, 0] = vec[j * d : (j + 1) * d]
-            blocks[b] = sl.T
-            entries.append(AlgElement(self.spec, blocks))
-        return lam, ModuleVector(self.spec, entries)
+        stacks = [
+            np.zeros((self.in_rank * d, d), dtype=complex) for d in self.spec.block_dims
+        ]
+        stacks[b][:, 0] = vec
+        return lam, _vector(self.spec, stacks)
 
     def __repr__(self) -> str:
         return (
@@ -323,37 +318,52 @@ class ModuleOperator:
         )
 
 
+def _readonly(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
+
+
+def _vector(spec: AlgebraSpec, stacks: Sequence[np.ndarray]) -> ModuleVector:
+    """Wrap per-block stacked arrays of matching shapes, taking them over."""
+    f = object.__new__(ModuleVector)
+    f.spec, f.rank, f.stacks = spec, len(stacks[0]) // spec.block_dims[0], _readonly(stacks)
+    return f
+
+
+def _operator(
+    spec: AlgebraSpec, in_rank: int, out_rank: int, mats: Sequence[np.ndarray]
+) -> ModuleOperator:
+    """Wrap reduced matrices of matching shapes, taking them over."""
+    t = object.__new__(ModuleOperator)
+    t.spec, t.in_rank, t.out_rank, t._mats = spec, in_rank, out_rank, _readonly(mats)
+    return t
+
+
 def from_block_matrices(
     spec: AlgebraSpec, in_rank: int, out_rank: int, mats: Sequence[np.ndarray]
 ) -> ModuleOperator:
-    """Rebuild an operator from its reduced per-block matrices."""
+    """Operator storing copies of the given reduced per-block matrices,
+    after checking their shapes."""
+    if in_rank < 1 or out_rank < 1:
+        raise InputError("empty operator matrices are rejected")
     if len(mats) != spec.n_blocks:
         raise InputError("need one reduced matrix per algebra block")
-    grid = [[None] * out_rank for _ in range(in_rank)]
-    blocks_grid = [[[] for _ in range(out_rank)] for _ in range(in_rank)]
+    mats = [np.array(m, dtype=complex) for m in mats]
     for b, (d, m) in enumerate(zip(spec.block_dims, mats)):
         if m.shape != (out_rank * d, in_rank * d):
             raise InputError(f"reduced matrix {b} has wrong shape {m.shape}")
-        for j in range(in_rank):
-            for i in range(out_rank):
-                blocks_grid[j][i].append(m[i * d : (i + 1) * d, j * d : (j + 1) * d].T)
-    for j in range(in_rank):
-        for i in range(out_rank):
-            grid[j][i] = AlgElement(spec, blocks_grid[j][i])
-    return ModuleOperator(spec, grid)
+    return _operator(spec, in_rank, out_rank, mats)
 
 
 def identity_operator(spec: AlgebraSpec, rank: int) -> ModuleOperator:
-    grid = [
-        [spec.unit() if i == j else spec.zero() for i in range(rank)]
-        for j in range(rank)
-    ]
-    return ModuleOperator(spec, grid)
+    mats = [np.eye(rank * d, dtype=complex) for d in spec.block_dims]
+    return from_block_matrices(spec, rank, rank, mats)
 
 
 def zero_operator(spec: AlgebraSpec, in_rank: int, out_rank: int) -> ModuleOperator:
-    grid = [[spec.zero() for _ in range(out_rank)] for _ in range(in_rank)]
-    return ModuleOperator(spec, grid)
+    mats = [np.zeros((out_rank * d, in_rank * d), dtype=complex) for d in spec.block_dims]
+    return from_block_matrices(spec, in_rank, out_rank, mats)
 
 
 def central_mult(a: AlgElement, rank: int, tol: float = DEFAULT_TOL) -> ModuleOperator:
@@ -364,7 +374,10 @@ def central_mult(a: AlgElement, rank: int, tol: float = DEFAULT_TOL) -> ModuleOp
     """
     if not a.is_central(tol):
         raise PreconditionError("central_mult needs a central element")
-    grid = [
-        [a if i == j else a.spec.zero() for i in range(rank)] for j in range(rank)
-    ]
-    return ModuleOperator(a.spec, grid)
+    mats = []
+    for d, blk in zip(a.spec.block_dims, a.blocks):
+        m = np.zeros((rank * d, rank * d), dtype=complex)
+        for i in range(rank):
+            m[i * d : (i + 1) * d, i * d : (i + 1) * d] = blk.T
+        mats.append(m)
+    return from_block_matrices(a.spec, rank, rank, mats)

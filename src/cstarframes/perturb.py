@@ -82,11 +82,12 @@ def _sampled_min_ratio(
 ) -> float:
     """max over samples of min(q/a, q/b): the sampled min-ratio never
     exceeds either exact branch constant."""
+    d_adj = difference_synthesis(f_seq, h_seq).adjoint()
     rng = stream(seed, 0x3E)
     worst = 0.0
     for _ in range(samples):
         f = random_vector(f_seq.spec, f_seq.rank, rng)
-        q = difference_quadratic(f_seq, h_seq, f)
+        q = d_adj.apply(f).norm() ** 2
         a = f_seq.coefficient_gram(f).norm()
         b = h_seq.coefficient_gram(f).norm()
         ratios = [q / x for x in (a, b) if x > 1e-30]
@@ -296,10 +297,11 @@ def pertur2_audit(
     m_f, m_h = exact_branch_M(f_seq, h_seq)
     sampled = _sampled_min_ratio(f_seq, h_seq, samples=min(samples, 200), seed=seed)
     k_adj = k_op.adjoint()
+    d_adj = difference_synthesis(f_seq, h_seq).adjoint()
     rng = stream(seed, 0xAB)
     for i in range(samples):
         f = random_vector(f_seq.spec, f_seq.rank, rng)
-        q = math.sqrt(difference_quadratic(f_seq, h_seq, f))
+        q = math.sqrt(d_adj.apply(f).norm() ** 2)  # sqrt(difference_quadratic), bit for bit
         rhs = (
             alpha * math.sqrt(f_seq.coefficient_gram(f).norm())
             + beta * math.sqrt(h_seq.coefficient_gram(f).norm())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraSpec, AlgElement
-from .hilbmod import ModuleOperator, ModuleVector, from_block_matrices
+from .hilbmod import ModuleOperator, ModuleVector, from_block_matrices, unflatten_vector
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -58,7 +58,11 @@ def random_central(
 def random_vector(
     spec: AlgebraSpec, rank: int, rng: np.random.Generator, scale: float = 1.0
 ) -> ModuleVector:
-    return ModuleVector(spec, [random_element(spec, rng, scale) for _ in range(rank)])
+    """Entries drawn in order, each as random_element would draw it."""
+    dims = spec.block_dims
+    draws = [(scale * _gauss_matrix(rng, d, d)).ravel() for _ in range(rank) for d in dims]
+    # rank < 1 leaves no draws; unflatten_vector rejects it
+    return unflatten_vector(spec, rank, np.concatenate(draws or [np.zeros(0)]))
 
 
 def random_operator(
@@ -68,11 +72,10 @@ def random_operator(
     rng: np.random.Generator,
     scale: float = 1.0,
 ) -> ModuleOperator:
-    grid = [
-        [random_element(spec, rng, scale) for _ in range(out_rank)]
-        for _ in range(in_rank)
-    ]
-    return ModuleOperator(spec, grid)
+    """Grid row j, the image t[j][:] of the j-th coordinate vector, is one
+    random_vector draw, j ascending."""
+    cols = [random_vector(spec, out_rank, rng, scale).stacks for _ in range(in_rank)]
+    return from_block_matrices(spec, in_rank, out_rank, [np.hstack(s) for s in zip(*cols)])
 
 
 def random_unitary(spec: AlgebraSpec, rank: int, rng: np.random.Generator) -> ModuleOperator:

@@ -85,8 +85,7 @@ def decode_vector(spec: AlgebraSpec, rank: int, data, path: str) -> ModuleVector
 
 
 def encode_operator(t: ModuleOperator) -> list:
-    return [[encode_element(t.entries[j][i]) for i in range(t.out_rank)]
-            for j in range(t.in_rank)]
+    return [[encode_element(e) for e in row] for row in t.entries]
 
 
 def decode_operator(spec: AlgebraSpec, data, path: str) -> ModuleOperator:

@@ -49,23 +49,20 @@ class TensorWitness:
         """f tensor h in (A tensor B)^(n m), slots ordered (left, right)."""
         if f.spec != self.left or h.spec != self.right:
             raise InputError("tensor factors do not match the witness specs")
-        entries = [self.element(fe, he) for fe in f.entries for he in h.entries]
+        h_entries = h.entries
+        entries = [self.element(fe, he) for fe in f.entries for he in h_entries]
         return ModuleVector(self.product, entries)
 
     def operator(self, k_op: ModuleOperator, l_op: ModuleOperator) -> ModuleOperator:
         """K tensor L acting by (K tensor L)(f tensor h) = Kf tensor Lh."""
         if k_op.spec != self.left or l_op.spec != self.right:
             raise InputError("tensor factors do not match the witness specs")
-        grid = []
-        for j in range(k_op.in_rank):
-            for jj in range(l_op.in_rank):
-                row = []
-                for i in range(k_op.out_rank):
-                    for ii in range(l_op.out_rank):
-                        row.append(
-                            self.element(k_op.entries[j][i], l_op.entries[jj][ii])
-                        )
-                grid.append(row)
+        k_grid, l_grid = k_op.entries, l_op.entries
+        grid = [
+            [self.element(k, l) for k in k_row for l in l_row]
+            for k_row in k_grid
+            for l_row in l_grid
+        ]
         return ModuleOperator(self.product, grid)
 
     # -- index maps ------------------------------------------------------------

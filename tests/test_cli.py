@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from cstarframes import AlgebraSpec, Instance, coordinate_frame, save_instance
 from cstarframes.cli import main
@@ -136,15 +137,18 @@ def test_console_script_runs():
     assert "lambda_star" in proc.stdout
 
 
-def test_instance_tolerances_and_seed_apply_when_flags_absent(tmp_path, capsys):
+# tol 0 is honoured, not replaced by the default: it leaves no room for the
+# roundoff-level Hermitian residual of the gap operators, so the check falsifies
+@pytest.mark.parametrize(("tol", "code"), [(1e-6, 0), (0.0, 1)])
+def test_instance_tolerances_and_seed_apply_when_flags_absent(tmp_path, capsys, tol, code):
     inst = random_instance(4, "generic")
-    inst.tolerances = {"tol": 1e-6}
+    inst.tolerances = {"tol": tol}
     inst.seed = 77
     path = write_instance(tmp_path, inst)
     out = tmp_path / "rep.json"
-    assert main(["check-kframe", "--input", path, "--report", str(out)]) == 0
+    assert main(["check-kframe", "--input", path, "--report", str(out)]) == code
     rep = json.loads(out.read_text())
-    assert rep["config"]["tol"] == 1e-6
+    assert rep["config"]["tol"] == tol
     assert rep["seed"] == 77
     # explicit flags win over the file
     assert main(["check-kframe", "--input", path, "--tol", "1e-9",

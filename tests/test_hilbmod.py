@@ -337,3 +337,54 @@ def test_self_inner_product_always_positive():
     for _ in range(50):
         f = random_vector(SPEC, 3, rng)
         assert f.inner(f).is_positive(1e-9)
+
+
+# -- stored layout ------------------------------------------------------------------
+
+LAYOUT_CASES = [
+    pytest.param(AlgebraSpec(dims), rank, id=f"{'+'.join(map(str, dims))}-rank{rank}")
+    for dims in ((2, 1), (1,))
+    for rank in (1, 3)
+]
+
+
+def _assert_same_bits(xs, ys):
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        assert x.shape == y.shape and x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize(("spec", "rank"), LAYOUT_CASES)
+def test_random_draws_keep_elementwise_draw_order(spec, rank):
+    f = random_vector(spec, rank, stream(43, rank))
+    rng = stream(43, rank)
+    g = ModuleVector(spec, [random_element(spec, rng) for _ in range(rank)])
+    _assert_same_bits(f.stacks, g.stacks)
+
+    out_rank = 4 - rank
+    t = random_operator(spec, rank, out_rank, stream(44, rank))
+    rng = stream(44, rank)
+    grid = [[random_element(spec, rng) for _ in range(out_rank)] for _ in range(rank)]
+    _assert_same_bits(t.block_matrices(), ModuleOperator(spec, grid).block_matrices())
+
+
+@pytest.mark.parametrize(("spec", "rank"), LAYOUT_CASES)
+def test_entries_view_agrees_with_stored_arrays(spec, rank):
+    rng = stream(45, rank)
+    f = random_vector(spec, rank, rng)
+    _assert_same_bits(ModuleVector(spec, f.entries).stacks, f.stacks)
+    t = random_operator(spec, rank, 4 - rank, rng)
+    for op in (t, t.adjoint(), t.compose(t.adjoint())):
+        _assert_same_bits(ModuleOperator(spec, op.entries).block_matrices(), op.block_matrices())
+
+    # one matmul per block against the entrywise definitions, summed term by term
+    g = random_vector(spec, rank, rng)
+    fe, ge, grid = f.entries, g.entries, t.entries
+    ip = sum((a * b.adjoint() for a, b in zip(fe, ge)), spec.zero())
+    assert (f.inner(g) - ip).norm() <= 1e-13 * max(1.0, ip.norm())
+    tf = ModuleVector(
+        spec,
+        [sum((fe[j] * grid[j][i] for j in range(rank)), spec.zero()) for i in range(4 - rank)],
+    )
+    assert (t.apply(f) - tf).norm() <= 1e-13 * max(1.0, tf.norm())
