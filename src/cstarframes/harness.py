@@ -401,7 +401,7 @@ def _perturb1_trial(seed: int, trial: int, tol: float, epsilon: float, samples: 
     k_op = inst.operators["K"]
     a, b = inst.bounds["A"], inst.bounds["B"]
     rep = pertur1_audit(
-        frame, h_seq, k_op, k_op, a, b, tol=1e-9,
+        frame, h_seq, k_op, k_op, a, b, tol=tol,
         samples=samples, seed=_trial_seed(seed, trial) + 4,
     )
     m_val = rep.certified_M
@@ -429,7 +429,7 @@ def _perturb2_trial(seed: int, trial: int, tol: float, epsilon: float, samples: 
     a, b = inst.bounds["A"], inst.bounds["B"]
     rep = pertur2_audit(
         frame, h_seq, k_op, k_op, 0.2, 0.1, 0.05, a, b,
-        tol=1e-9, samples=samples, seed=_trial_seed(seed, trial) + 4,
+        tol=tol, samples=samples, seed=_trial_seed(seed, trial) + 4,
     )
     hypothesis_passed = rep.constants_used.get("hypothesis") == "sampled-consistent"
     ok = (not hypothesis_passed) or rep.conclusion.ok

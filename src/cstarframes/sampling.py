@@ -4,6 +4,13 @@ All randomness flows through Philox counter-based generators keyed by a
 seed and a spawn path, so any (seed, path) pair names one reproducible
 stream.  Suites use stream(seed, trial_index) per trial; nested draws
 split further by appending path components.
+
+Module vectors have one draw path, `random_vectors`: a whole batch of
+samples comes from a single `standard_normal` call and is cut into
+per-block stacked arrays.  `Generator.standard_normal` caches no draws
+between calls, so the batch is bit for bit the same as drawing its
+vectors one call at a time; `random_vector` is the batch of one and
+`random_operator` draws its columns as one batch.
 """
 
 from __future__ import annotations
@@ -11,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraSpec, AlgElement
-from .hilbmod import ModuleOperator, ModuleVector, from_block_matrices, unflatten_vector
+from .errors import InputError
+from .hilbmod import ModuleOperator, ModuleVector, _readonly, _vector, from_block_matrices
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -55,14 +63,37 @@ def random_central(
     return spec.central(list(mags * phases))
 
 
+def random_vectors(
+    spec: AlgebraSpec, rank: int, rng: np.random.Generator, count: int, scale: float = 1.0
+) -> tuple[np.ndarray, ...]:
+    """`count` random rank-`rank` vectors from one `standard_normal` call,
+    as one read-only (count, rank*d_b, d_b) array per block b: slice s of
+    every block is the `stacks` of sample s.
+
+    Sample s is bit for bit the s-th of `count` sequential `random_vector`
+    calls on the same generator: per sample, entries in order, per entry
+    blocks in order, per block a d_b x d_b real part then imaginary part,
+    each as `random_element` draws it.
+    """
+    if rank < 1:
+        raise InputError("rank-0 module vectors are rejected")
+    dims = spec.block_dims
+    per_entry = sum(2 * d * d for d in dims)
+    z = rng.standard_normal(count * rank * per_entry).reshape(count, rank, per_entry)
+    segs = np.split(z, np.cumsum([2 * d * d for d in dims])[:-1], axis=2)
+    stacks = []
+    for d, seg in zip(dims, segs):
+        re_im = seg.reshape(count, rank, 2, d, d)
+        e = scale * ((re_im[:, :, 0] + 1j * re_im[:, :, 1]) / np.sqrt(2.0))
+        stacks.append(e.transpose(0, 1, 3, 2).reshape(count, rank * d, d))
+    return _readonly(stacks)
+
+
 def random_vector(
     spec: AlgebraSpec, rank: int, rng: np.random.Generator, scale: float = 1.0
 ) -> ModuleVector:
     """Entries drawn in order, each as random_element would draw it."""
-    dims = spec.block_dims
-    draws = [(scale * _gauss_matrix(rng, d, d)).ravel() for _ in range(rank) for d in dims]
-    # rank < 1 leaves no draws; unflatten_vector rejects it
-    return unflatten_vector(spec, rank, np.concatenate(draws or [np.zeros(0)]))
+    return _vector(spec, [s[0] for s in random_vectors(spec, rank, rng, 1, scale)])
 
 
 def random_operator(
@@ -72,10 +103,10 @@ def random_operator(
     rng: np.random.Generator,
     scale: float = 1.0,
 ) -> ModuleOperator:
-    """Grid row j, the image t[j][:] of the j-th coordinate vector, is one
-    random_vector draw, j ascending."""
-    cols = [random_vector(spec, out_rank, rng, scale).stacks for _ in range(in_rank)]
-    return from_block_matrices(spec, in_rank, out_rank, [np.hstack(s) for s in zip(*cols)])
+    """Grid row j, the image t[j][:] of the j-th coordinate vector, is
+    sample j of one random_vectors batch."""
+    cols = random_vectors(spec, out_rank, rng, in_rank, scale)
+    return from_block_matrices(spec, in_rank, out_rank, [np.hstack(s) for s in cols])
 
 
 def random_unitary(spec: AlgebraSpec, rank: int, rng: np.random.Generator) -> ModuleOperator:

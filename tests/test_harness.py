@@ -12,6 +12,7 @@ from cstarframes import (
     run_suite,
     save_instance,
 )
+from cstarframes import harness
 from cstarframes.harness import paper_truncation_values, tensor_pair_instance
 from cstarframes.serialize import dumps_stable, instance_to_dict
 
@@ -160,3 +161,19 @@ def test_paper_example_suite():
     row = rep["trials"][0]
     assert row["status"] == "certified"
     assert row["max_equality_deviation"] <= 1e-12
+
+
+@pytest.mark.parametrize("suite", ["perturb1", "perturb2"])
+def test_perturb_suites_audit_at_the_suite_tolerance(monkeypatch, suite):
+    name = {"perturb1": "pertur1_audit", "perturb2": "pertur2_audit"}[suite]
+    real = getattr(harness, name)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, spy)
+    rep = run_suite(suite, trials=2, seed=5, tol=1e-6, samples=10)
+    assert seen == [1e-6, 1e-6]
+    assert rep["config"]["tol"] == 1e-6

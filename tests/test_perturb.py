@@ -298,3 +298,94 @@ def test_triangle_consistency():
         nh = hs.analysis(f).norm()
         nd = d_adj.apply(f).norm()
         assert abs(nh - nf) <= nd + 1e-10
+
+
+# -- batched sampling against the one-sample-at-a-time loops ---------------------------
+
+
+def sequential_min_ratio(fr, hs, samples, seed):
+    rng = stream(seed, 0x3E)
+    worst = 0.0
+    for _ in range(samples):
+        f = random_vector(fr.spec, fr.rank, rng)
+        q = difference_quadratic(fr, hs, f)
+        ratios = [q / x for x in (fr.coefficient_gram(f).norm(), hs.coefficient_gram(f).norm())
+                  if x > 1e-30]
+        if ratios:
+            worst = max(worst, min(ratios))
+    return worst
+
+
+def sequential_abg_violation(fr, hs, k, alpha, beta, gamma, tol, samples, seed):
+    rng = stream(seed, 0xAB)
+    for i in range(samples):
+        f = random_vector(fr.spec, fr.rank, rng)
+        lhs = math.sqrt(difference_quadratic(fr, hs, f))
+        rhs = (
+            alpha * math.sqrt(fr.coefficient_gram(f).norm())
+            + beta * math.sqrt(hs.coefficient_gram(f).norm())
+            + gamma * k.adjoint().apply(f).norm()
+        )
+        if lhs > rhs + tol * max(1.0, rhs):
+            return i, lhs, rhs
+    return None
+
+
+def _abg_setup(case):
+    if case == "scaled":  # test_pertur2_closed_form_scaling: consistent
+        rng = stream(156, 0)
+        fr = random_frame(2, 5, rng)
+        k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
+        hs = FrameSeq([m.scalar_mul(1 - 0.1) for m in fr.members])
+        return fr, hs, k, (0.1, 0.0, 0.0), 200, 6
+    # test_pertur2_falsifies_violated_hypothesis, and a later violating sample
+    eps, constants = {"zero": (0.5, (0.0, 0.0, 0.0)), "mixed": (0.3, (0.2, 0.1, 0.05))}[case]
+    rng = stream(159, 0)
+    fr = random_frame(2, 5, rng)
+    k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
+    return fr, perturbed(fr, rng, eps), k, constants, 100, 7
+
+
+@pytest.mark.parametrize("case", ["scaled", "zero", "mixed"])
+def test_batched_audits_match_sequential_loops(case):
+    fr, hs, k, constants, samples, seed = _abg_setup(case)
+    a, b = margin_bounds(fr, k)
+    rep = pertur2_audit(fr, hs, k, k, *constants, a, b, samples=samples, seed=seed)
+    assert rep.sampled_M == sequential_min_ratio(fr, hs, min(samples, 200), seed)
+    rep1 = pertur1_audit(fr, hs, k, k, a, b, samples=samples, seed=seed)
+    assert rep1.sampled_M == sequential_min_ratio(fr, hs, samples, seed)
+
+    want = sequential_abg_violation(fr, hs, k, *constants, 1e-9, samples, seed)
+    if want is None:
+        assert rep.constants_used["hypothesis"] == "sampled-consistent"
+        return
+    cert = rep.conclusion
+    assert cert.claim == "perturb-abg-hypothesis"
+    assert (cert.witness["violating_sample"], cert.witness["lhs"], cert.witness["rhs"]) == want
+    if case == "mixed":
+        assert want[0] > 0
+
+    # the witness re-checks through the difference quadratic and term-by-term grams
+    w = cert.witness_vector
+    alpha, beta, gamma = constants
+    lhs = math.sqrt(difference_quadratic(fr, hs, w))
+    rhs = (
+        alpha * math.sqrt(coefficient_gram_direct(fr, w).norm())
+        + beta * math.sqrt(coefficient_gram_direct(hs, w).norm())
+        + gamma * k.adjoint().apply(w).norm()
+    )
+    assert lhs == pytest.approx(cert.witness["lhs"], rel=1e-12)
+    assert lhs > rhs
+
+
+def test_zero_samples_draw_nothing_and_pass():
+    rng = stream(155, 0)
+    fr = random_frame(2, 5, rng)
+    k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
+    a, b = margin_bounds(fr, k)
+    hs = perturbed(fr, rng, 0.5)
+    rep1 = pertur1_audit(fr, hs, k, k, a, b, samples=0, seed=1)
+    assert rep1.sampled_M == 0.0
+    rep2 = pertur2_audit(fr, hs, k, k, 0.0, 0.0, 0.0, a, b, samples=0, seed=1)
+    assert rep2.sampled_M == 0.0
+    assert rep2.constants_used["hypothesis"] == "sampled-consistent"
