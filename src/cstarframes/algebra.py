@@ -165,21 +165,20 @@ class AlgElement:
             raise InputError("tolerance must be nonnegative")
         return float(np.abs(self.spectrum()).min()) > tol * self._scale()
 
-    def is_central(self, tol: float = DEFAULT_TOL) -> bool:
-        """True when every block is within tol of a scalar multiple of the identity.
-
-        For a direct sum of full matrix blocks this is exactly membership in
-        the center; the nearest scalar is trace/d per block.
-        """
+    def scalar_blocks(self, tol: float = DEFAULT_TOL) -> tuple[bool, ...]:
+        """Per block, whether it is within tol (relatively scaled) of a
+        scalar multiple of the identity; the nearest scalar is trace/d."""
         if tol < 0:
             raise InputError("tolerance must be nonnegative")
         s = self._scale()
-        for b in self.blocks:
-            d = b.shape[0]
-            lam = np.trace(b) / d
-            if float(np.linalg.norm(b - lam * np.eye(d), ord=2)) > tol * s:
-                return False
-        return True
+        return tuple(
+            float(np.linalg.norm(b - np.trace(b) / len(b) * np.eye(len(b)), ord=2)) <= tol * s
+            for b in self.blocks
+        )
+
+    def is_central(self, tol: float = DEFAULT_TOL) -> bool:
+        """Every block scalar within tol: membership in the center."""
+        return all(self.scalar_blocks(tol))
 
     def central_scalars(self) -> np.ndarray:
         """Per-block nearest scalars (trace/d); meaningful for central elements."""

@@ -2,7 +2,7 @@
 
 A certificate records the outcome of one claim check: certified,
 falsified (with an explicit witness vector when the claim is an
-inequality), or inconclusive for near-boundary and sampled-only cases.
+inequality), or inconclusive for near-boundary cases.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from .frames import (
     FrameSeq,
     atomic_coefficients,
     certify_kframe,
+    derived_bounds,
     dual_atoms_audit,
     local_atoms_check,
     optimal_scalar_bounds,
@@ -61,7 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None,
                         help="certification tolerance (default 1e-9; an instance "
                              "file's tolerances.tol applies when the flag is absent)")
-    common.add_argument("--samples", type=int, default=1000, help="sample count for sampled checks")
+    common.add_argument("--samples", type=int, default=1000,
+                        help="sample count for atomic-system, local-atoms, douglas, "
+                             "perturb1, perturb2 and suite; the rest draw no samples")
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed, uint64 (default 0; an instance file's "
                              "seed applies when the flag is absent)")
@@ -112,12 +115,6 @@ def _need_operator(inst: Instance, key: str, command: str):
     return inst.operators[key]
 
 
-def _derived_scalar_bounds(frame: FrameSeq, lam: float, mu: float, tol: float):
-    low = 1.0 if math.isinf(lam) else math.sqrt(max(lam, 0.0) * (1.0 - 1e-9))
-    up = math.sqrt(mu) * (1.0 + 1e-9) if mu > 0 else 1.0
-    return low * frame.spec.unit(), up * frame.spec.unit()
-
-
 def _kframe_command(inst: Instance, k_op, args, claim: str):
     frame = inst.frame()
     lam, mu = optimal_scalar_bounds(frame, k_op)
@@ -132,9 +129,9 @@ def _kframe_command(inst: Instance, k_op, args, claim: str):
                 {"tol": args.tol},
             )
             return cert.status, values, [cert]
-        a, b = _derived_scalar_bounds(frame, lam, mu, args.tol)
+        a, b = derived_bounds(frame, lam, mu, 1e-9)
         values["derived_bounds"] = True
-    cert = certify_kframe(frame, k_op, a, b, args.tol, args.samples, args.seed)
+    cert = certify_kframe(frame, k_op, a, b, args.tol)
     return cert.status, values, [cert]
 
 
@@ -166,7 +163,7 @@ def _cmd_atomic_system(inst: Instance, args):
 def _cmd_dual_atoms(inst: Instance, args):
     frame = inst.frame()
     k_op = _need_operator(inst, "K", "dual-atoms")
-    cert = dual_atoms_audit(frame, k_op, args.tol, min(args.samples, 100), args.seed)
+    cert = dual_atoms_audit(frame, k_op, args.tol)
     return cert.status, dict(cert.witness), [cert]
 
 
@@ -254,7 +251,7 @@ def _perturb_common(inst: Instance, args, command: str):
         lam, mu = optimal_scalar_bounds(frame, k_op)
         if not math.isinf(lam) and lam <= args.tol:
             raise InputError(f"{command}: base family is not a K-frame, no bounds derivable")
-        a, b = _derived_scalar_bounds(frame, lam, mu, args.tol)
+        a, b = derived_bounds(frame, lam, mu, 1e-9)
     return frame, h_seq, k_op, l_op, a, b
 
 

@@ -3,14 +3,17 @@ systems, dual atoms, local atoms, and frame transforms.
 
 A frame sequence {f_j} has synthesis U: A^J -> A^n sending coefficients
 {g_j} to sum g_j f_j, analysis U* f = {<f, f_j>}, and frame operator
-S = U U*.  The two-sided frame inequality with central bounds A, B,
+S = U U*.  The two-sided frame inequality with bounds A, B in A,
 
     A <K*f, K*f> A*  <=  sum_j <f, f_j><f_j, f>  <=  B <f, f> B*,
 
-is equivalent to a pair of operator inequalities in the adjointable
-algebra (conjugating multiplications are adjointable exactly for central
-bounds), so it is certified by eigenvalue checks on the flattening.
-Non-central bounds only admit sampled falsification here.
+is decided exactly, one algebra block at a time.  Where a bound's block
+is scalar, multiplication by it is adjointable and the inequality is an
+operator inequality on the flattening.  Where it is not, the inequality
+holds only if S (upper) or K K* (lower) vanishes on that block; see
+`certify_star_bessel` and `certify_kframe` for the proof.  Both cases are
+one gap operator handed to `psd_certificate`; a violation on a
+non-scalar block comes with a constructed rank-one witness.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ from .errors import AtomicSystemError, InputError, PreconditionError
 from .hilbmod import (
     ModuleOperator,
     ModuleVector,
-    central_mult,
+    _vector,
     coordinate_vector,
+    diagonal_operator,
     from_block_matrices,
     identity_operator,
 )
@@ -78,12 +82,8 @@ class FrameSeq:
         """Coefficient vector {<f, f_j>} in A^J."""
         return self.analysis_op.apply(f)
 
-    def synthesis(self, coeffs) -> ModuleVector:
-        """sum_j g_j f_j for coefficients in A^J."""
-        if isinstance(coeffs, ModuleVector):
-            g = coeffs
-        else:
-            g = ModuleVector(self.spec, list(coeffs))
+    def synthesis(self, g: ModuleVector) -> ModuleVector:
+        """sum_j g_j f_j for a coefficient vector g in A^J."""
         return self.synthesis_op.apply(g)
 
     def coefficient_gram(self, f: ModuleVector) -> AlgElement:
@@ -109,49 +109,27 @@ def _require_strictly_nonzero(x: AlgElement, name: str, tol: float) -> None:
 
 
 def certify_star_bessel(
-    frame: FrameSeq,
-    b: AlgElement,
-    tol: float = DEFAULT_TOL,
-    samples: int = 1000,
-    seed: int = 0,
+    frame: FrameSeq, b: AlgElement, tol: float = DEFAULT_TOL
 ) -> Certificate:
-    """Certify the upper frame inequality sum <f,f_j><f_j,f> <= B<f,f>B*.
+    """Certify the upper frame inequality sum_j <f,f_j><f_j,f> <= B<f,f>B*.
 
-    Central B: decided as positivity of M_B M_{B*} - U U* on the
-    flattening.  Non-central B: sampled falsification only; a clean pass
-    is inconclusive because no finite certificate is available.
+    Decided per algebra block k.  Let F be the block-k stack of f (slab i
+    is (f_i)_k^T) and S_k the reduced frame operator.  For xi in C^{d_k},
+
+        xi* B<f,f>B* xi = ||F conj(B_k* xi)||^2,
+        xi* (sum_j <f,f_j><f_j,f>) xi = (F conj(xi))^H S_k (F conj(xi)).
+
+    Scalar B_k = beta 1 (within tol, `AlgElement.scalar_blocks`): the gap
+    is the form of |beta|^2 1 - S_k, the central operator check.
+    Non-scalar B_k: take xi with B_k* xi not parallel to xi and w with
+    w^H conj(xi) = 1, w^H conj(B_k* xi) = 0.  Then F = g w^H gives the gap
+    xi*(B<f,f>B* - sum)xi = -g^H S_k g, which is -lambda_max(S_k) for a
+    top eigenvector g.  So the inequality fails unless S_k = 0, and it
+    holds when S_k = 0 since the middle term vanishes on the block.  The
+    gap operator is |beta|^2 1 - S_k on scalar blocks and -S_k on others.
     """
     _require_strictly_nonzero(b, "B", tol)
-    n = frame.rank
-    s_op = frame.frame_op
-    if b.is_central(tol):
-        mb = central_mult(b, n, tol)
-        gap = mb.compose(mb.adjoint()) - s_op
-        return psd_certificate(gap, tol, "star-bessel")
-    rng = stream(seed, 0xBE)
-    for k in range(samples):
-        f = random_vector(frame.spec, n, rng)
-        gap_elem = b * f.inner(f) * b.adjoint() - frame.coefficient_gram(f)
-        if not gap_elem.is_positive(tol):
-            return Certificate(
-                FALSIFIED,
-                "star-bessel",
-                {"violating_sample": k, "gap_min_spec": float(
-                    np.real(gap_elem.spectrum()).min()
-                )},
-                {"tol": tol},
-                samples,
-                seed,
-                witness_vector=f,
-            )
-    return Certificate(
-        INCONCLUSIVE,
-        "star-bessel",
-        {"note": "non-central bound, sampled check only"},
-        {"tol": tol},
-        samples,
-        seed,
-    )
+    return _certify_upper(frame, b, tol, "star-bessel")
 
 
 def certify_kframe(
@@ -160,54 +138,111 @@ def certify_kframe(
     a: AlgElement,
     b: AlgElement,
     tol: float = DEFAULT_TOL,
-    samples: int = 1000,
-    seed: int = 0,
 ) -> Certificate:
     """Certify the two-sided K-frame inequality with bounds A, B.
 
-    Central bounds give a full certificate: the lower inequality is
-    positivity of U U* - T T* with T = K M_{A*}, the upper as in the
-    Bessel check.  If either bound is non-central the check degrades to
-    sampled falsification.
+    The upper inequality is decided as in `certify_star_bessel`.  The lower
+    one, per algebra block k with F, S_k as there and K_k the reduced
+    matrix of K, uses
+
+        xi* A<K*f, K*f>A* xi = ||K_k^H F conj(A_k* xi)||^2.
+
+    Scalar A_k = alpha 1: the gap is the form of S_k - |alpha|^2 K_k K_k^H,
+    the central check of U U* - T T* with T = K M_{A*}.  Non-scalar A_k:
+    take xi with A_k* xi not parallel to xi and w with w^H conj(xi) = 0,
+    w^H conj(A_k* xi) = 1.  Then F = h w^H has F conj(xi) = 0, so the gap
+    is -||K_k^H h||^2, which is -||K_k||^2 for a top left singular vector
+    h.  So the inequality fails unless K_k = 0, and it holds when K_k = 0
+    since the left side vanishes on the block.  The gap operator is the
+    central one on scalar blocks and -K_k K_k^H on the others.
     """
     _require_strictly_nonzero(a, "A", tol)
     _require_strictly_nonzero(b, "B", tol)
     n = frame.rank
     if k_op.spec != frame.spec or k_op.in_rank != n or k_op.out_rank != n:
         raise InputError("K must be a square operator on the frame's module")
-    s_op = frame.frame_op
-    if a.is_central(tol) and b.is_central(tol):
-        t = k_op.compose(central_mult(a.adjoint(), n, tol))
-        lower = psd_certificate(s_op - t.compose(t.adjoint()), tol, "star-kframe-lower")
-        mb = central_mult(b, n, tol)
-        upper = psd_certificate(mb.compose(mb.adjoint()) - s_op, tol, "star-kframe-upper")
-        return combine("star-kframe", [lower, upper])
-    rng = stream(seed, 0x4B)
-    k_adj = k_op.adjoint()
-    for i in range(samples):
-        f = random_vector(frame.spec, n, rng)
-        mid = frame.coefficient_gram(f)
-        kf = k_adj.apply(f)
-        low_gap = mid - a * kf.inner(kf) * a.adjoint()
-        up_gap = b * f.inner(f) * b.adjoint() - mid
-        if not low_gap.is_positive(tol) or not up_gap.is_positive(tol):
-            return Certificate(
-                FALSIFIED,
-                "star-kframe",
-                {"violating_sample": i},
-                {"tol": tol},
-                samples,
-                seed,
-                witness_vector=f,
-            )
-    return Certificate(
-        INCONCLUSIVE,
-        "star-kframe",
-        {"note": "non-central bounds, sampled check only"},
-        {"tol": tol},
-        samples,
-        seed,
+    t = k_op.compose(diagonal_operator(a.adjoint(), n))
+    lower = _decide(
+        frame, a, k_op, frame.frame_op - t.compose(t.adjoint()),
+        k_op.compose(k_op.adjoint()).scalar_mul(-1.0), tol, "star-kframe-lower",
     )
+    return combine("star-kframe", [lower, _certify_upper(frame, b, tol, "star-kframe-upper")])
+
+
+def _certify_upper(frame: FrameSeq, b: AlgElement, tol: float, claim: str) -> Certificate:
+    mb, s_op = diagonal_operator(b, frame.rank), frame.frame_op
+    gap = mb.compose(mb.adjoint()) - s_op
+    return _decide(frame, b, None, gap, s_op.scalar_mul(-1.0), tol, claim)
+
+
+def _decide(
+    frame: FrameSeq,
+    bound: AlgElement,
+    k_op: Optional[ModuleOperator],
+    central_gap: ModuleOperator,
+    other_gap: ModuleOperator,
+    tol: float,
+    claim: str,
+) -> Certificate:
+    """Decide the upper inequality (k_op None) or the lower one with K.
+
+    The gap operator takes each block's reduced matrix from central_gap
+    where the bound is scalar and from other_gap elsewhere.  A violation
+    on a non-scalar block gets the rank-one witness f = g w^H of
+    `certify_star_bessel` and `certify_kframe`, with g the eigenvector
+    psd_certificate found.  It is
+    reported falsified only if the algebra-valued gap at f has an
+    eigenvalue below -BOUNDARY_FACTOR tol max(1, ||gap||), else
+    inconclusive: for a bound block eps from scalar, ||w|| grows like
+    1/eps and the gap like 1/eps^2, so roundoff swamps the violation.
+    """
+    scalar = bound.scalar_blocks(tol)
+    mats = [
+        c if s else o
+        for s, c, o in zip(scalar, central_gap.block_matrices(), other_gap.block_matrices())
+    ]
+    gap = from_block_matrices(bound.spec, frame.rank, frame.rank, mats)
+    cert = psd_certificate(gap, tol, claim)
+    if cert.status != FALSIFIED:
+        return cert
+    stacks = cert.witness_vector.stacks
+    k = next(i for i, st in enumerate(stacks) if st.any())
+    if scalar[k]:
+        return cert
+    c = bound.blocks[k].conj().T
+    xi = _moving_direction(c)
+    x, y = xi.conj(), (c @ xi).conj()
+    if k_op is not None:
+        x, y = y, x
+    x_perp = x - y * (np.vdot(y, x) / np.vdot(y, y))
+    w = x_perp / np.vdot(x_perp, x_perp).real  # w^H x = 1, w^H y = 0
+    f_stacks = [np.zeros_like(st) for st in stacks]
+    f_stacks[k] = np.outer(stacks[k][:, 0], w.conj())
+    f = _vector(bound.spec, f_stacks)
+    mid = frame.coefficient_gram(f)
+    if k_op is None:
+        at_f = bound * f.inner(f) * bound.adjoint() - mid
+    else:
+        kf = k_op.adjoint().apply(f)
+        at_f = mid - bound * kf.inner(kf) * bound.adjoint()
+    gap_min = float(np.real(at_f.spectrum()).min())
+    scale = max(1.0, at_f.norm())
+    witness = dict(cert.witness, block=k, witness_gap_min_eig=gap_min, witness_gap_scale=scale)
+    if gap_min < -BOUNDARY_FACTOR * tol * scale:
+        return Certificate(FALSIFIED, claim, witness, cert.tolerances, witness_vector=f)
+    return Certificate(INCONCLUSIVE, claim, witness, cert.tolerances)
+
+
+def _moving_direction(c: np.ndarray) -> np.ndarray:
+    """Unit xi with c xi not parallel to xi, for a non-scalar square c:
+    e_j at the largest off-diagonal entry c[i, j], or (e_p + e_q)/sqrt(2)
+    at the largest gap |c[p, p] - c[q, q]|, whichever c moves further off
+    the line of xi."""
+    eye, diag = np.eye(len(c)), np.diag(c)
+    j = np.argmax(np.abs(c - np.diag(diag)).max(axis=0))
+    p, q = divmod(int(np.argmax(np.abs(diag[:, None] - diag))), len(c))
+    pair = (eye[p] + eye[q]) / np.linalg.norm(eye[p] + eye[q])
+    return max((eye[j], pair), key=lambda xi: np.linalg.norm(c @ xi - xi * np.vdot(xi, c @ xi)))
 
 
 def optimal_scalar_bounds(
@@ -225,6 +260,17 @@ def optimal_scalar_bounds(
     lam = pencil_lower_bound(k_op, frame.synthesis_op)
     mu = frame.frame_op.norm()
     return lam, mu
+
+
+def derived_bounds(
+    frame: FrameSeq, lam: float, mu: float, margin: float
+) -> tuple[AlgElement, AlgElement]:
+    """Central bounds sqrt(lam (1 - margin)) 1 and sqrt(mu) (1 + margin) 1
+    from optimal scalar values (lam, mu), each floored at 1e-8 so it stays
+    strictly nonzero; a non-finite lam (K = 0) gives the lower bound 1."""
+    low = math.sqrt(max(lam, 0.0) * (1.0 - margin)) if math.isfinite(lam) else 1.0
+    up = math.sqrt(mu) * (1.0 + margin)
+    return max(low, 1e-8) * frame.spec.unit(), max(up, 1e-8) * frame.spec.unit()
 
 
 def atomic_coefficients(
@@ -264,56 +310,42 @@ def atomic_coefficients(
 
 
 def dual_atoms(
-    frame: FrameSeq,
-    k_op: ModuleOperator,
-    tol: float = DEFAULT_TOL,
-    samples: int = 20,
-    seed: int = 0,
+    frame: FrameSeq, k_op: ModuleOperator, tol: float = DEFAULT_TOL
 ) -> list[ModuleVector]:
     """Bessel family {h_j} with K f = sum_j <f, h_j> f_j.
 
     h_j = Q*(e_j) for the atomic coefficient operator Q, using the
     self-duality of A^J: the coefficient functional f -> (Qf)_j is the
-    pairing with h_j.
+    pairing with h_j.  Raises PreconditionError when the reconstruction
+    residual ||K - U Q|| exceeds tol.
     """
-    q, _, _ = atomic_coefficients(frame, k_op, tol, samples=0)
+    q, _, residual = atomic_coefficients(frame, k_op, tol, samples=0)
+    if residual > tol:
+        raise PreconditionError("dual-atom reconstruction audit failed")
+    return _atoms_of(frame, q)
+
+
+def _atoms_of(frame: FrameSeq, q: ModuleOperator) -> list[ModuleVector]:
     q_adj = q.adjoint()
-    atoms = [
+    return [
         q_adj.apply(coordinate_vector(frame.spec, frame.n_members, j))
         for j in range(frame.n_members)
     ]
-    rng = stream(seed, 0xDA)
-    recon = frame.synthesis_op.compose(q)
-    for _ in range(samples):
-        f = random_vector(frame.spec, frame.rank, rng)
-        resid = (k_op.apply(f) - recon.apply(f)).norm()
-        if resid > tol * max(1.0, f.norm()):
-            raise PreconditionError("dual-atom reconstruction audit failed")
-    return atoms
 
 
 def dual_atoms_audit(
-    frame: FrameSeq,
-    k_op: ModuleOperator,
-    tol: float = DEFAULT_TOL,
-    samples: int = 50,
-    seed: int = 0,
+    frame: FrameSeq, k_op: ModuleOperator, tol: float = DEFAULT_TOL
 ) -> Certificate:
-    """Certificate version of the dual-atom reconstruction and Bessel bound."""
+    """Certificate version of the dual-atom reconstruction and Bessel bound;
+    the reconstruction residual is ||K - U H*||, H the atoms' synthesis."""
     try:
         q, c, residual = atomic_coefficients(frame, k_op, tol, samples=0)
     except AtomicSystemError as exc:
         return Certificate(
             FALSIFIED, "dual-atoms", {"error": str(exc)}, {"tol": tol}
         )
-    atoms = dual_atoms(frame, k_op, tol, samples=0)
-    h_frame = FrameSeq(atoms)
-    rng = stream(seed, 0xDB)
-    worst = 0.0
-    for _ in range(samples):
-        f = random_vector(frame.spec, frame.rank, rng)
-        num = (k_op.apply(f) - frame.synthesis(h_frame.analysis(f))).norm()
-        worst = max(worst, num / max(1e-30, f.norm()))
+    h_frame = FrameSeq(_atoms_of(frame, q))
+    worst = (k_op - frame.synthesis_op.compose(h_frame.analysis_op)).norm()
     bessel = certify_star_bessel(h_frame, max(c.norm(), tol) * frame.spec.unit(), tol)
     ok = worst <= tol
     status = CERTIFIED if ok and bessel.ok else FALSIFIED
@@ -327,8 +359,6 @@ def dual_atoms_audit(
             "bessel_status": bessel.status,
         },
         {"tol": tol},
-        samples,
-        seed,
     )
 
 
@@ -517,13 +547,12 @@ def ks_inverse_frame(
     k_op: ModuleOperator,
     tol: float = DEFAULT_TOL,
     bessel_bound: Optional[AlgElement] = None,
-    samples: int = 50,
-    seed: int = 0,
 ) -> tuple[FrameSeq, Certificate]:
     """The family {K S^{-1} f_j} with its reconstruction and Bessel audits.
 
     Reconstruction: K f = sum_j <f, f_j> (K S^{-1} f_j) holds exactly, and
-    the family is Bessel with bound ||S^{-1}|| ||K|| B.
+    the family is Bessel with bound ||S^{-1}|| ||K|| B.  The reconstruction
+    residual is ||K - V U*||, V the synthesis of the new family.
     """
     s_op = frame.frame_op
     if s_op.min_herm_eig() <= tol:
@@ -531,12 +560,7 @@ def ks_inverse_frame(
     s_inv = s_op.inverse()
     mover = k_op.compose(s_inv)
     new_frame = transform_frame(frame, mover)
-    rng = stream(seed, 0x55)
-    worst = 0.0
-    for _ in range(samples):
-        f = random_vector(frame.spec, frame.rank, rng)
-        recon = new_frame.synthesis(frame.analysis(f))
-        worst = max(worst, (k_op.apply(f) - recon).norm() / max(1e-30, f.norm()))
+    worst = (k_op - new_frame.synthesis_op.compose(frame.analysis_op)).norm()
     if bessel_bound is None:
         bessel_bound = (frame.synthesis_op.norm() * (1.0 + 1e-9)) * frame.spec.unit()
     scaled = (s_inv.norm() * k_op.norm()) * bessel_bound
@@ -554,7 +578,5 @@ def ks_inverse_frame(
             "s_inv_norm": s_inv.norm(),
         },
         {"tol": tol, "reconstruction_tol": 1e-10},
-        samples,
-        seed,
     )
     return new_frame, cert

@@ -25,6 +25,7 @@ from .frames import (
     certify_star_bessel,
     coisometry_invariance_audit,
     conjugation_audit,
+    derived_bounds,
     dual_atoms_audit,
     optimal_scalar_bounds,
 )
@@ -106,16 +107,6 @@ def _paper_truncation_instance(n_terms: int, seed: int) -> Instance:
     )
 
 
-def _scalar_bounds(frame: FrameSeq, k_op: ModuleOperator) -> tuple:
-    """Central scalar bounds with headroom from the optimal pencil values."""
-    lam, mu = optimal_scalar_bounds(frame, k_op)
-    low = math.sqrt(max(lam, 0.0) * (1.0 - BOUND_MARGIN)) if math.isfinite(lam) else 1.0
-    up = math.sqrt(mu) * (1.0 + BOUND_MARGIN)
-    a = max(low, 1e-8) * frame.spec.unit()
-    b = max(up, 1e-8) * frame.spec.unit()
-    return a, b
-
-
 def _generic_instance(seed: int) -> Instance:
     rng = stream(seed, 1)
     spec = AlgebraSpec((2, 1))
@@ -126,7 +117,7 @@ def _generic_instance(seed: int) -> Instance:
     q0 = random_operator(spec, n, j_count, rng)
     k_op = frame.synthesis_op.compose(q0)
     l_op = k_op.compose(random_operator(spec, n, n, rng))
-    a, b = _scalar_bounds(frame, k_op)
+    a, b = derived_bounds(frame, *optimal_scalar_bounds(frame, k_op), BOUND_MARGIN)
     return Instance(
         spec=spec,
         rank=n,
@@ -171,7 +162,7 @@ def _coisometry_instance(seed: int) -> Instance:
     frame = FrameSeq(members)
     k_op = central_mult(random_central(spec, rng), n)
     t_op = random_unitary(spec, n, rng)
-    a, b = _scalar_bounds(frame, k_op)
+    a, b = derived_bounds(frame, *optimal_scalar_bounds(frame, k_op), BOUND_MARGIN)
     return Instance(
         spec=spec,
         rank=n,
@@ -240,8 +231,7 @@ def _kframe_main_trial(seed: int, trial: int, tol: float) -> dict:
     lam, mu = optimal_scalar_bounds(frame, k_op)
     kframe_ok = False
     if math.isfinite(lam) and lam > 1e-8:
-        a = math.sqrt(lam * (1.0 - 1e-9)) * inst.spec.unit()
-        b = math.sqrt(mu) * (1.0 + 1e-9) * inst.spec.unit()
+        a, b = derived_bounds(frame, lam, mu, 1e-9)
         kframe_ok = certify_kframe(frame, k_op, a, b, tol).ok
     atomic_ok = True
     recon_residual = None
@@ -254,9 +244,7 @@ def _kframe_main_trial(seed: int, trial: int, tol: float) -> dict:
         atomic_ok = False
     dual_ok = True
     if atomic_ok:
-        audit = dual_atoms_audit(
-            frame, k_op, tol=1e-9, samples=20, seed=_trial_seed(seed, trial) + 2
-        )
+        audit = dual_atoms_audit(frame, k_op, tol=1e-9)
         recon_residual = audit.witness["max_reconstruction_residual"]
         dual_ok = recon_residual <= 1e-9
     agreement = (kframe_ok == atomic_ok) and (not atomic_ok or dual_ok)
@@ -327,8 +315,8 @@ def tensor_pair_instance(seed: int) -> Instance:
     h_seq = FrameSeq(h_members)
     k_op = f_seq.synthesis_op.compose(random_operator(left, n, j_count, rng))
     l_op = h_seq.synthesis_op.compose(random_operator(right, m, i_count, rng))
-    a, b = _scalar_bounds(f_seq, k_op)
-    c, d = _scalar_bounds(h_seq, l_op)
+    a, b = derived_bounds(f_seq, *optimal_scalar_bounds(f_seq, k_op), BOUND_MARGIN)
+    c, d = derived_bounds(h_seq, *optimal_scalar_bounds(h_seq, l_op), BOUND_MARGIN)
     right_inst = Instance(
         spec=right,
         rank=m,
@@ -406,7 +394,7 @@ def _perturb1_trial(seed: int, trial: int, tol: float, epsilon: float, samples: 
     )
     m_val = rep.certified_M
     bessel_h = rep.constants_used["bessel_of_h"]
-    bessel_bound = (1.0 + math.sqrt(m_val)) * b.norm() + 1e-9
+    bessel_bound = (1.0 + math.sqrt(m_val)) * b.norm() + tol
     bessel_ok = bessel_h <= bessel_bound
     ok = rep.conclusion.ok and bessel_ok
     return {

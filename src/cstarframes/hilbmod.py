@@ -394,6 +394,12 @@ def central_mult(a: AlgElement, rank: int, tol: float = DEFAULT_TOL) -> ModuleOp
     """
     if not a.is_central(tol):
         raise PreconditionError("central_mult needs a central element")
+    return diagonal_operator(a, rank)
+
+
+def diagonal_operator(a: AlgElement, rank: int) -> ModuleOperator:
+    """The operator with a on the diagonal of its grid, f -> (f_1 a, ...,
+    f_n a); for central a this is the module action f -> a.f."""
     mats = []
     for d, blk in zip(a.spec.block_dims, a.blocks):
         m = np.zeros((rank * d, rank * d), dtype=complex)

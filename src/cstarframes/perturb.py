@@ -6,7 +6,10 @@ against both families), and the three-constant comparison with weights
 alpha, beta, gamma.  Conclusions (Bessel bound and lower frame bound of
 the perturbed family, with explicit constants) are certified
 through operator pencils; the hypotheses themselves are exact per branch
-but only samplable in their pointwise min/combination forms.
+but only samplable in their pointwise min/combination forms: a pointwise
+minimum of two quadratic-form ratios, or a sum of square roots of
+quadratic forms, is not one operator inequality, so no single gap
+operator decides it.
 
 Each sampled check draws all its samples in one `random_vectors` call and
 evaluates them with `gram_norms`, one batched product per block, with the
@@ -59,9 +62,9 @@ def difference_synthesis(f_seq: FrameSeq, h_seq: FrameSeq) -> ModuleOperator:
 
 
 def difference_quadratic(f_seq: FrameSeq, h_seq: FrameSeq, f: ModuleVector) -> float:
-    """||sum_j <f, f_j - h_j><f_j - h_j, f>||, evaluated as ||D* f||^2."""
+    """||sum_j <f, f_j - h_j><f_j - h_j, f>||, evaluated as ||<D* f, D* f>||."""
     d = difference_synthesis(f_seq, h_seq).adjoint().apply(f)
-    return d.norm() ** 2
+    return d.inner(d).norm()
 
 
 def _branch_value(d_op: ModuleOperator, u_op: ModuleOperator) -> float:
@@ -84,13 +87,6 @@ def exact_branch_M(f_seq: FrameSeq, h_seq: FrameSeq) -> tuple[float, float]:
     )
 
 
-def _squared_norms(t: ModuleOperator, stacks) -> np.ndarray:
-    """||T f_s||^2 per sample, squared through Python floats as
-    `t.apply(f_s).norm() ** 2` squares them: libm pow and x * x can differ
-    in the last bit."""
-    return (np.sqrt(gram_norms(t, stacks)).astype(object) ** 2).astype(float)
-
-
 def _sampled_min_ratio(
     f_seq: FrameSeq, h_seq: FrameSeq, samples: int, seed: int
 ) -> float:
@@ -98,7 +94,7 @@ def _sampled_min_ratio(
     exceeds either exact branch constant."""
     d_adj = difference_synthesis(f_seq, h_seq).adjoint()
     stacks = random_vectors(f_seq.spec, f_seq.rank, stream(seed, 0x3E), samples)
-    q = _squared_norms(d_adj, stacks)
+    q = gram_norms(d_adj, stacks)
     ratios = []
     for seq in (f_seq, h_seq):
         x = gram_norms(seq.analysis_op, stacks)
@@ -311,7 +307,7 @@ def pertur2_audit(
     k_adj = k_op.adjoint()
     d_adj = difference_synthesis(f_seq, h_seq).adjoint()
     stacks = random_vectors(f_seq.spec, f_seq.rank, stream(seed, 0xAB), samples)
-    lhs = np.sqrt(_squared_norms(d_adj, stacks))  # sqrt(difference_quadratic), bit for bit
+    lhs = np.sqrt(gram_norms(d_adj, stacks))
     rhs = (
         alpha * np.sqrt(gram_norms(f_seq.analysis_op, stacks))
         + beta * np.sqrt(gram_norms(h_seq.analysis_op, stacks))

@@ -10,6 +10,8 @@ import math
 import numpy as np
 import scipy.linalg
 
+from cstarframes.sampling import random_vector, stream
+
 
 def pencil_oracle(t, s, rtol=1e-10, incl_tol=1e-8):
     """sup{mu : mu T T* <= S S*} via a restricted generalized eigenproblem
@@ -57,3 +59,33 @@ def coefficient_gram_direct(frame, f):
         c = f.inner(m)
         acc = acc + c * c.adjoint()
     return acc
+
+
+def sampled_bessel_violation(frame, b, tol, samples, seed):
+    """Sampled falsification of sum_j <f,f_j><f_j,f> <= B<f,f>B*, the check
+    `certify_star_bessel` once ran for non-central B: the first sampled f
+    whose algebra-valued gap is not positive within tol, as (index, f), or
+    None."""
+    rng = stream(seed, 0xBE)
+    for k in range(samples):
+        f = random_vector(frame.spec, frame.rank, rng)
+        gap = b * f.inner(f) * b.adjoint() - frame.coefficient_gram(f)
+        if not gap.is_positive(tol):
+            return k, f
+    return None
+
+
+def sampled_kframe_violation(frame, k_op, a, b, tol, samples, seed):
+    """Sampled falsification of both K-frame inequalities, the check
+    `certify_kframe` once ran for non-central bounds; as above."""
+    rng = stream(seed, 0x4B)
+    k_adj = k_op.adjoint()
+    for i in range(samples):
+        f = random_vector(frame.spec, frame.rank, rng)
+        mid = frame.coefficient_gram(f)
+        kf = k_adj.apply(f)
+        low_gap = mid - a * kf.inner(kf) * a.adjoint()
+        up_gap = b * f.inner(f) * b.adjoint() - mid
+        if not low_gap.is_positive(tol) or not up_gap.is_positive(tol):
+            return i, f
+    return None

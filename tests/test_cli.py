@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from cstarframes import AlgebraSpec, Instance, coordinate_frame, save_instance
 from cstarframes.cli import main
 from cstarframes.harness import random_instance, tensor_pair_instance
+from cstarframes.serialize import decode_vector
 
 SPEC = AlgebraSpec((2, 1))
 
@@ -30,7 +32,18 @@ def test_falsified_exit_code(capsys):
 
 
 def test_inconclusive_exit_code(tmp_path, capsys):
-    # non-central upper bound forces the sampled path, which cannot certify
+    # an upper bound short by 3 tol lands in the near-boundary band
+    members = list(coordinate_frame(SPEC, 2).members)
+    inst = Instance(spec=SPEC, rank=2, members=members,
+                    bounds={"A": 0.5 * SPEC.unit(), "B": math.sqrt(1 - 3e-9) * SPEC.unit()})
+    path = write_instance(tmp_path, inst)
+    assert main(["check-frame", "--input", path]) == 2
+    assert "inconclusive" in capsys.readouterr().out
+
+
+def test_non_central_bound_falsified_exit_code(tmp_path, capsys):
+    # a non-central upper bound is decided exactly: S does not vanish on its
+    # non-scalar block, so the report carries a rank-one witness
     members = list(coordinate_frame(SPEC, 2).members)
     b = SPEC.element(
         [np.array([[3.0, 0.5], [0.0, 3.0]], dtype=complex), np.array([[3.0]], dtype=complex)]
@@ -38,8 +51,14 @@ def test_inconclusive_exit_code(tmp_path, capsys):
     inst = Instance(spec=SPEC, rank=2, members=members,
                     bounds={"A": 0.5 * SPEC.unit(), "B": b})
     path = write_instance(tmp_path, inst)
-    assert main(["check-frame", "--input", path, "--samples", "40"]) == 2
-    assert "inconclusive" in capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(["check-frame", "--input", path, "--report", str(out)]) == 1
+    assert "falsified" in capsys.readouterr().out
+    cert = json.loads(out.read_text())["certificates"][0]
+    assert cert["samples"] is None and cert["seed"] is None
+    w = decode_vector(SPEC, 2, cert["witness_vector"], "witness_vector")
+    gap = b * w.inner(w) * b.adjoint() - coordinate_frame(SPEC, 2).coefficient_gram(w)
+    assert not gap.is_positive(1e-9)
 
 
 def test_input_error_exit_code(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cstarframes import (
     AlgebraSpec,
@@ -40,7 +42,12 @@ from cstarframes.sampling import (
     stream,
 )
 
-from oracles import coefficient_gram_direct, pencil_oracle
+from oracles import (
+    coefficient_gram_direct,
+    pencil_oracle,
+    sampled_bessel_violation,
+    sampled_kframe_violation,
+)
 
 SPEC = AlgebraSpec((2, 1))
 
@@ -207,19 +214,120 @@ def test_bessel_paper_equality_case():
     assert abs(cert.witness["min_eig"]) <= 1e-12
 
 
-def test_bessel_non_central_bound_is_sampled():
-    rng = stream(79, 0)
+def upper_gap_at(fr, b, f):
+    """B<f,f>B* - sum_j <f,f_j><f_j,f>, the middle summed term by term."""
+    return b * f.inner(f) * b.adjoint() - coefficient_gram_direct(fr, f)
+
+
+def lower_gap_at(fr, k, a, f):
+    """sum_j <f,f_j><f_j,f> - A<K*f,K*f>A*, the middle summed term by term."""
+    kf = k.adjoint().apply(f)
+    return coefficient_gram_direct(fr, f) - a * kf.inner(kf) * a.adjoint()
+
+
+def min_eig(x):
+    return min(float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]) for m in x.blocks)
+
+
+def element(block0, block1):
+    return SPEC.element([np.array(block0, dtype=complex), np.array([[block1]], dtype=complex)])
+
+
+def test_bessel_non_central_bound_falsified_with_witness():
     fr = coordinate_frame(SPEC, 2)
-    # non-central strictly nonzero element dominating the identity
-    b = SPEC.element(
-        [np.array([[3.0, 0.5], [0.0, 3.0]], dtype=complex), np.array([[3.0]], dtype=complex)]
-    )
-    cert = certify_star_bessel(fr, b, 1e-9, samples=50, seed=3)
-    assert cert.status == "inconclusive"
+    # a non-central bound dominating the identity is still no Bessel bound:
+    # S does not vanish on its non-scalar block
+    b = element([[3.0, 0.5], [0.0, 3.0]], 3.0)
+    cert = certify_star_bessel(fr, b, 1e-9)
+    assert cert.status == "falsified"
+    assert cert.witness["block"] == 0
+    assert min_eig(upper_gap_at(fr, b, cert.witness_vector)) == pytest.approx(-1.1245, abs=1e-4)
     small = b * 0.01
-    cert2 = certify_star_bessel(fr, small, 1e-9, samples=50, seed=3)
+    cert2 = certify_star_bessel(fr, small, 1e-9)
     assert cert2.status == "falsified"
-    assert cert2.witness_vector is not None
+    assert not upper_gap_at(fr, small, cert2.witness_vector).is_positive(1e-9)
+    # over M_2(C) alone, B = diag(50, 60) is no Bessel bound for any nonzero frame
+    spec = AlgebraSpec((2,))
+    rng = stream(84, 0)
+    fr2 = FrameSeq([random_vector(spec, 1, rng) for _ in range(3)])
+    b2 = spec.element([np.diag([50.0, 60.0]).astype(complex)])
+    cert3 = certify_star_bessel(fr2, b2, 1e-9)
+    assert cert3.status == "falsified"
+    gap = upper_gap_at(fr2, b2, cert3.witness_vector)
+    assert min_eig(gap) < -10 * 1e-9 * max(1.0, gap.norm())
+
+
+def test_non_central_bounds_certify_where_frame_and_k_vanish():
+    # members and K vanish on the M_2 block, so the non-central blocks of
+    # A and B constrain nothing and the scalar blocks decide
+    rng = stream(85, 0)
+    members = []
+    for _ in range(3):
+        v = random_vector(SPEC, 2, rng)
+        members.append(ModuleVector(SPEC, [element(np.zeros((2, 2)), e.blocks[1][0, 0])
+                                           for e in v.entries]))
+    fr = FrameSeq(members)
+    k = central_mult(SPEC.central([0.0, 1.0]), 2)
+    lam, mu = optimal_scalar_bounds(fr, k)
+    a = element([[0.01, 0.001], [0.0, 0.01]], math.sqrt(lam * (1 - 1e-6)))
+    b = element([[3.0, 0.5], [0.0, 3.0]], math.sqrt(mu) * (1 + 1e-6))
+    assert certify_star_bessel(fr, b, 1e-9).status == "certified"
+    assert certify_kframe(fr, k, a, b, 1e-9).status == "certified"
+    # the scalar blocks still decide: a lower bound past lambda* fails there
+    a_big = element([[0.01, 0.001], [0.0, 0.01]], math.sqrt(lam * 1.01))
+    assert certify_kframe(fr, k, a_big, b, 1e-9).status == "falsified"
+
+
+def test_nearly_scalar_bound_is_inconclusive():
+    # B_0 = 3 + eps E_01 is not scalar, yet the rank-one witness needs
+    # ||w|| ~ 1/eps: its gap re-checks at eps = 1e-3 but roundoff swamps it at 1e-5
+    fr = coordinate_frame(SPEC, 2)
+    b = element([[3.0, 1e-3], [0.0, 3.0]], 3.0)
+    cert = certify_star_bessel(fr, b, 1e-9)
+    assert cert.status == "falsified"
+    assert not upper_gap_at(fr, b, cert.witness_vector).is_positive(1e-9)
+    cert = certify_star_bessel(fr, element([[3.0, 1e-5], [0.0, 3.0]], 3.0), 1e-9)
+    assert cert.status == "inconclusive"
+    assert cert.witness_vector is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 2),
+    count=st.integers(1, 4),
+    scale=st.sampled_from([0.3, 1.0, 3.0]),
+    vanish=st.booleans(),
+)
+def test_exact_decision_agrees_with_reference_sampler(seed, rank, count, scale, vanish):
+    # every violation the old sampler finds is falsified exactly, and every
+    # falsified witness re-checks through the algebra-valued gaps
+    rng = stream(seed, 0)
+    members = [random_vector(SPEC, rank, rng) for _ in range(count)]
+    if vanish:
+        members = [ModuleVector(SPEC, [element(np.zeros((2, 2)), e.blocks[1][0, 0])
+                                       for e in m.entries]) for m in members]
+    fr = FrameSeq(members)
+    k = random_operator(SPEC, rank, rank, rng)
+    if vanish:
+        k = k.compose(central_mult(SPEC.central([0.0, 1.0]), rank))
+    a = random_element(SPEC, rng, scale=0.3 * scale)
+    b = random_element(SPEC, rng, scale=scale)
+    assume(a.is_strictly_nonzero(1e-9) and b.is_strictly_nonzero(1e-9))
+
+    bessel = certify_star_bessel(fr, b, 1e-9)
+    if sampled_bessel_violation(fr, b, 1e-9, 100, seed) is not None:
+        assert bessel.status == "falsified"
+    if bessel.status == "falsified":
+        assert not upper_gap_at(fr, b, bessel.witness_vector).is_positive(1e-9)
+
+    kframe = certify_kframe(fr, k, a, b, 1e-9)
+    if sampled_kframe_violation(fr, k, a, b, 1e-9, 100, seed) is not None:
+        assert kframe.status == "falsified"
+    if kframe.status == "falsified":
+        w = kframe.witness_vector
+        assert not (lower_gap_at(fr, k, a, w).is_positive(1e-9)
+                    and upper_gap_at(fr, b, w).is_positive(1e-9))
 
 
 def test_bessel_rejects_degenerate_bound():
@@ -270,15 +378,20 @@ def test_rank_deficient_frame_falsified_with_witness():
     assert not gap.is_positive(1e-9)
 
 
-def test_kframe_non_central_bounds_sampled():
-    rng = stream(83, 0)
+def test_kframe_non_central_bounds_falsified_with_witness():
     fr = coordinate_frame(SPEC, 2)
-    b = SPEC.element(
-        [np.array([[2.0, 0.3], [0.0, 2.0]], dtype=complex), np.array([[2.0]], dtype=complex)]
-    )
-    cert = certify_kframe(fr, identity_operator(SPEC, 2), SPEC.unit() * 0.5, b, 1e-9,
-                          samples=40, seed=5)
-    assert cert.status == "inconclusive"
+    k = identity_operator(SPEC, 2)
+    b = element([[2.0, 0.3], [0.0, 2.0]], 2.0)
+    cert = certify_kframe(fr, k, SPEC.unit() * 0.5, b, 1e-9)
+    assert cert.status == "falsified"
+    assert cert.witness["part1:star-kframe-upper"] == "falsified"
+    assert not upper_gap_at(fr, b, cert.witness_vector).is_positive(1e-9)
+    # a non-central lower bound fails wherever K does not vanish on its block
+    a = element([[0.01, 0.001], [0.0, 0.01]], 0.01)
+    cert = certify_kframe(fr, k, a, 10.0 * SPEC.unit(), 1e-9)
+    assert cert.status == "falsified"
+    assert cert.witness["part0:star-kframe-lower"] == "falsified"
+    assert min_eig(lower_gap_at(fr, k, a, cert.witness_vector)) == pytest.approx(-1.0, abs=1e-3)
 
 
 # -- optimal scalar bounds ---------------------------------------------------------------
@@ -559,7 +672,7 @@ def test_ks_inverse_random_k_reconstruction():
     rng = stream(104, 0)
     fr = random_frame(SPEC, 2, 4, rng)
     k = random_operator(SPEC, 2, 2, rng)
-    new_frame, cert = ks_inverse_frame(fr, k, 1e-9, samples=30, seed=11)
+    new_frame, cert = ks_inverse_frame(fr, k, 1e-9)
     assert cert.status == "certified"
     assert cert.witness["max_reconstruction_residual"] <= 1e-10
 

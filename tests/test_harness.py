@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -177,3 +178,9 @@ def test_perturb_suites_audit_at_the_suite_tolerance(monkeypatch, suite):
     rep = run_suite(suite, trials=2, seed=5, tol=1e-6, samples=10)
     assert seen == [1e-6, 1e-6]
     assert rep["config"]["tol"] == 1e-6
+    if suite == "perturb1":
+        # the Bessel bound of {h_j} is (1 + sqrt(M)) ||B|| plus the suite's tol
+        for row in rep["trials"]:
+            b = random_instance(harness._trial_seed(5, row["trial"]), "generic").bounds["B"]
+            extra = row["bessel_bound"] - (1.0 + math.sqrt(row["M"])) * b.norm()
+            assert extra == pytest.approx(1e-6, rel=1e-6)
