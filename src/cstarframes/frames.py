@@ -44,7 +44,7 @@ from .hilbmod import (
     from_block_matrices,
     identity_operator,
 )
-from .sampling import random_vector, stream
+from .sampling import _first_violation, random_vector, stream
 
 
 class FrameSeq:
@@ -283,7 +283,8 @@ def atomic_coefficients(
     """Coefficient operator of the atomic decomposition K f = sum a_j f_j.
 
     Q is the minimal-norm Douglas solution U Q = K (so a_f = Q f), and
-    C = ||Q|| 1_A witnesses the coefficient bound <a_f, a_f> <= C<f,f>C*.
+    C = ||Q|| 1_A witnesses the coefficient bound <a_f, a_f> <= C<f,f>C*,
+    cross-checked at `samples` random f drawn SAMPLE_CHUNK at a time.
     Raises AtomicSystemError when R(K) is not inside R(U) within tol.
     """
     n = frame.rank
@@ -297,16 +298,44 @@ def atomic_coefficients(
         )
     q = rep.q
     c = rep.q_norm * frame.spec.unit()
-    rng = stream(seed, 0xA7)
-    for _ in range(samples):
-        f = random_vector(frame.spec, n, rng)
-        a_f = q.apply(f)
-        gap = c * f.inner(f) * c.adjoint() - a_f.inner(a_f)
-        if not gap.is_positive(tol):
-            raise PreconditionError(
-                "coefficient bound audit failed; flattening is inconsistent"
-            )
+    hit = _coefficient_bound_violation(q, c, tol, stream(seed, 0xA7), samples)
+    if hit is not None:
+        raise PreconditionError(
+            f"coefficient bound audit failed at sample {hit[0]}; flattening is inconsistent"
+        )
     return q, c, rep.residual
+
+
+def _coefficient_bound_violation(
+    q: ModuleOperator, c: AlgElement, tol: float, rng: np.random.Generator, samples: int
+) -> Optional[tuple[int, ModuleVector]]:
+    """First sampled f whose gap C<f,f>C* - <Qf,Qf> fails
+    `AlgElement.is_positive(tol)`, decided for a whole chunk at once with
+    the same per-block products: scale max(1, ||gap||), Hermitian residual
+    ||gap - gap*|| <= tol scale, then every block's least eigenvalue of
+    (gap + gap*)/2 >= -tol scale."""
+    c_adj = c.adjoint()
+
+    def violated(stacks):
+        gaps = []
+        for m, cb, cab, f in zip(q.block_matrices(), c.blocks, c_adj.blocks, stacks):
+            a = m @ f
+            ff = np.swapaxes(f, -2, -1) @ f.conj()
+            gaps.append(cb @ ff @ cab - np.swapaxes(a, -2, -1) @ a.conj())
+        adjs = [np.swapaxes(g, -2, -1).conj() for g in gaps]
+        scale = np.maximum(1.0, _max_norm(gaps))
+        ok = _max_norm([g - h for g, h in zip(gaps, adjs)]) <= tol * scale
+        for g, h in zip(gaps, adjs):
+            ok &= np.linalg.eigvalsh(0.5 * (g + h)).min(axis=-1) >= -tol * scale
+        return ~ok
+
+    return _first_violation(q.spec, q.in_rank, rng, samples, violated)
+
+
+def _max_norm(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Per sample, the largest spectral norm over the blocks: the C*-norm
+    of a batch of algebra elements."""
+    return np.max([np.linalg.norm(b, ord=2, axis=(-2, -1)) for b in blocks], axis=0)
 
 
 def dual_atoms(
@@ -336,19 +365,22 @@ def _atoms_of(frame: FrameSeq, q: ModuleOperator) -> list[ModuleVector]:
 def dual_atoms_audit(
     frame: FrameSeq, k_op: ModuleOperator, tol: float = DEFAULT_TOL
 ) -> Certificate:
-    """Certificate version of the dual-atom reconstruction and Bessel bound;
-    the reconstruction residual is ||K - U H*||, H the atoms' synthesis."""
+    """Certificate version of the dual-atom reconstruction and Bessel bound.
+
+    The reconstruction residual is ||K - U H*||, H the atoms' synthesis;
+    H* is Q bit for bit, so it is taken from Q.  It is the factorization
+    residual ||U Q - K|| up to the last bit: the spectral norms of X and
+    -X can differ there, so it keeps its own norm."""
     try:
         q, c, residual = atomic_coefficients(frame, k_op, tol, samples=0)
     except AtomicSystemError as exc:
         return Certificate(
             FALSIFIED, "dual-atoms", {"error": str(exc)}, {"tol": tol}
         )
+    worst = (k_op - frame.synthesis_op.compose(q)).norm()
     h_frame = FrameSeq(_atoms_of(frame, q))
-    worst = (k_op - frame.synthesis_op.compose(h_frame.analysis_op)).norm()
     bessel = certify_star_bessel(h_frame, max(c.norm(), tol) * frame.spec.unit(), tol)
-    ok = worst <= tol
-    status = CERTIFIED if ok and bessel.ok else FALSIFIED
+    status = CERTIFIED if worst <= tol and bessel.ok else FALSIFIED
     return Certificate(
         status,
         "dual-atoms",
@@ -374,11 +406,16 @@ def local_atoms_check(
     """Check that {f_j} with coefficient representers {g_j} forms a family
     of local atoms for the submodule range(P).
 
-    For sampled f = P f0: (i) the coefficient bound
-    sum c_j(f) c_j(f)* <= C <f,f> C* with c_j(f) = <f, g_j>, and (ii) the
-    reconstruction f = sum c_j(f) f_j.  Additionally certifies that
-    {P f_j} has scalar lower frame bound 1/||C|| on range(P) through the
-    restricted pencil of its frame operator.
+    (i) The coefficient bound sum_j c_j(f) c_j(f)* <= C <f,f> C* with
+    c_j(f) = <f, g_j>, for all f in range(P), is decided exactly as in
+    `certify_star_bessel` with the frame operator S_g of {g_j} compressed
+    to range(P): the gap is P(|gamma|^2 1 - S_g)P on blocks where
+    C = gamma 1 is scalar and -P S_g P on the others.  An eigenvector of a
+    compressed gap with negative eigenvalue lies in range(P), and so does
+    the rank-one witness built from it.  (ii) The reconstruction
+    f = sum c_j(f) f_j is checked at sampled f = P f0.  Additionally
+    certifies that {P f_j} has scalar lower frame bound 1/||C|| on
+    range(P) through the restricted pencil of its frame operator.
     """
     n = frame.rank
     if p_op.in_rank != n or p_op.out_rank != n or p_op.spec != frame.spec:
@@ -396,30 +433,33 @@ def local_atoms_check(
             {"tol": tol},
         )
     g_frame = FrameSeq(list(atoms))
+    mc = diagonal_operator(c, n)
+    s_g = g_frame.frame_op
+    coeff = _decide(
+        g_frame, c, None,
+        p_op.compose(mc.compose(mc.adjoint()) - s_g).compose(p_op),
+        p_op.compose(s_g).compose(p_op).scalar_mul(-1.0),
+        tol, "local-atoms-coefficient-bound",
+    )
+    if coeff.status == FALSIFIED:
+        return Certificate(
+            FALSIFIED,
+            "local-atoms",
+            dict(coeff.witness, failed="coefficient-bound"),
+            {"tol": tol},
+            samples,
+            seed,
+            witness_vector=coeff.witness_vector,
+        )
     rng = stream(seed, 0x1A)
     worst_recon = 0.0
-    worst_gap = math.inf
     for i in range(samples):
         f0 = random_vector(frame.spec, n, rng)
         f = p_op.apply(f0)
         fnorm = f.norm()
         if fnorm <= 1e-12:
             continue
-        coeffs = g_frame.analysis(f)
-        gap = c * f.inner(f) * c.adjoint() - coeffs.inner(coeffs)
-        gap_min = float(np.real(gap.spectrum()).min())
-        worst_gap = min(worst_gap, gap_min / max(1.0, fnorm**2))
-        if not gap.is_positive(tol):
-            return Certificate(
-                FALSIFIED,
-                "local-atoms",
-                {"failed": "coefficient-bound", "sample": i, "gap_min_eig": gap_min},
-                {"tol": tol},
-                samples,
-                seed,
-                witness_vector=f,
-            )
-        recon = frame.synthesis(coeffs)
+        recon = frame.synthesis(g_frame.analysis(f))
         rel = (f - recon).norm() / fnorm
         worst_recon = max(worst_recon, rel)
         if rel > tol * BOUNDARY_FACTOR:
@@ -446,16 +486,19 @@ def local_atoms_check(
         restricted_min = min(restricted_min, float(np.linalg.eigvalsh(rest).min()))
     witness = {
         "max_reconstruction_residual": worst_recon,
-        "coefficient_gap_min": worst_gap if math.isfinite(worst_gap) else 0.0,
+        "coefficient_gap_min": coeff.witness["min_eig"],
+        "coefficient_bound": coeff.status,
         "restricted_min_eig": restricted_min,
         "scalar_floor": floor,
     }
     scale = max(1.0, pf.frame_op.norm(), floor)
-    if restricted_min >= floor - tol * scale:
-        return Certificate(CERTIFIED, "local-atoms", witness, {"tol": tol}, samples, seed)
     if restricted_min < floor - BOUNDARY_FACTOR * tol * scale:
-        return Certificate(FALSIFIED, "local-atoms", witness, {"tol": tol}, samples, seed)
-    return Certificate(INCONCLUSIVE, "local-atoms", witness, {"tol": tol}, samples, seed)
+        status = FALSIFIED
+    elif restricted_min >= floor - tol * scale and coeff.ok:
+        status = CERTIFIED
+    else:
+        status = INCONCLUSIVE
+    return Certificate(status, "local-atoms", witness, {"tol": tol}, samples, seed)
 
 
 def transform_frame(frame: FrameSeq, l_op: ModuleOperator) -> FrameSeq:

@@ -3,6 +3,9 @@
 These deliberately take different computational routes than the library:
 full flattened matrices and scipy's generalized eigensolver instead of
 per-block whitened SVDs, direct summation instead of operator identities.
+Reference copies of replaced code (sampled checks, the per-function
+Douglas factorizations, one-vector-at-a-time loops) pin the current
+code to what it replaced.
 """
 
 import math
@@ -10,6 +13,15 @@ import math
 import numpy as np
 import scipy.linalg
 
+from cstarframes.certify import (
+    BOUNDARY_FACTOR,
+    CERTIFIED,
+    Certificate,
+    FALSIFIED,
+    INCONCLUSIVE,
+)
+from cstarframes.douglas import DouglasReport
+from cstarframes.hilbmod import from_block_matrices
 from cstarframes.sampling import random_vector, stream
 
 
@@ -89,3 +101,140 @@ def sampled_kframe_violation(frame, k_op, a, b, tol, samples, seed):
         if not low_gap.is_positive(tol) or not up_gap.is_positive(tol):
             return i, f
     return None
+
+
+# -- the Douglas toolkit as it was before it shared one factorization ----------
+#
+# Each function below factors S on its own, as the library once did: the
+# audit made 12 thin SVDs at two blocks where the shared factorization
+# makes 2.  The sampled loops draw one vector at a time.  The library must
+# return bit-identical values and certificates.
+
+
+def reference_pseudo_inverse(t, rtol=1e-10):
+    svds = [np.linalg.svd(m, full_matrices=False) for m in t.block_matrices()]
+    smax = max((s.max() if s.size else 0.0) for _, s, _ in svds)
+    mats = []
+    for u, s, vh in svds:
+        if smax == 0.0:
+            mats.append(np.zeros((vh.shape[1], u.shape[0]), dtype=complex))
+            continue
+        inv = np.where(s > rtol * smax, 1.0 / np.where(s > 0, s, 1.0), 0.0)
+        mats.append((vh.conj().T * inv) @ u.conj().T)
+    return from_block_matrices(t.spec, t.out_rank, t.in_rank, mats)
+
+
+def reference_range_residual(t, s, rtol=1e-10):
+    proj = s.compose(reference_pseudo_inverse(s, rtol))
+    return (t - proj.compose(t)).norm()
+
+
+def reference_pencil_lower_bound(t, s, rtol=1e-10, incl_tol=1e-8):
+    tnorm = t.norm()
+    if tnorm == 0.0:
+        return math.inf
+    if reference_range_residual(t, s, rtol) > incl_tol * max(1.0, tnorm):
+        return 0.0
+    lam_max = 0.0
+    smax = max(
+        (np.linalg.svd(m, compute_uv=False).max() if m.size else 0.0)
+        for m in s.block_matrices()
+    )
+    for mt, ms in zip(t.block_matrices(), s.block_matrices()):
+        u, sig, _ = np.linalg.svd(ms, full_matrices=False)
+        keep = sig > rtol * smax
+        if not keep.any():
+            continue
+        w = (u[:, keep] / sig[keep]) @ u[:, keep].conj().T
+        lam = float(np.linalg.norm(w @ mt, ord=2)) ** 2
+        lam_max = max(lam_max, lam)
+    if lam_max == 0.0:
+        return math.inf
+    return 1.0 / lam_max
+
+
+def reference_douglas_solve(t, s, tol, rtol=1e-10):
+    q = reference_pseudo_inverse(s, rtol).compose(t)
+    residual = (s.compose(q) - t).norm()
+    return DouglasReport(
+        inclusion_ok=residual <= tol * max(1.0, t.norm()),
+        residual=residual,
+        pencil_mu=reference_pencil_lower_bound(t, s, rtol),
+        q=q,
+        q_norm=q.norm(),
+    )
+
+
+def sequential_norm_violation(t_adj, s_adj, mu, tol, rng, samples):
+    """First f with mu ||T* f||^2 > ||S* f||^2 + tol max(1, ||S* f||^2), as
+    (index, f), or None; one vector per draw."""
+    for i in range(samples):
+        f = random_vector(t_adj.spec, t_adj.in_rank, rng)
+        lhs = mu * t_adj.apply(f).norm() ** 2
+        rhs = s_adj.apply(f).norm() ** 2
+        if lhs > rhs + tol * max(1.0, rhs):
+            return i, f
+    return None
+
+
+def sequential_cokernel_violation(t_adj, s_adj, coproj, tol, rng, samples):
+    """First f = g - coproj g with ||S* f|| <= tol < ||T* f|| / BOUNDARY_FACTOR."""
+    for i in range(samples):
+        g = random_vector(t_adj.spec, t_adj.in_rank, rng)
+        f = g - coproj.apply(g)
+        if s_adj.apply(f).norm() <= tol and t_adj.apply(f).norm() > BOUNDARY_FACTOR * tol:
+            return i, f
+    return None
+
+
+def sequential_coefficient_bound_violation(q, c, tol, rng, samples):
+    """First f whose gap C<f,f>C* - <Qf,Qf> fails AlgElement.is_positive."""
+    for i in range(samples):
+        f = random_vector(q.spec, q.in_rank, rng)
+        a_f = q.apply(f)
+        gap = c * f.inner(f) * c.adjoint() - a_f.inner(a_f)
+        if not gap.is_positive(tol):
+            return i, f
+    return None
+
+
+def reference_equivalence_audit(t, s, tol=1e-9, samples=100, seed=0):
+    rng = stream(seed, 0xD0)
+    tscale = max(1.0, t.norm())
+    residual = reference_range_residual(t, s)
+    cond_i = residual <= tol * tscale
+    mu = reference_pencil_lower_bound(t, s)
+    near_boundary = math.isfinite(mu) and tol < mu <= BOUNDARY_FACTOR * tol
+    cond_ii = mu > BOUNDARY_FACTOR * tol or math.isinf(mu)
+    t_adj, s_adj = t.adjoint(), s.adjoint()
+    if cond_ii and math.isfinite(mu):
+        hit = sequential_norm_violation(t_adj, s_adj, mu, tol, rng, samples)
+    elif math.isinf(mu):
+        hit = None
+    else:
+        coproj = s.compose(reference_pseudo_inverse(s))
+        hit = sequential_cokernel_violation(t_adj, s_adj, coproj, tol, rng, samples)
+    cond_iii = hit is None
+    rep = reference_douglas_solve(t, s, tol)
+    cond_iv = rep.residual <= tol * tscale
+    verdicts = [cond_i, cond_ii, cond_iii, cond_iv]
+    witness = {
+        "range_residual": residual,
+        "pencil_mu": mu if math.isfinite(mu) else float("inf"),
+        "factorization_residual": rep.residual,
+        "q_norm": rep.q_norm,
+        "cond_i": cond_i,
+        "cond_ii": cond_ii,
+        "cond_iii": cond_iii,
+        "cond_iv": cond_iv,
+    }
+    if near_boundary:
+        status = INCONCLUSIVE
+    elif all(verdicts) or not any(verdicts):
+        status = CERTIFIED
+    else:
+        status = FALSIFIED
+    return Certificate(
+        status, "douglas-equivalence", witness, {"tol": tol}, samples, seed,
+        witness_vector=None if status != FALSIFIED or hit is None else hit[1],
+    )

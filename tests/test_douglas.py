@@ -1,19 +1,32 @@
 import math
 
+import numpy as np
 import pytest
 
 from cstarframes import (
     AlgebraSpec,
+    FrameSeq,
+    atomic_coefficients,
+    douglas,
     douglas_solve,
     equivalence_audit,
     identity_operator,
     pencil_lower_bound,
     pseudo_inverse,
     range_inclusion,
+    range_residual,
     zero_operator,
 )
-from cstarframes.sampling import random_element, random_operator, random_vector, stream
+from cstarframes.certify import BOUNDARY_FACTOR
+from cstarframes.sampling import (
+    SAMPLE_CHUNK,
+    random_element,
+    random_operator,
+    random_vector,
+    stream,
+)
 
+import oracles
 from oracles import pencil_oracle
 
 SPEC = AlgebraSpec((2, 1))
@@ -239,3 +252,169 @@ def test_audit_near_boundary_pencil_is_inconclusive():
     t = s.scalar_mul(1.0 / math.sqrt(5e-9))  # pencil value 5e-9 in (tol, 10 tol]
     cert = equivalence_audit(t, s, 1e-9, samples=20, seed=1)
     assert cert.status == "inconclusive"
+
+
+# -- one factorization per call, checked against the per-function code -----------------
+
+ORACLE_SPECS = [AlgebraSpec(d) for d in ((2, 1), (1,), (3, 2, 1))]
+
+
+def douglas_cases(spec, rng):
+    """(name, T, S) pairs covering the branches of every Douglas function."""
+    s = random_operator(spec, 2, 3, rng)
+    s_def = make_rank_deficient(spec, 2, 3, rng)
+    coproj = identity_operator(spec, 3) - s_def.compose(pseudo_inverse(s_def))
+    t_def = s_def.compose(random_operator(spec, 2, 2, rng))
+    return [
+        ("generic", s.compose(random_operator(spec, 2, 2, rng)), s),
+        ("rank-deficient-S", t_def, s_def),
+        ("zero-S", random_operator(spec, 2, 3, rng), zero_operator(spec, 2, 3)),
+        ("zero-T", zero_operator(spec, 2, 3), s),
+        ("failed-inclusion", t_def + coproj.compose(random_operator(spec, 2, 3, rng)), s_def),
+        ("near-boundary", s.scalar_mul(1.0 / math.sqrt(5e-9)), s),
+    ]
+
+
+def same_bits(a, b):
+    """Bit identity of floats, reports and operators (repr keeps -0.0 and
+    every digit of a float)."""
+    if hasattr(a, "block_matrices"):
+        return all(x.tobytes() == y.tobytes() for x, y in zip(a.block_matrices(), b.block_matrices()))
+    return repr(a) == repr(b)
+
+
+def same_certificate(a, b):
+    vec_a, vec_b = a.witness_vector, b.witness_vector
+    return (
+        (a.status, a.claim, repr(a.witness), a.tolerances, a.samples, a.seed)
+        == (b.status, b.claim, repr(b.witness), b.tolerances, b.samples, b.seed)
+        and (vec_a is None) == (vec_b is None)
+        and (vec_a is None or all(x.tobytes() == y.tobytes()
+                                  for x, y in zip(vec_a.stacks, vec_b.stacks)))
+    )
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: "+".join(map(str, s.block_dims)))
+def test_factored_douglas_toolkit_matches_per_function_reference(spec):
+    statuses = {}
+    for name, t, s in douglas_cases(spec, stream(69, spec.n_blocks)):
+        assert same_bits(pseudo_inverse(s), oracles.reference_pseudo_inverse(s)), name
+        assert same_bits(range_residual(t, s), oracles.reference_range_residual(t, s)), name
+        assert same_bits(
+            pencil_lower_bound(t, s), oracles.reference_pencil_lower_bound(t, s)
+        ), name
+        got, want = douglas_solve(t, s, 1e-9), oracles.reference_douglas_solve(t, s, 1e-9)
+        for field in ("inclusion_ok", "residual", "pencil_mu", "q_norm", "q"):
+            assert same_bits(getattr(got, field), getattr(want, field)), (name, field)
+        for samples, seed in ((0, 3), (30, 4)):
+            cert = equivalence_audit(t, s, 1e-9, samples, seed)
+            assert same_certificate(
+                cert, oracles.reference_equivalence_audit(t, s, 1e-9, samples, seed)
+            ), name
+            statuses[name] = cert.status
+    assert statuses["near-boundary"] == "inconclusive"
+    assert statuses["failed-inclusion"] == "certified"
+
+
+# -- chunked sampling against the one-vector-at-a-time loops ------------------------------
+
+CHUNK_SAMPLES = (0, 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 100)
+
+
+def second_chunk_plant(spec, rank, critical):
+    """(draw seed, threshold) such that the first of the sequential draws
+    from stream(seed, 0) whose critical value passes the threshold lies in
+    the second chunk: the extreme of `critical` over 20 draws is reached
+    there, and the threshold is halfway to the first chunk's extreme.
+    `critical` is signed so that larger means violated sooner."""
+    for seed in range(100):
+        rng = stream(seed, 0)
+        vals = [critical(random_vector(spec, rank, rng)) for _ in range(2 * SAMPLE_CHUNK)]
+        first, second = max(vals[:SAMPLE_CHUNK]), max(vals[SAMPLE_CHUNK:])
+        if second > first:
+            return seed, 0.5 * (first + second)
+    pytest.fail("no draw seed puts a record in the second chunk")
+
+
+def same_hit(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a[0] == b[0] and all(
+        x.tobytes() == y.tobytes() for x, y in zip(a[1].stacks, b[1].stacks)
+    )
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: "+".join(map(str, s.block_dims)))
+def test_norm_condition_chunks_match_sequential_loop(spec):
+    rng = stream(70, spec.n_blocks)
+    s = random_operator(spec, 2, 3, rng)
+    t = s.compose(random_operator(spec, 2, 2, rng))
+    t_adj, s_adj, tol = t.adjoint(), s.adjoint(), 1e-9
+
+    def neg_ratio(f):  # f violates at mu exactly when mu > -neg_ratio(f)
+        rhs = s_adj.apply(f).norm() ** 2
+        return -(rhs + tol * max(1.0, rhs)) / t_adj.apply(f).norm() ** 2
+
+    seed, neg_mu = second_chunk_plant(spec, 3, neg_ratio)
+    for mu in (pencil_lower_bound(t, s), -neg_mu):
+        for samples in CHUNK_SAMPLES:
+            got = douglas._norm_violation(t_adj, s_adj, mu, tol, stream(seed, 0), samples)
+            want = oracles.sequential_norm_violation(
+                t_adj, s_adj, mu, tol, stream(seed, 0), samples
+            )
+            assert same_hit(got, want), (mu, samples)
+    planted = douglas._norm_violation(t_adj, s_adj, -neg_mu, tol, stream(seed, 0), 100)
+    assert SAMPLE_CHUNK <= planted[0] < 2 * SAMPLE_CHUNK
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: "+".join(map(str, s.block_dims)))
+def test_cokernel_search_chunks_match_sequential_loop(spec):
+    rng = stream(71, spec.n_blocks)
+    s = make_rank_deficient(spec, 2, 3, rng)
+    proj = s.compose(pseudo_inverse(s))
+    t = (identity_operator(spec, 3) - proj).compose(random_operator(spec, 2, 3, rng))
+    t_adj, s_adj = t.adjoint(), s.adjoint()
+    # f = g - S S^+ g violates at tol when ||T* f|| > BOUNDARY_FACTOR tol
+    seed, seen = second_chunk_plant(spec, 3, lambda g: t_adj.apply(g - proj.apply(g)).norm())
+    for tol in (1e-9, seen / BOUNDARY_FACTOR):
+        for samples in CHUNK_SAMPLES:
+            got = douglas._cokernel_violation(t_adj, s_adj, proj, tol, stream(seed, 0), samples)
+            want = oracles.sequential_cokernel_violation(
+                t_adj, s_adj, proj, tol, stream(seed, 0), samples
+            )
+            assert same_hit(got, want), (tol, samples)
+    planted = douglas._cokernel_violation(
+        t_adj, s_adj, proj, seen / BOUNDARY_FACTOR, stream(seed, 0), 100
+    )
+    assert SAMPLE_CHUNK <= planted[0] < 2 * SAMPLE_CHUNK
+
+
+# -- guard: one SVD per algebra block per call ----------------------------------------------
+
+
+@pytest.mark.parametrize("dims", [(24, 12), (3, 2, 1)], ids=["24+12", "3+2+1"])
+def test_one_svd_per_block_per_call(dims, monkeypatch):
+    spec = AlgebraSpec(dims)
+    rng = stream(72, len(dims))
+    frame = FrameSeq([random_vector(spec, 4, rng) for _ in range(12)])
+    k = frame.synthesis_op.compose(random_operator(spec, 4, 12, rng))
+    l = k.compose(random_operator(spec, 4, 4, rng))
+    real_svd = np.linalg.svd
+    factorizations = []
+
+    def counting_svd(a, full_matrices=True, compute_uv=True, hermitian=False):
+        if compute_uv:
+            factorizations.append(a.shape)
+        return real_svd(a, full_matrices=full_matrices, compute_uv=compute_uv, hermitian=hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    calls = {
+        "douglas_solve": lambda: douglas_solve(k, frame.synthesis_op, 1e-9),
+        "pencil_lower_bound": lambda: pencil_lower_bound(k, frame.synthesis_op),
+        "equivalence_audit": lambda: equivalence_audit(k, l, 1e-9, seed=1),
+        "atomic_coefficients": lambda: atomic_coefficients(frame, k, 1e-9, seed=1),
+    }
+    for name, call in calls.items():
+        factorizations.clear()
+        call()
+        assert len(factorizations) == spec.n_blocks, name

@@ -21,6 +21,8 @@ from cstarframes import (
     coordinate_frame,
     coordinate_vector,
     dual_atoms,
+    dual_atoms_audit,
+    frames,
     identity_operator,
     ks_inverse_frame,
     local_atoms_check,
@@ -33,7 +35,9 @@ from cstarframes import (
 )
 from cstarframes.harness import random_instance
 from cstarframes.hilbmod import central_mult
+from cstarframes.certify import BOUNDARY_FACTOR
 from cstarframes.sampling import (
+    SAMPLE_CHUNK,
     random_central,
     random_element,
     random_operator,
@@ -44,6 +48,7 @@ from cstarframes.sampling import (
 
 from oracles import (
     coefficient_gram_direct,
+    sequential_coefficient_bound_violation,
     pencil_oracle,
     sampled_bessel_violation,
     sampled_kframe_violation,
@@ -493,6 +498,46 @@ def test_corollary_equivalence_atomic_iff_range_inclusion():
         assert atomic_ok == inclusion
 
 
+def _generalized_top(f, q):
+    """Largest gamma^2 at which gamma^2 <f,f> - <Qf,Qf> stops being
+    positive: the top eigenvalue of <Qf,Qf> against <f,f>, over blocks."""
+    a_f = q.apply(f)
+    return max(
+        float(np.linalg.eigvals(np.linalg.solve(ff, aa)).real.max())
+        for ff, aa in zip(f.inner(f).blocks, a_f.inner(a_f).blocks)
+    )
+
+
+@pytest.mark.parametrize(
+    "dims", [(2, 1), (1,), (3, 2, 1)], ids=lambda d: "+".join(map(str, d))
+)
+def test_coefficient_bound_chunks_match_sequential_loop(dims):
+    spec = AlgebraSpec(dims)
+    rng = stream(98, len(dims))
+    fr = random_frame(spec, 2, 4, rng)
+    q, c, _ = atomic_coefficients(fr, fr.synthesis_op.compose(random_operator(spec, 2, 4, rng)))
+    # a C below ||Q|| that the first sampled violation meets in the second
+    # chunk: the top over 20 draws of the critical gamma^2 lies there
+    for seed in range(100):
+        draws = stream(seed, 0)
+        crit = [_generalized_top(random_vector(spec, 2, draws), q) for _ in range(20)]
+        if max(crit[SAMPLE_CHUNK:]) > max(crit[:SAMPLE_CHUNK]):
+            break
+    low = math.sqrt(0.5 * (max(crit[:SAMPLE_CHUNK]) + max(crit[SAMPLE_CHUNK:]))) * spec.unit()
+    for bound in (c, low):
+        for samples in (0, 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 100):
+            got = frames._coefficient_bound_violation(q, bound, 1e-9, stream(seed, 0), samples)
+            want = sequential_coefficient_bound_violation(
+                q, bound, 1e-9, stream(seed, 0), samples
+            )
+            assert (got is None) == (want is None), (bound, samples)
+            if got is not None:
+                assert got[0] == want[0]
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(got[1].stacks, want[1].stacks))
+    planted = frames._coefficient_bound_violation(q, low, 1e-9, stream(seed, 0), 100)
+    assert SAMPLE_CHUNK <= planted[0] < 2 * SAMPLE_CHUNK
+
+
 # -- dual atoms -------------------------------------------------------------------------------
 
 
@@ -578,6 +623,44 @@ def test_local_atoms_planted_projection():
         fr, identity_operator(SPEC, 2), atoms, c, 1e-9, samples=50, seed=9
     )
     assert cert_full.status == "falsified"
+
+
+@pytest.mark.parametrize("p_slots", [(0, 1), (0,)], ids=["P=I", "P=slot0"])
+def test_local_atoms_non_central_bound_falsified_with_witness_in_range(p_slots):
+    # C = [[3, .5], [0, 3]] + 3 is not scalar on the first block, where the
+    # coefficient sum <f, f> of the coordinate frame does not vanish
+    fr = coordinate_frame(SPEC, 2)
+    c = SPEC.element([np.array([[3.0, 0.5], [0.0, 3.0]]), np.array([[3.0]])])
+    p = ModuleOperator(
+        SPEC,
+        [[SPEC.unit() if i == j and j in p_slots else SPEC.zero() for i in range(2)]
+         for j in range(2)],
+    )
+    cert = local_atoms_check(fr, p, list(fr.members), c, 1e-9)
+    assert cert.status == "falsified"
+    assert cert.witness["failed"] == "coefficient-bound"
+    f = cert.witness_vector
+    assert (p.apply(f) - f).norm() <= 1e-12
+    gap = c * f.inner(f) * c.adjoint() - fr.coefficient_gram(f)
+    scale = max(1.0, gap.norm())
+    assert float(np.real(gap.spectrum()).min()) < -BOUNDARY_FACTOR * 1e-9 * scale
+    # the P = I case is the Bessel inequality, decided the same way
+    assert certify_star_bessel(fr, c, 1e-9).status == "falsified"
+
+
+def test_dual_atoms_audit_residual_matches_atoms_synthesis():
+    # H* is Q bit for bit, so ||K - U Q|| is the old ||K - U H*|| exactly;
+    # ||U Q - K||, the factorization residual, may differ in the last bit
+    for seed in range(20):
+        rng = stream(99, seed)
+        fr = random_frame(SPEC, 2, 4, rng)
+        k = fr.synthesis_op.compose(random_operator(SPEC, 2, 4, rng))
+        cert = dual_atoms_audit(fr, k, 1e-9)
+        assert cert.status == "certified"
+        h = FrameSeq(dual_atoms(fr, k, 1e-9))
+        direct = (k - fr.synthesis_op.compose(h.analysis_op)).norm()
+        assert repr(cert.witness["max_reconstruction_residual"]) == repr(direct)
+        assert direct == pytest.approx(cert.witness["factorization_residual"], rel=1e-12)
 
 
 def test_local_atoms_requires_projection():
