@@ -63,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="certification tolerance (default 1e-9; an instance "
                              "file's tolerances.tol applies when the flag is absent)")
     common.add_argument("--samples", type=int, default=1000,
-                        help="sample count for atomic-system, local-atoms, douglas, "
-                             "perturb1, perturb2 and suite; the rest draw no samples")
+                        help="sample count for perturb1, perturb2 and suite; "
+                             "the rest draw no samples")
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed, uint64 (default 0; an instance file's "
                              "seed applies when the flag is absent)")
@@ -149,9 +149,7 @@ def _cmd_atomic_system(inst: Instance, args):
     frame = inst.frame()
     k_op = _need_operator(inst, "K", "atomic-system")
     try:
-        q, c, residual = atomic_coefficients(
-            frame, k_op, args.tol, samples=min(args.samples, 50), seed=args.seed
-        )
+        q, c, residual = atomic_coefficients(frame, k_op, args.tol)
     except AtomicSystemError as exc:
         cert = Certificate(FALSIFIED, "atomic-system", {"error": str(exc)}, {"tol": args.tol})
         return cert.status, {}, [cert]
@@ -180,16 +178,14 @@ def _cmd_local_atoms(inst: Instance, args):
     c = inst.bounds.get("C")
     if c is None:
         c = (s_pinv.norm() * frame.synthesis_op.norm()) * inst.spec.unit()
-    cert = local_atoms_check(
-        frame, p_op, atoms, c, args.tol, min(args.samples, 200), args.seed
-    )
+    cert = local_atoms_check(frame, p_op, atoms, c, args.tol)
     return cert.status, dict(cert.witness), [cert]
 
 
 def _cmd_douglas(inst: Instance, args):
     t_op = _need_operator(inst, "K", "douglas (uses K as T)")
     s_op = _need_operator(inst, "L", "douglas (uses L as S)")
-    cert = equivalence_audit(t_op, s_op, args.tol, min(args.samples, 200), args.seed)
+    cert = equivalence_audit(t_op, s_op, args.tol)
     return cert.status, dict(cert.witness), [cert]
 
 

@@ -5,13 +5,17 @@ equivalences are: range inclusion R(T) <= R(S); a pencil inequality
 mu T T* <= S S* for some mu > 0; a norm inequality lambda ||T* f||^2 <=
 ||S* f||^2; and a factorization T = S Q.  All four are decidable here
 because the flattened matrices are finite; Q is realized as the
-minimal-norm solution S^+ T.
+minimal-norm solution S^+ T.  Nothing here samples: the norm inequality
+reduces to rank-one vectors, so it is the pencil inequality decided by an
+eigen route (`_majorization`), and its failure is witnessed by a singular
+vector of (I - S S^+) T.
 
 Every public call factors S once: one thin SVD per reduced block and one
 rank decision at rtol times the largest singular value over all blocks
 (`_Factorization`).  The pseudo-inverse, the range projection S S^+, the
 whitened pencil and the solve all read that one factorization, so a call
-makes exactly one SVD per algebra block.
+makes exactly one SVD per algebra block; only `equivalence_audit` on a
+failed inclusion adds one per block of (I - S S^+) T for its witness.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from .certify import (
     Certificate,
     FALSIFIED,
     INCONCLUSIVE,
+    psd_certificate,
 )
 from .errors import InputError
-from .hilbmod import ModuleOperator, ModuleVector, from_block_matrices, gram_norms
-from .sampling import _first_violation, stream
+from .hilbmod import ModuleOperator, from_block_matrices
 
 DEFAULT_RTOL = 1e-10
 INCLUSION_TOL = 1e-8
@@ -80,8 +84,12 @@ class _Factorization:
         """S S^+, the projection onto R(S)."""
         return self.s.compose(self.pinv)
 
+    def coresidual(self, t: ModuleOperator) -> ModuleOperator:
+        """(I - S S^+) T, the part of T outside R(S)."""
+        return t - self.proj.compose(t)
+
     def range_residual(self, t: ModuleOperator) -> float:
-        return (t - self.proj.compose(t)).norm()
+        return self.coresidual(t).norm()
 
     def pencil(
         self,
@@ -174,96 +182,79 @@ def douglas_solve(
     return fac.solve(t, tnorm, tol, fac.pencil(t, tnorm))
 
 
-def _squared_norms(t: ModuleOperator, stacks) -> np.ndarray:
-    """||T f_s||^2 per vector of a batch, squared as Python floats the way
-    `ModuleVector.norm() ** 2` squares them."""
-    return np.sqrt(gram_norms(t, stacks)).astype(object) ** 2
+def _majorization(t: ModuleOperator, s: ModuleOperator, mu: float, tol: float) -> Certificate:
+    """The norm inequality mu ||T* f||^2 <= ||S* f||^2 for all f, decided
+    as psd_certificate(S S* - mu T T*).
 
-
-def _norm_violation(
-    t_adj: ModuleOperator,
-    s_adj: ModuleOperator,
-    mu: float,
-    tol: float,
-    rng: np.random.Generator,
-    samples: int,
-) -> Optional[tuple[int, ModuleVector]]:
-    """First sampled f with mu ||T* f||^2 > ||S* f||^2 + tol max(1, ||S* f||^2)."""
-
-    def violated(stacks):
-        rhs = _squared_norms(s_adj, stacks)
-        return mu * _squared_norms(t_adj, stacks) > rhs + tol * np.maximum(1.0, rhs)
-
-    return _first_violation(t_adj.spec, t_adj.in_rank, rng, samples, violated)
-
-
-def _cokernel_violation(
-    t_adj: ModuleOperator,
-    s_adj: ModuleOperator,
-    proj: ModuleOperator,
-    tol: float,
-    rng: np.random.Generator,
-    samples: int,
-) -> Optional[tuple[int, ModuleVector]]:
-    """First sampled f = g - S S^+ g in the cokernel of S (||S* f|| <= tol)
-    that T* sees (||T* f|| > BOUNDARY_FACTOR tol), with f built from the
-    returned sample g as `(g - proj.apply(g))`."""
-
-    def violated(stacks):
-        f = [g - p @ g for p, g in zip(proj.block_matrices(), stacks)]
-        return (np.sqrt(gram_norms(s_adj, f)) <= tol) & (
-            np.sqrt(gram_norms(t_adj, f)) > BOUNDARY_FACTOR * tol
-        )
-
-    hit = _first_violation(t_adj.spec, t_adj.in_rank, rng, samples, violated)
-    if hit is None:
-        return None
-    i, g = hit
-    return i, g - proj.apply(g)
+    In block b a module vector is an (n d_b) x d_b matrix F.  With v a top
+    right singular vector of T_b^H F, x = F v has ||T* x|| = ||T* F|| and
+    ||S* x|| <= ||S* F||, so the inequality holds for all f iff it holds
+    for rank-one f, that is iff mu T T* <= S S* on the flattening.  A
+    negative eigenvector of the gap is a violating f."""
+    gap = s.compose(s.adjoint()) - t.compose(t.adjoint()).scalar_mul(mu)
+    return psd_certificate(gap, tol, "douglas-norm-inequality")
 
 
 def equivalence_audit(
     t: ModuleOperator,
     s: ModuleOperator,
     tol: float = 1e-9,
-    samples: int = 100,
-    seed: int = 0,
+    *,
+    samples: Optional[int] = None,
+    seed: Optional[int] = None,
 ) -> Certificate:
     """Evaluate the four equivalent conditions independently and certify
     that they agree.
 
     (i) range-inclusion residual, (ii) pencil positivity, (iii) the norm
-    inequality lambda ||T* f||^2 <= ||S* f||^2 sampled at lambda equal to
-    the pencil value, (iv) factorization residual of S (S^+ T) = T.  When
-    (ii) fails, (iii) instead searches the sampled cokernel of S for a
-    direction T* sees.
+    inequality lambda ||T* f||^2 <= ||S* f||^2 at lambda equal to the
+    pencil value, decided exactly by the eigen route of `_majorization`
+    (independent of the SVD pencil behind (ii)), (iv) factorization
+    residual of S (S^+ T) = T.  When (ii) fails, (iii) instead looks for a
+    direction f in the cokernel of S that T* sees (||S* f|| <= tol,
+    ||T* f|| > BOUNDARY_FACTOR tol), at the top left singular vector of
+    (I - S S^+) T.  A near-boundary pencil value or an inconclusive
+    (iii) gives an inconclusive certificate.
+
+    `samples` and `seed` are ignored: nothing is sampled, and the
+    certificate records both as null.
     """
     _check_common_target(t, s)
-    rng = stream(seed, 0xD0)
     fac = _Factorization(s, DEFAULT_RTOL)
     tnorm = t.norm()
     tscale = max(1.0, tnorm)
 
-    residual = fac.range_residual(t)
+    coresidual = fac.coresidual(t)
+    residual = coresidual.norm()
     cond_i = residual <= tol * tscale
 
     mu = fac.pencil(t, tnorm, residual)
     near_boundary = math.isfinite(mu) and tol < mu <= BOUNDARY_FACTOR * tol
     cond_ii = mu > BOUNDARY_FACTOR * tol or math.isinf(mu)
 
-    t_adj = t.adjoint()
-    s_adj = s.adjoint()
-    if math.isinf(mu):
-        hit = None
-    elif cond_ii:
-        hit = _norm_violation(t_adj, s_adj, mu, tol, rng, samples)
-    else:
-        hit = _cokernel_violation(t_adj, s_adj, fac.proj, tol, rng, samples)
-    cond_iii = hit is None
-    witness_vec = None if hit is None else hit[1]
-
     rep = fac.solve(t, tnorm, tol, mu)
     cond_iv = rep.residual <= tol * tscale
+
+    found: dict = {}
+    witness_vec = None
+    if math.isinf(mu):
+        cond_iii = True
+    elif cond_ii:
+        norm_cert = _majorization(t, s, mu, tol)
+        found["cond_iii_min_eig"] = norm_cert.witness["min_eig"]
+        found["cond_iii_scale"] = norm_cert.witness["scale"]
+        near_boundary = near_boundary or norm_cert.status == INCONCLUSIVE
+        cond_iii = norm_cert.status != FALSIFIED
+        witness_vec = norm_cert.witness_vector
+    else:
+        f = coresidual.adjoint_norm_witness()
+        cond_iii = True
+        if f is not None:
+            s_norm, t_norm = s.adjoint().apply(f).norm(), t.adjoint().apply(f).norm()
+            found["cond_iii_s_adj_norm"] = s_norm
+            found["cond_iii_t_adj_norm"] = t_norm
+            if s_norm <= tol and t_norm > BOUNDARY_FACTOR * tol:
+                cond_iii, witness_vec = False, f
 
     verdicts = [cond_i, cond_ii, cond_iii, cond_iv]
     witness = {
@@ -275,22 +266,15 @@ def equivalence_audit(
         "cond_ii": cond_ii,
         "cond_iii": cond_iii,
         "cond_iv": cond_iv,
+        **found,
     }
-    tolerances = {"tol": tol}
     if near_boundary:
-        return Certificate(
-            INCONCLUSIVE, "douglas-equivalence", witness, tolerances, samples, seed
-        )
-    if all(verdicts) or not any(verdicts):
-        return Certificate(
-            CERTIFIED, "douglas-equivalence", witness, tolerances, samples, seed
-        )
+        status = INCONCLUSIVE
+    elif all(verdicts) or not any(verdicts):
+        status = CERTIFIED
+    else:
+        status = FALSIFIED
     return Certificate(
-        FALSIFIED,
-        "douglas-equivalence",
-        witness,
-        tolerances,
-        samples,
-        seed,
-        witness_vector=witness_vec,
+        status, "douglas-equivalence", witness, {"tol": tol},
+        witness_vector=witness_vec if status == FALSIFIED else None,
     )

@@ -14,6 +14,10 @@ holds only if S (upper) or K K* (lower) vanishes on that block; see
 `certify_star_bessel` and `certify_kframe` for the proof.  Both cases are
 one gap operator handed to `psd_certificate`; a violation on a
 non-scalar block comes with a constructed rank-one witness.
+
+No check here samples.  The atomic coefficient bound C = ||Q|| 1 holds
+by construction, and the local-atom reconstruction on range(P) is the
+operator norm of (I - U G*) P.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .hilbmod import (
     from_block_matrices,
     identity_operator,
 )
-from .sampling import _first_violation, random_vector, stream
 
 
 class FrameSeq:
@@ -162,52 +165,57 @@ def certify_kframe(
     if k_op.spec != frame.spec or k_op.in_rank != n or k_op.out_rank != n:
         raise InputError("K must be a square operator on the frame's module")
     t = k_op.compose(diagonal_operator(a.adjoint(), n))
-    lower = _decide(
-        frame, a, k_op, frame.frame_op - t.compose(t.adjoint()),
-        k_op.compose(k_op.adjoint()).scalar_mul(-1.0), tol, "star-kframe-lower",
+    gap = _mixed_gap(
+        a, frame.frame_op - t.compose(t.adjoint()),
+        k_op.compose(k_op.adjoint()).scalar_mul(-1.0), tol,
     )
+    lower = _decide(frame, a, k_op, gap, tol, "star-kframe-lower")
     return combine("star-kframe", [lower, _certify_upper(frame, b, tol, "star-kframe-upper")])
 
 
 def _certify_upper(frame: FrameSeq, b: AlgElement, tol: float, claim: str) -> Certificate:
     mb, s_op = diagonal_operator(b, frame.rank), frame.frame_op
-    gap = mb.compose(mb.adjoint()) - s_op
-    return _decide(frame, b, None, gap, s_op.scalar_mul(-1.0), tol, claim)
+    gap = _mixed_gap(b, mb.compose(mb.adjoint()) - s_op, s_op.scalar_mul(-1.0), tol)
+    return _decide(frame, b, None, gap, tol, claim)
+
+
+def _mixed_gap(
+    bound: AlgElement, central_gap: ModuleOperator, other_gap: ModuleOperator, tol: float
+) -> ModuleOperator:
+    """The gap operator with each block's reduced matrix from central_gap
+    where the bound is scalar and from other_gap elsewhere."""
+    mats = [
+        c if s else o
+        for s, c, o in zip(
+            bound.scalar_blocks(tol), central_gap.block_matrices(), other_gap.block_matrices()
+        )
+    ]
+    return from_block_matrices(bound.spec, central_gap.in_rank, central_gap.out_rank, mats)
 
 
 def _decide(
     frame: FrameSeq,
     bound: AlgElement,
     k_op: Optional[ModuleOperator],
-    central_gap: ModuleOperator,
-    other_gap: ModuleOperator,
+    gap: ModuleOperator,
     tol: float,
     claim: str,
 ) -> Certificate:
-    """Decide the upper inequality (k_op None) or the lower one with K.
-
-    The gap operator takes each block's reduced matrix from central_gap
-    where the bound is scalar and from other_gap elsewhere.  A violation
-    on a non-scalar block gets the rank-one witness f = g w^H of
-    `certify_star_bessel` and `certify_kframe`, with g the eigenvector
-    psd_certificate found.  It is
+    """Decide the upper inequality (k_op None) or the lower one with K
+    from its `_mixed_gap`.  A violation on a non-scalar block gets the
+    rank-one witness f = g w^H of `certify_star_bessel` and
+    `certify_kframe`, with g the eigenvector psd_certificate found.  It is
     reported falsified only if the algebra-valued gap at f has an
     eigenvalue below -BOUNDARY_FACTOR tol max(1, ||gap||), else
     inconclusive: for a bound block eps from scalar, ||w|| grows like
     1/eps and the gap like 1/eps^2, so roundoff swamps the violation.
     """
-    scalar = bound.scalar_blocks(tol)
-    mats = [
-        c if s else o
-        for s, c, o in zip(scalar, central_gap.block_matrices(), other_gap.block_matrices())
-    ]
-    gap = from_block_matrices(bound.spec, frame.rank, frame.rank, mats)
     cert = psd_certificate(gap, tol, claim)
     if cert.status != FALSIFIED:
         return cert
     stacks = cert.witness_vector.stacks
     k = next(i for i, st in enumerate(stacks) if st.any())
-    if scalar[k]:
+    if bound.scalar_blocks(tol)[k]:
         return cert
     c = bound.blocks[k].conj().T
     xi = _moving_direction(c)
@@ -277,15 +285,17 @@ def atomic_coefficients(
     frame: FrameSeq,
     k_op: ModuleOperator,
     tol: float = DEFAULT_TOL,
-    samples: int = 20,
-    seed: int = 0,
+    *,
+    samples: Optional[int] = None,
+    seed: Optional[int] = None,
 ) -> tuple[ModuleOperator, AlgElement, float]:
     """Coefficient operator of the atomic decomposition K f = sum a_j f_j.
 
     Q is the minimal-norm Douglas solution U Q = K (so a_f = Q f), and
-    C = ||Q|| 1_A witnesses the coefficient bound <a_f, a_f> <= C<f,f>C*,
-    cross-checked at `samples` random f drawn SAMPLE_CHUNK at a time.
+    C = ||Q|| 1_A witnesses the coefficient bound <a_f, a_f> <= C<f,f>C*:
+    C is central, so the bound is Q*Q <= ||Q||^2 I, which always holds.
     Raises AtomicSystemError when R(K) is not inside R(U) within tol.
+    `samples` and `seed` are ignored; nothing is sampled.
     """
     n = frame.rank
     if k_op.spec != frame.spec or k_op.in_rank != n or k_op.out_rank != n:
@@ -296,46 +306,7 @@ def atomic_coefficients(
             "not an atomic system: range-inclusion residual "
             f"{rep.residual:.3e} exceeds tol {tol:g} x max(1, ||K||)"
         )
-    q = rep.q
-    c = rep.q_norm * frame.spec.unit()
-    hit = _coefficient_bound_violation(q, c, tol, stream(seed, 0xA7), samples)
-    if hit is not None:
-        raise PreconditionError(
-            f"coefficient bound audit failed at sample {hit[0]}; flattening is inconsistent"
-        )
-    return q, c, rep.residual
-
-
-def _coefficient_bound_violation(
-    q: ModuleOperator, c: AlgElement, tol: float, rng: np.random.Generator, samples: int
-) -> Optional[tuple[int, ModuleVector]]:
-    """First sampled f whose gap C<f,f>C* - <Qf,Qf> fails
-    `AlgElement.is_positive(tol)`, decided for a whole chunk at once with
-    the same per-block products: scale max(1, ||gap||), Hermitian residual
-    ||gap - gap*|| <= tol scale, then every block's least eigenvalue of
-    (gap + gap*)/2 >= -tol scale."""
-    c_adj = c.adjoint()
-
-    def violated(stacks):
-        gaps = []
-        for m, cb, cab, f in zip(q.block_matrices(), c.blocks, c_adj.blocks, stacks):
-            a = m @ f
-            ff = np.swapaxes(f, -2, -1) @ f.conj()
-            gaps.append(cb @ ff @ cab - np.swapaxes(a, -2, -1) @ a.conj())
-        adjs = [np.swapaxes(g, -2, -1).conj() for g in gaps]
-        scale = np.maximum(1.0, _max_norm(gaps))
-        ok = _max_norm([g - h for g, h in zip(gaps, adjs)]) <= tol * scale
-        for g, h in zip(gaps, adjs):
-            ok &= np.linalg.eigvalsh(0.5 * (g + h)).min(axis=-1) >= -tol * scale
-        return ~ok
-
-    return _first_violation(q.spec, q.in_rank, rng, samples, violated)
-
-
-def _max_norm(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Per sample, the largest spectral norm over the blocks: the C*-norm
-    of a batch of algebra elements."""
-    return np.max([np.linalg.norm(b, ord=2, axis=(-2, -1)) for b in blocks], axis=0)
+    return rep.q, rep.q_norm * frame.spec.unit(), rep.residual
 
 
 def dual_atoms(
@@ -348,7 +319,7 @@ def dual_atoms(
     pairing with h_j.  Raises PreconditionError when the reconstruction
     residual ||K - U Q|| exceeds tol.
     """
-    q, _, residual = atomic_coefficients(frame, k_op, tol, samples=0)
+    q, _, residual = atomic_coefficients(frame, k_op, tol)
     if residual > tol:
         raise PreconditionError("dual-atom reconstruction audit failed")
     return _atoms_of(frame, q)
@@ -372,7 +343,7 @@ def dual_atoms_audit(
     residual ||U Q - K|| up to the last bit: the spectral norms of X and
     -X can differ there, so it keeps its own norm."""
     try:
-        q, c, residual = atomic_coefficients(frame, k_op, tol, samples=0)
+        q, c, residual = atomic_coefficients(frame, k_op, tol)
     except AtomicSystemError as exc:
         return Certificate(
             FALSIFIED, "dual-atoms", {"error": str(exc)}, {"tol": tol}
@@ -400,8 +371,6 @@ def local_atoms_check(
     atoms: Sequence[ModuleVector],
     c: AlgElement,
     tol: float = DEFAULT_TOL,
-    samples: int = 200,
-    seed: int = 0,
 ) -> Certificate:
     """Check that {f_j} with coefficient representers {g_j} forms a family
     of local atoms for the submodule range(P).
@@ -412,10 +381,14 @@ def local_atoms_check(
     to range(P): the gap is P(|gamma|^2 1 - S_g)P on blocks where
     C = gamma 1 is scalar and -P S_g P on the others.  An eigenvector of a
     compressed gap with negative eigenvalue lies in range(P), and so does
-    the rank-one witness built from it.  (ii) The reconstruction
-    f = sum c_j(f) f_j is checked at sampled f = P f0.  Additionally
-    certifies that {P f_j} has scalar lower frame bound 1/||C|| on
-    range(P) through the restricted pencil of its frame operator.
+    the rank-one witness built from it.  `coefficient_gap_min` is the
+    least eigenvalue of that gap restricted to range(P).  (ii) The
+    reconstruction f = sum c_j(f) f_j holds on range(P) iff
+    (I - U G*) P = 0, U and G the syntheses of {f_j} and {g_j}; its norm,
+    the largest relative residual over range(P), is compared with tol, and
+    a top right singular vector is the witness.  Additionally certifies
+    that {P f_j} has scalar lower frame bound 1/||C|| on range(P) through
+    the restricted pencil of its frame operator.
     """
     n = frame.rank
     if p_op.in_rank != n or p_op.out_rank != n or p_op.spec != frame.spec:
@@ -435,58 +408,40 @@ def local_atoms_check(
     g_frame = FrameSeq(list(atoms))
     mc = diagonal_operator(c, n)
     s_g = g_frame.frame_op
-    coeff = _decide(
-        g_frame, c, None,
-        p_op.compose(mc.compose(mc.adjoint()) - s_g).compose(p_op),
-        p_op.compose(s_g).compose(p_op).scalar_mul(-1.0),
-        tol, "local-atoms-coefficient-bound",
+    gap = _mixed_gap(
+        c, p_op.compose(mc.compose(mc.adjoint()) - s_g).compose(p_op),
+        p_op.compose(s_g).compose(p_op).scalar_mul(-1.0), tol,
     )
+    coeff = _decide(g_frame, c, None, gap, tol, "local-atoms-coefficient-bound")
     if coeff.status == FALSIFIED:
         return Certificate(
             FALSIFIED,
             "local-atoms",
             dict(coeff.witness, failed="coefficient-bound"),
             {"tol": tol},
-            samples,
-            seed,
             witness_vector=coeff.witness_vector,
         )
-    rng = stream(seed, 0x1A)
-    worst_recon = 0.0
-    for i in range(samples):
-        f0 = random_vector(frame.spec, n, rng)
-        f = p_op.apply(f0)
-        fnorm = f.norm()
-        if fnorm <= 1e-12:
-            continue
-        recon = frame.synthesis(g_frame.analysis(f))
-        rel = (f - recon).norm() / fnorm
-        worst_recon = max(worst_recon, rel)
-        if rel > tol * BOUNDARY_FACTOR:
-            return Certificate(
-                FALSIFIED,
-                "local-atoms",
-                {"failed": "reconstruction", "sample": i, "relative_residual": rel},
-                {"tol": tol},
-                samples,
-                seed,
-                witness_vector=f,
-            )
+    recon_gap = p_op - frame.synthesis_op.compose(g_frame.analysis_op).compose(p_op)
+    worst_recon = recon_gap.norm()
+    if worst_recon > BOUNDARY_FACTOR * tol:
+        return Certificate(
+            FALSIFIED,
+            "local-atoms",
+            {"failed": "reconstruction", "relative_residual": worst_recon},
+            {"tol": tol},
+            witness_vector=recon_gap.adjoint().adjoint_norm_witness(),
+        )
     # restricted lower frame bound of {P f_j} on range(P)
     pf = transform_frame(frame, p_op)
     floor = 1.0 / (c.norm() ** 2)
-    restricted_min = math.inf
-    for pb, sb in zip(p_op.block_matrices(), pf.frame_op.block_matrices()):
+    bases = []
+    for pb in p_op.block_matrices():
         w, v = np.linalg.eigh(0.5 * (pb + pb.conj().T))
-        keep = w > 0.5
-        if not keep.any():
-            continue
-        basis = v[:, keep]
-        rest = basis.conj().T @ (0.5 * (sb + sb.conj().T)) @ basis
-        restricted_min = min(restricted_min, float(np.linalg.eigvalsh(rest).min()))
+        bases.append(v[:, w > 0.5])
+    restricted_min = _restricted_min_eig(bases, pf.frame_op)
     witness = {
         "max_reconstruction_residual": worst_recon,
-        "coefficient_gap_min": coeff.witness["min_eig"],
+        "coefficient_gap_min": _restricted_min_eig(bases, gap),
         "coefficient_bound": coeff.status,
         "restricted_min_eig": restricted_min,
         "scalar_floor": floor,
@@ -494,11 +449,23 @@ def local_atoms_check(
     scale = max(1.0, pf.frame_op.norm(), floor)
     if restricted_min < floor - BOUNDARY_FACTOR * tol * scale:
         status = FALSIFIED
-    elif restricted_min >= floor - tol * scale and coeff.ok:
+    elif restricted_min >= floor - tol * scale and coeff.ok and worst_recon <= tol:
         status = CERTIFIED
     else:
         status = INCONCLUSIVE
-    return Certificate(status, "local-atoms", witness, {"tol": tol}, samples, seed)
+    return Certificate(status, "local-atoms", witness, {"tol": tol})
+
+
+def _restricted_min_eig(bases: Sequence[np.ndarray], op: ModuleOperator) -> float:
+    """Least eigenvalue of the Hermitian part of op restricted to the
+    subspaces spanned by the orthonormal columns of bases, one per block;
+    inf when every basis is empty."""
+    least = math.inf
+    for basis, m in zip(bases, op.block_matrices()):
+        if basis.shape[1]:
+            rest = basis.conj().T @ (0.5 * (m + m.conj().T)) @ basis
+            least = min(least, float(np.linalg.eigvalsh(rest).min()))
+    return least
 
 
 def transform_frame(frame: FrameSeq, l_op: ModuleOperator) -> FrameSeq:

@@ -33,6 +33,7 @@ from .hilbmod import (
     ModuleOperator,
     ModuleVector,
     central_mult,
+    diagonal_operator,
     identity_operator,
 )
 from .perturb import pertur1_audit, pertur2_audit
@@ -211,7 +212,7 @@ def _douglas_trial(seed: int, trial: int, tol: float) -> dict:
         r_op = random_operator(spec, nt, n, rng)
         coproj = identity_operator(spec, n) - s_op.compose(pseudo_inverse(s_op))
         t_op = t_op + coproj.compose(r_op)
-    cert = equivalence_audit(t_op, s_op, tol, samples=50, seed=_trial_seed(seed, trial))
+    cert = equivalence_audit(t_op, s_op, tol)
     matches = bool(cert.witness.get("cond_i")) == planted_inclusion
     status = cert.status if matches else FALSIFIED
     return {
@@ -236,9 +237,7 @@ def _kframe_main_trial(seed: int, trial: int, tol: float) -> dict:
     atomic_ok = True
     recon_residual = None
     try:
-        _, _, residual = atomic_coefficients(
-            frame, k_op, tol=1e-8, samples=20, seed=_trial_seed(seed, trial) + 1
-        )
+        _, _, residual = atomic_coefficients(frame, k_op, tol=1e-8)
         atomic_ok = residual <= 1e-8
     except AtomicSystemError:
         atomic_ok = False
@@ -260,20 +259,16 @@ def _kframe_main_trial(seed: int, trial: int, tol: float) -> dict:
     }
 
 
-def _paper_example_run(seed: int, n_terms: int, samples: int) -> dict:
+def _paper_example_run(seed: int, n_terms: int) -> dict:
+    """The equality <Q u, Q u> = C<u, u>C* for all u in A^1 is the operator
+    equality Q*Q = M_C M_C*, decided by the norm of the difference."""
     inst = _paper_truncation_instance(n_terms, seed)
     frame = inst.frame()
     k_op = inst.operators["K"]
-    c_bound = inst.bounds["C"]
     bessel = certify_star_bessel(frame, inst.bounds["B"], tol=1e-9)
-    q, _, residual = atomic_coefficients(frame, k_op, tol=1e-9, samples=0)
-    rng = stream(seed, 5)
-    max_dev = 0.0
-    for _ in range(samples):
-        u = random_vector(inst.spec, 1, rng)
-        a_u = q.apply(u)
-        dev = (a_u.inner(a_u) - c_bound * u.inner(u) * c_bound.adjoint()).norm()
-        max_dev = max(max_dev, dev)
+    q, _, residual = atomic_coefficients(frame, k_op, tol=1e-9)
+    mc = diagonal_operator(inst.bounds["C"], 1)
+    max_dev = (q.adjoint().compose(q) - mc.compose(mc.adjoint())).norm()
     ok = bessel.ok and residual <= 1e-10 and max_dev <= 1e-12
     return {
         "trial": 0,
@@ -445,7 +440,7 @@ def run_suite(
     t0 = time.perf_counter()
     rows: list[dict] = []
     if suite == "paper-example":
-        rows.append(_paper_example_run(seed, n_terms, samples))
+        rows.append(_paper_example_run(seed, n_terms))
     else:
         body = {
             "douglas-equivalence": lambda t: _douglas_trial(seed, t, tol),

@@ -24,7 +24,7 @@ elements, is rebuilt from them on every access, so callers bind it once.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -310,6 +310,24 @@ class ModuleOperator:
         ]
         stacks[b][:, 0] = vec
         return lam, _vector(self.spec, stacks)
+
+    def adjoint_norm_witness(self) -> Optional[ModuleVector]:
+        """Unit module vector f of the target module with ||T* f|| = ||T||:
+        a top left singular vector of the block attaining the norm, as
+        column 0 of that block.  None when T = 0."""
+        best = (0.0, 0, None)
+        for b, m in enumerate(self._mats):
+            u, sig, _ = np.linalg.svd(m, full_matrices=False)
+            if sig[0] > best[0]:
+                best = (float(sig[0]), b, u[:, 0])
+        sigma, b, vec = best
+        if sigma == 0.0:
+            return None
+        stacks = [
+            np.zeros((self.out_rank * d, d), dtype=complex) for d in self.spec.block_dims
+        ]
+        stacks[b][:, 0] = vec
+        return _vector(self.spec, stacks)
 
     def __repr__(self) -> str:
         return (

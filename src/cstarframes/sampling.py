@@ -10,25 +10,20 @@ samples comes from a single `standard_normal` call and is cut into
 per-block stacked arrays.  `Generator.standard_normal` caches no draws
 between calls, so the batch is bit for bit the same as drawing its
 vectors one call at a time; `random_vector` is the batch of one and
-`random_operator` draws its columns as one batch.  `_first_violation`
-runs a sampled cross-check over such batches of SAMPLE_CHUNK vectors.
+`random_operator` draws its columns as one batch.
+
+Verdicts draw nothing except the perturbation hypotheses of `perturb`,
+whose pointwise forms no single operator inequality decides; every other
+check is decided exactly.  Elsewhere these generators build instances.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraSpec, AlgElement
 from .errors import InputError
 from .hilbmod import ModuleOperator, ModuleVector, _readonly, _vector, from_block_matrices
-
-# Vectors per batch of a chunked sampled check.  Measured on the
-# large-blocks benchmark workload (spec (24, 12), rank 4): peak RSS is
-# 60.0 MB one vector at a time and at 10, 64.1 MB at 25 and 71.3 MB at
-# 100, while throughput gains little beyond 10.
-SAMPLE_CHUNK = 10
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -96,32 +91,6 @@ def random_vectors(
         e = scale * ((re_im[:, :, 0] + 1j * re_im[:, :, 1]) / np.sqrt(2.0))
         stacks.append(e.transpose(0, 1, 3, 2).reshape(count, rank * d, d))
     return _readonly(stacks)
-
-
-def _first_violation(
-    spec: AlgebraSpec,
-    rank: int,
-    rng: np.random.Generator,
-    samples: int,
-    violated: Callable[[tuple[np.ndarray, ...]], Sequence[bool]],
-) -> Optional[tuple[int, ModuleVector]]:
-    """The first of `samples` random vectors at which a check fails, as
-    (index, vector), or None.
-
-    The vectors are drawn SAMPLE_CHUNK at a time through `random_vectors`,
-    so vector s is bit for bit the s-th sequential `random_vector` draw;
-    `violated` maps one chunk, per block a (count, rank*d_b, d_b) array,
-    to one flag per vector.  Drawing stops after the chunk of the first
-    violation.  The helper is private so that a trace of public calls
-    charges the check's arithmetic to the caller, not to sampling.
-    """
-    for start in range(0, samples, SAMPLE_CHUNK):
-        stacks = random_vectors(spec, rank, rng, min(SAMPLE_CHUNK, samples - start))
-        hits = np.flatnonzero(violated(stacks))
-        if hits.size:
-            i = int(hits[0])
-            return start + i, _vector(spec, [s[i] for s in stacks])
-    return None
 
 
 def random_vector(

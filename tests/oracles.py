@@ -3,9 +3,10 @@
 These deliberately take different computational routes than the library:
 full flattened matrices and scipy's generalized eigensolver instead of
 per-block whitened SVDs, direct summation instead of operator identities.
-Reference copies of replaced code (sampled checks, the per-function
-Douglas factorizations, one-vector-at-a-time loops) pin the current
-code to what it replaced.
+Reference copies of replaced code (the per-function Douglas
+factorizations) pin the current code to what it replaced, and the
+sampled checks the library once ran, one vector at a time, are the
+independent route its exact decisions are tested against.
 """
 
 import math
@@ -19,9 +20,10 @@ from cstarframes.certify import (
     Certificate,
     FALSIFIED,
     INCONCLUSIVE,
+    psd_certificate,
 )
 from cstarframes.douglas import DouglasReport
-from cstarframes.hilbmod import from_block_matrices
+from cstarframes.hilbmod import _vector, from_block_matrices
 from cstarframes.sampling import random_vector, stream
 
 
@@ -107,8 +109,9 @@ def sampled_kframe_violation(frame, k_op, a, b, tol, samples, seed):
 #
 # Each function below factors S on its own, as the library once did: the
 # audit made 12 thin SVDs at two blocks where the shared factorization
-# makes 2.  The sampled loops draw one vector at a time.  The library must
-# return bit-identical values and certificates.
+# makes 2.  The library must return bit-identical values and certificates.
+# The sampled loops draw one vector at a time; every violation they find
+# must be falsified by the library's exact decisions.
 
 
 def reference_pseudo_inverse(t, rtol=1e-10):
@@ -177,11 +180,12 @@ def sequential_norm_violation(t_adj, s_adj, mu, tol, rng, samples):
     return None
 
 
-def sequential_cokernel_violation(t_adj, s_adj, coproj, tol, rng, samples):
-    """First f = g - coproj g with ||S* f|| <= tol < ||T* f|| / BOUNDARY_FACTOR."""
+def sequential_cokernel_violation(t_adj, s_adj, proj, tol, rng, samples):
+    """First f = g - proj g, proj = S S^+, with
+    ||S* f|| <= tol < ||T* f|| / BOUNDARY_FACTOR."""
     for i in range(samples):
         g = random_vector(t_adj.spec, t_adj.in_rank, rng)
-        f = g - coproj.apply(g)
+        f = g - proj.apply(g)
         if s_adj.apply(f).norm() <= tol and t_adj.apply(f).norm() > BOUNDARY_FACTOR * tol:
             return i, f
     return None
@@ -198,23 +202,48 @@ def sequential_coefficient_bound_violation(q, c, tol, rng, samples):
     return None
 
 
-def reference_equivalence_audit(t, s, tol=1e-9, samples=100, seed=0):
-    rng = stream(seed, 0xD0)
+def reference_top_left_vector(op):
+    """Unit rank-one module vector from a top left singular vector of the
+    block of op with the largest singular value, or None for op = 0."""
+    best = None
+    for b, m in enumerate(op.block_matrices()):
+        u, sig, _ = np.linalg.svd(m, full_matrices=False)
+        if sig[0] > 0.0 and (best is None or sig[0] > best[0]):
+            best = (sig[0], b, u[:, 0])
+    if best is None:
+        return None
+    stacks = [np.zeros((op.out_rank * d, d), dtype=complex) for d in op.spec.block_dims]
+    stacks[best[1]][:, 0] = best[2]
+    return _vector(op.spec, stacks)
+
+
+def reference_equivalence_audit(t, s, tol=1e-9):
+    """The audit written out against the per-function factorizations, with
+    condition (iii) decided exactly: psd_certificate(S S* - mu T T*) at the
+    pencil value, or the top left singular vector of (I - S S^+) T."""
     tscale = max(1.0, t.norm())
-    residual = reference_range_residual(t, s)
+    coresidual = t - s.compose(reference_pseudo_inverse(s)).compose(t)
+    residual = coresidual.norm()
     cond_i = residual <= tol * tscale
     mu = reference_pencil_lower_bound(t, s)
     near_boundary = math.isfinite(mu) and tol < mu <= BOUNDARY_FACTOR * tol
     cond_ii = mu > BOUNDARY_FACTOR * tol or math.isinf(mu)
-    t_adj, s_adj = t.adjoint(), s.adjoint()
+    found, witness_vector, cond_iii = {}, None, True
     if cond_ii and math.isfinite(mu):
-        hit = sequential_norm_violation(t_adj, s_adj, mu, tol, rng, samples)
-    elif math.isinf(mu):
-        hit = None
-    else:
-        coproj = s.compose(reference_pseudo_inverse(s))
-        hit = sequential_cokernel_violation(t_adj, s_adj, coproj, tol, rng, samples)
-    cond_iii = hit is None
+        gap = s.compose(s.adjoint()) - t.compose(t.adjoint()).scalar_mul(mu)
+        cert = psd_certificate(gap, tol, "douglas-norm-inequality")
+        found = {"cond_iii_min_eig": cert.witness["min_eig"],
+                 "cond_iii_scale": cert.witness["scale"]}
+        near_boundary = near_boundary or cert.status == INCONCLUSIVE
+        cond_iii = cert.status != FALSIFIED
+        witness_vector = cert.witness_vector
+    elif not cond_ii:
+        f = reference_top_left_vector(coresidual)
+        if f is not None:
+            s_norm, t_norm = s.adjoint().apply(f).norm(), t.adjoint().apply(f).norm()
+            found = {"cond_iii_s_adj_norm": s_norm, "cond_iii_t_adj_norm": t_norm}
+            if s_norm <= tol and t_norm > BOUNDARY_FACTOR * tol:
+                cond_iii, witness_vector = False, f
     rep = reference_douglas_solve(t, s, tol)
     cond_iv = rep.residual <= tol * tscale
     verdicts = [cond_i, cond_ii, cond_iii, cond_iv]
@@ -227,6 +256,7 @@ def reference_equivalence_audit(t, s, tol=1e-9, samples=100, seed=0):
         "cond_ii": cond_ii,
         "cond_iii": cond_iii,
         "cond_iv": cond_iv,
+        **found,
     }
     if near_boundary:
         status = INCONCLUSIVE
@@ -235,6 +265,6 @@ def reference_equivalence_audit(t, s, tol=1e-9, samples=100, seed=0):
     else:
         status = FALSIFIED
     return Certificate(
-        status, "douglas-equivalence", witness, {"tol": tol}, samples, seed,
-        witness_vector=None if status != FALSIFIED or hit is None else hit[1],
+        status, "douglas-equivalence", witness, {"tol": tol},
+        witness_vector=witness_vector if status == FALSIFIED else None,
     )

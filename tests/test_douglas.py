@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarframes import (
     AlgebraSpec,
@@ -19,7 +21,6 @@ from cstarframes import (
 )
 from cstarframes.certify import BOUNDARY_FACTOR
 from cstarframes.sampling import (
-    SAMPLE_CHUNK,
     random_element,
     random_operator,
     random_vector,
@@ -213,7 +214,7 @@ def test_minimal_norm_matches_pencil():
 def test_audit_reflexive_positive():
     rng = stream(65, 0)
     s = random_operator(SPEC, 2, 3, rng)
-    cert = equivalence_audit(s, s, 1e-9, samples=50, seed=1)
+    cert = equivalence_audit(s, s, 1e-9)
     assert cert.status == "certified"
     assert cert.witness["cond_i"] and cert.witness["cond_iv"]
 
@@ -223,7 +224,7 @@ def test_audit_planted_violation_negative():
     s = make_rank_deficient(SPEC, 2, 3, rng)
     coproj = identity_operator(SPEC, 3) - s.compose(pseudo_inverse(s))
     t = coproj.compose(random_operator(SPEC, 2, 3, rng))
-    cert = equivalence_audit(t, s, 1e-9, samples=100, seed=2)
+    cert = equivalence_audit(t, s, 1e-9)
     assert cert.status == "certified"
     assert not cert.witness["cond_i"]
     assert not cert.witness["cond_ii"]
@@ -239,7 +240,7 @@ def test_audit_agreement_on_mixed_ensemble():
         if k % 2:
             coproj = identity_operator(SPEC, 3) - s.compose(pseudo_inverse(s))
             t = t + coproj.compose(random_operator(SPEC, 2, 3, rng))
-        cert = equivalence_audit(t, s, 1e-9, samples=50, seed=100 + k)
+        cert = equivalence_audit(t, s, 1e-9)
         if cert.status == "certified":
             agree += 1
         assert cert.witness["cond_i"] == (k % 2 == 0)
@@ -250,13 +251,17 @@ def test_audit_near_boundary_pencil_is_inconclusive():
     rng = stream(68, 0)
     s = random_operator(SPEC, 2, 2, rng)
     t = s.scalar_mul(1.0 / math.sqrt(5e-9))  # pencil value 5e-9 in (tol, 10 tol]
-    cert = equivalence_audit(t, s, 1e-9, samples=20, seed=1)
+    cert = equivalence_audit(t, s, 1e-9)
     assert cert.status == "inconclusive"
 
 
 # -- one factorization per call, checked against the per-function code -----------------
 
 ORACLE_SPECS = [AlgebraSpec(d) for d in ((2, 1), (1,), (3, 2, 1))]
+
+
+def spec_id(spec):
+    return "+".join(map(str, spec.block_dims))
 
 
 def douglas_cases(spec, rng):
@@ -294,7 +299,7 @@ def same_certificate(a, b):
     )
 
 
-@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: "+".join(map(str, s.block_dims)))
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
 def test_factored_douglas_toolkit_matches_per_function_reference(spec):
     statuses = {}
     for name, t, s in douglas_cases(spec, stream(69, spec.n_blocks)):
@@ -306,87 +311,71 @@ def test_factored_douglas_toolkit_matches_per_function_reference(spec):
         got, want = douglas_solve(t, s, 1e-9), oracles.reference_douglas_solve(t, s, 1e-9)
         for field in ("inclusion_ok", "residual", "pencil_mu", "q_norm", "q"):
             assert same_bits(getattr(got, field), getattr(want, field)), (name, field)
-        for samples, seed in ((0, 3), (30, 4)):
-            cert = equivalence_audit(t, s, 1e-9, samples, seed)
-            assert same_certificate(
-                cert, oracles.reference_equivalence_audit(t, s, 1e-9, samples, seed)
-            ), name
-            statuses[name] = cert.status
+        cert = equivalence_audit(t, s, 1e-9)
+        assert same_certificate(cert, oracles.reference_equivalence_audit(t, s, 1e-9)), name
+        statuses[name] = cert.status
     assert statuses["near-boundary"] == "inconclusive"
     assert statuses["failed-inclusion"] == "certified"
 
 
-# -- chunked sampling against the one-vector-at-a-time loops ------------------------------
-
-CHUNK_SAMPLES = (0, 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 100)
+# -- exact condition (iii) against the one-vector-at-a-time samplers ------------------------
 
 
-def second_chunk_plant(spec, rank, critical):
-    """(draw seed, threshold) such that the first of the sequential draws
-    from stream(seed, 0) whose critical value passes the threshold lies in
-    the second chunk: the extreme of `critical` over 20 draws is reached
-    there, and the threshold is halfway to the first chunk's extreme.
-    `critical` is signed so that larger means violated sooner."""
-    for seed in range(100):
-        rng = stream(seed, 0)
-        vals = [critical(random_vector(spec, rank, rng)) for _ in range(2 * SAMPLE_CHUNK)]
-        first, second = max(vals[:SAMPLE_CHUNK]), max(vals[SAMPLE_CHUNK:])
-        if second > first:
-            return seed, 0.5 * (first + second)
-    pytest.fail("no draw seed puts a record in the second chunk")
+SAMPLER_CASES = ["generic", "rank-deficient-S", "zero-T", "failed-inclusion"]
 
 
-def same_hit(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return a[0] == b[0] and all(
-        x.tobytes() == y.tobytes() for x, y in zip(a[1].stacks, b[1].stacks)
-    )
-
-
-@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: "+".join(map(str, s.block_dims)))
-def test_norm_condition_chunks_match_sequential_loop(spec):
-    rng = stream(70, spec.n_blocks)
-    s = random_operator(spec, 2, 3, rng)
-    t = s.compose(random_operator(spec, 2, 2, rng))
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from(SAMPLER_CASES),
+    factor=st.sampled_from([0.5, 1.0, 1.5, 4.0]),
+)
+def test_exact_norm_condition_agrees_with_sequential_sampler(spec, seed, case, factor):
+    # every violation the sequential sampler finds at mu = factor x pencil
+    # is falsified by the exact decision, and the falsified witness
+    # re-checks through apply; at the pencil value and below nothing fails
+    t, s = {name: (t, s) for name, t, s in douglas_cases(spec, stream(seed, 0))}[case]
     t_adj, s_adj, tol = t.adjoint(), s.adjoint(), 1e-9
+    pencil = pencil_lower_bound(t, s)
+    assert (case == "failed-inclusion") == (pencil == 0.0)
+    assert (case == "zero-T") == math.isinf(pencil)
+    if case in ("failed-inclusion", "zero-T"):
+        return
+    mu = factor * pencil
+    cert = douglas._majorization(t, s, mu, tol)
+    if oracles.sequential_norm_violation(t_adj, s_adj, mu, tol, stream(seed, 1), 100):
+        assert cert.status == "falsified"
+    if factor <= 1.0:
+        assert cert.status == "certified"
+        assert equivalence_audit(t, s, tol).witness["cond_iii"]
+    if cert.status == "falsified":
+        f = cert.witness_vector
+        gap = s_adj.apply(f).norm() ** 2 - mu * t_adj.apply(f).norm() ** 2
+        assert gap < -BOUNDARY_FACTOR * tol * cert.witness["scale"]
 
-    def neg_ratio(f):  # f violates at mu exactly when mu > -neg_ratio(f)
-        rhs = s_adj.apply(f).norm() ** 2
-        return -(rhs + tol * max(1.0, rhs)) / t_adj.apply(f).norm() ** 2
 
-    seed, neg_mu = second_chunk_plant(spec, 3, neg_ratio)
-    for mu in (pencil_lower_bound(t, s), -neg_mu):
-        for samples in CHUNK_SAMPLES:
-            got = douglas._norm_violation(t_adj, s_adj, mu, tol, stream(seed, 0), samples)
-            want = oracles.sequential_norm_violation(
-                t_adj, s_adj, mu, tol, stream(seed, 0), samples
-            )
-            assert same_hit(got, want), (mu, samples)
-    planted = douglas._norm_violation(t_adj, s_adj, -neg_mu, tol, stream(seed, 0), 100)
-    assert SAMPLE_CHUNK <= planted[0] < 2 * SAMPLE_CHUNK
-
-
-@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: "+".join(map(str, s.block_dims)))
-def test_cokernel_search_chunks_match_sequential_loop(spec):
-    rng = stream(71, spec.n_blocks)
-    s = make_rank_deficient(spec, 2, 3, rng)
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(SAMPLER_CASES))
+def test_exact_cokernel_witness_agrees_with_sequential_sampler(spec, seed, case):
+    # every cokernel direction the sequential sampler finds means the
+    # audit's (iii) fails, and its exact witness, rebuilt independently,
+    # re-checks through apply
+    t, s = {name: (t, s) for name, t, s in douglas_cases(spec, stream(seed, 0))}[case]
+    t_adj, s_adj, tol = t.adjoint(), s.adjoint(), 1e-9
+    audit = equivalence_audit(t, s, tol)
+    assert audit.status == "certified"
     proj = s.compose(pseudo_inverse(s))
-    t = (identity_operator(spec, 3) - proj).compose(random_operator(spec, 2, 3, rng))
-    t_adj, s_adj = t.adjoint(), s.adjoint()
-    # f = g - S S^+ g violates at tol when ||T* f|| > BOUNDARY_FACTOR tol
-    seed, seen = second_chunk_plant(spec, 3, lambda g: t_adj.apply(g - proj.apply(g)).norm())
-    for tol in (1e-9, seen / BOUNDARY_FACTOR):
-        for samples in CHUNK_SAMPLES:
-            got = douglas._cokernel_violation(t_adj, s_adj, proj, tol, stream(seed, 0), samples)
-            want = oracles.sequential_cokernel_violation(
-                t_adj, s_adj, proj, tol, stream(seed, 0), samples
-            )
-            assert same_hit(got, want), (tol, samples)
-    planted = douglas._cokernel_violation(
-        t_adj, s_adj, proj, seen / BOUNDARY_FACTOR, stream(seed, 0), 100
-    )
-    assert SAMPLE_CHUNK <= planted[0] < 2 * SAMPLE_CHUNK
+    if oracles.sequential_cokernel_violation(t_adj, s_adj, proj, tol, stream(seed, 2), 100):
+        assert not audit.witness["cond_ii"] and not audit.witness["cond_iii"]
+    assert audit.witness["cond_iii"] == (case != "failed-inclusion")
+    if not audit.witness["cond_iii"]:
+        f = oracles.reference_top_left_vector(t - proj.compose(t))
+        assert (f - proj.apply(f)).norm() == pytest.approx(1.0, rel=1e-9)
+        assert s_adj.apply(f).norm() <= tol
+        assert t_adj.apply(f).norm() > BOUNDARY_FACTOR * tol
+        assert audit.witness["cond_iii_t_adj_norm"] == pytest.approx(t_adj.apply(f).norm())
 
 
 # -- guard: one SVD per algebra block per call ----------------------------------------------
@@ -411,8 +400,8 @@ def test_one_svd_per_block_per_call(dims, monkeypatch):
     calls = {
         "douglas_solve": lambda: douglas_solve(k, frame.synthesis_op, 1e-9),
         "pencil_lower_bound": lambda: pencil_lower_bound(k, frame.synthesis_op),
-        "equivalence_audit": lambda: equivalence_audit(k, l, 1e-9, seed=1),
-        "atomic_coefficients": lambda: atomic_coefficients(frame, k, 1e-9, seed=1),
+        "equivalence_audit": lambda: equivalence_audit(k, l, 1e-9),
+        "atomic_coefficients": lambda: atomic_coefficients(frame, k, 1e-9),
     }
     for name, call in calls.items():
         factorizations.clear()

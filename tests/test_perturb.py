@@ -12,7 +12,9 @@ from cstarframes import (
     difference_quadratic,
     exact_branch_M,
     identity_operator,
+    douglas,
     optimal_scalar_bounds,
+    pencil_lower_bound,
     pertur1_audit,
     pertur2_audit,
     transform_frame,
@@ -257,6 +259,42 @@ def test_pertur2_planted_ensemble():
         )
         assert rep.constants_used["hypothesis"] == "sampled-consistent"
         assert rep.conclusion.status == "certified"
+
+
+def sequential_lower_violation(hs, k, g, tol, samples, seed):
+    """First f with ||U_H* f|| < g ||K* f|| - tol max(1, g ||K* f||), the
+    sampled lower-constant check `pertur2_audit` once ran."""
+    rng = stream(seed, 0xAC)
+    for i in range(samples):
+        f = random_vector(hs.spec, hs.rank, rng)
+        rhs = g * k.adjoint().apply(f).norm()
+        if math.sqrt(hs.coefficient_gram(f).norm()) < rhs - tol * max(1.0, rhs):
+            return i, f
+    return None
+
+
+def test_pertur2_lower_constant_is_the_pencil_bound():
+    # ||U_H* f|| >= g ||K* f|| for all f iff g^2 <= pencil_lower_bound(K, U_H):
+    # the audit certifies g_sound, the sampler agrees, and above the pencil
+    # value every sampled violation is an exact one
+    rng = stream(157, 0)
+    for trial in range(3):
+        fr = random_frame(2, 5, rng)
+        k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
+        a, b = margin_bounds(fr, k)
+        hs = perturbed(fr, rng, 1e-3)
+        rep = pertur2_audit(fr, hs, k, k, 0.2, 0.1, 0.05, a, b, samples=200, seed=20 + trial)
+        assert rep.conclusion.witness["part2:perturb-abg-lower"] == "certified"
+        g_sound = rep.constants_used["g_sound"]
+        pencil = pencil_lower_bound(k, hs.synthesis_op)
+        assert 0.0 < g_sound**2 <= pencil
+        assert sequential_lower_violation(hs, k, g_sound, 1e-9, 200, trial) is None
+        g_high = 1.5 * math.sqrt(pencil)
+        exact = douglas._majorization(k, hs.synthesis_op, g_high**2, 1e-9)
+        assert exact.status == "falsified"
+        if sequential_lower_violation(hs, k, g_high, 1e-9, 200, trial) is not None:
+            w = exact.witness_vector
+            assert math.sqrt(hs.coefficient_gram(w).norm()) < g_high * k.adjoint().apply(w).norm()
 
 
 def test_pertur2_rejects_bad_constants():

@@ -1,7 +1,23 @@
+import json
+import sys
+
 import pytest
 
-from cstarframes import AlgebraSpec, InputError
+from cstarframes import (
+    AlgebraSpec,
+    InputError,
+    atomic_coefficients,
+    equivalence_audit,
+    local_atoms_check,
+    run_suite,
+    sampling,
+    save_instance,
+)
+from cstarframes.cli import main
+from cstarframes.harness import random_instance
 from cstarframes.sampling import random_vector, random_vectors, stream
+
+SPEC = AlgebraSpec((2, 1))
 
 BATCH_CASES = [
     pytest.param(
@@ -40,3 +56,57 @@ def test_empty_batch_has_per_block_shapes():
 def test_rank_zero_batch_rejected():
     with pytest.raises(InputError):
         random_vectors(AlgebraSpec((2, 1)), 0, stream(47, 1), 3)
+
+
+# -- guard: exact checks draw nothing ------------------------------------------------
+
+
+def forbid_draws(monkeypatch, generators=()):
+    """Make `random_vectors` raise unless it is reached through one of the
+    instance generators, so a check that samples fails loudly."""
+    codes = {g.__code__ for g in generators}
+
+    def guarded(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in codes:
+                return random_vectors(*args, **kwargs)
+            frame = frame.f_back
+        raise AssertionError("an exact check drew random vectors")
+
+    monkeypatch.setattr(sampling, "random_vectors", guarded)
+
+
+def test_exact_checks_draw_nothing(tmp_path, monkeypatch):
+    generic = random_instance(3, "generic")
+    rankdef = random_instance(4, "rank-deficient-K")
+    frame, k, l = generic.frame(), generic.operators["K"], generic.operators["L"]
+    paths = {}
+    for name, inst in (("generic", generic), ("rankdef", rankdef)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_instance(inst, paths[name])
+    forbid_draws(monkeypatch)
+
+    cert = equivalence_audit(k, l, 1e-9)
+    assert cert.status == "certified" and (cert.samples, cert.seed) == (None, None)
+    atomic_coefficients(frame, k, 1e-9)
+    assert local_atoms_check(
+        rankdef.frame(), rankdef.operators["P"], list(rankdef.members), 2.0 * SPEC.unit()
+    ).samples is None
+    # the keyword forms the benchmark calls are accepted and ignored
+    cert = equivalence_audit(k, l, 1e-9, seed=5)
+    assert cert.status == "certified" and (cert.samples, cert.seed) == (None, None)
+    atomic_coefficients(frame, k, 1e-9, seed=5)
+
+    for argv in (["douglas", "--input", paths["generic"]],
+                 ["atomic-system", "--input", paths["generic"]],
+                 ["local-atoms", "--input", paths["rankdef"]]):
+        assert main(argv + ["--samples", "100", "--report", str(tmp_path / "r.json")]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert [(c["samples"], c["seed"]) for c in report["certificates"]] == [(None, None)]
+
+    assert run_suite("paper-example", seed=1)["summary"]["overall"] == "certified"
+    # these suites build their instances by sampling; their checks may not
+    forbid_draws(monkeypatch, (sampling.random_operator, random_instance))
+    for suite in ("douglas-equivalence", "kframe-main"):
+        assert run_suite(suite, trials=6, seed=1)["summary"]["overall"] == "certified"
