@@ -45,7 +45,11 @@ class Certificate:
 
 
 def psd_certificate(
-    gap: ModuleOperator, tol: float, claim: str, extra: Optional[dict] = None
+    gap: ModuleOperator,
+    tol: float,
+    claim: str,
+    extra: Optional[dict] = None,
+    scale: Optional[float] = None,
 ) -> Certificate:
     """Certify that a Hermitian gap operator is positive semidefinite.
 
@@ -53,8 +57,13 @@ def psd_certificate(
     falsified:    min eigenvalue < -BOUNDARY_FACTOR * tol * scale, with an
                   eigenvector witness mapped back to a module vector
     inconclusive: in between (near-boundary exemption)
+
+    scale defaults to max(1, ||gap||); a caller whose gap is a difference
+    of larger terms passes the size of the terms, since rounding in the
+    gap follows them and not the difference.
     """
-    scale = max(1.0, gap.norm())
+    if scale is None:
+        scale = max(1.0, gap.norm())
     herm_resid = (gap - gap.adjoint()).norm()
     min_eig, witness_vec = gap.negative_witness()
     witness = {

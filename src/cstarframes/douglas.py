@@ -182,7 +182,9 @@ def douglas_solve(
     return fac.solve(t, tnorm, tol, fac.pencil(t, tnorm))
 
 
-def _majorization(t: ModuleOperator, s: ModuleOperator, mu: float, tol: float) -> Certificate:
+def _majorization(
+    t: ModuleOperator, s: ModuleOperator, mu: float, tol: float, size: float
+) -> Certificate:
     """The norm inequality mu ||T* f||^2 <= ||S* f||^2 for all f, decided
     as psd_certificate(S S* - mu T T*).
 
@@ -190,9 +192,14 @@ def _majorization(t: ModuleOperator, s: ModuleOperator, mu: float, tol: float) -
     right singular vector of T_b^H F, x = F v has ||T* x|| = ||T* F|| and
     ||S* x|| <= ||S* F||, so the inequality holds for all f iff it holds
     for rank-one f, that is iff mu T T* <= S S* on the flattening.  A
-    negative eigenvector of the gap is a violating f."""
+    negative eigenvector of the gap is a violating f.
+
+    The gap cancels to about zero for equivalent pairs (T = S U, U
+    unitary) while its rounding stays near eps max(||S||^2, mu ||T||^2),
+    so the tolerance scales with size = max(||S||^2, mu ||T||^2), the
+    relative test the norm inequality asks for."""
     gap = s.compose(s.adjoint()) - t.compose(t.adjoint()).scalar_mul(mu)
-    return psd_certificate(gap, tol, "douglas-norm-inequality")
+    return psd_certificate(gap, tol, "douglas-norm-inequality", scale=max(1.0, size))
 
 
 def equivalence_audit(
@@ -200,7 +207,6 @@ def equivalence_audit(
     s: ModuleOperator,
     tol: float = 1e-9,
     *,
-    samples: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> Certificate:
     """Evaluate the four equivalent conditions independently and certify
@@ -216,8 +222,8 @@ def equivalence_audit(
     (I - S S^+) T.  A near-boundary pencil value or an inconclusive
     (iii) gives an inconclusive certificate.
 
-    `samples` and `seed` are ignored: nothing is sampled, and the
-    certificate records both as null.
+    `seed` is ignored: nothing is sampled, and the certificate records
+    its samples and seed as null.
     """
     _check_common_target(t, s)
     fac = _Factorization(s, DEFAULT_RTOL)
@@ -240,7 +246,7 @@ def equivalence_audit(
     if math.isinf(mu):
         cond_iii = True
     elif cond_ii:
-        norm_cert = _majorization(t, s, mu, tol)
+        norm_cert = _majorization(t, s, mu, tol, max(fac.smax**2, mu * tnorm**2))
         found["cond_iii_min_eig"] = norm_cert.witness["min_eig"]
         found["cond_iii_scale"] = norm_cert.witness["scale"]
         near_boundary = near_boundary or norm_cert.status == INCONCLUSIVE

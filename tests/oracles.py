@@ -220,7 +220,8 @@ def reference_top_left_vector(op):
 def reference_equivalence_audit(t, s, tol=1e-9):
     """The audit written out against the per-function factorizations, with
     condition (iii) decided exactly: psd_certificate(S S* - mu T T*) at the
-    pencil value, or the top left singular vector of (I - S S^+) T."""
+    pencil value, scaled by max(1, ||S||^2, mu ||T||^2), or the top left
+    singular vector of (I - S S^+) T."""
     tscale = max(1.0, t.norm())
     coresidual = t - s.compose(reference_pseudo_inverse(s)).compose(t)
     residual = coresidual.norm()
@@ -231,7 +232,9 @@ def reference_equivalence_audit(t, s, tol=1e-9):
     found, witness_vector, cond_iii = {}, None, True
     if cond_ii and math.isfinite(mu):
         gap = s.compose(s.adjoint()) - t.compose(t.adjoint()).scalar_mul(mu)
-        cert = psd_certificate(gap, tol, "douglas-norm-inequality")
+        s_max = max(np.linalg.svd(m, full_matrices=False)[1].max() for m in s.block_matrices())
+        scale = max(1.0, s_max**2, mu * t.norm() ** 2)
+        cert = psd_certificate(gap, tol, "douglas-norm-inequality", scale=scale)
         found = {"cond_iii_min_eig": cert.witness["min_eig"],
                  "cond_iii_scale": cert.witness["scale"]}
         near_boundary = near_boundary or cert.status == INCONCLUSIVE

@@ -93,9 +93,7 @@ def test_criterion_2_atomic_system_iff_kframe():
             kframe_ok = certify_kframe(frame, k_op, a, b, 1e-9).ok
 
         try:
-            q, c, residual = atomic_coefficients(
-                frame, k_op, tol=1e-8, samples=0
-            )
+            q, c, residual = atomic_coefficients(frame, k_op, tol=1e-8)
             atomic_ok = residual <= 1e-8
             if atomic_ok:
                 rng = stream(6000 + trial, 0)
@@ -148,7 +146,7 @@ def test_criterion_3_douglas_equivalence_with_oracle():
             coproj = identity_operator(spec, n) - s_op.compose(pseudo_inverse(s_op))
             t_op = t_op + coproj.compose(random_operator(spec, 2, n, rng))
 
-        cert = equivalence_audit(t_op, s_op, 1e-9, samples=50, seed=9000 + trial)
+        cert = equivalence_audit(t_op, s_op, 1e-9, seed=9000 + trial)
         if cert.ok and cert.witness["cond_i"] == planted_inclusion:
             agree += 1
 

@@ -23,6 +23,7 @@ from cstarframes.certify import BOUNDARY_FACTOR
 from cstarframes.sampling import (
     random_element,
     random_operator,
+    random_unitary,
     random_vector,
     stream,
 )
@@ -219,6 +220,19 @@ def test_audit_reflexive_positive():
     assert cert.witness["cond_i"] and cert.witness["cond_iv"]
 
 
+@pytest.mark.parametrize("size", [1.0, 3e3, 1e5, 1e6])
+def test_audit_equivalent_pairs_at_large_norm(size):
+    # S S* - mu T T* cancels for T = S and T = S U (U unitary), while its
+    # rounding grows like eps ||S||^2; out_rank > in_rank gives S a cokernel
+    rng = stream(75, 0)
+    for spec in (SPEC, AlgebraSpec((3, 2, 1))):
+        s = random_operator(spec, 2, 3, rng).scalar_mul(size)
+        for t in (s, s.compose(random_unitary(spec, 2, rng))):
+            cert = equivalence_audit(t, s, 1e-9)
+            assert cert.status == "certified", (spec.block_dims, cert.witness)
+            assert cert.witness["cond_iii"]
+
+
 def test_audit_planted_violation_negative():
     rng = stream(66, 0)
     s = make_rank_deficient(SPEC, 2, 3, rng)
@@ -343,7 +357,7 @@ def test_exact_norm_condition_agrees_with_sequential_sampler(spec, seed, case, f
     if case in ("failed-inclusion", "zero-T"):
         return
     mu = factor * pencil
-    cert = douglas._majorization(t, s, mu, tol)
+    cert = douglas._majorization(t, s, mu, tol, max(s.norm() ** 2, mu * t.norm() ** 2))
     if oracles.sequential_norm_violation(t_adj, s_adj, mu, tol, stream(seed, 1), 100):
         assert cert.status == "falsified"
     if factor <= 1.0:

@@ -27,13 +27,14 @@ from cstarframes import (
     local_atoms_check,
     optimal_scalar_bounds,
     pencil_lower_bound,
+    pseudo_inverse,
     range_inclusion,
     transform_frame,
     transform_kframe_audit,
     zero_operator,
 )
 from cstarframes.harness import random_instance
-from cstarframes.hilbmod import central_mult
+from cstarframes.hilbmod import central_mult, from_block_matrices
 from cstarframes.certify import BOUNDARY_FACTOR, psd_certificate
 from cstarframes.sampling import (
     random_central,
@@ -591,8 +592,6 @@ def test_local_atoms_planted_projection():
         [SPEC.zero(), SPEC.zero()],
     ]
     p = ModuleOperator(SPEC, p_grid)
-    from cstarframes import pseudo_inverse
-
     s_pinv = pseudo_inverse(fr.frame_op)
     atoms = [s_pinv.apply(m) for m in fr.members]
     c = (s_pinv.norm() * fr.synthesis_op.norm() + 1.0) * SPEC.unit()
@@ -611,6 +610,27 @@ def test_local_atoms_planted_projection():
         cert_full.witness["relative_residual"], rel=1e-9
     )
     assert cert_full.witness["relative_residual"] > BOUNDARY_FACTOR * 1e-9
+
+
+def test_local_atoms_canonical_atoms_of_ill_conditioned_frame_certified():
+    # cond(S) = 1e7: the reconstruction residual of the canonical dual atoms
+    # is rounding of about eps cond(S), above tol on some seeds, and it
+    # falsifies only above BOUNDARY_FACTOR tol
+    residuals = []
+    for seed in range(10):
+        rng = stream(97, seed)
+        sig = [np.diag(np.geomspace(1.0, 10**-3.5, 2 * d)) for d in SPEC.block_dims]
+        l_op = random_unitary(SPEC, 2, rng).compose(
+            from_block_matrices(SPEC, 2, 2, sig)
+        ).compose(random_unitary(SPEC, 2, rng))
+        fr = transform_frame(coordinate_frame(SPEC, 2), l_op)
+        s_inv = pseudo_inverse(fr.frame_op)
+        atoms = [s_inv.apply(m) for m in fr.members]
+        c = (1.001 * math.sqrt(s_inv.norm())) * SPEC.unit()
+        cert = local_atoms_check(fr, identity_operator(SPEC, 2), atoms, c, 1e-9)
+        assert cert.status == "certified", (seed, cert.witness)
+        residuals.append(cert.witness["max_reconstruction_residual"])
+    assert max(residuals) > 1e-9
 
 
 @pytest.mark.parametrize("p_slots", [(0, 1), (0,)], ids=["P=I", "P=slot0"])

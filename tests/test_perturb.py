@@ -290,7 +290,9 @@ def test_pertur2_lower_constant_is_the_pencil_bound():
         assert 0.0 < g_sound**2 <= pencil
         assert sequential_lower_violation(hs, k, g_sound, 1e-9, 200, trial) is None
         g_high = 1.5 * math.sqrt(pencil)
-        exact = douglas._majorization(k, hs.synthesis_op, g_high**2, 1e-9)
+        u_h = hs.synthesis_op
+        size = max(u_h.norm() ** 2, g_high**2 * k.norm() ** 2)
+        exact = douglas._majorization(k, u_h, g_high**2, 1e-9, size)
         assert exact.status == "falsified"
         if sequential_lower_violation(hs, k, g_high, 1e-9, 200, trial) is not None:
             w = exact.witness_vector
