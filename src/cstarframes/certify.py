@@ -88,7 +88,9 @@ def psd_certificate(
 
 
 def combine(claim: str, parts: list[Certificate], extra: Optional[dict] = None) -> Certificate:
-    """All-of combination: falsified dominates, then inconclusive."""
+    """All-of combination: falsified dominates, then inconclusive.  The
+    witness holds `extra`, the status of part i under `part{i}:{claim}`,
+    and the witness of every part, in order, under `parts`."""
     status = CERTIFIED
     witness = dict(extra or {})
     tolerances: dict = {}
@@ -101,4 +103,5 @@ def combine(claim: str, parts: list[Certificate], extra: Optional[dict] = None) 
             witness_vector = c.witness_vector
         elif c.status == INCONCLUSIVE and status == CERTIFIED:
             status = INCONCLUSIVE
+    witness["parts"] = [c.witness for c in parts]
     return Certificate(status, claim, witness, tolerances, witness_vector=witness_vector)

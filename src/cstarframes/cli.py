@@ -57,33 +57,26 @@ EXIT_CODES = {CERTIFIED: 0, FALSIFIED: 1, INCONCLUSIVE: 2}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="instance file (JSON)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="certification tolerance (default 1e-9; an instance "
-                             "file's tolerances.tol applies when the flag is absent)")
-    common.add_argument("--samples", type=int, default=1000,
-                        help="sample count for perturb1, perturb2 and suite; "
-                             "the rest draw no samples")
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed, uint64 (default 0; an instance file's "
-                             "seed applies when the flag is absent)")
-    common.add_argument("--report", help="write a JSON report here")
-    common.add_argument("--profile", help="generate the instance from this ensemble profile")
-    common.add_argument("--trials", type=int, default=100, help="trial count (suite command)")
-
     parser = argparse.ArgumentParser(
         prog="cstarframes",
         description="Certify frame inequalities on finite-dimensional Hilbert C*-modules.",
     )
     parser.add_argument("--version", action="version", version=f"cstarframes {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        if name == "suite":
-            sp = sub.add_parser(name, parents=[common], help="run an audit ensemble")
-            sp.add_argument("name", choices=SUITES, help="suite name")
-        else:
-            sub.add_parser(name, parents=[common])
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("name", nargs="?", choices=SUITES, help="suite name (suite command only)")
+    parser.add_argument("--input", help="instance file (JSON)")
+    parser.add_argument("--tol", type=float, default=None,
+                        help="certification tolerance (default 1e-9; an instance "
+                             "file's tolerances.tol applies when the flag is absent)")
+    parser.add_argument("--samples", type=int, default=1000,
+                        help="sample count for perturb1, perturb2 and suite; "
+                             "the rest draw no samples")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="RNG seed, uint64 (default 0; an instance file's "
+                             "seed applies when the flag is absent)")
+    parser.add_argument("--report", help="write a JSON report here")
+    parser.add_argument("--profile", help="generate the instance from this ensemble profile")
+    parser.add_argument("--trials", type=int, default=100, help="trial count (suite command)")
     return parser
 
 
@@ -344,7 +337,10 @@ def _run_suite(args) -> tuple[dict, int]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_intermixed_args(argv)
+    if (args.command == "suite") != (args.name is not None):
+        parser.error("suite takes one suite name and the other commands none")
     try:
         if args.command == "suite":
             report, code = _run_suite(args)

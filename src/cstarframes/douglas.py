@@ -11,7 +11,7 @@ eigen route (`_majorization`), and its failure is witnessed by a singular
 vector of (I - S S^+) T.
 
 Every public call factors S once: one thin SVD per reduced block and one
-rank decision at rtol times the largest singular value over all blocks
+rank decision at DEFAULT_RTOL times the largest singular value over all blocks
 (`_Factorization`).  The pseudo-inverse, the range projection S S^+, the
 whitened pencil and the solve all read that one factorization, so a call
 makes exactly one SVD per algebra block; only `equivalence_audit` on a
@@ -58,14 +58,14 @@ def _check_common_target(t: ModuleOperator, s: ModuleOperator) -> None:
 
 class _Factorization:
     """Thin SVD U_b diag(sigma_b) V_b^H of each reduced block of S, with
-    singular values <= rtol * sigma_max (the global largest) treated as
-    zero.  The derived operators are built on first use."""
+    singular values <= DEFAULT_RTOL * sigma_max (the global largest)
+    treated as zero.  The derived operators are built on first use."""
 
-    def __init__(self, s: ModuleOperator, rtol: float):
+    def __init__(self, s: ModuleOperator):
         self.s = s
         self.svds = [np.linalg.svd(m, full_matrices=False) for m in s.block_matrices()]
         self.smax = max((sig.max() if sig.size else 0.0) for _, sig, _ in self.svds)
-        self.cut = rtol * self.smax
+        self.cut = DEFAULT_RTOL * self.smax
 
     @cached_property
     def pinv(self) -> ModuleOperator:
@@ -91,20 +91,14 @@ class _Factorization:
     def range_residual(self, t: ModuleOperator) -> float:
         return self.coresidual(t).norm()
 
-    def pencil(
-        self,
-        t: ModuleOperator,
-        tnorm: float,
-        residual: Optional[float] = None,
-        incl_tol: float = INCLUSION_TOL,
-    ) -> float:
+    def pencil(self, t: ModuleOperator, tnorm: float, residual: Optional[float] = None) -> float:
         """`pencil_lower_bound` given ||T|| and, if already known, the
         range residual of T."""
         if tnorm == 0.0:
             return math.inf
         if residual is None:
             residual = self.range_residual(t)
-        if residual > incl_tol * max(1.0, tnorm):
+        if residual > INCLUSION_TOL * max(1.0, tnorm):
             return 0.0
         lam_max = 0.0
         for mt, (u, sig, _) in zip(t.block_matrices(), self.svds):
@@ -131,37 +125,32 @@ class _Factorization:
         )
 
 
-def pseudo_inverse(t: ModuleOperator, rtol: float = DEFAULT_RTOL) -> ModuleOperator:
+def pseudo_inverse(t: ModuleOperator) -> ModuleOperator:
     """Moore-Penrose pseudo-inverse as a module operator.
 
-    Computed per reduced block with singular values <= rtol * sigma_max
-    (the global largest singular value) treated as zero.  The result is
-    automatically A-linear because each reduced block is inverted in place.
+    Computed per reduced block with singular values <= DEFAULT_RTOL *
+    sigma_max (the global largest singular value) treated as zero.  The
+    result is automatically A-linear because each reduced block is
+    inverted in place.
     """
-    return _Factorization(t, rtol).pinv
+    return _Factorization(t).pinv
 
 
-def range_residual(t: ModuleOperator, s: ModuleOperator, rtol: float = DEFAULT_RTOL) -> float:
+def range_residual(t: ModuleOperator, s: ModuleOperator) -> float:
     """Norm of (I - S S^+) T, zero exactly when R(T) is inside R(S)."""
     _check_common_target(t, s)
-    return _Factorization(s, rtol).range_residual(t)
+    return _Factorization(s).range_residual(t)
 
 
-def range_inclusion(
-    t: ModuleOperator, s: ModuleOperator, tol: float, rtol: float = DEFAULT_RTOL
-) -> bool:
-    return range_residual(t, s, rtol) <= tol * max(1.0, t.norm())
+def range_inclusion(t: ModuleOperator, s: ModuleOperator, tol: float) -> bool:
+    return range_residual(t, s) <= tol * max(1.0, t.norm())
 
 
-def pencil_lower_bound(
-    t: ModuleOperator,
-    s: ModuleOperator,
-    rtol: float = DEFAULT_RTOL,
-    incl_tol: float = INCLUSION_TOL,
-) -> float:
+def pencil_lower_bound(t: ModuleOperator, s: ModuleOperator) -> float:
     """sup{mu >= 0 : mu T T* <= S S*}.
 
-    Returns 0 when range inclusion fails, math.inf for T = 0.  Otherwise
+    Returns 0 when range inclusion fails (residual above INCLUSION_TOL
+    relative to ||T||), math.inf for T = 0.  Otherwise
     computed by whitening: with W the pseudo-inverse square root of S S*,
     the value is 1 / lambda_max(W T T* W), evaluated per reduced block.
     """
@@ -169,15 +158,13 @@ def pencil_lower_bound(
     tnorm = t.norm()
     if tnorm == 0.0:
         return math.inf
-    return _Factorization(s, rtol).pencil(t, tnorm, incl_tol=incl_tol)
+    return _Factorization(s).pencil(t, tnorm)
 
 
-def douglas_solve(
-    t: ModuleOperator, s: ModuleOperator, tol: float, rtol: float = DEFAULT_RTOL
-) -> DouglasReport:
+def douglas_solve(t: ModuleOperator, s: ModuleOperator, tol: float) -> DouglasReport:
     """Minimal-norm factorization T = S Q with Q = S^+ T, plus diagnostics."""
     _check_common_target(t, s)
-    fac = _Factorization(s, rtol)
+    fac = _Factorization(s)
     tnorm = t.norm()
     return fac.solve(t, tnorm, tol, fac.pencil(t, tnorm))
 
@@ -226,7 +213,7 @@ def equivalence_audit(
     its samples and seed as null.
     """
     _check_common_target(t, s)
-    fac = _Factorization(s, DEFAULT_RTOL)
+    fac = _Factorization(s)
     tnorm = t.norm()
     tscale = max(1.0, tnorm)
 

@@ -557,13 +557,14 @@ def ks_inverse_frame(
     frame: FrameSeq,
     k_op: ModuleOperator,
     tol: float = DEFAULT_TOL,
-    bessel_bound: Optional[AlgElement] = None,
 ) -> tuple[FrameSeq, Certificate]:
     """The family {K S^{-1} f_j} with its reconstruction and Bessel audits.
 
     Reconstruction: K f = sum_j <f, f_j> (K S^{-1} f_j) holds exactly, and
-    the family is Bessel with bound ||S^{-1}|| ||K|| B.  The reconstruction
-    residual is ||K - V U*||, V the synthesis of the new family.
+    the family is Bessel with bound ||S^{-1}|| ||K|| B, where B =
+    ||U|| (1 + 1e-9) is a Bessel bound of the frame (U its synthesis).
+    The reconstruction residual is ||K - V U*||, V the synthesis of the
+    new family.
     """
     s_op = frame.frame_op
     if s_op.min_herm_eig() <= tol:
@@ -572,8 +573,7 @@ def ks_inverse_frame(
     mover = k_op.compose(s_inv)
     new_frame = transform_frame(frame, mover)
     worst = (k_op - new_frame.synthesis_op.compose(frame.analysis_op)).norm()
-    if bessel_bound is None:
-        bessel_bound = (frame.synthesis_op.norm() * (1.0 + 1e-9)) * frame.spec.unit()
+    bessel_bound = (frame.synthesis_op.norm() * (1.0 + 1e-9)) * frame.spec.unit()
     scaled = (s_inv.norm() * k_op.norm()) * bessel_bound
     bessel = certify_star_bessel(new_frame, scaled, tol)
     recon_ok = worst <= 1e-10

@@ -13,6 +13,8 @@ import re
 import time
 from typing import Optional
 
+import numpy as np
+
 from ._version import __version__
 from .algebra import AlgebraSpec
 from .certify import CERTIFIED, FALSIFIED
@@ -32,8 +34,10 @@ from .frames import (
 from .hilbmod import (
     ModuleOperator,
     ModuleVector,
+    _vector,
     central_mult,
     diagonal_operator,
+    from_block_matrices,
     identity_operator,
 )
 from .perturb import pertur1_audit, pertur2_audit
@@ -42,6 +46,7 @@ from .sampling import (
     random_operator,
     random_unitary,
     random_vector,
+    random_vectors,
     stream,
 )
 from .serialize import Instance, certificate_to_dict
@@ -129,26 +134,28 @@ def _generic_instance(seed: int) -> Instance:
     )
 
 
+def _drop_last_slot(spec: AlgebraSpec, n: int) -> ModuleOperator:
+    """Projection of A^n onto its first n - 1 slots: 1_A on the first n - 1
+    diagonal entries of the grid, 0 elsewhere."""
+    mats = [np.diag(np.arange(n * d) < (n - 1) * d).astype(complex) for d in spec.block_dims]
+    return from_block_matrices(spec, n, n, mats)
+
+
 def _rank_deficient_instance(seed: int) -> Instance:
     rng = stream(seed, 1)
     spec = AlgebraSpec((2, 1))
     n = int(rng.integers(2, 4))
     j_count = int(rng.integers(n, 7))
-    members = []
-    for _ in range(j_count):
-        v = random_vector(spec, n, rng)
-        entries = list(v.entries[:-1]) + [spec.zero()]
-        members.append(ModuleVector(spec, entries))
+    stacks = [s.copy() for s in random_vectors(spec, n, rng, j_count)]
+    for d, s in zip(spec.block_dims, stacks):
+        s[:, -d:] = 0.0
+    members = [_vector(spec, [s[j] for s in stacks]) for j in range(j_count)]
     ident = identity_operator(spec, n)
-    proj_grid = [
-        [spec.unit() if (i == j and j < n - 1) else spec.zero() for i in range(n)]
-        for j in range(n)
-    ]
     return Instance(
         spec=spec,
         rank=n,
         members=members,
-        operators={"K": ident, "P": ModuleOperator(spec, proj_grid)},
+        operators={"K": ident, "P": _drop_last_slot(spec, n)},
         bounds={"A": spec.unit(), "B": spec.unit()},
         seed=seed,
     )
@@ -199,11 +206,7 @@ def _douglas_trial(seed: int, trial: int, tol: float) -> dict:
     n = 2 + trial % 2
     n2 = int(rng.integers(1, 4))
     s0 = random_operator(spec, n2, n, rng)
-    drop_grid = [
-        [spec.unit() if (i == j and j < n - 1) else spec.zero() for i in range(n)]
-        for j in range(n)
-    ]
-    s_op = ModuleOperator(spec, drop_grid).compose(s0)
+    s_op = _drop_last_slot(spec, n).compose(s0)
     nt = int(rng.integers(1, 4))
     q0 = random_operator(spec, nt, n2, rng)
     t_op = s_op.compose(q0)

@@ -18,8 +18,10 @@ holds per block b its reduced (m*d_b) x (n*d_b) matrix M_b, with (i, j)
 sub-block t[j][i]_b^T; a rank-n vector holds per block an (n*d_b) x d_b
 array F_b whose k-th slab of d_b rows is (f_k)_b^T.  Then Tf is M_b F_b,
 <f, g> is F_b^T conj(G_b), a.f is F_b a_b^T and T* is M_b^H, one matrix
-product per block.  The arrays are read-only; `entries`, the algebra
-elements, is rebuilt from them on every access, so callers bind it once.
+product per block.  The arrays are read-only, and library code reads and
+writes only them; `entries` (rebuilt on every access), the operator's
+grid constructor, `flat` and `flatten` are the independent route the
+tests check them against.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .errors import InputError, PreconditionError
 class ModuleVector:
     """Element (f_1, ..., f_n) of A^n, built from its n algebra elements
     and stored only as `stacks`: per block b an (n*d_b) x d_b array whose
-    slab k is (f_k)_b^T.  `entries` rebuilds the elements on each access."""
+    slab k is (f_k)_b^T.  `entries` rebuilds the elements on each access,
+    for the tests."""
 
     __slots__ = ("spec", "rank", "stacks")
 
@@ -137,8 +140,9 @@ class ModuleOperator:
     """Adjointable A-linear map A^n -> A^m, built from its n x m grid of
     algebra elements t[j][i] (input index first) and stored only as one
     reduced (m*d_b) x (n*d_b) matrix per block b, with (i, j) sub-block
-    t[j][i]_b^T.  `entries` rebuilds the grid on each access;
-    `from_block_matrices` builds an operator from the matrices."""
+    t[j][i]_b^T.  The grid constructor and `entries`, which rebuilds the
+    grid on each access, serve the tests; library code builds operators
+    with `from_block_matrices`."""
 
     __slots__ = ("spec", "in_rank", "out_rank", "_mats")
 

@@ -52,17 +52,9 @@ def random_positive(spec: AlgebraSpec, rng: np.random.Generator) -> AlgElement:
     return a * a.adjoint()
 
 
-def random_central(
-    spec: AlgebraSpec,
-    rng: np.random.Generator,
-    strictly_nonzero: bool = True,
-    low: float = 0.5,
-    high: float = 2.0,
-) -> AlgElement:
-    """Central element with per-block scalars of modulus in [low, high)."""
-    mags = rng.uniform(low, high, size=spec.n_blocks)
-    if not strictly_nonzero:
-        mags[rng.integers(0, spec.n_blocks)] = 0.0
+def random_central(spec: AlgebraSpec, rng: np.random.Generator) -> AlgElement:
+    """Central element with per-block scalars of modulus in [0.5, 2)."""
+    mags = rng.uniform(0.5, 2.0, size=spec.n_blocks)
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=spec.n_blocks))
     return spec.central(list(mags * phases))
 

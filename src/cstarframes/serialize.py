@@ -7,6 +7,11 @@ algebra elements indexed [input][output].  Reports are JSON with a stable
 field order; status strings are exactly "certified", "falsified",
 "inconclusive".  Non-finite floats are encoded as the strings "inf",
 "-inf", "nan" so reports stay strict JSON.
+
+Vectors and operators are encoded from their per-block arrays, one
+reshape/transpose and one `tolist` per block, and decoded straight into
+them: every scalar is checked with its field path, then each block is one
+float array viewed as complex.  No algebra element is built per entry.
 """
 
 from __future__ import annotations
@@ -14,15 +19,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .algebra import AlgebraSpec, AlgElement
 from .certify import Certificate
 from .errors import InputError
 from .frames import FrameSeq
-from .hilbmod import ModuleOperator, ModuleVector
+from .hilbmod import ModuleOperator, ModuleVector, _operator, _vector
 
 OPERATOR_KEYS = ("K", "L", "P", "T")
 BOUND_KEYS = ("A", "B", "C", "D")
@@ -31,75 +39,103 @@ BOUND_KEYS = ("A", "B", "C", "D")
 # -- scalar/element encoding --------------------------------------------------
 
 
-def encode_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _finite(x) -> bool:
+    """Whether x is a JSON number, not a boolean, that is finite as a float."""
+    return type(x) in (int, float) and -sys.float_info.max <= x <= sys.float_info.max
+
+
+def decode_number(data, path: str) -> float:
+    if not _finite(data):
+        kind = "non-finite number" if type(data) in (int, float) else "expected a number"
+        raise InputError(f"{path}: {kind}, got {data!r:.20}")
+    return float(data)
+
+
+def _integer(data, path: str, minimum: int, what: str) -> int:
+    if type(data) is not int or data < minimum:
+        raise InputError(f"{path}: {what}")
+    return data
 
 
 def decode_complex(data, path: str) -> complex:
-    if (
-        not isinstance(data, (list, tuple))
-        or len(data) != 2
-        or not all(isinstance(x, (int, float)) for x in data)
-    ):
+    if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise InputError(f"{path}: complex scalars are two-element arrays [re, im]")
-    if not (math.isfinite(data[0]) and math.isfinite(data[1])):
-        raise InputError(f"{path}: non-finite component in complex scalar")
-    return complex(float(data[0]), float(data[1]))
+    return complex(decode_number(data[0], path), decode_number(data[1], path))
 
 
-def encode_element(a: AlgElement) -> list:
-    return [
-        [[encode_complex(z) for z in row] for row in blk] for blk in a.blocks
-    ]
-
-
-def decode_element(spec: AlgebraSpec, data, path: str) -> AlgElement:
+def _check_element(spec: AlgebraSpec, data, path: str) -> None:
     if not isinstance(data, list) or len(data) != spec.n_blocks:
         raise InputError(
             f"{path}: expected {spec.n_blocks} blocks, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
-    blocks = []
     for b, (d, blk) in enumerate(zip(spec.block_dims, data)):
         if not isinstance(blk, list) or len(blk) != d:
             raise InputError(f"{path}[{b}]: block must be a {d}x{d} array")
-        rows = []
         for r, row in enumerate(blk):
             if not isinstance(row, list) or len(row) != d:
                 raise InputError(f"{path}[{b}][{r}]: block must be a {d}x{d} array")
-            rows.append([decode_complex(z, f"{path}[{b}][{r}][{c}]") for c, z in enumerate(row)])
-        blocks.append(rows)
-    return AlgElement(spec, blocks)
+            for c, z in enumerate(row):
+                if not (type(z) is list and len(z) == 2 and _finite(z[0]) and _finite(z[1])):
+                    decode_complex(z, f"{path}[{b}][{r}][{c}]")
+
+
+def _pairs(z: np.ndarray) -> list:
+    return np.stack((z.real, z.imag), -1).tolist()
+
+
+def _complex(pairs) -> np.ndarray:
+    return np.array(pairs, dtype=float).view(complex)[..., 0]
+
+
+def encode_element(a: AlgElement) -> list:
+    return [_pairs(blk) for blk in a.blocks]
+
+
+def decode_element(spec: AlgebraSpec, data, path: str) -> AlgElement:
+    _check_element(spec, data, path)
+    return AlgElement(spec, [_complex(blk) for blk in data])
 
 
 def encode_vector(f: ModuleVector) -> list:
-    return [encode_element(e) for e in f.entries]
+    dims, n = f.spec.block_dims, f.rank
+    blocks = [_pairs(s.reshape(n, d, d).transpose(0, 2, 1)) for d, s in zip(dims, f.stacks)]
+    return [list(e) for e in zip(*blocks)]
 
 
 def decode_vector(spec: AlgebraSpec, rank: int, data, path: str) -> ModuleVector:
-    if not isinstance(data, list) or len(data) != rank:
+    if not isinstance(data, list) or len(data) != rank or rank < 1:
         raise InputError(f"{path}: expected {rank} entries")
-    return ModuleVector(
-        spec, [decode_element(spec, e, f"{path}[{i}]") for i, e in enumerate(data)]
-    )
+    for k, e in enumerate(data):
+        _check_element(spec, e, f"{path}[{k}]")
+    return _vector(spec, [
+        _complex([e[b] for e in data]).transpose(0, 2, 1).reshape(rank * d, d)
+        for b, d in enumerate(spec.block_dims)
+    ])
 
 
 def encode_operator(t: ModuleOperator) -> list:
-    return [[encode_element(e) for e in row] for row in t.entries]
+    n, m = t.in_rank, t.out_rank
+    blocks = [
+        _pairs(mat.reshape(m, d, n, d).transpose(2, 0, 3, 1))
+        for d, mat in zip(t.spec.block_dims, t.block_matrices())
+    ]
+    return [[list(e) for e in zip(*row)] for row in zip(*blocks)]
 
 
 def decode_operator(spec: AlgebraSpec, data, path: str) -> ModuleOperator:
-    if not isinstance(data, list) or not data or not isinstance(data[0], list):
-        raise InputError(f"{path}: operators are 2-D arrays indexed [input][output]")
-    grid = []
-    width = len(data[0])
+    if not isinstance(data, list) or not data or not isinstance(data[0], list) or not data[0]:
+        raise InputError(f"{path}: operators are non-empty 2-D arrays indexed [input][output]")
+    n, m = len(data), len(data[0])
     for j, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != width:
+        if not isinstance(row, list) or len(row) != m:
             raise InputError(f"{path}[{j}]: ragged operator rows")
-        grid.append(
-            [decode_element(spec, e, f"{path}[{j}][{i}]") for i, e in enumerate(row)]
-        )
-    return ModuleOperator(spec, grid)
+        for i, e in enumerate(row):
+            _check_element(spec, e, f"{path}[{j}][{i}]")
+    return _operator(spec, n, m, [
+        _complex([[e[b] for e in row] for row in data]).transpose(1, 3, 0, 2).reshape(m * d, n * d)
+        for b, d in enumerate(spec.block_dims)
+    ])
 
 
 # -- instances -----------------------------------------------------------------
@@ -161,6 +197,12 @@ def instance_to_dict(inst: Instance) -> dict:
     return out
 
 
+def _members(spec: AlgebraSpec, rank: int, data, path: str) -> list[ModuleVector]:
+    if not isinstance(data, list) or not data:
+        raise InputError(f"{path}: required non-empty list")
+    return [decode_vector(spec, rank, m, f"{path}[{j}]") for j, m in enumerate(data)]
+
+
 def parse_instance(data: dict, path: str = "instance") -> Instance:
     if not isinstance(data, dict):
         raise InputError(f"{path}: instance files hold one JSON object")
@@ -170,32 +212,17 @@ def parse_instance(data: dict, path: str = "instance") -> Instance:
     }
     if unknown:
         raise InputError(f"{path}: unknown fields {sorted(unknown)}")
-    if "algebra" not in data:
-        raise InputError(f"{path}.algebra: required")
-    spec = AlgebraSpec(data["algebra"])
-    if "rank" not in data or not isinstance(data["rank"], int) or data["rank"] < 1:
-        raise InputError(f"{path}.rank: required positive integer")
-    rank = data["rank"]
-    if "members" not in data or not isinstance(data["members"], list) or not data["members"]:
-        raise InputError(f"{path}.members: required non-empty list")
-    members = [
-        decode_vector(spec, rank, m, f"{path}.members[{j}]")
-        for j, m in enumerate(data["members"])
-    ]
-    inst = Instance(spec=spec, rank=rank, members=members)
+    dims = data.get("algebra")
+    if not isinstance(dims, list) or not dims:
+        raise InputError(f"{path}.algebra: required non-empty list of block dimensions")
+    for b, d in enumerate(dims):
+        _integer(d, f"{path}.algebra[{b}]", 1, "block dimensions are positive integers")
+    spec = AlgebraSpec(dims)
+    rank = _integer(data.get("rank"), f"{path}.rank", 1, "required positive integer")
+    inst = Instance(spec, rank, _members(spec, rank, data.get("members"), f"{path}.members"))
     for key in ("h_members", "g_members"):
         if key in data:
-            vs = data[key]
-            if not isinstance(vs, list) or not vs:
-                raise InputError(f"{path}.{key}: must be a non-empty list")
-            setattr(
-                inst,
-                key,
-                [
-                    decode_vector(spec, rank, m, f"{path}.{key}[{j}]")
-                    for j, m in enumerate(vs)
-                ],
-            )
+            setattr(inst, key, _members(spec, rank, data[key], f"{path}.{key}"))
     if "operators" in data:
         ops = data["operators"]
         if not isinstance(ops, dict):
@@ -218,16 +245,18 @@ def parse_instance(data: dict, path: str = "instance") -> Instance:
             raise InputError(
                 f"{path}.perturbation: object with keys alpha, beta, gamma"
             )
-        inst.perturbation = {k: float(v) for k, v in pert.items()}
+        inst.perturbation = {
+            k: decode_number(v, f"{path}.perturbation.{k}") for k, v in pert.items()
+        }
     if "tolerances" in data:
         tols = data["tolerances"]
         if not isinstance(tols, dict):
             raise InputError(f"{path}.tolerances: must be an object")
-        inst.tolerances = {k: float(v) for k, v in tols.items()}
+        inst.tolerances = {
+            k: decode_number(v, f"{path}.tolerances.{k}") for k, v in tols.items()
+        }
     if "seed" in data:
-        if not isinstance(data["seed"], int) or data["seed"] < 0:
-            raise InputError(f"{path}.seed: must be a nonnegative integer")
-        inst.seed = data["seed"]
+        inst.seed = _integer(data["seed"], f"{path}.seed", 0, "must be a nonnegative integer")
     if "right" in data:
         inst.right = parse_instance(data["right"], f"{path}.right")
     return inst

@@ -5,6 +5,8 @@ with dimensions d_i * e_k (the spatial tensor product, which is the only
 C*-tensor product in finite dimensions).  Product blocks, module slots
 and flattening coordinates are ordered lexicographically left-first; the
 witness records the resulting index maps so tests are permutation-stable.
+Products are formed on the per-block arrays: one kron of the factors'
+reduced matrices per block pair, reordered by a fixed reshape/transpose.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .algebra import AlgebraSpec, AlgElement, DEFAULT_TOL
 from .certify import CERTIFIED, Certificate, FALSIFIED, combine
 from .errors import InputError
 from .frames import FrameSeq, certify_kframe
-from .hilbmod import ModuleOperator, ModuleVector
+from .hilbmod import ModuleOperator, ModuleVector, _operator, _vector
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class TensorWitness:
         dims = [left.block_dims[i] * right.block_dims[k] for i, k in pairs]
         return cls(left, right, AlgebraSpec(dims), tuple(pairs))
 
-    # -- elementwise constructions -------------------------------------------
+    # -- constructions ---------------------------------------------------------
 
     def element(self, a: AlgElement, b: AlgElement) -> AlgElement:
         if a.spec != self.left or b.spec != self.right:
@@ -46,24 +48,30 @@ class TensorWitness:
         return AlgElement(self.product, blocks)
 
     def vector(self, f: ModuleVector, h: ModuleVector) -> ModuleVector:
-        """f tensor h in (A tensor B)^(n m), slots ordered (left, right)."""
-        if f.spec != self.left or h.spec != self.right:
-            raise InputError("tensor factors do not match the witness specs")
-        h_entries = h.entries
-        entries = [self.element(fe, he) for fe in f.entries for he in h_entries]
-        return ModuleVector(self.product, entries)
+        """f tensor h in (A tensor B)^(n m), slots ordered (left, right).
+
+        The stacks of f are the reduced matrices of T_f: A -> A^n, a ->
+        (a f_1, ..., a f_n), and f tensor h = (T_f tensor T_h)(1 tensor 1)."""
+        t = self.operator(
+            _operator(f.spec, 1, f.rank, f.stacks), _operator(h.spec, 1, h.rank, h.stacks)
+        )
+        return _vector(self.product, t.block_matrices())
 
     def operator(self, k_op: ModuleOperator, l_op: ModuleOperator) -> ModuleOperator:
-        """K tensor L acting by (K tensor L)(f tensor h) = Kf tensor Lh."""
+        """K tensor L acting by (K tensor L)(f tensor h) = Kf tensor Lh.
+
+        Block (i, k) is kron(K_i, L_k) with rows (s, p, s', p') reordered to
+        (s, s', p, p') and columns likewise: slots (left, right) outermost."""
         if k_op.spec != self.left or l_op.spec != self.right:
             raise InputError("tensor factors do not match the witness specs")
-        k_grid, l_grid = k_op.entries, l_op.entries
-        grid = [
-            [self.element(k, l) for k in k_row for l in l_row]
-            for k_row in k_grid
-            for l_row in l_grid
-        ]
-        return ModuleOperator(self.product, grid)
+        n, n_out, m, m_out = k_op.in_rank, k_op.out_rank, l_op.in_rank, l_op.out_rank
+        mats = []
+        for i, k in self.block_pairs:
+            d, e = self.left.block_dims[i], self.right.block_dims[k]
+            z = np.kron(k_op.block_matrices()[i], l_op.block_matrices()[k])
+            z = z.reshape(n_out, d, m_out, e, n, d, m, e).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+            mats.append(z.reshape(n_out * m_out * d * e, n * m * d * e))
+        return _operator(self.product, n * m, n_out * m_out, mats)
 
     # -- index maps ------------------------------------------------------------
 
@@ -77,25 +85,17 @@ class TensorWitness:
         dl, dr = self.left.total_dim, self.right.total_dim
         offs_l = np.cumsum([0] + [d * d for d in self.left.block_dims])
         offs_r = np.cumsum([0] + [d * d for d in self.right.block_dims])
-        offs_p = np.cumsum([0] + [d * d for d in self.product.block_dims])
-        size_r = rank_right * dr
-        perm = np.empty(rank_left * rank_right * self.product.total_dim, dtype=np.int64)
+        perm = []
         for j in range(rank_left):
             for l in range(rank_right):
-                slot = j * rank_right + l
-                for t, (i, k) in enumerate(self.block_pairs):
-                    di = self.left.block_dims[i]
-                    ek = self.right.block_dims[k]
-                    for p1 in range(di):
-                        for p2 in range(ek):
-                            for q1 in range(di):
-                                for q2 in range(ek):
-                                    row = (p1 * ek + p2) * (di * ek) + (q1 * ek + q2)
-                                    x = slot * self.product.total_dim + offs_p[t] + row
-                                    cl = j * dl + offs_l[i] + p1 * di + q1
-                                    cr = l * dr + offs_r[k] + p2 * ek + q2
-                                    perm[x] = cl * size_r + cr
-        return perm
+                for i, k in self.block_pairs:
+                    di, ek = self.left.block_dims[i], self.right.block_dims[k]
+                    # product coordinates of the block run in (p1, p2, q1, q2) order
+                    p1, p2, q1, q2 = np.indices((di, ek, di, ek)).reshape(4, -1)
+                    cl = j * dl + offs_l[i] + p1 * di + q1
+                    cr = l * dr + offs_r[k] + p2 * ek + q2
+                    perm.append(cl * (rank_right * dr) + cr)
+        return np.concatenate(perm).astype(np.int64)
 
 
 def tensor_witness(left: AlgebraSpec, right: AlgebraSpec) -> TensorWitness:

@@ -6,7 +6,9 @@ per-block whitened SVDs, direct summation instead of operator identities.
 Reference copies of replaced code (the per-function Douglas
 factorizations) pin the current code to what it replaced, and the
 sampled checks the library once ran, one vector at a time, are the
-independent route its exact decisions are tested against.
+independent route its exact decisions are tested against.  The
+element-walking codec and the entrywise tensor products pin the array
+codec and the per-block kron products bit for bit.
 """
 
 import math
@@ -22,8 +24,9 @@ from cstarframes.certify import (
     INCONCLUSIVE,
     psd_certificate,
 )
+from cstarframes.algebra import AlgElement
 from cstarframes.douglas import DouglasReport
-from cstarframes.hilbmod import _vector, from_block_matrices
+from cstarframes.hilbmod import ModuleOperator, ModuleVector, _vector, from_block_matrices
 from cstarframes.sampling import random_vector, stream
 
 
@@ -271,3 +274,55 @@ def reference_equivalence_audit(t, s, tol=1e-9):
         status, "douglas-equivalence", witness, {"tol": tol},
         witness_vector=witness_vector if status == FALSIFIED else None,
     )
+
+
+# -- the codec and tensor products as they were before they read the arrays ----
+#
+# These walk the algebra elements one scalar at a time through `entries`
+# and rebuild vectors and operators from element grids, as the library
+# once did.  The library's array codec must write the same JSON text and
+# decode the same bits, and its per-block kron products must equal the
+# entrywise ones bit for bit.
+
+
+def reference_encode_element(a):
+    return [[[[float(z.real), float(z.imag)] for z in row] for row in blk] for blk in a.blocks]
+
+
+def reference_encode_vector(f):
+    return [reference_encode_element(e) for e in f.entries]
+
+
+def reference_encode_operator(t):
+    return [[reference_encode_element(e) for e in row] for row in t.entries]
+
+
+def reference_decode_element(spec, data):
+    """Decode checked data scalar by scalar into an AlgElement."""
+    return AlgElement(
+        spec, [[[complex(float(re), float(im)) for re, im in row] for row in blk] for blk in data]
+    )
+
+
+def reference_decode_vector(spec, data):
+    return ModuleVector(spec, [reference_decode_element(spec, e) for e in data])
+
+
+def reference_decode_operator(spec, data):
+    return ModuleOperator(spec, [[reference_decode_element(spec, e) for e in row] for row in data])
+
+
+def reference_tensor_vector(w, f, h):
+    """f tensor h entry by entry: slot (j, l) is w.element(f_j, h_l)."""
+    return ModuleVector(w.product, [w.element(fe, he) for fe in f.entries for he in h.entries])
+
+
+def reference_tensor_operator(w, k_op, l_op):
+    """K tensor L entry by entry: grid entry ((j, l), (i, i')) is
+    w.element(K[j][i], L[l][i'])."""
+    grid = [
+        [w.element(k, l) for k in k_row for l in l_row]
+        for k_row in k_op.entries
+        for l_row in l_op.entries
+    ]
+    return ModuleOperator(w.product, grid)

@@ -1,15 +1,17 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from cstarframes import AlgebraSpec, Instance, coordinate_frame, save_instance
-from cstarframes.cli import main
-from cstarframes.harness import random_instance, tensor_pair_instance
-from cstarframes.serialize import decode_vector
+from cstarframes import AlgebraSpec, InputError, Instance, coordinate_frame, save_instance
+from cstarframes.cli import COMMANDS, main
+from cstarframes.harness import SUITES, random_instance, tensor_pair_instance
+from cstarframes.hilbmod import ModuleOperator, ModuleVector
+from cstarframes.serialize import decode_vector, instance_to_dict, load_instance
 
 SPEC = AlgebraSpec((2, 1))
 
@@ -175,4 +177,106 @@ def test_instance_tolerances_and_seed_apply_when_flags_absent(tmp_path, capsys, 
     rep = json.loads(out.read_text())
     assert rep["config"]["tol"] == 1e-9
     assert rep["seed"] == 5
+    capsys.readouterr()
+
+
+# -- malformed instance fields ------------------------------------------------------
+
+
+def _set_scalar(d, value):
+    d["members"][0][0][0][0][0][0] = value
+
+
+@pytest.mark.parametrize(
+    ("edit", "field"),
+    [
+        (lambda d: d.update(tolerances={"tol": "abc"}), ".tolerances.tol:"),
+        (lambda d: d.update(tolerances={"tol": None}), ".tolerances.tol:"),
+        (lambda d: d.update(tolerances={"tol": [1]}), ".tolerances.tol:"),
+        (lambda d: d.update(perturbation={"alpha": "x"}), ".perturbation.alpha:"),
+        (lambda d: d.update(algebra="ab"), ".algebra:"),
+        (lambda d: _set_scalar(d, 10**400), ".members[0][0][0][0][0]:"),
+        (lambda d: d.update(algebra=[1.5]), ".algebra[0]:"),
+        (lambda d: d.update(rank=True), ".rank:"),
+    ],
+    ids=["tol-str", "tol-null", "tol-list", "alpha-str", "algebra-str",
+         "scalar-overflow", "algebra-float", "rank-bool"],
+)
+def test_malformed_field_is_input_error(tmp_path, capsys, edit, field):
+    data = instance_to_dict(random_instance(4, "generic"))
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(field)):
+        load_instance(path)
+    assert main(["check-kframe", "--input", str(path)]) == 3
+    assert field in capsys.readouterr().err
+
+
+# -- combined certificates keep the witness of every part ------------------------------
+
+
+def test_falsified_kframe_report_carries_part_witnesses(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["check-kframe", "--profile", "rank-deficient-K", "--seed", "3",
+                 "--report", str(out)]) == 1
+    witness = json.loads(out.read_text())["certificates"][0]["witness"]
+    assert witness["part0:star-kframe-lower"] == "falsified"
+    lower, upper = witness["parts"]
+    assert lower["min_eig"] < 0 and lower["scale"] >= 1.0
+    assert set(upper) >= {"min_eig", "scale"}
+    capsys.readouterr()
+
+
+def test_perturb2_report_carries_lower_constant(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["perturb2", "--profile", "generic", "--seed", "3", "--samples", "50",
+                 "--report", str(out)]) == 0
+    witness = json.loads(out.read_text())["certificates"][0]["witness"]
+    upper, frame, lower = witness["parts"]
+    assert set(upper) == {"bessel_of_h", "upper_const"}
+    assert len(frame["parts"]) == 2
+    assert lower["worst_margin"] > 0 and lower["pencil_lower_K"] > 0
+    assert lower["worst_margin"] == pytest.approx(lower["pencil_lower_K"] - lower["g_sound"] ** 2)
+    capsys.readouterr()
+
+
+# -- the CLI path reads and writes per-block arrays only ------------------------------
+
+
+def test_cli_path_builds_no_element_grids(tmp_path, monkeypatch, capsys):
+    def forbid(*args, **kwargs):
+        raise AssertionError("element grid built or read on the CLI path")
+
+    monkeypatch.setattr(ModuleVector, "entries", property(forbid))
+    monkeypatch.setattr(ModuleOperator, "entries", property(forbid))
+    monkeypatch.setattr(ModuleOperator, "__init__", forbid)
+
+    generic = random_instance(4, "generic")
+    perturbed = random_instance(5, "generic")
+    perturbed.h_members = list(perturbed.members)
+    perturbed.perturbation = {"alpha": 0.2, "beta": 0.1, "gamma": 0.05}
+    paths = {
+        "generic": write_instance(tmp_path, generic, "generic.json"),
+        "frame": write_instance(tmp_path, Instance(spec=generic.spec, rank=generic.rank,
+                                                   members=generic.members), "frame.json"),
+        "rankdef": write_instance(tmp_path, random_instance(4, "rank-deficient-K"), "rd.json"),
+        "pair": write_instance(tmp_path, tensor_pair_instance(6), "pair.json"),
+        "perturbed": write_instance(tmp_path, perturbed, "perturbed.json"),
+    }
+    runs = [
+        ("check-frame", "frame", 0), ("check-kframe", "generic", 0), ("bounds", "generic", 0),
+        ("douglas", "generic", 0), ("atomic-system", "generic", 0),
+        ("dual-atoms", "generic", 0), ("check-kframe", "rankdef", 1),
+        ("local-atoms", "rankdef", 0), ("tensor", "pair", 0),
+        ("perturb1", "perturbed", 0), ("perturb2", "perturbed", 0),
+    ]
+    assert {command for command, _, _ in runs} | {"suite"} == set(COMMANDS)
+    report = str(tmp_path / "r.json")
+    for command, kind, code in runs:
+        argv = [command, "--input", paths[kind], "--samples", "50", "--report", report]
+        assert main(argv) == code, command
+    for suite in SUITES:
+        argv = ["suite", suite, "--trials", "2", "--samples", "50", "--report", report]
+        assert main(argv) == 0, suite
     capsys.readouterr()

@@ -19,10 +19,13 @@ from cstarframes.serialize import (
     encode_vector,
     sanitize,
 )
-from cstarframes.hilbmod import ModuleOperator, ModuleVector
+from cstarframes.hilbmod import _vector, from_block_matrices
 from cstarframes.sampling import random_operator, random_vector, stream
 
+import oracles
+
 SPEC = AlgebraSpec((2, 1))
+CODEC_SPECS = (AlgebraSpec((2, 1)), AlgebraSpec((1,)), AlgebraSpec((3, 2, 1)))
 
 finite_complex = st.complex_numbers(
     min_magnitude=0, max_magnitude=10, allow_nan=False, allow_infinity=False
@@ -95,3 +98,75 @@ def test_decode_rejects_non_finite_scalars():
     block0 = [[[math.inf, 0.0], pair], [pair, pair]]
     with pytest.raises(InputError, match="non-finite"):
         decode_element(SPEC, [block0, [[pair]]], "root")
+
+
+# -- the array codec against the element walker ----------------------------------
+
+signed_floats = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def complex_arrays(draw, shape):
+    z = np.empty(shape, dtype=complex)
+    z.real = draw(arrays(np.float64, shape, elements=signed_floats))
+    z.imag = draw(arrays(np.float64, shape, elements=signed_floats))
+    return z
+
+
+@st.composite
+def codec_vectors(draw):
+    spec = draw(st.sampled_from(CODEC_SPECS))
+    n = draw(st.integers(1, 3))
+    return _vector(spec, [draw(complex_arrays((n * d, d))) for d in spec.block_dims])
+
+
+@st.composite
+def codec_operators(draw):
+    spec = draw(st.sampled_from(CODEC_SPECS))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    mats = [draw(complex_arrays((m * d, n * d))) for d in spec.block_dims]
+    return from_block_matrices(spec, n, m, mats)
+
+
+def same_bits(xs, ys):
+    return len(xs) == len(ys) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=codec_vectors())
+def test_vector_codec_matches_element_walker(f):
+    text = json.dumps(encode_vector(f))
+    assert text == json.dumps(oracles.reference_encode_vector(f))
+    data = json.loads(text)
+    got = decode_vector(f.spec, f.rank, data, "v")
+    assert same_bits(got.stacks, oracles.reference_decode_vector(f.spec, data).stacks)
+    assert same_bits(got.stacks, f.stacks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=codec_operators())
+def test_operator_codec_matches_element_walker(t):
+    text = json.dumps(encode_operator(t))
+    assert text == json.dumps(oracles.reference_encode_operator(t))
+    data = json.loads(text)
+    got = decode_operator(t.spec, data, "op")
+    want = oracles.reference_decode_operator(t.spec, data)
+    assert (got.in_rank, got.out_rank) == (want.in_rank, want.out_rank)
+    assert same_bits(got.block_matrices(), want.block_matrices())
+    assert same_bits(got.block_matrices(), t.block_matrices())
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=codec_vectors())
+def test_element_codec_matches_element_walker(f):
+    a = f.spec.element([s[:d].T for d, s in zip(f.spec.block_dims, f.stacks)])
+    text = json.dumps(encode_element(a))
+    assert text == json.dumps(oracles.reference_encode_element(a))
+    data = json.loads(text)
+    got = decode_element(a.spec, data, "a")
+    assert same_bits(got.blocks, oracles.reference_decode_element(a.spec, data).blocks)
+    assert same_bits(got.blocks, a.blocks)

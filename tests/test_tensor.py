@@ -16,6 +16,7 @@ from cstarframes import (
     tensor_witness,
 )
 from cstarframes.harness import random_instance
+from cstarframes.hilbmod import _vector, from_block_matrices
 from cstarframes.sampling import (
     random_element,
     random_hermitian,
@@ -24,6 +25,8 @@ from cstarframes.sampling import (
     random_vector,
     stream,
 )
+
+import oracles
 
 LEFT = AlgebraSpec((2,))
 RIGHT = AlgebraSpec((1, 1))
@@ -210,3 +213,38 @@ def test_random_ensemble_certifies_quickly():
         cert = tensor_frame_audit(W, f_seq, h_seq, k, l_op, a, b, c, d, 1e-9)
         assert cert.status == "certified"
     assert time.perf_counter() - t0 < 5.0
+
+
+def _with_signed_zeros(arrays):
+    """Copies with a -0.0 and a +0.0 planted in the real and imaginary
+    parts, so products of signed zeros are compared too."""
+    out = []
+    for a in arrays:
+        a = np.array(a)
+        a.real.flat[0], a.imag.flat[-1] = -0.0, 0.0
+        a.imag.flat[0] = -0.0
+        out.append(a)
+    return out
+
+
+@pytest.mark.parametrize(("left", "right"), [((2,), (1, 1)), ((2, 1), (3,)), ((1,), (1,))])
+def test_kron_products_match_entrywise_reference(left, right):
+    w = tensor_witness(AlgebraSpec(left), AlgebraSpec(right))
+    rng = stream(133, len(left), len(right))
+    for n, m, n_out, m_out in ((1, 1, 1, 1), (1, 2, 3, 1), (2, 1, 1, 2), (3, 2, 2, 3)):
+        f = random_vector(w.left, n, rng)
+        h = random_vector(w.right, m, rng)
+        f = _vector(w.left, _with_signed_zeros(f.stacks))
+        got, want = w.vector(f, h), oracles.reference_tensor_vector(w, f, h)
+        assert got.rank == want.rank == n * m
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got.stacks, want.stacks))
+
+        k = random_operator(w.left, n, n_out, rng)
+        l_op = random_operator(w.right, m, m_out, rng)
+        l_op = from_block_matrices(w.right, m, m_out, _with_signed_zeros(l_op.block_matrices()))
+        got, want = w.operator(k, l_op), oracles.reference_tensor_operator(w, k, l_op)
+        assert (got.in_rank, got.out_rank) == (want.in_rank, want.out_rank) == (n * m, n_out * m_out)
+        assert all(
+            x.tobytes() == y.tobytes()
+            for x, y in zip(got.block_matrices(), want.block_matrices())
+        )
