@@ -4,6 +4,10 @@ An algebra is specified by its block dimensions (d_1, ..., d_B) and an
 element is one complex d_i x d_i matrix per block.  The involution is the
 blockwise conjugate transpose and the norm is the largest singular value
 over all blocks, which is the C*-norm of the direct sum.
+
+Every spectral norm in the library goes through one kernel,
+`_spectral_norm`, and elements are immutable, so `AlgElement.norm`
+computes its value once and keeps it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,16 @@ import numpy as np
 from .errors import InputError, PreconditionError
 
 DEFAULT_TOL = 1e-9
+
+
+def _spectral_norm(m: np.ndarray):
+    """Largest singular value of a matrix, or of each matrix of a stack.
+
+    Bit for bit numpy's matrix 2-norm, which is the maximum of this same
+    singular-value output (LAPACK returns it in descending order) but adds
+    axis bookkeeping around the SVD.
+    """
+    return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
 class AlgebraSpec:
@@ -79,10 +93,11 @@ class AlgElement:
     """One element of a block direct-sum C*-algebra.
 
     Immutable: the block matrices are copied on construction and marked
-    read-only.  All arithmetic returns new elements.
+    read-only, so the norm is computed at most once.  All arithmetic
+    returns new elements.
     """
 
-    __slots__ = ("spec", "blocks")
+    __slots__ = ("spec", "blocks", "_norm")
 
     def __init__(self, spec: AlgebraSpec, blocks: Sequence[np.ndarray]):
         if len(blocks) != spec.n_blocks:
@@ -98,6 +113,7 @@ class AlgElement:
             mats.append(m)
         self.spec = spec
         self.blocks = tuple(mats)
+        self._norm = None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -135,9 +151,9 @@ class AlgElement:
 
     def norm(self) -> float:
         """C*-norm: the largest singular value over all blocks."""
-        return max(
-            float(np.linalg.norm(b, ord=2)) if b.size else 0.0 for b in self.blocks
-        )
+        if self._norm is None:
+            self._norm = max(float(_spectral_norm(b)) for b in self.blocks)
+        return self._norm
 
     def spectrum(self) -> np.ndarray:
         """Union of the eigenvalue multisets of all blocks."""
@@ -172,7 +188,7 @@ class AlgElement:
             raise InputError("tolerance must be nonnegative")
         s = self._scale()
         return tuple(
-            float(np.linalg.norm(b - np.trace(b) / len(b) * np.eye(len(b)), ord=2)) <= tol * s
+            float(_spectral_norm(b - np.trace(b) / len(b) * np.eye(len(b)))) <= tol * s
             for b in self.blocks
         )
 

@@ -33,6 +33,7 @@ from .sampling import random_vector, stream
 from .serialize import (
     Instance,
     certificate_to_dict,
+    decode_tolerance,
     instance_digest,
     load_instance,
     write_report,
@@ -81,10 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_defaults(args, inst: Instance | None) -> None:
-    """Flag > instance file > built-in default, applied in place."""
+    """Flag > instance file > built-in default, applied in place after
+    checking the flags."""
+    for flag, count in (("--samples", args.samples), ("--trials", args.trials)):
+        if count < 1:
+            raise InputError(f"{flag}: must be >= 1, got {count}")
     if args.tol is None:
         tol = inst.tolerances.get("tol") if inst else None
         args.tol = 1e-9 if tol is None else tol
+    else:
+        args.tol = decode_tolerance(args.tol, "--tol")
     if args.seed is None:
         args.seed = (inst.seed if inst and inst.seed is not None else None) or 0
 
@@ -317,6 +324,8 @@ def _run_single(args) -> tuple[dict, int]:
 
 
 def _run_suite(args) -> tuple[dict, int]:
+    if args.input:
+        raise InputError("suite draws its own instances and reads no --input file")
     _resolve_defaults(args, None)
     n_terms = 10
     if args.profile:

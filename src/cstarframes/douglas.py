@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .algebra import _spectral_norm
 from .certify import (
     BOUNDARY_FACTOR,
     CERTIFIED,
@@ -106,7 +107,7 @@ class _Factorization:
             if not keep.any():
                 continue
             w = (u[:, keep] / sig[keep]) @ u[:, keep].conj().T
-            lam = float(np.linalg.norm(w @ mt, ord=2)) ** 2
+            lam = float(_spectral_norm(w @ mt)) ** 2
             lam_max = max(lam_max, lam)
         if lam_max == 0.0:
             return math.inf

@@ -440,6 +440,8 @@ def run_suite(
     """Execute one audit ensemble and assemble its run report."""
     if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
+    if trials < 1 or samples < 1:
+        raise InputError(f"trials and samples must be >= 1, got {trials} and {samples}")
     t0 = time.perf_counter()
     rows: list[dict] = []
     if suite == "paper-example":

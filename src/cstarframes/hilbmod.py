@@ -21,7 +21,9 @@ array F_b whose k-th slab of d_b rows is (f_k)_b^T.  Then Tf is M_b F_b,
 product per block.  The arrays are read-only, and library code reads and
 writes only them; `entries` (rebuilt on every access), the operator's
 grid constructor, `flat` and `flatten` are the independent route the
-tests check them against.
+tests check them against.  Because the arrays never change, an operator
+computes its norm once, through the algebra's one spectral-norm kernel,
+and keeps it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement
+from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement, _spectral_norm
 from .errors import InputError, PreconditionError
 
 
@@ -144,7 +146,7 @@ class ModuleOperator:
     grid on each access, serve the tests; library code builds operators
     with `from_block_matrices`."""
 
-    __slots__ = ("spec", "in_rank", "out_rank", "_mats")
+    __slots__ = ("spec", "in_rank", "out_rank", "_mats", "_norm")
 
     def __init__(self, spec: AlgebraSpec, entries: Sequence[Sequence[AlgElement]]):
         if not entries or not entries[0]:
@@ -165,6 +167,7 @@ class ModuleOperator:
                 for b in range(spec.n_blocks)
             ]
         )
+        self._norm = None
 
     # -- representations ----------------------------------------------------
 
@@ -254,7 +257,9 @@ class ModuleOperator:
 
     def norm(self) -> float:
         """Operator norm: largest singular value of the flattening."""
-        return max(float(np.linalg.norm(m, ord=2)) for m in self._mats)
+        if self._norm is None:
+            self._norm = max(float(_spectral_norm(m)) for m in self._mats)
+        return self._norm
 
     def herm_eigs(self) -> np.ndarray:
         """Eigenvalues of the Hermitian part of the reduced block matrices.
@@ -356,7 +361,7 @@ def gram_norms(t: ModuleOperator, stacks: Sequence[np.ndarray]) -> np.ndarray:
     norms = []
     for m, f in zip(t._mats, stacks):
         x = m @ f
-        norms.append(np.linalg.norm(np.swapaxes(x, -2, -1) @ x.conj(), ord=2, axis=(-2, -1)))
+        norms.append(_spectral_norm(np.swapaxes(x, -2, -1) @ x.conj()))
     return np.max(norms, axis=0)
 
 
@@ -379,6 +384,7 @@ def _operator(
     """Wrap reduced matrices of matching shapes, taking them over."""
     t = object.__new__(ModuleOperator)
     t.spec, t.in_rank, t.out_rank, t._mats = spec, in_rank, out_rank, _readonly(mats)
+    t._norm = None
     return t
 
 

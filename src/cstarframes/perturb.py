@@ -91,7 +91,10 @@ def _sampled_min_ratio(
     f_seq: FrameSeq, h_seq: FrameSeq, samples: int, seed: int
 ) -> float:
     """max over samples of min(q/a, q/b): the sampled min-ratio never
-    exceeds either exact branch constant."""
+    exceeds either exact branch constant.  Both audits draw here first, so
+    this is where a sample count below 1 is rejected."""
+    if samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
     d_adj = difference_synthesis(f_seq, h_seq).adjoint()
     stacks = random_vectors(f_seq.spec, f_seq.rank, stream(seed, 0x3E), samples)
     q = gram_norms(d_adj, stacks)

@@ -51,6 +51,14 @@ def decode_number(data, path: str) -> float:
     return float(data)
 
 
+def decode_tolerance(data, path: str) -> float:
+    """A tolerance: a finite number >= 0 (0 leaves no room for roundoff)."""
+    tol = decode_number(data, path)
+    if tol < 0:
+        raise InputError(f"{path}: tolerances are nonnegative, got {tol!r}")
+    return tol
+
+
 def _integer(data, path: str, minimum: int, what: str) -> int:
     if type(data) is not int or data < minimum:
         raise InputError(f"{path}: {what}")
@@ -253,7 +261,7 @@ def parse_instance(data: dict, path: str = "instance") -> Instance:
         if not isinstance(tols, dict):
             raise InputError(f"{path}.tolerances: must be an object")
         inst.tolerances = {
-            k: decode_number(v, f"{path}.tolerances.{k}") for k, v in tols.items()
+            k: decode_tolerance(v, f"{path}.tolerances.{k}") for k, v in tols.items()
         }
     if "seed" in data:
         inst.seed = _integer(data["seed"], f"{path}.seed", 0, "must be a nonnegative integer")

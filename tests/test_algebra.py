@@ -1,10 +1,15 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import cstarframes
 from cstarframes import AlgebraSpec, InputError, PreconditionError
+from cstarframes.algebra import _spectral_norm
 from cstarframes.sampling import random_element, random_hermitian, stream
 
 SPEC21 = AlgebraSpec((2, 1))
@@ -94,6 +99,75 @@ def test_cstar_identity_against_singular_value_oracle():
         )
         assert (a.adjoint() * a).norm() == pytest.approx(oracle**2, rel=1e-10)
         assert a.norm() ** 2 == pytest.approx(oracle**2, rel=1e-10)
+
+
+# -- the spectral-norm kernel and the memoised norm -------------------------------
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(7)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    low = cplx(5, 2) @ cplx(2, 4)
+    yield "single", [cplx(d, e) for d, e in ((2, 2), (3, 5), (6, 2), (12, 24))]
+    yield "1x1", [cplx(1, 1), np.array([[-2.5 + 0j]]), np.array([[3.0]])]
+    yield "zero", [np.zeros((3, 3), complex), np.zeros((1, 1), complex), np.zeros((4, 2))]
+    yield "rank-deficient", [low, low.conj().T, np.outer(cplx(3), cplx(3).conj())]
+    yield "stack", [cplx(50, 2, 2), cplx(7, 3, 1), np.zeros((4, 2, 2), complex),
+                    np.stack([low, 0 * low, low]), cplx(0, 3, 3)]
+
+
+@pytest.mark.parametrize("case", list(_kernel_cases()), ids=lambda c: c[0])
+def test_spectral_norm_kernel_is_numpys_two_norm_bit_for_bit(case):
+    for m in case[1]:
+        got = _spectral_norm(m)
+        want = np.linalg.norm(m, ord=2, axis=(-2, -1))
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _counting_svd(monkeypatch) -> list:
+    real_svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_element_norm_is_computed_once(monkeypatch):
+    a = random_element(SPEC21, stream(4, 1))
+    calls = _counting_svd(monkeypatch)
+    first = a.norm()
+    assert len(calls) == SPEC21.n_blocks
+    assert a.norm() == first and a._scale() == max(1.0, first)
+    assert len(calls) == SPEC21.n_blocks
+    assert first == max(float(np.linalg.norm(b, ord=2)) for b in a.blocks)
+
+
+def test_element_blocks_are_read_only():
+    src = [np.eye(2, dtype=complex), np.eye(1, dtype=complex)]
+    a = SPEC21.element(src)
+    with pytest.raises(ValueError):
+        a.blocks[0][0, 0] = 5.0
+    src[0][0, 0] = 5.0  # the element holds copies
+    assert a.norm() == 1.0
+
+
+def test_no_spectral_norm_outside_the_kernel():
+    """Every spectral norm of the library goes through `_spectral_norm`."""
+    hits = [
+        f"{path.name}:{i}"
+        for path in sorted(Path(cstarframes.__file__).parent.glob("*.py"))
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"ord\s*=\s*2\b", line)
+    ]
+    assert hits == []
 
 
 # -- spectrum -------------------------------------------------------------------

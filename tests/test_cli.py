@@ -193,13 +193,15 @@ def _set_scalar(d, value):
         (lambda d: d.update(tolerances={"tol": "abc"}), ".tolerances.tol:"),
         (lambda d: d.update(tolerances={"tol": None}), ".tolerances.tol:"),
         (lambda d: d.update(tolerances={"tol": [1]}), ".tolerances.tol:"),
+        (lambda d: d.update(tolerances={"tol": -1e-9}), ".tolerances.tol:"),
+        (lambda d: d.update(tolerances={"tol": float("nan")}), ".tolerances.tol:"),
         (lambda d: d.update(perturbation={"alpha": "x"}), ".perturbation.alpha:"),
         (lambda d: d.update(algebra="ab"), ".algebra:"),
         (lambda d: _set_scalar(d, 10**400), ".members[0][0][0][0][0]:"),
         (lambda d: d.update(algebra=[1.5]), ".algebra[0]:"),
         (lambda d: d.update(rank=True), ".rank:"),
     ],
-    ids=["tol-str", "tol-null", "tol-list", "alpha-str", "algebra-str",
+    ids=["tol-str", "tol-null", "tol-list", "tol-negative", "tol-nan", "alpha-str", "algebra-str",
          "scalar-overflow", "algebra-float", "rank-bool"],
 )
 def test_malformed_field_is_input_error(tmp_path, capsys, edit, field):
@@ -211,6 +213,37 @@ def test_malformed_field_is_input_error(tmp_path, capsys, edit, field):
         load_instance(path)
     assert main(["check-kframe", "--input", str(path)]) == 3
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["bounds", "--profile", "generic", "--seed", "3", "--tol", "-1"], "--tol:"),
+        (["suite", "conjugation", "--trials", "2", "--tol", "nan"], "--tol:"),
+        (["check-kframe", "--profile", "generic", "--seed", "3", "--tol", "inf"], "--tol:"),
+        (["perturb2", "--profile", "generic", "--seed", "3", "--samples", "-1"], "--samples:"),
+        (["perturb2", "--profile", "generic", "--seed", "3", "--samples", "0"], "--samples:"),
+        (["suite", "perturb1", "--trials", "0"], "--trials:"),
+        (["suite", "perturb2", "--trials", "1", "--samples", "0"], "--samples:"),
+    ],
+    ids=["tol-negative", "tol-nan-suite", "tol-inf", "samples-negative", "samples-zero",
+         "trials-zero", "suite-samples-zero"],
+)
+def test_invalid_flag_is_input_error(capsys, argv, flag):
+    assert main(argv) == 3
+    assert flag in capsys.readouterr().err
+
+
+def test_zero_tolerance_flag_still_runs(capsys):
+    assert main(["bounds", "--profile", "generic", "--seed", "3", "--tol", "0"]) == 0
+    assert main(["suite", "conjugation", "--trials", "1", "--tol", "0"]) == 0
+    capsys.readouterr()
+
+
+def test_suite_rejects_input_file(tmp_path, capsys):
+    assert main(["suite", "conjugation", "--trials", "1",
+                 "--input", str(tmp_path / "absent.json")]) == 3
+    assert "--input" in capsys.readouterr().err
 
 
 # -- combined certificates keep the witness of every part ------------------------------

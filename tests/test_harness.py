@@ -184,3 +184,9 @@ def test_perturb_suites_audit_at_the_suite_tolerance(monkeypatch, suite):
             b = random_instance(harness._trial_seed(5, row["trial"]), "generic").bounds["B"]
             extra = row["bessel_bound"] - (1.0 + math.sqrt(row["M"])) * b.norm()
             assert extra == pytest.approx(1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize(("trials", "samples"), [(0, 100), (-1, 100), (2, 0), (2, -5)])
+def test_run_suite_rejects_counts_below_one(trials, samples):
+    with pytest.raises(InputError, match="trials and samples must be >= 1"):
+        run_suite("perturb1", trials=trials, samples=samples)

@@ -12,6 +12,8 @@ from cstarframes import (
     identity_operator,
     unflatten_vector,
 )
+from cstarframes.algebra import _spectral_norm
+from cstarframes.hilbmod import from_block_matrices
 from cstarframes.sampling import (
     random_central,
     random_element,
@@ -388,3 +390,54 @@ def test_entries_view_agrees_with_stored_arrays(spec, rank):
         [sum((fe[j] * grid[j][i] for j in range(rank)), spec.zero()) for i in range(4 - rank)],
     )
     assert (t.apply(f) - tf).norm() <= 1e-13 * max(1.0, tf.norm())
+
+
+# -- memoised operator norm -----------------------------------------------------------
+
+
+def _built_every_way(spec, rng):
+    """The same operators through the grid constructor, `from_block_matrices`
+    and the internal wrapper that compose/adjoint/+ use."""
+    t = random_operator(spec, 3, 2, rng)
+    grid = ModuleOperator(spec, t.entries)
+    copied = from_block_matrices(spec, 3, 2, [np.array(m) for m in t.block_matrices()])
+    return {"grid": grid, "from_block_matrices": copied, "adjoint": t.adjoint(),
+            "compose": t.adjoint().compose(t), "sum": t + t, "identity": identity_operator(spec, 2)}
+
+
+@pytest.mark.parametrize("spec", [SPEC, AlgebraSpec((1,)), AlgebraSpec((3, 2, 1))],
+                         ids=["2+1", "1", "3+2+1"])
+def test_operator_norm_equals_kernel_on_every_constructor(spec):
+    for name, op in _built_every_way(spec, stream(46, spec.n_blocks)).items():
+        fresh = max(float(_spectral_norm(m)) for m in op.block_matrices())
+        assert op.norm() == fresh, name
+        assert op.norm() == max(float(np.linalg.norm(m, ord=2)) for m in op.block_matrices())
+
+
+def test_operator_norm_is_computed_once(monkeypatch):
+    ops = _built_every_way(SPEC, stream(47, 0))
+    real_svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for name, op in ops.items():
+        calls.clear()
+        first = op.norm()
+        assert len(calls) == SPEC.n_blocks, name
+        assert op.norm() == first and len(calls) == SPEC.n_blocks, name
+
+
+def test_operator_block_matrices_are_read_only():
+    for name, op in _built_every_way(SPEC, stream(48, 0)).items():
+        before = op.norm()
+        with pytest.raises(ValueError):
+            op.block_matrices()[0][0, 0] = 7.0
+        assert op.norm() == before, name
+    src = [np.eye(2, dtype=complex), np.eye(1, dtype=complex)]
+    t = from_block_matrices(SPEC, 1, 1, src)
+    src[0][0, 0] = 5.0  # from_block_matrices stores copies
+    assert t.norm() == 1.0

@@ -418,14 +418,19 @@ def test_batched_audits_match_sequential_loops(case):
     assert lhs > rhs
 
 
-def test_zero_samples_draw_nothing_and_pass():
+def test_sample_counts_below_one_rejected():
+    """A count below 1 draws nothing to check the hypothesis on, so it is
+    an input error, not a sampled-consistent pass."""
     rng = stream(155, 0)
     fr = random_frame(2, 5, rng)
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
     a, b = margin_bounds(fr, k)
     hs = perturbed(fr, rng, 0.5)
-    rep1 = pertur1_audit(fr, hs, k, k, a, b, samples=0, seed=1)
-    assert rep1.sampled_M == 0.0
-    rep2 = pertur2_audit(fr, hs, k, k, 0.0, 0.0, 0.0, a, b, samples=0, seed=1)
-    assert rep2.sampled_M == 0.0
-    assert rep2.constants_used["hypothesis"] == "sampled-consistent"
+    for samples in (0, -1):
+        with pytest.raises(InputError, match="samples must be >= 1"):
+            pertur1_audit(fr, hs, k, k, a, b, samples=samples, seed=1)
+        with pytest.raises(InputError, match="samples must be >= 1"):
+            pertur2_audit(fr, hs, k, k, 0.0, 0.0, 0.0, a, b, samples=samples, seed=1)
+    # one sample is enough: with alpha = beta = gamma = 0 it violates the hypothesis
+    rep = pertur2_audit(fr, hs, k, k, 0.0, 0.0, 0.0, a, b, samples=1, seed=1)
+    assert rep.conclusion.status == "falsified" and rep.conclusion.samples == 1
