@@ -14,11 +14,11 @@ import sys
 import time
 
 from ._version import __version__
+from .algebra import DEFAULT_TOL
 from .certify import CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE
-from .douglas import equivalence_audit
+from .douglas import equivalence_audit, pseudo_inverse
 from .errors import AtomicSystemError, InputError
 from .frames import (
-    FrameSeq,
     atomic_coefficients,
     certify_kframe,
     derived_bounds,
@@ -26,10 +26,11 @@ from .frames import (
     local_atoms_check,
     optimal_scalar_bounds,
 )
-from .harness import SUITES, random_instance, run_suite, tensor_pair_instance
+from .harness import (
+    SUITES, _parse_profile, _perturbed_pair, random_instance, run_suite, tensor_pair_instance,
+)
 from .hilbmod import identity_operator
 from .perturb import pertur1_audit, pertur2_audit
-from .sampling import random_vector, stream
 from .serialize import (
     Instance,
     certificate_to_dict,
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("name", nargs="?", choices=SUITES, help="suite name (suite command only)")
     parser.add_argument("--input", help="instance file (JSON)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="certification tolerance (default 1e-9; an instance "
+                        help=f"certification tolerance (default {DEFAULT_TOL:g}; an instance "
                              "file's tolerances.tol applies when the flag is absent)")
     parser.add_argument("--samples", type=int, default=1000,
                         help="sample count for perturb1, perturb2 and suite; "
@@ -89,7 +90,7 @@ def _resolve_defaults(args, inst: Instance | None) -> None:
             raise InputError(f"{flag}: must be >= 1, got {count}")
     if args.tol is None:
         tol = inst.tolerances.get("tol") if inst else None
-        args.tol = 1e-9 if tol is None else tol
+        args.tol = DEFAULT_TOL if tol is None else tol
     else:
         args.tol = decode_tolerance(args.tol, "--tol")
     if args.seed is None:
@@ -168,8 +169,6 @@ def _cmd_dual_atoms(inst: Instance, args):
 def _cmd_local_atoms(inst: Instance, args):
     frame = inst.frame()
     p_op = _need_operator(inst, "P", "local-atoms")
-    from .douglas import pseudo_inverse
-
     s_pinv = pseudo_inverse(frame.frame_op)
     if inst.g_members:
         atoms = inst.g_members
@@ -234,11 +233,7 @@ def _perturb_common(inst: Instance, args, command: str):
     if inst.h_members:
         h_seq = inst.h_frame()
     elif args.profile:
-        rng = stream(args.seed, 8)
-        h_seq = FrameSeq(
-            [m + random_vector(inst.spec, inst.rank, rng).scalar_mul(1e-3)
-             for m in frame.members]
-        )
+        h_seq = _perturbed_pair(frame, args.seed, 1e-3)
     else:
         raise InputError(f"{command} needs h_members (the perturbed family)")
     a = inst.bounds.get("A")
@@ -329,8 +324,6 @@ def _run_suite(args) -> tuple[dict, int]:
     _resolve_defaults(args, None)
     n_terms = 10
     if args.profile:
-        from .harness import _parse_profile
-
         name, n = _parse_profile(args.profile)
         if name == "paper-example-truncation" and n:
             n_terms = n

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import _spectral_norm
+from .algebra import DEFAULT_TOL, _spectral_norm
 from .certify import (
     BOUNDARY_FACTOR,
     CERTIFIED,
@@ -193,7 +193,7 @@ def _majorization(
 def equivalence_audit(
     t: ModuleOperator,
     s: ModuleOperator,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     *,
     seed: Optional[int] = None,
 ) -> Certificate:

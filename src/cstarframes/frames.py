@@ -1,9 +1,12 @@
 """Frame sequences on A^n: Bessel and K-frame certification, atomic
 systems, dual atoms, local atoms, and frame transforms.
 
-A frame sequence {f_j} has synthesis U: A^J -> A^n sending coefficients
-{g_j} to sum g_j f_j, analysis U* f = {<f, f_j>}, and frame operator
-S = U U*.  The two-sided frame inequality with bounds A, B in A,
+A frame sequence {f_j} is stored as its synthesis U: A^J -> A^n, sending
+coefficients {g_j} to sum g_j f_j, with analysis U* f = {<f, f_j>} and
+frame operator S = U U*.  Every derived family is one operator product on
+U: the image {L f_j} has synthesis L U, the dual atoms Q*(e_j) have Q*,
+and a tensor product family has U_f tensor U_h.  The two-sided frame
+inequality with bounds A, B in A,
 
     A <K*f, K*f> A*  <=  sum_j <f, f_j><f_j, f>  <=  B <f, f> B*,
 
@@ -27,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgElement
+from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement
 from .certify import (
     BOUNDARY_FACTOR,
     CERTIFIED,
@@ -42,8 +45,8 @@ from .errors import AtomicSystemError, InputError, PreconditionError
 from .hilbmod import (
     ModuleOperator,
     ModuleVector,
+    _columns,
     _vector,
-    coordinate_vector,
     diagonal_operator,
     from_block_matrices,
     identity_operator,
@@ -51,35 +54,39 @@ from .hilbmod import (
 
 
 class FrameSeq:
-    """Finite sequence of module vectors with eagerly cached synthesis,
-    analysis and frame operators."""
+    """Finite sequence {f_j} of module vectors, stored only as its
+    synthesis operator U: A^J -> A^n (column block j is f_j), with U* and
+    the frame operator U U* computed once.  `members` rebuilds the vectors
+    on each access, as read-only views of U; library code builds a derived
+    family from its synthesis operator with `_family`."""
 
-    __slots__ = ("spec", "rank", "members", "synthesis_op", "analysis_op", "frame_op")
+    __slots__ = ("synthesis_op", "analysis_op", "frame_op")
 
     def __init__(self, members: Sequence[ModuleVector]):
         if not members:
             raise InputError("a frame sequence needs at least one member")
-        spec = members[0].spec
-        rank = members[0].rank
-        for m in members:
-            if m.spec != spec or m.rank != rank:
-                raise InputError("all frame members must share spec and rank")
-        self.spec = spec
-        self.rank = rank
-        self.members = tuple(members)
-        per_block = zip(*(m.stacks for m in self.members))
-        self.synthesis_op = from_block_matrices(
-            spec, len(members), rank, [np.hstack(s) for s in per_block]
-        )
-        self.analysis_op = self.synthesis_op.adjoint()
-        self.frame_op = self.synthesis_op.compose(self.analysis_op)
-        scale = max(1.0, self.frame_op.norm())
-        if self.frame_op.min_herm_eig() < -1e-8 * scale:
-            raise InputError("frame operator failed its positivity guard")
+        spec, rank = members[0].spec, members[0].rank
+        if any(m.spec != spec or m.rank != rank for m in members):
+            raise InputError("all frame members must share spec and rank")
+        stacked = [np.hstack(s) for s in zip(*(m.stacks for m in members))]
+        _adopt(self, from_block_matrices(spec, len(members), rank, stacked))
+
+    @property
+    def spec(self) -> AlgebraSpec:
+        return self.synthesis_op.spec
+
+    @property
+    def rank(self) -> int:
+        return self.synthesis_op.out_rank
 
     @property
     def n_members(self) -> int:
-        return len(self.members)
+        return self.synthesis_op.in_rank
+
+    @property
+    def members(self) -> tuple[ModuleVector, ...]:
+        """The J members f_j = U e_j, rebuilt on each access."""
+        return _columns(self.synthesis_op)
 
     def analysis(self, f: ModuleVector) -> ModuleVector:
         """Coefficient vector {<f, f_j>} in A^J."""
@@ -101,9 +108,26 @@ class FrameSeq:
         )
 
 
-def coordinate_frame(spec, rank: int) -> FrameSeq:
+def _adopt(frame: FrameSeq, u: ModuleOperator) -> FrameSeq:
+    """Give frame the synthesis operator u, with its analysis and frame
+    operators, after the frame operator's positivity guard."""
+    frame.synthesis_op = u
+    frame.analysis_op = u.adjoint()
+    frame.frame_op = u.compose(frame.analysis_op)
+    scale = max(1.0, frame.frame_op.norm())
+    if frame.frame_op.min_herm_eig() < -1e-8 * scale:
+        raise InputError("frame operator failed its positivity guard")
+    return frame
+
+
+def _family(u: ModuleOperator) -> FrameSeq:
+    """The family whose synthesis operator is u: A^J -> A^n, taking u over."""
+    return _adopt(object.__new__(FrameSeq), u)
+
+
+def coordinate_frame(spec: AlgebraSpec, rank: int) -> FrameSeq:
     """The standard coordinate frame of A^n (J = n, S = identity)."""
-    return FrameSeq([coordinate_vector(spec, rank, j) for j in range(rank)])
+    return _family(identity_operator(spec, rank))
 
 
 def _require_strictly_nonzero(x: AlgElement, name: str, tol: float) -> None:
@@ -321,15 +345,7 @@ def dual_atoms(
     q, _, residual = atomic_coefficients(frame, k_op, tol)
     if residual > tol:
         raise PreconditionError("dual-atom reconstruction audit failed")
-    return _atoms_of(frame, q)
-
-
-def _atoms_of(frame: FrameSeq, q: ModuleOperator) -> list[ModuleVector]:
-    q_adj = q.adjoint()
-    return [
-        q_adj.apply(coordinate_vector(frame.spec, frame.n_members, j))
-        for j in range(frame.n_members)
-    ]
+    return list(_columns(q.adjoint()))
 
 
 def dual_atoms_audit(
@@ -337,10 +353,10 @@ def dual_atoms_audit(
 ) -> Certificate:
     """Certificate version of the dual-atom reconstruction and Bessel bound.
 
-    The reconstruction residual is ||K - U H*||, H the atoms' synthesis;
-    H* is Q bit for bit, so it is taken from Q.  It is the factorization
-    residual ||U Q - K|| up to the last bit: the spectral norms of X and
-    -X can differ there, so it keeps its own norm."""
+    The atoms' synthesis is H = Q*, so their family is built from Q* and
+    the reconstruction residual ||K - U H*|| is taken with Q.  It is the
+    factorization residual ||U Q - K|| up to the last bit: the spectral
+    norms of X and -X can differ there, so it keeps its own norm."""
     try:
         q, c, residual = atomic_coefficients(frame, k_op, tol)
     except AtomicSystemError as exc:
@@ -348,7 +364,7 @@ def dual_atoms_audit(
             FALSIFIED, "dual-atoms", {"error": str(exc)}, {"tol": tol}
         )
     worst = (k_op - frame.synthesis_op.compose(q)).norm()
-    h_frame = FrameSeq(_atoms_of(frame, q))
+    h_frame = _family(q.adjoint())
     bessel = certify_star_bessel(h_frame, max(c.norm(), tol) * frame.spec.unit(), tol)
     status = CERTIFIED if worst <= tol and bessel.ok else FALSIFIED
     return Certificate(
@@ -470,10 +486,10 @@ def _restricted_min_eig(bases: Sequence[np.ndarray], op: ModuleOperator) -> floa
 
 
 def transform_frame(frame: FrameSeq, l_op: ModuleOperator) -> FrameSeq:
-    """The image family {L f_j}."""
+    """The image family {L f_j}, whose synthesis operator is L U."""
     if l_op.spec != frame.spec or l_op.in_rank != frame.rank:
         raise InputError("operator/frame shape mismatch")
-    return FrameSeq([l_op.apply(m) for m in frame.members])
+    return _family(l_op.compose(frame.synthesis_op))
 
 
 def conjugation_audit(

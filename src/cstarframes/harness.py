@@ -16,12 +16,13 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .algebra import AlgebraSpec
+from .algebra import DEFAULT_TOL, AlgebraSpec
 from .certify import CERTIFIED, FALSIFIED
 from .douglas import equivalence_audit, pseudo_inverse
 from .errors import AtomicSystemError, InputError
 from .frames import (
     FrameSeq,
+    _family,
     atomic_coefficients,
     certify_kframe,
     certify_star_bessel,
@@ -33,8 +34,7 @@ from .frames import (
 )
 from .hilbmod import (
     ModuleOperator,
-    ModuleVector,
-    _vector,
+    _columns,
     central_mult,
     diagonal_operator,
     from_block_matrices,
@@ -45,11 +45,9 @@ from .sampling import (
     random_central,
     random_operator,
     random_unitary,
-    random_vector,
-    random_vectors,
     stream,
 )
-from .serialize import Instance, certificate_to_dict
+from .serialize import Instance, certificate_to_dict, decode_tolerance
 from .tensor import tensor_frame_audit, tensor_witness
 
 PROFILES = (
@@ -96,17 +94,17 @@ def paper_truncation_values(n_terms: int) -> list[float]:
 def _paper_truncation_instance(n_terms: int, seed: int) -> Instance:
     spec = AlgebraSpec((1,) * n_terms)
     vals = paper_truncation_values(n_terms)
-    members = []
-    for j in range(n_terms):
-        scalars = [0.0] * n_terms
-        scalars[j] = vals[j]
-        members.append(ModuleVector(spec, [spec.central(scalars)]))
+    # member j is vals[j] on block j and 0 elsewhere, so block b of the
+    # synthesis operator is the row vals[b] e_b
+    u = from_block_matrices(
+        spec, n_terms, 1, [v * np.eye(1, n_terms, b, dtype=complex) for b, v in enumerate(vals)]
+    )
     k_op = central_mult(spec.central([v * v for v in vals]), 1)
     bound = spec.central(vals)
     return Instance(
         spec=spec,
         rank=1,
-        members=members,
+        members=list(_columns(u)),
         operators={"K": k_op},
         bounds={"B": bound, "C": bound},
         seed=seed,
@@ -118,8 +116,7 @@ def _generic_instance(seed: int) -> Instance:
     spec = AlgebraSpec((2, 1))
     n = int(rng.integers(1, 4))
     j_count = int(rng.integers(n, 7))
-    members = [random_vector(spec, n, rng) for _ in range(j_count)]
-    frame = FrameSeq(members)
+    frame = _family(random_operator(spec, j_count, n, rng))
     q0 = random_operator(spec, n, j_count, rng)
     k_op = frame.synthesis_op.compose(q0)
     l_op = k_op.compose(random_operator(spec, n, n, rng))
@@ -127,7 +124,7 @@ def _generic_instance(seed: int) -> Instance:
     return Instance(
         spec=spec,
         rank=n,
-        members=members,
+        members=list(frame.members),
         operators={"K": k_op, "L": l_op},
         bounds={"A": a, "B": b},
         seed=seed,
@@ -146,10 +143,10 @@ def _rank_deficient_instance(seed: int) -> Instance:
     spec = AlgebraSpec((2, 1))
     n = int(rng.integers(2, 4))
     j_count = int(rng.integers(n, 7))
-    stacks = [s.copy() for s in random_vectors(spec, n, rng, j_count)]
-    for d, s in zip(spec.block_dims, stacks):
-        s[:, -d:] = 0.0
-    members = [_vector(spec, [s[j] for s in stacks]) for j in range(j_count)]
+    mats = [np.array(m) for m in random_operator(spec, j_count, n, rng).block_matrices()]
+    for d, m in zip(spec.block_dims, mats):
+        m[-d:] = 0.0  # the last slot of every member
+    members = list(_columns(from_block_matrices(spec, j_count, n, mats)))
     ident = identity_operator(spec, n)
     return Instance(
         spec=spec,
@@ -166,15 +163,14 @@ def _coisometry_instance(seed: int) -> Instance:
     spec = AlgebraSpec((2, 1))
     n = int(rng.integers(1, 4))
     j_count = int(rng.integers(n, 7))
-    members = [random_vector(spec, n, rng) for _ in range(j_count)]
-    frame = FrameSeq(members)
+    frame = _family(random_operator(spec, j_count, n, rng))
     k_op = central_mult(random_central(spec, rng), n)
     t_op = random_unitary(spec, n, rng)
     a, b = derived_bounds(frame, *optimal_scalar_bounds(frame, k_op), BOUND_MARGIN)
     return Instance(
         spec=spec,
         rank=n,
-        members=members,
+        members=list(frame.members),
         operators={"K": k_op, "T": t_op},
         bounds={"A": a, "B": b},
         seed=seed,
@@ -307,10 +303,8 @@ def tensor_pair_instance(seed: int) -> Instance:
     m = int(rng.integers(1, 3))
     j_count = int(rng.integers(n, 4))
     i_count = int(rng.integers(m, 4))
-    f_members = [random_vector(left, n, rng) for _ in range(j_count)]
-    h_members = [random_vector(right, m, rng) for _ in range(i_count)]
-    f_seq = FrameSeq(f_members)
-    h_seq = FrameSeq(h_members)
+    f_seq = _family(random_operator(left, j_count, n, rng))
+    h_seq = _family(random_operator(right, i_count, m, rng))
     k_op = f_seq.synthesis_op.compose(random_operator(left, n, j_count, rng))
     l_op = h_seq.synthesis_op.compose(random_operator(right, m, i_count, rng))
     a, b = derived_bounds(f_seq, *optimal_scalar_bounds(f_seq, k_op), BOUND_MARGIN)
@@ -318,7 +312,7 @@ def tensor_pair_instance(seed: int) -> Instance:
     right_inst = Instance(
         spec=right,
         rank=m,
-        members=h_members,
+        members=list(h_seq.members),
         operators={"L": l_op},
         bounds={"C": c, "D": d},
         seed=seed,
@@ -326,7 +320,7 @@ def tensor_pair_instance(seed: int) -> Instance:
     return Instance(
         spec=left,
         rank=n,
-        members=f_members,
+        members=list(f_seq.members),
         operators={"K": k_op},
         bounds={"A": a, "B": b},
         seed=seed,
@@ -371,19 +365,18 @@ def _coisometry_trial(seed: int, trial: int, tol: float) -> dict:
     }
 
 
-def _perturbed_pair(inst: Instance, seed: int, epsilon: float):
-    rng = stream(seed, 8)
-    frame = inst.frame()
-    h_members = [
-        m + random_vector(inst.spec, inst.rank, rng).scalar_mul(epsilon)
-        for m in frame.members
-    ]
-    return frame, FrameSeq(h_members)
+def _perturbed_pair(frame: FrameSeq, seed: int, epsilon: float) -> FrameSeq:
+    """The perturbed partner {f_j + epsilon r_j} of a frame, r_j drawn
+    from stream(seed, 8): its synthesis is U + epsilon R, R the random
+    operator whose column j is the j-th of the draws."""
+    noise = random_operator(frame.spec, frame.n_members, frame.rank, stream(seed, 8))
+    return _family(frame.synthesis_op + noise.scalar_mul(epsilon))
 
 
 def _perturb1_trial(seed: int, trial: int, tol: float, epsilon: float, samples: int) -> dict:
     inst = random_instance(_trial_seed(seed, trial), "generic")
-    frame, h_seq = _perturbed_pair(inst, _trial_seed(seed, trial) + 3, epsilon)
+    frame = inst.frame()
+    h_seq = _perturbed_pair(frame, _trial_seed(seed, trial) + 3, epsilon)
     k_op = inst.operators["K"]
     a, b = inst.bounds["A"], inst.bounds["B"]
     rep = pertur1_audit(
@@ -410,7 +403,8 @@ def _perturb1_trial(seed: int, trial: int, tol: float, epsilon: float, samples: 
 
 def _perturb2_trial(seed: int, trial: int, tol: float, epsilon: float, samples: int) -> dict:
     inst = random_instance(_trial_seed(seed, trial), "generic")
-    frame, h_seq = _perturbed_pair(inst, _trial_seed(seed, trial) + 3, epsilon)
+    frame = inst.frame()
+    h_seq = _perturbed_pair(frame, _trial_seed(seed, trial) + 3, epsilon)
     k_op = inst.operators["K"]
     a, b = inst.bounds["A"], inst.bounds["B"]
     rep = pertur2_audit(
@@ -432,7 +426,7 @@ def run_suite(
     suite: str,
     trials: int = 100,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     samples: int = 100,
     n_terms: int = 10,
     epsilon: float = 1e-3,
@@ -442,6 +436,7 @@ def run_suite(
         raise InputError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
     if trials < 1 or samples < 1:
         raise InputError(f"trials and samples must be >= 1, got {trials} and {samples}")
+    tol = decode_tolerance(tol, "tol")
     t0 = time.perf_counter()
     rows: list[dict] = []
     if suite == "paper-example":

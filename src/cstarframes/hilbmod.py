@@ -175,12 +175,7 @@ class ModuleOperator:
     def entries(self) -> tuple[tuple[AlgElement, ...], ...]:
         """The n x m grid t[j][i], rebuilt on each access; row j is the
         image of the j-th coordinate vector."""
-        dims = self.spec.block_dims
-        images = (
-            _vector(self.spec, [m[:, j * d : (j + 1) * d] for d, m in zip(dims, self._mats)])
-            for j in range(self.in_rank)
-        )
-        return tuple(f.entries for f in images)
+        return tuple(f.entries for f in _columns(self))
 
     def block_matrices(self) -> tuple[np.ndarray, ...]:
         """Reduced complex matrix per algebra block, the stored form.
@@ -376,6 +371,16 @@ def _vector(spec: AlgebraSpec, stacks: Sequence[np.ndarray]) -> ModuleVector:
     f = object.__new__(ModuleVector)
     f.spec, f.rank, f.stacks = spec, len(stacks[0]) // spec.block_dims[0], _readonly(stacks)
     return f
+
+
+def _columns(t: ModuleOperator) -> tuple[ModuleVector, ...]:
+    """The images of the coordinate vectors under t, column block j of
+    every reduced matrix for the j-th, as read-only views of them."""
+    dims = t.spec.block_dims
+    return tuple(
+        _vector(t.spec, [m[:, j * d : (j + 1) * d] for d, m in zip(dims, t._mats)])
+        for j in range(t.in_rank)
+    )
 
 
 def _operator(

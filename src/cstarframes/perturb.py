@@ -31,7 +31,7 @@ from .certify import CERTIFIED, Certificate, FALSIFIED, combine
 from .douglas import pencil_lower_bound, range_residual
 from .errors import InputError, PreconditionError
 from .frames import FrameSeq, certify_kframe, certify_star_bessel
-from .hilbmod import ModuleOperator, ModuleVector, _vector, gram_norms
+from .hilbmod import ModuleOperator, ModuleVector, _vector, gram_norms, identity_operator
 from .sampling import random_vectors, stream
 
 
@@ -200,24 +200,25 @@ def pertur1_audit(
     )
     constants["bessel_of_h"] = math.sqrt(h_seq.frame_op.norm())
 
-    if nu == 0.0:
-        frame_cert = Certificate(
-            FALSIFIED,
-            "perturb-lframe",
-            {"pencil_lower_H": 0.0},
-            {"tol": tol},
-        )
-    else:
-        low = math.sqrt(max(nu * (1.0 - 1e-12), 0.0)) if math.isfinite(nu) else 1.0
-        frame_cert = certify_kframe(
-            h_seq,
-            l_op,
-            low * f_seq.spec.unit(),
-            (1.0 + sqrt_m) * b_norm * f_seq.spec.unit(),
-            tol,
-        )
+    frame_cert = _lframe_certificate(
+        h_seq, l_op, nu, (1.0 + sqrt_m) * b_norm, tol, "perturb-lframe"
+    )
     conclusion = combine("perturb-min-conclusion", [bessel, frame_cert])
     return PerturbReport(m_f, m_h, sampled, conclusion, constants)
+
+
+def _lframe_certificate(
+    h_seq: FrameSeq, l_op: ModuleOperator, nu: float, upper: float, tol: float, claim: str
+) -> Certificate:
+    """{h_j} as an L-frame with scalar bounds: falsified under `claim` when
+    nu, the pencil value of (L L*, U_H U_H*), is 0; else `certify_kframe`
+    with lower bound sqrt(nu (1 - 1e-12)) (1 when nu is infinite, L = 0)
+    and upper bound `upper`."""
+    if nu == 0.0:
+        return Certificate(FALSIFIED, claim, {"pencil_lower_H": 0.0}, {"tol": tol})
+    low = math.sqrt(max(nu * (1.0 - 1e-12), 0.0)) if math.isfinite(nu) else 1.0
+    unit = h_seq.spec.unit()
+    return certify_kframe(h_seq, l_op, low * unit, upper * unit, tol)
 
 
 def _pertur1_converse(
@@ -232,8 +233,6 @@ def _pertur1_converse(
     sampled: float,
     tol: float,
 ) -> PerturbReport:
-    from .hilbmod import identity_operator
-
     ident = identity_operator(f_seq.spec, f_seq.rank)
     if (k_op.compose(k_op.adjoint()) - ident).norm() > 1e-9:
         raise PreconditionError("converse mode needs a co-isometric K")
@@ -350,20 +349,10 @@ def pertur2_audit(
         {"tol": tol},
     )
 
-    nu = pencil_lower_bound(l_op, h_seq.synthesis_op)
-    if nu == 0.0:
-        frame_cert = Certificate(
-            FALSIFIED, "perturb-abg-lframe", {"pencil_lower_H": 0.0}, {"tol": tol}
-        )
-    else:
-        low = math.sqrt(max(nu * (1.0 - 1e-12), 0.0)) if math.isfinite(nu) else 1.0
-        frame_cert = certify_kframe(
-            h_seq,
-            l_op,
-            low * f_seq.spec.unit(),
-            (bessel_h * (1.0 + 1e-9) + tol) * f_seq.spec.unit(),
-            tol,
-        )
+    frame_cert = _lframe_certificate(
+        h_seq, l_op, pencil_lower_bound(l_op, h_seq.synthesis_op),
+        bessel_h * (1.0 + 1e-9) + tol, tol, "perturb-abg-lframe",
+    )
 
     g_reference = a_norm * (1.0 - (alpha + beta + gamma / a_norm) / (1.0 + beta))
     g_sound = sigma_min * (1.0 - (alpha + gamma / sigma_min)) / (1.0 + beta)

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import AlgebraSpec, AlgElement, DEFAULT_TOL
 from .certify import CERTIFIED, Certificate, FALSIFIED, combine
 from .errors import InputError
-from .frames import FrameSeq, certify_kframe
+from .frames import FrameSeq, _family, certify_kframe
 from .hilbmod import ModuleOperator, ModuleVector, _operator, _vector
 
 
@@ -104,9 +104,9 @@ def tensor_witness(left: AlgebraSpec, right: AlgebraSpec) -> TensorWitness:
 
 def tensor_frame(w: TensorWitness, left: FrameSeq, right: FrameSeq) -> FrameSeq:
     """Doubly indexed product family {f_j tensor h_i} over all pairs,
-    ordered lexicographically (left index outer)."""
-    members = [w.vector(f, h) for f in left.members for h in right.members]
-    return FrameSeq(members)
+    ordered lexicographically (left index outer): its synthesis operator
+    is U_f tensor U_h, whose (j, i) input slot is the pair's."""
+    return _family(w.operator(left.synthesis_op, right.synthesis_op))
 
 
 def tensor_frame_diagonal(

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cstarframes import (
     AtomicSystemError,
     FrameSeq,
     InputError,
+    Instance,
     ModuleOperator,
     ModuleVector,
     PreconditionError,
@@ -29,11 +31,16 @@ from cstarframes import (
     pencil_lower_bound,
     pseudo_inverse,
     range_inclusion,
+    save_instance,
+    tensor_frame,
+    tensor_frame_diagonal,
+    tensor_witness,
     transform_frame,
     transform_kframe_audit,
     zero_operator,
 )
-from cstarframes.harness import random_instance
+from cstarframes.cli import COMMANDS, main
+from cstarframes.harness import SUITES, random_instance
 from cstarframes.hilbmod import central_mult, from_block_matrices
 from cstarframes.certify import BOUNDARY_FACTOR, psd_certificate
 from cstarframes.sampling import (
@@ -836,3 +843,116 @@ def test_bessel_near_boundary_is_inconclusive():
     assert cert.status == "inconclusive"
     clearly_bad = math.sqrt(1 - 5e-8) * SPEC.unit()
     assert certify_star_bessel(fr, clearly_bad, 1e-9).status == "falsified"
+
+
+# -- a family is stored as its synthesis operator ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("dims", "rank", "count"), [((2, 1), 2, 4), ((1,), 1, 1), ((3, 2, 1), 3, 5)]
+)
+def test_members_rebuild_the_synthesis_operator_bit_for_bit(dims, rank, count):
+    spec = AlgebraSpec(dims)
+    fr = random_frame(spec, rank, count, stream(140, rank, count))
+    assert "members" not in FrameSeq.__slots__
+    assert (fr.spec, fr.rank, fr.n_members) == (spec, rank, count)
+    assert fr.n_members == fr.synthesis_op.in_rank
+    again = FrameSeq(fr.members)
+    for x, y in zip(again.synthesis_op.block_matrices(), fr.synthesis_op.block_matrices()):
+        assert x.tobytes() == y.tobytes()
+    for m in fr.members:
+        assert m.rank == rank and all(not s.flags.writeable for s in m.stacks)
+        with pytest.raises(ValueError):
+            m.stacks[0][0, 0] = 1.0
+
+
+def test_coordinate_frame_is_the_frame_of_coordinate_vectors():
+    for dims, rank in (((2, 1), 3), ((1,), 1), ((3,), 2)):
+        spec = AlgebraSpec(dims)
+        fr = coordinate_frame(spec, rank)
+        ref = FrameSeq([coordinate_vector(spec, rank, j) for j in range(rank)])
+        for op in ("synthesis_op", "frame_op"):
+            for x, y in zip(getattr(fr, op).block_matrices(), getattr(ref, op).block_matrices()):
+                assert x.tobytes() == y.tobytes()
+
+
+def test_dual_atoms_are_the_adjoint_coefficient_images_bit_for_bit():
+    for seed in range(4):
+        inst = random_instance(seed, "generic")
+        fr, k = inst.frame(), inst.operators["K"]
+        q, _, _ = atomic_coefficients(fr, k, 1e-9)
+        q_adj = q.adjoint()
+        atoms = dual_atoms(fr, k, 1e-9)
+        assert len(atoms) == fr.n_members
+        for j, h in enumerate(atoms):
+            ref = q_adj.apply(coordinate_vector(SPEC, fr.n_members, j))
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(h.stacks, ref.stacks))
+
+
+def test_transform_frame_matches_member_images_to_roundoff():
+    # the image family's synthesis is the one product L U per block; BLAS
+    # blocks that product differently from the J products L f_j, so the
+    # last bits may differ, but never by more than roundoff
+    rng = stream(141, 0)
+    for rank, count in ((1, 3), (2, 4), (3, 6)):
+        fr = random_frame(SPEC, rank, count, rng)
+        l_op = random_operator(SPEC, rank, rank, rng)
+        moved = transform_frame(fr, l_op)
+        assert moved.n_members == count
+        for h, m in zip(moved.members, fr.members):
+            ref = l_op.apply(m)
+            assert (h - ref).norm() <= 1e-12 * max(1.0, ref.norm())
+
+
+def forbid_member_lists(monkeypatch, entry_points):
+    """Make `FrameSeq(members)` raise unless it is reached through one of
+    the entry points that take a caller's or a file's members, so a
+    derived family built member by member fails loudly."""
+    codes = {f.__code__ for f in entry_points}
+    build = FrameSeq.__init__
+
+    def guarded(self, members):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in codes:
+                return build(self, members)
+            frame = frame.f_back
+        raise AssertionError("a family was built from a member list")
+
+    monkeypatch.setattr(FrameSeq, "__init__", guarded)
+
+
+def test_derived_families_are_built_from_their_synthesis_operators(tmp_path, monkeypatch):
+    generic = random_instance(5, "generic")
+    perturbed = random_instance(6, "generic")
+    perturbed.h_members = [m.scalar_mul(1.0 + 1e-3) for m in perturbed.members]
+    path, h_path = str(tmp_path / "generic.json"), str(tmp_path / "perturbed.json")
+    save_instance(generic, path)
+    save_instance(perturbed, h_path)
+    # local_atoms_check takes its coefficient representers as a caller's list
+    forbid_member_lists(monkeypatch, (Instance.frame, Instance.h_frame,
+                                      tensor_frame_diagonal, local_atoms_check))
+
+    runs = [["suite", name, "--trials", "3"] for name in SUITES]
+    runs += [[command, "--profile", "generic", "--seed", "2"] for command in COMMANDS
+             if command not in ("suite", "local-atoms")]
+    runs += [["local-atoms", "--profile", "rank-deficient-K", "--seed", "2"],
+             ["check-kframe", "--input", path],
+             ["perturb1", "--input", path, "--profile", "generic"],
+             ["perturb1", "--input", h_path], ["perturb2", "--input", h_path]]
+    assert {r[0] for r in runs} == set(COMMANDS)
+    for argv in runs:
+        assert main(argv + ["--samples", "20"]) in (0, 1, 2), argv
+
+    fr, k = generic.frame(), generic.operators["K"]
+    a, b = generic.bounds["A"], generic.bounds["B"]
+    dual_atoms(fr, k, 1e-9)
+    ks_inverse_frame(fr, k)
+    transform_kframe_audit(fr, generic.operators["L"], k, a, b)
+    coordinate_frame(SPEC, 2)
+    w = tensor_witness(SPEC, AlgebraSpec((1,)))
+    right = coordinate_frame(w.right, 1)
+    assert tensor_frame(w, fr, right).n_members == fr.n_members
+    assert tensor_frame_diagonal(w, coordinate_frame(SPEC, 1), right).n_members == 1
+    with pytest.raises(AssertionError, match="member list"):
+        FrameSeq(fr.members)

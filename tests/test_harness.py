@@ -15,6 +15,7 @@ from cstarframes import (
 )
 from cstarframes import harness
 from cstarframes.harness import paper_truncation_values, tensor_pair_instance
+from cstarframes.sampling import random_vector, stream
 from cstarframes.serialize import dumps_stable, instance_to_dict
 
 
@@ -190,3 +191,43 @@ def test_perturb_suites_audit_at_the_suite_tolerance(monkeypatch, suite):
 def test_run_suite_rejects_counts_below_one(trials, samples):
     with pytest.raises(InputError, match="trials and samples must be >= 1"):
         run_suite("perturb1", trials=trials, samples=samples)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("suite", ["conjugation", "douglas-equivalence"])
+def test_run_suite_rejects_invalid_tolerance(suite, tol):
+    with pytest.raises(InputError, match="tol: "):
+        run_suite(suite, trials=1, tol=tol)
+
+
+def test_run_suite_runs_at_zero_tolerance():
+    report = run_suite("douglas-equivalence", trials=2, tol=0)
+    assert report["config"]["tol"] == 0.0
+    assert report["summary"]["total"] == 2 and report["summary"]["errors"] == 0
+
+
+# -- instance families are drawn as one synthesis operator ----------------------------
+
+
+def test_perturbed_pair_is_the_member_perturbations_bit_for_bit():
+    for seed in range(4):
+        frame = random_instance(seed, "generic").frame()
+        h_seq = harness._perturbed_pair(frame, seed + 3, 1e-3)
+        rng = stream(seed + 3, 8)
+        ref = [m + random_vector(frame.spec, frame.rank, rng).scalar_mul(1e-3)
+               for m in frame.members]
+        assert h_seq.n_members == len(ref)
+        for h, r in zip(h_seq.members, ref):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(h.stacks, r.stacks))
+
+
+def test_generic_members_are_sequential_draws_bit_for_bit():
+    for seed in range(4):
+        inst = random_instance(seed, "generic")
+        rng = stream(seed, 1)
+        n = int(rng.integers(1, 4))
+        j_count = int(rng.integers(n, 7))
+        ref = [random_vector(inst.spec, n, rng) for _ in range(j_count)]
+        assert (inst.rank, len(inst.members)) == (n, j_count)
+        for m, r in zip(inst.members, ref):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(m.stacks, r.stacks))

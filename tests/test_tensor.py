@@ -248,3 +248,16 @@ def test_kron_products_match_entrywise_reference(left, right):
             x.tobytes() == y.tobytes()
             for x, y in zip(got.block_matrices(), want.block_matrices())
         )
+
+
+def test_tensor_frame_is_the_member_products_bit_for_bit():
+    rng = stream(134, 0)
+    for n, m, j_count, i_count in ((1, 1, 1, 1), (1, 2, 3, 2), (2, 1, 2, 4), (2, 2, 3, 3)):
+        f_seq = FrameSeq([random_vector(LEFT, n, rng) for _ in range(j_count)])
+        h_seq = FrameSeq([random_vector(RIGHT, m, rng) for _ in range(i_count)])
+        prod = tensor_frame(W, f_seq, h_seq)
+        ref = FrameSeq([W.vector(f, h) for f in f_seq.members for h in h_seq.members])
+        assert (prod.n_members, prod.rank) == (j_count * i_count, n * m)
+        for op in ("synthesis_op", "frame_op"):
+            for x, y in zip(getattr(prod, op).block_matrices(), getattr(ref, op).block_matrices()):
+                assert x.tobytes() == y.tobytes()
