@@ -29,7 +29,7 @@ from .frames import (
 from .harness import (
     SUITES, _parse_profile, _perturbed_pair, random_instance, run_suite, tensor_pair_instance,
 )
-from .hilbmod import identity_operator
+from .hilbmod import _columns, identity_operator
 from .perturb import pertur1_audit, pertur2_audit
 from .serialize import (
     Instance,
@@ -173,7 +173,7 @@ def _cmd_local_atoms(inst: Instance, args):
     if inst.g_members:
         atoms = inst.g_members
     else:
-        atoms = [s_pinv.apply(m) for m in frame.members]
+        atoms = _columns(s_pinv.compose(frame.synthesis_op))
     c = inst.bounds.get("C")
     if c is None:
         c = (s_pinv.norm() * frame.synthesis_op.norm()) * inst.spec.unit()

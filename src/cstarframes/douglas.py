@@ -10,12 +10,15 @@ reduces to rank-one vectors, so it is the pencil inequality decided by an
 eigen route (`_majorization`), and its failure is witnessed by a singular
 vector of (I - S S^+) T.
 
-Every public call factors S once: one thin SVD per reduced block and one
-rank decision at DEFAULT_RTOL times the largest singular value over all blocks
-(`_Factorization`).  The pseudo-inverse, the range projection S S^+, the
-whitened pencil and the solve all read that one factorization, so a call
-makes exactly one SVD per algebra block; only `equivalence_audit` on a
-failed inclusion adds one per block of (I - S S^+) T for its witness.
+Each operator S is factored at most once in its lifetime: one thin SVD
+per reduced block and one rank decision at DEFAULT_RTOL times the largest
+singular value over all blocks (`_Factorization`), built on first use by
+`_factorization` and kept on S like its norm.  The pseudo-inverse, the
+range projection S S^+, the whitening matrices of the pencil and the solve
+all read that one factorization, so every call after the first on the
+same S makes no SVD of S; only `equivalence_audit` on a failed inclusion
+adds one per block of (I - S S^+) T for its witness.  S's arrays are
+read-only, so the kept factorization cannot go stale.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .certify import (
     psd_certificate,
 )
 from .errors import InputError
-from .hilbmod import ModuleOperator, from_block_matrices
+from .hilbmod import ModuleOperator, _operator, from_block_matrices
 
 DEFAULT_RTOL = 1e-10
 INCLUSION_TOL = 1e-8
@@ -58,27 +61,38 @@ def _check_common_target(t: ModuleOperator, s: ModuleOperator) -> None:
 
 
 class _Factorization:
-    """Thin SVD U_b diag(sigma_b) V_b^H of each reduced block of S, with
-    singular values <= DEFAULT_RTOL * sigma_max (the global largest)
-    treated as zero.  The derived operators are built on first use."""
+    """What the Douglas functions read of S, from one thin SVD
+    U_b diag(sigma_b) V_b^H per reduced block with singular values <=
+    DEFAULT_RTOL * sigma_max (the global largest) treated as zero: the
+    rank cut, S^+ and the per-block whitening matrices, built with the
+    SVDs, which are then dropped; S S^+ is built on first use.
+
+    `s` is a twin of S over the same read-only arrays, not S itself, so
+    the factorization kept on S holds no reference back to it and S with
+    everything kept on it is freed by reference counting."""
 
     def __init__(self, s: ModuleOperator):
-        self.s = s
-        self.svds = [np.linalg.svd(m, full_matrices=False) for m in s.block_matrices()]
-        self.smax = max((sig.max() if sig.size else 0.0) for _, sig, _ in self.svds)
+        self.s = _operator(s.spec, s.in_rank, s.out_rank, s.block_matrices())
+        svds = [np.linalg.svd(m, full_matrices=False) for m in s.block_matrices()]
+        self.smax = max((sig.max() if sig.size else 0.0) for _, sig, _ in svds)
         self.cut = DEFAULT_RTOL * self.smax
-
-    @cached_property
-    def pinv(self) -> ModuleOperator:
-        """S^+, inverted per reduced block in place, hence A-linear."""
-        mats = []
-        for u, sig, vh in self.svds:
+        # per block, W_b = U_k diag(1 / sigma_k) U_k^H over the kept
+        # singular values, the pseudo-inverse square root of S_b S_b^H;
+        # None for a block that keeps none
+        self.whiteners: list[Optional[np.ndarray]] = []
+        pinvs = []
+        for u, sig, vh in svds:
+            keep = sig > self.cut
             if self.smax == 0.0:
-                mats.append(np.zeros((vh.shape[1], u.shape[0]), dtype=complex))
-                continue
-            inv = np.where(sig > self.cut, 1.0 / np.where(sig > 0, sig, 1.0), 0.0)
-            mats.append((vh.conj().T * inv) @ u.conj().T)
-        return from_block_matrices(self.s.spec, self.s.out_rank, self.s.in_rank, mats)
+                pinvs.append(np.zeros((vh.shape[1], u.shape[0]), dtype=complex))
+            else:
+                inv = np.where(keep, 1.0 / np.where(sig > 0, sig, 1.0), 0.0)
+                pinvs.append((vh.conj().T * inv) @ u.conj().T)
+            self.whiteners.append(
+                (u[:, keep] / sig[keep]) @ u[:, keep].conj().T if keep.any() else None
+            )
+        # S^+, inverted per reduced block in place, hence A-linear
+        self.pinv = from_block_matrices(s.spec, s.out_rank, s.in_rank, pinvs)
 
     @cached_property
     def proj(self) -> ModuleOperator:
@@ -102,11 +116,9 @@ class _Factorization:
         if residual > INCLUSION_TOL * max(1.0, tnorm):
             return 0.0
         lam_max = 0.0
-        for mt, (u, sig, _) in zip(t.block_matrices(), self.svds):
-            keep = sig > self.cut
-            if not keep.any():
+        for mt, w in zip(t.block_matrices(), self.whiteners):
+            if w is None:
                 continue
-            w = (u[:, keep] / sig[keep]) @ u[:, keep].conj().T
             lam = float(_spectral_norm(w @ mt)) ** 2
             lam_max = max(lam_max, lam)
         if lam_max == 0.0:
@@ -126,21 +138,29 @@ class _Factorization:
         )
 
 
+def _factorization(s: ModuleOperator) -> _Factorization:
+    """S's factorization, built on first use and kept on S for its lifetime."""
+    if s._fac is None:
+        s._fac = _Factorization(s)
+    return s._fac
+
+
 def pseudo_inverse(t: ModuleOperator) -> ModuleOperator:
     """Moore-Penrose pseudo-inverse as a module operator.
 
     Computed per reduced block with singular values <= DEFAULT_RTOL *
     sigma_max (the global largest singular value) treated as zero.  The
     result is automatically A-linear because each reduced block is
-    inverted in place.
+    inverted in place.  It is computed once per operator and kept, so
+    every call on the same t returns the same operator.
     """
-    return _Factorization(t).pinv
+    return _factorization(t).pinv
 
 
 def range_residual(t: ModuleOperator, s: ModuleOperator) -> float:
     """Norm of (I - S S^+) T, zero exactly when R(T) is inside R(S)."""
     _check_common_target(t, s)
-    return _Factorization(s).range_residual(t)
+    return _factorization(s).range_residual(t)
 
 
 def range_inclusion(t: ModuleOperator, s: ModuleOperator, tol: float) -> bool:
@@ -159,13 +179,13 @@ def pencil_lower_bound(t: ModuleOperator, s: ModuleOperator) -> float:
     tnorm = t.norm()
     if tnorm == 0.0:
         return math.inf
-    return _Factorization(s).pencil(t, tnorm)
+    return _factorization(s).pencil(t, tnorm)
 
 
 def douglas_solve(t: ModuleOperator, s: ModuleOperator, tol: float) -> DouglasReport:
     """Minimal-norm factorization T = S Q with Q = S^+ T, plus diagnostics."""
     _check_common_target(t, s)
-    fac = _Factorization(s)
+    fac = _factorization(s)
     tnorm = t.norm()
     return fac.solve(t, tnorm, tol, fac.pencil(t, tnorm))
 
@@ -214,7 +234,7 @@ def equivalence_audit(
     its samples and seed as null.
     """
     _check_common_target(t, s)
-    fac = _Factorization(s)
+    fac = _factorization(s)
     tnorm = t.norm()
     tscale = max(1.0, tnorm)
 

@@ -23,7 +23,9 @@ writes only them; `entries` (rebuilt on every access), the operator's
 grid constructor, `flat` and `flatten` are the independent route the
 tests check them against.  Because the arrays never change, an operator
 computes its norm once, through the algebra's one spectral-norm kernel,
-and keeps it.
+and keeps it; `douglas` keeps the operator's factorization (rank cut,
+pseudo-inverse, whitening matrices, range projection) in its `_fac` slot
+the same way.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ class ModuleOperator:
     grid on each access, serve the tests; library code builds operators
     with `from_block_matrices`."""
 
-    __slots__ = ("spec", "in_rank", "out_rank", "_mats", "_norm")
+    __slots__ = ("spec", "in_rank", "out_rank", "_mats", "_norm", "_fac")
 
     def __init__(self, spec: AlgebraSpec, entries: Sequence[Sequence[AlgElement]]):
         if not entries or not entries[0]:
@@ -168,6 +170,7 @@ class ModuleOperator:
             ]
         )
         self._norm = None
+        self._fac = None
 
     # -- representations ----------------------------------------------------
 
@@ -390,6 +393,7 @@ def _operator(
     t = object.__new__(ModuleOperator)
     t.spec, t.in_rank, t.out_rank, t._mats = spec, in_rank, out_rank, _readonly(mats)
     t._norm = None
+    t._fac = None
     return t
 
 

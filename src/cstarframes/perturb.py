@@ -48,16 +48,12 @@ class PerturbReport:
         return min(self.branch_M_f, self.branch_M_h)
 
 
-def _check_pair(f_seq: FrameSeq, h_seq: FrameSeq) -> None:
+def difference_synthesis(f_seq: FrameSeq, h_seq: FrameSeq) -> ModuleOperator:
+    """Synthesis operator of the difference family {f_j - h_j}."""
     if f_seq.n_members != h_seq.n_members:
         raise InputError("families must have equal member counts")
     if f_seq.spec != h_seq.spec or f_seq.rank != h_seq.rank:
         raise InputError("families must live in the same module")
-
-
-def difference_synthesis(f_seq: FrameSeq, h_seq: FrameSeq) -> ModuleOperator:
-    """Synthesis operator of the difference family {f_j - h_j}."""
-    _check_pair(f_seq, h_seq)
     return f_seq.synthesis_op - h_seq.synthesis_op
 
 
@@ -80,7 +76,13 @@ def _branch_value(d_op: ModuleOperator, u_op: ModuleOperator) -> float:
 def exact_branch_M(f_seq: FrameSeq, h_seq: FrameSeq) -> tuple[float, float]:
     """Exact single-branch constants of the min-type comparison: the
     smallest M with ||D* f||^2 <= M ||U* f||^2 against each family."""
-    d_op = difference_synthesis(f_seq, h_seq)
+    return _branch_constants(difference_synthesis(f_seq, h_seq), f_seq, h_seq)
+
+
+def _branch_constants(
+    d_op: ModuleOperator, f_seq: FrameSeq, h_seq: FrameSeq
+) -> tuple[float, float]:
+    """`exact_branch_M` given the difference synthesis D."""
     return (
         _branch_value(d_op, f_seq.synthesis_op),
         _branch_value(d_op, h_seq.synthesis_op),
@@ -88,14 +90,14 @@ def exact_branch_M(f_seq: FrameSeq, h_seq: FrameSeq) -> tuple[float, float]:
 
 
 def _sampled_min_ratio(
-    f_seq: FrameSeq, h_seq: FrameSeq, samples: int, seed: int
+    d_adj: ModuleOperator, f_seq: FrameSeq, h_seq: FrameSeq, samples: int, seed: int
 ) -> float:
-    """max over samples of min(q/a, q/b): the sampled min-ratio never
-    exceeds either exact branch constant.  Both audits draw here first, so
-    this is where a sample count below 1 is rejected."""
+    """max over samples of min(q/a, q/b), with D* the adjoint of the
+    difference synthesis: the sampled min-ratio never exceeds either exact
+    branch constant.  Both audits draw here first, so this is where a
+    sample count below 1 is rejected."""
     if samples < 1:
         raise InputError(f"samples must be >= 1, got {samples}")
-    d_adj = difference_synthesis(f_seq, h_seq).adjoint()
     stacks = random_vectors(f_seq.spec, f_seq.rank, stream(seed, 0x3E), samples)
     q = gram_norms(d_adj, stacks)
     ratios = []
@@ -157,9 +159,9 @@ def pertur1_audit(
     M does not exceed min{(1 + ||D||/||A||)^2, (1 + sqrt(lambda)||B||/||C||)^2}
     evaluated from certified bounds of both families.
     """
-    _check_pair(f_seq, h_seq)
-    m_f, m_h = exact_branch_M(f_seq, h_seq)
-    sampled = _sampled_min_ratio(f_seq, h_seq, samples, seed)
+    d_op = difference_synthesis(f_seq, h_seq)
+    m_f, m_h = _branch_constants(d_op, f_seq, h_seq)
+    sampled = _sampled_min_ratio(d_op.adjoint(), f_seq, h_seq, samples, seed)
     m_val = min(m_f, m_h)
 
     if converse:
@@ -303,12 +305,12 @@ def pertur2_audit(
     a_norm = a.norm()
     if max(alpha + gamma / a_norm, beta) >= 1.0:
         raise InputError("constants must satisfy max(alpha + gamma/||A||, beta) < 1")
-    _check_pair(f_seq, h_seq)
+    d_op = difference_synthesis(f_seq, h_seq)
     _require_hypotheses(f_seq, k_op, l_op, a, b, tol)
 
-    m_f, m_h = exact_branch_M(f_seq, h_seq)
-    sampled = _sampled_min_ratio(f_seq, h_seq, samples=min(samples, 200), seed=seed)
-    d_adj = difference_synthesis(f_seq, h_seq).adjoint()
+    m_f, m_h = _branch_constants(d_op, f_seq, h_seq)
+    d_adj = d_op.adjoint()
+    sampled = _sampled_min_ratio(d_adj, f_seq, h_seq, samples=min(samples, 200), seed=seed)
     stacks = random_vectors(f_seq.spec, f_seq.rank, stream(seed, 0xAB), samples)
     lhs = np.sqrt(gram_norms(d_adj, stacks))
     rhs = (

@@ -1,18 +1,28 @@
+import gc
+import inspect
 import math
+import re
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cstarframes
 from cstarframes import (
+    AlgElement,
     AlgebraSpec,
+    Certificate,
     FrameSeq,
+    ModuleOperator,
     atomic_coefficients,
     douglas,
     douglas_solve,
     equivalence_audit,
     identity_operator,
+    optimal_scalar_bounds,
     pencil_lower_bound,
     pseudo_inverse,
     range_inclusion,
@@ -20,6 +30,7 @@ from cstarframes import (
     zero_operator,
 )
 from cstarframes.certify import BOUNDARY_FACTOR
+from cstarframes.hilbmod import from_block_matrices
 from cstarframes.sampling import (
     random_element,
     random_operator,
@@ -269,7 +280,7 @@ def test_audit_near_boundary_pencil_is_inconclusive():
     assert cert.status == "inconclusive"
 
 
-# -- one factorization per call, checked against the per-function code -----------------
+# -- the factored toolkit, checked against the per-function code ---------------------------
 
 ORACLE_SPECS = [AlgebraSpec(d) for d in ((2, 1), (1,), (3, 2, 1))]
 
@@ -392,32 +403,147 @@ def test_exact_cokernel_witness_agrees_with_sequential_sampler(spec, seed, case)
         assert audit.witness["cond_iii_t_adj_norm"] == pytest.approx(t_adj.apply(f).norm())
 
 
-# -- guard: one SVD per algebra block per call ----------------------------------------------
+# -- one factorization per operator ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("dims", [(24, 12), (3, 2, 1)], ids=["24+12", "3+2+1"])
-def test_one_svd_per_block_per_call(dims, monkeypatch):
+def test_one_svd_per_block_per_operator(dims, monkeypatch):
     spec = AlgebraSpec(dims)
     rng = stream(72, len(dims))
     frame = FrameSeq([random_vector(spec, 4, rng) for _ in range(12)])
-    k = frame.synthesis_op.compose(random_operator(spec, 4, 12, rng))
+    u = frame.synthesis_op
+    k = u.compose(random_operator(spec, 4, 12, rng))
     l = k.compose(random_operator(spec, 4, 4, rng))
     real_svd = np.linalg.svd
-    factorizations = []
+    factored = []
 
     def counting_svd(a, full_matrices=True, compute_uv=True, hermitian=False):
         if compute_uv:
-            factorizations.append(a.shape)
+            factored.append(a)
         return real_svd(a, full_matrices=full_matrices, compute_uv=compute_uv, hermitian=hermitian)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    calls = {
-        "douglas_solve": lambda: douglas_solve(k, frame.synthesis_op, 1e-9),
-        "pencil_lower_bound": lambda: pencil_lower_bound(k, frame.synthesis_op),
-        "equivalence_audit": lambda: equivalence_audit(k, l, 1e-9),
-        "atomic_coefficients": lambda: atomic_coefficients(frame, k, 1e-9),
-    }
-    for name, call in calls.items():
-        factorizations.clear()
+    calls = [
+        lambda: douglas_solve(k, u, 1e-9),
+        lambda: pencil_lower_bound(k, u),
+        lambda: equivalence_audit(k, l, 1e-9),
+        lambda: atomic_coefficients(frame, k, 1e-9),
+    ]
+    for call in calls:
         call()
-        assert len(factorizations) == spec.n_blocks, name
+    # U is shared by three calls and L is used by one: each is factored
+    # once, one SVD per block of its own stored arrays
+    want = [*u.block_matrices(), *l.block_matrices()]
+    assert len(factored) == len(want) == 2 * spec.n_blocks
+    assert all(a is b for a, b in zip(factored, want))
+    factored.clear()
+    for call in calls:
+        call()
+    assert factored == []
+    # a content-equal copy is another operator, factored afresh
+    u_copy = _copy(u)
+    pencil_lower_bound(k, u_copy)
+    assert len(factored) == spec.n_blocks
+    assert all(a is b for a, b in zip(factored, u_copy.block_matrices()))
+
+
+def test_only_the_accessor_builds_a_factorization():
+    """Every factorization is built by `douglas._factorization`, which keeps
+    it on its operator, so no uncached path factors an operator again."""
+    pattern = re.compile(r"\b_Factorization\s*\(")
+    hits = [
+        (path.name, line.strip())
+        for path in sorted(Path(cstarframes.__file__).parent.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if pattern.search(line)
+    ]
+    assert len(hits) == 1
+    assert hits[0][0] == "douglas.py"
+    assert hits[0][1] in inspect.getsource(douglas._factorization)
+
+
+def _copy(s):
+    return from_block_matrices(s.spec, s.in_rank, s.out_rank, s.block_matrices())
+
+
+def same_result(a, b):
+    """Bit identity of what the Douglas entry points, `optimal_scalar_bounds`
+    and `atomic_coefficients` return."""
+    if isinstance(a, douglas.DouglasReport):
+        fields = ("inclusion_ok", "residual", "pencil_mu", "q_norm", "q")
+        return all(same_bits(getattr(a, f), getattr(b, f)) for f in fields)
+    if isinstance(a, Certificate):
+        return same_certificate(a, b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(same_result(x, y) for x, y in zip(a, b))
+    if isinstance(a, AlgElement):
+        return all(x.tobytes() == y.tobytes() for x, y in zip(a.blocks, b.blocks))
+    return same_bits(a, b)
+
+
+DOUGLAS_ENTRY_POINTS = {
+    "pseudo_inverse": lambda t, s: pseudo_inverse(s),
+    "range_residual": range_residual,
+    "pencil_lower_bound": pencil_lower_bound,
+    "douglas_solve": lambda t, s: douglas_solve(t, s, 1e-9),
+    "equivalence_audit": lambda t, s: equivalence_audit(t, s, 1e-9),
+}
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+def test_kept_factorization_gives_the_bits_of_a_fresh_one(spec):
+    for case, t, s in douglas_cases(spec, stream(73, spec.n_blocks)):
+        warm = _copy(s)
+        for call in DOUGLAS_ENTRY_POINTS.values():
+            call(t, warm)
+        for name, call in DOUGLAS_ENTRY_POINTS.items():
+            cold = _copy(s)
+            first = call(t, cold)  # factors cold, unless the pencil of T = 0
+            assert (cold._fac is None) == (case == "zero-T" and name == "pencil_lower_bound")
+            assert same_result(first, call(t, cold)), (case, name)
+            assert same_result(first, call(t, warm)), (case, name)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+def test_kept_factorization_gives_the_bits_of_a_fresh_one_on_frames(spec):
+    rng = stream(74, spec.n_blocks)
+    frame = FrameSeq([random_vector(spec, 3, rng) for _ in range(5)])
+    k = frame.synthesis_op.compose(random_operator(spec, 3, 5, rng))
+    calls = {
+        "optimal_scalar_bounds": lambda fr: optimal_scalar_bounds(fr, k),
+        "optimal_scalar_bounds-identity": lambda fr: optimal_scalar_bounds(fr),
+        "atomic_coefficients": lambda fr: atomic_coefficients(fr, k, 1e-9),
+    }
+    warm = FrameSeq(frame.members)
+    for call in calls.values():
+        call(warm)
+    for name, call in calls.items():
+        cold = FrameSeq(frame.members)
+        first = call(cold)
+        assert cold.synthesis_op._fac is not None, name
+        assert same_result(first, call(cold)), name
+        assert same_result(first, call(warm)), name
+
+
+def test_kept_factorization_holds_no_reference_to_its_operator():
+    s = random_operator(SPEC, 3, 2, stream(75, 0))
+    pinv_block = weakref.ref(pseudo_inverse(s).block_matrices()[0])
+    fac = s._fac
+    assert pinv_block() is not None  # kept on s while s lives
+    seen, todo = set(), [fac]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or not isinstance(
+            obj, (douglas._Factorization, ModuleOperator, dict, list, tuple)
+        ):
+            continue
+        seen.add(id(obj))
+        assert obj is not s
+        todo.extend(gc.get_referents(obj))
+    del fac
+    gc.disable()
+    try:
+        del s
+        assert pinv_block() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
