@@ -23,7 +23,7 @@ DEFAULT_TOL = 1e-9
 
 
 def _spectral_norm(m: np.ndarray):
-    """Largest singular value of a matrix, or of each matrix of a stack.
+    """Largest singular value of a matrix.
 
     Bit for bit numpy's matrix 2-norm, which is the maximum of this same
     singular-value output (LAPACK returns it in descending order) but adds

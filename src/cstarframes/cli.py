@@ -71,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"certification tolerance (default {DEFAULT_TOL:g}; an instance "
                              "file's tolerances.tol applies when the flag is absent)")
     parser.add_argument("--samples", type=int, default=1000,
-                        help="sample count for perturb1, perturb2 and suite; "
-                             "the rest draw no samples")
+                        help="accepted for compatibility, checked (>= 1) and recorded in "
+                             "the report config; no check draws samples")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed, uint64 (default 0; an instance file's "
                              "seed applies when the flag is absent)")
@@ -248,14 +248,10 @@ def _perturb_common(inst: Instance, args, command: str):
 
 def _cmd_perturb1(inst: Instance, args):
     frame, h_seq, k_op, l_op, a, b = _perturb_common(inst, args, "perturb1")
-    rep = pertur1_audit(
-        frame, h_seq, k_op, l_op, a, b, args.tol,
-        samples=min(args.samples, 500), seed=args.seed,
-    )
+    rep = pertur1_audit(frame, h_seq, k_op, l_op, a, b, args.tol)
     values = {
         "branch_M_f": rep.branch_M_f,
         "branch_M_h": rep.branch_M_h,
-        "sampled_M": rep.sampled_M,
         "M": rep.certified_M,
     }
     values.update({f"const.{k}": v for k, v in rep.constants_used.items()})
@@ -268,12 +264,11 @@ def _cmd_perturb2(inst: Instance, args):
     rep = pertur2_audit(
         frame, h_seq, k_op, l_op,
         pert.get("alpha", 0.0), pert.get("beta", 0.0), pert.get("gamma", 0.0),
-        a, b, args.tol, samples=args.samples, seed=args.seed,
+        a, b, args.tol,
     )
     values = {
         "branch_M_f": rep.branch_M_f,
         "branch_M_h": rep.branch_M_h,
-        "sampled_M": rep.sampled_M,
     }
     values.update({f"const.{k}": v for k, v in rep.constants_used.items()})
     return rep.conclusion.status, values, [rep.conclusion]

@@ -343,26 +343,6 @@ class ModuleOperator:
         )
 
 
-def gram_norms(t: ModuleOperator, stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """||<T f_s, T f_s>|| for each vector f_s of a batch, given per block as
-    one (count, n*d_b, d_b) array whose slice s is the `stacks` of f_s.
-
-    One matrix product, one Gram product and one batched spectral norm per
-    block, then the maximum over blocks: sample s is bit for bit
-    `t.apply(f_s).inner(t.apply(f_s)).norm()`, and its square root is
-    `t.apply(f_s).norm()`.
-    """
-    if len(stacks) != t.spec.n_blocks or any(
-        f.shape[1:] != (t.in_rank * d, d) for d, f in zip(t.spec.block_dims, stacks)
-    ):
-        raise InputError("operator/vector batch shape mismatch")
-    norms = []
-    for m, f in zip(t._mats, stacks):
-        x = m @ f
-        norms.append(_spectral_norm(np.swapaxes(x, -2, -1) @ x.conj()))
-    return np.max(norms, axis=0)
-
-
 def _readonly(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False

@@ -1,45 +1,40 @@
 """Perturbation audits for K-frames.
 
-Two hypotheses are checked against a perturbed family {h_j}: the min-type
+Two hypotheses are checked against a perturbed family {h_j}, with D the
+synthesis operator of the difference family {f_j - h_j}: the min-type
 quadratic comparison (a constant M controlling the difference quadratic
-against both families), and the three-constant comparison with weights
-alpha, beta, gamma.  Conclusions (Bessel bound and lower frame bound of
-the perturbed family, with explicit constants) are certified
-through operator pencils; the hypotheses themselves are exact per branch
-but only samplable in their pointwise min/combination forms: a pointwise
-minimum of two quadratic-form ratios, or a sum of square roots of
-quadratic forms, is not one operator inequality, so no single gap
-operator decides it.
+against one of the families), and the three-constant comparison
+||D* f|| <= alpha ||U_F* f|| + beta ||U_H* f|| + gamma ||K* f||.
+Conclusions (Bessel bound and lower frame bound of the perturbed family,
+with explicit constants) are certified through operator pencils.
 
-Each sampled check draws all its samples in one `random_vectors` call and
-evaluates them with `gram_norms`, one batched product per block, with the
-per-sample arithmetic of a one-at-a-time loop.  Memory: every temporary
-of a check holds samples * rank * sum(d_b^2) complex numbers of 16 B
-(times the member count for the analysis images), e.g. 1000 samples at
-rank 3 over (2, 1) take 240 kB each.
+Verdicts draw nothing.  The min-type constants are exact per branch
+(`exact_branch_M`).  The three-constant hypothesis is decided from
+operator inequalities (`_abg_hypothesis`): certified by one sufficient
+gap, falsified only with a rank-one witness evaluated directly, and
+inconclusive in between.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .algebra import AlgElement, DEFAULT_TOL
-from .certify import CERTIFIED, Certificate, FALSIFIED, combine
+from .certify import CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, psd_certificate
 from .douglas import pencil_lower_bound, range_residual
 from .errors import InputError, PreconditionError
 from .frames import FrameSeq, certify_kframe, certify_star_bessel
-from .hilbmod import ModuleOperator, ModuleVector, _vector, gram_norms, identity_operator
-from .sampling import random_vectors, stream
+from .hilbmod import ModuleOperator, ModuleVector, identity_operator
 
 
 @dataclass
 class PerturbReport:
     branch_M_f: float
     branch_M_h: float
-    sampled_M: float
     conclusion: Certificate
     constants_used: dict = field(default_factory=dict)
 
@@ -89,26 +84,6 @@ def _branch_constants(
     )
 
 
-def _sampled_min_ratio(
-    d_adj: ModuleOperator, f_seq: FrameSeq, h_seq: FrameSeq, samples: int, seed: int
-) -> float:
-    """max over samples of min(q/a, q/b), with D* the adjoint of the
-    difference synthesis: the sampled min-ratio never exceeds either exact
-    branch constant.  Both audits draw here first, so this is where a
-    sample count below 1 is rejected."""
-    if samples < 1:
-        raise InputError(f"samples must be >= 1, got {samples}")
-    stacks = random_vectors(f_seq.spec, f_seq.rank, stream(seed, 0x3E), samples)
-    q = gram_norms(d_adj, stacks)
-    ratios = []
-    for seq in (f_seq, h_seq):
-        x = gram_norms(seq.analysis_op, stacks)
-        ratios.append(np.divide(q, x, out=np.full_like(q, math.inf), where=x > 1e-30))
-    worst = np.minimum(*ratios)
-    worst = worst[np.isfinite(worst)]
-    return float(worst.max()) if worst.size else 0.0
-
-
 def _central_sigma_min(a: AlgElement) -> float:
     return float(np.abs(a.central_scalars()).min())
 
@@ -143,11 +118,17 @@ def pertur1_audit(
     a: AlgElement,
     b: AlgElement,
     tol: float = DEFAULT_TOL,
-    samples: int = 200,
-    seed: int = 0,
     converse: bool = False,
 ) -> PerturbReport:
     """Audit the min-type perturbation statement.
+
+    The hypothesis form is the branchwise one: ||D* f||^2 <= M ||U_F* f||^2
+    for all f, or ||D* f||^2 <= M ||U_H* f||^2 for all f.  Its exact
+    constant is M = min(m_f, m_h), the smaller of the two exact branch
+    constants of `exact_branch_M`.  The pointwise form, ||D* f||^2 <=
+    M max(||U_F* f||^2, ||U_H* f||^2) for each f, has a constant no larger
+    (the sup of the pointwise min-ratio); its exact bracket is left open in
+    ROADMAP.md (item 1), and no estimate of it is reported.
 
     Forward mode: with M the smaller exact branch constant, certify that
     {h_j} is Bessel with bound (1 + sqrt(M)) ||B|| and an L-frame with a
@@ -161,12 +142,11 @@ def pertur1_audit(
     """
     d_op = difference_synthesis(f_seq, h_seq)
     m_f, m_h = _branch_constants(d_op, f_seq, h_seq)
-    sampled = _sampled_min_ratio(d_op.adjoint(), f_seq, h_seq, samples, seed)
     m_val = min(m_f, m_h)
 
     if converse:
         return _pertur1_converse(
-            f_seq, h_seq, k_op, l_op, a, b, m_f, m_h, sampled, tol
+            f_seq, h_seq, k_op, l_op, a, b, m_f, m_h, tol
         )
 
     _require_hypotheses(f_seq, k_op, l_op, a, b, tol)
@@ -187,7 +167,7 @@ def pertur1_audit(
             {"reason": "both branch constants are infinite"},
             {"tol": tol},
         )
-        return PerturbReport(m_f, m_h, sampled, conclusion, constants)
+        return PerturbReport(m_f, m_h, conclusion, constants)
 
     bessel_bound = ((1.0 + sqrt_m) * b_norm) * f_seq.spec.unit()
     bessel = certify_star_bessel(h_seq, bessel_bound, tol)
@@ -206,7 +186,7 @@ def pertur1_audit(
         h_seq, l_op, nu, (1.0 + sqrt_m) * b_norm, tol, "perturb-lframe"
     )
     conclusion = combine("perturb-min-conclusion", [bessel, frame_cert])
-    return PerturbReport(m_f, m_h, sampled, conclusion, constants)
+    return PerturbReport(m_f, m_h, conclusion, constants)
 
 
 def _lframe_certificate(
@@ -232,7 +212,6 @@ def _pertur1_converse(
     b: AlgElement,
     m_f: float,
     m_h: float,
-    sampled: float,
     tol: float,
 ) -> PerturbReport:
     ident = identity_operator(f_seq.spec, f_seq.rank)
@@ -272,7 +251,75 @@ def _pertur1_converse(
         "norm_D": d_norm,
         "lambda": lam_val,
     }
-    return PerturbReport(m_f, m_h, sampled, conclusion, constants)
+    return PerturbReport(m_f, m_h, conclusion, constants)
+
+
+# Weight updates of the three-constant falsification search; on the
+# perturb2 ensembles it reaches its fixed point within about ten.
+_WEIGHT_STEPS = 16
+
+
+def _abg_hypothesis(
+    d_op: ModuleOperator, terms: list[tuple[float, ModuleOperator]], tol: float
+) -> Certificate:
+    """Decide ||D* f|| <= sum_i c_i ||M_i* f|| for all f, terms (c_i, M_i).
+
+    As in `douglas._majorization`, the inequality holds for all f iff it
+    holds for rank-one f, that is for the vectors x of the flattening.
+    With a_i = ||M_i* x||, (sum_i c_i a_i)^2 is the minimum over w in the
+    simplex of sum_i c_i^2 a_i^2 / w_i (Cauchy-Schwarz, attained at w_i
+    proportional to c_i a_i), so the inequality holds iff D D* <= P(w) =
+    sum_i c_i^2 M_i M_i* / w_i for every w in the simplex.
+
+    certified: `psd_certificate` passes on sum_i c_i^2 M_i M_i* - D D*,
+    the gap at w = (1, ..., 1), which lies below every P(w) - D D*.
+    falsified: an x with x^H (P(w) - D D*) x < 0 violates the inequality,
+    as x^H P(w) x >= (sum_i c_i a_i)^2.  The search starts at the least
+    eigenvector of the sufficient gap and moves w to the minimiser for the
+    last eigenvector x, which does not raise the least eigenvalue once w
+    is in the simplex; no RNG.  An eigenvector is the witness only when
+    ||D* x|| > rhs + tol max(1, rhs), both sides evaluated directly.
+    inconclusive: neither, within `_WEIGHT_STEPS` weight updates; the
+    witness holds the sufficient gap's and the largest lhs - rhs found.
+    """
+    claim = "perturb-abg-hypothesis"
+    d_adj = d_op.adjoint()
+    dd = d_op.compose(d_adj)
+    adjs = [m.adjoint() for _, m in terms]
+    grams = [m.compose(adj).scalar_mul(c * c) for (c, m), adj in zip(terms, adjs)]
+
+    def gap_at(inv_w: np.ndarray) -> ModuleOperator:
+        """P(w) - D D*, given 1 / w."""
+        return reduce(ModuleOperator.__add__, [g.scalar_mul(s) for g, s in zip(grams, inv_w)]) - dd
+
+    inv_w = np.ones(len(terms))
+    gap = gap_at(inv_w)
+    sufficient = psd_certificate(gap, tol, claim)
+    if sufficient.ok:
+        return sufficient
+    best = -math.inf
+    for _ in range(_WEIGHT_STEPS):
+        min_eig, f = gap.negative_witness()
+        lhs = d_adj.apply(f).norm()
+        parts = np.array([c * adj.apply(f).norm() for (c, _), adj in zip(terms, adjs)])
+        rhs = float(parts.sum())
+        if lhs > rhs + tol * max(1.0, rhs):
+            weights = [float(w) for w in 1.0 / inv_w]
+            return Certificate(
+                FALSIFIED,
+                claim,
+                {"lhs": lhs, "rhs": rhs, "min_eig": min_eig, "weights": weights},
+                {"tol": tol},
+                witness_vector=f,
+            )
+        best = max(best, lhs - rhs)
+        if rhs == 0.0:
+            break
+        inv_w = rhs / np.maximum(parts, np.finfo(float).eps * rhs)
+        gap = gap_at(inv_w)
+    return Certificate(
+        INCONCLUSIVE, claim, {**sufficient.witness, "lhs_minus_rhs_max": best}, {"tol": tol}
+    )
 
 
 def pertur2_audit(
@@ -286,13 +333,13 @@ def pertur2_audit(
     a: AlgElement,
     b: AlgElement,
     tol: float = DEFAULT_TOL,
-    samples: int = 1000,
-    seed: int = 0,
 ) -> PerturbReport:
     """Audit the three-constant perturbation statement.
 
-    The pointwise hypothesis is checked on samples (sound falsification
-    with a witness; a clean pass is recorded as sampled-consistent).  The
+    The hypothesis ||D* f|| <= alpha ||U_F* f|| + beta ||U_H* f|| +
+    gamma ||K* f|| is decided by `_abg_hypothesis`, and its status is
+    recorded as constants_used["hypothesis"].  When it is falsified, the
+    conclusion is that certificate, with its witness.  Otherwise the
     conclusion is certified: the Bessel norm of {h_j} against the explicit
     constant ||B|| (1 + (alpha + beta + gamma/||A||)/(1 - beta)), the
     L-frame property through pencils, and the lower constant g_sound, with
@@ -309,34 +356,12 @@ def pertur2_audit(
     _require_hypotheses(f_seq, k_op, l_op, a, b, tol)
 
     m_f, m_h = _branch_constants(d_op, f_seq, h_seq)
-    d_adj = d_op.adjoint()
-    sampled = _sampled_min_ratio(d_adj, f_seq, h_seq, samples=min(samples, 200), seed=seed)
-    stacks = random_vectors(f_seq.spec, f_seq.rank, stream(seed, 0xAB), samples)
-    lhs = np.sqrt(gram_norms(d_adj, stacks))
-    rhs = (
-        alpha * np.sqrt(gram_norms(f_seq.analysis_op, stacks))
-        + beta * np.sqrt(gram_norms(h_seq.analysis_op, stacks))
-        + gamma * np.sqrt(gram_norms(k_op.adjoint(), stacks))
+    hypothesis = _abg_hypothesis(
+        d_op, [(alpha, f_seq.synthesis_op), (beta, h_seq.synthesis_op), (gamma, k_op)], tol
     )
-    violating = np.flatnonzero(lhs > rhs + tol * np.maximum(1.0, rhs))
-    if violating.size:
-        i = int(violating[0])
-        conclusion = Certificate(
-            FALSIFIED,
-            "perturb-abg-hypothesis",
-            {"violating_sample": i, "lhs": float(lhs[i]), "rhs": float(rhs[i])},
-            {"tol": tol},
-            samples,
-            seed,
-            witness_vector=_vector(f_seq.spec, [s[i] for s in stacks]),
-        )
-        return PerturbReport(
-            m_f,
-            m_h,
-            sampled,
-            conclusion,
-            {"alpha": alpha, "beta": beta, "gamma": gamma},
-        )
+    if hypothesis.status == FALSIFIED:
+        constants = {"alpha": alpha, "beta": beta, "gamma": gamma, "hypothesis": FALSIFIED}
+        return PerturbReport(m_f, m_h, hypothesis, constants)
 
     b_norm = b.norm()
     sigma_min = _central_sigma_min(a)
@@ -392,6 +417,6 @@ def pertur2_audit(
         "upper_const": upper_const,
         "g_reference": g_reference,
         "g_sound": g_sound,
-        "hypothesis": "sampled-consistent",
+        "hypothesis": hypothesis.status,
     }
-    return PerturbReport(m_f, m_h, sampled, conclusion, constants)
+    return PerturbReport(m_f, m_h, conclusion, constants)

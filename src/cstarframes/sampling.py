@@ -12,9 +12,8 @@ between calls, so the batch is bit for bit the same as drawing its
 vectors one call at a time; `random_vector` is the batch of one and
 `random_operator` draws its columns as one batch.
 
-Verdicts draw nothing except the perturbation hypotheses of `perturb`,
-whose pointwise forms no single operator inequality decides; every other
-check is decided exactly.  Elsewhere these generators build instances.
+Verdicts draw nothing: every check is decided exactly, so these
+generators only build instances.
 """
 
 from __future__ import annotations

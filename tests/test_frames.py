@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cstarframes import (
+    AlgElement,
     AlgebraSpec,
     AtomicSystemError,
     FrameSeq,
@@ -116,6 +117,14 @@ def test_frame_operator_factors_through_flattening():
     lhs = fr.frame_op.flatten()
     rhs = fr.synthesis_op.flatten() @ fr.analysis_op.flatten()
     assert np.linalg.norm(lhs - rhs) <= 1e-11 * max(1.0, np.linalg.norm(rhs))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_nonfinite_members_rejected(bad):
+    entry = AlgElement(SPEC, [np.full((2, 2), bad), np.ones((1, 1))])
+    members = [*coordinate_frame(SPEC, 2).members, ModuleVector(SPEC, [entry, SPEC.zero()])]
+    with pytest.raises(InputError, match="finite"):
+        FrameSeq(members)
 
 
 # -- analysis / synthesis ----------------------------------------------------------------

@@ -17,8 +17,11 @@ from cstarframes import (
     pencil_lower_bound,
     pertur1_audit,
     pertur2_audit,
+    run_suite,
     transform_frame,
 )
+from cstarframes import harness
+from cstarframes.harness import random_instance
 from cstarframes.perturb import difference_synthesis
 from cstarframes.sampling import random_operator, random_unitary, random_vector, stream
 
@@ -137,9 +140,8 @@ def test_pertur1_trivial_equal_families():
     fr = random_frame(2, 5, rng)
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
     a, b = margin_bounds(fr, k)
-    rep = pertur1_audit(fr, fr, k, k, a, b, samples=50, seed=1)
+    rep = pertur1_audit(fr, fr, k, k, a, b)
     assert rep.certified_M == 0.0
-    assert rep.sampled_M <= 1e-20
     assert rep.conclusion.status == "certified"
 
 
@@ -149,7 +151,7 @@ def test_pertur1_planted_small_perturbation():
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
     a, b = margin_bounds(fr, k)
     hs = perturbed(fr, rng, 1e-3)
-    rep = pertur1_audit(fr, hs, k, k, a, b, samples=100, seed=2)
+    rep = pertur1_audit(fr, hs, k, k, a, b)
     assert rep.conclusion.status == "certified"
     assert rep.certified_M < 1e-2
     assert math.sqrt(rep.constants_used["bessel_of_h"] ** 2) <= (
@@ -158,13 +160,16 @@ def test_pertur1_planted_small_perturbation():
 
 
 def test_pertur1_sampled_ratio_below_branches():
+    # the pointwise min-ratio min(q/a, q/b) of every f lies below both
+    # exact branch constants, so its sampled maximum does too
     rng = stream(150, 0)
     fr = random_frame(2, 4, rng)
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 4, rng))
     a, b = margin_bounds(fr, k)
     hs = perturbed(fr, rng, 0.4)
-    rep = pertur1_audit(fr, hs, k, k, a, b, samples=200, seed=3)
-    assert rep.sampled_M <= min(rep.branch_M_f, rep.branch_M_h) + 1e-9
+    rep = pertur1_audit(fr, hs, k, k, a, b)
+    sampled = sequential_min_ratio(fr, hs, 200, 3)
+    assert 0.0 < sampled <= min(rep.branch_M_f, rep.branch_M_h) + 1e-9
 
 
 def test_pertur1_conclusion_soundness():
@@ -176,7 +181,7 @@ def test_pertur1_conclusion_soundness():
         k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
         a, b = margin_bounds(fr, k)
         hs = perturbed(fr, rng, 1e-3)
-        rep = pertur1_audit(fr, hs, k, k, a, b, samples=50, seed=10 + trial)
+        rep = pertur1_audit(fr, hs, k, k, a, b)
         if rep.conclusion.status != "certified":
             continue
         nu = rep.constants_used["pencil_lower_H"]
@@ -192,7 +197,7 @@ def test_pertur1_requires_base_frame():
     k = identity_operator(SPEC, 2)
     bad_a = 100.0 * SPEC.unit()
     with pytest.raises(PreconditionError, match="K-frame"):
-        pertur1_audit(fr, fr, k, k, bad_a, 100.0 * SPEC.unit(), samples=10, seed=0)
+        pertur1_audit(fr, fr, k, k, bad_a, 100.0 * SPEC.unit())
 
 
 def test_pertur1_requires_range_inclusion():
@@ -206,7 +211,7 @@ def test_pertur1_requires_range_inclusion():
     a, b = margin_bounds(fr, k)
     l_full = identity_operator(SPEC, 2)
     with pytest.raises(PreconditionError, match="R\\(L\\)"):
-        pertur1_audit(fr, fr, k, l_full, a, b, samples=10, seed=0)
+        pertur1_audit(fr, fr, k, l_full, a, b)
 
 
 def test_pertur1_converse_constant():
@@ -215,7 +220,7 @@ def test_pertur1_converse_constant():
     ident = identity_operator(SPEC, 2)
     a, b = margin_bounds(fr, ident)
     hs = perturbed(fr, rng, 0.2)
-    rep = pertur1_audit(fr, hs, ident, ident, a, b, samples=50, seed=4, converse=True)
+    rep = pertur1_audit(fr, hs, ident, ident, a, b, converse=True)
     assert rep.conclusion.status == "certified"
     assert rep.certified_M <= rep.constants_used["reference_M"] + 1e-9
 
@@ -228,8 +233,8 @@ def test_pertur2_exact_zero_constants():
     fr = random_frame(2, 5, rng)
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
     a, b = margin_bounds(fr, k)
-    rep = pertur2_audit(fr, fr, k, k, 0.0, 0.0, 0.0, a, b, samples=100, seed=5)
-    assert rep.constants_used["hypothesis"] == "sampled-consistent"
+    rep = pertur2_audit(fr, fr, k, k, 0.0, 0.0, 0.0, a, b)
+    assert rep.constants_used["hypothesis"] == "certified"
     assert rep.conclusion.status == "certified"
 
 
@@ -242,8 +247,8 @@ def test_pertur2_closed_form_scaling():
     a, b = margin_bounds(fr, k)
     delta = 0.1
     hs = FrameSeq([m.scalar_mul(1 - delta) for m in fr.members])
-    rep = pertur2_audit(fr, hs, k, k, delta, 0.0, 0.0, a, b, samples=200, seed=6)
-    assert rep.constants_used["hypothesis"] == "sampled-consistent"
+    rep = pertur2_audit(fr, hs, k, k, delta, 0.0, 0.0, a, b)
+    assert rep.constants_used["hypothesis"] == "certified"
     assert rep.conclusion.status == "certified"
 
 
@@ -254,10 +259,8 @@ def test_pertur2_planted_ensemble():
         k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
         a, b = margin_bounds(fr, k)
         hs = perturbed(fr, rng, 1e-3)
-        rep = pertur2_audit(
-            fr, hs, k, k, 0.2, 0.1, 0.05, a, b, samples=200, seed=20 + trial
-        )
-        assert rep.constants_used["hypothesis"] == "sampled-consistent"
+        rep = pertur2_audit(fr, hs, k, k, 0.2, 0.1, 0.05, a, b)
+        assert rep.constants_used["hypothesis"] == "certified"
         assert rep.conclusion.status == "certified"
 
 
@@ -283,7 +286,7 @@ def test_pertur2_lower_constant_is_the_pencil_bound():
         k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
         a, b = margin_bounds(fr, k)
         hs = perturbed(fr, rng, 1e-3)
-        rep = pertur2_audit(fr, hs, k, k, 0.2, 0.1, 0.05, a, b, samples=200, seed=20 + trial)
+        rep = pertur2_audit(fr, hs, k, k, 0.2, 0.1, 0.05, a, b)
         assert rep.conclusion.witness["part2:perturb-abg-lower"] == "certified"
         g_sound = rep.constants_used["g_sound"]
         pencil = pencil_lower_bound(k, hs.synthesis_op)
@@ -318,10 +321,10 @@ def test_pertur2_falsifies_violated_hypothesis():
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
     a, b = margin_bounds(fr, k)
     hs = perturbed(fr, rng, 0.5)
-    rep = pertur2_audit(fr, hs, k, k, 0.0, 0.0, 0.0, a, b, samples=100, seed=7)
-    assert rep.conclusion.status == "falsified"
+    rep = pertur2_audit(fr, hs, k, k, 0.0, 0.0, 0.0, a, b)
+    assert rep.constants_used["hypothesis"] == "falsified"
     assert rep.conclusion.claim == "perturb-abg-hypothesis"
-    assert rep.conclusion.witness_vector is not None
+    assert_witness_rechecks(rep.conclusion, fr, hs, k, (0.0, 0.0, 0.0))
 
 
 # -- shared invariants --------------------------------------------------------------------------
@@ -340,7 +343,29 @@ def test_triangle_consistency():
         assert abs(nh - nf) <= nd + 1e-10
 
 
-# -- batched sampling against the one-sample-at-a-time loops ---------------------------
+
+
+# -- the three-constant hypothesis against direct evaluation ---------------------------
+
+ABG = (0.2, 0.1, 0.05)  # the constants of the perturb2 suite
+
+
+def assert_witness_rechecks(cert, fr, hs, k, constants, tol=1e-9):
+    """A falsified three-constant hypothesis carries f with ||D* f|| >
+    rhs + tol max(1, rhs), re-evaluated here through the difference
+    quadratic and the member-by-member coefficient Grams."""
+    assert cert.status == "falsified" and cert.claim == "perturb-abg-hypothesis"
+    w = cert.witness_vector
+    alpha, beta, gamma = constants
+    lhs = math.sqrt(difference_quadratic(fr, hs, w))
+    rhs = (
+        alpha * math.sqrt(coefficient_gram_direct(fr, w).norm())
+        + beta * math.sqrt(coefficient_gram_direct(hs, w).norm())
+        + gamma * k.adjoint().apply(w).norm()
+    )
+    assert lhs > rhs + tol * max(1.0, rhs)
+    assert lhs == pytest.approx(cert.witness["lhs"], rel=1e-9)
+    assert rhs == pytest.approx(cert.witness["rhs"], rel=1e-9)
 
 
 def sequential_min_ratio(fr, hs, samples, seed):
@@ -357,6 +382,8 @@ def sequential_min_ratio(fr, hs, samples, seed):
 
 
 def sequential_abg_violation(fr, hs, k, alpha, beta, gamma, tol, samples, seed):
+    """First sampled f violating the three-constant hypothesis, the check
+    `pertur2_audit` once ran one sample at a time."""
     rng = stream(seed, 0xAB)
     for i in range(samples):
         f = random_vector(fr.spec, fr.rank, rng)
@@ -372,14 +399,15 @@ def sequential_abg_violation(fr, hs, k, alpha, beta, gamma, tol, samples, seed):
 
 
 def _abg_setup(case):
-    if case == "scaled":  # test_pertur2_closed_form_scaling: consistent
+    if case == "scaled":  # test_pertur2_closed_form_scaling: holds
         rng = stream(156, 0)
         fr = random_frame(2, 5, rng)
         k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
         hs = FrameSeq([m.scalar_mul(1 - 0.1) for m in fr.members])
         return fr, hs, k, (0.1, 0.0, 0.0), 200, 6
-    # test_pertur2_falsifies_violated_hypothesis, and a later violating sample
-    eps, constants = {"zero": (0.5, (0.0, 0.0, 0.0)), "mixed": (0.3, (0.2, 0.1, 0.05))}[case]
+    # test_pertur2_falsifies_violated_hypothesis, and a case where the
+    # loop's first violation is not its first sample
+    eps, constants = {"zero": (0.5, (0.0, 0.0, 0.0)), "mixed": (0.3, ABG)}[case]
     rng = stream(159, 0)
     fr = random_frame(2, 5, rng)
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
@@ -387,50 +415,51 @@ def _abg_setup(case):
 
 
 @pytest.mark.parametrize("case", ["scaled", "zero", "mixed"])
-def test_batched_audits_match_sequential_loops(case):
+def test_exact_hypothesis_agrees_with_sequential_loop(case):
+    # every violation the sampling loop finds shows as a falsified
+    # hypothesis whose own witness re-checks
     fr, hs, k, constants, samples, seed = _abg_setup(case)
     a, b = margin_bounds(fr, k)
-    rep = pertur2_audit(fr, hs, k, k, *constants, a, b, samples=samples, seed=seed)
-    assert rep.sampled_M == sequential_min_ratio(fr, hs, min(samples, 200), seed)
-    rep1 = pertur1_audit(fr, hs, k, k, a, b, samples=samples, seed=seed)
-    assert rep1.sampled_M == sequential_min_ratio(fr, hs, samples, seed)
-
-    want = sequential_abg_violation(fr, hs, k, *constants, 1e-9, samples, seed)
-    if want is None:
-        assert rep.constants_used["hypothesis"] == "sampled-consistent"
+    rep = pertur2_audit(fr, hs, k, k, *constants, a, b)
+    found = sequential_abg_violation(fr, hs, k, *constants, 1e-9, samples, seed)
+    if case == "scaled":
+        assert found is None
+        assert rep.constants_used["hypothesis"] == "certified"
         return
-    cert = rep.conclusion
-    assert cert.claim == "perturb-abg-hypothesis"
-    assert (cert.witness["violating_sample"], cert.witness["lhs"], cert.witness["rhs"]) == want
-    if case == "mixed":
-        assert want[0] > 0
-
-    # the witness re-checks through the difference quadratic and term-by-term grams
-    w = cert.witness_vector
-    alpha, beta, gamma = constants
-    lhs = math.sqrt(difference_quadratic(fr, hs, w))
-    rhs = (
-        alpha * math.sqrt(coefficient_gram_direct(fr, w).norm())
-        + beta * math.sqrt(coefficient_gram_direct(hs, w).norm())
-        + gamma * k.adjoint().apply(w).norm()
-    )
-    assert lhs == pytest.approx(cert.witness["lhs"], rel=1e-12)
-    assert lhs > rhs
+    assert found is not None and (found[0] > 0) == (case == "mixed")
+    assert rep.constants_used["hypothesis"] == "falsified"
+    assert_witness_rechecks(rep.conclusion, fr, hs, k, constants)
 
 
-def test_sample_counts_below_one_rejected():
-    """A count below 1 draws nothing to check the hypothesis on, so it is
-    an input error, not a sampled-consistent pass."""
-    rng = stream(155, 0)
-    fr = random_frame(2, 5, rng)
-    k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
-    a, b = margin_bounds(fr, k)
-    hs = perturbed(fr, rng, 0.5)
-    for samples in (0, -1):
-        with pytest.raises(InputError, match="samples must be >= 1"):
-            pertur1_audit(fr, hs, k, k, a, b, samples=samples, seed=1)
-        with pytest.raises(InputError, match="samples must be >= 1"):
-            pertur2_audit(fr, hs, k, k, 0.0, 0.0, 0.0, a, b, samples=samples, seed=1)
-    # one sample is enough: with alpha = beta = gamma = 0 it violates the hypothesis
-    rep = pertur2_audit(fr, hs, k, k, 0.0, 0.0, 0.0, a, b, samples=1, seed=1)
-    assert rep.conclusion.status == "falsified" and rep.conclusion.samples == 1
+def _suite_trial(trial, epsilon, seed=0):
+    """Families, K and bounds of a perturb2 suite trial, built as
+    `harness._perturb2_trial` builds them."""
+    inst = random_instance(harness._trial_seed(seed, trial), "generic")
+    frame = inst.frame()
+    h_seq = harness._perturbed_pair(frame, harness._trial_seed(seed, trial) + 3, epsilon)
+    return frame, h_seq, inst.operators["K"], inst.bounds["A"], inst.bounds["B"]
+
+
+@pytest.mark.parametrize("trial", [10, 20])
+def test_pertur2_wrong_sampled_pass_is_falsified(trial):
+    # epsilon = 0.3, seed 0: 1000 samples found no violation of the
+    # hypothesis here, yet a rank-one vector read off the weighted pencil
+    # violates it
+    fr, hs, k, a, b = _suite_trial(trial, 0.3)
+    rep = pertur2_audit(fr, hs, k, k, *ABG, a, b)
+    assert rep.constants_used["hypothesis"] == "falsified"
+    assert_witness_rechecks(rep.conclusion, fr, hs, k, ABG)
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.3])
+def test_perturb2_suite_at_larger_epsilon(epsilon):
+    report = run_suite("perturb2", trials=40, seed=0, epsilon=epsilon)
+    for row in report["trials"]:
+        assert row["status"] != "falsified"
+        if row["status"] == "inconclusive":
+            assert row["hypothesis"] == "inconclusive"
+        if row["hypothesis"] == "falsified":
+            fr, hs, k, a, b = _suite_trial(row["trial"], epsilon)
+            rep = pertur2_audit(fr, hs, k, k, *ABG, a, b)
+            assert row["conclusion_status"] == "falsified"
+            assert_witness_rechecks(rep.conclusion, fr, hs, k, ABG)

@@ -9,12 +9,14 @@ from cstarframes import (
     atomic_coefficients,
     equivalence_audit,
     local_atoms_check,
+    pertur1_audit,
+    pertur2_audit,
     run_suite,
     sampling,
     save_instance,
 )
 from cstarframes.cli import main
-from cstarframes.harness import random_instance
+from cstarframes.harness import _perturbed_pair, random_instance
 from cstarframes.sampling import random_vector, random_vectors, stream
 
 SPEC = AlgebraSpec((2, 1))
@@ -63,7 +65,8 @@ def test_rank_zero_batch_rejected():
 
 def forbid_draws(monkeypatch, generators=()):
     """Make `random_vectors` raise unless it is reached through one of the
-    instance generators, so a check that samples fails loudly."""
+    instance generators, so a check that samples fails loudly; every
+    module of the library that imported it by name is patched too."""
     codes = {g.__code__ for g in generators}
 
     def guarded(*args, **kwargs):
@@ -74,13 +77,20 @@ def forbid_draws(monkeypatch, generators=()):
             frame = frame.f_back
         raise AssertionError("an exact check drew random vectors")
 
-    monkeypatch.setattr(sampling, "random_vectors", guarded)
+    guarded.replaces_random_vectors = True
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cstarframes":
+            for attr, value in list(vars(module).items()):
+                if value is random_vectors or hasattr(value, "replaces_random_vectors"):
+                    monkeypatch.setattr(module, attr, guarded)
 
 
 def test_exact_checks_draw_nothing(tmp_path, monkeypatch):
     generic = random_instance(3, "generic")
     rankdef = random_instance(4, "rank-deficient-K")
     frame, k, l = generic.frame(), generic.operators["K"], generic.operators["L"]
+    a, b = generic.bounds["A"], generic.bounds["B"]
+    h_seq = _perturbed_pair(frame, 5, 0.3)
     paths = {}
     for name, inst in (("generic", generic), ("rankdef", rankdef)):
         paths[name] = str(tmp_path / f"{name}.json")
@@ -97,6 +107,10 @@ def test_exact_checks_draw_nothing(tmp_path, monkeypatch):
     cert = equivalence_audit(k, l, 1e-9, seed=5)
     assert cert.status == "certified" and (cert.samples, cert.seed) == (None, None)
     atomic_coefficients(frame, k, 1e-9, seed=5)
+    assert pertur1_audit(frame, h_seq, k, l, a, b).conclusion.samples is None
+    rep = pertur2_audit(frame, h_seq, k, l, 0.2, 0.1, 0.05, a, b)
+    assert rep.constants_used["hypothesis"] == "falsified"
+    assert (rep.conclusion.samples, rep.conclusion.seed) == (None, None)
 
     for argv in (["douglas", "--input", paths["generic"]],
                  ["atomic-system", "--input", paths["generic"]],
@@ -108,5 +122,5 @@ def test_exact_checks_draw_nothing(tmp_path, monkeypatch):
     assert run_suite("paper-example", seed=1)["summary"]["overall"] == "certified"
     # these suites build their instances by sampling; their checks may not
     forbid_draws(monkeypatch, (sampling.random_operator, random_instance))
-    for suite in ("douglas-equivalence", "kframe-main"):
+    for suite in ("douglas-equivalence", "kframe-main", "perturb1", "perturb2"):
         assert run_suite(suite, trials=6, seed=1)["summary"]["overall"] == "certified"
