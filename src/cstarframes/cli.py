@@ -3,12 +3,14 @@
 Commands read a JSON instance (--input) or generate one from a named
 ensemble (--profile), run the requested certification, optionally write a
 JSON report (--report), and exit with 0 = certified / all-pass,
-1 = falsified, 2 = inconclusive, 3 = input error.
+1 = falsified, 2 = inconclusive, 3 = input error or an unwritable report
+path (argparse usage errors exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -58,7 +60,11 @@ COMMANDS = (
 EXIT_CODES = {CERTIFIED: 0, FALSIFIED: 1, INCONCLUSIVE: 2}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.  Its usage string is
+    formatted here and kept in `parser.usage`, so parsing does not format
+    it again on every call; the text is the one argparse would format."""
     parser = argparse.ArgumentParser(
         prog="cstarframes",
         description="Certify frame inequalities on finite-dimensional Hilbert C*-modules.",
@@ -79,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--report", help="write a JSON report here")
     parser.add_argument("--profile", help="generate the instance from this ensemble profile")
     parser.add_argument("--trials", type=int, default=100, help="trial count (suite command)")
+    parser.usage = parser.format_usage().removeprefix("usage: ")
     return parser
 
 
@@ -355,7 +362,10 @@ def main(argv=None) -> int:
             )
             print(f"{args.command}: {report['status']}" + (f" ({extras})" if extras else ""))
         if args.report:
-            write_report(report, args.report)
+            try:
+                write_report(report, args.report)
+            except OSError as exc:
+                raise InputError(f"cannot write report {args.report}: {exc}") from exc
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -40,7 +40,7 @@ from .certify import (
     psd_certificate,
 )
 from .errors import InputError
-from .hilbmod import ModuleOperator, _operator, from_block_matrices
+from .hilbmod import ModuleOperator, _operator
 
 DEFAULT_RTOL = 1e-10
 INCLUSION_TOL = 1e-8
@@ -92,7 +92,7 @@ class _Factorization:
                 (u[:, keep] / sig[keep]) @ u[:, keep].conj().T if keep.any() else None
             )
         # S^+, inverted per reduced block in place, hence A-linear
-        self.pinv = from_block_matrices(s.spec, s.out_rank, s.in_rank, pinvs)
+        self.pinv = _operator(s.spec, s.out_rank, s.in_rank, pinvs)
 
     @cached_property
     def proj(self) -> ModuleOperator:

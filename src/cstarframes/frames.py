@@ -46,6 +46,7 @@ from .hilbmod import (
     ModuleOperator,
     ModuleVector,
     _columns,
+    _operator,
     _vector,
     diagonal_operator,
     from_block_matrices,
@@ -69,8 +70,6 @@ class FrameSeq:
         if any(m.spec != spec or m.rank != rank for m in members):
             raise InputError("all frame members must share spec and rank")
         stacked = [np.hstack(s) for s in zip(*(m.stacks for m in members))]
-        if not all(np.isfinite(s).all() for s in stacked):
-            raise InputError("frame members must have finite entries")
         _adopt(self, from_block_matrices(spec, len(members), rank, stacked))
 
     @property
@@ -213,7 +212,7 @@ def _mixed_gap(
             bound.scalar_blocks(tol), central_gap.block_matrices(), other_gap.block_matrices()
         )
     ]
-    return from_block_matrices(bound.spec, central_gap.in_rank, central_gap.out_rank, mats)
+    return _operator(bound.spec, central_gap.in_rank, central_gap.out_rank, mats)
 
 
 def _decide(

@@ -35,9 +35,9 @@ from .frames import (
 from .hilbmod import (
     ModuleOperator,
     _columns,
+    _operator,
     central_mult,
     diagonal_operator,
-    from_block_matrices,
     identity_operator,
 )
 from .perturb import pertur1_audit, pertur2_audit
@@ -96,7 +96,7 @@ def _paper_truncation_instance(n_terms: int, seed: int) -> Instance:
     vals = paper_truncation_values(n_terms)
     # member j is vals[j] on block j and 0 elsewhere, so block b of the
     # synthesis operator is the row vals[b] e_b
-    u = from_block_matrices(
+    u = _operator(
         spec, n_terms, 1, [v * np.eye(1, n_terms, b, dtype=complex) for b, v in enumerate(vals)]
     )
     k_op = central_mult(spec.central([v * v for v in vals]), 1)
@@ -135,7 +135,7 @@ def _drop_last_slot(spec: AlgebraSpec, n: int) -> ModuleOperator:
     """Projection of A^n onto its first n - 1 slots: 1_A on the first n - 1
     diagonal entries of the grid, 0 elsewhere."""
     mats = [np.diag(np.arange(n * d) < (n - 1) * d).astype(complex) for d in spec.block_dims]
-    return from_block_matrices(spec, n, n, mats)
+    return _operator(spec, n, n, mats)
 
 
 def _rank_deficient_instance(seed: int) -> Instance:
@@ -146,7 +146,7 @@ def _rank_deficient_instance(seed: int) -> Instance:
     mats = [np.array(m) for m in random_operator(spec, j_count, n, rng).block_matrices()]
     for d, m in zip(spec.block_dims, mats):
         m[-d:] = 0.0  # the last slot of every member
-    members = list(_columns(from_block_matrices(spec, j_count, n, mats)))
+    members = list(_columns(_operator(spec, j_count, n, mats)))
     ident = identity_operator(spec, n)
     return Instance(
         spec=spec,

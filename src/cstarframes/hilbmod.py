@@ -145,8 +145,9 @@ class ModuleOperator:
     algebra elements t[j][i] (input index first) and stored only as one
     reduced (m*d_b) x (n*d_b) matrix per block b, with (i, j) sub-block
     t[j][i]_b^T.  The grid constructor and `entries`, which rebuilds the
-    grid on each access, serve the tests; library code builds operators
-    with `from_block_matrices`."""
+    grid on each access, serve the tests.  `from_block_matrices` copies
+    and checks a caller's per-block matrices; library code wraps the
+    matrices it computes with `_operator`."""
 
     __slots__ = ("spec", "in_rank", "out_rank", "_mats", "_norm", "_fac")
 
@@ -381,7 +382,7 @@ def from_block_matrices(
     spec: AlgebraSpec, in_rank: int, out_rank: int, mats: Sequence[np.ndarray]
 ) -> ModuleOperator:
     """Operator storing copies of the given reduced per-block matrices,
-    after checking their shapes."""
+    after checking their shapes and that their entries are finite."""
     if in_rank < 1 or out_rank < 1:
         raise InputError("empty operator matrices are rejected")
     if len(mats) != spec.n_blocks:
@@ -390,17 +391,19 @@ def from_block_matrices(
     for b, (d, m) in enumerate(zip(spec.block_dims, mats)):
         if m.shape != (out_rank * d, in_rank * d):
             raise InputError(f"reduced matrix {b} has wrong shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise InputError(f"reduced matrix {b} must have finite entries")
     return _operator(spec, in_rank, out_rank, mats)
 
 
 def identity_operator(spec: AlgebraSpec, rank: int) -> ModuleOperator:
     mats = [np.eye(rank * d, dtype=complex) for d in spec.block_dims]
-    return from_block_matrices(spec, rank, rank, mats)
+    return _operator(spec, rank, rank, mats)
 
 
 def zero_operator(spec: AlgebraSpec, in_rank: int, out_rank: int) -> ModuleOperator:
     mats = [np.zeros((out_rank * d, in_rank * d), dtype=complex) for d in spec.block_dims]
-    return from_block_matrices(spec, in_rank, out_rank, mats)
+    return _operator(spec, in_rank, out_rank, mats)
 
 
 def central_mult(a: AlgElement, rank: int, tol: float = DEFAULT_TOL) -> ModuleOperator:
@@ -423,4 +426,4 @@ def diagonal_operator(a: AlgElement, rank: int) -> ModuleOperator:
         for i in range(rank):
             m[i * d : (i + 1) * d, i * d : (i + 1) * d] = blk.T
         mats.append(m)
-    return from_block_matrices(a.spec, rank, rank, mats)
+    return _operator(a.spec, rank, rank, mats)

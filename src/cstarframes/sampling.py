@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, AlgElement
 from .errors import InputError
-from .hilbmod import ModuleOperator, ModuleVector, _readonly, _vector, from_block_matrices
+from .hilbmod import ModuleOperator, ModuleVector, _operator, _readonly, _vector
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -101,7 +101,7 @@ def random_operator(
     """Grid row j, the image t[j][:] of the j-th coordinate vector, is
     sample j of one random_vectors batch."""
     cols = random_vectors(spec, out_rank, rng, in_rank, scale)
-    return from_block_matrices(spec, in_rank, out_rank, [np.hstack(s) for s in cols])
+    return _operator(spec, in_rank, out_rank, [np.hstack(s) for s in cols])
 
 
 def random_unitary(spec: AlgebraSpec, rank: int, rng: np.random.Generator) -> ModuleOperator:
@@ -112,4 +112,4 @@ def random_unitary(spec: AlgebraSpec, rank: int, rng: np.random.Generator) -> Mo
         q, r = np.linalg.qr(g)
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         mats.append(q)
-    return from_block_matrices(spec, rank, rank, mats)
+    return _operator(spec, rank, rank, mats)

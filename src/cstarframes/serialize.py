@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -345,4 +346,17 @@ def report_payload_bytes(report: dict) -> bytes:
 
 
 def write_report(report: dict, path: str | Path) -> None:
-    Path(path).write_text(dumps_stable(report), encoding="utf-8")
+    """Write `dumps_stable(report)` to path, rewriting an existing file in
+    place: the text goes over the old bytes, then the file is cut to its
+    new length.  Symlinks are followed, hard links see the new bytes and
+    the file keeps its mode, as with a plain rewrite.
+
+    Opening without O_TRUNC spares the writeback that ext4 (auto_da_alloc)
+    forces at close when a non-empty file is truncated to zero and
+    rewritten.  Reports are never fsynced, so they are not durable either
+    way; a power loss during a rewrite can leave old and new bytes mixed,
+    where truncating first could leave an empty file."""
+    text = dumps_stable(report)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.truncate()

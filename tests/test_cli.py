@@ -1,13 +1,17 @@
+import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cstarframes import AlgebraSpec, InputError, Instance, coordinate_frame, save_instance
+from cstarframes import cli
 from cstarframes.cli import COMMANDS, main
 from cstarframes.harness import SUITES, random_instance, tensor_pair_instance
 from cstarframes.hilbmod import ModuleOperator, ModuleVector
@@ -313,3 +317,54 @@ def test_cli_path_builds_no_element_grids(tmp_path, monkeypatch, capsys):
         argv = ["suite", suite, "--trials", "2", "--samples", "50", "--report", report]
         assert main(argv) == 0, suite
     capsys.readouterr()
+
+
+# -- report paths and parser reuse ---------------------------------------------------
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_report_is_input_error(tmp_path, capsys, where):
+    report = tmp_path / "no-such-dir" / "r.json" if where == "missing-dir" else tmp_path
+    code = main(["check-kframe", "--profile", "generic", "--seed", "3", "--report", str(report)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out.startswith("check-kframe: certified")  # the status line comes first
+    assert err.startswith(f"error: cannot write report {report}: ")
+    assert "Traceback" not in err
+
+
+def _payload(path) -> list[str]:
+    return [ln for ln in path.read_text(encoding="utf-8").splitlines() if '"wall_clock_s"' not in ln]
+
+
+def test_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
+    path = write_instance(tmp_path, random_instance(4, "generic"))
+    fresh = tmp_path / "fresh.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cstarframes.cli", "check-kframe", "--input", path,
+         "--report", str(fresh)],
+        capture_output=True, text=True, env=env,
+    )
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert main(["bounds", "--input", path]) == 0
+    # usage errors: one after parsing, one while the positionals are switched off
+    for argv in (["suite"], ["check-frame", "--trials", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    reused = tmp_path / "reused.json"
+    code = main(["check-kframe", "--input", path, "--report", str(reused)])
+    assert len(built) == 1
+    assert (code, capsys.readouterr().out) == (proc.returncode, proc.stdout)
+    assert _payload(reused) == _payload(fresh)

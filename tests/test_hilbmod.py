@@ -441,3 +441,11 @@ def test_operator_block_matrices_are_read_only():
     t = from_block_matrices(SPEC, 1, 1, src)
     src[0][0, 0] = 5.0  # from_block_matrices stores copies
     assert t.norm() == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_block_matrices_rejected(bad):
+    mats = [np.eye(4, dtype=complex), np.eye(2, dtype=complex)]
+    mats[0][1, 2] = bad
+    with pytest.raises(InputError, match="finite"):
+        from_block_matrices(SPEC, 2, 2, mats)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cstarframes.serialize import (
     encode_operator,
     encode_vector,
     sanitize,
+    write_report,
 )
 from cstarframes.hilbmod import _vector, from_block_matrices
 from cstarframes.sampling import random_operator, random_vector, stream
@@ -170,3 +172,20 @@ def test_element_codec_matches_element_walker(f):
     got = decode_element(a.spec, data, "a")
     assert same_bits(got.blocks, oracles.reference_decode_element(a.spec, data).blocks)
     assert same_bits(got.blocks, a.blocks)
+
+
+def test_write_report_rewrites_in_place(tmp_path):
+    target = tmp_path / "report.json"
+    link = tmp_path / "link.json"
+    hard = tmp_path / "hard.json"
+    long, short = {"status": "certified", "pad": "x" * 500}, {"status": "falsified"}
+    write_report(long, target)
+    link.symlink_to(target)
+    os.link(target, hard)
+    write_report(short, link)  # a shorter report leaves no tail of the longer one
+    assert target.read_bytes() == dumps_stable(short).encode("utf-8")
+    assert link.is_symlink() and hard.read_bytes() == target.read_bytes()
+    target.chmod(0o600)
+    write_report(long, target)
+    assert hard.read_bytes() == dumps_stable(long).encode("utf-8")
+    assert target.stat().st_mode & 0o777 == 0o600
