@@ -92,9 +92,9 @@ def _check_same_spec(a: "AlgElement", b: "AlgElement") -> None:
 class AlgElement:
     """One element of a block direct-sum C*-algebra.
 
-    Immutable: the block matrices are copied on construction and marked
-    read-only, so the norm is computed at most once.  All arithmetic
-    returns new elements.
+    Immutable: the block matrices are copied on construction, checked to
+    be finite and marked read-only, so the norm is computed at most once.
+    All arithmetic returns new elements.
     """
 
     __slots__ = ("spec", "blocks", "_norm")
@@ -109,6 +109,8 @@ class AlgElement:
             m = np.array(blk, dtype=complex)
             if m.shape != (d, d):
                 raise InputError(f"block shape {m.shape} does not match dimension {d}")
+            if not np.isfinite(m).all():
+                raise InputError("algebra element blocks must have finite entries")
             m.flags.writeable = False
             mats.append(m)
         self.spec = spec

@@ -3,6 +3,11 @@
 A certificate records the outcome of one claim check: certified,
 falsified (with an explicit witness vector when the claim is an
 inequality), or inconclusive for near-boundary cases.
+
+Every operator inequality of the library ends in `psd_certificate`,
+which takes per block of the gap one values-only eigensolve and one SVD
+norm of gap - gap*, and eigenvectors (one block's) only when it
+falsifies.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ class Certificate:
     claim: str
     witness: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-    samples: Optional[int] = None
-    seed: Optional[int] = None
     witness_vector: Optional[ModuleVector] = None
 
     @property
@@ -58,14 +61,21 @@ def psd_certificate(
                   eigenvector witness mapped back to a module vector
     inconclusive: in between (near-boundary exemption)
 
-    scale defaults to max(1, ||gap||); a caller whose gap is a difference
-    of larger terms passes the size of the terms, since rounding in the
-    gap follows them and not the difference.
+    The eigenvalues are those of the Hermitian part of each reduced block,
+    from one values-only `eigvalsh` per block (`herm_block_eigs`).  scale
+    defaults to max(1, max |eigenvalue|), which is max(1, ||gap||) for a
+    Hermitian gap; a caller whose gap is a difference of larger terms
+    passes the size of the terms, since rounding in the gap follows them
+    and not the difference.  herm_residual is the spectral norm of
+    gap - gap*, an SVD per block.  Only a falsified certificate takes
+    eigenvectors: one `eigh` of the block attaining the minimum, through
+    `negative_witness`.
     """
+    eigs = gap.herm_block_eigs()
+    min_eig = min(float(w[0]) for w in eigs)
     if scale is None:
-        scale = max(1.0, gap.norm())
+        scale = max(1.0, *(max(-float(w[0]), float(w[-1])) for w in eigs))
     herm_resid = (gap - gap.adjoint()).norm()
-    min_eig, witness_vec = gap.negative_witness()
     witness = {
         "min_eig": min_eig,
         "herm_residual": herm_resid,
@@ -74,16 +84,13 @@ def psd_certificate(
     if extra:
         witness.update(extra)
     tolerances = {"tol": tol}
-    if herm_resid > BOUNDARY_FACTOR * tol * scale:
+    if herm_resid > BOUNDARY_FACTOR * tol * scale or min_eig < -BOUNDARY_FACTOR * tol * scale:
+        _, witness_vec = gap.negative_witness(eigs)
         return Certificate(
             FALSIFIED, claim, witness, tolerances, witness_vector=witness_vec
         )
     if min_eig >= -tol * scale:
         return Certificate(CERTIFIED, claim, witness, tolerances)
-    if min_eig < -BOUNDARY_FACTOR * tol * scale:
-        return Certificate(
-            FALSIFIED, claim, witness, tolerances, witness_vector=witness_vec
-        )
     return Certificate(INCONCLUSIVE, claim, witness, tolerances)
 
 

@@ -19,6 +19,14 @@ all read that one factorization, so every call after the first on the
 same S makes no SVD of S; only `equivalence_audit` on a failed inclusion
 adds one per block of (I - S S^+) T for its witness.  S's arrays are
 read-only, so the kept factorization cannot go stale.
+
+The other decompositions, per reduced block: the range residual is a
+values-only SVD (the spectral norm) of (I - S S^+) T, the pencil one of
+W T for each whitening matrix W, and the solve one of S Q - T.  A solve
+evaluates no pencil (`atomic_coefficients` reads only Q and its
+residual); `douglas_solve` adds it to its report.  The norm inequality is
+one `psd_certificate`: a values-only `eigvalsh` per block, and an `eigh`
+of one block only when it is falsified.
 """
 
 from __future__ import annotations
@@ -125,17 +133,10 @@ class _Factorization:
             return math.inf
         return 1.0 / lam_max
 
-    def solve(self, t: ModuleOperator, tnorm: float, tol: float, mu: float) -> DouglasReport:
-        """`douglas_solve` given ||T|| and the pencil value."""
+    def solve(self, t: ModuleOperator) -> tuple[ModuleOperator, float]:
+        """Q = S^+ T and the factorization residual ||S Q - T||; no pencil."""
         q = self.pinv.compose(t)
-        residual = (self.s.compose(q) - t).norm()
-        return DouglasReport(
-            inclusion_ok=residual <= tol * max(1.0, tnorm),
-            residual=residual,
-            pencil_mu=mu,
-            q=q,
-            q_norm=q.norm(),
-        )
+        return q, (self.s.compose(q) - t).norm()
 
 
 def _factorization(s: ModuleOperator) -> _Factorization:
@@ -183,11 +184,19 @@ def pencil_lower_bound(t: ModuleOperator, s: ModuleOperator) -> float:
 
 
 def douglas_solve(t: ModuleOperator, s: ModuleOperator, tol: float) -> DouglasReport:
-    """Minimal-norm factorization T = S Q with Q = S^+ T, plus diagnostics."""
+    """Minimal-norm factorization T = S Q with Q = S^+ T, plus diagnostics:
+    the factorization residual and the pencil value of (T, S)."""
     _check_common_target(t, s)
     fac = _factorization(s)
     tnorm = t.norm()
-    return fac.solve(t, tnorm, tol, fac.pencil(t, tnorm))
+    q, residual = fac.solve(t)
+    return DouglasReport(
+        inclusion_ok=residual <= tol * max(1.0, tnorm),
+        residual=residual,
+        pencil_mu=fac.pencil(t, tnorm),
+        q=q,
+        q_norm=q.norm(),
+    )
 
 
 def _majorization(
@@ -230,8 +239,7 @@ def equivalence_audit(
     (I - S S^+) T.  A near-boundary pencil value or an inconclusive
     (iii) gives an inconclusive certificate.
 
-    `seed` is ignored: nothing is sampled, and the certificate records
-    its samples and seed as null.
+    `seed` is ignored: nothing is sampled.
     """
     _check_common_target(t, s)
     fac = _factorization(s)
@@ -246,8 +254,8 @@ def equivalence_audit(
     near_boundary = math.isfinite(mu) and tol < mu <= BOUNDARY_FACTOR * tol
     cond_ii = mu > BOUNDARY_FACTOR * tol or math.isinf(mu)
 
-    rep = fac.solve(t, tnorm, tol, mu)
-    cond_iv = rep.residual <= tol * tscale
+    q, fact_residual = fac.solve(t)
+    cond_iv = fact_residual <= tol * tscale
 
     found: dict = {}
     witness_vec = None
@@ -274,8 +282,8 @@ def equivalence_audit(
     witness = {
         "range_residual": residual,
         "pencil_mu": mu if math.isfinite(mu) else float("inf"),
-        "factorization_residual": rep.residual,
-        "q_norm": rep.q_norm,
+        "factorization_residual": fact_residual,
+        "q_norm": q.norm(),
         "cond_i": cond_i,
         "cond_ii": cond_ii,
         "cond_iii": cond_iii,

@@ -40,7 +40,7 @@ from .certify import (
     combine,
     psd_certificate,
 )
-from .douglas import DouglasReport, douglas_solve, pencil_lower_bound
+from .douglas import _factorization, pencil_lower_bound
 from .errors import AtomicSystemError, InputError, PreconditionError
 from .hilbmod import (
     ModuleOperator,
@@ -312,22 +312,24 @@ def atomic_coefficients(
 ) -> tuple[ModuleOperator, AlgElement, float]:
     """Coefficient operator of the atomic decomposition K f = sum a_j f_j.
 
-    Q is the minimal-norm Douglas solution U Q = K (so a_f = Q f), and
-    C = ||Q|| 1_A witnesses the coefficient bound <a_f, a_f> <= C<f,f>C*:
-    C is central, so the bound is Q*Q <= ||Q||^2 I, which always holds.
-    Raises AtomicSystemError when R(K) is not inside R(U) within tol.
+    Q is the minimal-norm Douglas solution U Q = K (so a_f = Q f), read
+    from U's kept factorization without the pencil `douglas_solve` adds,
+    and C = ||Q|| 1_A witnesses the coefficient bound <a_f, a_f> <=
+    C<f,f>C*: C is central, so the bound is Q*Q <= ||Q||^2 I, which always
+    holds.  Raises AtomicSystemError when R(K) is not inside R(U) within
+    tol, judged by the factorization residual ||U Q - K||.
     `seed` is ignored; nothing is sampled.
     """
     n = frame.rank
     if k_op.spec != frame.spec or k_op.in_rank != n or k_op.out_rank != n:
         raise InputError("K must be a square operator on the frame's module")
-    rep: DouglasReport = douglas_solve(k_op, frame.synthesis_op, tol)
-    if not rep.inclusion_ok:
+    q, residual = _factorization(frame.synthesis_op).solve(k_op)
+    if residual > tol * max(1.0, k_op.norm()):
         raise AtomicSystemError(
             "not an atomic system: range-inclusion residual "
-            f"{rep.residual:.3e} exceeds tol {tol:g} x max(1, ||K||)"
+            f"{residual:.3e} exceeds tol {tol:g} x max(1, ||K||)"
         )
-    return rep.q, rep.q_norm * frame.spec.unit(), rep.residual
+    return q, q.norm() * frame.spec.unit(), residual
 
 
 def dual_atoms(

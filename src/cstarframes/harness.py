@@ -40,7 +40,7 @@ from .hilbmod import (
     diagonal_operator,
     identity_operator,
 )
-from .perturb import pertur1_audit, pertur2_audit
+from .perturb import HYPOTHESIS_MARGINS, pertur1_audit, pertur2_audit
 from .sampling import (
     random_central,
     random_operator,
@@ -415,6 +415,11 @@ def _perturb2_trial(seed: int, trial: int, tol: float, epsilon: float) -> dict:
         "trial": trial,
         "status": status,
         "hypothesis": hypothesis,
+        # null where the hypothesis status carries no such margin
+        **{
+            f"hypothesis_{k}": rep.constants_used.get(f"hypothesis_{k}")
+            for k in HYPOTHESIS_MARGINS
+        },
         "conclusion_status": rep.conclusion.status,
         "M": rep.certified_M,
     }

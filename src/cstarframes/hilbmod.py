@@ -26,6 +26,14 @@ computes its norm once, through the algebra's one spectral-norm kernel,
 and keeps it; `douglas` keeps the operator's factorization (rank cut,
 pseudo-inverse, whitening matrices, range projection) in its `_fac` slot
 the same way.
+
+Where each decomposition is taken, per reduced block: `norm` is a
+values-only SVD; `herm_block_eigs` (and `herm_eigs`, `min_herm_eig`,
+`is_positive`) a values-only `eigvalsh` of the Hermitian part;
+`negative_witness` adds one `eigh`, of the block with the least
+eigenvalue only; `adjoint_norm_witness` a full SVD of every block.
+`certify.psd_certificate` reads `herm_block_eigs` and calls
+`negative_witness` with them only for a falsified verdict.
 """
 
 from __future__ import annotations
@@ -260,16 +268,20 @@ class ModuleOperator:
             self._norm = max(float(_spectral_norm(m)) for m in self._mats)
         return self._norm
 
-    def herm_eigs(self) -> np.ndarray:
-        """Eigenvalues of the Hermitian part of the reduced block matrices.
+    def herm_block_eigs(self) -> list[np.ndarray]:
+        """Ascending eigenvalues of the Hermitian part of each reduced block
+        matrix, one values-only `eigvalsh` per block.
 
-        For a Hermitian operator these are the flattening's eigenvalues with
-        multiplicities divided by d_b per block.
+        For a Hermitian operator, block b's are the flattening's eigenvalues
+        on that block, each with multiplicity d_b.
         """
         if self.in_rank != self.out_rank:
             raise InputError("eigenvalues need a square operator")
-        vals = [np.linalg.eigvalsh(0.5 * (m + m.conj().T)) for m in self._mats]
-        return np.concatenate(vals)
+        return [np.linalg.eigvalsh(_hermitian_part(m)) for m in self._mats]
+
+    def herm_eigs(self) -> np.ndarray:
+        """`herm_block_eigs` over all blocks, in one array."""
+        return np.concatenate(self.herm_block_eigs())
 
     def min_herm_eig(self) -> float:
         return float(self.herm_eigs().min())
@@ -304,20 +316,26 @@ class ModuleOperator:
             raise PreconditionError(f"operator is not invertible: {exc}") from exc
         return _operator(self.spec, self.in_rank, self.out_rank, mats)
 
-    def negative_witness(self) -> tuple[float, ModuleVector]:
+    def negative_witness(
+        self, eigs: Optional[Sequence[np.ndarray]] = None
+    ) -> tuple[float, ModuleVector]:
         """Most negative Hermitian-part eigenvalue with a module vector
-        witnessing it: trace<Tf, f> equals the returned eigenvalue."""
-        best = None
-        for b, m in enumerate(self._mats):
-            w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-            if best is None or w[0] < best[0]:
-                best = (float(w[0]), b, v[:, 0])
-        lam, b, vec = best
+        witnessing it: trace<Tf, f> equals the returned eigenvalue.
+
+        `eigs` are the blocks' `herm_block_eigs`, computed here when not
+        given.  The first block whose least eigenvalue is the minimum is
+        then decomposed with vectors, by one `eigh`, and f is its least
+        eigenvector as column 0 of that block.
+        """
+        if eigs is None:
+            eigs = self.herm_block_eigs()
+        b = min(range(len(eigs)), key=lambda i: eigs[i][0])
+        w, v = np.linalg.eigh(_hermitian_part(self._mats[b]))
         stacks = [
             np.zeros((self.in_rank * d, d), dtype=complex) for d in self.spec.block_dims
         ]
-        stacks[b][:, 0] = vec
-        return lam, _vector(self.spec, stacks)
+        stacks[b][:, 0] = v[:, 0]
+        return float(w[0]), _vector(self.spec, stacks)
 
     def adjoint_norm_witness(self) -> Optional[ModuleVector]:
         """Unit module vector f of the target module with ||T* f|| = ||T||:
@@ -342,6 +360,10 @@ class ModuleOperator:
             f"ModuleOperator({self.in_rank}->{self.out_rank}, "
             f"spec={self.spec.block_dims})"
         )
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().T)
 
 
 def _readonly(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:

@@ -254,6 +254,11 @@ def _pertur1_converse(
     return PerturbReport(m_f, m_h, conclusion, constants)
 
 
+# Witness fields of an undecided or certified three-constant hypothesis
+# that `pertur2_audit` records, prefixed "hypothesis_"; the last is
+# present only when it is inconclusive.
+HYPOTHESIS_MARGINS = ("min_eig", "scale", "lhs_minus_rhs_max")
+
 # Weight updates of the three-constant falsification search; on the
 # perturb2 ensembles it reaches its fixed point within about ten.
 _WEIGHT_STEPS = 16
@@ -339,7 +344,11 @@ def pertur2_audit(
     The hypothesis ||D* f|| <= alpha ||U_F* f|| + beta ||U_H* f|| +
     gamma ||K* f|| is decided by `_abg_hypothesis`, and its status is
     recorded as constants_used["hypothesis"].  When it is falsified, the
-    conclusion is that certificate, with its witness.  Otherwise the
+    conclusion is that certificate, with its witness.  Otherwise its
+    margins are recorded too: the sufficient gap's least eigenvalue and
+    scale as "hypothesis_min_eig" and "hypothesis_scale", and for an
+    inconclusive hypothesis the largest lhs - rhs the falsification search
+    found as "hypothesis_lhs_minus_rhs_max".  The
     conclusion is certified: the Bessel norm of {h_j} against the explicit
     constant ||B|| (1 + (alpha + beta + gamma/||A||)/(1 - beta)), the
     L-frame property through pencils, and the lower constant g_sound, with
@@ -418,5 +427,10 @@ def pertur2_audit(
         "g_reference": g_reference,
         "g_sound": g_sound,
         "hypothesis": hypothesis.status,
+        **{
+            f"hypothesis_{k}": hypothesis.witness[k]
+            for k in HYPOTHESIS_MARGINS
+            if k in hypothesis.witness
+        },
     }
     return PerturbReport(m_f, m_h, conclusion, constants)

@@ -325,8 +325,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "status": cert.status,
         "witness": sanitize(cert.witness),
         "tolerances": sanitize(cert.tolerances),
-        "samples": cert.samples,
-        "seed": cert.seed,
         "witness_vector": (
             encode_vector(cert.witness_vector) if cert.witness_vector is not None else None
         ),

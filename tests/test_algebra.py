@@ -38,6 +38,26 @@ def test_block_shape_validation():
         SPEC21.element([np.eye(2)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"])
+def test_nonfinite_blocks_rejected(bad):
+    blocks = [np.eye(2, dtype=complex), np.eye(1, dtype=complex)]
+    blocks[0][0, 1] = bad
+    with pytest.raises(InputError, match="finite"):
+        SPEC21.element(blocks)
+    with pytest.raises(InputError, match="finite"):
+        cstarframes.AlgElement(SPEC21, blocks)
+
+
+def test_nonfinite_bound_never_reaches_a_certificate():
+    """A NaN bound used to reach certify_kframe and die in LAPACK with a
+    LinAlgError; it is now refused where the element is built."""
+    frame = cstarframes.coordinate_frame(SPEC21, 2)
+    k_op = cstarframes.identity_operator(SPEC21, 2)
+    with pytest.raises(InputError, match="finite"):
+        a = SPEC21.element([np.full((2, 2), np.nan), np.eye(1)])
+        cstarframes.certify_kframe(frame, k_op, a, SPEC21.unit(), 1e-9)
+
+
 def test_unit_blocks_are_identities():
     one = SPEC21.unit()
     assert np.allclose(one.blocks[0], np.eye(2))

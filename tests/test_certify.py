@@ -1,0 +1,107 @@
+"""psd_certificate takes the decompositions its verdict reads and no others."""
+
+import math
+
+import numpy as np
+import pytest
+
+from cstarframes import AlgebraSpec, FrameSeq, certify_star_bessel, identity_operator
+from cstarframes.certify import BOUNDARY_FACTOR, CERTIFIED, FALSIFIED, psd_certificate
+from cstarframes.sampling import random_operator, random_vector, stream
+
+EPS = np.finfo(float).eps
+# rank 3 keeps the gap's blocks (9x9, 6x6) apart from the bound's (3x3, 2x2)
+SPEC = AlgebraSpec((3, 2))
+RANK = 3
+
+
+def _counting(monkeypatch) -> dict:
+    """Record the argument of every eigvalsh, eigh and svd call."""
+    calls: dict = {"eigvalsh": [], "eigh": [], "svd": []}
+    for name, seen in calls.items():
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _seen=seen, **kwargs):
+            _seen.append(np.array(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _frame(seed: int) -> FrameSeq:
+    rng = stream(seed, 0)
+    return FrameSeq([random_vector(SPEC, RANK, rng) for _ in range(5)])
+
+
+def _gap_shaped(a: np.ndarray) -> bool:
+    return a.shape in {(RANK * d, RANK * d) for d in SPEC.block_dims}
+
+
+def _hermitian_gap(seed: int, shift: float):
+    """X X* - shift 1 for a random X, made exactly Hermitian."""
+    x = random_operator(SPEC, RANK, RANK, stream(seed, 1))
+    g = x.compose(x.adjoint()) - identity_operator(SPEC, RANK).scalar_mul(shift)
+    return (g + g.adjoint()).scalar_mul(0.5)
+
+
+def test_certified_bessel_takes_values_only(monkeypatch):
+    frame = _frame(90)
+    b = math.sqrt(frame.frame_op.norm()) * (1.0 + 1e-6) * SPEC.unit()
+    calls = _counting(monkeypatch)
+    cert = certify_star_bessel(frame, b, 1e-9)
+    assert cert.status == CERTIFIED
+    # one values-only eigensolve per block, no eigenvectors
+    assert [a.shape for a in calls["eigvalsh"]] == [(RANK * d, RANK * d) for d in SPEC.block_dims]
+    assert calls["eigh"] == []
+    # the only SVDs of gap-sized matrices are herm_residual's, of gap - gap*
+    big = [a for a in calls["svd"] if _gap_shaped(a)]
+    assert len(big) == SPEC.n_blocks
+    assert all(np.array_equal(a, -a.conj().T) for a in big)
+
+
+def test_falsified_bessel_takes_one_eigh(monkeypatch):
+    frame = _frame(91)
+    b = 0.5 * math.sqrt(frame.frame_op.norm()) * SPEC.unit()
+    calls = _counting(monkeypatch)
+    cert = certify_star_bessel(frame, b, 1e-9)
+    assert cert.status == FALSIFIED and cert.witness_vector is not None
+    assert len(calls["eigvalsh"]) == SPEC.n_blocks
+    assert len(calls["eigh"]) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_falsified_witness_is_negative_witness(seed):
+    gap = _hermitian_gap(seed, 3.0)
+    cert = psd_certificate(gap, 1e-9, "test")
+    assert cert.status == FALSIFIED
+    _, f = gap.negative_witness()
+    assert all(x.tobytes() == y.tobytes()
+               for x, y in zip(cert.witness_vector.stacks, f.stacks))
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("seed", range(8))
+def test_margins_agree_with_full_decompositions(seed, shift):
+    """min_eig and the default scale match an eigh of every block and the
+    SVD norm of the gap, the route they replace, to a few roundoffs: both
+    routes are backward stable, and over 1200 gaps of this family the
+    largest difference was 5.7 eps scale (scale) and 1.2 eps scale
+    (min_eig)."""
+    gap = _hermitian_gap(10 + seed, shift)
+    cert = psd_certificate(gap, 1e-9, "test")
+    scale = max(1.0, gap.norm())
+    least = min(
+        float(np.linalg.eigh(0.5 * (m + m.conj().T))[0][0]) for m in gap.block_matrices()
+    )
+    assert abs(cert.witness["scale"] - scale) <= 8 * EPS * scale
+    assert abs(cert.witness["min_eig"] - least) <= 8 * EPS * scale
+
+
+def test_non_hermitian_gap_falsified_with_witness():
+    gap = _hermitian_gap(30, 0.0)
+    skew = random_operator(SPEC, RANK, RANK, stream(30, 2))
+    gap = gap + (skew - skew.adjoint()).scalar_mul(0.5)
+    cert = psd_certificate(gap, 1e-9, "test")
+    assert cert.witness["herm_residual"] > BOUNDARY_FACTOR * 1e-9 * cert.witness["scale"]
+    assert cert.status == FALSIFIED and cert.witness_vector is not None

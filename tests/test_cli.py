@@ -61,7 +61,7 @@ def test_non_central_bound_falsified_exit_code(tmp_path, capsys):
     assert main(["check-frame", "--input", path, "--report", str(out)]) == 1
     assert "falsified" in capsys.readouterr().out
     cert = json.loads(out.read_text())["certificates"][0]
-    assert cert["samples"] is None and cert["seed"] is None
+    assert "samples" not in cert and "seed" not in cert
     w = decode_vector(SPEC, 2, cert["witness_vector"], "witness_vector")
     gap = b * w.inner(w) * b.adjoint() - coordinate_frame(SPEC, 2).coefficient_gram(w)
     assert not gap.is_positive(1e-9)
@@ -269,7 +269,12 @@ def test_perturb2_report_carries_lower_constant(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["perturb2", "--profile", "generic", "--seed", "3", "--samples", "50",
                  "--report", str(out)]) == 0
-    witness = json.loads(out.read_text())["certificates"][0]["witness"]
+    report = json.loads(out.read_text())
+    values = report["values"]
+    assert values["const.hypothesis"] == "certified"
+    assert values["const.hypothesis_min_eig"] >= 0 and values["const.hypothesis_scale"] >= 1.0
+    assert "const.hypothesis_lhs_minus_rhs_max" not in values
+    witness = report["certificates"][0]["witness"]
     upper, frame, lower = witness["parts"]
     assert set(upper) == {"bessel_of_h", "upper_const"}
     assert len(frame["parts"]) == 2

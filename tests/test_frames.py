@@ -42,7 +42,7 @@ from cstarframes import (
 )
 from cstarframes.cli import COMMANDS, main
 from cstarframes.harness import SUITES, random_instance
-from cstarframes.hilbmod import central_mult, from_block_matrices
+from cstarframes.hilbmod import central_mult, from_block_matrices, unflatten_vector
 from cstarframes.certify import BOUNDARY_FACTOR, psd_certificate
 from cstarframes.sampling import (
     random_central,
@@ -121,8 +121,12 @@ def test_frame_operator_factors_through_flattening():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_nonfinite_members_rejected(bad):
-    entry = AlgElement(SPEC, [np.full((2, 2), bad), np.ones((1, 1))])
-    members = [*coordinate_frame(SPEC, 2).members, ModuleVector(SPEC, [entry, SPEC.zero()])]
+    # an AlgElement refuses the block, so the member comes from flat coordinates
+    with pytest.raises(InputError, match="finite"):
+        AlgElement(SPEC, [np.full((2, 2), bad), np.ones((1, 1))])
+    x = np.zeros(2 * SPEC.total_dim, dtype=complex)
+    x[:4] = bad
+    members = [*coordinate_frame(SPEC, 2).members, unflatten_vector(SPEC, 2, x)]
     with pytest.raises(InputError, match="finite"):
         FrameSeq(members)
 

@@ -463,3 +463,26 @@ def test_perturb2_suite_at_larger_epsilon(epsilon):
             rep = pertur2_audit(fr, hs, k, k, *ABG, a, b)
             assert row["conclusion_status"] == "falsified"
             assert_witness_rechecks(rep.conclusion, fr, hs, k, ABG)
+
+
+def test_perturb2_rows_carry_hypothesis_margins():
+    """An undecided hypothesis says how far it is from either verdict: the
+    sufficient gap's least eigenvalue (below the falsifying bound, else it
+    would be certified) and the largest lhs - rhs the search reached
+    (below zero, else it would be falsified)."""
+    report = run_suite("perturb2", trials=40, seed=0, epsilon=0.05)
+    margins = ("hypothesis_min_eig", "hypothesis_scale", "hypothesis_lhs_minus_rhs_max")
+    seen = set()
+    for row in report["trials"]:
+        min_eig, scale, best = (row[k] for k in margins)
+        seen.add(row["hypothesis"])
+        if row["hypothesis"] == "certified":
+            assert min_eig >= -1e-9 * scale and scale >= 1.0 and best is None
+        elif row["hypothesis"] == "inconclusive":
+            assert min_eig < 0 and scale >= 1.0 and best < 0
+            fr, hs, k, a, b = _suite_trial(row["trial"], 0.05)
+            rep = pertur2_audit(fr, hs, k, k, *ABG, a, b)
+            assert [rep.constants_used[k] for k in margins] == [min_eig, scale, best]
+        else:
+            assert (min_eig, scale, best) == (None, None, None)
+    assert seen == {"certified", "inconclusive", "falsified"}
