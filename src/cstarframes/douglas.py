@@ -10,21 +10,25 @@ reduces to rank-one vectors, so it is the pencil inequality decided by an
 eigen route (`_majorization`), and its failure is witnessed by a singular
 vector of (I - S S^+) T.
 
-Each operator S is factored at most once in its lifetime: one thin SVD
-per reduced block and one rank decision at DEFAULT_RTOL times the largest
-singular value over all blocks (`_Factorization`), built on first use by
-`_factorization` and kept on S like its norm.  The pseudo-inverse, the
-range projection S S^+, the whitening matrices of the pencil and the solve
-all read that one factorization, so every call after the first on the
-same S makes no SVD of S; only `equivalence_audit` on a failed inclusion
-adds one per block of (I - S S^+) T for its witness.  S's arrays are
+Each operator S is factored at most once in its lifetime: one SVD
+S_b = U_b diag(sigma_b) V_b^H per reduced block, with U_b square, and one
+rank decision at DEFAULT_RTOL times the largest singular value over all
+blocks (`_Factorization`), built on first use by `_factorization` and
+kept on S like its norm.  With k_b singular values kept in block b, the
+pseudo-inverse, the complement perp_b = U_b[:, k_b:] of R(S_b) and
+left_b = diag(1 / sigma_k) U_k^H are read off that one SVD, so every call
+after the first on the same S makes no SVD of S.  S's arrays are
 read-only, so the kept factorization cannot go stale.
 
-The other decompositions, per reduced block: the range residual is a
-values-only SVD (the spectral norm) of (I - S S^+) T, the pencil one of
-W T for each whitening matrix W, and the solve one of S Q - T.  A solve
-evaluates no pencil (`atomic_coefficients` reads only Q and its
-residual); `douglas_solve` adds it to its report.  The norm inequality is
+The other decompositions, per reduced block: the range residual
+||(I - S S^+) T|| is a values-only SVD (the spectral norm) of
+perp_b^H T_b, and none at all for a block the rank cut makes onto
+(k_b = rows, perp_b empty), where it is exactly 0.  ||S^+ T|| is one of
+left_b T_b; it is 1 / sqrt(pencil) and ||Q|| for Q = S^+ T, so the pencil
+and Q's norm share it and no SVD of Q is taken.  The factorization
+residual ||S Q - T|| is one of S Q - T, checking the Q returned.
+`equivalence_audit` adds a full SVD per block of perp (perp^H T) only
+when the pencil fails, for its cokernel witness.  The norm inequality is
 one `psd_certificate`: a values-only `eigvalsh` per block, and an `eigh`
 of one block only when it is falsified.
 """
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -69,74 +72,103 @@ def _check_common_target(t: ModuleOperator, s: ModuleOperator) -> None:
 
 
 class _Factorization:
-    """What the Douglas functions read of S, from one thin SVD
-    U_b diag(sigma_b) V_b^H per reduced block with singular values <=
-    DEFAULT_RTOL * sigma_max (the global largest) treated as zero: the
-    rank cut, S^+ and the per-block whitening matrices, built with the
-    SVDs, which are then dropped; S S^+ is built on first use.
+    """What the Douglas functions read of S, from one SVD
+    U_b diag(sigma_b) V_b^H per reduced block, U_b square (full when S_b
+    is tall, thin otherwise, where it is square already), with singular
+    values <= DEFAULT_RTOL * sigma_max (the global largest) treated as
+    zero.  With k_b the number kept, it holds, per block:
 
-    `s` is a twin of S over the same read-only arrays, not S itself, so
-    the factorization kept on S holds no reference back to it and S with
-    everything kept on it is freed by reference counting."""
+    - S^+ (`pinv`), V_k diag(1 / sigma_k) U_k^H;
+    - `lefts`: diag(1 / sigma_k) U_k^H, so that ||left_b T_b|| =
+      ||S_b^+ T_b|| (V_k has orthonormal columns); None when k_b = 0;
+    - `perps`: perp_b^H, with perp_b = U_b[:, k_b:] an orthonormal basis
+      of the complement of R(S_b), so that I - S S^+ = perp perp^H; None
+      when k_b is the number of rows, where S_b is onto.
+
+    S^+ is the thin-SVD formula on U_b's first min(rows, cols) columns.
+    For a large tall block (seen at 200 x 20, not up to 72 x 24) LAPACK's
+    full U differs from its thin U in the last bits, so S^+ rounds there
+    as another SVD of S_b would.  The SVDs are dropped once these are
+    built.  `s` is a twin of S over the same read-only arrays, not S
+    itself, so the factorization kept on S holds no reference back to it
+    and S with everything kept on it is freed by reference counting."""
 
     def __init__(self, s: ModuleOperator):
         self.s = _operator(s.spec, s.in_rank, s.out_rank, s.block_matrices())
-        svds = [np.linalg.svd(m, full_matrices=False) for m in s.block_matrices()]
+        svds = [np.linalg.svd(m, full_matrices=m.shape[0] > m.shape[1])
+                for m in s.block_matrices()]
         self.smax = max((sig.max() if sig.size else 0.0) for _, sig, _ in svds)
         self.cut = DEFAULT_RTOL * self.smax
-        # per block, W_b = U_k diag(1 / sigma_k) U_k^H over the kept
-        # singular values, the pseudo-inverse square root of S_b S_b^H;
-        # None for a block that keeps none
-        self.whiteners: list[Optional[np.ndarray]] = []
+        self.lefts: list[Optional[np.ndarray]] = []
+        self.perps: list[Optional[np.ndarray]] = []
         pinvs = []
         for u, sig, vh in svds:
             keep = sig > self.cut
+            k = int(keep.sum())
+            uh = u.conj().T
             if self.smax == 0.0:
                 pinvs.append(np.zeros((vh.shape[1], u.shape[0]), dtype=complex))
             else:
                 inv = np.where(keep, 1.0 / np.where(sig > 0, sig, 1.0), 0.0)
-                pinvs.append((vh.conj().T * inv) @ u.conj().T)
-            self.whiteners.append(
-                (u[:, keep] / sig[keep]) @ u[:, keep].conj().T if keep.any() else None
-            )
+                pinvs.append((vh.conj().T * inv) @ uh[: sig.size])
+            self.lefts.append(uh[:k] / sig[:k, None] if k else None)
+            self.perps.append(uh[k:] if k < len(uh) else None)
         # S^+, inverted per reduced block in place, hence A-linear
         self.pinv = _operator(s.spec, s.out_rank, s.in_rank, pinvs)
 
-    @cached_property
-    def proj(self) -> ModuleOperator:
-        """S S^+, the projection onto R(S)."""
-        return self.s.compose(self.pinv)
-
     def coresidual(self, t: ModuleOperator) -> ModuleOperator:
-        """(I - S S^+) T, the part of T outside R(S)."""
-        return t - self.proj.compose(t)
+        """(I - S S^+) T = perp (perp^H T), the part of T outside R(S)."""
+        mats = [
+            np.zeros_like(m) if ph is None else ph.conj().T @ (ph @ m)
+            for ph, m in zip(self.perps, t.block_matrices())
+        ]
+        return _operator(t.spec, t.in_rank, t.out_rank, mats)
 
     def range_residual(self, t: ModuleOperator) -> float:
-        return self.coresidual(t).norm()
+        """||(I - S S^+) T|| = max_b ||perp_b^H T_b||; 0 with no SVD on a
+        block where S_b is onto."""
+        return _max_block_norm(self.perps, t)
 
-    def pencil(self, t: ModuleOperator, tnorm: float, residual: Optional[float] = None) -> float:
+    def whitened_norm(self, t: ModuleOperator) -> float:
+        """||S^+ T|| = max_b ||left_b T_b||, which is 1 / sqrt(mu) for the
+        pencil value mu when R(T) is inside R(S)."""
+        return _max_block_norm(self.lefts, t)
+
+    def pencil(
+        self,
+        t: ModuleOperator,
+        tnorm: float,
+        residual: Optional[float] = None,
+        qnorm: Optional[float] = None,
+    ) -> float:
         """`pencil_lower_bound` given ||T|| and, if already known, the
-        range residual of T."""
+        range residual of T and ||S^+ T||."""
         if tnorm == 0.0:
             return math.inf
         if residual is None:
             residual = self.range_residual(t)
         if residual > INCLUSION_TOL * max(1.0, tnorm):
             return 0.0
-        lam_max = 0.0
-        for mt, w in zip(t.block_matrices(), self.whiteners):
-            if w is None:
-                continue
-            lam = float(_spectral_norm(w @ mt)) ** 2
-            lam_max = max(lam_max, lam)
-        if lam_max == 0.0:
-            return math.inf
-        return 1.0 / lam_max
+        if qnorm is None:
+            qnorm = self.whitened_norm(t)
+        lam = qnorm**2
+        return math.inf if lam == 0.0 else 1.0 / lam
 
     def solve(self, t: ModuleOperator) -> tuple[ModuleOperator, float]:
-        """Q = S^+ T and the factorization residual ||S Q - T||; no pencil."""
+        """Q = S^+ T, with ||S^+ T|| kept as its norm, and the factorization
+        residual ||S Q - T||; no pencil."""
         q = self.pinv.compose(t)
+        q._norm = self.whitened_norm(t)
         return q, (self.s.compose(q) - t).norm()
+
+
+def _max_block_norm(factors: list[Optional[np.ndarray]], t: ModuleOperator) -> float:
+    """max_b ||F_b T_b|| over the blocks with a factor F_b; 0 without one."""
+    return max(
+        (float(_spectral_norm(f @ m)) for f, m in zip(factors, t.block_matrices())
+         if f is not None),
+        default=0.0,
+    )
 
 
 def _factorization(s: ModuleOperator) -> _Factorization:
@@ -172,9 +204,10 @@ def pencil_lower_bound(t: ModuleOperator, s: ModuleOperator) -> float:
     """sup{mu >= 0 : mu T T* <= S S*}.
 
     Returns 0 when range inclusion fails (residual above INCLUSION_TOL
-    relative to ||T||), math.inf for T = 0.  Otherwise
-    computed by whitening: with W the pseudo-inverse square root of S S*,
-    the value is 1 / lambda_max(W T T* W), evaluated per reduced block.
+    relative to ||T||), math.inf for T = 0.  Otherwise it is
+    1 / ||S^+ T||^2 (Douglas: the minimal solution Q of T = S Q has
+    ||Q||^2 = 1 / mu), with ||S^+ T|| = max_b ||diag(1 / sigma_k) U_k^H T_b||
+    read off S's kept SVD.
     """
     _check_common_target(t, s)
     tnorm = t.norm()
@@ -193,7 +226,7 @@ def douglas_solve(t: ModuleOperator, s: ModuleOperator, tol: float) -> DouglasRe
     return DouglasReport(
         inclusion_ok=residual <= tol * max(1.0, tnorm),
         residual=residual,
-        pencil_mu=fac.pencil(t, tnorm),
+        pencil_mu=fac.pencil(t, tnorm, qnorm=q.norm()),
         q=q,
         q_norm=q.norm(),
     )
@@ -236,8 +269,8 @@ def equivalence_audit(
     residual of S (S^+ T) = T.  When (ii) fails, (iii) instead looks for a
     direction f in the cokernel of S that T* sees (||S* f|| <= tol,
     ||T* f|| > BOUNDARY_FACTOR tol), at the top left singular vector of
-    (I - S S^+) T.  A near-boundary pencil value or an inconclusive
-    (iii) gives an inconclusive certificate.
+    (I - S S^+) T = perp (perp^H T).  A near-boundary pencil value or an
+    inconclusive (iii) gives an inconclusive certificate.
 
     `seed` is ignored: nothing is sampled.
     """
@@ -246,16 +279,15 @@ def equivalence_audit(
     tnorm = t.norm()
     tscale = max(1.0, tnorm)
 
-    coresidual = fac.coresidual(t)
-    residual = coresidual.norm()
+    residual = fac.range_residual(t)
     cond_i = residual <= tol * tscale
-
-    mu = fac.pencil(t, tnorm, residual)
-    near_boundary = math.isfinite(mu) and tol < mu <= BOUNDARY_FACTOR * tol
-    cond_ii = mu > BOUNDARY_FACTOR * tol or math.isinf(mu)
 
     q, fact_residual = fac.solve(t)
     cond_iv = fact_residual <= tol * tscale
+
+    mu = fac.pencil(t, tnorm, residual, q.norm())
+    near_boundary = math.isfinite(mu) and tol < mu <= BOUNDARY_FACTOR * tol
+    cond_ii = mu > BOUNDARY_FACTOR * tol or math.isinf(mu)
 
     found: dict = {}
     witness_vec = None
@@ -269,7 +301,7 @@ def equivalence_audit(
         cond_iii = norm_cert.status != FALSIFIED
         witness_vec = norm_cert.witness_vector
     else:
-        f = coresidual.adjoint_norm_witness()
+        f = fac.coresidual(t).adjoint_norm_witness()
         cond_iii = True
         if f is not None:
             s_norm, t_norm = s.adjoint().apply(f).norm(), t.adjoint().apply(f).norm()

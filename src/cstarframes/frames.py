@@ -316,7 +316,9 @@ def atomic_coefficients(
     from U's kept factorization without the pencil `douglas_solve` adds,
     and C = ||Q|| 1_A witnesses the coefficient bound <a_f, a_f> <=
     C<f,f>C*: C is central, so the bound is Q*Q <= ||Q||^2 I, which always
-    holds.  Raises AtomicSystemError when R(K) is not inside R(U) within
+    holds.  ||Q|| = ||U^+ K|| is read off U's kept SVD, so the call takes
+    per block one SVD of diag(1 / sigma_k) U_k^H K_b and one of U Q - K,
+    none of Q.  Raises AtomicSystemError when R(K) is not inside R(U) within
     tol, judged by the factorization residual ||U Q - K||.
     `seed` is ignored; nothing is sampled.
     """

@@ -24,8 +24,9 @@ grid constructor, `flat` and `flatten` are the independent route the
 tests check them against.  Because the arrays never change, an operator
 computes its norm once, through the algebra's one spectral-norm kernel,
 and keeps it; `douglas` keeps the operator's factorization (rank cut,
-pseudo-inverse, whitening matrices, range projection) in its `_fac` slot
-the same way.
+pseudo-inverse, the complement of the range, the whitening factors
+diag(1 / sigma) U^H) in its `_fac` slot the same way, and sets the norm
+of a Douglas solution Q from that factorization, so Q takes no SVD.
 
 Where each decomposition is taken, per reduced block: `norm` is a
 values-only SVD; `herm_block_eigs` (and `herm_eigs`, `min_herm_eig`,

@@ -302,9 +302,13 @@ def _abg_hypothesis(
     sufficient = psd_certificate(gap, tol, claim)
     if sufficient.ok:
         return sufficient
+    # a falsified certificate already holds the gap's least eigenpair
+    step = None
+    if sufficient.status == FALSIFIED:
+        step = (sufficient.witness["min_eig"], sufficient.witness_vector)
     best = -math.inf
     for _ in range(_WEIGHT_STEPS):
-        min_eig, f = gap.negative_witness()
+        min_eig, f = step or gap.negative_witness()
         lhs = d_adj.apply(f).norm()
         parts = np.array([c * adj.apply(f).norm() for (c, _), adj in zip(terms, adjs)])
         rhs = float(parts.sum())
@@ -321,7 +325,7 @@ def _abg_hypothesis(
         if rhs == 0.0:
             break
         inv_w = rhs / np.maximum(parts, np.finfo(float).eps * rhs)
-        gap = gap_at(inv_w)
+        gap, step = gap_at(inv_w), None
     return Certificate(
         INCONCLUSIVE, claim, {**sufficient.witness, "lhs_minus_rhs_max": best}, {"tol": tol}
     )

@@ -302,6 +302,7 @@ def douglas_cases(spec, rng):
         ("zero-T", zero_operator(spec, 2, 3), s),
         ("failed-inclusion", t_def + coproj.compose(random_operator(spec, 2, 3, rng)), s_def),
         ("near-boundary", s.scalar_mul(1.0 / math.sqrt(5e-9)), s),
+        ("onto-S", random_operator(spec, 2, 2, rng), random_operator(spec, 3, 2, rng)),
     ]
 
 
@@ -324,23 +325,109 @@ def same_certificate(a, b):
     )
 
 
+# ||S^+ T|| is read off S's kept SVD as max_b ||diag(1 / sigma_k) U_k^H T_b||,
+# where the oracles take an SVD of W T (W = U_k diag(1 / sigma_k) U_k^H) and
+# of Q.  They agree to a few rounding errors of an SVD: at this seed q_norm
+# to 2.6 eps and the pencil 1 / ||S^+ T||^2 to 3.3 eps relative.  Condition
+# (iii)'s gap S S* - mu T T* moves with mu by at most NORM_RTOL mu ||T||^2 <=
+# NORM_RTOL cond_iii_scale (0.9 eps of it at this seed).
+NORM_RTOL = 8 * np.finfo(float).eps
+# what reads as rounding in a residual or a cokernel witness
+ROUNDING = 1e-12
+
+
+def assert_rounding_close(got, want, rtol, what):
+    close = got == want if not math.isfinite(want) else abs(got - want) <= rtol * abs(want)
+    assert close, (what, got, want)
+
+
+def onto_by_reference(s, rtol=1e-10):
+    """Whether every block of S keeps as many singular values above rtol
+    times the largest (over all blocks) as it has rows, from SVDs taken
+    here."""
+    sigs = [np.linalg.svd(m, compute_uv=False) for m in s.block_matrices()]
+    smax = max((x.max() if x.size else 0.0) for x in sigs)
+    return smax > 0.0 and all(
+        int((x > rtol * smax).sum()) == m.shape[0] for x, m in zip(sigs, s.block_matrices())
+    )
+
+
+def assert_range_residual_matches(got, want, t, s, what):
+    """Exactly 0 where every block of S is onto; rounding where the
+    oracle's (I - S S^+) T is rounding; the oracle's value to ROUNDING
+    relative elsewhere."""
+    bound = ROUNDING * max(1.0, t.norm())
+    if onto_by_reference(s):
+        assert got == 0.0 and want <= bound, (what, got, want)
+    elif want <= bound:
+        assert got <= bound, (what, got, want)
+    else:
+        assert_rounding_close(got, want, ROUNDING, what)
+
+
+def assert_cokernel_witness_matches(got, want, t, s, residual, what):
+    """The library takes its cokernel witness f in R(S)^perp, so ||S* f||
+    is rounding.  Where (I - S S^+) T is more than rounding, the oracle's f
+    is the same direction: its ||S* f|| is rounding too and ||T* f||
+    agrees.  Where it is rounding (near-boundary), T = S X sees no
+    direction of R(S)^perp, and the oracle's f is noise, checked only
+    through the cond_iii it decides."""
+    bound = ROUNDING * max(1.0, t.norm(), s.norm())
+    if "cond_iii_s_adj_norm" not in got:
+        return
+    assert got["cond_iii_s_adj_norm"] <= bound, what
+    if residual > ROUNDING * max(1.0, t.norm()):
+        assert want["cond_iii_s_adj_norm"] <= bound, what
+        assert_rounding_close(
+            got["cond_iii_t_adj_norm"], want["cond_iii_t_adj_norm"], ROUNDING, what
+        )
+    else:
+        assert got["cond_iii_t_adj_norm"] <= bound, what
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
 def test_factored_douglas_toolkit_matches_per_function_reference(spec):
     statuses = {}
     for name, t, s in douglas_cases(spec, stream(69, spec.n_blocks)):
         assert same_bits(pseudo_inverse(s), oracles.reference_pseudo_inverse(s)), name
-        assert same_bits(range_residual(t, s), oracles.reference_range_residual(t, s)), name
-        assert same_bits(
-            pencil_lower_bound(t, s), oracles.reference_pencil_lower_bound(t, s)
-        ), name
+        want_residual = oracles.reference_range_residual(t, s)
+        assert_range_residual_matches(range_residual(t, s), want_residual, t, s, name)
+        assert_rounding_close(
+            pencil_lower_bound(t, s), oracles.reference_pencil_lower_bound(t, s), NORM_RTOL, name
+        )
         got, want = douglas_solve(t, s, 1e-9), oracles.reference_douglas_solve(t, s, 1e-9)
-        for field in ("inclusion_ok", "residual", "pencil_mu", "q_norm", "q"):
+        for field in ("inclusion_ok", "residual", "q"):
             assert same_bits(getattr(got, field), getattr(want, field)), (name, field)
+        for field in ("pencil_mu", "q_norm"):
+            assert_rounding_close(
+                getattr(got, field), getattr(want, field), NORM_RTOL, (name, field)
+            )
         cert = equivalence_audit(t, s, 1e-9)
-        assert same_certificate(cert, oracles.reference_equivalence_audit(t, s, 1e-9)), name
+        ref = oracles.reference_equivalence_audit(t, s, 1e-9)
+        assert (cert.status, cert.claim, cert.tolerances) == (
+            ref.status, ref.claim, ref.tolerances
+        ), name
+        vec, ref_vec = cert.witness_vector, ref.witness_vector
+        assert (vec is None) == (ref_vec is None), name
+        assert vec is None or all(
+            x.tobytes() == y.tobytes() for x, y in zip(vec.stacks, ref_vec.stacks)
+        ), name
+        assert cert.witness.keys() == ref.witness.keys(), name
+        for key, value in cert.witness.items():
+            if key == "range_residual":
+                assert_range_residual_matches(value, want_residual, t, s, (name, key))
+            elif key in ("pencil_mu", "q_norm"):
+                assert_rounding_close(value, ref.witness[key], NORM_RTOL, (name, key))
+            elif key == "cond_iii_min_eig":
+                scale = cert.witness["cond_iii_scale"]
+                assert abs(value - ref.witness[key]) <= NORM_RTOL * scale, (name, key)
+            elif key not in ("cond_iii_s_adj_norm", "cond_iii_t_adj_norm"):
+                assert same_bits(value, ref.witness[key]), (name, key)
+        assert_cokernel_witness_matches(cert.witness, ref.witness, t, s, want_residual, name)
         statuses[name] = cert.status
     assert statuses["near-boundary"] == "inconclusive"
     assert statuses["failed-inclusion"] == "certified"
+    assert statuses["onto-S"] == "certified"
 
 
 # -- exact condition (iii) against the one-vector-at-a-time samplers ------------------------
@@ -447,15 +534,8 @@ def test_one_svd_per_block_per_operator(dims, monkeypatch):
     assert all(a is b for a, b in zip(factored, u_copy.block_matrices()))
 
 
-def test_atomic_coefficients_evaluates_no_pencil(monkeypatch):
-    spec = AlgebraSpec((24, 12))
-    rng = stream(73, 2)
-    frame = FrameSeq([random_vector(spec, 4, rng) for _ in range(12)])
-    u = frame.synthesis_op
-    k = u.compose(random_operator(spec, 4, 12, rng))
-    pencil_lower_bound(k, u)  # factors U and takes ||K||
-    whitened = [w @ m for w, m in zip(douglas._factorization(u).whiteners, k.block_matrices())
-                if w is not None]
+def _record_svd_arguments(monkeypatch):
+    """Patch np.linalg.svd to append each argument to the returned list."""
     real_svd = np.linalg.svd
     seen = []
 
@@ -464,12 +544,80 @@ def test_atomic_coefficients_evaluates_no_pencil(monkeypatch):
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return seen
+
+
+def test_atomic_coefficients_evaluates_no_pencil(monkeypatch):
+    spec = AlgebraSpec((24, 12))
+    rng = stream(73, 2)
+    frame = FrameSeq([random_vector(spec, 4, rng) for _ in range(12)])
+    u = frame.synthesis_op
+    k = u.compose(random_operator(spec, 4, 12, rng))
+    pencil_lower_bound(k, u)  # factors U and takes ||K||
+    fac = douglas._factorization(u)
+    seen = _record_svd_arguments(monkeypatch)
     q, c, residual = atomic_coefficients(frame, k, 1e-9)
-    # the norms of U Q - K and of Q, one SVD per block each; no W K
+    # per block, the norms of U Q - K and of left_b K_b, which is ||Q||;
+    # no SVD of a block of Q
+    factored_residual = [a - b for a, b in zip(u.compose(q).block_matrices(), k.block_matrices())]
+    whitened = [w @ m for w, m in zip(fac.lefts, k.block_matrices())]
     assert len(seen) == 2 * spec.n_blocks
-    assert not any(np.array_equal(a, w) for a in seen for w in whitened)
+    assert all(np.array_equal(a, b) for a, b in zip(seen[: spec.n_blocks], whitened))
+    assert all(np.array_equal(a, b) for a, b in zip(seen[spec.n_blocks :], factored_residual))
+    assert not any(a.shape == m.shape for a in seen for m in q.block_matrices())
+    assert c.norm() == q.norm() == fac.whitened_norm(k)
     rep = douglas_solve(k, u, 1e-9)
     assert same_result(q, rep.q) and c.norm() == rep.q_norm and residual == rep.residual
+
+
+def test_onto_frame_takes_no_svd_of_a_range_residual(monkeypatch):
+    # U of a 12-member frame of A^4 is onto in both blocks, so the rank cut
+    # decides its range residual (exactly 0, no kernel call), and ||S^+ T||
+    # (the pencil and ||Q||) is one SVD per block of left_b T_b
+    spec = AlgebraSpec((24, 12))
+    rng = stream(76, 2)
+    frame = FrameSeq([random_vector(spec, 4, rng) for _ in range(12)])
+    u = frame.synthesis_op
+    k = u.compose(random_operator(spec, 4, 12, rng))
+    q_shapes = {(12 * d, 4 * d) for d in spec.block_dims}
+    calls = {
+        # a warm call: the pencil's whitened norm only
+        "optimal_scalar_bounds": (lambda: optimal_scalar_bounds(frame, k), 1),
+        # the whitened norm and ||U Q - K||
+        "equivalence_audit": (lambda: equivalence_audit(k, u, 1e-9), 2),
+        "atomic_coefficients": (lambda: atomic_coefficients(frame, k, 1e-9), 2),
+    }
+    for call, _ in calls.values():
+        call()  # factors U and takes the norms kept on K and U U*
+    assert all(p is None for p in douglas._factorization(u).perps)
+    seen = _record_svd_arguments(monkeypatch)
+    for name, (call, per_block) in calls.items():
+        seen.clear()
+        result = call()
+        # condition (iii)'s psd_certificate adds the norm of gap - gap*,
+        # the one anti-Hermitian argument
+        douglas_svds = [a for a in seen if not np.array_equal(a, -a.conj().T)]
+        assert len(douglas_svds) == per_block * spec.n_blocks, name
+        assert not any(a.shape in q_shapes for a in seen), name
+        if name == "equivalence_audit":
+            assert result.status == "certified"
+            assert result.witness["range_residual"] == 0.0
+            assert len(seen) == len(douglas_svds) + spec.n_blocks
+
+
+def test_onto_operator_with_condition_number_1e8_includes_every_range():
+    # the rank cut keeps all four singular values geomspace(1, 1e-8) of the
+    # one 4 x 6 block, so S is onto and R(T) is inside R(S) for every T;
+    # rounding in S S^+ T - T (about 7e-9 here) used to exceed tol ||T||
+    spec = AlgebraSpec((2,))
+    rng = stream(78, 0)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    s = from_block_matrices(spec, 3, 2, [(u * np.geomspace(1.0, 1e-8, 4)) @ v[:4].conj()])
+    t = random_operator(spec, 2, 2, rng)
+    assert range_residual(t, s) == 0.0
+    assert range_inclusion(t, s, 1e-9)
+    assert equivalence_audit(t, s, 1e-9).witness["cond_i"]
 
 
 def test_only_the_accessor_builds_a_factorization():

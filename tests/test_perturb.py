@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cstarframes import (
@@ -20,7 +21,7 @@ from cstarframes import (
     run_suite,
     transform_frame,
 )
-from cstarframes import harness
+from cstarframes import harness, perturb
 from cstarframes.harness import random_instance
 from cstarframes.perturb import difference_synthesis
 from cstarframes.sampling import random_operator, random_unitary, random_vector, stream
@@ -449,6 +450,29 @@ def test_pertur2_wrong_sampled_pass_is_falsified(trial):
     rep = pertur2_audit(fr, hs, k, k, *ABG, a, b)
     assert rep.constants_used["hypothesis"] == "falsified"
     assert_witness_rechecks(rep.conclusion, fr, hs, k, ABG)
+
+
+def test_hypothesis_search_repeats_no_eigensolve(monkeypatch):
+    # epsilon = 0.05, seed 0, trial 11: the sufficient gap is falsified and
+    # the search's first step reads the certificate's least eigenpair
+    # instead of decomposing the same gap again
+    fr, hs, k, _, _ = _suite_trial(11, 0.05)
+    d_op = difference_synthesis(fr, hs)
+    terms = [(ABG[0], fr.synthesis_op), (ABG[1], hs.synthesis_op), (ABG[2], k)]
+    seen = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def recording(m, *args, _real=real, _name=name, **kwargs):
+            seen.append((_name, m.shape, m.tobytes()))
+            return _real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    cert = perturb._abg_hypothesis(d_op, terms, 1e-9)
+    monkeypatch.undo()
+    assert cert.status == "inconclusive"
+    assert seen[0][0] == "eigvalsh" and any(call[0] == "eigh" for call in seen)
+    assert len(set(seen)) == len(seen)
 
 
 @pytest.mark.parametrize("epsilon", [0.05, 0.3])
