@@ -5,9 +5,9 @@ falsified (with an explicit witness vector when the claim is an
 inequality), or inconclusive for near-boundary cases.
 
 Every operator inequality of the library ends in `psd_certificate`,
-which takes per block of the gap one values-only eigensolve and one SVD
-norm of gap - gap*, and eigenvectors (one block's) only when it
-falsifies.
+the one rule that decides positivity for a verdict.  It takes per block
+of the gap one values-only eigensolve, and eigenvectors (one block's)
+only when it falsifies.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ def psd_certificate(
     gap: ModuleOperator,
     tol: float,
     claim: str,
-    extra: Optional[dict] = None,
     scale: Optional[float] = None,
 ) -> Certificate:
     """Certify that a Hermitian gap operator is positive semidefinite.
@@ -61,30 +60,25 @@ def psd_certificate(
                   eigenvector witness mapped back to a module vector
     inconclusive: in between (near-boundary exemption)
 
-    The eigenvalues are those of the Hermitian part of each reduced block,
-    from one values-only `eigvalsh` per block (`herm_block_eigs`).  scale
-    defaults to max(1, max |eigenvalue|), which is max(1, ||gap||) for a
-    Hermitian gap; a caller whose gap is a difference of larger terms
-    passes the size of the terms, since rounding in the gap follows them
-    and not the difference.  herm_residual is the spectral norm of
-    gap - gap*, an SVD per block.  Only a falsified certificate takes
-    eigenvectors: one `eigh` of the block attaining the minimum, through
-    `negative_witness`.
+    The gap is Hermitian by construction, so its anti-Hermitian part is
+    rounding only and is not measured: `frames` forms U U* - T T* and
+    M_B M_B* - U U*, for local atoms compressed by a checked projection P,
+    and at a rank-one witness the algebra-valued gap on A^1; `douglas`
+    forms S S* - mu T T*; `perturb` sum_i c_i^2 M_i M_i* / w_i - D D*.
+    One values-only `eigvalsh` per block of the Hermitian part
+    (`herm_block_eigs`) gives the eigenvalues.  scale defaults to
+    max(1, max |eigenvalue|) = max(1, ||gap||); a caller whose gap is a
+    difference of larger terms passes their size, since rounding follows
+    them.  Only a falsified certificate takes eigenvectors: one `eigh` of
+    the block attaining the minimum, through `negative_witness`.
     """
     eigs = gap.herm_block_eigs()
     min_eig = min(float(w[0]) for w in eigs)
     if scale is None:
         scale = max(1.0, *(max(-float(w[0]), float(w[-1])) for w in eigs))
-    herm_resid = (gap - gap.adjoint()).norm()
-    witness = {
-        "min_eig": min_eig,
-        "herm_residual": herm_resid,
-        "scale": scale,
-    }
-    if extra:
-        witness.update(extra)
+    witness = {"min_eig": min_eig, "scale": scale}
     tolerances = {"tol": tol}
-    if herm_resid > BOUNDARY_FACTOR * tol * scale or min_eig < -BOUNDARY_FACTOR * tol * scale:
+    if min_eig < -BOUNDARY_FACTOR * tol * scale:
         _, witness_vec = gap.negative_witness(eigs)
         return Certificate(
             FALSIFIED, claim, witness, tolerances, witness_vector=witness_vec

@@ -17,7 +17,7 @@ import time
 
 from ._version import __version__
 from .algebra import DEFAULT_TOL
-from .certify import CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE
+from .certify import BOUNDARY_FACTOR, CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE
 from .douglas import equivalence_audit, pseudo_inverse
 from .errors import AtomicSystemError, InputError
 from .frames import (
@@ -200,7 +200,7 @@ def _cmd_bounds(inst: Instance, args):
     k_op = inst.operators.get("K") or identity_operator(inst.spec, inst.rank)
     lam, mu = optimal_scalar_bounds(frame, k_op)
     values = {"lambda_star": lam, "mu_star": mu}
-    if math.isinf(lam) or lam > 10 * args.tol:
+    if math.isinf(lam) or lam > BOUNDARY_FACTOR * args.tol:
         status = CERTIFIED
     elif lam > args.tol:
         status = INCONCLUSIVE

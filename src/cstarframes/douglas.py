@@ -269,8 +269,9 @@ def equivalence_audit(
     residual of S (S^+ T) = T.  When (ii) fails, (iii) instead looks for a
     direction f in the cokernel of S that T* sees (||S* f|| <= tol,
     ||T* f|| > BOUNDARY_FACTOR tol), at the top left singular vector of
-    (I - S S^+) T = perp (perp^H T).  A near-boundary pencil value or an
-    inconclusive (iii) gives an inconclusive certificate.
+    (I - S S^+) T = perp (perp^H T).  A pencil value in
+    (0, BOUNDARY_FACTOR tol], one that exists but lies below what tol
+    resolves, or an inconclusive (iii) gives an inconclusive certificate.
 
     `seed` is ignored: nothing is sampled.
     """
@@ -286,7 +287,7 @@ def equivalence_audit(
     cond_iv = fact_residual <= tol * tscale
 
     mu = fac.pencil(t, tnorm, residual, q.norm())
-    near_boundary = math.isfinite(mu) and tol < mu <= BOUNDARY_FACTOR * tol
+    near_boundary = math.isfinite(mu) and 0.0 < mu <= BOUNDARY_FACTOR * tol
     cond_ii = mu > BOUNDARY_FACTOR * tol or math.isinf(mu)
 
     found: dict = {}

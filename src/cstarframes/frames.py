@@ -227,10 +227,10 @@ def _decide(
     from its `_mixed_gap`.  A violation on a non-scalar block gets the
     rank-one witness f = g w^H of `certify_star_bessel` and
     `certify_kframe`, with g the eigenvector psd_certificate found.  It is
-    reported falsified only if the algebra-valued gap at f has an
-    eigenvalue below -BOUNDARY_FACTOR tol max(1, ||gap||), else
-    inconclusive: for a bound block eps from scalar, ||w|| grows like
-    1/eps and the gap like 1/eps^2, so roundoff swamps the violation.
+    reported falsified only if psd_certificate falsifies the
+    algebra-valued gap at f, as an operator on A^1, else inconclusive:
+    for a bound block eps from scalar, ||w|| grows like 1/eps and the gap
+    like 1/eps^2, so roundoff swamps the violation.
     """
     cert = psd_certificate(gap, tol, claim)
     if cert.status != FALSIFIED:
@@ -255,10 +255,11 @@ def _decide(
     else:
         kf = k_op.adjoint().apply(f)
         at_f = mid - bound * kf.inner(kf) * bound.adjoint()
-    gap_min = float(np.real(at_f.spectrum()).min())
-    scale = max(1.0, at_f.norm())
-    witness = dict(cert.witness, block=k, witness_gap_min_eig=gap_min, witness_gap_scale=scale)
-    if gap_min < -BOUNDARY_FACTOR * tol * scale:
+    # on A^1 the reduced matrix of at_f is at_f's block transposed: same eigenvalues
+    at_cert = psd_certificate(diagonal_operator(at_f, 1), tol, claim)
+    witness = dict(cert.witness, block=k, witness_gap_min_eig=at_cert.witness["min_eig"],
+                   witness_gap_scale=at_cert.witness["scale"])
+    if at_cert.status == FALSIFIED:
         return Certificate(FALSIFIED, claim, witness, cert.tolerances, witness_vector=f)
     return Certificate(INCONCLUSIVE, claim, witness, cert.tolerances)
 
@@ -585,7 +586,7 @@ def ks_inverse_frame(
     new family.
     """
     s_op = frame.frame_op
-    if s_op.min_herm_eig() <= tol:
+    if min(float(w[0]) for w in s_op.herm_block_eigs()) <= tol:
         raise PreconditionError("frame operator not invertible")
     s_inv = s_op.inverse()
     mover = k_op.compose(s_inv)

@@ -29,12 +29,10 @@ diag(1 / sigma) U^H) in its `_fac` slot the same way, and sets the norm
 of a Douglas solution Q from that factorization, so Q takes no SVD.
 
 Where each decomposition is taken, per reduced block: `norm` is a
-values-only SVD; `herm_block_eigs` (and `herm_eigs`, `min_herm_eig`,
-`is_positive`) a values-only `eigvalsh` of the Hermitian part;
-`negative_witness` adds one `eigh`, of the block with the least
-eigenvalue only; `adjoint_norm_witness` a full SVD of every block.
-`certify.psd_certificate` reads `herm_block_eigs` and calls
-`negative_witness` with them only for a falsified verdict.
+values-only SVD; `herm_block_eigs`, which `certify.psd_certificate` reads
+to decide positivity, a values-only `eigvalsh` of the Hermitian part;
+`negative_witness`, for a falsified verdict only, one `eigh` of the block
+with the least eigenvalue; `adjoint_norm_witness` a full SVD of every block.
 """
 
 from __future__ import annotations
@@ -279,26 +277,6 @@ class ModuleOperator:
         if self.in_rank != self.out_rank:
             raise InputError("eigenvalues need a square operator")
         return [np.linalg.eigvalsh(_hermitian_part(m)) for m in self._mats]
-
-    def herm_eigs(self) -> np.ndarray:
-        """`herm_block_eigs` over all blocks, in one array."""
-        return np.concatenate(self.herm_block_eigs())
-
-    def min_herm_eig(self) -> float:
-        return float(self.herm_eigs().min())
-
-    def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        """Positivity as an adjointable operator, decided in the flattening.
-
-        Equivalent to <Tf, f> >= 0 in A for all f because the tracial
-        representation is a faithful *-homomorphism.
-        """
-        if self.in_rank != self.out_rank:
-            raise InputError("positivity needs a square operator")
-        scale = max(1.0, self.norm())
-        if (self - self.adjoint()).norm() > tol * scale:
-            return False
-        return self.min_herm_eig() >= -tol * scale
 
     def is_projection(self, tol: float = DEFAULT_TOL) -> bool:
         if self.in_rank != self.out_rank:

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cstarframes import AlgebraSpec, InputError, Instance, coordinate_frame, save_instance
+from cstarframes import (
+    AlgebraSpec, InputError, Instance, coordinate_frame, optimal_scalar_bounds, save_instance,
+)
 from cstarframes import cli
 from cstarframes.cli import COMMANDS, main
 from cstarframes.harness import SUITES, random_instance, tensor_pair_instance
@@ -162,11 +164,17 @@ def test_console_script_runs():
     assert "lambda_star" in proc.stdout
 
 
-# tol 0 is honoured, not replaced by the default: it leaves no room for the
-# roundoff-level Hermitian residual of the gap operators, so the check falsifies
+# tol 0 is honoured, not replaced by the default: the lower bound A, 1e-11
+# above the optimal sqrt(lambda*), violates the K-frame inequality by far less
+# than any positive tolerance resolves, and only tol 0 falsifies it
 @pytest.mark.parametrize(("tol", "code"), [(1e-6, 0), (0.0, 1)])
 def test_instance_tolerances_and_seed_apply_when_flags_absent(tmp_path, capsys, tol, code):
     inst = random_instance(4, "generic")
+    inst.tolerances = {"tol": 0.0}
+    # the stored bounds keep a margin, so tol 0 certifies them
+    assert main(["check-kframe", "--input", write_instance(tmp_path, inst, "stored.json")]) == 0
+    lam, _ = optimal_scalar_bounds(inst.frame(), inst.operators["K"])
+    inst.bounds["A"] = math.sqrt(lam * (1.0 + 1e-11)) * inst.spec.unit()
     inst.tolerances = {"tol": tol}
     inst.seed = 77
     path = write_instance(tmp_path, inst)

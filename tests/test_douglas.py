@@ -594,15 +594,12 @@ def test_onto_frame_takes_no_svd_of_a_range_residual(monkeypatch):
     for name, (call, per_block) in calls.items():
         seen.clear()
         result = call()
-        # condition (iii)'s psd_certificate adds the norm of gap - gap*,
-        # the one anti-Hermitian argument
-        douglas_svds = [a for a in seen if not np.array_equal(a, -a.conj().T)]
-        assert len(douglas_svds) == per_block * spec.n_blocks, name
+        # condition (iii)'s psd_certificate takes no SVD
+        assert len(seen) == per_block * spec.n_blocks, name
         assert not any(a.shape in q_shapes for a in seen), name
         if name == "equivalence_audit":
             assert result.status == "certified"
             assert result.witness["range_residual"] == 0.0
-            assert len(seen) == len(douglas_svds) + spec.n_blocks
 
 
 def test_onto_operator_with_condition_number_1e8_includes_every_range():
@@ -617,7 +614,11 @@ def test_onto_operator_with_condition_number_1e8_includes_every_range():
     t = random_operator(spec, 2, 2, rng)
     assert range_residual(t, s) == 0.0
     assert range_inclusion(t, s, 1e-9)
-    assert equivalence_audit(t, s, 1e-9).witness["cond_i"]
+    # the pencil mu = 1 / ||S^+ T||^2 exists but lies below what tol resolves
+    cert = equivalence_audit(t, s, 1e-9)
+    assert cert.witness["cond_i"]
+    assert 0.0 < cert.witness["pencil_mu"] <= BOUNDARY_FACTOR * 1e-9
+    assert cert.status == "inconclusive"
 
 
 def test_only_the_accessor_builds_a_factorization():

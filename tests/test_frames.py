@@ -96,7 +96,7 @@ def test_frame_operator_hermitian_positive():
     fr = random_frame(SPEC, 2, 4, rng)
     s = fr.frame_op
     assert (s - s.adjoint()).norm() <= 1e-12 * max(1.0, s.norm())
-    assert s.is_positive(1e-9)
+    assert psd_certificate(s, 1e-9, "frame-operator-positive").ok
 
 
 def test_frame_operator_entry_formula():

@@ -14,6 +14,7 @@ from cstarframes import (
     save_instance,
 )
 from cstarframes import harness
+from cstarframes.certify import psd_certificate
 from cstarframes.harness import paper_truncation_values, tensor_pair_instance
 from cstarframes.sampling import random_vector, stream
 from cstarframes.serialize import dumps_stable, instance_to_dict
@@ -51,7 +52,7 @@ def test_generic_profile_constructs_frames():
         inst = random_instance(seed, "generic")
         frame = inst.frame()
         assert frame.n_members >= frame.rank
-        assert frame.frame_op.is_positive(1e-9)
+        assert psd_certificate(frame.frame_op, 1e-9, "frame-operator-positive").ok
         assert "K" in inst.operators and "A" in inst.bounds
 
 

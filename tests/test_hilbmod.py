@@ -13,6 +13,7 @@ from cstarframes import (
     unflatten_vector,
 )
 from cstarframes.algebra import _spectral_norm
+from cstarframes.certify import FALSIFIED, psd_certificate
 from cstarframes.hilbmod import from_block_matrices
 from cstarframes.sampling import (
     random_central,
@@ -187,15 +188,15 @@ def test_trace_inner_product_matches_flat_coordinates():
 
 def test_op_positive_identity_and_negation():
     ident = identity_operator(SPEC, 2)
-    assert ident.is_positive(1e-9)
-    assert not ident.scalar_mul(-1.0).is_positive(1e-9)
+    assert psd_certificate(ident, 1e-9, "identity").ok
+    assert psd_certificate(ident.scalar_mul(-1.0), 1e-9, "minus-identity").status == FALSIFIED
 
 
 def test_op_positive_gram_and_sampled_cross_check():
     rng = stream(34, 0)
     r = random_operator(SPEC, 3, 2, rng)
     gram = r.compose(r.adjoint())
-    assert gram.is_positive(1e-9)
+    assert psd_certificate(gram, 1e-9, "gram").ok
     for _ in range(100):
         f = random_vector(SPEC, 2, rng)
         assert gram.apply(f).inner(f).is_positive(1e-9)
@@ -308,10 +309,11 @@ def test_faithfulness_of_flattening_positivity():
     for _ in range(100):
         r = random_operator(SPEC, 2, 2, rng)
         t = r + r.adjoint()
-        if t.is_positive(tol):
+        cert = psd_certificate(t, tol, "t")
+        if cert.ok:
             continue
         checked += 1
-        if t.min_herm_eig() >= -10 * tol * max(1.0, t.norm()):
+        if cert.status != FALSIFIED:
             continue  # near-boundary exemption
         found = False
         for _ in range(1000):
