@@ -157,10 +157,6 @@ class AlgElement:
             self._norm = max(float(_spectral_norm(b)) for b in self.blocks)
         return self._norm
 
-    def spectrum(self) -> np.ndarray:
-        """Union of the eigenvalue multisets of all blocks."""
-        return np.concatenate([np.linalg.eigvals(b) for b in self.blocks])
-
     def _scale(self) -> float:
         return max(1.0, self.norm())
 
@@ -178,10 +174,14 @@ class AlgElement:
         return True
 
     def is_strictly_nonzero(self, tol: float = DEFAULT_TOL) -> bool:
-        """True when zero is separated from the spectrum: min |eig| > tol scale."""
+        """True when the element is invertible with margin: every block's
+        least singular value exceeds tol scale.  Unlike the eigenvalues of a
+        non-normal block, singular values move by at most the size of a
+        perturbation; for a normal block they are the eigenvalue moduli."""
         if tol < 0:
             raise InputError("tolerance must be nonnegative")
-        return float(np.abs(self.spectrum()).min()) > tol * self._scale()
+        sigma_min = min(float(np.linalg.svd(b, compute_uv=False)[-1]) for b in self.blocks)
+        return sigma_min > tol * self._scale()
 
     def scalar_blocks(self, tol: float = DEFAULT_TOL) -> tuple[bool, ...]:
         """Per block, whether it is within tol (relatively scaled) of a

@@ -49,7 +49,6 @@ from .hilbmod import (
     _operator,
     _vector,
     diagonal_operator,
-    from_block_matrices,
     identity_operator,
 )
 
@@ -70,7 +69,7 @@ class FrameSeq:
         if any(m.spec != spec or m.rank != rank for m in members):
             raise InputError("all frame members must share spec and rank")
         stacked = [np.hstack(s) for s in zip(*(m.stacks for m in members))]
-        _adopt(self, from_block_matrices(spec, len(members), rank, stacked))
+        _adopt(self, ModuleOperator(spec, len(members), rank, stacked))
 
     @property
     def spec(self) -> AlgebraSpec:
@@ -583,10 +582,13 @@ def ks_inverse_frame(
     the family is Bessel with bound ||S^{-1}|| ||K|| B, where B =
     ||U|| (1 + 1e-9) is a Bessel bound of the frame (U its synthesis).
     The reconstruction residual is ||K - V U*||, V the synthesis of the
-    new family.
+    new family.  Raises PreconditionError when S is not invertible
+    relative to its size: lambda_min(S) <= tol ||S||, with ||S|| read off
+    the same eigenvalues, as S >= 0.
     """
     s_op = frame.frame_op
-    if min(float(w[0]) for w in s_op.herm_block_eigs()) <= tol:
+    eigs = s_op.herm_block_eigs()
+    if min(float(w[0]) for w in eigs) <= tol * max(float(w[-1]) for w in eigs):
         raise PreconditionError("frame operator not invertible")
     s_inv = s_op.inverse()
     mover = k_op.compose(s_inv)

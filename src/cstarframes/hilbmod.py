@@ -13,15 +13,15 @@ matrix of an operator is permutation-similar to a direct sum over blocks
 of d_b copies of a reduced block matrix, so all spectral quantities are
 computed per block without assembling the big matrix.
 
-These per-block arrays are the only stored form.  An operator A^n -> A^m
-holds per block b its reduced (m*d_b) x (n*d_b) matrix M_b, with (i, j)
-sub-block t[j][i]_b^T; a rank-n vector holds per block an (n*d_b) x d_b
-array F_b whose k-th slab of d_b rows is (f_k)_b^T.  Then Tf is M_b F_b,
-<f, g> is F_b^T conj(G_b), a.f is F_b a_b^T and T* is M_b^H, one matrix
-product per block.  The arrays are read-only, and library code reads and
-writes only them; `entries` (rebuilt on every access), the operator's
-grid constructor, `flat` and `flatten` are the independent route the
-tests check them against.  Because the arrays never change, an operator
+These per-block arrays are the only representation.  An operator
+A^n -> A^m holds per block b its reduced (m*d_b) x (n*d_b) matrix M_b,
+with (i, j) sub-block t[j][i]_b^T; a rank-n vector holds per block an
+(n*d_b) x d_b array F_b whose k-th slab of d_b rows is (f_k)_b^T.  Then
+Tf is M_b F_b, <f, g> is F_b^T conj(G_b) and T* is M_b^H, one matrix
+product per block.  Callers build vectors and operators from these
+arrays, which the constructors copy and check; library code wraps the
+arrays it computes with `_vector` and `_operator`, unchecked.  The
+arrays are read-only.  Because the arrays never change, an operator
 computes its norm once, through the algebra's one spectral-norm kernel,
 and keeps it; `douglas` keeps the operator's factorization (rank cut,
 pseudo-inverse, the complement of the range, the whitening factors
@@ -46,33 +46,18 @@ from .errors import InputError, PreconditionError
 
 
 class ModuleVector:
-    """Element (f_1, ..., f_n) of A^n, built from its n algebra elements
-    and stored only as `stacks`: per block b an (n*d_b) x d_b array whose
-    slab k is (f_k)_b^T.  `entries` rebuilds the elements on each access,
-    for the tests."""
+    """Element (f_1, ..., f_n) of A^n, stored as `stacks`: per block b an
+    (n*d_b) x d_b array whose slab k is (f_k)_b^T.  The constructor copies
+    and checks a caller's stacks; library code wraps the stacks it
+    computes with `_vector`."""
 
     __slots__ = ("spec", "rank", "stacks")
 
-    def __init__(self, spec: AlgebraSpec, entries: Sequence[AlgElement]):
-        if not entries:
-            raise InputError("rank-0 module vectors are rejected")
-        for e in entries:
-            if e.spec != spec:
-                raise InputError("all vector entries must share the algebra spec")
+    def __init__(self, spec: AlgebraSpec, stacks: Sequence[np.ndarray]):
+        first = np.shape(stacks[0]) if len(stacks) else ()
         self.spec = spec
-        self.rank = len(entries)
-        self.stacks = _readonly(
-            [np.vstack([e.blocks[b].T for e in entries]) for b in range(spec.n_blocks)]
-        )
-
-    @property
-    def entries(self) -> tuple[AlgElement, ...]:
-        """The n algebra elements, rebuilt on each access."""
-        dims = self.spec.block_dims
-        return tuple(
-            AlgElement(self.spec, [s[k * d : (k + 1) * d].T for d, s in zip(dims, self.stacks)])
-            for k in range(self.rank)
-        )
+        self.rank = first[0] // spec.block_dims[0] if first else 0
+        self.stacks = _checked_copies(spec, self.rank, 1, stacks)
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_compatible(other)
@@ -84,12 +69,6 @@ class ModuleVector:
 
     def __neg__(self) -> "ModuleVector":
         return _vector(self.spec, [-a for a in self.stacks])
-
-    def module_mul(self, a: AlgElement) -> "ModuleVector":
-        """Left module action a . f = (a f_1, ..., a f_n)."""
-        if a.spec != self.spec:
-            raise InputError("algebra spec mismatch in module action")
-        return _vector(self.spec, [s @ blk.T for s, blk in zip(self.stacks, a.blocks)])
 
     def scalar_mul(self, z: complex) -> "ModuleVector":
         return _vector(self.spec, [complex(z) * s for s in self.stacks])
@@ -105,13 +84,6 @@ class ModuleVector:
         """Module norm ||<f, f>||^(1/2)."""
         return float(np.sqrt(self.inner(self).norm()))
 
-    def flat(self) -> np.ndarray:
-        """Coordinates in the tracial complex representation, read from the
-        entries like `ModuleOperator.flatten`."""
-        return np.concatenate(
-            [np.concatenate([blk.ravel() for blk in e.blocks]) for e in self.entries]
-        )
-
     def _check_compatible(self, other: "ModuleVector") -> None:
         if self.spec != other.spec or self.rank != other.rank:
             raise InputError("module vectors must share spec and rank")
@@ -120,73 +92,24 @@ class ModuleVector:
         return f"ModuleVector(rank={self.rank}, spec={self.spec.block_dims})"
 
 
-def coordinate_vector(spec: AlgebraSpec, rank: int, slot: int) -> ModuleVector:
-    """Unit coordinate vector: 1_A at the given slot, zero elsewhere."""
-    if not 0 <= slot < rank:
-        raise InputError(f"slot {slot} out of range for rank {rank}")
-    entries = [spec.zero() for _ in range(rank)]
-    entries[slot] = spec.unit()
-    return ModuleVector(spec, entries)
-
-
-def unflatten_vector(spec: AlgebraSpec, rank: int, x: np.ndarray) -> ModuleVector:
-    """Inverse of ModuleVector.flat."""
-    if rank < 1:
-        raise InputError("rank-0 module vectors are rejected")
-    if x.shape != (rank * spec.total_dim,):
-        raise InputError(f"flat vector has wrong length {x.shape}")
-    dims = spec.block_dims
-    slots = np.array(x, dtype=complex).reshape(rank, spec.total_dim)
-    segs = np.split(slots, np.cumsum([d * d for d in dims])[:-1], axis=1)
-    return _vector(
-        spec,
-        [
-            s.reshape(rank, d, d).transpose(0, 2, 1).reshape(rank * d, d)
-            for d, s in zip(dims, segs)
-        ],
-    )
-
-
 class ModuleOperator:
-    """Adjointable A-linear map A^n -> A^m, built from its n x m grid of
-    algebra elements t[j][i] (input index first) and stored only as one
-    reduced (m*d_b) x (n*d_b) matrix per block b, with (i, j) sub-block
-    t[j][i]_b^T.  The grid constructor and `entries`, which rebuilds the
-    grid on each access, serve the tests.  `from_block_matrices` copies
-    and checks a caller's per-block matrices; library code wraps the
-    matrices it computes with `_operator`."""
+    """Adjointable A-linear map A^n -> A^m with grid t[j][i] (input index
+    first), stored as one reduced (m*d_b) x (n*d_b) matrix per block b,
+    with (i, j) sub-block t[j][i]_b^T.  The constructor copies and checks
+    a caller's matrices; library code wraps the matrices it computes with
+    `_operator`."""
 
     __slots__ = ("spec", "in_rank", "out_rank", "_mats", "_norm", "_fac")
 
-    def __init__(self, spec: AlgebraSpec, entries: Sequence[Sequence[AlgElement]]):
-        if not entries or not entries[0]:
-            raise InputError("empty operator matrices are rejected")
-        out_rank = len(entries[0])
-        for row in entries:
-            if len(row) != out_rank:
-                raise InputError("ragged operator entry grid")
-            for e in row:
-                if e.spec != spec:
-                    raise InputError("all operator entries must share the algebra spec")
+    def __init__(
+        self, spec: AlgebraSpec, in_rank: int, out_rank: int, mats: Sequence[np.ndarray]
+    ):
         self.spec = spec
-        self.in_rank = len(entries)
+        self.in_rank = in_rank
         self.out_rank = out_rank
-        self._mats = _readonly(
-            [
-                np.block([[row[i].blocks[b].T for row in entries] for i in range(out_rank)])
-                for b in range(spec.n_blocks)
-            ]
-        )
+        self._mats = _checked_copies(spec, out_rank, in_rank, mats)
         self._norm = None
         self._fac = None
-
-    # -- representations ----------------------------------------------------
-
-    @property
-    def entries(self) -> tuple[tuple[AlgElement, ...], ...]:
-        """The n x m grid t[j][i], rebuilt on each access; row j is the
-        image of the j-th coordinate vector."""
-        return tuple(f.entries for f in _columns(self))
 
     def block_matrices(self) -> tuple[np.ndarray, ...]:
         """Reduced complex matrix per algebra block, the stored form.
@@ -196,27 +119,6 @@ class ModuleOperator:
         of it, so norms, spectra and pseudo-inverses are computed here.
         """
         return self._mats
-
-    def flatten(self) -> np.ndarray:
-        """Full complex matrix of f -> Tf on the tracial representation.
-
-        Rows/columns are indexed by (slot, block, row, col) of the vector
-        coordinates; the result satisfies flatten(T) @ f.flat() = (Tf).flat().
-        Assembled from the entry grid, independently of the reduced matrices.
-        """
-        d2 = self.spec.total_dim
-        out = np.zeros((self.out_rank * d2, self.in_rank * d2), dtype=complex)
-        offs = np.cumsum([0] + [d * d for d in self.spec.block_dims])
-        entries = self.entries
-        for j in range(self.in_rank):
-            for i in range(self.out_rank):
-                for b, d in enumerate(self.spec.block_dims):
-                    blk = entries[j][i].blocks[b]
-                    sub = np.kron(np.eye(d), blk.T)
-                    r0 = i * d2 + offs[b]
-                    c0 = j * d2 + offs[b]
-                    out[r0 : r0 + d * d, c0 : c0 + d * d] = sub
-        return out
 
     # -- algebra of operators -------------------------------------------------
 
@@ -351,6 +253,24 @@ def _readonly(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     return tuple(arrays)
 
 
+def _checked_copies(
+    spec: AlgebraSpec, rows: int, cols: int, arrays: Sequence[np.ndarray]
+) -> tuple[np.ndarray, ...]:
+    """Read-only copies of a caller's per-block arrays, after checking that
+    block b is a finite (rows*d_b) x (cols*d_b) array."""
+    if len(arrays) != spec.n_blocks:
+        raise InputError("need one array per algebra block")
+    if rows < 1 or cols < 1:
+        raise InputError("rank-0 modules are rejected")
+    arrays = [np.array(a, dtype=complex) for a in arrays]
+    for b, (d, a) in enumerate(zip(spec.block_dims, arrays)):
+        if a.shape != (rows * d, cols * d):
+            raise InputError(f"block {b} array has wrong shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise InputError(f"block {b} array must have finite entries")
+    return _readonly(arrays)
+
+
 def _vector(spec: AlgebraSpec, stacks: Sequence[np.ndarray]) -> ModuleVector:
     """Wrap per-block stacked arrays of matching shapes, taking them over."""
     f = object.__new__(ModuleVector)
@@ -377,24 +297,6 @@ def _operator(
     t._norm = None
     t._fac = None
     return t
-
-
-def from_block_matrices(
-    spec: AlgebraSpec, in_rank: int, out_rank: int, mats: Sequence[np.ndarray]
-) -> ModuleOperator:
-    """Operator storing copies of the given reduced per-block matrices,
-    after checking their shapes and that their entries are finite."""
-    if in_rank < 1 or out_rank < 1:
-        raise InputError("empty operator matrices are rejected")
-    if len(mats) != spec.n_blocks:
-        raise InputError("need one reduced matrix per algebra block")
-    mats = [np.array(m, dtype=complex) for m in mats]
-    for b, (d, m) in enumerate(zip(spec.block_dims, mats)):
-        if m.shape != (out_rank * d, in_rank * d):
-            raise InputError(f"reduced matrix {b} has wrong shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise InputError(f"reduced matrix {b} must have finite entries")
-    return _operator(spec, in_rank, out_rank, mats)
 
 
 def identity_operator(spec: AlgebraSpec, rank: int) -> ModuleOperator:

@@ -41,16 +41,6 @@ def random_element(spec: AlgebraSpec, rng: np.random.Generator, scale: float = 1
     return AlgElement(spec, [scale * _gauss_matrix(rng, d, d) for d in spec.block_dims])
 
 
-def random_hermitian(spec: AlgebraSpec, rng: np.random.Generator) -> AlgElement:
-    a = random_element(spec, rng)
-    return 0.5 * (a + a.adjoint())
-
-
-def random_positive(spec: AlgebraSpec, rng: np.random.Generator) -> AlgElement:
-    a = random_element(spec, rng)
-    return a * a.adjoint()
-
-
 def random_central(spec: AlgebraSpec, rng: np.random.Generator) -> AlgElement:
     """Central element with per-block scalars of modulus in [0.5, 2)."""
     mags = rng.uniform(0.5, 2.0, size=spec.n_blocks)

@@ -2,9 +2,9 @@
 
 The product of two block direct sums is the direct sum over block pairs
 with dimensions d_i * e_k (the spatial tensor product, which is the only
-C*-tensor product in finite dimensions).  Product blocks, module slots
-and flattening coordinates are ordered lexicographically left-first; the
-witness records the resulting index maps so tests are permutation-stable.
+C*-tensor product in finite dimensions).  Product blocks and module
+slots are ordered lexicographically left-first; the witness records the
+block pairs in that order.
 Products are formed on the per-block arrays: one kron of the factors'
 reduced matrices per block pair, reordered by a fixed reshape/transpose.
 """
@@ -24,7 +24,8 @@ from .hilbmod import ModuleOperator, ModuleVector, _operator, _vector
 
 @dataclass(frozen=True)
 class TensorWitness:
-    """Product algebra of two block algebras with explicit index maps."""
+    """Product algebra of two block algebras with its block pairs (i, k),
+    in product-block order."""
 
     left: AlgebraSpec
     right: AlgebraSpec
@@ -72,30 +73,6 @@ class TensorWitness:
             z = z.reshape(n_out, d, m_out, e, n, d, m, e).transpose(0, 2, 1, 3, 4, 6, 5, 7)
             mats.append(z.reshape(n_out * m_out * d * e, n * m * d * e))
         return _operator(self.product, n * m, n_out * m_out, mats)
-
-    # -- index maps ------------------------------------------------------------
-
-    def flat_permutation(self, rank_left: int, rank_right: int) -> np.ndarray:
-        """Map product flattening coordinates to Kronecker coordinates.
-
-        perm[x] is the index into kron(left coordinates, right coordinates)
-        carrying the same entry, so flat(K tensor L)[x, y] equals
-        kron(flat K, flat L)[perm[x], perm[y]].
-        """
-        dl, dr = self.left.total_dim, self.right.total_dim
-        offs_l = np.cumsum([0] + [d * d for d in self.left.block_dims])
-        offs_r = np.cumsum([0] + [d * d for d in self.right.block_dims])
-        perm = []
-        for j in range(rank_left):
-            for l in range(rank_right):
-                for i, k in self.block_pairs:
-                    di, ek = self.left.block_dims[i], self.right.block_dims[k]
-                    # product coordinates of the block run in (p1, p2, q1, q2) order
-                    p1, p2, q1, q2 = np.indices((di, ek, di, ek)).reshape(4, -1)
-                    cl = j * dl + offs_l[i] + p1 * di + q1
-                    cr = l * dr + offs_r[k] + p2 * ek + q2
-                    perm.append(cl * (rank_right * dr) + cr)
-        return np.concatenate(perm).astype(np.int64)
 
 
 def tensor_witness(left: AlgebraSpec, right: AlgebraSpec) -> TensorWitness:

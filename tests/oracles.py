@@ -3,6 +3,11 @@
 These deliberately take different computational routes than the library:
 full flattened matrices and scipy's generalized eigensolver instead of
 per-block whitened SVDs, direct summation instead of operator identities.
+The library builds vectors and operators only from per-block arrays; the
+element-grid views here (`entries`, the grid constructors, the module
+action, the tracial flattening `flat`/`flatten`, `flat_permutation` and
+`spectrum`) read those arrays as algebra elements and rebuild them the
+other way round, so the tests check the arrays against the definitions.
 Reference copies of replaced code (the per-function Douglas
 factorizations) pin the current code to what it replaced, and the
 sampled checks the library once ran, one vector at a time, are the
@@ -26,15 +31,153 @@ from cstarframes.certify import (
 )
 from cstarframes.algebra import AlgElement
 from cstarframes.douglas import DouglasReport
-from cstarframes.hilbmod import ModuleOperator, ModuleVector, _vector, from_block_matrices
-from cstarframes.sampling import random_vector, stream
+from cstarframes.hilbmod import ModuleOperator, ModuleVector, _vector
+from cstarframes.sampling import random_element, random_vector, stream
+
+
+# -- the element-grid views of vectors and operators ---------------------------
+#
+# A vector is the n-tuple (f_1, ..., f_n) of algebra elements and an
+# operator the n x m grid t[j][i] (input index first), read here as slices
+# of the stored arrays and rebuilt from elements with `vstack` and `block`.
+# The tracial flattening is assembled from the elements by `kron`,
+# independently of the reduced matrices.
+
+
+def entries(x):
+    """The algebra elements of a vector (f_1, ..., f_n), or the grid
+    t[j][i] of an operator, whose row j is the image of the j-th
+    coordinate vector; sliced from the stored arrays."""
+    dims = x.spec.block_dims
+    if isinstance(x, ModuleVector):
+        return tuple(
+            AlgElement(x.spec, [s[k * d : (k + 1) * d].T for d, s in zip(dims, x.stacks)])
+            for k in range(x.rank)
+        )
+    mats = x.block_matrices()
+    return tuple(
+        tuple(
+            AlgElement(
+                x.spec,
+                [m[i * d : (i + 1) * d, j * d : (j + 1) * d].T for d, m in zip(dims, mats)],
+            )
+            for i in range(x.out_rank)
+        )
+        for j in range(x.in_rank)
+    )
+
+
+def grid_vector(spec, elements):
+    """The vector (f_1, ..., f_n) of the given algebra elements."""
+    return ModuleVector(
+        spec, [np.vstack([e.blocks[b].T for e in elements]) for b in range(spec.n_blocks)]
+    )
+
+
+def grid_operator(spec, grid):
+    """The operator with grid t[j][i], input index first."""
+    n, m = len(grid), len(grid[0])
+    return ModuleOperator(
+        spec,
+        n,
+        m,
+        [
+            np.block([[row[i].blocks[b].T for row in grid] for i in range(m)])
+            for b in range(spec.n_blocks)
+        ],
+    )
+
+
+def coordinate_vector(spec, rank, slot):
+    """Unit coordinate vector: 1_A at the given slot, zero elsewhere."""
+    return grid_vector(spec, [spec.unit() if k == slot else spec.zero() for k in range(rank)])
+
+
+def module_mul(f, a):
+    """Left module action a.f = (a f_1, ..., a f_n), element by element."""
+    return grid_vector(f.spec, [a * e for e in entries(f)])
+
+
+def flat(f):
+    """Coordinates of f in the tracial complex representation: per slot,
+    per block, the entries of (f_k)_b row by row."""
+    return np.concatenate(
+        [np.concatenate([blk.ravel() for blk in e.blocks]) for e in entries(f)]
+    )
+
+
+def unflatten_vector(spec, rank, x):
+    """Inverse of `flat`, through the algebra elements."""
+    offs = np.cumsum([0] + [d * d for d in spec.block_dims])
+    slots = np.asarray(x, dtype=complex).reshape(rank, spec.total_dim)
+    return grid_vector(
+        spec,
+        [
+            AlgElement(spec, [s[o : o + d * d].reshape(d, d) for d, o in zip(spec.block_dims, offs)])
+            for s in slots
+        ],
+    )
+
+
+def flatten(t):
+    """Full complex matrix of f -> Tf on the tracial representation, with
+    flatten(T) @ flat(f) = flat(Tf); assembled from the grid by `kron`."""
+    d2 = t.spec.total_dim
+    out = np.zeros((t.out_rank * d2, t.in_rank * d2), dtype=complex)
+    offs = np.cumsum([0] + [d * d for d in t.spec.block_dims])
+    grid = entries(t)
+    for j in range(t.in_rank):
+        for i in range(t.out_rank):
+            for b, d in enumerate(t.spec.block_dims):
+                r0 = i * d2 + offs[b]
+                c0 = j * d2 + offs[b]
+                out[r0 : r0 + d * d, c0 : c0 + d * d] = np.kron(np.eye(d), grid[j][i].blocks[b].T)
+    return out
+
+
+def flat_permutation(w, rank_left, rank_right):
+    """Map product flattening coordinates to Kronecker coordinates.
+
+    perm[x] is the index into kron(left coordinates, right coordinates)
+    carrying the same entry, so flatten(K tensor L)[x, y] equals
+    kron(flatten K, flatten L)[perm[x], perm[y]].
+    """
+    dl, dr = w.left.total_dim, w.right.total_dim
+    offs_l = np.cumsum([0] + [d * d for d in w.left.block_dims])
+    offs_r = np.cumsum([0] + [d * d for d in w.right.block_dims])
+    perm = []
+    for j in range(rank_left):
+        for l in range(rank_right):
+            for i, k in w.block_pairs:
+                di, ek = w.left.block_dims[i], w.right.block_dims[k]
+                # product coordinates of the block run in (p1, p2, q1, q2) order
+                p1, p2, q1, q2 = np.indices((di, ek, di, ek)).reshape(4, -1)
+                cl = j * dl + offs_l[i] + p1 * di + q1
+                cr = l * dr + offs_r[k] + p2 * ek + q2
+                perm.append(cl * (rank_right * dr) + cr)
+    return np.concatenate(perm).astype(np.int64)
+
+
+def spectrum(a):
+    """Union of the eigenvalue multisets of all blocks of an element."""
+    return np.concatenate([np.linalg.eigvals(b) for b in a.blocks])
+
+
+def random_hermitian(spec, rng):
+    a = random_element(spec, rng)
+    return 0.5 * (a + a.adjoint())
+
+
+def random_positive(spec, rng):
+    a = random_element(spec, rng)
+    return a * a.adjoint()
 
 
 def pencil_oracle(t, s, rtol=1e-10, incl_tol=1e-8):
     """sup{mu : mu T T* <= S S*} via a restricted generalized eigenproblem
     on the full flattened matrices."""
-    tf = t.flatten()
-    sf = s.flatten()
+    tf = flatten(t)
+    sf = flatten(s)
     a = tf @ tf.conj().T
     b = sf @ sf.conj().T
     a_norm = np.linalg.norm(a, ord=2)
@@ -127,7 +270,7 @@ def reference_pseudo_inverse(t, rtol=1e-10):
             continue
         inv = np.where(s > rtol * smax, 1.0 / np.where(s > 0, s, 1.0), 0.0)
         mats.append((vh.conj().T * inv) @ u.conj().T)
-    return from_block_matrices(t.spec, t.out_rank, t.in_rank, mats)
+    return ModuleOperator(t.spec, t.out_rank, t.in_rank, mats)
 
 
 def reference_range_residual(t, s, rtol=1e-10):
@@ -290,11 +433,11 @@ def reference_encode_element(a):
 
 
 def reference_encode_vector(f):
-    return [reference_encode_element(e) for e in f.entries]
+    return [reference_encode_element(e) for e in entries(f)]
 
 
 def reference_encode_operator(t):
-    return [[reference_encode_element(e) for e in row] for row in t.entries]
+    return [[reference_encode_element(e) for e in row] for row in entries(t)]
 
 
 def reference_decode_element(spec, data):
@@ -305,16 +448,16 @@ def reference_decode_element(spec, data):
 
 
 def reference_decode_vector(spec, data):
-    return ModuleVector(spec, [reference_decode_element(spec, e) for e in data])
+    return grid_vector(spec, [reference_decode_element(spec, e) for e in data])
 
 
 def reference_decode_operator(spec, data):
-    return ModuleOperator(spec, [[reference_decode_element(spec, e) for e in row] for row in data])
+    return grid_operator(spec, [[reference_decode_element(spec, e) for e in row] for row in data])
 
 
 def reference_tensor_vector(w, f, h):
     """f tensor h entry by entry: slot (j, l) is w.element(f_j, h_l)."""
-    return ModuleVector(w.product, [w.element(fe, he) for fe in f.entries for he in h.entries])
+    return grid_vector(w.product, [w.element(fe, he) for fe in entries(f) for he in entries(h)])
 
 
 def reference_tensor_operator(w, k_op, l_op):
@@ -322,7 +465,7 @@ def reference_tensor_operator(w, k_op, l_op):
     w.element(K[j][i], L[l][i'])."""
     grid = [
         [w.element(k, l) for k in k_row for l in l_row]
-        for k_row in k_op.entries
-        for l_row in l_op.entries
+        for k_row in entries(k_op)
+        for l_row in entries(l_op)
     ]
-    return ModuleOperator(w.product, grid)
+    return grid_operator(w.product, grid)

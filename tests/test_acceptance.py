@@ -34,10 +34,9 @@ from cstarframes import (
     tensor_frame_audit,
     tensor_witness,
 )
-from cstarframes.hilbmod import ModuleOperator
 from cstarframes.sampling import random_operator, random_vector, stream
 
-from oracles import pencil_oracle
+from oracles import grid_operator, pencil_oracle
 
 
 def _line(name, ok, detail):
@@ -137,7 +136,7 @@ def test_criterion_3_douglas_equivalence_with_oracle():
             [spec.unit() if (i == j and j < n - 1) else spec.zero() for i in range(n)]
             for j in range(n)
         ]
-        s_op = ModuleOperator(spec, drop_grid).compose(
+        s_op = grid_operator(spec, drop_grid).compose(
             random_operator(spec, int(rng.integers(1, 4)), n, rng)
         )
         t_op = s_op.compose(random_operator(spec, 2, s_op.in_rank, rng))

@@ -1,0 +1,50 @@
+"""Guards on the library's surface: no dead private helper, and a public
+name list that resolves."""
+
+import ast
+import re
+from pathlib import Path
+
+import cstarframes
+
+SRC = Path(cstarframes.__file__).parent
+
+
+def _private_defs(tree):
+    """Module-level functions and class methods whose names start with
+    one underscore, as (name, first line, last line)."""
+    nodes = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            nodes.extend(node.body)
+    return [
+        (n.name, n.lineno, n.end_lineno)
+        for n in nodes
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and n.name.startswith("_")
+        and not (n.name.startswith("__") and n.name.endswith("__"))
+    ]
+
+
+def test_every_private_helper_is_referenced_outside_its_def():
+    sources = {p: p.read_text().splitlines() for p in sorted(SRC.glob("*.py"))}
+    unused = []
+    for path, lines in sources.items():
+        for name, first, last in _private_defs(ast.parse("\n".join(lines))):
+            pattern = re.compile(rf"\b{re.escape(name)}\b")
+            others = (
+                line
+                for p, ls in sources.items()
+                for k, line in enumerate(ls, 1)
+                if p != path or not first <= k <= last
+            )
+            if not any(pattern.search(line) for line in others):
+                unused.append(f"{path.name}:{first} {name}")
+    assert not unused, f"private helpers nothing references: {unused}"
+
+
+def test_public_names_resolve_once():
+    names = cstarframes.__all__
+    assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
+    missing = [n for n in names if not hasattr(cstarframes, n)]
+    assert not missing, missing

@@ -8,19 +8,27 @@ from cstarframes import (
     ModuleVector,
     PreconditionError,
     central_mult,
-    coordinate_vector,
     identity_operator,
-    unflatten_vector,
 )
 from cstarframes.algebra import _spectral_norm
 from cstarframes.certify import FALSIFIED, psd_certificate
-from cstarframes.hilbmod import from_block_matrices
 from cstarframes.sampling import (
     random_central,
     random_element,
     random_operator,
     random_vector,
     stream,
+)
+
+from oracles import (
+    coordinate_vector,
+    entries,
+    flat,
+    flatten,
+    grid_operator,
+    grid_vector,
+    module_mul,
+    unflatten_vector,
 )
 
 SPEC = AlgebraSpec((2, 1))
@@ -48,7 +56,7 @@ def test_inner_product_first_argument_module_linear():
     a = random_element(SPEC, rng)
     f = random_vector(SPEC, 2, rng)
     g = random_vector(SPEC, 2, rng)
-    lhs = f.module_mul(a).inner(g)
+    lhs = module_mul(f, a).inner(g)
     rhs = a * f.inner(g)
     assert (lhs - rhs).norm() <= 1e-12 * max(1.0, lhs.norm())
 
@@ -56,13 +64,13 @@ def test_inner_product_first_argument_module_linear():
 def test_sequence_example_inner_product_is_entrywise():
     # commutative three-block algebra, rank one: <u, u> = diag(|u_i|^2)
     spec = AlgebraSpec((1, 1, 1))
-    u = ModuleVector(spec, [spec.central([1 + 2j, -0.5, 3j])])
+    u = grid_vector(spec, [spec.central([1 + 2j, -0.5, 3j])])
     got = u.inner(u)
     assert np.allclose(got.central_scalars(), [5.0, 0.25, 9.0])
 
 
 def test_vector_norm():
-    z = ModuleVector(SPEC, [SPEC.zero(), SPEC.zero()])
+    z = grid_vector(SPEC, [SPEC.zero(), SPEC.zero()])
     assert z.norm() == 0.0
     assert coordinate_vector(SPEC, 2, 1).norm() == 1.0
     rng = stream(22, 0)
@@ -76,13 +84,35 @@ def test_rank_and_spec_mismatch():
     g = random_vector(SPEC, 3, rng)
     with pytest.raises(InputError):
         f.inner(g)
+    # the constructors check block count, block shapes and rank agreement
+    assert ModuleVector(SPEC, [np.ones((4, 2)), np.ones((2, 1))]).rank == 2
+    bad_stacks = {
+        "block count": [np.ones((4, 2))],
+        "block shape": [np.ones((4, 2)), np.ones((2, 2))],
+        "ranks disagree": [np.ones((4, 2)), np.ones((3, 1))],
+    }
+    for stacks in bad_stacks.values():
+        with pytest.raises(InputError, match="block"):
+            ModuleVector(SPEC, stacks)
+    assert ModuleOperator(SPEC, 2, 3, [np.ones((6, 4)), np.ones((3, 2))]).norm() > 0.0
+    bad_mats = {
+        "block count": [np.ones((6, 4)), np.ones((3, 2)), np.ones((3, 2))],
+        "block shape": [np.ones((6, 4)), np.ones((2, 3))],
+        "ranks disagree": [np.ones((6, 4)), np.ones((2, 2))],
+        "ranks swapped": [np.ones((4, 6)), np.ones((2, 3))],
+    }
+    for mats in bad_mats.values():
+        with pytest.raises(InputError, match="block"):
+            ModuleOperator(SPEC, 2, 3, mats)
 
 
 def test_rank_zero_rejected():
     with pytest.raises(InputError):
         ModuleVector(SPEC, [])
-    with pytest.raises(InputError):
-        ModuleOperator(SPEC, [])
+    with pytest.raises(InputError, match="rank-0"):
+        ModuleVector(SPEC, [np.zeros((0, 2)), np.zeros((0, 1))])
+    with pytest.raises(InputError, match="rank-0"):
+        ModuleOperator(SPEC, 0, 2, [np.zeros((4, 0)), np.zeros((2, 0))])
 
 
 # -- operators -------------------------------------------------------------------
@@ -111,7 +141,7 @@ def test_adjoint_entry_convention():
     ta = t.adjoint()
     for j in range(2):
         for i in range(3):
-            assert (ta.entries[i][j] - t.entries[j][i].adjoint()).norm() == 0.0
+            assert (entries(ta)[i][j] - entries(t)[j][i].adjoint()).norm() == 0.0
 
 
 def test_compose_with_planted_inverse():
@@ -128,8 +158,8 @@ def test_module_linearity_of_operators():
     t = random_operator(SPEC, 2, 3, rng)
     a = random_element(SPEC, rng)
     f = random_vector(SPEC, 2, rng)
-    lhs = t.apply(f.module_mul(a))
-    rhs = t.apply(f).module_mul(a)
+    lhs = t.apply(module_mul(f, a))
+    rhs = module_mul(t.apply(f), a)
     assert (lhs - rhs).norm() <= 1e-12 * max(1.0, lhs.norm())
 
 
@@ -137,23 +167,23 @@ def test_module_linearity_of_operators():
 
 
 def test_flatten_identity():
-    flat = identity_operator(SPEC, 2).flatten()
-    assert flat.shape == (2 * SPEC.total_dim, 2 * SPEC.total_dim)
-    assert np.allclose(flat, np.eye(2 * SPEC.total_dim))
+    flat_id = flatten(identity_operator(SPEC, 2))
+    assert flat_id.shape == (2 * SPEC.total_dim, 2 * SPEC.total_dim)
+    assert np.allclose(flat_id, np.eye(2 * SPEC.total_dim))
 
 
 def test_flatten_star_compatibility():
     rng = stream(29, 0)
     t = random_operator(SPEC, 2, 3, rng)
-    assert np.linalg.norm(t.adjoint().flatten() - t.flatten().conj().T) <= 1e-12
+    assert np.linalg.norm(flatten(t.adjoint()) - flatten(t).conj().T) <= 1e-12
 
 
 def test_flatten_is_homomorphism():
     rng = stream(30, 0)
     t = random_operator(SPEC, 2, 3, rng)
     r = random_operator(SPEC, 3, 2, rng)
-    lhs = r.compose(t).flatten()
-    rhs = r.flatten() @ t.flatten()
+    lhs = flatten(r.compose(t))
+    rhs = flatten(r) @ flatten(t)
     assert np.linalg.norm(lhs - rhs) <= 1e-11 * max(1.0, np.linalg.norm(rhs))
 
 
@@ -162,15 +192,15 @@ def test_flatten_action_consistency():
     for _ in range(10):
         t = random_operator(SPEC, 2, 3, rng)
         f = random_vector(SPEC, 2, rng)
-        lhs = t.flatten() @ f.flat()
-        rhs = t.apply(f).flat()
+        lhs = flatten(t) @ flat(f)
+        rhs = flat(t.apply(f))
         assert np.linalg.norm(lhs - rhs) <= 1e-11 * max(1.0, np.linalg.norm(rhs))
 
 
 def test_unflatten_vector_roundtrip():
     rng = stream(32, 0)
     f = random_vector(SPEC, 3, rng)
-    back = unflatten_vector(SPEC, 3, f.flat())
+    back = unflatten_vector(SPEC, 3, flat(f))
     assert (back - f).norm() == 0.0
 
 
@@ -179,7 +209,7 @@ def test_trace_inner_product_matches_flat_coordinates():
     f = random_vector(SPEC, 2, rng)
     g = random_vector(SPEC, 2, rng)
     trace_ip = sum(np.trace(b) for b in f.inner(g).blocks)
-    coord_ip = np.vdot(g.flat(), f.flat())  # conjugates the second factor
+    coord_ip = np.vdot(flat(g), flat(f))  # conjugates the second factor
     assert abs(trace_ip - coord_ip) <= 1e-12 * max(1.0, abs(trace_ip))
 
 
@@ -241,9 +271,9 @@ def test_central_mult_commutative_case():
     spec = AlgebraSpec((1, 1))
     a = spec.central([2.0, 3.0])
     m = central_mult(a, 1)
-    f = ModuleVector(spec, [spec.unit()])
+    f = grid_vector(spec, [spec.unit()])
     out = m.apply(f)
-    assert np.allclose(out.entries[0].central_scalars(), [2.0, 3.0])
+    assert np.allclose(entries(out)[0].central_scalars(), [2.0, 3.0])
 
 
 def test_central_mult_rejects_non_central():
@@ -257,7 +287,7 @@ def test_central_mult_action_is_module_action():
     rng = stream(37, 0)
     a = random_central(SPEC, rng)
     f = random_vector(SPEC, 2, rng)
-    assert (central_mult(a, 2).apply(f) - f.module_mul(a)).norm() <= 1e-13
+    assert (central_mult(a, 2).apply(f) - module_mul(f, a)).norm() <= 1e-13
 
 
 # -- projections ------------------------------------------------------------------------
@@ -269,7 +299,7 @@ def test_projection_checks():
         [SPEC.unit(), SPEC.zero()],
         [SPEC.zero(), SPEC.zero()],
     ]
-    p = ModuleOperator(SPEC, grid)
+    p = grid_operator(SPEC, grid)
     assert p.is_projection(1e-9)
 
 
@@ -283,9 +313,7 @@ def test_planted_hermitian_idempotent():
         w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
         keep = w > 0.5 * w.max()
         mats.append((v[:, keep]) @ v[:, keep].conj().T)
-    from cstarframes.hilbmod import from_block_matrices
-
-    p = from_block_matrices(SPEC, 3, 3, mats)
+    p = ModuleOperator(SPEC, 3, 3, mats)
     assert p.is_projection(1e-9)
     assert not (p + identity_operator(SPEC, 3)).is_projection(1e-9)
 
@@ -363,31 +391,31 @@ def _assert_same_bits(xs, ys):
 def test_random_draws_keep_elementwise_draw_order(spec, rank):
     f = random_vector(spec, rank, stream(43, rank))
     rng = stream(43, rank)
-    g = ModuleVector(spec, [random_element(spec, rng) for _ in range(rank)])
+    g = grid_vector(spec, [random_element(spec, rng) for _ in range(rank)])
     _assert_same_bits(f.stacks, g.stacks)
 
     out_rank = 4 - rank
     t = random_operator(spec, rank, out_rank, stream(44, rank))
     rng = stream(44, rank)
     grid = [[random_element(spec, rng) for _ in range(out_rank)] for _ in range(rank)]
-    _assert_same_bits(t.block_matrices(), ModuleOperator(spec, grid).block_matrices())
+    _assert_same_bits(t.block_matrices(), grid_operator(spec, grid).block_matrices())
 
 
 @pytest.mark.parametrize(("spec", "rank"), LAYOUT_CASES)
 def test_entries_view_agrees_with_stored_arrays(spec, rank):
     rng = stream(45, rank)
     f = random_vector(spec, rank, rng)
-    _assert_same_bits(ModuleVector(spec, f.entries).stacks, f.stacks)
+    _assert_same_bits(grid_vector(spec, entries(f)).stacks, f.stacks)
     t = random_operator(spec, rank, 4 - rank, rng)
     for op in (t, t.adjoint(), t.compose(t.adjoint())):
-        _assert_same_bits(ModuleOperator(spec, op.entries).block_matrices(), op.block_matrices())
+        _assert_same_bits(grid_operator(spec, entries(op)).block_matrices(), op.block_matrices())
 
     # one matmul per block against the entrywise definitions, summed term by term
     g = random_vector(spec, rank, rng)
-    fe, ge, grid = f.entries, g.entries, t.entries
+    fe, ge, grid = entries(f), entries(g), entries(t)
     ip = sum((a * b.adjoint() for a, b in zip(fe, ge)), spec.zero())
     assert (f.inner(g) - ip).norm() <= 1e-13 * max(1.0, ip.norm())
-    tf = ModuleVector(
+    tf = grid_vector(
         spec,
         [sum((fe[j] * grid[j][i] for j in range(rank)), spec.zero()) for i in range(4 - rank)],
     )
@@ -398,12 +426,12 @@ def test_entries_view_agrees_with_stored_arrays(spec, rank):
 
 
 def _built_every_way(spec, rng):
-    """The same operators through the grid constructor, `from_block_matrices`
+    """The same operators through the grid oracle, the public constructor
     and the internal wrapper that compose/adjoint/+ use."""
     t = random_operator(spec, 3, 2, rng)
-    grid = ModuleOperator(spec, t.entries)
-    copied = from_block_matrices(spec, 3, 2, [np.array(m) for m in t.block_matrices()])
-    return {"grid": grid, "from_block_matrices": copied, "adjoint": t.adjoint(),
+    grid = grid_operator(spec, entries(t))
+    copied = ModuleOperator(spec, 3, 2, [np.array(m) for m in t.block_matrices()])
+    return {"grid": grid, "constructor": copied, "adjoint": t.adjoint(),
             "compose": t.adjoint().compose(t), "sum": t + t, "identity": identity_operator(spec, 2)}
 
 
@@ -440,14 +468,23 @@ def test_operator_block_matrices_are_read_only():
             op.block_matrices()[0][0, 0] = 7.0
         assert op.norm() == before, name
     src = [np.eye(2, dtype=complex), np.eye(1, dtype=complex)]
-    t = from_block_matrices(SPEC, 1, 1, src)
-    src[0][0, 0] = 5.0  # from_block_matrices stores copies
+    t = ModuleOperator(SPEC, 1, 1, src)
+    f = ModuleVector(SPEC, src)
+    src[0][0, 0] = 5.0  # the constructors store copies
     assert t.norm() == 1.0
+    assert f.norm() == 1.0
+    with pytest.raises(ValueError):
+        f.stacks[0][0, 0] = 7.0
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)],
+                         ids=["nan", "inf", "imag-inf"])
 def test_nonfinite_block_matrices_rejected(bad):
     mats = [np.eye(4, dtype=complex), np.eye(2, dtype=complex)]
     mats[0][1, 2] = bad
     with pytest.raises(InputError, match="finite"):
-        from_block_matrices(SPEC, 2, 2, mats)
+        ModuleOperator(SPEC, 2, 2, mats)
+    stacks = [np.ones((4, 2), dtype=complex), np.ones((2, 1), dtype=complex)]
+    stacks[1][1, 0] = bad
+    with pytest.raises(InputError, match="finite"):
+        ModuleVector(SPEC, stacks)

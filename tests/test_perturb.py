@@ -7,7 +7,6 @@ from cstarframes import (
     AlgebraSpec,
     FrameSeq,
     InputError,
-    ModuleVector,
     PreconditionError,
     certify_kframe,
     difference_quadratic,
@@ -26,7 +25,7 @@ from cstarframes.harness import random_instance
 from cstarframes.perturb import difference_synthesis
 from cstarframes.sampling import random_operator, random_unitary, random_vector, stream
 
-from oracles import branch_oracle, coefficient_gram_direct
+from oracles import branch_oracle, coefficient_gram_direct, entries, grid_vector
 
 SPEC = AlgebraSpec((2, 1))
 
@@ -63,7 +62,7 @@ def test_difference_quadratic_against_zero_family():
     rng = stream(141, 0)
     fr = random_frame(2, 4, rng)
     zero_members = [
-        ModuleVector(SPEC, [SPEC.zero(), SPEC.zero()]) for _ in range(4)
+        grid_vector(SPEC, [SPEC.zero(), SPEC.zero()]) for _ in range(4)
     ]
     zeros = FrameSeq(zero_members)
     f = random_vector(SPEC, 2, rng)
@@ -204,7 +203,7 @@ def test_pertur1_requires_base_frame():
 def test_pertur1_requires_range_inclusion():
     rng = stream(153, 0)
     members = [
-        ModuleVector(SPEC, [random_vector(SPEC, 2, rng).entries[0], SPEC.zero()])
+        grid_vector(SPEC, [entries(random_vector(SPEC, 2, rng))[0], SPEC.zero()])
         for _ in range(4)
     ]
     fr = FrameSeq(members)

@@ -21,7 +21,7 @@ from cstarframes.serialize import (
     sanitize,
     write_report,
 )
-from cstarframes.hilbmod import _vector, from_block_matrices
+from cstarframes.hilbmod import ModuleOperator, _vector
 from cstarframes.sampling import random_operator, random_vector, stream
 
 import oracles
@@ -129,7 +129,7 @@ def codec_operators(draw):
     spec = draw(st.sampled_from(CODEC_SPECS))
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     mats = [draw(complex_arrays((m * d, n * d))) for d in spec.block_dims]
-    return from_block_matrices(spec, n, m, mats)
+    return ModuleOperator(spec, n, m, mats)
 
 
 def same_bits(xs, ys):

@@ -16,17 +16,16 @@ from cstarframes import (
     tensor_witness,
 )
 from cstarframes.harness import random_instance
-from cstarframes.hilbmod import _vector, from_block_matrices
+from cstarframes.hilbmod import ModuleOperator, _vector
 from cstarframes.sampling import (
     random_element,
-    random_hermitian,
     random_operator,
-    random_positive,
     random_vector,
     stream,
 )
 
 import oracles
+from oracles import flat_permutation, flatten, random_hermitian, random_positive
 
 LEFT = AlgebraSpec((2,))
 RIGHT = AlgebraSpec((1, 1))
@@ -186,9 +185,9 @@ def test_flatten_kron_permutation():
     rng = stream(131, 0)
     k = random_operator(LEFT, 2, 2, rng)
     l_op = random_operator(RIGHT, 2, 2, rng)
-    flat_prod = W.operator(k, l_op).flatten()
-    kron = np.kron(k.flatten(), l_op.flatten())
-    perm = W.flat_permutation(2, 2)
+    flat_prod = flatten(W.operator(k, l_op))
+    kron = np.kron(flatten(k), flatten(l_op))
+    perm = flat_permutation(W, 2, 2)
     assert np.linalg.norm(flat_prod - kron[np.ix_(perm, perm)]) <= 1e-11 * max(
         1.0, np.linalg.norm(kron)
     )
@@ -241,7 +240,7 @@ def test_kron_products_match_entrywise_reference(left, right):
 
         k = random_operator(w.left, n, n_out, rng)
         l_op = random_operator(w.right, m, m_out, rng)
-        l_op = from_block_matrices(w.right, m, m_out, _with_signed_zeros(l_op.block_matrices()))
+        l_op = ModuleOperator(w.right, m, m_out, _with_signed_zeros(l_op.block_matrices()))
         got, want = w.operator(k, l_op), oracles.reference_tensor_operator(w, k, l_op)
         assert (got.in_rank, got.out_rank) == (want.in_rank, want.out_rank) == (n * m, n_out * m_out)
         assert all(
