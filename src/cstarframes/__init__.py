@@ -59,7 +59,6 @@ from .tensor import (
     TensorWitness,
     tensor_frame,
     tensor_frame_audit,
-    tensor_frame_diagonal,
     tensor_witness,
 )
 
@@ -114,7 +113,6 @@ __all__ = [
     "save_instance",
     "tensor_frame",
     "tensor_frame_audit",
-    "tensor_frame_diagonal",
     "tensor_witness",
     "transform_frame",
     "transform_kframe_audit",

@@ -4,10 +4,11 @@ A certificate records the outcome of one claim check: certified,
 falsified (with an explicit witness vector when the claim is an
 inequality), or inconclusive for near-boundary cases.
 
-Every operator inequality of the library ends in `psd_certificate`,
-the one rule that decides positivity for a verdict.  It takes per block
-of the gap one values-only eigensolve, and eigenvectors (one block's)
-only when it falsifies.
+Every verdict of the library is `verdict(excess, tol, scale)` at the
+caller's tol, scale = max(1, size of the quantity the rounding follows).
+Every operator inequality ends in `psd_certificate`, that rule on the
+gap's least eigenvalue: one values-only eigensolve per block of the gap,
+and eigenvectors (one block's) only when it falsifies.
 """
 
 from __future__ import annotations
@@ -23,6 +24,32 @@ INCONCLUSIVE = "inconclusive"
 
 # Margin separating a clear violation from roundoff at the boundary.
 BOUNDARY_FACTOR = 10.0
+
+_SEVERITY = (CERTIFIED, INCONCLUSIVE, FALSIFIED)
+
+
+def verdict(excess: float, tol: float, scale: float) -> str:
+    """The one tolerance rule for a claim excess <= 0 computed with
+    rounding of size scale: certified at excess <= tol * scale, falsified
+    above BOUNDARY_FACTOR * tol * scale, inconclusive in between."""
+    if excess <= tol * scale:
+        return CERTIFIED
+    return FALSIFIED if excess > BOUNDARY_FACTOR * tol * scale else INCONCLUSIVE
+
+
+def pencil_verdict(mu: float, tol: float) -> str:
+    """Whether a pencil value mu >= 0 (math.inf when T = 0) is positive:
+    0 fails, a value in (0, BOUNDARY_FACTOR tol] is inconclusive, and a
+    larger one holds, that is, where `verdict` falsifies mu <= 0."""
+    if mu == 0.0:
+        return FALSIFIED
+    return CERTIFIED if verdict(mu, tol, 1.0) == FALSIFIED else INCONCLUSIVE
+
+
+def worst(*statuses: str) -> str:
+    """The status of an all-of claim: falsified dominates, then
+    inconclusive."""
+    return max(statuses, key=_SEVERITY.index, default=CERTIFIED)
 
 
 @dataclass
@@ -55,10 +82,10 @@ def psd_certificate(
 ) -> Certificate:
     """Certify that a Hermitian gap operator is positive semidefinite.
 
-    certified:    min eigenvalue >= -tol * scale
-    falsified:    min eigenvalue < -BOUNDARY_FACTOR * tol * scale, with an
-                  eigenvector witness mapped back to a module vector
-    inconclusive: in between (near-boundary exemption)
+    `verdict` on the excess -(min eigenvalue): certified when it is
+    <= tol * scale, falsified, with an eigenvector witness mapped back to
+    a module vector, when it is > BOUNDARY_FACTOR * tol * scale, and
+    inconclusive in between (near-boundary exemption).
 
     The gap is Hermitian by construction, so its anti-Hermitian part is
     rounding only and is not measured: `frames` forms U U* - T T* and
@@ -76,33 +103,24 @@ def psd_certificate(
     min_eig = min(float(w[0]) for w in eigs)
     if scale is None:
         scale = max(1.0, *(max(-float(w[0]), float(w[-1])) for w in eigs))
-    witness = {"min_eig": min_eig, "scale": scale}
-    tolerances = {"tol": tol}
-    if min_eig < -BOUNDARY_FACTOR * tol * scale:
-        _, witness_vec = gap.negative_witness(eigs)
-        return Certificate(
-            FALSIFIED, claim, witness, tolerances, witness_vector=witness_vec
-        )
-    if min_eig >= -tol * scale:
-        return Certificate(CERTIFIED, claim, witness, tolerances)
-    return Certificate(INCONCLUSIVE, claim, witness, tolerances)
+    status = verdict(-min_eig, tol, scale)
+    witness_vec = gap.negative_witness(eigs)[1] if status == FALSIFIED else None
+    return Certificate(
+        status, claim, {"min_eig": min_eig, "scale": scale}, {"tol": tol},
+        witness_vector=witness_vec,
+    )
 
 
 def combine(claim: str, parts: list[Certificate], extra: Optional[dict] = None) -> Certificate:
     """All-of combination: falsified dominates, then inconclusive.  The
     witness holds `extra`, the status of part i under `part{i}:{claim}`,
     and the witness of every part, in order, under `parts`."""
-    status = CERTIFIED
+    status = worst(*(c.status for c in parts))
     witness = dict(extra or {})
     tolerances: dict = {}
-    witness_vector = None
     for i, c in enumerate(parts):
         witness[f"part{i}:{c.claim}"] = c.status
         tolerances.update(c.tolerances)
-        if c.status == FALSIFIED and status != FALSIFIED:
-            status = FALSIFIED
-            witness_vector = c.witness_vector
-        elif c.status == INCONCLUSIVE and status == CERTIFIED:
-            status = INCONCLUSIVE
     witness["parts"] = [c.witness for c in parts]
+    witness_vector = next((c.witness_vector for c in parts if c.status == FALSIFIED), None)
     return Certificate(status, claim, witness, tolerances, witness_vector=witness_vector)

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import time
 
 from ._version import __version__
 from .algebra import DEFAULT_TOL
-from .certify import BOUNDARY_FACTOR, CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE
+from .certify import CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict
 from .douglas import equivalence_audit, pseudo_inverse
 from .errors import AtomicSystemError, InputError
 from .frames import (
+    BOUND_INSET,
     atomic_coefficients,
     certify_kframe,
     derived_bounds,
@@ -29,7 +29,8 @@ from .frames import (
     optimal_scalar_bounds,
 )
 from .harness import (
-    SUITES, _parse_profile, _perturbed_pair, random_instance, run_suite, tensor_pair_instance,
+    DEFAULT_EPSILON, SUITES, _parse_profile, _perturbed_pair, random_instance, run_suite,
+    tensor_pair_instance,
 )
 from .hilbmod import _columns, identity_operator
 from .perturb import pertur1_audit, pertur2_audit
@@ -124,20 +125,19 @@ def _need_operator(inst: Instance, key: str, command: str):
 
 
 def _kframe_command(inst: Instance, k_op, args, claim: str):
+    """certify_kframe with the instance's bounds, or with bounds derived
+    from lambda* where `pencil_verdict` holds it; else that verdict."""
     frame = inst.frame()
-    lam, mu = optimal_scalar_bounds(frame, k_op)
+    lam, mu = optimal_scalar_bounds(frame, k_op, args.tol)
     values = {"lambda_star": lam, "mu_star": mu}
     a = inst.bounds.get("A")
     b = inst.bounds.get("B")
     if a is None or b is None:
-        if not math.isinf(lam) and lam <= args.tol:
-            cert = Certificate(
-                FALSIFIED, claim,
-                {"lambda_star": lam, "reason": "no scalar lower bound"},
-                {"tol": args.tol},
-            )
-            return cert.status, values, [cert]
-        a, b = derived_bounds(frame, lam, mu, 1e-9)
+        status = pencil_verdict(lam, args.tol)
+        if status != CERTIFIED:
+            witness = {"lambda_star": lam, "reason": "no scalar lower bound resolved at tol"}
+            return status, values, [Certificate(status, claim, witness, {"tol": args.tol})]
+        a, b = derived_bounds(frame, lam, mu, BOUND_INSET)
         values["derived_bounds"] = True
     cert = certify_kframe(frame, k_op, a, b, args.tol)
     return cert.status, values, [cert]
@@ -198,14 +198,9 @@ def _cmd_douglas(inst: Instance, args):
 def _cmd_bounds(inst: Instance, args):
     frame = inst.frame()
     k_op = inst.operators.get("K") or identity_operator(inst.spec, inst.rank)
-    lam, mu = optimal_scalar_bounds(frame, k_op)
+    lam, mu = optimal_scalar_bounds(frame, k_op, args.tol)
     values = {"lambda_star": lam, "mu_star": mu}
-    if math.isinf(lam) or lam > BOUNDARY_FACTOR * args.tol:
-        status = CERTIFIED
-    elif lam > args.tol:
-        status = INCONCLUSIVE
-    else:
-        status = FALSIFIED
+    status = pencil_verdict(lam, args.tol)
     cert = Certificate(status, "scalar-bounds", dict(values), {"tol": args.tol})
     return status, values, [cert]
 
@@ -240,16 +235,16 @@ def _perturb_common(inst: Instance, args, command: str):
     if inst.h_members:
         h_seq = inst.h_frame()
     elif args.profile:
-        h_seq = _perturbed_pair(frame, args.seed, 1e-3)
+        h_seq = _perturbed_pair(frame, args.seed, DEFAULT_EPSILON)
     else:
         raise InputError(f"{command} needs h_members (the perturbed family)")
     a = inst.bounds.get("A")
     b = inst.bounds.get("B")
     if a is None or b is None:
-        lam, mu = optimal_scalar_bounds(frame, k_op)
-        if not math.isinf(lam) and lam <= args.tol:
+        lam, mu = optimal_scalar_bounds(frame, k_op, args.tol)
+        if pencil_verdict(lam, args.tol) != CERTIFIED:
             raise InputError(f"{command}: base family is not a K-frame, no bounds derivable")
-        a, b = derived_bounds(frame, lam, mu, 1e-9)
+        a, b = derived_bounds(frame, lam, mu, BOUND_INSET)
     return frame, h_seq, k_op, l_op, a, b
 
 

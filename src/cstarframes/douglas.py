@@ -31,6 +31,8 @@ residual ||S Q - T|| is one of S Q - T, checking the Q returned.
 when the pencil fails, for its cokernel witness.  The norm inequality is
 one `psd_certificate`: a values-only `eigvalsh` per block, and an `eigh`
 of one block only when it is falsified.
+Every decision is `certify.verdict` at the caller's tol: range
+inclusion, the pencil's too, holds at residual <= tol max(1, ||T||).
 """
 
 from __future__ import annotations
@@ -43,18 +45,12 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, _spectral_norm
 from .certify import (
-    BOUNDARY_FACTOR,
-    CERTIFIED,
-    Certificate,
-    FALSIFIED,
-    INCONCLUSIVE,
-    psd_certificate,
+    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict, psd_certificate, verdict,
 )
 from .errors import InputError
 from .hilbmod import ModuleOperator, _operator
 
 DEFAULT_RTOL = 1e-10
-INCLUSION_TOL = 1e-8
 
 
 @dataclass
@@ -138,6 +134,7 @@ class _Factorization:
         self,
         t: ModuleOperator,
         tnorm: float,
+        tol: float,
         residual: Optional[float] = None,
         qnorm: Optional[float] = None,
     ) -> float:
@@ -147,7 +144,7 @@ class _Factorization:
             return math.inf
         if residual is None:
             residual = self.range_residual(t)
-        if residual > INCLUSION_TOL * max(1.0, tnorm):
+        if verdict(residual, tol, max(1.0, tnorm)) != CERTIFIED:
             return 0.0
         if qnorm is None:
             qnorm = self.whitened_norm(t)
@@ -197,14 +194,16 @@ def range_residual(t: ModuleOperator, s: ModuleOperator) -> float:
 
 
 def range_inclusion(t: ModuleOperator, s: ModuleOperator, tol: float) -> bool:
-    return range_residual(t, s) <= tol * max(1.0, t.norm())
+    return verdict(range_residual(t, s), tol, max(1.0, t.norm())) == CERTIFIED
 
 
-def pencil_lower_bound(t: ModuleOperator, s: ModuleOperator) -> float:
+def pencil_lower_bound(
+    t: ModuleOperator, s: ModuleOperator, tol: float = DEFAULT_TOL
+) -> float:
     """sup{mu >= 0 : mu T T* <= S S*}.
 
-    Returns 0 when range inclusion fails (residual above INCLUSION_TOL
-    relative to ||T||), math.inf for T = 0.  Otherwise it is
+    Returns 0 when range inclusion fails at tol (residual above
+    tol max(1, ||T||)), math.inf for T = 0.  Otherwise it is
     1 / ||S^+ T||^2 (Douglas: the minimal solution Q of T = S Q has
     ||Q||^2 = 1 / mu), with ||S^+ T|| = max_b ||diag(1 / sigma_k) U_k^H T_b||
     read off S's kept SVD.
@@ -213,7 +212,7 @@ def pencil_lower_bound(t: ModuleOperator, s: ModuleOperator) -> float:
     tnorm = t.norm()
     if tnorm == 0.0:
         return math.inf
-    return _factorization(s).pencil(t, tnorm)
+    return _factorization(s).pencil(t, tnorm, tol)
 
 
 def douglas_solve(t: ModuleOperator, s: ModuleOperator, tol: float) -> DouglasReport:
@@ -224,9 +223,9 @@ def douglas_solve(t: ModuleOperator, s: ModuleOperator, tol: float) -> DouglasRe
     tnorm = t.norm()
     q, residual = fac.solve(t)
     return DouglasReport(
-        inclusion_ok=residual <= tol * max(1.0, tnorm),
+        inclusion_ok=verdict(residual, tol, max(1.0, tnorm)) == CERTIFIED,
         residual=residual,
-        pencil_mu=fac.pencil(t, tnorm, qnorm=q.norm()),
+        pencil_mu=fac.pencil(t, tnorm, tol, qnorm=q.norm()),
         q=q,
         q_norm=q.norm(),
     )
@@ -266,12 +265,16 @@ def equivalence_audit(
     inequality lambda ||T* f||^2 <= ||S* f||^2 at lambda equal to the
     pencil value, decided exactly by the eigen route of `_majorization`
     (independent of the SVD pencil behind (ii)), (iv) factorization
-    residual of S (S^+ T) = T.  When (ii) fails, (iii) instead looks for a
-    direction f in the cokernel of S that T* sees (||S* f|| <= tol,
-    ||T* f|| > BOUNDARY_FACTOR tol), at the top left singular vector of
-    (I - S S^+) T = perp (perp^H T).  A pencil value in
-    (0, BOUNDARY_FACTOR tol], one that exists but lies below what tol
-    resolves, or an inconclusive (iii) gives an inconclusive certificate.
+    residual of S (S^+ T) = T.  (i), (iv) and the range inclusion behind
+    (ii) hold when their residual is <= tol max(1, ||T||).  When (ii)
+    fails, (iii) instead looks for a direction f in the cokernel of S
+    that T* sees, at the top left singular vector of (I - S S^+) T =
+    perp (perp^H T): it fails when ||S* f|| <= tol max(1, ||S||) and
+    ||T* f||, which is the range residual up to rounding, exceeds
+    tol max(1, ||T||), the bound (i) uses.  A pencil value that
+    `pencil_verdict` calls inconclusive, one that exists but lies below
+    what tol resolves, or an inconclusive (iii) gives an inconclusive
+    certificate.
 
     `seed` is ignored: nothing is sampled.
     """
@@ -281,14 +284,15 @@ def equivalence_audit(
     tscale = max(1.0, tnorm)
 
     residual = fac.range_residual(t)
-    cond_i = residual <= tol * tscale
+    cond_i = verdict(residual, tol, tscale) == CERTIFIED
 
     q, fact_residual = fac.solve(t)
-    cond_iv = fact_residual <= tol * tscale
+    cond_iv = verdict(fact_residual, tol, tscale) == CERTIFIED
 
-    mu = fac.pencil(t, tnorm, residual, q.norm())
-    near_boundary = math.isfinite(mu) and 0.0 < mu <= BOUNDARY_FACTOR * tol
-    cond_ii = mu > BOUNDARY_FACTOR * tol or math.isinf(mu)
+    mu = fac.pencil(t, tnorm, tol, residual, q.norm())
+    pencil_status = pencil_verdict(mu, tol)
+    near_boundary = pencil_status == INCONCLUSIVE
+    cond_ii = pencil_status == CERTIFIED
 
     found: dict = {}
     witness_vec = None
@@ -308,7 +312,8 @@ def equivalence_audit(
             s_norm, t_norm = s.adjoint().apply(f).norm(), t.adjoint().apply(f).norm()
             found["cond_iii_s_adj_norm"] = s_norm
             found["cond_iii_t_adj_norm"] = t_norm
-            if s_norm <= tol and t_norm > BOUNDARY_FACTOR * tol:
+            if (verdict(s_norm, tol, max(1.0, fac.smax)) == CERTIFIED
+                    and verdict(t_norm, tol, tscale) != CERTIFIED):
                 cond_iii, witness_vec = False, f
 
     verdicts = [cond_i, cond_ii, cond_iii, cond_iv]

@@ -20,7 +20,8 @@ non-scalar block comes with a constructed rank-one witness.
 
 No check here samples.  The atomic coefficient bound C = ||Q|| 1 holds
 by construction, and the local-atom reconstruction on range(P) is the
-operator norm of (I - U G*) P.
+operator norm of (I - U G*) P.  Every check decides at the caller's tol
+through `certify.verdict`.
 """
 
 from __future__ import annotations
@@ -32,13 +33,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement
 from .certify import (
-    BOUNDARY_FACTOR,
-    CERTIFIED,
-    Certificate,
-    FALSIFIED,
-    INCONCLUSIVE,
-    combine,
-    psd_certificate,
+    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, psd_certificate, verdict, worst,
 )
 from .douglas import _factorization, pencil_lower_bound
 from .errors import AtomicSystemError, InputError, PreconditionError
@@ -51,6 +46,12 @@ from .hilbmod import (
     diagonal_operator,
     identity_operator,
 )
+
+# Relative inset of bounds derived from optimal scalar values
+# (`derived_bounds`) and of a Bessel bound taken from a norm.
+BOUND_INSET = 1e-9
+# Least size of a derived bound, so that it stays strictly nonzero.
+BOUND_FLOOR = 1e-8
 
 
 class FrameSeq:
@@ -276,18 +277,18 @@ def _moving_direction(c: np.ndarray) -> np.ndarray:
 
 
 def optimal_scalar_bounds(
-    frame: FrameSeq, k_op: Optional[ModuleOperator] = None
+    frame: FrameSeq, k_op: Optional[ModuleOperator] = None, tol: float = DEFAULT_TOL
 ) -> tuple[float, float]:
     """Best scalar constants (lambda*, mu*) with
     lambda* K K* <= U U* and U U* <= mu* I.
 
     lambda* is the whitened-pencil extremal value restricted to the range
     of K K*; it is 0 exactly when the family is not a K-frame with any
-    scalar lower bound.
+    scalar lower bound, that is when R(K) is not inside R(U) at tol.
     """
     if k_op is None:
         k_op = identity_operator(frame.spec, frame.rank)
-    lam = pencil_lower_bound(k_op, frame.synthesis_op)
+    lam = pencil_lower_bound(k_op, frame.synthesis_op, tol)
     mu = frame.frame_op.norm()
     return lam, mu
 
@@ -296,11 +297,12 @@ def derived_bounds(
     frame: FrameSeq, lam: float, mu: float, margin: float
 ) -> tuple[AlgElement, AlgElement]:
     """Central bounds sqrt(lam (1 - margin)) 1 and sqrt(mu) (1 + margin) 1
-    from optimal scalar values (lam, mu), each floored at 1e-8 so it stays
-    strictly nonzero; a non-finite lam (K = 0) gives the lower bound 1."""
+    from optimal scalar values (lam, mu), each floored at BOUND_FLOOR so it
+    stays strictly nonzero; a non-finite lam (K = 0) gives the lower bound 1."""
     low = math.sqrt(max(lam, 0.0) * (1.0 - margin)) if math.isfinite(lam) else 1.0
     up = math.sqrt(mu) * (1.0 + margin)
-    return max(low, 1e-8) * frame.spec.unit(), max(up, 1e-8) * frame.spec.unit()
+    unit = frame.spec.unit()
+    return max(low, BOUND_FLOOR) * unit, max(up, BOUND_FLOOR) * unit
 
 
 def atomic_coefficients(
@@ -318,15 +320,15 @@ def atomic_coefficients(
     C<f,f>C*: C is central, so the bound is Q*Q <= ||Q||^2 I, which always
     holds.  ||Q|| = ||U^+ K|| is read off U's kept SVD, so the call takes
     per block one SVD of diag(1 / sigma_k) U_k^H K_b and one of U Q - K,
-    none of Q.  Raises AtomicSystemError when R(K) is not inside R(U) within
-    tol, judged by the factorization residual ||U Q - K||.
+    none of Q.  Raises AtomicSystemError unless the factorization residual
+    ||U Q - K|| certifies R(K) inside R(U) at tol, with scale max(1, ||K||).
     `seed` is ignored; nothing is sampled.
     """
     n = frame.rank
     if k_op.spec != frame.spec or k_op.in_rank != n or k_op.out_rank != n:
         raise InputError("K must be a square operator on the frame's module")
     q, residual = _factorization(frame.synthesis_op).solve(k_op)
-    if residual > tol * max(1.0, k_op.norm()):
+    if verdict(residual, tol, max(1.0, k_op.norm())) != CERTIFIED:
         raise AtomicSystemError(
             "not an atomic system: range-inclusion residual "
             f"{residual:.3e} exceeds tol {tol:g} x max(1, ||K||)"
@@ -341,12 +343,10 @@ def dual_atoms(
 
     h_j = Q*(e_j) for the atomic coefficient operator Q, using the
     self-duality of A^J: the coefficient functional f -> (Qf)_j is the
-    pairing with h_j.  Raises PreconditionError when the reconstruction
-    residual ||K - U Q|| exceeds tol.
+    pairing with h_j.  Raises AtomicSystemError, a PreconditionError,
+    where `atomic_coefficients` does not certify ||K - U Q||.
     """
-    q, _, residual = atomic_coefficients(frame, k_op, tol)
-    if residual > tol:
-        raise PreconditionError("dual-atom reconstruction audit failed")
+    q, _, _ = atomic_coefficients(frame, k_op, tol)
     return list(_columns(q.adjoint()))
 
 
@@ -358,22 +358,22 @@ def dual_atoms_audit(
     The atoms' synthesis is H = Q*, so their family is built from Q* and
     the reconstruction residual ||K - U H*|| is taken with Q.  It is the
     factorization residual ||U Q - K|| up to the last bit: the spectral
-    norms of X and -X can differ there, so it keeps its own norm."""
+    norms of X and -X can differ there, so it keeps its own norm.  Both
+    are decided with scale max(1, ||K||)."""
     try:
         q, c, residual = atomic_coefficients(frame, k_op, tol)
     except AtomicSystemError as exc:
         return Certificate(
             FALSIFIED, "dual-atoms", {"error": str(exc)}, {"tol": tol}
         )
-    worst = (k_op - frame.synthesis_op.compose(q)).norm()
+    recon = (k_op - frame.synthesis_op.compose(q)).norm()
     h_frame = _family(q.adjoint())
     bessel = certify_star_bessel(h_frame, max(c.norm(), tol) * frame.spec.unit(), tol)
-    status = CERTIFIED if worst <= tol and bessel.ok else FALSIFIED
     return Certificate(
-        status,
+        worst(verdict(recon, tol, max(1.0, k_op.norm())), bessel.status),
         "dual-atoms",
         {
-            "max_reconstruction_residual": worst,
+            "max_reconstruction_residual": recon,
             "factorization_residual": residual,
             "q_norm": c.norm(),
             "bessel_status": bessel.status,
@@ -403,8 +403,8 @@ def local_atoms_check(
     reconstruction f = sum c_j(f) f_j holds on range(P) iff
     (I - U G*) P = 0, U and G the syntheses of {f_j} and {g_j}; its norm,
     the largest relative residual over range(P), is reported and falsifies
-    above BOUNDARY_FACTOR tol, with a top right singular vector as the
-    witness.  It does not gate certification below that: its rounding
+    where `verdict` (scale 1) does, with a top right singular vector as
+    the witness.  It does not gate certification otherwise: its rounding
     grows with the condition number of S_g.  Additionally certifies
     that {P f_j} has scalar lower frame bound 1/||C|| on range(P) through
     the restricted pencil of its frame operator.
@@ -412,7 +412,7 @@ def local_atoms_check(
     n = frame.rank
     if p_op.in_rank != n or p_op.out_rank != n or p_op.spec != frame.spec:
         raise InputError("P must be a square operator on the frame's module")
-    if not p_op.is_projection(max(tol, 1e-9)):
+    if not p_op.is_projection(max(tol, DEFAULT_TOL)):
         raise InputError("P is not a projection")
     _require_strictly_nonzero(c, "C", tol)
     if len(atoms) != frame.n_members:
@@ -442,7 +442,7 @@ def local_atoms_check(
         )
     recon_gap = p_op - frame.synthesis_op.compose(g_frame.analysis_op).compose(p_op)
     worst_recon = recon_gap.norm()
-    if worst_recon > BOUNDARY_FACTOR * tol:
+    if verdict(worst_recon, tol, 1.0) == FALSIFIED:
         return Certificate(
             FALSIFIED,
             "local-atoms",
@@ -466,12 +466,7 @@ def local_atoms_check(
         "scalar_floor": floor,
     }
     scale = max(1.0, pf.frame_op.norm(), floor)
-    if restricted_min < floor - BOUNDARY_FACTOR * tol * scale:
-        status = FALSIFIED
-    elif restricted_min >= floor - tol * scale and coeff.ok:
-        status = CERTIFIED
-    else:
-        status = INCONCLUSIVE
+    status = worst(verdict(floor - restricted_min, tol, scale), coeff.status)
     return Certificate(status, "local-atoms", witness, {"tol": tol})
 
 
@@ -495,10 +490,11 @@ def transform_frame(frame: FrameSeq, l_op: ModuleOperator) -> FrameSeq:
 
 
 def conjugation_audit(
-    frame: FrameSeq, k_op: ModuleOperator, tol: float = 1e-10
+    frame: FrameSeq, k_op: ModuleOperator, tol: float = DEFAULT_TOL
 ) -> Certificate:
     """Compare the directly assembled frame operator of {K f_j} against the
-    two conjugation candidates K S K* and K* S K; records which matches."""
+    two conjugation candidates K S K* and K* S K; records which matches.
+    S_{Kf} = K S K* is decided relative to max(1, ||S_{Kf}||)."""
     moved = transform_frame(frame, k_op)
     s_direct = moved.frame_op
     s_op = frame.frame_op
@@ -506,12 +502,8 @@ def conjugation_audit(
     res_ksk = (s_direct - k_op.compose(s_op).compose(k_op.adjoint())).norm() / scale
     res_adj = (s_direct - k_op.adjoint().compose(s_op).compose(k_op)).norm() / scale
     matched = "KSK*" if res_ksk <= res_adj else "K*SK"
-    best = min(res_ksk, res_adj)
-    status = CERTIFIED if res_ksk <= tol else (
-        FALSIFIED if best > BOUNDARY_FACTOR * tol else INCONCLUSIVE
-    )
     return Certificate(
-        status,
+        verdict(res_ksk, tol, 1.0),
         "frame-operator-conjugation",
         {"residual_KSK*": res_ksk, "residual_K*SK": res_adj, "matched": matched},
         {"tol": tol},
@@ -522,23 +514,23 @@ def coisometry_invariance_audit(
     frame: FrameSeq,
     t_op: ModuleOperator,
     k_op: ModuleOperator,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
 ) -> Certificate:
     """For a co-isometry T commuting with K, the optimal scalar bounds of
-    {T f_j} agree with those of {f_j}."""
+    {T f_j} agree with those of {f_j}, relative to max(1, bound).  T and
+    K are checked at DEFAULT_TOL, whatever tol is."""
     n = frame.rank
     ident = identity_operator(frame.spec, n)
-    if (t_op.compose(t_op.adjoint()) - ident).norm() > 1e-9:
+    if (t_op.compose(t_op.adjoint()) - ident).norm() > DEFAULT_TOL:
         raise PreconditionError("T is not a co-isometry")
     comm = (k_op.compose(t_op) - t_op.compose(k_op)).norm()
-    if comm > 1e-9 * max(1.0, k_op.norm() * t_op.norm()):
+    if comm > DEFAULT_TOL * max(1.0, k_op.norm() * t_op.norm()):
         raise PreconditionError("K and T do not commute")
-    lam0, mu0 = optimal_scalar_bounds(frame, k_op)
-    lam1, mu1 = optimal_scalar_bounds(transform_frame(frame, t_op), k_op)
+    lam0, mu0 = optimal_scalar_bounds(frame, k_op, tol)
+    lam1, mu1 = optimal_scalar_bounds(transform_frame(frame, t_op), k_op, tol)
     dev = max(abs(lam0 - lam1) / max(1.0, abs(lam0)), abs(mu0 - mu1) / max(1.0, mu0))
-    status = CERTIFIED if dev <= tol else FALSIFIED
     return Certificate(
-        status,
+        verdict(dev, tol, 1.0),
         "coisometry-bound-invariance",
         {"lambda": lam0, "lambda_moved": lam1, "mu": mu0, "mu_moved": mu1,
          "max_relative_deviation": dev},
@@ -580,9 +572,10 @@ def ks_inverse_frame(
 
     Reconstruction: K f = sum_j <f, f_j> (K S^{-1} f_j) holds exactly, and
     the family is Bessel with bound ||S^{-1}|| ||K|| B, where B =
-    ||U|| (1 + 1e-9) is a Bessel bound of the frame (U its synthesis).
-    The reconstruction residual is ||K - V U*||, V the synthesis of the
-    new family.  Raises PreconditionError when S is not invertible
+    ||U|| (1 + BOUND_INSET) is a Bessel bound of the frame (U its
+    synthesis).  The reconstruction residual is ||K - V U*||, V the
+    synthesis of the new family, decided at tol with scale max(1, ||K||).
+    Raises PreconditionError when S is not invertible
     relative to its size: lambda_min(S) <= tol ||S||, with ||S|| read off
     the same eigenvalues, as S >= 0.
     """
@@ -593,22 +586,18 @@ def ks_inverse_frame(
     s_inv = s_op.inverse()
     mover = k_op.compose(s_inv)
     new_frame = transform_frame(frame, mover)
-    worst = (k_op - new_frame.synthesis_op.compose(frame.analysis_op)).norm()
-    bessel_bound = (frame.synthesis_op.norm() * (1.0 + 1e-9)) * frame.spec.unit()
+    recon = (k_op - new_frame.synthesis_op.compose(frame.analysis_op)).norm()
+    bessel_bound = (frame.synthesis_op.norm() * (1.0 + BOUND_INSET)) * frame.spec.unit()
     scaled = (s_inv.norm() * k_op.norm()) * bessel_bound
     bessel = certify_star_bessel(new_frame, scaled, tol)
-    recon_ok = worst <= 1e-10
-    status = CERTIFIED if recon_ok and bessel.ok else (
-        FALSIFIED if not recon_ok or bessel.status == FALSIFIED else INCONCLUSIVE
-    )
     cert = Certificate(
-        status,
+        worst(verdict(recon, tol, max(1.0, k_op.norm())), bessel.status),
         "ks-inverse-frame",
         {
-            "max_reconstruction_residual": worst,
+            "max_reconstruction_residual": recon,
             "bessel_status": bessel.status,
             "s_inv_norm": s_inv.norm(),
         },
-        {"tol": tol, "reconstruction_tol": 1e-10},
+        {"tol": tol},
     )
     return new_frame, cert

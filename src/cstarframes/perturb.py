@@ -12,7 +12,7 @@ Verdicts draw nothing.  The min-type constants are exact per branch
 (`exact_branch_M`).  The three-constant hypothesis is decided from
 operator inequalities (`_abg_hypothesis`): certified by one sufficient
 gap, falsified only with a rank-one witness evaluated directly, and
-inconclusive in between.
+inconclusive in between.  Every check and pencil decides at the caller's tol.
 """
 
 from __future__ import annotations
@@ -24,11 +24,16 @@ from functools import reduce
 import numpy as np
 
 from .algebra import AlgElement, DEFAULT_TOL
-from .certify import CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, psd_certificate
+from .certify import (
+    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, psd_certificate, verdict,
+)
 from .douglas import pencil_lower_bound, range_residual
 from .errors import InputError, PreconditionError
-from .frames import FrameSeq, certify_kframe, certify_star_bessel
+from .frames import BOUND_INSET, FrameSeq, certify_kframe, certify_star_bessel
 from .hilbmod import ModuleOperator, ModuleVector, identity_operator
+
+# Relative inset of the L-frame lower bound taken from a pencil value.
+PENCIL_INSET = 1e-12
 
 
 @dataclass
@@ -58,9 +63,9 @@ def difference_quadratic(f_seq: FrameSeq, h_seq: FrameSeq, f: ModuleVector) -> f
     return d.inner(d).norm()
 
 
-def _branch_value(d_op: ModuleOperator, u_op: ModuleOperator) -> float:
-    """Smallest M with D D* <= M U U*; +inf when range inclusion fails."""
-    mu = pencil_lower_bound(d_op, u_op)
+def _branch_value(d_op: ModuleOperator, u_op: ModuleOperator, tol: float) -> float:
+    """Smallest M with D D* <= M U U*; +inf when range inclusion fails at tol."""
+    mu = pencil_lower_bound(d_op, u_op, tol)
     if math.isinf(mu):
         return 0.0
     if mu == 0.0:
@@ -70,17 +75,18 @@ def _branch_value(d_op: ModuleOperator, u_op: ModuleOperator) -> float:
 
 def exact_branch_M(f_seq: FrameSeq, h_seq: FrameSeq) -> tuple[float, float]:
     """Exact single-branch constants of the min-type comparison: the
-    smallest M with ||D* f||^2 <= M ||U* f||^2 against each family."""
-    return _branch_constants(difference_synthesis(f_seq, h_seq), f_seq, h_seq)
+    smallest M with ||D* f||^2 <= M ||U* f||^2 against each family, with
+    range inclusion at DEFAULT_TOL."""
+    return _branch_constants(difference_synthesis(f_seq, h_seq), f_seq, h_seq, DEFAULT_TOL)
 
 
 def _branch_constants(
-    d_op: ModuleOperator, f_seq: FrameSeq, h_seq: FrameSeq
+    d_op: ModuleOperator, f_seq: FrameSeq, h_seq: FrameSeq, tol: float
 ) -> tuple[float, float]:
     """`exact_branch_M` given the difference synthesis D."""
     return (
-        _branch_value(d_op, f_seq.synthesis_op),
-        _branch_value(d_op, h_seq.synthesis_op),
+        _branch_value(d_op, f_seq.synthesis_op, tol),
+        _branch_value(d_op, h_seq.synthesis_op, tol),
     )
 
 
@@ -104,7 +110,7 @@ def _require_hypotheses(
             f"hypothesis failed: base family is not a certified K-frame ({base.status})"
         )
     resid = range_residual(l_op, k_op)
-    if resid > tol * max(1.0, l_op.norm()):
+    if verdict(resid, tol, max(1.0, l_op.norm())) != CERTIFIED:
         raise PreconditionError(
             f"hypothesis failed: R(L) not contained in R(K), residual {resid:.3e}"
         )
@@ -141,7 +147,7 @@ def pertur1_audit(
     evaluated from certified bounds of both families.
     """
     d_op = difference_synthesis(f_seq, h_seq)
-    m_f, m_h = _branch_constants(d_op, f_seq, h_seq)
+    m_f, m_h = _branch_constants(d_op, f_seq, h_seq, tol)
     m_val = min(m_f, m_h)
 
     if converse:
@@ -172,8 +178,8 @@ def pertur1_audit(
     bessel_bound = ((1.0 + sqrt_m) * b_norm) * f_seq.spec.unit()
     bessel = certify_star_bessel(h_seq, bessel_bound, tol)
 
-    lam_lk = pencil_lower_bound(l_op, k_op)
-    nu = pencil_lower_bound(l_op, h_seq.synthesis_op)
+    lam_lk = pencil_lower_bound(l_op, k_op, tol)
+    nu = pencil_lower_bound(l_op, h_seq.synthesis_op, tol)
     lam_ref = lam_lk if math.isfinite(lam_lk) else 1.0
     constants["lambda_LK"] = lam_lk if math.isfinite(lam_lk) else float("inf")
     constants["pencil_lower_H"] = nu if math.isfinite(nu) else float("inf")
@@ -194,11 +200,11 @@ def _lframe_certificate(
 ) -> Certificate:
     """{h_j} as an L-frame with scalar bounds: falsified under `claim` when
     nu, the pencil value of (L L*, U_H U_H*), is 0; else `certify_kframe`
-    with lower bound sqrt(nu (1 - 1e-12)) (1 when nu is infinite, L = 0)
-    and upper bound `upper`."""
+    with lower bound sqrt(nu (1 - PENCIL_INSET)) (1 when nu is infinite,
+    L = 0) and upper bound `upper`."""
     if nu == 0.0:
         return Certificate(FALSIFIED, claim, {"pencil_lower_H": 0.0}, {"tol": tol})
-    low = math.sqrt(max(nu * (1.0 - 1e-12), 0.0)) if math.isfinite(nu) else 1.0
+    low = math.sqrt(max(nu * (1.0 - PENCIL_INSET), 0.0)) if math.isfinite(nu) else 1.0
     unit = h_seq.spec.unit()
     return certify_kframe(h_seq, l_op, low * unit, upper * unit, tol)
 
@@ -215,29 +221,28 @@ def _pertur1_converse(
     tol: float,
 ) -> PerturbReport:
     ident = identity_operator(f_seq.spec, f_seq.rank)
-    if (k_op.compose(k_op.adjoint()) - ident).norm() > 1e-9:
+    if (k_op.compose(k_op.adjoint()) - ident).norm() > DEFAULT_TOL:
         raise PreconditionError("converse mode needs a co-isometric K")
     resid = range_residual(k_op, l_op)
-    if resid > tol * max(1.0, k_op.norm()):
+    if verdict(resid, tol, max(1.0, k_op.norm())) != CERTIFIED:
         raise PreconditionError(
             f"converse hypothesis failed: R(K) not contained in R(L), residual {resid:.3e}"
         )
     # certified scalar bounds of the perturbed family against L
-    nu = pencil_lower_bound(l_op, h_seq.synthesis_op)
+    nu = pencil_lower_bound(l_op, h_seq.synthesis_op, tol)
     if nu <= 0.0:
         raise PreconditionError("converse hypothesis failed: {h_j} is not an L-frame")
     c_norm = math.sqrt(nu) if math.isfinite(nu) else 1.0
     d_norm = math.sqrt(h_seq.frame_op.norm())
-    lam = pencil_lower_bound(k_op, l_op)
+    lam = pencil_lower_bound(k_op, l_op, tol)
     lam_val = 1.0 / lam if lam not in (0.0, math.inf) else 0.0
     m_reference = min(
         (1.0 + d_norm / a.norm()) ** 2,
         (1.0 + math.sqrt(lam_val) * b.norm() / c_norm) ** 2,
     )
     m_val = min(m_f, m_h)
-    ok = m_val <= m_reference + 1e-9
     conclusion = Certificate(
-        CERTIFIED if ok else FALSIFIED,
+        verdict(m_val - m_reference, tol, max(1.0, m_reference)),
         "perturb-min-converse",
         {"reported_M": m_val, "reference_M": m_reference},
         {"tol": tol},
@@ -283,7 +288,8 @@ def _abg_hypothesis(
     eigenvector of the sufficient gap and moves w to the minimiser for the
     last eigenvector x, which does not raise the least eigenvalue once w
     is in the simplex; no RNG.  An eigenvector is the witness only when
-    ||D* x|| > rhs + tol max(1, rhs), both sides evaluated directly.
+    `verdict` does not certify ||D* x|| - rhs at tol with scale
+    max(1, rhs), both sides evaluated directly.
     inconclusive: neither, within `_WEIGHT_STEPS` weight updates; the
     witness holds the sufficient gap's and the largest lhs - rhs found.
     """
@@ -312,7 +318,7 @@ def _abg_hypothesis(
         lhs = d_adj.apply(f).norm()
         parts = np.array([c * adj.apply(f).norm() for (c, _), adj in zip(terms, adjs)])
         rhs = float(parts.sum())
-        if lhs > rhs + tol * max(1.0, rhs):
+        if verdict(lhs - rhs, tol, max(1.0, rhs)) != CERTIFIED:
             weights = [float(w) for w in 1.0 / inv_w]
             return Certificate(
                 FALSIFIED,
@@ -368,7 +374,7 @@ def pertur2_audit(
     d_op = difference_synthesis(f_seq, h_seq)
     _require_hypotheses(f_seq, k_op, l_op, a, b, tol)
 
-    m_f, m_h = _branch_constants(d_op, f_seq, h_seq)
+    m_f, m_h = _branch_constants(d_op, f_seq, h_seq, tol)
     hypothesis = _abg_hypothesis(
         d_op, [(alpha, f_seq.synthesis_op), (beta, h_seq.synthesis_op), (gamma, k_op)], tol
     )
@@ -381,17 +387,16 @@ def pertur2_audit(
     ratio = (alpha + beta + gamma / a_norm) / (1.0 - beta)
     upper_const = b_norm * (1.0 + ratio)
     bessel_h = math.sqrt(h_seq.frame_op.norm())
-    upper_ok = bessel_h <= upper_const + tol
     upper_cert = Certificate(
-        CERTIFIED if upper_ok else FALSIFIED,
+        verdict(bessel_h - upper_const, tol, max(1.0, upper_const)),
         "perturb-abg-upper",
         {"bessel_of_h": bessel_h, "upper_const": upper_const},
         {"tol": tol},
     )
 
     frame_cert = _lframe_certificate(
-        h_seq, l_op, pencil_lower_bound(l_op, h_seq.synthesis_op),
-        bessel_h * (1.0 + 1e-9) + tol, tol, "perturb-abg-lframe",
+        h_seq, l_op, pencil_lower_bound(l_op, h_seq.synthesis_op, tol),
+        bessel_h * (1.0 + BOUND_INSET) + tol, tol, "perturb-abg-lframe",
     )
 
     g_reference = a_norm * (1.0 - (alpha + beta + gamma / a_norm) / (1.0 + beta))
@@ -399,15 +404,15 @@ def pertur2_audit(
     # ||U_H* f|| >= g ||K* f|| for all f iff g^2 K K* <= U_H U_H* (the
     # rank-one reduction of `douglas._majorization`), iff g^2 is at most
     # the pencil value
-    pencil_k = pencil_lower_bound(k_op, h_seq.synthesis_op)
+    pencil_k = pencil_lower_bound(k_op, h_seq.synthesis_op, tol)
     worst_margin = 0.0
-    lower_ok = True
+    lower = CERTIFIED
     if g_sound > 0:
-        lower_ok = g_sound**2 <= pencil_k + tol * max(1.0, g_sound**2)
+        lower = verdict(g_sound**2 - pencil_k, tol, max(1.0, g_sound**2))
         if math.isfinite(pencil_k):
             worst_margin = pencil_k - g_sound**2
     lower_cert = Certificate(
-        CERTIFIED if lower_ok else FALSIFIED,
+        lower,
         "perturb-abg-lower",
         {
             "g_reference": g_reference,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, AlgElement, DEFAULT_TOL
-from .certify import CERTIFIED, Certificate, FALSIFIED, combine
+from .certify import Certificate, combine, verdict
 from .errors import InputError
 from .frames import FrameSeq, _family, certify_kframe
 from .hilbmod import ModuleOperator, ModuleVector, _operator, _vector
@@ -86,18 +86,6 @@ def tensor_frame(w: TensorWitness, left: FrameSeq, right: FrameSeq) -> FrameSeq:
     return _family(w.operator(left.synthesis_op, right.synthesis_op))
 
 
-def tensor_frame_diagonal(
-    w: TensorWitness, left: FrameSeq, right: FrameSeq
-) -> FrameSeq:
-    """Single-index family {f_j tensor h_j}; exposed for completeness with
-    no certified frame claims attached."""
-    if left.n_members != right.n_members:
-        raise InputError("diagonal tensor family needs equal member counts")
-    return FrameSeq(
-        [w.vector(f, h) for f, h in zip(left.members, right.members)]
-    )
-
-
 def tensor_frame_audit(
     w: TensorWitness,
     left: FrameSeq,
@@ -112,7 +100,8 @@ def tensor_frame_audit(
 ) -> Certificate:
     """Certify the product-frame facts: the frame operator of the product
     family is S_f tensor S_h, and the family is a (K tensor L)-frame with
-    bounds (A tensor C, B tensor D)."""
+    bounds (A tensor C, B tensor D); the first relative to max(1, ||S_f
+    tensor S_h||)."""
     base_left = certify_kframe(left, k_op, a, b, tol)
     base_left.require("left factor K-frame certification")
     base_right = certify_kframe(right, l_op, c, d, tol)
@@ -121,12 +110,8 @@ def tensor_frame_audit(
     prod = tensor_frame(w, left, right)
     s_expected = w.operator(left.frame_op, right.frame_op)
     rel = (prod.frame_op - s_expected).norm() / max(1.0, s_expected.norm())
-    op_ok = rel <= 1e-10
     op_cert = Certificate(
-        CERTIFIED if op_ok else FALSIFIED,
-        "tensor-frame-operator",
-        {"relative_residual": rel},
-        {"tol": 1e-10},
+        verdict(rel, tol, 1.0), "tensor-frame-operator", {"relative_residual": rel}, {"tol": tol}
     )
     kl = w.operator(k_op, l_op)
     ac = w.element(a, c)

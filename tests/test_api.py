@@ -1,5 +1,6 @@
-"""Guards on the library's surface: no dead private helper, and a public
-name list that resolves."""
+"""Guards on the library's surface: no dead private helper, a public
+name list that resolves, and no tolerance-like literal outside a named
+module constant."""
 
 import ast
 import re
@@ -48,3 +49,37 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
     missing = [n for n in names if not hasattr(cstarframes, n)]
     assert not missing, missing
+
+
+# a number written with a negative exponent, such as 1e-9 or 2.5e-12
+EXPONENT_LITERAL = re.compile(r"\d+e-\d+", re.IGNORECASE)
+
+
+def _names_a_constant(stmt):
+    """A module-level assignment to UPPER_CASE names only."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return False
+    return all(isinstance(t, ast.Name) and t.id.isupper() for t in targets)
+
+
+def test_exponent_literals_are_named_module_constants():
+    # every decision reads its tolerance from the caller's tol; a literal
+    # such as 1e-9 in a comparison would be a second, hidden policy
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        for stmt in ast.parse(source).body:
+            if _names_a_constant(stmt):
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {ast.get_source_segment(source, node)}"
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, (int, float, complex))
+                and EXPONENT_LITERAL.search(ast.get_source_segment(source, node) or "")
+            ]
+    assert not found, f"unnamed exponent literals: {found}"

@@ -8,7 +8,9 @@ import pytest
 from cstarframes import (
     AlgebraSpec, FrameSeq, certify_kframe, certify_star_bessel, identity_operator,
 )
-from cstarframes.certify import CERTIFIED, FALSIFIED, psd_certificate
+from cstarframes.certify import (
+    CERTIFIED, FALSIFIED, INCONCLUSIVE, pencil_verdict, psd_certificate, verdict, worst,
+)
 from cstarframes.harness import random_instance
 from cstarframes.sampling import random_operator, random_vector, stream
 
@@ -109,3 +111,31 @@ def test_tol_zero_certifies_generic_kframes(seed):
         inst.frame(), inst.operators["K"], inst.bounds["A"], inst.bounds["B"], 0.0
     )
     assert cert.status == CERTIFIED
+
+
+@pytest.mark.parametrize(("excess", "status"), [
+    (-1.0, CERTIFIED), (0.0, CERTIFIED), (2e-9, CERTIFIED), (2.1e-9, INCONCLUSIVE),
+    (2e-8, INCONCLUSIVE), (2.1e-8, FALSIFIED), (math.inf, FALSIFIED), (math.nan, INCONCLUSIVE),
+])
+def test_verdict_is_the_three_way_rule_at_tol_times_scale(excess, status):
+    assert verdict(excess, 1e-9, 2.0) == status
+
+
+def test_verdict_at_zero_tolerance_follows_the_sign():
+    assert verdict(0.0, 0.0, 1.0) == CERTIFIED
+    assert verdict(1e-300, 0.0, 1.0) == FALSIFIED
+
+
+@pytest.mark.parametrize(("mu", "tol", "status"), [
+    (0.0, 1e-9, FALSIFIED), (1e-10, 1e-9, INCONCLUSIVE), (1e-8, 1e-9, INCONCLUSIVE),
+    (1.1e-8, 1e-9, CERTIFIED), (math.inf, 1e-9, CERTIFIED),
+    (0.0, 0.0, FALSIFIED), (1e-300, 0.0, CERTIFIED),
+])
+def test_pencil_verdict_reads_a_pencil_value(mu, tol, status):
+    assert pencil_verdict(mu, tol) == status
+
+
+def test_worst_status_dominance():
+    assert worst() == CERTIFIED
+    assert worst(CERTIFIED, INCONCLUSIVE) == INCONCLUSIVE
+    assert worst(INCONCLUSIVE, FALSIFIED, CERTIFIED) == FALSIFIED

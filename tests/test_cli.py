@@ -193,6 +193,24 @@ def test_instance_tolerances_and_seed_apply_when_flags_absent(tmp_path, capsys, 
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["bounds", "check-frame"])
+def test_lower_bound_below_tol_resolution_is_inconclusive(tmp_path, capsys, command):
+    # S = diag(1, 1e-10): lambda* = 1e-10 is a scalar lower bound, but lies
+    # in (0, 10 tol], so the verdict is inconclusive, not a witness-less
+    # falsified
+    spec = AlgebraSpec((1,))
+    members = [ModuleVector(spec, [np.array([[1.0], [0.0]])]),
+               ModuleVector(spec, [np.array([[0.0], [1e-5]])])]
+    path = write_instance(tmp_path, Instance(spec=spec, rank=2, members=members))
+    out = tmp_path / "rep.json"
+    assert main([command, "--input", path, "--report", str(out)]) == 2
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "inconclusive"
+    assert rep["values"]["lambda_star"] == pytest.approx(1e-10, rel=1e-9)
+    assert rep["certificates"][0]["status"] == "inconclusive"
+    capsys.readouterr()
+
+
 # -- malformed instance fields ------------------------------------------------------
 
 
@@ -247,9 +265,16 @@ def test_invalid_flag_is_input_error(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
-def test_zero_tolerance_flag_still_runs(capsys):
+def test_zero_tolerance_flag_still_runs(tmp_path, capsys):
     assert main(["bounds", "--profile", "generic", "--seed", "3", "--tol", "0"]) == 0
-    assert main(["suite", "conjugation", "--trials", "1", "--tol", "0"]) == 0
+    # the suite decides at its tol: at 0 a conjugation residual must be
+    # exactly 0, and a rounding-size one falsifies
+    out = tmp_path / "rep.json"
+    assert main(["suite", "conjugation", "--trials", "1", "--tol", "0",
+                 "--report", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["config"]["tol"] == 0.0
+    assert rep["trials"][0]["certificate"]["tolerances"] == {"tol": 0.0}
     capsys.readouterr()
 
 

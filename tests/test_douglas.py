@@ -280,6 +280,30 @@ def test_audit_near_boundary_pencil_is_inconclusive():
     assert cert.status == "inconclusive"
 
 
+@pytest.mark.parametrize(("ratio", "tol", "included"), [
+    (2e-9, 1e-9, False), (5e-9, 1e-9, False),
+    (2e-8, 1e-6, True), (1e-7, 1e-6, True), (5e-7, 1e-6, True),
+])
+def test_audit_decides_every_condition_at_the_callers_tol(ratio, tol, included):
+    # T = S R plus a cokernel part with range residual / ||T|| = ratio: the
+    # four conditions, the pencil's range inclusion among them, agree at
+    # tol whichever side of it the residual lies
+    rng = stream(69, 0)
+    s = make_rank_deficient(SPEC, 2, 3, rng)
+    sr = s.compose(random_operator(SPEC, 2, 2, rng))
+    coproj = identity_operator(SPEC, 3) - s.compose(pseudo_inverse(s))
+    e = coproj.compose(random_operator(SPEC, 2, 3, rng))
+    t = sr + e.scalar_mul(ratio * sr.norm() / e.norm())
+    assert t.norm() > 1.0
+    assert range_residual(t, s) / t.norm() == pytest.approx(ratio, rel=1e-6)
+    cert = equivalence_audit(t, s, tol)
+    assert cert.status == "certified", cert.witness
+    conds = [cert.witness[f"cond_{c}"] for c in ("i", "ii", "iii", "iv")]
+    assert conds == [included] * 4
+    assert (cert.witness["pencil_mu"] > 0.0) == included
+    assert (pencil_lower_bound(t, s, tol) > 0.0) == included
+
+
 # -- the factored toolkit, checked against the per-function code ---------------------------
 
 ORACLE_SPECS = [AlgebraSpec(d) for d in ((2, 1), (1,), (3, 2, 1))]

@@ -33,7 +33,6 @@ from cstarframes import (
     range_inclusion,
     save_instance,
     tensor_frame,
-    tensor_frame_diagonal,
     tensor_witness,
     transform_frame,
     transform_kframe_audit,
@@ -585,6 +584,19 @@ def test_dual_atoms_planted_reconstruction():
         assert (k.apply(f) - recon).norm() <= 1e-9 * max(1.0, f.norm())
 
 
+def test_dual_atoms_scale_their_residual_with_k():
+    # K scaled by 1e6: ||K|| = 1.6e7 and a factorization residual of 1.6e-8,
+    # 1e-15 of ||K||; all three decide it at tol with scale max(1, ||K||)
+    inst = random_instance(4, "generic")
+    fr, k = inst.frame(), inst.operators["K"].scalar_mul(1e6)
+    assert k.norm() > 1e7
+    _, _, residual = atomic_coefficients(fr, k, 1e-9)
+    assert 1e-9 < residual <= 1e-9 * k.norm()
+    assert len(dual_atoms(fr, k, 1e-9)) == fr.n_members
+    cert = dual_atoms_audit(fr, k, 1e-9)
+    assert cert.status == "certified", cert.witness
+
+
 # -- local atoms --------------------------------------------------------------------------------
 
 
@@ -963,8 +975,7 @@ def test_derived_families_are_built_from_their_synthesis_operators(tmp_path, mon
     save_instance(generic, path)
     save_instance(perturbed, h_path)
     # local_atoms_check takes its coefficient representers as a caller's list
-    forbid_member_lists(monkeypatch, (Instance.frame, Instance.h_frame,
-                                      tensor_frame_diagonal, local_atoms_check))
+    forbid_member_lists(monkeypatch, (Instance.frame, Instance.h_frame, local_atoms_check))
 
     runs = [["suite", name, "--trials", "3"] for name in SUITES]
     runs += [[command, "--profile", "generic", "--seed", "2"] for command in COMMANDS
@@ -986,6 +997,5 @@ def test_derived_families_are_built_from_their_synthesis_operators(tmp_path, mon
     w = tensor_witness(SPEC, AlgebraSpec((1,)))
     right = coordinate_frame(w.right, 1)
     assert tensor_frame(w, fr, right).n_members == fr.n_members
-    assert tensor_frame_diagonal(w, coordinate_frame(SPEC, 1), right).n_members == 1
     with pytest.raises(AssertionError, match="member list"):
         FrameSeq(fr.members)

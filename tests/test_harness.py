@@ -190,6 +190,27 @@ def test_perturb_suites_audit_at_the_suite_tolerance(monkeypatch, suite):
             assert extra == pytest.approx(1e-6, rel=1e-6)
 
 
+@pytest.mark.parametrize("suite", ["conjugation", "co-isometry", "tensor"])
+def test_suite_certificates_record_the_suite_tolerance(suite):
+    rep = run_suite(suite, trials=2, seed=5, tol=1e-6)
+    assert [r["certificate"]["tolerances"] for r in rep["trials"]] == [{"tol": 1e-6}] * 2
+
+
+def test_paper_example_decides_at_the_suite_tolerance():
+    # N = 12 leaves a factorization residual of 5.6e-17: certified at the
+    # default tol and falsified at tol 0, which needs it exactly 0
+    rows = [run_suite("paper-example", n_terms=12, tol=tol)["trials"][0] for tol in (1e-9, 0.0)]
+    assert [r["status"] for r in rows] == ["certified", "falsified"]
+    assert 0.0 < rows[1]["factorization_residual"] < 1e-15
+
+
+def test_kframe_main_decides_atomicity_at_the_suite_tolerance():
+    # trial 0 is generic: U Q = K holds up to rounding, which tol 0 rejects
+    rows = [run_suite("kframe-main", trials=1, tol=tol)["trials"][0] for tol in (1e-9, 0.0)]
+    assert [r["atomic_ok"] for r in rows] == [True, False]
+    assert [r["status"] for r in rows] == ["certified", "falsified"]
+
+
 @pytest.mark.parametrize(("trials", "samples"), [(0, 100), (-1, 100), (2, 0), (2, -5)])
 def test_run_suite_rejects_counts_below_one(trials, samples):
     with pytest.raises(InputError, match="trials and samples must be >= 1"):

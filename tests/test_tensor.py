@@ -6,13 +6,11 @@ import pytest
 from cstarframes import (
     AlgebraSpec,
     FrameSeq,
-    InputError,
     coordinate_frame,
     identity_operator,
     optimal_scalar_bounds,
     tensor_frame,
     tensor_frame_audit,
-    tensor_frame_diagonal,
     tensor_witness,
 )
 from cstarframes.harness import random_instance
@@ -125,16 +123,6 @@ def test_member_count_is_product():
     f_seq = FrameSeq([random_vector(LEFT, 1, rng) for _ in range(3)])
     h_seq = FrameSeq([random_vector(RIGHT, 2, rng) for _ in range(2)])
     assert tensor_frame(W, f_seq, h_seq).n_members == 6
-
-
-def test_diagonal_family_needs_equal_counts():
-    rng = stream(128, 0)
-    f_seq = FrameSeq([random_vector(LEFT, 1, rng) for _ in range(3)])
-    h_seq = FrameSeq([random_vector(RIGHT, 1, rng) for _ in range(2)])
-    with pytest.raises(InputError):
-        tensor_frame_diagonal(W, f_seq, h_seq)
-    h3 = FrameSeq([random_vector(RIGHT, 1, rng) for _ in range(3)])
-    assert tensor_frame_diagonal(W, f_seq, h3).n_members == 3
 
 
 def test_audit_coordinate_frames():
