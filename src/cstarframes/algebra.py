@@ -185,13 +185,18 @@ class AlgElement:
 
     def scalar_blocks(self, tol: float = DEFAULT_TOL) -> tuple[bool, ...]:
         """Per block, whether it is within tol (relatively scaled) of a
-        scalar multiple of the identity; the nearest scalar is trace/d."""
+        scalar multiple of the identity; the nearest scalar is trace/d.  A
+        block equal to its (0, 0) entry times the identity is scalar at
+        every tol, with no kernel call: its trace/d can round off b[0, 0]."""
         if tol < 0:
             raise InputError("tolerance must be nonnegative")
+        exact = [np.array_equal(b, b[0, 0] * np.eye(len(b))) for b in self.blocks]
+        if all(exact):
+            return tuple(exact)
         s = self._scale()
         return tuple(
-            float(_spectral_norm(b - np.trace(b) / len(b) * np.eye(len(b)))) <= tol * s
-            for b in self.blocks
+            e or float(_spectral_norm(b - np.trace(b) / len(b) * np.eye(len(b)))) <= tol * s
+            for e, b in zip(exact, self.blocks)
         )
 
     def is_central(self, tol: float = DEFAULT_TOL) -> bool:

@@ -17,10 +17,12 @@ import time
 from ._version import __version__
 from .algebra import DEFAULT_TOL
 from .certify import CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict
-from .douglas import equivalence_audit, pseudo_inverse
+from .douglas import _factorization, equivalence_audit, pseudo_inverse
 from .errors import AtomicSystemError, InputError
 from .frames import (
     BOUND_INSET,
+    FrameSeq,
+    _family,
     atomic_coefficients,
     certify_kframe,
     derived_bounds,
@@ -29,10 +31,10 @@ from .frames import (
     optimal_scalar_bounds,
 )
 from .harness import (
-    DEFAULT_EPSILON, SUITES, _parse_profile, _perturbed_pair, random_instance, run_suite,
-    tensor_pair_instance,
+    DEFAULT_EPSILON, SUITES, _parse_profile, _perturbed_pair, _tensor_pair_audit,
+    random_instance, run_suite, tensor_pair_instance,
 )
-from .hilbmod import _columns, identity_operator
+from .hilbmod import ModuleOperator, identity_operator
 from .perturb import pertur1_audit, pertur2_audit
 from .serialize import (
     Instance,
@@ -42,7 +44,6 @@ from .serialize import (
     load_instance,
     write_report,
 )
-from .tensor import tensor_frame_audit, tensor_witness
 
 COMMANDS = (
     "check-frame",
@@ -124,19 +125,36 @@ def _need_operator(inst: Instance, key: str, command: str):
     return inst.operators[key]
 
 
+def _lambda_certificate(
+    frame: FrameSeq, k_op: ModuleOperator, lam: float, tol: float, claim: str, witness: dict
+) -> Certificate:
+    """`pencil_verdict` of lambda* for the family's synthesis U.  lambda* =
+    0 says R(K) is not inside R(U) at tol: falsified with the cokernel
+    witness f of `equivalence_audit` (U* f vanishes at tol, K* f does not)
+    where there is one, else inconclusive."""
+    status, f = pencil_verdict(lam, tol), None
+    if status == FALSIFIED:
+        f, norms = _factorization(frame.synthesis_op).cokernel_witness(k_op, tol)
+        if norms:
+            witness = dict(witness, witness_u_adj_norm=norms[0], witness_k_adj_norm=norms[1])
+        status = FALSIFIED if f is not None else INCONCLUSIVE
+    return Certificate(status, claim, witness, {"tol": tol}, witness_vector=f)
+
+
 def _kframe_command(inst: Instance, k_op, args, claim: str):
     """certify_kframe with the instance's bounds, or with bounds derived
-    from lambda* where `pencil_verdict` holds it; else that verdict."""
-    frame = inst.frame()
+    from lambda* where `pencil_verdict` holds it; else the certificate of
+    `_lambda_certificate`."""
+    frame = inst.members
     lam, mu = optimal_scalar_bounds(frame, k_op, args.tol)
     values = {"lambda_star": lam, "mu_star": mu}
     a = inst.bounds.get("A")
     b = inst.bounds.get("B")
     if a is None or b is None:
-        status = pencil_verdict(lam, args.tol)
-        if status != CERTIFIED:
-            witness = {"lambda_star": lam, "reason": "no scalar lower bound resolved at tol"}
-            return status, values, [Certificate(status, claim, witness, {"tol": args.tol})]
+        witness = {"lambda_star": lam, "reason": "no scalar lower bound resolved at tol"}
+        cert = _lambda_certificate(frame, k_op, lam, args.tol, claim, witness)
+        if cert.status != CERTIFIED:
+            return cert.status, values, [cert]
         a, b = derived_bounds(frame, lam, mu, BOUND_INSET)
         values["derived_bounds"] = True
     cert = certify_kframe(frame, k_op, a, b, args.tol)
@@ -154,10 +172,9 @@ def _cmd_check_kframe(inst: Instance, args):
 
 
 def _cmd_atomic_system(inst: Instance, args):
-    frame = inst.frame()
     k_op = _need_operator(inst, "K", "atomic-system")
     try:
-        q, c, residual = atomic_coefficients(frame, k_op, args.tol)
+        q, c, residual = atomic_coefficients(inst.members, k_op, args.tol)
     except AtomicSystemError as exc:
         cert = Certificate(FALSIFIED, "atomic-system", {"error": str(exc)}, {"tol": args.tol})
         return cert.status, {}, [cert]
@@ -167,24 +184,22 @@ def _cmd_atomic_system(inst: Instance, args):
 
 
 def _cmd_dual_atoms(inst: Instance, args):
-    frame = inst.frame()
     k_op = _need_operator(inst, "K", "dual-atoms")
-    cert = dual_atoms_audit(frame, k_op, args.tol)
+    cert = dual_atoms_audit(inst.members, k_op, args.tol)
     return cert.status, dict(cert.witness), [cert]
 
 
 def _cmd_local_atoms(inst: Instance, args):
-    frame = inst.frame()
+    frame = inst.members
     p_op = _need_operator(inst, "P", "local-atoms")
     s_pinv = pseudo_inverse(frame.frame_op)
-    if inst.g_members:
-        atoms = inst.g_members
-    else:
-        atoms = _columns(s_pinv.compose(frame.synthesis_op))
+    g_frame = inst.g_members
+    if g_frame is None:
+        g_frame = _family(s_pinv.compose(frame.synthesis_op))
     c = inst.bounds.get("C")
     if c is None:
         c = (s_pinv.norm() * frame.synthesis_op.norm()) * inst.spec.unit()
-    cert = local_atoms_check(frame, p_op, atoms, c, args.tol)
+    cert = local_atoms_check(frame, p_op, g_frame, c, args.tol)
     return cert.status, dict(cert.witness), [cert]
 
 
@@ -196,44 +211,33 @@ def _cmd_douglas(inst: Instance, args):
 
 
 def _cmd_bounds(inst: Instance, args):
-    frame = inst.frame()
+    frame = inst.members
     k_op = inst.operators.get("K") or identity_operator(inst.spec, inst.rank)
     lam, mu = optimal_scalar_bounds(frame, k_op, args.tol)
     values = {"lambda_star": lam, "mu_star": mu}
-    status = pencil_verdict(lam, args.tol)
-    cert = Certificate(status, "scalar-bounds", dict(values), {"tol": args.tol})
-    return status, values, [cert]
+    cert = _lambda_certificate(frame, k_op, lam, args.tol, "scalar-bounds", dict(values))
+    return cert.status, values, [cert]
 
 
 def _cmd_tensor(inst: Instance, args):
     if inst.right is None:
         raise InputError("tensor needs a nested 'right' instance (or --profile)")
-    left_frame = inst.frame()
-    right_frame = inst.right.frame()
-    k_op = _need_operator(inst, "K", "tensor (left)")
-    l_op = _need_operator(inst.right, "L", "tensor (right)")
-    for key, where in (("A", inst), ("B", inst)):
+    _need_operator(inst, "K", "tensor (left)")
+    _need_operator(inst.right, "L", "tensor (right)")
+    for key, side, where in (("A", "left", inst), ("B", "left", inst),
+                             ("C", "right", inst.right), ("D", "right", inst.right)):
         if key not in where.bounds:
-            raise InputError(f"tensor needs bounds.{key} on the left instance")
-    for key in ("C", "D"):
-        if key not in inst.right.bounds:
-            raise InputError(f"tensor needs bounds.{key} on the right instance")
-    w = tensor_witness(inst.spec, inst.right.spec)
-    cert = tensor_frame_audit(
-        w, left_frame, right_frame, k_op, l_op,
-        inst.bounds["A"], inst.bounds["B"],
-        inst.right.bounds["C"], inst.right.bounds["D"],
-        args.tol,
-    )
+            raise InputError(f"tensor needs bounds.{key} on the {side} instance")
+    cert = _tensor_pair_audit(inst, args.tol)
     return cert.status, dict(cert.witness), [cert]
 
 
 def _perturb_common(inst: Instance, args, command: str):
-    frame = inst.frame()
+    frame = inst.members
     k_op = _need_operator(inst, "K", command)
     l_op = inst.operators.get("L", k_op)
-    if inst.h_members:
-        h_seq = inst.h_frame()
+    if inst.h_members is not None:
+        h_seq = inst.h_members
     elif args.profile:
         h_seq = _perturbed_pair(frame, args.seed, DEFAULT_EPSILON)
     else:

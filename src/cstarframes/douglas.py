@@ -27,10 +27,10 @@ perp_b^H T_b, and none at all for a block the rank cut makes onto
 left_b T_b; it is 1 / sqrt(pencil) and ||Q|| for Q = S^+ T, so the pencil
 and Q's norm share it and no SVD of Q is taken.  The factorization
 residual ||S Q - T|| is one of S Q - T, checking the Q returned.
-`equivalence_audit` adds a full SVD per block of perp (perp^H T) only
-when the pencil fails, for its cokernel witness.  The norm inequality is
-one `psd_certificate`: a values-only `eigvalsh` per block, and an `eigh`
-of one block only when it is falsified.
+`cokernel_witness` adds a full SVD per block of perp (perp^H T), which
+`equivalence_audit` takes only when the pencil fails.  The norm
+inequality is one `psd_certificate`: a values-only `eigvalsh` per block,
+and an `eigh` of one block only when it is falsified.
 Every decision is `certify.verdict` at the caller's tol: range
 inclusion, the pencil's too, holds at residual <= tol max(1, ||T||).
 """
@@ -48,7 +48,7 @@ from .certify import (
     CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict, psd_certificate, verdict,
 )
 from .errors import InputError
-from .hilbmod import ModuleOperator, _operator
+from .hilbmod import ModuleOperator, ModuleVector, _operator
 
 DEFAULT_RTOL = 1e-10
 
@@ -119,6 +119,22 @@ class _Factorization:
             for ph, m in zip(self.perps, t.block_matrices())
         ]
         return _operator(t.spec, t.in_rank, t.out_rank, mats)
+
+    def cokernel_witness(
+        self, t: ModuleOperator, tol: float
+    ) -> tuple[Optional[ModuleVector], Optional[tuple[float, float]]]:
+        """A top left singular vector f of (I - S S^+) T, a direction in
+        the cokernel of S that T* sees, with (||S* f||, ||T* f||); None for
+        both when that operator is 0.  f is returned only where it
+        witnesses R(T) not inside R(S): `verdict` certifies ||S* f|| at
+        scale max(1, ||S||) and not ||T* f|| at max(1, ||T||)."""
+        f = self.coresidual(t).adjoint_norm_witness()
+        if f is None:
+            return None, None
+        s_norm, t_norm = self.s.adjoint().apply(f).norm(), t.adjoint().apply(f).norm()
+        found = (verdict(s_norm, tol, max(1.0, self.smax)) == CERTIFIED
+                 and verdict(t_norm, tol, max(1.0, t.norm())) != CERTIFIED)
+        return (f if found else None), (s_norm, t_norm)
 
     def range_residual(self, t: ModuleOperator) -> float:
         """||(I - S S^+) T|| = max_b ||perp_b^H T_b||; 0 with no SVD on a
@@ -306,15 +322,10 @@ def equivalence_audit(
         cond_iii = norm_cert.status != FALSIFIED
         witness_vec = norm_cert.witness_vector
     else:
-        f = fac.coresidual(t).adjoint_norm_witness()
-        cond_iii = True
-        if f is not None:
-            s_norm, t_norm = s.adjoint().apply(f).norm(), t.adjoint().apply(f).norm()
-            found["cond_iii_s_adj_norm"] = s_norm
-            found["cond_iii_t_adj_norm"] = t_norm
-            if (verdict(s_norm, tol, max(1.0, fac.smax)) == CERTIFIED
-                    and verdict(t_norm, tol, tscale) != CERTIFIED):
-                cond_iii, witness_vec = False, f
+        witness_vec, norms = fac.cokernel_witness(t, tol)
+        if norms:
+            found["cond_iii_s_adj_norm"], found["cond_iii_t_adj_norm"] = norms
+        cond_iii = witness_vec is None
 
     verdicts = [cond_i, cond_ii, cond_iii, cond_iv]
     witness = {

@@ -57,9 +57,10 @@ BOUND_FLOOR = 1e-8
 class FrameSeq:
     """Finite sequence {f_j} of module vectors, stored only as its
     synthesis operator U: A^J -> A^n (column block j is f_j), with U* and
-    the frame operator U U* computed once.  `members` rebuilds the vectors
-    on each access, as read-only views of U; library code builds a derived
-    family from its synthesis operator with `_family`."""
+    the frame operator U U* computed once.  `len` is the member count J;
+    `members` rebuilds the vectors on each access, as read-only views of
+    U.  Library code builds a family from its synthesis operator with
+    `_family`."""
 
     __slots__ = ("synthesis_op", "analysis_op", "frame_op")
 
@@ -82,6 +83,9 @@ class FrameSeq:
 
     @property
     def n_members(self) -> int:
+        return self.synthesis_op.in_rank
+
+    def __len__(self) -> int:
         return self.synthesis_op.in_rank
 
     @property
@@ -336,18 +340,17 @@ def atomic_coefficients(
     return q, q.norm() * frame.spec.unit(), residual
 
 
-def dual_atoms(
-    frame: FrameSeq, k_op: ModuleOperator, tol: float = DEFAULT_TOL
-) -> list[ModuleVector]:
+def dual_atoms(frame: FrameSeq, k_op: ModuleOperator, tol: float = DEFAULT_TOL) -> FrameSeq:
     """Bessel family {h_j} with K f = sum_j <f, h_j> f_j.
 
     h_j = Q*(e_j) for the atomic coefficient operator Q, using the
     self-duality of A^J: the coefficient functional f -> (Qf)_j is the
-    pairing with h_j.  Raises AtomicSystemError, a PreconditionError,
-    where `atomic_coefficients` does not certify ||K - U Q||.
+    pairing with h_j, so the family's synthesis operator is Q*.  Raises
+    AtomicSystemError, a PreconditionError, where `atomic_coefficients`
+    does not certify ||K - U Q||.
     """
     q, _, _ = atomic_coefficients(frame, k_op, tol)
-    return list(_columns(q.adjoint()))
+    return _family(q.adjoint())
 
 
 def dual_atoms_audit(
@@ -385,12 +388,12 @@ def dual_atoms_audit(
 def local_atoms_check(
     frame: FrameSeq,
     p_op: ModuleOperator,
-    atoms: Sequence[ModuleVector],
+    g_frame: FrameSeq,
     c: AlgElement,
     tol: float = DEFAULT_TOL,
 ) -> Certificate:
-    """Check that {f_j} with coefficient representers {g_j} forms a family
-    of local atoms for the submodule range(P).
+    """Check that {f_j} with the family {g_j} of coefficient representers
+    forms a family of local atoms for the submodule range(P).
 
     (i) The coefficient bound sum_j c_j(f) c_j(f)* <= C <f,f> C* with
     c_j(f) = <f, g_j>, for all f in range(P), is decided exactly as in
@@ -415,7 +418,7 @@ def local_atoms_check(
     if not p_op.is_projection(max(tol, DEFAULT_TOL)):
         raise InputError("P is not a projection")
     _require_strictly_nonzero(c, "C", tol)
-    if len(atoms) != frame.n_members:
+    if g_frame.n_members != frame.n_members:
         raise InputError("need one coefficient representer per frame member")
     if p_op.norm() <= tol:
         return Certificate(
@@ -424,7 +427,6 @@ def local_atoms_check(
             {"degenerate": True, "note": "zero submodule"},
             {"tol": tol},
         )
-    g_frame = FrameSeq(list(atoms))
     mc = diagonal_operator(c, n)
     s_g = g_frame.frame_op
     gap = _mixed_gap(

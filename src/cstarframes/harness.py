@@ -17,7 +17,9 @@ import numpy as np
 
 from ._version import __version__
 from .algebra import DEFAULT_TOL, AlgebraSpec
-from .certify import CERTIFIED, FALSIFIED, INCONCLUSIVE, pencil_verdict, verdict, worst
+from .certify import (
+    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict, verdict, worst,
+)
 from .douglas import douglas_solve, equivalence_audit, pseudo_inverse
 from .errors import InputError
 from .frames import (
@@ -34,7 +36,6 @@ from .frames import (
 )
 from .hilbmod import (
     ModuleOperator,
-    _columns,
     _operator,
     central_mult,
     diagonal_operator,
@@ -107,7 +108,7 @@ def _paper_truncation_instance(n_terms: int, seed: int) -> Instance:
     return Instance(
         spec=spec,
         rank=1,
-        members=list(_columns(u)),
+        members=_family(u),
         operators={"K": k_op},
         bounds={"B": bound, "C": bound},
         seed=seed,
@@ -127,7 +128,7 @@ def _generic_instance(seed: int) -> Instance:
     return Instance(
         spec=spec,
         rank=n,
-        members=list(frame.members),
+        members=frame,
         operators={"K": k_op, "L": l_op},
         bounds={"A": a, "B": b},
         seed=seed,
@@ -149,13 +150,11 @@ def _rank_deficient_instance(seed: int) -> Instance:
     mats = [np.array(m) for m in random_operator(spec, j_count, n, rng).block_matrices()]
     for d, m in zip(spec.block_dims, mats):
         m[-d:] = 0.0  # the last slot of every member
-    members = list(_columns(_operator(spec, j_count, n, mats)))
-    ident = identity_operator(spec, n)
     return Instance(
         spec=spec,
         rank=n,
-        members=members,
-        operators={"K": ident, "P": _drop_last_slot(spec, n)},
+        members=_family(_operator(spec, j_count, n, mats)),
+        operators={"K": identity_operator(spec, n), "P": _drop_last_slot(spec, n)},
         bounds={"A": spec.unit(), "B": spec.unit()},
         seed=seed,
     )
@@ -173,7 +172,7 @@ def _coisometry_instance(seed: int) -> Instance:
     return Instance(
         spec=spec,
         rank=n,
-        members=list(frame.members),
+        members=frame,
         operators={"K": k_op, "T": t_op},
         bounds={"A": a, "B": b},
         seed=seed,
@@ -232,7 +231,7 @@ def _kframe_main_trial(seed: int, trial: int, tol: float) -> dict:
     row inconclusive."""
     profile = "generic" if trial % 2 == 0 else "rank-deficient-K"
     inst = random_instance(_trial_seed(seed, trial), profile)
-    frame = inst.frame()
+    frame = inst.members
     k_op = inst.operators["K"]
     lam, mu = optimal_scalar_bounds(frame, k_op, tol)
     gate = pencil_verdict(lam, tol)
@@ -266,7 +265,7 @@ def _paper_example_run(seed: int, n_terms: int, tol: float) -> dict:
     difference with scale max(1, ||M_C||^2), beside the Bessel bound and
     the factorization residual of U Q = K (scale max(1, ||K||))."""
     inst = _paper_truncation_instance(n_terms, seed)
-    frame = inst.frame()
+    frame = inst.members
     k_op = inst.operators["K"]
     bessel = certify_star_bessel(frame, inst.bounds["B"], tol)
     sol = douglas_solve(k_op, frame.synthesis_op, tol)
@@ -286,10 +285,9 @@ def _paper_example_run(seed: int, n_terms: int, tol: float) -> dict:
 
 def _conjugation_trial(seed: int, trial: int, tol: float) -> dict:
     inst = random_instance(_trial_seed(seed, trial), "generic")
-    frame = inst.frame()
     rng = stream(seed, 6, trial)
     k_op = random_operator(inst.spec, inst.rank, inst.rank, rng)
-    cert = conjugation_audit(frame, k_op, tol)
+    cert = conjugation_audit(inst.members, k_op, tol)
     return {
         "trial": trial,
         "status": cert.status,
@@ -317,7 +315,7 @@ def tensor_pair_instance(seed: int) -> Instance:
     right_inst = Instance(
         spec=right,
         rank=m,
-        members=list(h_seq.members),
+        members=h_seq,
         operators={"L": l_op},
         bounds={"C": c, "D": d},
         seed=seed,
@@ -325,7 +323,7 @@ def tensor_pair_instance(seed: int) -> Instance:
     return Instance(
         spec=left,
         rank=n,
-        members=list(f_seq.members),
+        members=f_seq,
         operators={"K": k_op},
         bounds={"A": a, "B": b},
         seed=seed,
@@ -333,23 +331,19 @@ def tensor_pair_instance(seed: int) -> Instance:
     )
 
 
-def _tensor_trial(seed: int, trial: int, tol: float) -> dict:
-    inst = tensor_pair_instance(_trial_seed(seed, trial))
-    f_seq = inst.frame()
-    h_seq = inst.right.frame()
-    w = tensor_witness(inst.spec, inst.right.spec)
-    cert = tensor_frame_audit(
-        w,
-        f_seq,
-        h_seq,
-        inst.operators["K"],
-        inst.right.operators["L"],
-        inst.bounds["A"],
-        inst.bounds["B"],
-        inst.right.bounds["C"],
-        inst.right.bounds["D"],
-        tol,
+def _tensor_pair_audit(inst: Instance, tol: float) -> Certificate:
+    """`tensor_frame_audit` of a left/right instance pair, with K, A, B on
+    the left and L, C, D on the right."""
+    right = inst.right
+    return tensor_frame_audit(
+        tensor_witness(inst.spec, right.spec), inst.members, right.members,
+        inst.operators["K"], right.operators["L"], inst.bounds["A"], inst.bounds["B"],
+        right.bounds["C"], right.bounds["D"], tol,
     )
+
+
+def _tensor_trial(seed: int, trial: int, tol: float) -> dict:
+    cert = _tensor_pair_audit(tensor_pair_instance(_trial_seed(seed, trial)), tol)
     return {
         "trial": trial,
         "status": cert.status,
@@ -361,7 +355,7 @@ def _tensor_trial(seed: int, trial: int, tol: float) -> dict:
 def _coisometry_trial(seed: int, trial: int, tol: float) -> dict:
     inst = random_instance(_trial_seed(seed, trial), "co-isometry-commuting")
     cert = coisometry_invariance_audit(
-        inst.frame(), inst.operators["T"], inst.operators["K"], tol
+        inst.members, inst.operators["T"], inst.operators["K"], tol
     )
     return {
         "trial": trial,
@@ -378,12 +372,15 @@ def _perturbed_pair(frame: FrameSeq, seed: int, epsilon: float) -> FrameSeq:
     return _family(frame.synthesis_op + noise.scalar_mul(epsilon))
 
 
-def _perturb1_trial(seed: int, trial: int, tol: float, epsilon: float) -> dict:
+def _perturbed_trial(seed: int, trial: int, epsilon: float) -> tuple:
+    """A trial's generic family, its perturbed partner, K and bounds A, B."""
     inst = random_instance(_trial_seed(seed, trial), "generic")
-    frame = inst.frame()
-    h_seq = _perturbed_pair(frame, _trial_seed(seed, trial) + 3, epsilon)
-    k_op = inst.operators["K"]
-    a, b = inst.bounds["A"], inst.bounds["B"]
+    h_seq = _perturbed_pair(inst.members, _trial_seed(seed, trial) + 3, epsilon)
+    return inst.members, h_seq, inst.operators["K"], inst.bounds["A"], inst.bounds["B"]
+
+
+def _perturb1_trial(seed: int, trial: int, tol: float, epsilon: float) -> dict:
+    frame, h_seq, k_op, a, b = _perturbed_trial(seed, trial, epsilon)
     rep = pertur1_audit(frame, h_seq, k_op, k_op, a, b, tol=tol)
     m_val = rep.certified_M
     bessel_h = rep.constants_used["bessel_of_h"]
@@ -402,11 +399,7 @@ def _perturb1_trial(seed: int, trial: int, tol: float, epsilon: float) -> dict:
 
 
 def _perturb2_trial(seed: int, trial: int, tol: float, epsilon: float) -> dict:
-    inst = random_instance(_trial_seed(seed, trial), "generic")
-    frame = inst.frame()
-    h_seq = _perturbed_pair(frame, _trial_seed(seed, trial) + 3, epsilon)
-    k_op = inst.operators["K"]
-    a, b = inst.bounds["A"], inst.bounds["B"]
+    frame, h_seq, k_op, a, b = _perturbed_trial(seed, trial, epsilon)
     rep = pertur2_audit(frame, h_seq, k_op, k_op, 0.2, 0.1, 0.05, a, b, tol=tol)
     hypothesis = rep.constants_used["hypothesis"]
     # a falsified hypothesis leaves nothing to check; an undecided one

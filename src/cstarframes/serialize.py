@@ -3,15 +3,18 @@
 Instances are UTF-8 JSON.  Complex scalars are two-element arrays
 [re, im]; an algebra element is a list of 2-D arrays (one per block); a
 module vector is a list of algebra elements; operators are 2-D arrays of
-algebra elements indexed [input][output].  Reports are JSON with a stable
-field order; status strings are exactly "certified", "falsified",
-"inconclusive".  Non-finite floats are encoded as the strings "inf",
-"-inf", "nan" so reports stay strict JSON.
+algebra elements indexed [input][output].  A family {f_j} (`members`,
+`h_members`, `g_members`) is the grid of its synthesis operator
+U: A^J -> A^n, entry [j][i] slot i of member j.  Reports are JSON with a
+stable field order; status strings are exactly "certified",
+"falsified", "inconclusive".  Non-finite floats are encoded as the
+strings "inf", "-inf", "nan" so reports stay strict JSON.
 
-Vectors and operators are encoded from their per-block arrays, one
-reshape/transpose and one `tolist` per block, and decoded straight into
-them: every scalar is checked with its field path, then each block is one
-float array viewed as complex.  No algebra element is built per entry.
+Vectors, operators and families are encoded from their per-block arrays,
+one reshape/transpose and one `tolist` per block; operators and families
+are decoded straight into them: every scalar is checked with its field
+path, then each block is one float array viewed as complex.  No algebra
+element or member vector is built per entry.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ import numpy as np
 from .algebra import AlgebraSpec, AlgElement
 from .certify import Certificate
 from .errors import InputError
-from .frames import FrameSeq
-from .hilbmod import ModuleOperator, ModuleVector, _operator, _vector
+from .frames import FrameSeq, _family
+from .hilbmod import ModuleOperator, ModuleVector, _operator
 
 OPERATOR_KEYS = ("K", "L", "P", "T")
 BOUND_KEYS = ("A", "B", "C", "D")
@@ -106,23 +109,6 @@ def decode_element(spec: AlgebraSpec, data, path: str) -> AlgElement:
     return AlgElement(spec, [_complex(blk) for blk in data])
 
 
-def encode_vector(f: ModuleVector) -> list:
-    dims, n = f.spec.block_dims, f.rank
-    blocks = [_pairs(s.reshape(n, d, d).transpose(0, 2, 1)) for d, s in zip(dims, f.stacks)]
-    return [list(e) for e in zip(*blocks)]
-
-
-def decode_vector(spec: AlgebraSpec, rank: int, data, path: str) -> ModuleVector:
-    if not isinstance(data, list) or len(data) != rank or rank < 1:
-        raise InputError(f"{path}: expected {rank} entries")
-    for k, e in enumerate(data):
-        _check_element(spec, e, f"{path}[{k}]")
-    return _vector(spec, [
-        _complex([e[b] for e in data]).transpose(0, 2, 1).reshape(rank * d, d)
-        for b, d in enumerate(spec.block_dims)
-    ])
-
-
 def encode_operator(t: ModuleOperator) -> list:
     n, m = t.in_rank, t.out_rank
     blocks = [
@@ -132,19 +118,39 @@ def encode_operator(t: ModuleOperator) -> list:
     return [[list(e) for e in zip(*row)] for row in zip(*blocks)]
 
 
-def decode_operator(spec: AlgebraSpec, data, path: str) -> ModuleOperator:
-    if not isinstance(data, list) or not data or not isinstance(data[0], list) or not data[0]:
-        raise InputError(f"{path}: operators are non-empty 2-D arrays indexed [input][output]")
-    n, m = len(data), len(data[0])
+def encode_vector(f: ModuleVector) -> list:
+    """The one row of the grid of the operator A^1 -> A^n that f spans."""
+    return encode_operator(_operator(f.spec, 1, f.rank, f.stacks))[0]
+
+
+def _decode_grid(spec: AlgebraSpec, data: list, m: int, path: str, what: str) -> ModuleOperator:
+    """The operator A^n -> A^m with grid data, entry [j][i] at input j and
+    output i, after checking every scalar and that each row j holds m
+    elements, else `{path}[j]: {what}`."""
     for j, row in enumerate(data):
         if not isinstance(row, list) or len(row) != m:
-            raise InputError(f"{path}[{j}]: ragged operator rows")
+            raise InputError(f"{path}[{j}]: {what}")
         for i, e in enumerate(row):
             _check_element(spec, e, f"{path}[{j}][{i}]")
+    n = len(data)
     return _operator(spec, n, m, [
         _complex([[e[b] for e in row] for row in data]).transpose(1, 3, 0, 2).reshape(m * d, n * d)
         for b, d in enumerate(spec.block_dims)
     ])
+
+
+def decode_operator(spec: AlgebraSpec, data, path: str) -> ModuleOperator:
+    if not isinstance(data, list) or not data or not isinstance(data[0], list) or not data[0]:
+        raise InputError(f"{path}: operators are non-empty 2-D arrays indexed [input][output]")
+    return _decode_grid(spec, data, len(data[0]), path, "ragged operator rows")
+
+
+def _decode_family(spec: AlgebraSpec, rank: int, data, path: str) -> FrameSeq:
+    """The family whose members data[j] are rank-entry lists, decoded as
+    the grid of its synthesis operator."""
+    if not isinstance(data, list) or not data:
+        raise InputError(f"{path}: required non-empty list")
+    return _family(_decode_grid(spec, data, rank, path, f"expected {rank} entries"))
 
 
 # -- instances -----------------------------------------------------------------
@@ -152,13 +158,14 @@ def decode_operator(spec: AlgebraSpec, data, path: str) -> ModuleOperator:
 
 @dataclass
 class Instance:
-    """In-memory form of one instance file."""
+    """In-memory form of one instance file; each family is held as the
+    FrameSeq of its synthesis operator."""
 
     spec: AlgebraSpec
     rank: int
-    members: list[ModuleVector]
-    h_members: Optional[list[ModuleVector]] = None
-    g_members: Optional[list[ModuleVector]] = None
+    members: FrameSeq
+    h_members: Optional[FrameSeq] = None
+    g_members: Optional[FrameSeq] = None
     operators: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
     perturbation: Optional[dict] = None
@@ -166,25 +173,17 @@ class Instance:
     seed: Optional[int] = None
     right: Optional["Instance"] = None
 
-    def frame(self) -> FrameSeq:
-        return FrameSeq(self.members)
-
-    def h_frame(self) -> FrameSeq:
-        if not self.h_members:
-            raise InputError("instance has no h_members (perturbed family)")
-        return FrameSeq(self.h_members)
-
 
 def instance_to_dict(inst: Instance) -> dict:
     out: dict = {
         "algebra": list(inst.spec.block_dims),
         "rank": inst.rank,
-        "members": [encode_vector(m) for m in inst.members],
+        "members": encode_operator(inst.members.synthesis_op),
     }
-    if inst.h_members:
-        out["h_members"] = [encode_vector(m) for m in inst.h_members]
-    if inst.g_members:
-        out["g_members"] = [encode_vector(m) for m in inst.g_members]
+    for key in ("h_members", "g_members"):
+        family = getattr(inst, key)
+        if family is not None:
+            out[key] = encode_operator(family.synthesis_op)
     if inst.operators:
         out["operators"] = {
             k: encode_operator(v) for k, v in sorted(inst.operators.items())
@@ -206,12 +205,6 @@ def instance_to_dict(inst: Instance) -> dict:
     return out
 
 
-def _members(spec: AlgebraSpec, rank: int, data, path: str) -> list[ModuleVector]:
-    if not isinstance(data, list) or not data:
-        raise InputError(f"{path}: required non-empty list")
-    return [decode_vector(spec, rank, m, f"{path}[{j}]") for j, m in enumerate(data)]
-
-
 def parse_instance(data: dict, path: str = "instance") -> Instance:
     if not isinstance(data, dict):
         raise InputError(f"{path}: instance files hold one JSON object")
@@ -228,26 +221,19 @@ def parse_instance(data: dict, path: str = "instance") -> Instance:
         _integer(d, f"{path}.algebra[{b}]", 1, "block dimensions are positive integers")
     spec = AlgebraSpec(dims)
     rank = _integer(data.get("rank"), f"{path}.rank", 1, "required positive integer")
-    inst = Instance(spec, rank, _members(spec, rank, data.get("members"), f"{path}.members"))
+    inst = Instance(spec, rank, _decode_family(spec, rank, data.get("members"), f"{path}.members"))
     for key in ("h_members", "g_members"):
         if key in data:
-            setattr(inst, key, _members(spec, rank, data[key], f"{path}.{key}"))
-    if "operators" in data:
-        ops = data["operators"]
-        if not isinstance(ops, dict):
-            raise InputError(f"{path}.operators: must be an object")
-        for k, v in ops.items():
-            if k not in OPERATOR_KEYS:
-                raise InputError(f"{path}.operators.{k}: unknown operator key")
-            inst.operators[k] = decode_operator(spec, v, f"{path}.operators.{k}")
-    if "bounds" in data:
-        bounds = data["bounds"]
-        if not isinstance(bounds, dict):
-            raise InputError(f"{path}.bounds: must be an object")
-        for k, v in bounds.items():
-            if k not in BOUND_KEYS:
-                raise InputError(f"{path}.bounds.{k}: unknown bound key")
-            inst.bounds[k] = decode_element(spec, v, f"{path}.bounds.{k}")
+            setattr(inst, key, _decode_family(spec, rank, data[key], f"{path}.{key}"))
+    for name, keys, decode, what in (("operators", OPERATOR_KEYS, decode_operator, "operator"),
+                                     ("bounds", BOUND_KEYS, decode_element, "bound")):
+        if name in data:
+            if not isinstance(data[name], dict):
+                raise InputError(f"{path}.{name}: must be an object")
+            for k, v in data[name].items():
+                if k not in keys:
+                    raise InputError(f"{path}.{name}.{k}: unknown {what} key")
+                getattr(inst, name)[k] = decode(spec, v, f"{path}.{name}.{k}")
     if "perturbation" in data:
         pert = data["perturbation"]
         if not isinstance(pert, dict) or not set(pert) <= {"alpha", "beta", "gamma"}:

@@ -47,7 +47,7 @@ def _line(name, ok, detail):
 def test_criterion_1_paper_example_atomic_equality():
     t0 = time.perf_counter()
     inst = random_instance(0, "paper-example-truncation(10)")
-    frame = inst.frame()
+    frame = inst.members
     k_op = inst.operators["K"]
     c_bound = inst.bounds["C"]
 
@@ -81,7 +81,7 @@ def test_criterion_2_atomic_system_iff_kframe():
     for trial in range(total):
         profile = "generic" if trial % 2 == 0 else "rank-deficient-K"
         inst = random_instance(5000 + trial, profile)
-        frame = inst.frame()
+        frame = inst.members
         k_op = inst.operators["K"]
 
         lam, mu = optimal_scalar_bounds(frame, k_op)
@@ -175,7 +175,7 @@ def test_criterion_4_frame_operator_conjugation():
     total = 50
     for trial in range(total):
         inst = random_instance(10000 + trial, "generic")
-        frame = inst.frame()
+        frame = inst.members
         rng = stream(11000, trial)
         k_op = random_operator(inst.spec, inst.rank, inst.rank, rng)
         cert = conjugation_audit(frame, k_op, tol=1e-10)
@@ -249,7 +249,7 @@ def test_criterion_6_coisometry_invariance():
     for trial in range(total):
         inst = random_instance(13000 + trial, "co-isometry-commuting")
         cert = coisometry_invariance_audit(
-            inst.frame(), inst.operators["T"], inst.operators["K"], tol=1e-8
+            inst.members, inst.operators["T"], inst.operators["K"], tol=1e-8
         )
         if cert.ok and cert.witness["max_relative_deviation"] <= 1e-8:
             passed += 1
@@ -272,7 +272,7 @@ def test_criterion_7_perturbation_soundness():
     eps = 1e-3
     for trial in range(total):
         inst = random_instance(14000 + trial, "generic")
-        frame = inst.frame()
+        frame = inst.members
         k_op = inst.operators["K"]
         a, b = inst.bounds["A"], inst.bounds["B"]
         rng = stream(15000, trial)

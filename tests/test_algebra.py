@@ -276,6 +276,23 @@ def test_centrality():
     assert d.is_central(1e-9)
 
 
+def test_exactly_scalar_blocks_are_scalar_at_every_tol(monkeypatch):
+    # trace/d rounds off c for many c, so the measured distance from the
+    # nearest scalar is not 0; an exact c 1 must still be scalar at tol 0
+    spec = AlgebraSpec((24, 12))
+    for c in [*np.linspace(0.1, 3.0, 50), 0.3 + 0.7j]:
+        assert (c * spec.unit()).scalar_blocks(0.0) == (True, True), c
+    calls = _counting_svd(monkeypatch)
+    assert (1.7 * spec.unit()).scalar_blocks(0.0) == (True, True)
+    assert SPEC111.central([0.2, -1.0, 3.0]).scalar_blocks(0.0) == (True, True, True)
+    assert calls == []
+    # a block off the identity line is still measured, and only it
+    a = SPEC21.element([np.diag([1.0, 1.0 + 1e-12]), np.eye(1)])
+    assert a.scalar_blocks(0.0) == (False, True)
+    assert a.scalar_blocks(1e-9) == (True, True)
+    assert calls
+
+
 # -- square root ------------------------------------------------------------------
 
 

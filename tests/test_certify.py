@@ -108,7 +108,7 @@ def test_tol_zero_certifies_generic_kframes(seed):
     in their anti-Hermitian parts (about 1e-15) must not falsify them."""
     inst = random_instance(seed, "generic")
     cert = certify_kframe(
-        inst.frame(), inst.operators["K"], inst.bounds["A"], inst.bounds["B"], 0.0
+        inst.members, inst.operators["K"], inst.bounds["A"], inst.bounds["B"], 0.0
     )
     assert cert.status == CERTIFIED
 

@@ -12,13 +12,16 @@ import numpy as np
 import pytest
 
 from cstarframes import (
-    AlgebraSpec, InputError, Instance, coordinate_frame, optimal_scalar_bounds, save_instance,
+    AlgebraSpec, FrameSeq, InputError, Instance, coordinate_frame, optimal_scalar_bounds,
+    save_instance,
 )
 from cstarframes import cli
 from cstarframes.cli import COMMANDS, main
 from cstarframes.harness import SUITES, random_instance, tensor_pair_instance
 from cstarframes.hilbmod import ModuleOperator, ModuleVector
-from cstarframes.serialize import decode_vector, instance_to_dict, load_instance
+from cstarframes.serialize import instance_to_dict, load_instance
+
+import oracles
 
 SPEC = AlgebraSpec((2, 1))
 
@@ -42,7 +45,7 @@ def test_falsified_exit_code(capsys):
 
 def test_inconclusive_exit_code(tmp_path, capsys):
     # an upper bound short by 3 tol lands in the near-boundary band
-    members = list(coordinate_frame(SPEC, 2).members)
+    members = coordinate_frame(SPEC, 2)
     inst = Instance(spec=SPEC, rank=2, members=members,
                     bounds={"A": 0.5 * SPEC.unit(), "B": math.sqrt(1 - 3e-9) * SPEC.unit()})
     path = write_instance(tmp_path, inst)
@@ -53,7 +56,7 @@ def test_inconclusive_exit_code(tmp_path, capsys):
 def test_non_central_bound_falsified_exit_code(tmp_path, capsys):
     # a non-central upper bound is decided exactly: S does not vanish on its
     # non-scalar block, so the report carries a rank-one witness
-    members = list(coordinate_frame(SPEC, 2).members)
+    members = coordinate_frame(SPEC, 2)
     b = SPEC.element(
         [np.array([[3.0, 0.5], [0.0, 3.0]], dtype=complex), np.array([[3.0]], dtype=complex)]
     )
@@ -65,7 +68,7 @@ def test_non_central_bound_falsified_exit_code(tmp_path, capsys):
     assert "falsified" in capsys.readouterr().out
     cert = json.loads(out.read_text())["certificates"][0]
     assert "samples" not in cert and "seed" not in cert
-    w = decode_vector(SPEC, 2, cert["witness_vector"], "witness_vector")
+    w = oracles.reference_decode_vector(SPEC, cert["witness_vector"])
     gap = b * w.inner(w) * b.adjoint() - coordinate_frame(SPEC, 2).coefficient_gram(w)
     assert not gap.is_positive(1e-9)
 
@@ -78,7 +81,7 @@ def test_input_error_exit_code(capsys):
 
 
 def test_missing_operator_is_input_error(tmp_path, capsys):
-    inst = Instance(spec=SPEC, rank=2, members=list(coordinate_frame(SPEC, 2).members))
+    inst = Instance(spec=SPEC, rank=2, members=coordinate_frame(SPEC, 2))
     path = write_instance(tmp_path, inst)
     assert main(["check-kframe", "--input", path]) == 3
     assert "operators.K" in capsys.readouterr().err
@@ -126,7 +129,7 @@ def test_perturb_commands(tmp_path, capsys):
     assert main(["perturb1", "--profile", "generic", "--seed", "5",
                  "--samples", "50"]) == 0
     inst = random_instance(5, "generic")
-    inst.h_members = [m for m in inst.members]
+    inst.h_members = inst.members
     inst.perturbation = {"alpha": 0.2, "beta": 0.1, "gamma": 0.05}
     path = write_instance(tmp_path, inst)
     assert main(["perturb1", "--input", path, "--samples", "50"]) == 0
@@ -174,7 +177,7 @@ def test_instance_tolerances_and_seed_apply_when_flags_absent(tmp_path, capsys, 
     inst.tolerances = {"tol": 0.0}
     # the stored bounds keep a margin, so tol 0 certifies them
     assert main(["check-kframe", "--input", write_instance(tmp_path, inst, "stored.json")]) == 0
-    lam, _ = optimal_scalar_bounds(inst.frame(), inst.operators["K"])
+    lam, _ = optimal_scalar_bounds(inst.members, inst.operators["K"])
     inst.bounds["A"] = math.sqrt(lam * (1.0 + 1e-11)) * inst.spec.unit()
     inst.tolerances = {"tol": tol}
     inst.seed = 77
@@ -199,8 +202,8 @@ def test_lower_bound_below_tol_resolution_is_inconclusive(tmp_path, capsys, comm
     # in (0, 10 tol], so the verdict is inconclusive, not a witness-less
     # falsified
     spec = AlgebraSpec((1,))
-    members = [ModuleVector(spec, [np.array([[1.0], [0.0]])]),
-               ModuleVector(spec, [np.array([[0.0], [1e-5]])])]
+    members = FrameSeq([ModuleVector(spec, [np.array([[1.0], [0.0]])]),
+                        ModuleVector(spec, [np.array([[0.0], [1e-5]])])])
     path = write_instance(tmp_path, Instance(spec=spec, rank=2, members=members))
     out = tmp_path / "rep.json"
     assert main([command, "--input", path, "--report", str(out)]) == 2
@@ -208,6 +211,28 @@ def test_lower_bound_below_tol_resolution_is_inconclusive(tmp_path, capsys, comm
     assert rep["status"] == "inconclusive"
     assert rep["values"]["lambda_star"] == pytest.approx(1e-10, rel=1e-9)
     assert rep["certificates"][0]["status"] == "inconclusive"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["bounds", "check-frame"])
+def test_no_scalar_lower_bound_is_falsified_with_a_cokernel_witness(tmp_path, capsys, command):
+    # the rank-deficient members vanish on the last slot, so R(K) for K = I
+    # is not inside R(U) and lambda* = 0; the witness f there has U* f = 0
+    # and ||K* f|| = 1
+    for seed in range(40):
+        inst = random_instance(seed, "rank-deficient-K")
+        frame_only = Instance(spec=inst.spec, rank=inst.rank, members=inst.members)
+        path = write_instance(tmp_path, frame_only if command == "check-frame" else inst)
+        out = tmp_path / "rep.json"
+        assert main([command, "--input", path, "--report", str(out)]) == 1, seed
+        rep = json.loads(out.read_text())
+        assert rep["status"] == "falsified" and rep["values"]["lambda_star"] == 0.0
+        cert = rep["certificates"][0]
+        assert cert["witness"]["witness_u_adj_norm"] == 0.0
+        assert cert["witness"]["witness_k_adj_norm"] == pytest.approx(1.0, abs=1e-12)
+        f = oracles.reference_decode_vector(inst.spec, cert["witness_vector"])
+        assert inst.members.analysis(f).norm() == 0.0
+        assert inst.operators["K"].adjoint().apply(f).norm() == pytest.approx(1.0, abs=1e-12)
     capsys.readouterr()
 
 
@@ -331,7 +356,7 @@ def test_cli_path_builds_no_element_grids(tmp_path, capsys):
 
     generic = random_instance(4, "generic")
     perturbed = random_instance(5, "generic")
-    perturbed.h_members = list(perturbed.members)
+    perturbed.h_members = perturbed.members
     perturbed.perturbation = {"alpha": 0.2, "beta": 0.1, "gamma": 0.05}
     paths = {
         "generic": write_instance(tmp_path, generic, "generic.json"),

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from cstarframes import (
     AtomicSystemError,
     FrameSeq,
     InputError,
-    Instance,
     ModuleOperator,
     ModuleVector,
     PreconditionError,
@@ -39,7 +37,7 @@ from cstarframes import (
     zero_operator,
 )
 from cstarframes.cli import COMMANDS, main
-from cstarframes.harness import SUITES, random_instance
+from cstarframes.harness import SUITES, random_instance, tensor_pair_instance
 from cstarframes.hilbmod import _vector, central_mult
 from cstarframes.certify import BOUNDARY_FACTOR, psd_certificate
 from cstarframes.sampling import (
@@ -173,7 +171,7 @@ def test_synthesis_pairing_formula():
 
 def test_paper_truncation_analysis_coefficients():
     inst = paper_frame(3)
-    fr = inst.frame()
+    fr = inst.members
     u = grid_vector(inst.spec, [inst.spec.central([1.0, 1.0, 1.0])])
     coeffs = fr.analysis(u)
     expect = [4 / 3, 5 / 6, 2 / 3]
@@ -203,7 +201,7 @@ def test_single_unit_member_gives_identity_frame_operator():
 
 def test_paper_truncation_frame_operator():
     inst = paper_frame(3)
-    fr = inst.frame()
+    fr = inst.members
     expected = central_mult(
         inst.spec.central([(4 / 3) ** 2, (5 / 6) ** 2, (2 / 3) ** 2]), 1
     )
@@ -240,9 +238,19 @@ def test_bessel_scaled_frame_falsified_with_witness():
 
 def test_bessel_paper_equality_case():
     inst = paper_frame(4)
-    cert = certify_star_bessel(inst.frame(), inst.bounds["B"], 1e-9)
+    cert = certify_star_bessel(inst.members, inst.bounds["B"], 1e-9)
     assert cert.status == "certified"
     assert abs(cert.witness["min_eig"]) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [1.7, 2.9])
+def test_bessel_exactly_scalar_bound_at_zero_tolerance(beta):
+    # beta 1 on a 3x3 block is scalar exactly, so the gap is the central
+    # (beta^2 - 1) I even where trace/d rounds off beta
+    fr = coordinate_frame(AlgebraSpec((3,)), 1)
+    cert = certify_star_bessel(fr, beta * fr.spec.unit(), 0.0)
+    assert cert.status == "certified"
+    assert cert.witness["min_eig"] == pytest.approx(beta**2 - 1.0)
 
 
 def upper_gap_at(fr, b, f):
@@ -467,7 +475,7 @@ def test_atomic_coefficients_for_frame_operator():
 
 def test_atomic_coefficients_paper_equality():
     inst = paper_frame(6)
-    fr = inst.frame()
+    fr = inst.members
     q, _, residual = atomic_coefficients(fr, inst.operators["K"], 1e-9)
     assert residual <= 1e-12
     c = inst.bounds["C"]
@@ -513,7 +521,7 @@ def test_corollary_equivalence_atomic_iff_range_inclusion():
         seed = 1000 + k_iter
         profile = "generic" if k_iter % 2 == 0 else "rank-deficient-K"
         inst = random_instance(seed, profile)
-        fr = inst.frame()
+        fr = inst.members
         k = inst.operators["K"]
         inclusion = range_inclusion(k, fr.synthesis_op, 1e-9)
         try:
@@ -554,7 +562,7 @@ def test_dual_atoms_for_frame_operator_are_members():
     rng = stream(90, 0)
     fr = random_frame(SPEC, 2, 4, rng)
     atoms = dual_atoms(fr, fr.frame_op, 1e-9)
-    for h, m in zip(atoms, fr.members):
+    for h, m in zip(atoms.members, fr.members):
         assert (h - m).norm() <= 1e-9 * max(1.0, m.norm())
 
 
@@ -563,11 +571,11 @@ def test_dual_atoms_identity_reproduce_canonical_dual():
     fr = random_frame(SPEC, 2, 5, rng)
     atoms = dual_atoms(fr, identity_operator(SPEC, 2), 1e-9)
     s_inv = fr.frame_op.inverse()
-    for h, m in zip(atoms, fr.members):
+    for h, m in zip(atoms.members, fr.members):
         assert (h - s_inv.apply(m)).norm() <= 1e-9 * max(1.0, h.norm())
     # canonical-dual reconstruction f = sum <f, S^-1 f_j> f_j
     f = random_vector(SPEC, 2, rng)
-    coeffs = [f.inner(h) for h in atoms]
+    coeffs = [f.inner(h) for h in atoms.members]
     recon = fr.synthesis(grid_vector(SPEC, coeffs))
     assert (f - recon).norm() <= 1e-9 * max(1.0, f.norm())
 
@@ -576,8 +584,7 @@ def test_dual_atoms_planted_reconstruction():
     rng = stream(92, 0)
     fr = random_frame(SPEC, 2, 4, rng)
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 4, rng))
-    atoms = dual_atoms(fr, k, 1e-9)
-    h_frame = FrameSeq(atoms)
+    h_frame = dual_atoms(fr, k, 1e-9)
     for _ in range(10):
         f = random_vector(SPEC, 2, rng)
         recon = fr.synthesis(h_frame.analysis(f))
@@ -588,7 +595,7 @@ def test_dual_atoms_scale_their_residual_with_k():
     # K scaled by 1e6: ||K|| = 1.6e7 and a factorization residual of 1.6e-8,
     # 1e-15 of ||K||; all three decide it at tol with scale max(1, ||K||)
     inst = random_instance(4, "generic")
-    fr, k = inst.frame(), inst.operators["K"].scalar_mul(1e6)
+    fr, k = inst.members, inst.operators["K"].scalar_mul(1e6)
     assert k.norm() > 1e7
     _, _, residual = atomic_coefficients(fr, k, 1e-9)
     assert 1e-9 < residual <= 1e-9 * k.norm()
@@ -604,7 +611,7 @@ def test_local_atoms_full_module_canonical():
     rng = stream(93, 0)
     fr = random_frame(SPEC, 2, 5, rng)
     s_inv = fr.frame_op.inverse()
-    atoms = [s_inv.apply(m) for m in fr.members]
+    atoms = transform_frame(fr, s_inv)
     c = (s_inv.norm() * fr.synthesis_op.norm()) * SPEC.unit()
     cert = local_atoms_check(fr, identity_operator(SPEC, 2), atoms, c, 1e-9)
     assert cert.status == "certified"
@@ -614,7 +621,7 @@ def test_local_atoms_zero_projection_degenerate():
     rng = stream(94, 0)
     fr = random_frame(SPEC, 2, 3, rng)
     cert = local_atoms_check(
-        fr, zero_operator(SPEC, 2, 2), list(fr.members), SPEC.unit(), 1e-9
+        fr, zero_operator(SPEC, 2, 2), fr, SPEC.unit(), 1e-9
     )
     assert cert.status == "certified"
     assert cert.witness.get("degenerate") is True
@@ -633,7 +640,7 @@ def test_local_atoms_planted_projection():
     ]
     p = grid_operator(SPEC, p_grid)
     s_pinv = pseudo_inverse(fr.frame_op)
-    atoms = [s_pinv.apply(m) for m in fr.members]
+    atoms = transform_frame(fr, s_pinv)
     c = (s_pinv.norm() * fr.synthesis_op.norm() + 1.0) * SPEC.unit()
     cert = local_atoms_check(fr, p, atoms, c, 1e-9)
     assert cert.status == "certified"
@@ -645,7 +652,7 @@ def test_local_atoms_planted_projection():
     assert cert_full.witness["failed"] == "reconstruction"
     # the witness re-checks: its residual through the atoms is the reported norm
     f = cert_full.witness_vector
-    recon = fr.synthesis(FrameSeq(atoms).analysis(f))
+    recon = fr.synthesis(atoms.analysis(f))
     assert (f - recon).norm() / f.norm() == pytest.approx(
         cert_full.witness["relative_residual"], rel=1e-9
     )
@@ -665,7 +672,7 @@ def test_local_atoms_canonical_atoms_of_ill_conditioned_frame_certified():
         ).compose(random_unitary(SPEC, 2, rng))
         fr = transform_frame(coordinate_frame(SPEC, 2), l_op)
         s_inv = pseudo_inverse(fr.frame_op)
-        atoms = [s_inv.apply(m) for m in fr.members]
+        atoms = transform_frame(fr, s_inv)
         c = (1.001 * math.sqrt(s_inv.norm())) * SPEC.unit()
         cert = local_atoms_check(fr, identity_operator(SPEC, 2), atoms, c, 1e-9)
         assert cert.status == "certified", (seed, cert.witness)
@@ -684,7 +691,7 @@ def test_local_atoms_non_central_bound_falsified_with_witness_in_range(p_slots):
         [[SPEC.unit() if i == j and j in p_slots else SPEC.zero() for i in range(2)]
          for j in range(2)],
     )
-    cert = local_atoms_check(fr, p, list(fr.members), c, 1e-9)
+    cert = local_atoms_check(fr, p, fr, c, 1e-9)
     assert cert.status == "falsified"
     assert cert.witness["failed"] == "coefficient-bound"
     f = cert.witness_vector
@@ -705,7 +712,7 @@ def test_dual_atoms_audit_residual_matches_atoms_synthesis():
         k = fr.synthesis_op.compose(random_operator(SPEC, 2, 4, rng))
         cert = dual_atoms_audit(fr, k, 1e-9)
         assert cert.status == "certified"
-        h = FrameSeq(dual_atoms(fr, k, 1e-9))
+        h = dual_atoms(fr, k, 1e-9)
         direct = (k - fr.synthesis_op.compose(h.analysis_op)).norm()
         assert repr(cert.witness["max_reconstruction_residual"]) == repr(direct)
         assert direct == pytest.approx(cert.witness["factorization_residual"], rel=1e-12)
@@ -716,7 +723,7 @@ def test_local_atoms_requires_projection():
     fr = random_frame(SPEC, 2, 3, rng)
     not_proj = identity_operator(SPEC, 2).scalar_mul(2.0)
     with pytest.raises(InputError):
-        local_atoms_check(fr, not_proj, list(fr.members), SPEC.unit(), 1e-9)
+        local_atoms_check(fr, not_proj, fr, SPEC.unit(), 1e-9)
 
 
 # -- transforms ------------------------------------------------------------------------------------
@@ -812,9 +819,9 @@ def test_ks_inverse_accepts_a_small_well_conditioned_frame():
     # scaling the members by 1e-5 scales S by 1e-10 and keeps its condition
     # number: least eigenvalue 1.6e-11, below tol, but 1e-2 of ||S||
     inst = random_instance(3, "generic")
-    small = FrameSeq([m.scalar_mul(1e-5) for m in inst.members])
+    small = transform_frame(inst.members, identity_operator(SPEC, inst.rank).scalar_mul(1e-5))
     assert min(w[0] for w in small.frame_op.herm_block_eigs()) < 1e-9
-    for fr in (inst.frame(), small):
+    for fr in (inst.members, small):
         _, cert = ks_inverse_frame(fr, inst.operators["K"], 1e-9)
         assert cert.status == "certified"
         assert cert.witness["max_reconstruction_residual"] <= 1e-10
@@ -876,7 +883,7 @@ def test_local_atoms_rejects_wrong_coefficient_count():
     fr = random_frame(SPEC, 2, 4, rng)
     with pytest.raises(InputError, match="one coefficient representer"):
         local_atoms_check(
-            fr, identity_operator(SPEC, 2), list(fr.members)[:-1], SPEC.unit(), 1e-9
+            fr, identity_operator(SPEC, 2), FrameSeq(fr.members[:-1]), SPEC.unit(), 1e-9
         )
 
 
@@ -924,12 +931,12 @@ def test_coordinate_frame_is_the_frame_of_coordinate_vectors():
 def test_dual_atoms_are_the_adjoint_coefficient_images_bit_for_bit():
     for seed in range(4):
         inst = random_instance(seed, "generic")
-        fr, k = inst.frame(), inst.operators["K"]
+        fr, k = inst.members, inst.operators["K"]
         q, _, _ = atomic_coefficients(fr, k, 1e-9)
         q_adj = q.adjoint()
         atoms = dual_atoms(fr, k, 1e-9)
         assert len(atoms) == fr.n_members
-        for j, h in enumerate(atoms):
+        for j, h in enumerate(atoms.members):
             ref = q_adj.apply(coordinate_vector(SPEC, fr.n_members, j))
             assert all(x.tobytes() == y.tobytes() for x, y in zip(h.stacks, ref.stacks))
 
@@ -949,19 +956,11 @@ def test_transform_frame_matches_member_images_to_roundoff():
             assert (h - ref).norm() <= 1e-12 * max(1.0, ref.norm())
 
 
-def forbid_member_lists(monkeypatch, entry_points):
-    """Make `FrameSeq(members)` raise unless it is reached through one of
-    the entry points that take a caller's or a file's members, so a
-    derived family built member by member fails loudly."""
-    codes = {f.__code__ for f in entry_points}
-    build = FrameSeq.__init__
+def forbid_member_lists(monkeypatch):
+    """Make `FrameSeq(members)` raise, so a family built member by member
+    fails loudly."""
 
     def guarded(self, members):
-        frame = sys._getframe(1)
-        while frame is not None:
-            if frame.f_code in codes:
-                return build(self, members)
-            frame = frame.f_back
         raise AssertionError("a family was built from a member list")
 
     monkeypatch.setattr(FrameSeq, "__init__", guarded)
@@ -970,29 +969,48 @@ def forbid_member_lists(monkeypatch, entry_points):
 def test_derived_families_are_built_from_their_synthesis_operators(tmp_path, monkeypatch):
     generic = random_instance(5, "generic")
     perturbed = random_instance(6, "generic")
-    perturbed.h_members = [m.scalar_mul(1.0 + 1e-3) for m in perturbed.members]
-    path, h_path = str(tmp_path / "generic.json"), str(tmp_path / "perturbed.json")
-    save_instance(generic, path)
-    save_instance(perturbed, h_path)
-    # local_atoms_check takes its coefficient representers as a caller's list
-    forbid_member_lists(monkeypatch, (Instance.frame, Instance.h_frame, local_atoms_check))
+    perturbed.h_members = transform_frame(
+        perturbed.members, identity_operator(SPEC, perturbed.rank).scalar_mul(1.0 + 1e-3)
+    )
+    rankdef = random_instance(2, "rank-deficient-K")
+    with_atoms = random_instance(2, "rank-deficient-K")
+    with_atoms.g_members = transform_frame(
+        with_atoms.members, pseudo_inverse(with_atoms.members.frame_op)
+    )
+    files = {}
+    for name, inst in (("generic", generic), ("perturbed", perturbed), ("rankdef", rankdef),
+                       ("atoms", with_atoms), ("tensor", tensor_pair_instance(3))):
+        files[name] = str(tmp_path / f"{name}.json")
+        save_instance(inst, files[name])
+    # files decode straight into synthesis operators: no entry point may
+    # build a family from a member list
+    forbid_member_lists(monkeypatch)
 
     runs = [["suite", name, "--trials", "3"] for name in SUITES]
     runs += [[command, "--profile", "generic", "--seed", "2"] for command in COMMANDS
              if command not in ("suite", "local-atoms")]
     runs += [["local-atoms", "--profile", "rank-deficient-K", "--seed", "2"],
-             ["check-kframe", "--input", path],
-             ["perturb1", "--input", path, "--profile", "generic"],
-             ["perturb1", "--input", h_path], ["perturb2", "--input", h_path]]
+             ["perturb1", "--input", files["generic"], "--profile", "generic"]]
+    runs += [[command, "--input", files["generic"]] for command in COMMANDS
+             if command not in ("suite", "local-atoms", "tensor", "perturb1", "perturb2")]
+    runs += [["bounds", "--input", files["rankdef"]],
+             ["local-atoms", "--input", files["rankdef"]],
+             ["local-atoms", "--input", files["atoms"]],
+             ["tensor", "--input", files["tensor"]],
+             ["perturb1", "--input", files["perturbed"]],
+             ["perturb2", "--input", files["perturbed"]]]
     assert {r[0] for r in runs} == set(COMMANDS)
+    assert {r[0] for r in runs if "--input" in r} == set(COMMANDS) - {"suite"}
     for argv in runs:
         assert main(argv + ["--samples", "20"]) in (0, 1, 2), argv
 
-    fr, k = generic.frame(), generic.operators["K"]
+    fr, k = generic.members, generic.operators["K"]
     a, b = generic.bounds["A"], generic.bounds["B"]
-    dual_atoms(fr, k, 1e-9)
+    assert dual_atoms(fr, k, 1e-9).n_members == fr.n_members
     ks_inverse_frame(fr, k)
     transform_kframe_audit(fr, generic.operators["L"], k, a, b)
+    local_atoms_check(fr, identity_operator(SPEC, generic.rank), dual_atoms(fr, k, 1e-9),
+                      SPEC.unit(), 1e-9)
     coordinate_frame(SPEC, 2)
     w = tensor_witness(SPEC, AlgebraSpec((1,)))
     right = coordinate_frame(w.right, 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -34,10 +35,20 @@ def test_paper_truncation_member_values():
     inst = random_instance(0, "paper-example-truncation(3)")
     assert inst.spec.block_dims == (1, 1, 1)
     expect = [4 / 3, 5 / 6, 2 / 3]
-    for j, m in enumerate(inst.members):
+    for j, m in enumerate(inst.members.members):
         scal = entries(m)[0].central_scalars()
         assert scal[j].real == pytest.approx(expect[j], abs=1e-15)
     assert paper_truncation_values(3) == pytest.approx(expect)
+
+
+def test_instance_bytes_are_pinned():
+    # the files' bytes, through their digests, as the member-list encoding wrote them
+    profiles = ("generic", "rank-deficient-K", "co-isometry-commuting", "paper-example-truncation")
+    digests = [instance_digest(random_instance(seed, p)) for p in profiles for seed in range(10)]
+    digests += [instance_digest(tensor_pair_instance(seed)) for seed in range(10)]
+    assert hashlib.sha256("".join(digests).encode()).hexdigest() == (
+        "912f23832c625683a450f86fd0ea43d790a0619afce441cae9328c8e1d03a605"
+    )
 
 
 def test_profile_determinism():
@@ -52,7 +63,7 @@ def test_profile_determinism():
 def test_generic_profile_constructs_frames():
     for seed in range(100):
         inst = random_instance(seed, "generic")
-        frame = inst.frame()
+        frame = inst.members
         assert frame.n_members >= frame.rank
         assert psd_certificate(frame.frame_op, 1e-9, "frame-operator-positive").ok
         assert "K" in inst.operators and "A" in inst.bounds
@@ -119,7 +130,7 @@ def test_load_reports_json_position(tmp_path):
 def test_perturbation_field_round_trip(tmp_path):
     inst = random_instance(7, "generic")
     inst.perturbation = {"alpha": 0.2, "beta": 0.1, "gamma": 0.05}
-    inst.h_members = list(inst.members)
+    inst.h_members = inst.members
     p = tmp_path / "pert.json"
     save_instance(inst, p)
     loaded = load_instance(p)
@@ -235,7 +246,7 @@ def test_run_suite_runs_at_zero_tolerance():
 
 def test_perturbed_pair_is_the_member_perturbations_bit_for_bit():
     for seed in range(4):
-        frame = random_instance(seed, "generic").frame()
+        frame = random_instance(seed, "generic").members
         h_seq = harness._perturbed_pair(frame, seed + 3, 1e-3)
         rng = stream(seed + 3, 8)
         ref = [m + random_vector(frame.spec, frame.rank, rng).scalar_mul(1e-3)
@@ -253,5 +264,5 @@ def test_generic_members_are_sequential_draws_bit_for_bit():
         j_count = int(rng.integers(n, 7))
         ref = [random_vector(inst.spec, n, rng) for _ in range(j_count)]
         assert (inst.rank, len(inst.members)) == (n, j_count)
-        for m, r in zip(inst.members, ref):
+        for m, r in zip(inst.members.members, ref):
             assert all(x.tobytes() == y.tobytes() for x, y in zip(m.stacks, r.stacks))

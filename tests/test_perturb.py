@@ -435,7 +435,7 @@ def _suite_trial(trial, epsilon, seed=0):
     """Families, K and bounds of a perturb2 suite trial, built as
     `harness._perturb2_trial` builds them."""
     inst = random_instance(harness._trial_seed(seed, trial), "generic")
-    frame = inst.frame()
+    frame = inst.members
     h_seq = harness._perturbed_pair(frame, harness._trial_seed(seed, trial) + 3, epsilon)
     return frame, h_seq, inst.operators["K"], inst.bounds["A"], inst.bounds["B"]
 

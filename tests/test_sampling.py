@@ -95,7 +95,7 @@ def unsampled(cert) -> bool:
 def test_exact_checks_draw_nothing(tmp_path, monkeypatch):
     generic = random_instance(3, "generic")
     rankdef = random_instance(4, "rank-deficient-K")
-    frame, k, l = generic.frame(), generic.operators["K"], generic.operators["L"]
+    frame, k, l = generic.members, generic.operators["K"], generic.operators["L"]
     a, b = generic.bounds["A"], generic.bounds["B"]
     h_seq = _perturbed_pair(frame, 5, 0.3)
     paths = {}
@@ -108,7 +108,7 @@ def test_exact_checks_draw_nothing(tmp_path, monkeypatch):
     assert cert.status == "certified" and unsampled(cert)
     atomic_coefficients(frame, k, 1e-9)
     assert unsampled(local_atoms_check(
-        rankdef.frame(), rankdef.operators["P"], list(rankdef.members), 2.0 * SPEC.unit()
+        rankdef.members, rankdef.operators["P"], rankdef.members, 2.0 * SPEC.unit()
     ))
     # the keyword forms the benchmark calls are accepted and ignored
     cert = equivalence_audit(k, l, 1e-9, seed=5)

@@ -8,16 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cstarframes import AlgebraSpec, InputError, certify_star_bessel, coordinate_frame
+from cstarframes import (
+    AlgebraSpec, FrameSeq, InputError, Instance, certify_star_bessel, coordinate_frame,
+    identity_operator, transform_frame,
+)
+from cstarframes.frames import _family
 from cstarframes.serialize import (
     certificate_to_dict,
     decode_element,
     decode_operator,
-    decode_vector,
     dumps_stable,
     encode_element,
     encode_operator,
     encode_vector,
+    instance_to_dict,
+    parse_instance,
     sanitize,
     write_report,
 )
@@ -48,7 +53,7 @@ def test_element_encode_decode_roundtrip(b0, b1):
 def test_vector_and_operator_roundtrip():
     rng = stream(200, 0)
     f = random_vector(SPEC, 3, rng)
-    assert (decode_vector(SPEC, 3, encode_vector(f), "v") - f).norm() == 0.0
+    assert (oracles.reference_decode_vector(SPEC, encode_vector(f)) - f).norm() == 0.0
     t = random_operator(SPEC, 2, 3, rng)
     back = decode_operator(SPEC, encode_operator(t), "op")
     assert (back - t).norm() == 0.0
@@ -74,16 +79,13 @@ def test_sanitize_non_finite_floats():
 
 
 def test_falsified_certificate_serializes_witness_vector():
-    fr = coordinate_frame(SPEC, 2)
-    scaled = [m.scalar_mul(2.0) for m in fr.members]
-    from cstarframes import FrameSeq
-
-    cert = certify_star_bessel(FrameSeq(scaled), SPEC.unit(), 1e-9)
+    scaled = transform_frame(coordinate_frame(SPEC, 2), identity_operator(SPEC, 2).scalar_mul(2.0))
+    cert = certify_star_bessel(scaled, SPEC.unit(), 1e-9)
     assert cert.status == "falsified"
     d = certificate_to_dict(cert)
     assert d["status"] == "falsified"
     assert d["witness_vector"] is not None
-    back = decode_vector(SPEC, 2, d["witness_vector"], "w")
+    back = oracles.reference_decode_vector(SPEC, d["witness_vector"])
     assert (back - cert.witness_vector).norm() == 0.0
 
 
@@ -144,9 +146,28 @@ def test_vector_codec_matches_element_walker(f):
     text = json.dumps(encode_vector(f))
     assert text == json.dumps(oracles.reference_encode_vector(f))
     data = json.loads(text)
-    got = decode_vector(f.spec, f.rank, data, "v")
-    assert same_bits(got.stacks, oracles.reference_decode_vector(f.spec, data).stacks)
-    assert same_bits(got.stacks, f.stacks)
+    # a vector of A^n is the one-row grid of the operator A^1 -> A^n it spans
+    got = decode_operator(f.spec, [data], "v")
+    assert same_bits(got.block_matrices(), oracles.reference_decode_vector(f.spec, data).stacks)
+    assert same_bits(got.block_matrices(), f.stacks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=codec_operators())
+def test_family_codec_matches_member_walker(t):
+    # a family's members list is its synthesis operator's grid: member j
+    # encodes as row j, and the file decodes into U's arrays unrestacked;
+    # U U* of the largest draws overflows, which the codec does not read
+    with np.errstate(over="ignore", invalid="ignore"):
+        family = _family(t)
+        data = instance_to_dict(Instance(t.spec, t.out_rank, family))
+        got = parse_instance(json.loads(json.dumps(data))).members
+        want = FrameSeq([oracles.reference_decode_vector(t.spec, m) for m in data["members"]])
+    assert json.dumps(data["members"]) == json.dumps(
+        [oracles.reference_encode_vector(m) for m in family.members])
+    assert len(got) == len(want) == t.in_rank
+    assert same_bits(got.synthesis_op.block_matrices(), want.synthesis_op.block_matrices())
+    assert same_bits(got.synthesis_op.block_matrices(), t.block_matrices())
 
 
 @settings(max_examples=60, deadline=None)

@@ -144,7 +144,7 @@ def test_audit_coordinate_frames():
 
 def test_paper_truncation_times_coordinate_frame():
     inst = random_instance(0, "paper-example-truncation(3)")
-    fr = inst.frame()
+    fr = inst.members
     scalar = AlgebraSpec((1,))
     w = tensor_witness(inst.spec, scalar)
     prod = tensor_frame(w, fr, coordinate_frame(scalar, 1))
