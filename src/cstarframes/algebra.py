@@ -7,13 +7,17 @@ over all blocks, which is the C*-norm of the direct sum.
 
 Every spectral norm in the library goes through one kernel,
 `_spectral_norm`, and elements are immutable, so `AlgElement.norm`
-computes its value once and keeps it.
+computes its value once and keeps it.  An element also keeps, once, its
+exact per-block scalars: a block equal to its (0, 0) entry c times the
+identity (every 1 x 1 block) is c 1, and its norm is |c| with no kernel
+call.  `frames` forms the gap of a frame inequality per block from the
+bound's blocks, with no operator for the bound.
 """
 
 from __future__ import annotations
 
 import numbers
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -93,11 +97,12 @@ class AlgElement:
     """One element of a block direct-sum C*-algebra.
 
     Immutable: the block matrices are copied on construction, checked to
-    be finite and marked read-only, so the norm is computed at most once.
-    All arithmetic returns new elements.
+    be finite and marked read-only, so the norm and the exact per-block
+    scalars are computed at most once.  All arithmetic returns new
+    elements.
     """
 
-    __slots__ = ("spec", "blocks", "_norm")
+    __slots__ = ("spec", "blocks", "_norm", "_exact")
 
     def __init__(self, spec: AlgebraSpec, blocks: Sequence[np.ndarray]):
         if len(blocks) != spec.n_blocks:
@@ -116,6 +121,7 @@ class AlgElement:
         self.spec = spec
         self.blocks = tuple(mats)
         self._norm = None
+        self._exact = None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -151,10 +157,25 @@ class AlgElement:
 
     # -- analysis -----------------------------------------------------------
 
+    def exact_scalars(self) -> tuple[Optional[complex], ...]:
+        """Per block, c where the block equals c 1 exactly, its (0, 0) entry
+        times the identity, else None.  A 1 x 1 block is its entry with no
+        comparison.  Computed once."""
+        if self._exact is None:
+            self._exact = tuple(
+                b[0, 0] if len(b) == 1 or np.array_equal(b, b[0, 0] * np.eye(len(b))) else None
+                for b in self.blocks
+            )
+        return self._exact
+
     def norm(self) -> float:
-        """C*-norm: the largest singular value over all blocks."""
+        """C*-norm: the largest singular value over all blocks, |c| for an
+        exactly scalar block c 1."""
         if self._norm is None:
-            self._norm = max(float(_spectral_norm(b)) for b in self.blocks)
+            self._norm = max(
+                float(abs(c)) if c is not None else float(_spectral_norm(b))
+                for c, b in zip(self.exact_scalars(), self.blocks)
+            )
         return self._norm
 
     def _scale(self) -> float:
@@ -177,20 +198,24 @@ class AlgElement:
         """True when the element is invertible with margin: every block's
         least singular value exceeds tol scale.  Unlike the eigenvalues of a
         non-normal block, singular values move by at most the size of a
-        perturbation; for a normal block they are the eigenvalue moduli."""
+        perturbation; for a normal block they are the eigenvalue moduli.
+        An exactly scalar block c 1 has |c| with no kernel call."""
         if tol < 0:
             raise InputError("tolerance must be nonnegative")
-        sigma_min = min(float(np.linalg.svd(b, compute_uv=False)[-1]) for b in self.blocks)
+        sigma_min = min(
+            float(abs(c)) if c is not None else float(np.linalg.svd(b, compute_uv=False)[-1])
+            for c, b in zip(self.exact_scalars(), self.blocks)
+        )
         return sigma_min > tol * self._scale()
 
     def scalar_blocks(self, tol: float = DEFAULT_TOL) -> tuple[bool, ...]:
         """Per block, whether it is within tol (relatively scaled) of a
-        scalar multiple of the identity; the nearest scalar is trace/d.  A
-        block equal to its (0, 0) entry times the identity is scalar at
-        every tol, with no kernel call: its trace/d can round off b[0, 0]."""
+        scalar multiple of the identity; the nearest scalar is trace/d.  An
+        exactly scalar block (`exact_scalars`) is scalar at every tol, with
+        no kernel call: its trace/d can round off b[0, 0]."""
         if tol < 0:
             raise InputError("tolerance must be nonnegative")
-        exact = [np.array_equal(b, b[0, 0] * np.eye(len(b))) for b in self.blocks]
+        exact = [c is not None for c in self.exact_scalars()]
         if all(exact):
             return tuple(exact)
         s = self._scale()

@@ -15,8 +15,11 @@ is scalar, multiplication by it is adjointable and the inequality is an
 operator inequality on the flattening.  Where it is not, the inequality
 holds only if S (upper) or K K* (lower) vanishes on that block; see
 `certify_star_bessel` and `certify_kframe` for the proof.  Both cases are
-one gap operator handed to `psd_certificate`; a violation on a
-non-scalar block comes with a constructed rank-one witness.
+one gap operator handed to `psd_certificate`, formed per block by `_gap`
+from the bound's block alone, with no kernel call on the bound and no
+operator for it; where the block is exactly c 1 the lower gap is
+S_k - T_k T_k^H with T_k = conj(c) K_k.  A violation
+on a non-scalar block comes with a constructed rank-one witness.
 
 No check here samples.  The atomic coefficient bound C = ||Q|| 1 holds
 by construction, and the local-atom reconstruction on range(P) is the
@@ -149,7 +152,9 @@ def certify_star_bessel(
         xi* (sum_j <f,f_j><f_j,f>) xi = (F conj(xi))^H S_k (F conj(xi)).
 
     Scalar B_k = beta 1 (within tol, `AlgElement.scalar_blocks`): the gap
-    is the form of |beta|^2 1 - S_k, the central operator check.
+    is the form of |beta|^2 1 - S_k, the central operator check, formed
+    per block as I_n (x) (B_k^T conj(B_k)) - S_k by `_gap`, with no kernel
+    call on B and no operator M_B.
     Non-scalar B_k: take xi with B_k* xi not parallel to xi and w with
     w^H conj(xi) = 1, w^H conj(B_k* xi) = 0.  Then F = g w^H gives the gap
     xi*(B<f,f>B* - sum)xi = -g^H S_k g, which is -lambda_max(S_k) for a
@@ -177,7 +182,9 @@ def certify_kframe(
         xi* A<K*f, K*f>A* xi = ||K_k^H F conj(A_k* xi)||^2.
 
     Scalar A_k = alpha 1: the gap is the form of S_k - |alpha|^2 K_k K_k^H,
-    the central check of U U* - T T* with T = K M_{A*}.  Non-scalar A_k:
+    the central check of U U* - T T* with T = K M_{A*}, formed per block
+    as S_k - T_k T_k^H with T_k = conj(alpha) K_k where A_k is exactly
+    alpha 1 (`_gap`).  Non-scalar A_k:
     take xi with A_k* xi not parallel to xi and w with w^H conj(xi) = 0,
     w^H conj(A_k* xi) = 1.  Then F = h w^H has F conj(xi) = 0, so the gap
     is -||K_k^H h||^2, which is -||K_k||^2 for a top left singular vector
@@ -190,33 +197,56 @@ def certify_kframe(
     n = frame.rank
     if k_op.spec != frame.spec or k_op.in_rank != n or k_op.out_rank != n:
         raise InputError("K must be a square operator on the frame's module")
-    t = k_op.compose(diagonal_operator(a.adjoint(), n))
-    gap = _mixed_gap(
-        a, frame.frame_op - t.compose(t.adjoint()),
-        k_op.compose(k_op.adjoint()).scalar_mul(-1.0), tol,
-    )
+    gap = _gap(a, frame.frame_op, tol, k_op)
     lower = _decide(frame, a, k_op, gap, tol, "star-kframe-lower")
     return combine("star-kframe", [lower, _certify_upper(frame, b, tol, "star-kframe-upper")])
 
 
 def _certify_upper(frame: FrameSeq, b: AlgElement, tol: float, claim: str) -> Certificate:
-    mb, s_op = diagonal_operator(b, frame.rank), frame.frame_op
-    gap = _mixed_gap(b, mb.compose(mb.adjoint()) - s_op, s_op.scalar_mul(-1.0), tol)
-    return _decide(frame, b, None, gap, tol, claim)
+    return _decide(frame, b, None, _gap(b, frame.frame_op, tol), tol, claim)
 
 
-def _mixed_gap(
-    bound: AlgElement, central_gap: ModuleOperator, other_gap: ModuleOperator, tol: float
+def _gap(
+    bound: AlgElement,
+    s_op: ModuleOperator,
+    tol: float,
+    k_op: Optional[ModuleOperator] = None,
 ) -> ModuleOperator:
-    """The gap operator with each block's reduced matrix from central_gap
-    where the bound is scalar and from other_gap elsewhere."""
-    mats = [
-        c if s else o
-        for s, c, o in zip(
-            bound.scalar_blocks(tol), central_gap.block_matrices(), other_gap.block_matrices()
-        )
-    ]
-    return _operator(bound.spec, central_gap.in_rank, central_gap.out_rank, mats)
+    """The gap operator of the upper inequality with bound B (k_op None)
+    or of the lower one with bound A and K, formed per block b from the
+    bound's block and the reduced matrices S_b (and K_b):
+
+    - block scalar within tol (`AlgElement.scalar_blocks`):
+      I_n (x) (B_b^T conj(B_b)) - S_b, or S_b - T_b T_b^H with T_b the
+      block of T = K M_{A*}: conj(c) K_b where A_b is exactly c 1
+      (`AlgElement.exact_scalars`), else K_b (I_n (x) conj(A_b));
+    - any other block: -S_b, or -K_b K_b^H.
+
+    T_b is conj(c) K_b elementwise, not |c|^2 K_b K_b^H, so the gap is bit
+    for bit the block of U U* - T T* for a real c."""
+    n = s_op.in_rank
+    k_mats = (None,) * bound.spec.n_blocks if k_op is None else k_op.block_matrices()
+    mats = []
+    for c, scalar, blk, s, k in zip(
+        bound.exact_scalars(), bound.scalar_blocks(tol), bound.blocks,
+        s_op.block_matrices(), k_mats,
+    ):
+        if not scalar:
+            m = -s if k is None else -(k @ k.conj().T)
+        elif k is None:
+            m = _repeat_diagonal(blk.T @ blk.conj(), n) - s
+        else:
+            t = c.conjugate() * k if c is not None else k @ _repeat_diagonal(blk.conj(), n)
+            m = s - t @ t.conj().T
+        mats.append(m)
+    return _operator(bound.spec, n, n, mats)
+
+
+def _repeat_diagonal(m: np.ndarray, n: int) -> np.ndarray:
+    """I_n (x) m, the grid with m on its n diagonal blocks, formed by one
+    broadcast product (the entries of `np.kron`, without its overhead)."""
+    d = len(m)
+    return (np.eye(n)[:, None, :, None] * m[None, :, None, :]).reshape(n * d, n * d)
 
 
 def _decide(
@@ -228,7 +258,7 @@ def _decide(
     claim: str,
 ) -> Certificate:
     """Decide the upper inequality (k_op None) or the lower one with K
-    from its `_mixed_gap`.  A violation on a non-scalar block gets the
+    from its `_gap`.  A violation on a non-scalar block gets the
     rank-one witness f = g w^H of `certify_star_bessel` and
     `certify_kframe`, with g the eigenvector psd_certificate found.  It is
     reported falsified only if psd_certificate falsifies the
@@ -399,7 +429,8 @@ def local_atoms_check(
     c_j(f) = <f, g_j>, for all f in range(P), is decided exactly as in
     `certify_star_bessel` with the frame operator S_g of {g_j} compressed
     to range(P): the gap is P(|gamma|^2 1 - S_g)P on blocks where
-    C = gamma 1 is scalar and -P S_g P on the others.  An eigenvector of a
+    C = gamma 1 is scalar and -P S_g P on the others, that is the upper
+    gap of S_g from `_gap`, per block P_b(.)P_b.  An eigenvector of a
     compressed gap with negative eigenvalue lies in range(P), and so does
     the rank-one witness built from it.  `coefficient_gap_min` is the
     least eigenvalue of that gap restricted to range(P).  (ii) The
@@ -427,12 +458,8 @@ def local_atoms_check(
             {"degenerate": True, "note": "zero submodule"},
             {"tol": tol},
         )
-    mc = diagonal_operator(c, n)
-    s_g = g_frame.frame_op
-    gap = _mixed_gap(
-        c, p_op.compose(mc.compose(mc.adjoint()) - s_g).compose(p_op),
-        p_op.compose(s_g).compose(p_op).scalar_mul(-1.0), tol,
-    )
+    upper = _gap(c, g_frame.frame_op, tol).block_matrices()
+    gap = _operator(frame.spec, n, n, [p @ g @ p for p, g in zip(p_op.block_matrices(), upper)])
     coeff = _decide(g_frame, c, None, gap, tol, "local-atoms-coefficient-bound")
     if coeff.status == FALSIFIED:
         return Certificate(

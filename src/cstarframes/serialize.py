@@ -147,10 +147,17 @@ def decode_operator(spec: AlgebraSpec, data, path: str) -> ModuleOperator:
 
 def _decode_family(spec: AlgebraSpec, rank: int, data, path: str) -> FrameSeq:
     """The family whose members data[j] are rank-entry lists, decoded as
-    the grid of its synthesis operator."""
+    the grid of its synthesis operator U.  Finite but huge entries can
+    overflow the frame operator U U*, which is checked here, so the error
+    names the field rather than the first later step that meets the inf."""
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: required non-empty list")
-    return _family(_decode_grid(spec, data, rank, path, f"expected {rank} entries"))
+    u = _decode_grid(spec, data, rank, path, f"expected {rank} entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        family = _family(u)
+    if not all(np.isfinite(m).all() for m in family.frame_op.block_matrices()):
+        raise InputError(f"{path}: members too large, their frame operator U U* overflows")
+    return family
 
 
 # -- instances -----------------------------------------------------------------

@@ -31,7 +31,7 @@ from cstarframes.certify import (
 )
 from cstarframes.algebra import AlgElement
 from cstarframes.douglas import DouglasReport
-from cstarframes.hilbmod import ModuleOperator, ModuleVector, _vector
+from cstarframes.hilbmod import ModuleOperator, ModuleVector, _operator, _vector, diagonal_operator
 from cstarframes.sampling import random_element, random_vector, stream
 
 
@@ -471,3 +471,43 @@ def reference_tensor_operator(w, k_op, l_op):
         for l_row in entries(l_op)
     ]
     return grid_operator(w.product, grid)
+
+
+# -- frame-inequality gaps from diagonal-operator products ---------------------
+
+
+def _mixed_gap(bound, central_gap, other_gap, tol):
+    """Block b of central_gap where the bound is scalar within tol, of
+    other_gap elsewhere."""
+    mats = [
+        c if s else o
+        for s, c, o in zip(
+            bound.scalar_blocks(tol), central_gap.block_matrices(), other_gap.block_matrices()
+        )
+    ]
+    return _operator(bound.spec, central_gap.in_rank, central_gap.out_rank, mats)
+
+
+def reference_gap(bound, s_op, tol, k_op=None):
+    """The gap operator of the upper frame inequality with bound B (k_op
+    None), M_B M_B* - S, or of the lower one with bound A and K,
+    S - T T* with T = K M_{A*}; -S or -K K* on the blocks where the bound
+    is not scalar.  M_X is the `diagonal_operator` of X."""
+    n = s_op.in_rank
+    if k_op is None:
+        mb = diagonal_operator(bound, n)
+        return _mixed_gap(bound, mb.compose(mb.adjoint()) - s_op, s_op.scalar_mul(-1.0), tol)
+    t = k_op.compose(diagonal_operator(bound.adjoint(), n))
+    return _mixed_gap(
+        bound, s_op - t.compose(t.adjoint()), k_op.compose(k_op.adjoint()).scalar_mul(-1.0), tol
+    )
+
+
+def reference_local_atoms_gap(p_op, s_g, c, tol):
+    """The coefficient-bound gap of local atoms: P(M_C M_C* - S_g)P where C
+    is scalar, -P S_g P elsewhere."""
+    mc = diagonal_operator(c, p_op.in_rank)
+    return _mixed_gap(
+        c, p_op.compose(mc.compose(mc.adjoint()) - s_g).compose(p_op),
+        p_op.compose(s_g).compose(p_op).scalar_mul(-1.0), tol,
+    )

@@ -166,10 +166,40 @@ def test_element_norm_is_computed_once(monkeypatch):
     a = random_element(SPEC21, stream(4, 1))
     calls = _counting_svd(monkeypatch)
     first = a.norm()
-    assert len(calls) == SPEC21.n_blocks
+    # one SVD per block that is not exactly scalar; the 1x1 block is
+    assert calls == [(2, 2)]
     assert a.norm() == first and a._scale() == max(1.0, first)
-    assert len(calls) == SPEC21.n_blocks
+    assert calls == [(2, 2)]
     assert first == max(float(np.linalg.norm(b, ord=2)) for b in a.blocks)
+
+
+def test_exactly_scalar_norm_takes_no_kernel_call(monkeypatch):
+    # |c| for a block equal to c 1; for real c it is the SVD's value exactly
+    spec = AlgebraSpec((1, 3))
+    values = [0.0, -2.5, 1e-3, 7.25, 1e-3j, 0.3 + 0.7j]
+    expected = [float(_spectral_norm(c * np.eye(3, dtype=complex))) for c in values]
+    calls = _counting_svd(monkeypatch)
+    for c, want in zip(values, expected):
+        assert (c * spec.unit()).norm() == abs(c)
+        if complex(c).imag == 0:
+            assert abs(c) == want
+        assert spec.element([np.full((1, 1), c), np.eye(3)]).exact_scalars() == (c, 1.0)
+    assert calls == []
+
+
+def test_strictly_nonzero_takes_no_svd_of_an_exactly_scalar_block(monkeypatch):
+    # sigma_min by one SVD per block that is not exactly scalar, then the
+    # norm by one more, kept for the next call
+    spec = AlgebraSpec((2, 3))
+    for a, general in ((random_element(spec, stream(4, 3)), [(2, 2), (3, 3)]),
+                       (random_element(SPEC21, stream(4, 4)), [(2, 2)]),
+                       (2.0 * spec.unit(), [])):
+        expected = max(float(np.linalg.norm(b, ord=2)) for b in a.blocks)
+        calls = _counting_svd(monkeypatch)
+        assert a.is_strictly_nonzero(1e-9)
+        assert calls == general + general
+        assert a.norm() == expected
+        assert calls == general + general
 
 
 def test_element_blocks_are_read_only():

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from cstarframes import cli
 from cstarframes.cli import COMMANDS, main
 from cstarframes.harness import SUITES, random_instance, tensor_pair_instance
 from cstarframes.hilbmod import ModuleOperator, ModuleVector
-from cstarframes.serialize import instance_to_dict, load_instance
+from cstarframes.serialize import instance_to_dict, load_instance, report_payload_bytes
 
 import oracles
 
@@ -271,6 +273,23 @@ def test_malformed_field_is_input_error(tmp_path, capsys, edit, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["members", "h_members", "g_members"])
+def test_overflowing_members_name_their_field(tmp_path, capsys, key):
+    # finite entries whose frame operator U U* overflows: the error names
+    # the family's field, and numpy warns of no overflow on the way
+    data = instance_to_dict(random_instance(4, "generic"))
+    del data["bounds"]
+    data[key] = json.loads(json.dumps(data["members"]))
+    data[key][0][0][0][0][0][0] = 1e200
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("bounds", "check-kframe", "check-frame"):
+            assert main([command, "--input", str(path)]) == 3, command
+            assert f"huge.json.{key}: " in capsys.readouterr().err, command
+
+
 @pytest.mark.parametrize(
     ("argv", "flag"),
     [
@@ -433,3 +452,25 @@ def test_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
     assert len(built) == 1
     assert (code, capsys.readouterr().out) == (proc.returncode, proc.stdout)
     assert _payload(reused) == _payload(fresh)
+
+
+def test_report_bytes_are_pinned(tmp_path, capsys):
+    # every single command on generated instances, exit code and report
+    # payload (the report without wall_clock_s); a pure speed-up moves no byte
+    report = tmp_path / "r.json"
+    digest = hashlib.sha256()
+    for profile in ("generic", "rank-deficient-K"):
+        for command in COMMANDS:
+            if command == "suite":
+                continue
+            for seed in range(4):
+                report.unlink(missing_ok=True)
+                code = main([command, "--profile", profile, "--seed", str(seed),
+                             "--report", str(report)])
+                payload = (report_payload_bytes(json.loads(report.read_text(encoding="utf-8")))
+                           if report.exists() else b"")
+                digest.update(f"{profile} {command} {seed} {code}\n".encode() + payload)
+    capsys.readouterr()
+    assert digest.hexdigest() == (
+        "a6719bc9b39435775ba4d7ee4451a99d0fc23e7f3008aca1a025ecba7d9eabc4"
+    )

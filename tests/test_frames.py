@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from cstarframes import (
     transform_kframe_audit,
     zero_operator,
 )
+from cstarframes import frames
 from cstarframes.cli import COMMANDS, main
 from cstarframes.harness import SUITES, random_instance, tensor_pair_instance
 from cstarframes.hilbmod import _vector, central_mult
@@ -59,6 +61,8 @@ from oracles import (
     module_mul,
     sequential_coefficient_bound_violation,
     pencil_oracle,
+    reference_gap,
+    reference_local_atoms_gap,
     sampled_bessel_violation,
     sampled_kframe_violation,
     spectrum,
@@ -1017,3 +1021,123 @@ def test_derived_families_are_built_from_their_synthesis_operators(tmp_path, mon
     assert tensor_frame(w, fr, right).n_members == fr.n_members
     with pytest.raises(AssertionError, match="member list"):
         FrameSeq(fr.members)
+
+
+# -- per-block gaps against the diagonal-operator reference ----------------------------------
+
+
+def recorded_gaps(monkeypatch):
+    """The gap operators `frames` hands to psd_certificate, in call order."""
+    gaps = []
+    decide = frames.psd_certificate
+
+    def recording(gap, *args, **kwargs):
+        gaps.append(gap)
+        return decide(gap, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "psd_certificate", recording)
+    return gaps
+
+
+def off_line(x, size):
+    """x plus size ||x|| in the off-diagonal corner of its 2 x 2 block."""
+    e = np.zeros((2, 2), dtype=complex)
+    e[0, 1] = size * x.norm()
+    return x + SPEC.element([e, np.zeros((1, 1))])
+
+
+BOUND_KINDS = {
+    "real": lambda x: x,
+    "complex": lambda x: cmath.exp(0.7j) * x,
+    "within-tol": lambda x: off_line(x, 1e-12),
+    "non-scalar": lambda x: off_line(x, 0.3),
+}
+
+
+def gap_inputs(seed, scale, kind="real"):
+    """(frame, K, A, B) of a generic instance and (frame, P, atoms, C) as
+    the local-atoms command builds them on a rank-deficient-K instance.
+    The bounds start as real c 1 (the stored A and B, the command's C),
+    are tightened by scale (1 certifies) and then made of the given kind."""
+    inst = random_instance(seed, "generic")
+    rd = random_instance(seed, "rank-deficient-K")
+    s_pinv = pseudo_inverse(rd.members.frame_op)
+    c = (s_pinv.norm() * rd.members.synthesis_op.norm()) * SPEC.unit()
+    kind = BOUND_KINDS[kind]
+    return (inst.members, inst.operators["K"], kind(scale * inst.bounds["A"]),
+            kind((1.0 / scale) * inst.bounds["B"]), rd.members, rd.operators["P"],
+            transform_frame(rd.members, s_pinv), kind((1.0 / scale) * c))
+
+
+def run_gap_checks(fr, k, a, b, loc_fr, p, atoms, c, tol=1e-9):
+    return [certify_kframe(fr, k, a, b, tol), certify_star_bessel(fr, b, tol),
+            local_atoms_check(loc_fr, p, atoms, c, tol)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_real_central_gaps_match_the_reference_bit_for_bit(seed, monkeypatch):
+    gaps = recorded_gaps(monkeypatch)
+    statuses = set()
+    for scale in (1.0, 4.0):
+        inputs = gap_inputs(seed, scale)
+        fr, k, a, b, _, p, atoms, c = inputs
+        gaps.clear()
+        statuses.update(cert.status for cert in run_gap_checks(*inputs))
+        expected = [reference_gap(a, fr.frame_op, 1e-9, k), reference_gap(b, fr.frame_op, 1e-9),
+                    reference_gap(b, fr.frame_op, 1e-9),
+                    reference_local_atoms_gap(p, atoms.frame_op, c, 1e-9)]
+        assert len(gaps) == len(expected)
+        for got, want in zip(gaps, expected):
+            for gm, wm in zip(got.block_matrices(), want.block_matrices()):
+                assert np.array_equal(gm, wm)
+    assert statuses == {"certified", "falsified"}
+
+
+@pytest.mark.parametrize("kind", ["complex", "within-tol", "non-scalar"])
+@pytest.mark.parametrize("seed", range(6))
+def test_other_bound_gaps_decide_as_the_reference(seed, kind, monkeypatch):
+    statuses = set()
+    for scale in (1.0, 4.0):
+        inputs = gap_inputs(seed, scale, kind)
+        certs = run_gap_checks(*inputs)
+        with monkeypatch.context() as m:
+            m.setattr(frames, "_gap", reference_gap)
+            assert [c.status for c in run_gap_checks(*inputs)] == [c.status for c in certs]
+        statuses.update(cert.status for cert in certs)
+        # every falsified witness re-checks through the term-by-term middle
+        fr, k, a, b, _, _, atoms, c = inputs
+        kframe, bessel, local = certs
+        if kframe.status == "falsified":
+            w = kframe.witness_vector
+            assert not (lower_gap_at(fr, k, a, w).is_positive(1e-9)
+                        and upper_gap_at(fr, b, w).is_positive(1e-9))
+        if bessel.status == "falsified":
+            assert not upper_gap_at(fr, b, bessel.witness_vector).is_positive(1e-9)
+        if local.status == "falsified":
+            assert local.witness["failed"] == "coefficient-bound"
+            assert not upper_gap_at(atoms, c, local.witness_vector).is_positive(1e-9)
+    assert "falsified" in statuses
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_central_bounds_take_no_kernel_call_and_no_diagonal_operator(seed, monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(x, *args, **kwargs):
+        calls.append(x)
+        return real_svd(x, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("diagonal_operator was called")
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(frames, "diagonal_operator", forbidden)
+    for scale in (1.0, 4.0):
+        fr, k, a, b, loc_fr, p, atoms, c = gap_inputs(seed, scale)
+        calls.clear()
+        certify_kframe(fr, k, a, b, 1e-9)
+        certify_star_bessel(fr, b, 1e-9)
+        assert calls == []
+        local_atoms_check(loc_fr, p, atoms, c, 1e-9)
+        assert not any(np.shares_memory(x, blk) for x in calls for blk in c.blocks)
