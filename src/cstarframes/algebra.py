@@ -12,6 +12,9 @@ exact per-block scalars: a block equal to its (0, 0) entry c times the
 identity (every 1 x 1 block) is c 1, and its norm is |c| with no kernel
 call.  `frames` forms the gap of a frame inequality per block from the
 bound's blocks, with no operator for the bound.
+
+Elements carry no positivity test: the library decides every positivity
+claim as an operator inequality, through `certify.psd_certificate`.
 """
 
 from __future__ import annotations
@@ -181,19 +184,6 @@ class AlgElement:
     def _scale(self) -> float:
         return max(1.0, self.norm())
 
-    def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        """Hermitian within tol and all block eigenvalues >= -tol, relatively scaled."""
-        if tol < 0:
-            raise InputError("tolerance must be nonnegative")
-        s = self._scale()
-        if (self - self.adjoint()).norm() > tol * s:
-            return False
-        for b in self.blocks:
-            herm = 0.5 * (b + b.conj().T)
-            if float(np.linalg.eigvalsh(herm).min()) < -tol * s:
-                return False
-        return True
-
     def is_strictly_nonzero(self, tol: float = DEFAULT_TOL) -> bool:
         """True when the element is invertible with margin: every block's
         least singular value exceeds tol scale.  Unlike the eigenvalues of a
@@ -231,21 +221,6 @@ class AlgElement:
     def central_scalars(self) -> np.ndarray:
         """Per-block nearest scalars (trace/d); meaningful for central elements."""
         return np.array([np.trace(b) / b.shape[0] for b in self.blocks])
-
-    def sqrt_positive(self, tol: float = DEFAULT_TOL) -> "AlgElement":
-        """Positive square root via blockwise eigendecomposition.
-
-        Negative eigenvalues within tolerance are clamped to zero.
-        """
-        if not self.is_positive(tol):
-            raise PreconditionError("sqrt_positive requires a positive element")
-        out = []
-        for b in self.blocks:
-            herm = 0.5 * (b + b.conj().T)
-            w, v = np.linalg.eigh(herm)
-            w = np.clip(w, 0.0, None)
-            out.append((v * np.sqrt(w)) @ v.conj().T)
-        return AlgElement(self.spec, out)
 
     def inverse(self) -> "AlgElement":
         """Blockwise inverse; valid for strictly nonzero elements."""

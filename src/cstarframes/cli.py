@@ -326,8 +326,10 @@ def _run_suite(args) -> tuple[dict, int]:
     n_terms = 10
     if args.profile:
         name, n = _parse_profile(args.profile)
-        if name == "paper-example-truncation" and n:
-            n_terms = n
+        if (args.name, name) != ("paper-example", "paper-example-truncation"):
+            raise InputError(f"--profile {args.profile}: only suite paper-example reads a "
+                             "profile, paper-example-truncation(N)")
+        n_terms = n
     report = run_suite(
         args.name,
         trials=args.trials,

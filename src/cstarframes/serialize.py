@@ -254,9 +254,10 @@ def parse_instance(data: dict, path: str = "instance") -> Instance:
         tols = data["tolerances"]
         if not isinstance(tols, dict):
             raise InputError(f"{path}.tolerances: must be an object")
-        inst.tolerances = {
-            k: decode_tolerance(v, f"{path}.tolerances.{k}") for k, v in tols.items()
-        }
+        for k, v in tols.items():
+            if k != "tol":
+                raise InputError(f"{path}.tolerances.{k}: unknown tolerance key")
+            inst.tolerances[k] = decode_tolerance(v, f"{path}.tolerances.{k}")
     if "seed" in data:
         inst.seed = _integer(data["seed"], f"{path}.seed", 0, "must be a nonnegative integer")
     if "right" in data:
@@ -294,7 +295,8 @@ def instance_digest(inst: Instance) -> str:
 
 
 def sanitize(obj):
-    """Replace non-finite floats by strings so output is strict JSON."""
+    """Replace non-finite floats by strings so output is strict JSON; any
+    other type raises TypeError, as its repr may hold a memory address."""
     if isinstance(obj, float):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
@@ -307,9 +309,7 @@ def sanitize(obj):
         return [sanitize(v) for v in obj]
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
-    if hasattr(obj, "item"):  # numpy scalars
-        return sanitize(obj.item())
-    return str(obj)
+    raise TypeError(f"cannot encode {type(obj).__name__} in a report")
 
 
 def certificate_to_dict(cert: Certificate) -> dict:

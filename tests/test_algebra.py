@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import cstarframes
-from cstarframes import AlgebraSpec, InputError, PreconditionError
+from cstarframes import AlgebraSpec, InputError
 from cstarframes.algebra import _spectral_norm
 from cstarframes.sampling import random_element, stream
 
-from oracles import random_hermitian, spectrum
+from oracles import is_positive, random_hermitian, spectrum
 
 SPEC21 = AlgebraSpec((2, 1))
 SPEC111 = AlgebraSpec((1, 1, 1))
@@ -248,17 +248,21 @@ def test_spectrum_matches_companion_matrix_oracle():
         assert np.allclose(got, oracle, atol=1e-8)
 
 
-# -- positivity, strict nonzeroness, centrality ---------------------------------
+# -- positivity (the test oracle), strict nonzeroness, centrality ------------------
 
 
 def test_zero_is_positive():
-    assert SPEC21.zero().is_positive(1e-9)
+    assert is_positive(SPEC21.zero(), 1e-9)
+    with pytest.raises(InputError):
+        is_positive(SPEC21.zero(), -1e-9)
 
 
 def test_indefinite_not_positive():
     spec = AlgebraSpec((2,))
     a = spec.element([np.diag([1.0, -1.0]).astype(complex)])
-    assert not a.is_positive(1e-9)
+    assert not is_positive(a, 1e-9)
+    # a nilpotent block has spectrum {0} but is not Hermitian
+    assert not is_positive(spec.element([np.array([[0.0, 1.0], [0.0, 0.0]])]), 1e-9)
 
 
 def test_a_star_a_positive_matches_eigendecomposition():
@@ -266,7 +270,7 @@ def test_a_star_a_positive_matches_eigendecomposition():
     for _ in range(20):
         a = random_element(SPEC21, rng)
         p = a.adjoint() * a
-        assert p.is_positive(1e-9)
+        assert is_positive(p, 1e-9)
         for b in p.blocks:
             assert np.linalg.eigvalsh(0.5 * (b + b.conj().T)).min() >= -1e-12
 
@@ -323,37 +327,6 @@ def test_exactly_scalar_blocks_are_scalar_at_every_tol(monkeypatch):
     assert calls
 
 
-# -- square root ------------------------------------------------------------------
-
-
-def test_sqrt_identity():
-    r = SPEC21.unit().sqrt_positive()
-    assert (r - SPEC21.unit()).norm() <= 1e-14
-
-
-def test_sqrt_diagonal():
-    spec = AlgebraSpec((1, 1))
-    r = diag_element(spec, [4.0, 9.0]).sqrt_positive()
-    assert np.allclose(r.central_scalars(), [2.0, 3.0])
-
-
-def test_sqrt_of_random_gram():
-    rng = stream(8, 0)
-    for _ in range(10):
-        a = random_element(SPEC21, rng)
-        p = a.adjoint() * a
-        r = p.sqrt_positive()
-        assert (r * r - p).norm() <= 1e-10 * max(1.0, p.norm())
-        assert r.is_positive(1e-9)
-
-
-def test_sqrt_rejects_indefinite():
-    spec = AlgebraSpec((2,))
-    a = spec.element([np.diag([1.0, -1.0]).astype(complex)])
-    with pytest.raises(PreconditionError):
-        a.sqrt_positive()
-
-
 # -- property tests ------------------------------------------------------------------
 
 complex_entries = st.complex_numbers(
@@ -390,7 +363,7 @@ def test_order_compatibility_under_conjugation():
         x = random_element(SPEC21, rng)
         b = a + x.adjoint() * x
         c = random_element(SPEC21, rng)
-        assert (c * b * c.adjoint() - c * a * c.adjoint()).is_positive(1e-9)
+        assert is_positive(c * b * c.adjoint() - c * a * c.adjoint(), 1e-9)
 
 
 def test_strictly_nonzero_implies_invertible():

@@ -72,7 +72,7 @@ def test_non_central_bound_falsified_exit_code(tmp_path, capsys):
     assert "samples" not in cert and "seed" not in cert
     w = oracles.reference_decode_vector(SPEC, cert["witness_vector"])
     gap = b * w.inner(w) * b.adjoint() - coordinate_frame(SPEC, 2).coefficient_gram(w)
-    assert not gap.is_positive(1e-9)
+    assert not oracles.is_positive(gap, 1e-9)
 
 
 def test_input_error_exit_code(capsys):
@@ -253,13 +253,15 @@ def _set_scalar(d, value):
         (lambda d: d.update(tolerances={"tol": [1]}), ".tolerances.tol:"),
         (lambda d: d.update(tolerances={"tol": -1e-9}), ".tolerances.tol:"),
         (lambda d: d.update(tolerances={"tol": float("nan")}), ".tolerances.tol:"),
+        (lambda d: d.update(tolerances={"rtol": 1e-3, "tol": 1e-6}), ".tolerances.rtol:"),
         (lambda d: d.update(perturbation={"alpha": "x"}), ".perturbation.alpha:"),
         (lambda d: d.update(algebra="ab"), ".algebra:"),
         (lambda d: _set_scalar(d, 10**400), ".members[0][0][0][0][0]:"),
         (lambda d: d.update(algebra=[1.5]), ".algebra[0]:"),
         (lambda d: d.update(rank=True), ".rank:"),
     ],
-    ids=["tol-str", "tol-null", "tol-list", "tol-negative", "tol-nan", "alpha-str", "algebra-str",
+    ids=["tol-str", "tol-null", "tol-list", "tol-negative", "tol-nan", "tol-unknown-key",
+         "alpha-str", "algebra-str",
          "scalar-overflow", "algebra-float", "rank-bool"],
 )
 def test_malformed_field_is_input_error(tmp_path, capsys, edit, field):
@@ -326,6 +328,26 @@ def test_suite_rejects_input_file(tmp_path, capsys):
     assert main(["suite", "conjugation", "--trials", "1",
                  "--input", str(tmp_path / "absent.json")]) == 3
     assert "--input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "conjugation", "--trials", "1", "--profile", "generic"],
+    ["suite", "paper-example", "--profile", "rank-deficient-K"],
+    ["suite", "kframe-main", "--trials", "1", "--profile", "paper-example-truncation(3)"],
+])
+def test_suite_rejects_profile_it_does_not_read(capsys, argv):
+    assert main(argv) == 3
+    assert "--profile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("profile", "n_terms"), [("paper-example-truncation(10)", 10),
+                                                  ("paper-example-truncation(3)", 3)])
+def test_paper_example_suite_reads_truncation_profile(tmp_path, capsys, profile, n_terms):
+    out = tmp_path / "rep.json"
+    assert main(["suite", "paper-example", "--profile", profile, "--report", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["config"]["n_terms"] == n_terms and rep["trials"][0]["n_terms"] == n_terms
+    capsys.readouterr()
 
 
 # -- combined certificates keep the witness of every part ------------------------------

@@ -58,6 +58,7 @@ from oracles import (
     flatten,
     grid_operator,
     grid_vector,
+    is_positive,
     module_mul,
     sequential_coefficient_bound_violation,
     pencil_oracle,
@@ -237,7 +238,7 @@ def test_bessel_scaled_frame_falsified_with_witness():
     w = cert.witness_vector
     assert w is not None
     gap = SPEC.unit() * w.inner(w) * SPEC.unit() - fr.coefficient_gram(w)
-    assert not gap.is_positive(1e-9)
+    assert not is_positive(gap, 1e-9)
 
 
 def test_bessel_paper_equality_case():
@@ -288,7 +289,7 @@ def test_bessel_non_central_bound_falsified_with_witness():
     small = b * 0.01
     cert2 = certify_star_bessel(fr, small, 1e-9)
     assert cert2.status == "falsified"
-    assert not upper_gap_at(fr, small, cert2.witness_vector).is_positive(1e-9)
+    assert not is_positive(upper_gap_at(fr, small, cert2.witness_vector), 1e-9)
     # over M_2(C) alone, B = diag(50, 60) is no Bessel bound for any nonzero frame
     spec = AlgebraSpec((2,))
     rng = stream(84, 0)
@@ -328,7 +329,7 @@ def test_nearly_scalar_bound_is_inconclusive():
     b = element([[3.0, 1e-3], [0.0, 3.0]], 3.0)
     cert = certify_star_bessel(fr, b, 1e-9)
     assert cert.status == "falsified"
-    assert not upper_gap_at(fr, b, cert.witness_vector).is_positive(1e-9)
+    assert not is_positive(upper_gap_at(fr, b, cert.witness_vector), 1e-9)
     cert = certify_star_bessel(fr, element([[3.0, 1e-5], [0.0, 3.0]], 3.0), 1e-9)
     assert cert.status == "inconclusive"
     assert cert.witness_vector is None
@@ -362,15 +363,15 @@ def test_exact_decision_agrees_with_reference_sampler(seed, rank, count, scale, 
     if sampled_bessel_violation(fr, b, 1e-9, 100, seed) is not None:
         assert bessel.status == "falsified"
     if bessel.status == "falsified":
-        assert not upper_gap_at(fr, b, bessel.witness_vector).is_positive(1e-9)
+        assert not is_positive(upper_gap_at(fr, b, bessel.witness_vector), 1e-9)
 
     kframe = certify_kframe(fr, k, a, b, 1e-9)
     if sampled_kframe_violation(fr, k, a, b, 1e-9, 100, seed) is not None:
         assert kframe.status == "falsified"
     if kframe.status == "falsified":
         w = kframe.witness_vector
-        assert not (lower_gap_at(fr, k, a, w).is_positive(1e-9)
-                    and upper_gap_at(fr, b, w).is_positive(1e-9))
+        assert not (is_positive(lower_gap_at(fr, k, a, w), 1e-9)
+                    and is_positive(upper_gap_at(fr, b, w), 1e-9))
 
 
 def test_bessel_rejects_degenerate_bound():
@@ -418,7 +419,7 @@ def test_rank_deficient_frame_falsified_with_witness():
     # the witness lives in the lost direction: the lower inequality fails there
     ka = k.adjoint().apply(w)
     gap = fr.coefficient_gram(w) - SPEC.unit() * ka.inner(ka) * SPEC.unit()
-    assert not gap.is_positive(1e-9)
+    assert not is_positive(gap, 1e-9)
 
 
 def test_kframe_non_central_bounds_falsified_with_witness():
@@ -428,7 +429,7 @@ def test_kframe_non_central_bounds_falsified_with_witness():
     cert = certify_kframe(fr, k, SPEC.unit() * 0.5, b, 1e-9)
     assert cert.status == "falsified"
     assert cert.witness["part1:star-kframe-upper"] == "falsified"
-    assert not upper_gap_at(fr, b, cert.witness_vector).is_positive(1e-9)
+    assert not is_positive(upper_gap_at(fr, b, cert.witness_vector), 1e-9)
     # a non-central lower bound fails wherever K does not vanish on its block
     a = element([[0.01, 0.001], [0.0, 0.01]], 0.01)
     cert = certify_kframe(fr, k, a, 10.0 * SPEC.unit(), 1e-9)
@@ -555,7 +556,7 @@ def test_coefficient_bound_holds_through_the_flattening(dims):
     assert cert.status == "falsified"
     f = cert.witness_vector
     a_f = q.apply(f)
-    assert not (low * f.inner(f) * low.adjoint() - a_f.inner(a_f)).is_positive(1e-9)
+    assert not is_positive(low * f.inner(f) * low.adjoint() - a_f.inner(a_f), 1e-9)
     assert sequential_coefficient_bound_violation(q, low, 1e-9, stream(0, 0), 100) is not None
 
 
@@ -1109,13 +1110,13 @@ def test_other_bound_gaps_decide_as_the_reference(seed, kind, monkeypatch):
         kframe, bessel, local = certs
         if kframe.status == "falsified":
             w = kframe.witness_vector
-            assert not (lower_gap_at(fr, k, a, w).is_positive(1e-9)
-                        and upper_gap_at(fr, b, w).is_positive(1e-9))
+            assert not (is_positive(lower_gap_at(fr, k, a, w), 1e-9)
+                        and is_positive(upper_gap_at(fr, b, w), 1e-9))
         if bessel.status == "falsified":
-            assert not upper_gap_at(fr, b, bessel.witness_vector).is_positive(1e-9)
+            assert not is_positive(upper_gap_at(fr, b, bessel.witness_vector), 1e-9)
         if local.status == "falsified":
             assert local.witness["failed"] == "coefficient-bound"
-            assert not upper_gap_at(atoms, c, local.witness_vector).is_positive(1e-9)
+            assert not is_positive(upper_gap_at(atoms, c, local.witness_vector), 1e-9)
     assert "falsified" in statuses
 
 

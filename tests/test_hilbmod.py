@@ -27,6 +27,7 @@ from oracles import (
     flatten,
     grid_operator,
     grid_vector,
+    is_positive,
     module_mul,
     unflatten_vector,
 )
@@ -229,7 +230,7 @@ def test_op_positive_gram_and_sampled_cross_check():
     assert psd_certificate(gram, 1e-9, "gram").ok
     for _ in range(100):
         f = random_vector(SPEC, 2, rng)
-        assert gram.apply(f).inner(f).is_positive(1e-9)
+        assert is_positive(gram.apply(f).inner(f), 1e-9)
 
 
 def test_op_norm_identity():
@@ -249,7 +250,7 @@ def test_module_norm_inequality():
         f = random_vector(SPEC, 2, rng)
         tf = t.apply(f)
         gap = (t.norm() ** 2) * f.inner(f) - tf.inner(tf)
-        assert gap.is_positive(1e-9)
+        assert is_positive(gap, 1e-9)
 
 
 # -- central multiplication -----------------------------------------------------------
@@ -346,7 +347,7 @@ def test_faithfulness_of_flattening_positivity():
         found = False
         for _ in range(1000):
             f = random_vector(SPEC, 2, rng)
-            if not t.apply(f).inner(f).is_positive(tol):
+            if not is_positive(t.apply(f).inner(f), tol):
                 found = True
                 break
         assert found
@@ -368,7 +369,7 @@ def test_self_inner_product_always_positive():
     rng = stream(42, 0)
     for _ in range(50):
         f = random_vector(SPEC, 3, rng)
-        assert f.inner(f).is_positive(1e-9)
+        assert is_positive(f.inner(f), 1e-9)
 
 
 # -- stored layout ------------------------------------------------------------------

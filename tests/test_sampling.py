@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import sys
 
@@ -8,6 +10,7 @@ from cstarframes import (
     InputError,
     atomic_coefficients,
     equivalence_audit,
+    frames,
     local_atoms_check,
     pertur1_audit,
     pertur2_audit,
@@ -18,7 +21,7 @@ from cstarframes import (
 from cstarframes.cli import main
 from cstarframes.harness import _perturbed_pair, random_instance
 from cstarframes.serialize import certificate_to_dict
-from cstarframes.sampling import random_vector, random_vectors, stream
+from cstarframes.sampling import random_operator, random_vector, stream
 
 SPEC = AlgebraSpec((2, 1))
 
@@ -34,56 +37,88 @@ BATCH_CASES = [
 
 @pytest.mark.parametrize(("spec", "rank", "count"), BATCH_CASES)
 def test_batch_equals_sequential_draws_bit_for_bit(spec, rank, count):
-    batch = random_vectors(spec, rank, stream(46, rank, count), count, scale=0.5)
+    """Column j of random_operator(spec, count, rank) is, bit for bit, the
+    j-th of count sequential random_vector draws on the same stream, and
+    the operator leaves the generator where those draws leave it."""
     rng = stream(46, rank, count)
-    sequential = [random_vector(spec, rank, rng, scale=0.5) for _ in range(count)]
-    assert len(batch) == spec.n_blocks
-    for b, d in enumerate(spec.block_dims):
-        assert batch[b].shape == (count, rank * d, d)
-        assert not batch[b].flags.writeable
-        for s, f in enumerate(sequential):
-            assert batch[b][s].dtype == f.stacks[b].dtype
-            assert batch[b][s].tobytes() == f.stacks[b].tobytes()
-    # the batch leaves the generator where the sequential draws leave it
-    assert random_vectors(spec, rank, stream(46, rank, count), count + 1, scale=0.5)[0][
-        count
-    ].tobytes() == random_vector(spec, rank, rng, scale=0.5).stacks[0].tobytes()
-
-
-def test_empty_batch_has_per_block_shapes():
-    spec = AlgebraSpec((3, 2, 1))
-    batch = random_vectors(spec, 2, stream(47, 0), 0)
-    assert [s.shape for s in batch] == [(0, 2 * d, d) for d in spec.block_dims]
+    mats = random_operator(spec, count, rank, rng).block_matrices()
+    seq = stream(46, rank, count)
+    sequential = [random_vector(spec, rank, seq) for _ in range(count)]
+    for b, (m, d) in enumerate(zip(mats, spec.block_dims)):
+        assert m.shape == (rank * d, count * d)
+        assert not m.flags.writeable
+        for j, f in enumerate(sequential):
+            col = m[:, j * d : (j + 1) * d]
+            assert col.dtype == f.stacks[b].dtype
+            assert col.tobytes() == f.stacks[b].tobytes()
+    assert rng.standard_normal() == seq.standard_normal()
 
 
 def test_rank_zero_batch_rejected():
-    with pytest.raises(InputError):
-        random_vectors(AlgebraSpec((2, 1)), 0, stream(47, 1), 3)
+    for in_rank, out_rank in ((0, 2), (3, 0)):
+        with pytest.raises(InputError, match="rank-0"):
+            random_operator(SPEC, in_rank, out_rank, stream(47, 1))
+    with pytest.raises(InputError, match="rank-0"):
+        random_vector(SPEC, 0, stream(47, 1))
 
 
 # -- guard: exact checks draw nothing ------------------------------------------------
 
+DRAWS = ("random_element", "random_central", "random_vector", "random_operator", "random_unitary")
 
-def forbid_draws(monkeypatch, generators=()):
-    """Make `random_vectors` raise unless it is reached through one of the
-    instance generators, so a check that samples fails loudly; every
-    module of the library that imported it by name is patched too."""
-    codes = {g.__code__ for g in generators}
 
-    def guarded(*args, **kwargs):
-        frame = sys._getframe(1)
-        while frame is not None:
-            if frame.f_code in codes:
-                return random_vectors(*args, **kwargs)
-            frame = frame.f_back
-        raise AssertionError("an exact check drew random vectors")
+def forbid_draws(monkeypatch, allowed=()):
+    """Make every `sampling` draw raise unless it is one of the `allowed`
+    functions or is reached through one, so a check that samples fails
+    loudly; every module of the library that imported a draw by name is
+    patched too."""
+    codes = {inspect.unwrap(f).__code__ for f in allowed}
 
-    guarded.replaces_random_vectors = True
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cstarframes":
-            for attr, value in list(vars(module).items()):
-                if value is random_vectors or hasattr(value, "replaces_random_vectors"):
-                    monkeypatch.setattr(module, attr, guarded)
+    def guard(draw):
+        @functools.wraps(draw)
+        def guarded(*args, **kwargs):
+            frame = sys._getframe(1)
+            ok = draw.__code__ in codes
+            while frame is not None and not ok:
+                ok = frame.f_code in codes
+                frame = frame.f_back
+            if not ok:
+                raise AssertionError(f"an exact check drew from sampling.{draw.__name__}")
+            return draw(*args, **kwargs)
+
+        return guarded
+
+    for name in DRAWS:
+        draw = inspect.unwrap(getattr(sampling, name))
+        guarded = guard(draw)
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] == "cstarframes":
+                for attr, value in list(vars(module).items()):
+                    if getattr(value, "__wrapped__", value) is draw:
+                        monkeypatch.setattr(module, attr, guarded)
+
+
+def test_draw_guard_fires_on_a_sampling_check(monkeypatch):
+    # a library module that imported the draw by name is guarded too
+    monkeypatch.setattr(frames, "random_vector", random_vector, raising=False)
+
+    def sampled_check():
+        return frames.random_vector(SPEC, 2, stream(48, 0))
+
+    forbid_draws(monkeypatch)
+    with pytest.raises(AssertionError, match="random_vector"):
+        sampled_check()
+    rng = stream(48, 1)
+    for name, args in (("random_element", (SPEC,)), ("random_central", (SPEC,)),
+                       ("random_vector", (SPEC, 1)), ("random_operator", (SPEC, 1, 1)),
+                       ("random_unitary", (SPEC, 1))):
+        with pytest.raises(AssertionError, match=name):
+            getattr(sampling, name)(*args, rng)
+    # an instance generator may draw; a check still may not
+    forbid_draws(monkeypatch, (random_instance,))
+    assert random_instance(3, "generic").members.n_members >= 1
+    with pytest.raises(AssertionError, match="random_vector"):
+        sampled_check()
 
 
 def unsampled(cert) -> bool:

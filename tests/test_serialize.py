@@ -78,6 +78,16 @@ def test_sanitize_non_finite_floats():
     json.loads(text)  # strict JSON
 
 
+@pytest.mark.parametrize("value", [object(), 1 + 2j, np.int64(3), {1, 2}])
+def test_sanitize_rejects_values_it_cannot_encode(value):
+    # str() of such a value is no stable encoding (a default repr holds a
+    # memory address), so it raises instead of reaching a report
+    with pytest.raises(TypeError, match="cannot encode"):
+        sanitize({"witness": [value]})
+    with pytest.raises(TypeError):
+        dumps_stable({"values": value})
+
+
 def test_falsified_certificate_serializes_witness_vector():
     scaled = transform_frame(coordinate_frame(SPEC, 2), identity_operator(SPEC, 2).scalar_mul(2.0))
     cert = certify_star_bessel(scaled, SPEC.unit(), 1e-9)
