@@ -94,9 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_defaults(args, inst: Instance | None) -> None:
     """Flag > instance file > built-in default, applied in place after
     checking the flags."""
-    for flag, count in (("--samples", args.samples), ("--trials", args.trials)):
-        if count < 1:
-            raise InputError(f"{flag}: must be >= 1, got {count}")
+    for flag, value, least in (("--samples", args.samples, 1), ("--trials", args.trials, 1),
+                               ("--seed", args.seed, 0)):
+        if value is not None and value < least:
+            raise InputError(f"{flag}: must be >= {least}, got {value}")
     if args.tol is None:
         tol = inst.tolerances.get("tol") if inst else None
         args.tol = DEFAULT_TOL if tol is None else tol

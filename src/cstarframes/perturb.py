@@ -10,14 +10,17 @@ with explicit constants) are certified through operator pencils.
 
 Verdicts draw nothing.  The min-type constants are exact per branch
 (`exact_branch_M`).  The three-constant hypothesis is decided from
-operator inequalities (`_abg_hypothesis`): certified by one sufficient
-gap, falsified only with a rank-one witness evaluated directly, and
-inconclusive in between.  Every check and pencil decides at the caller's tol.
+operator inequalities by branch and bound over the weight simplex
+(`_abg_hypothesis`): certified where a monotone gap bound holds on every
+triangle, falsified only with a rank-one witness evaluated directly, and
+inconclusive only at the `_TRIANGLES` budget.  Every check and pencil
+decides at the caller's tol.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -259,20 +262,27 @@ def _pertur1_converse(
     return PerturbReport(m_f, m_h, conclusion, constants)
 
 
-# Witness fields of an undecided or certified three-constant hypothesis
-# that `pertur2_audit` records, prefixed "hypothesis_"; the last is
-# present only when it is inconclusive.
-HYPOTHESIS_MARGINS = ("min_eig", "scale", "lhs_minus_rhs_max")
+# Witness fields of a certified or undecided three-constant hypothesis
+# that `pertur2_audit` records, prefixed "hypothesis_": lhs_minus_rhs_max
+# only if inconclusive, triangles only if the whole simplex did not decide.
+HYPOTHESIS_MARGINS = ("min_eig", "scale", "lhs_minus_rhs_max", "triangles")
 
-# Weight updates of the three-constant falsification search; on the
-# perturb2 ensembles it reaches its fixed point within about ten.
-_WEIGHT_STEPS = 16
+# Triangles of the weight simplex examined before the three-constant
+# hypothesis is left inconclusive.
+_TRIANGLES = 1024
+
+
+def _split(tri: np.ndarray) -> list[np.ndarray]:
+    """The 4 midpoint triangles of the triangle with vertex rows a, b, c."""
+    a, b, c = tri
+    ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+    return [np.array(t) for t in ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))]
 
 
 def _abg_hypothesis(
     d_op: ModuleOperator, terms: list[tuple[float, ModuleOperator]], tol: float
 ) -> Certificate:
-    """Decide ||D* f|| <= sum_i c_i ||M_i* f|| for all f, terms (c_i, M_i).
+    """Decide ||D* f|| <= sum_i c_i ||M_i* f|| for all f, three terms (c_i, M_i).
 
     As in `douglas._majorization`, the inequality holds for all f iff it
     holds for rank-one f, that is for the vectors x of the flattening.
@@ -281,60 +291,50 @@ def _abg_hypothesis(
     proportional to c_i a_i), so the inequality holds iff D D* <= P(w) =
     sum_i c_i^2 M_i M_i* / w_i for every w in the simplex.
 
-    certified: `psd_certificate` passes on sum_i c_i^2 M_i M_i* - D D*,
-    the gap at w = (1, ..., 1), which lies below every P(w) - D D*.
-    falsified: an x with x^H (P(w) - D D*) x < 0 violates the inequality,
-    as x^H P(w) x >= (sum_i c_i a_i)^2.  The search starts at the least
-    eigenvector of the sufficient gap and moves w to the minimiser for the
-    last eigenvector x, which does not raise the least eigenvalue once w
-    is in the simplex; no RNG.  An eigenvector is the witness only when
+    Branch and bound over triangles T of the simplex, widest first.  P
+    decreases in each w_i, so with w_T the componentwise maximum of T's
+    vertices, one `psd_certificate` of P(w_T) - D D* certifies all of T;
+    the first T, the whole simplex, has w_T = (1, 1, 1).  A falsified
+    gap's eigenvector x is evaluated directly, and is the witness when
     `verdict` does not certify ||D* x|| - rhs at tol with scale
-    max(1, rhs), both sides evaluated directly.
-    inconclusive: neither, within `_WEIGHT_STEPS` weight updates; the
-    witness holds the sufficient gap's and the largest lhs - rhs found.
+    max(1, rhs), as x^H P(w) x >= (sum_i c_i a_i)^2.  Otherwise T splits
+    into its 4 midpoint triangles (`_split`).
+    certified: every leaf is; a split one reports the leaf of least
+    min_eig / scale and the triangle count.  falsified: x, with weights
+    w_T.  inconclusive: `_TRIANGLES` triangles left a T undecided; the
+    witness holds the whole simplex's gap, the largest lhs - rhs
+    evaluated and the triangle count.
     """
     claim = "perturb-abg-hypothesis"
     d_adj = d_op.adjoint()
     dd = d_op.compose(d_adj)
     adjs = [m.adjoint() for _, m in terms]
     grams = [m.compose(adj).scalar_mul(c * c) for (c, m), adj in zip(terms, adjs)]
-
-    def gap_at(inv_w: np.ndarray) -> ModuleOperator:
-        """P(w) - D D*, given 1 / w."""
-        return reduce(ModuleOperator.__add__, [g.scalar_mul(s) for g, s in zip(grams, inv_w)]) - dd
-
-    inv_w = np.ones(len(terms))
-    gap = gap_at(inv_w)
-    sufficient = psd_certificate(gap, tol, claim)
-    if sufficient.ok:
-        return sufficient
-    # a falsified certificate already holds the gap's least eigenpair
-    step = None
-    if sufficient.status == FALSIFIED:
-        step = (sufficient.witness["min_eig"], sufficient.witness_vector)
-    best = -math.inf
-    for _ in range(_WEIGHT_STEPS):
-        min_eig, f = step or gap.negative_witness()
-        lhs = d_adj.apply(f).norm()
-        parts = np.array([c * adj.apply(f).norm() for (c, _), adj in zip(terms, adjs)])
-        rhs = float(parts.sum())
-        if verdict(lhs - rhs, tol, max(1.0, rhs)) != CERTIFIED:
-            weights = [float(w) for w in 1.0 / inv_w]
-            return Certificate(
-                FALSIFIED,
-                claim,
-                {"lhs": lhs, "rhs": rhs, "min_eig": min_eig, "weights": weights},
-                {"tol": tol},
-                witness_vector=f,
-            )
-        best = max(best, lhs - rhs)
-        if rhs == 0.0:
-            break
-        inv_w = rhs / np.maximum(parts, np.finfo(float).eps * rhs)
-        gap, step = gap_at(inv_w), None
-    return Certificate(
-        INCONCLUSIVE, claim, {**sufficient.witness, "lhs_minus_rhs_max": best}, {"tol": tol}
-    )
+    pending, gaps, best = deque([np.eye(3)]), [], -math.inf
+    while pending and len(gaps) < _TRIANGLES:
+        tri = pending.popleft()
+        weights = tri.max(axis=0)
+        parts = [g.scalar_mul(1.0 / w) for g, w in zip(grams, weights)]
+        cert = psd_certificate(reduce(ModuleOperator.__add__, parts) - dd, tol, claim)
+        gaps.append(cert)
+        if cert.status == FALSIFIED:
+            f = cert.witness_vector
+            lhs = d_adj.apply(f).norm()
+            rhs = float(sum(c * adj.apply(f).norm() for (c, _), adj in zip(terms, adjs)))
+            if verdict(lhs - rhs, tol, max(1.0, rhs)) != CERTIFIED:
+                witness = {"lhs": lhs, "rhs": rhs, "min_eig": cert.witness["min_eig"],
+                           "weights": [float(w) for w in weights]}
+                return Certificate(FALSIFIED, claim, witness, {"tol": tol}, witness_vector=f)
+            best = max(best, lhs - rhs)
+        if not cert.ok:
+            pending.extend(_split(tri))
+    if pending:
+        witness = {**gaps[0].witness, "lhs_minus_rhs_max": best, "triangles": len(gaps)}
+        return Certificate(INCONCLUSIVE, claim, witness, {"tol": tol})
+    if len(gaps) == 1:
+        return gaps[0]
+    leaf = min((g for g in gaps if g.ok), key=lambda g: g.witness["min_eig"] / g.witness["scale"])
+    return Certificate(CERTIFIED, claim, {**leaf.witness, "triangles": len(gaps)}, {"tol": tol})
 
 
 def pertur2_audit(
@@ -355,10 +355,8 @@ def pertur2_audit(
     gamma ||K* f|| is decided by `_abg_hypothesis`, and its status is
     recorded as constants_used["hypothesis"].  When it is falsified, the
     conclusion is that certificate, with its witness.  Otherwise its
-    margins are recorded too: the sufficient gap's least eigenvalue and
-    scale as "hypothesis_min_eig" and "hypothesis_scale", and for an
-    inconclusive hypothesis the largest lhs - rhs the falsification search
-    found as "hypothesis_lhs_minus_rhs_max".  The
+    margins are recorded too, as "hypothesis_<field>" for each field of
+    HYPOTHESIS_MARGINS that its witness holds.  The
     conclusion is certified: the Bessel norm of {h_j} against the explicit
     constant ||B|| (1 + (alpha + beta + gamma/||A||)/(1 - beta)), the
     L-frame property through pencils, and the lower constant g_sound, with

@@ -7,8 +7,8 @@ split further by appending path components.
 
 Module vectors and operators have one draw path, `random_operator`: one
 `standard_normal` call reshaped straight into the reduced matrices, each
-grid entry drawn as `random_element` draws it; `random_vector` is its one
-column.
+grid entry a complex Gaussian element (per block a real then an imaginary
+d x d draw, over sqrt 2); `random_vector` is its one column.
 
 Verdicts draw nothing: every check is decided exactly, so these
 generators only build instances.
@@ -35,10 +35,6 @@ def _gauss_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def random_element(spec: AlgebraSpec, rng: np.random.Generator, scale: float = 1.0) -> AlgElement:
-    return AlgElement(spec, [scale * _gauss_matrix(rng, d, d) for d in spec.block_dims])
-
-
 def random_central(spec: AlgebraSpec, rng: np.random.Generator) -> AlgElement:
     """Central element with per-block scalars of modulus in [0.5, 2)."""
     mags = rng.uniform(0.5, 2.0, size=spec.n_blocks)
@@ -50,8 +46,8 @@ def random_operator(
     spec: AlgebraSpec, in_rank: int, out_rank: int, rng: np.random.Generator
 ) -> ModuleOperator:
     """One `standard_normal` call, per input j, output slot i and block b a
-    d_b x d_b real then imaginary part: entry t[j][i] is drawn as
-    `random_element` draws it, input j as the j-th `random_vector` draw."""
+    d_b x d_b real then imaginary part, over sqrt 2; input j is the j-th
+    `random_vector` draw."""
     if in_rank < 1 or out_rank < 1:
         raise InputError("rank-0 modules are rejected")
     z = rng.standard_normal((in_rank, out_rank, 2 * spec.total_dim))
@@ -67,7 +63,7 @@ def random_operator(
 
 def random_vector(spec: AlgebraSpec, rank: int, rng: np.random.Generator) -> ModuleVector:
     """The one column of `random_operator(spec, 1, rank, rng)`: entries
-    drawn in order, each as random_element would draw it."""
+    drawn in order."""
     return _vector(spec, random_operator(spec, 1, rank, rng).block_matrices())
 
 

@@ -36,7 +36,7 @@ from cstarframes.algebra import AlgElement
 from cstarframes.douglas import DouglasReport
 from cstarframes.errors import InputError
 from cstarframes.hilbmod import ModuleOperator, ModuleVector, _operator, _vector, diagonal_operator
-from cstarframes.sampling import random_element, random_vector, stream
+from cstarframes.sampling import _gauss_matrix, random_vector, stream
 
 
 # -- the element-grid views of vectors and operators ---------------------------
@@ -167,6 +167,13 @@ def spectrum(a):
     return np.concatenate([np.linalg.eigvals(b) for b in a.blocks])
 
 
+def random_element(spec, rng, scale=1.0):
+    """An element with independent complex Gaussian entries, per block a
+    d x d real then imaginary draw, as `sampling.random_operator` draws
+    each grid entry."""
+    return AlgElement(spec, [scale * _gauss_matrix(rng, d, d) for d in spec.block_dims])
+
+
 def random_hermitian(spec, rng):
     a = random_element(spec, rng)
     return 0.5 * (a + a.adjoint())
@@ -237,6 +244,24 @@ def coefficient_gram_direct(frame, f):
         c = f.inner(m)
         acc = acc + c * c.adjoint()
     return acc
+
+
+def abg_grid_margin(d_op, terms, steps=40):
+    """Least lambda_min(P(w) - D D*) / max(1, ||P(w) - D D*||) over the
+    interior points w = (i, j, k) / steps of the weight simplex, where
+    P(w) = sum_i c_i^2 M_i M_i* / w_i for the terms (c_i, M_i): the
+    three-constant hypothesis holds iff P(w) >= D D* on the whole simplex.
+    Formed from each operator's per-block matrices with numpy alone."""
+    dd = [m @ m.conj().T for m in d_op.block_matrices()]
+    grams = [[c * c * (m @ m.conj().T) for m in op.block_matrices()] for c, op in terms]
+    worst = math.inf
+    for i in range(1, steps):
+        for j in range(1, steps - i):
+            w = np.array([i, j, steps - i - j]) / steps
+            for b, x in enumerate(dd):
+                eigs = np.linalg.eigvalsh(sum(g[b] / wk for g, wk in zip(grams, w)) - x)
+                worst = min(worst, eigs[0] / max(1.0, np.abs(eigs).max()))
+    return worst
 
 
 def sampled_bessel_violation(frame, b, tol, samples, seed):

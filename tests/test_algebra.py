@@ -10,9 +10,9 @@ from hypothesis.extra.numpy import arrays
 import cstarframes
 from cstarframes import AlgebraSpec, InputError
 from cstarframes.algebra import _spectral_norm
-from cstarframes.sampling import random_element, stream
+from cstarframes.sampling import stream
 
-from oracles import is_positive, random_hermitian, spectrum
+from oracles import is_positive, random_element, random_hermitian, spectrum
 
 SPEC21 = AlgebraSpec((2, 1))
 SPEC111 = AlgebraSpec((1, 1, 1))

@@ -12,19 +12,29 @@ SRC = Path(cstarframes.__file__).parent
 
 
 def _private_defs(tree):
-    """Module-level functions and class methods whose names start with
-    one underscore, as (name, first line, last line)."""
+    """Module-level functions, constants and class methods whose names
+    start with one underscore, as (name, first line, last line)."""
     nodes = list(tree.body)
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             nodes.extend(node.body)
+    named = []
+    for n in nodes:
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            named.append((n.name, n))
+        elif isinstance(n, (ast.Assign, ast.AnnAssign)) and n in tree.body:
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            named.extend((t.id, n) for t in targets if isinstance(t, ast.Name))
     return [
-        (n.name, n.lineno, n.end_lineno)
-        for n in nodes
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and n.name.startswith("_")
-        and not (n.name.startswith("__") and n.name.endswith("__"))
+        (name, n.lineno, n.end_lineno)
+        for name, n in named
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
     ]
+
+
+def test_private_defs_include_module_constants():
+    tree = ast.parse("_USED = 1\n_LEFT: int = 2\n__all__ = []\nclass C:\n    _attr = 3\n")
+    assert [name for name, _, _ in _private_defs(tree)] == ["_USED", "_LEFT"]
 
 
 def test_every_private_helper_is_referenced_outside_its_def():

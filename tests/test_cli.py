@@ -302,9 +302,11 @@ def test_overflowing_members_name_their_field(tmp_path, capsys, key):
         (["perturb2", "--profile", "generic", "--seed", "3", "--samples", "0"], "--samples:"),
         (["suite", "perturb1", "--trials", "0"], "--trials:"),
         (["suite", "perturb2", "--trials", "1", "--samples", "0"], "--samples:"),
+        (["check-kframe", "--profile", "generic", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+        (["suite", "kframe-main", "--trials", "1", "--seed", "-1"], "--seed: must be >= 0"),
     ],
     ids=["tol-negative", "tol-nan-suite", "tol-inf", "samples-negative", "samples-zero",
-         "trials-zero", "suite-samples-zero"],
+         "trials-zero", "suite-samples-zero", "seed-negative", "suite-seed-negative"],
 )
 def test_invalid_flag_is_input_error(capsys, argv, flag):
     assert main(argv) == 3

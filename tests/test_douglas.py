@@ -32,7 +32,6 @@ from cstarframes import (
 from cstarframes.certify import BOUNDARY_FACTOR
 from cstarframes.hilbmod import ModuleOperator
 from cstarframes.sampling import (
-    random_element,
     random_operator,
     random_unitary,
     random_vector,
@@ -40,7 +39,7 @@ from cstarframes.sampling import (
 )
 
 import oracles
-from oracles import grid_operator, module_mul, pencil_oracle
+from oracles import grid_operator, module_mul, pencil_oracle, random_element
 
 SPEC = AlgebraSpec((2, 1))
 

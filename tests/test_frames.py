@@ -44,7 +44,6 @@ from cstarframes.hilbmod import _vector, central_mult
 from cstarframes.certify import BOUNDARY_FACTOR, psd_certificate
 from cstarframes.sampling import (
     random_central,
-    random_element,
     random_operator,
     random_unitary,
     random_vector,
@@ -62,6 +61,7 @@ from oracles import (
     module_mul,
     sequential_coefficient_bound_violation,
     pencil_oracle,
+    random_element,
     reference_gap,
     reference_local_atoms_gap,
     sampled_bessel_violation,

@@ -194,11 +194,12 @@ def test_perturb_suites_audit_at_the_suite_tolerance(monkeypatch, suite):
     assert seen == [1e-6, 1e-6]
     assert rep["config"]["tol"] == 1e-6
     if suite == "perturb1":
-        # the Bessel bound of {h_j} is (1 + sqrt(M)) ||B|| plus the suite's tol
+        # the row records the Bessel bound (1 + sqrt(M)) ||B|| of {h_j} that
+        # the conclusion certified at the suite's tol, and takes its status
         for row in rep["trials"]:
             b = random_instance(harness._trial_seed(5, row["trial"]), "generic").bounds["B"]
-            extra = row["bessel_bound"] - (1.0 + math.sqrt(row["M"])) * b.norm()
-            assert extra == pytest.approx(1e-6, rel=1e-6)
+            assert row["bessel_bound"] == (1.0 + math.sqrt(row["M"])) * b.norm()
+            assert row["status"] == row["conclusion_status"]
 
 
 @pytest.mark.parametrize("suite", ["conjugation", "co-isometry", "tensor"])
@@ -226,6 +227,11 @@ def test_kframe_main_decides_atomicity_at_the_suite_tolerance():
 def test_run_suite_rejects_counts_below_one(trials, samples):
     with pytest.raises(InputError, match="trials and samples must be >= 1"):
         run_suite("perturb1", trials=trials, samples=samples)
+
+
+def test_run_suite_rejects_a_negative_seed():
+    with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+        run_suite("kframe-main", trials=1, seed=-1)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])

@@ -14,7 +14,6 @@ from cstarframes.algebra import _spectral_norm
 from cstarframes.certify import FALSIFIED, psd_certificate
 from cstarframes.sampling import (
     random_central,
-    random_element,
     random_operator,
     random_vector,
     stream,
@@ -29,6 +28,7 @@ from oracles import (
     grid_vector,
     is_positive,
     module_mul,
+    random_element,
     unflatten_vector,
 )
 

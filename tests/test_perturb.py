@@ -25,7 +25,7 @@ from cstarframes.harness import random_instance
 from cstarframes.perturb import difference_synthesis
 from cstarframes.sampling import random_operator, random_unitary, random_vector, stream
 
-from oracles import branch_oracle, coefficient_gram_direct, entries, grid_vector
+from oracles import abg_grid_margin, branch_oracle, coefficient_gram_direct, entries, grid_vector
 
 SPEC = AlgebraSpec((2, 1))
 
@@ -451,14 +451,20 @@ def test_pertur2_wrong_sampled_pass_is_falsified(trial):
     assert_witness_rechecks(rep.conclusion, fr, hs, k, ABG)
 
 
-def test_hypothesis_search_repeats_no_eigensolve(monkeypatch):
-    # epsilon = 0.05, seed 0, trial 11: the sufficient gap is falsified and
-    # the search's first step reads the certificate's least eigenpair
-    # instead of decomposing the same gap again
-    fr, hs, k, _, _ = _suite_trial(11, 0.05)
-    d_op = difference_synthesis(fr, hs)
+def _hypothesis_inputs(trial, epsilon, seed=0):
+    """D and the terms (c_i, M_i) of a perturb2 suite trial's hypothesis."""
+    fr, hs, k, _, _ = _suite_trial(trial, epsilon, seed)
     terms = [(ABG[0], fr.synthesis_op), (ABG[1], hs.synthesis_op), (ABG[2], k)]
-    seen = []
+    return difference_synthesis(fr, hs), terms
+
+
+def test_hypothesis_search_repeats_no_eigensolve(monkeypatch):
+    # epsilon = 0.05, seed 0, trial 11: the whole simplex's gap is
+    # falsified without a violation, so the simplex is split; each
+    # examined triangle costs one values-only eigensolve per block, and
+    # only a falsified gap an eigh, of a matrix no kernel saw before
+    d_op, terms = _hypothesis_inputs(11, 0.05)
+    seen, gaps = [], []
     for name in ("eigvalsh", "eigh"):
         real = getattr(np.linalg, name)
 
@@ -467,11 +473,56 @@ def test_hypothesis_search_repeats_no_eigensolve(monkeypatch):
             return _real(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
+    real_psd = perturb.psd_certificate
+
+    def recording_psd(*args, **kwargs):
+        gaps.append(real_psd(*args, **kwargs))
+        return gaps[-1]
+
+    monkeypatch.setattr(perturb, "psd_certificate", recording_psd)
     cert = perturb._abg_hypothesis(d_op, terms, 1e-9)
     monkeypatch.undo()
-    assert cert.status == "inconclusive"
-    assert seen[0][0] == "eigvalsh" and any(call[0] == "eigh" for call in seen)
+    assert cert.status == "certified" and cert.witness["triangles"] == len(gaps) > 1
+    n_falsified = sum(g.status == "falsified" for g in gaps)
+    assert n_falsified >= 1
+    assert sum(call[0] == "eigvalsh" for call in seen) == len(gaps) * d_op.spec.n_blocks
+    assert sum(call[0] == "eigh" for call in seen) == n_falsified
     assert len(set(seen)) == len(seen)
+
+
+# perturb2 rows (seed, epsilon, trial) whose hypothesis is certified only
+# after the whole simplex is split
+SPLIT_ROWS = [(0, 0.05, t) for t in (11, 12, 34, 36)] + [(0, 0.3, 18), (0, 0.3, 25)] + [
+    (1, 0.05, t) for t in (5, 6, 23)] + [(1, 0.3, 24), (1, 0.3, 30)]
+
+
+@pytest.mark.parametrize("seed,epsilon,trial", SPLIT_ROWS)
+def test_split_hypothesis_is_certified_on_the_whole_simplex(seed, epsilon, trial):
+    # the grid oracle checks P(w) >= D D* at points of its own, not at the
+    # triangles' bounds
+    d_op, terms = _hypothesis_inputs(trial, epsilon, seed)
+    cert = perturb._abg_hypothesis(d_op, terms, 1e-9)
+    assert cert.status == "certified" and cert.witness["triangles"] > 1
+    assert cert.witness["min_eig"] >= -1e-9 * cert.witness["scale"]
+    assert abg_grid_margin(d_op, terms) >= -1e-9
+
+
+@pytest.mark.parametrize("trial", [10, 20])
+def test_grid_oracle_sees_a_falsified_hypothesis(trial):
+    # the oracle is not vacuous: the rows of the falsified test above fail it
+    assert abg_grid_margin(*_hypothesis_inputs(trial, 0.3)) < -1e-9
+
+
+def test_hypothesis_budget_leaves_a_split_row_inconclusive(monkeypatch):
+    # with a budget of one triangle, a row that needs splitting stays
+    # undecided, below the falsifying bound on both margins
+    monkeypatch.setattr(perturb, "_TRIANGLES", 1)
+    fr, hs, k, a, b = _suite_trial(11, 0.05)
+    rep = pertur2_audit(fr, hs, k, k, *ABG, a, b)
+    c = rep.constants_used
+    assert c["hypothesis"] == "inconclusive" and c["hypothesis_triangles"] == 1
+    assert c["hypothesis_min_eig"] < 0 and c["hypothesis_scale"] >= 1.0
+    assert c["hypothesis_lhs_minus_rhs_max"] < 0
 
 
 @pytest.mark.parametrize("epsilon", [0.05, 0.3])
@@ -489,23 +540,26 @@ def test_perturb2_suite_at_larger_epsilon(epsilon):
 
 
 def test_perturb2_rows_carry_hypothesis_margins():
-    """An undecided hypothesis says how far it is from either verdict: the
-    sufficient gap's least eigenvalue (below the falsifying bound, else it
-    would be certified) and the largest lhs - rhs the search reached
-    (below zero, else it would be falsified)."""
+    """A certified hypothesis says how far it is from the boundary: the
+    least eigenvalue and scale of its certifying gap of least margin, and
+    the triangles examined when the whole simplex did not decide it; an
+    inconclusive one is left to the budget test."""
     report = run_suite("perturb2", trials=40, seed=0, epsilon=0.05)
-    margins = ("hypothesis_min_eig", "hypothesis_scale", "hypothesis_lhs_minus_rhs_max")
-    seen = set()
+    margins = ("hypothesis_min_eig", "hypothesis_scale", "hypothesis_lhs_minus_rhs_max",
+               "hypothesis_triangles")
+    seen, split = set(), 0
     for row in report["trials"]:
-        min_eig, scale, best = (row[k] for k in margins)
+        min_eig, scale, best, triangles = (row[k] for k in margins)
         seen.add(row["hypothesis"])
         if row["hypothesis"] == "certified":
             assert min_eig >= -1e-9 * scale and scale >= 1.0 and best is None
-        elif row["hypothesis"] == "inconclusive":
-            assert min_eig < 0 and scale >= 1.0 and best < 0
-            fr, hs, k, a, b = _suite_trial(row["trial"], 0.05)
-            rep = pertur2_audit(fr, hs, k, k, *ABG, a, b)
-            assert [rep.constants_used[k] for k in margins] == [min_eig, scale, best]
+            if triangles is not None:
+                split += 1
+                fr, hs, k, a, b = _suite_trial(row["trial"], 0.05)
+                rep = pertur2_audit(fr, hs, k, k, *ABG, a, b)
+                assert [rep.constants_used.get(k) for k in margins] == [
+                    min_eig, scale, None, triangles]
+                assert triangles > 1
         else:
-            assert (min_eig, scale, best) == (None, None, None)
-    assert seen == {"certified", "inconclusive", "falsified"}
+            assert (min_eig, scale, best, triangles) == (None, None, None, None)
+    assert seen == {"certified", "falsified"} and split >= 4

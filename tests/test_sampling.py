@@ -64,7 +64,7 @@ def test_rank_zero_batch_rejected():
 
 # -- guard: exact checks draw nothing ------------------------------------------------
 
-DRAWS = ("random_element", "random_central", "random_vector", "random_operator", "random_unitary")
+DRAWS = ("random_central", "random_vector", "random_operator", "random_unitary")
 
 
 def forbid_draws(monkeypatch, allowed=()):
@@ -109,7 +109,7 @@ def test_draw_guard_fires_on_a_sampling_check(monkeypatch):
     with pytest.raises(AssertionError, match="random_vector"):
         sampled_check()
     rng = stream(48, 1)
-    for name, args in (("random_element", (SPEC,)), ("random_central", (SPEC,)),
+    for name, args in (("random_central", (SPEC,)),
                        ("random_vector", (SPEC, 1)), ("random_operator", (SPEC, 1, 1)),
                        ("random_unitary", (SPEC, 1))):
         with pytest.raises(AssertionError, match=name):

@@ -16,14 +16,15 @@ from cstarframes import (
 from cstarframes.harness import random_instance
 from cstarframes.hilbmod import ModuleOperator, _vector
 from cstarframes.sampling import (
-    random_element,
     random_operator,
     random_vector,
     stream,
 )
 
 import oracles
-from oracles import flat_permutation, flatten, is_positive, random_hermitian, random_positive
+from oracles import (
+    flat_permutation, flatten, is_positive, random_element, random_hermitian, random_positive,
+)
 
 LEFT = AlgebraSpec((2,))
 RIGHT = AlgebraSpec((1, 1))
