@@ -40,7 +40,6 @@ from .hilbmod import (
     zero_operator,
 )
 from .perturb import (
-    PerturbReport,
     difference_quadratic,
     exact_branch_M,
     pertur1_audit,
@@ -72,7 +71,6 @@ __all__ = [
     "INCONCLUSIVE",
     "Certificate",
     "DouglasReport",
-    "PerturbReport",
     "FrameSeq",
     "ModuleOperator",
     "ModuleVector",

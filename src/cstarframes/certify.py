@@ -13,7 +13,7 @@ and eigenvectors (one block's) only when it falsifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .hilbmod import ModuleOperator, ModuleVector
@@ -56,8 +56,8 @@ def worst(*statuses: str) -> str:
 class Certificate:
     status: str
     claim: str
-    witness: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
+    witness: dict
+    tol: float
     witness_vector: Optional[ModuleVector] = None
 
     @property
@@ -106,21 +106,20 @@ def psd_certificate(
     status = verdict(-min_eig, tol, scale)
     witness_vec = gap.negative_witness(eigs)[1] if status == FALSIFIED else None
     return Certificate(
-        status, claim, {"min_eig": min_eig, "scale": scale}, {"tol": tol},
+        status, claim, {"min_eig": min_eig, "scale": scale}, tol,
         witness_vector=witness_vec,
     )
 
 
 def combine(claim: str, parts: list[Certificate], extra: Optional[dict] = None) -> Certificate:
-    """All-of combination: falsified dominates, then inconclusive.  The
-    witness holds `extra`, the status of part i under `part{i}:{claim}`,
-    and the witness of every part, in order, under `parts`."""
+    """All-of combination of parts decided at one tol: falsified
+    dominates, then inconclusive.  The witness holds `extra`, the status
+    of part i under `part{i}:{claim}`, and the witness of every part, in
+    order, under `parts`."""
     status = worst(*(c.status for c in parts))
     witness = dict(extra or {})
-    tolerances: dict = {}
     for i, c in enumerate(parts):
         witness[f"part{i}:{c.claim}"] = c.status
-        tolerances.update(c.tolerances)
     witness["parts"] = [c.witness for c in parts]
     witness_vector = next((c.witness_vector for c in parts if c.status == FALSIFIED), None)
-    return Certificate(status, claim, witness, tolerances, witness_vector=witness_vector)
+    return Certificate(status, claim, witness, parts[-1].tol, witness_vector=witness_vector)

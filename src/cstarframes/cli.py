@@ -99,7 +99,7 @@ def _resolve_defaults(args, inst: Instance | None) -> None:
         if value is not None and value < least:
             raise InputError(f"{flag}: must be >= {least}, got {value}")
     if args.tol is None:
-        tol = inst.tolerances.get("tol") if inst else None
+        tol = inst.tol if inst else None
         args.tol = DEFAULT_TOL if tol is None else tol
     else:
         args.tol = decode_tolerance(args.tol, "--tol")
@@ -139,7 +139,7 @@ def _lambda_certificate(
         if norms:
             witness = dict(witness, witness_u_adj_norm=norms[0], witness_k_adj_norm=norms[1])
         status = FALSIFIED if f is not None else INCONCLUSIVE
-    return Certificate(status, claim, witness, {"tol": tol}, witness_vector=f)
+    return Certificate(status, claim, witness, tol, witness_vector=f)
 
 
 def _kframe_command(inst: Instance, k_op, args, claim: str):
@@ -177,10 +177,10 @@ def _cmd_atomic_system(inst: Instance, args):
     try:
         q, c, residual = atomic_coefficients(inst.members, k_op, args.tol)
     except AtomicSystemError as exc:
-        cert = Certificate(FALSIFIED, "atomic-system", {"error": str(exc)}, {"tol": args.tol})
+        cert = Certificate(FALSIFIED, "atomic-system", {"error": str(exc)}, args.tol)
         return cert.status, {}, [cert]
     values = {"q_norm": q.norm(), "residual": residual, "coefficient_bound_norm": c.norm()}
-    cert = Certificate(CERTIFIED, "atomic-system", dict(values), {"tol": args.tol})
+    cert = Certificate(CERTIFIED, "atomic-system", dict(values), args.tol)
     return cert.status, values, [cert]
 
 
@@ -255,30 +255,19 @@ def _perturb_common(inst: Instance, args, command: str):
 
 def _cmd_perturb1(inst: Instance, args):
     frame, h_seq, k_op, l_op, a, b = _perturb_common(inst, args, "perturb1")
-    rep = pertur1_audit(frame, h_seq, k_op, l_op, a, b, args.tol)
-    values = {
-        "branch_M_f": rep.branch_M_f,
-        "branch_M_h": rep.branch_M_h,
-        "M": rep.certified_M,
-    }
-    values.update({f"const.{k}": v for k, v in rep.constants_used.items()})
-    return rep.conclusion.status, values, [rep.conclusion]
+    cert = pertur1_audit(frame, h_seq, k_op, l_op, a, b, args.tol)
+    return cert.status, dict(cert.witness), [cert]
 
 
 def _cmd_perturb2(inst: Instance, args):
     frame, h_seq, k_op, l_op, a, b = _perturb_common(inst, args, "perturb2")
     pert = inst.perturbation or {"alpha": 0.2, "beta": 0.1, "gamma": 0.05}
-    rep = pertur2_audit(
+    cert = pertur2_audit(
         frame, h_seq, k_op, l_op,
         pert.get("alpha", 0.0), pert.get("beta", 0.0), pert.get("gamma", 0.0),
         a, b, args.tol,
     )
-    values = {
-        "branch_M_f": rep.branch_M_f,
-        "branch_M_h": rep.branch_M_h,
-    }
-    values.update({f"const.{k}": v for k, v in rep.constants_used.items()})
-    return rep.conclusion.status, values, [rep.conclusion]
+    return cert.status, dict(cert.witness), [cert]
 
 
 _HANDLERS = {

@@ -346,6 +346,6 @@ def equivalence_audit(
     else:
         status = FALSIFIED
     return Certificate(
-        status, "douglas-equivalence", witness, {"tol": tol},
+        status, "douglas-equivalence", witness, tol,
         witness_vector=witness_vec if status == FALSIFIED else None,
     )

@@ -294,8 +294,8 @@ def _decide(
     witness = dict(cert.witness, block=k, witness_gap_min_eig=at_cert.witness["min_eig"],
                    witness_gap_scale=at_cert.witness["scale"])
     if at_cert.status == FALSIFIED:
-        return Certificate(FALSIFIED, claim, witness, cert.tolerances, witness_vector=f)
-    return Certificate(INCONCLUSIVE, claim, witness, cert.tolerances)
+        return Certificate(FALSIFIED, claim, witness, cert.tol, witness_vector=f)
+    return Certificate(INCONCLUSIVE, claim, witness, cert.tol)
 
 
 def _moving_direction(c: np.ndarray) -> np.ndarray:
@@ -397,7 +397,7 @@ def dual_atoms_audit(
         q, c, residual = atomic_coefficients(frame, k_op, tol)
     except AtomicSystemError as exc:
         return Certificate(
-            FALSIFIED, "dual-atoms", {"error": str(exc)}, {"tol": tol}
+            FALSIFIED, "dual-atoms", {"error": str(exc)}, tol
         )
     recon = (k_op - frame.synthesis_op.compose(q)).norm()
     h_frame = _family(q.adjoint())
@@ -411,7 +411,7 @@ def dual_atoms_audit(
             "q_norm": c.norm(),
             "bessel_status": bessel.status,
         },
-        {"tol": tol},
+        tol,
     )
 
 
@@ -456,7 +456,7 @@ def local_atoms_check(
             CERTIFIED,
             "local-atoms",
             {"degenerate": True, "note": "zero submodule"},
-            {"tol": tol},
+            tol,
         )
     upper = _gap(c, g_frame.frame_op, tol).block_matrices()
     gap = _operator(frame.spec, n, n, [p @ g @ p for p, g in zip(p_op.block_matrices(), upper)])
@@ -466,7 +466,7 @@ def local_atoms_check(
             FALSIFIED,
             "local-atoms",
             dict(coeff.witness, failed="coefficient-bound"),
-            {"tol": tol},
+            tol,
             witness_vector=coeff.witness_vector,
         )
     recon_gap = p_op - frame.synthesis_op.compose(g_frame.analysis_op).compose(p_op)
@@ -476,7 +476,7 @@ def local_atoms_check(
             FALSIFIED,
             "local-atoms",
             {"failed": "reconstruction", "relative_residual": worst_recon},
-            {"tol": tol},
+            tol,
             witness_vector=recon_gap.adjoint().adjoint_norm_witness(),
         )
     # restricted lower frame bound of {P f_j} on range(P)
@@ -496,7 +496,7 @@ def local_atoms_check(
     }
     scale = max(1.0, pf.frame_op.norm(), floor)
     status = worst(verdict(floor - restricted_min, tol, scale), coeff.status)
-    return Certificate(status, "local-atoms", witness, {"tol": tol})
+    return Certificate(status, "local-atoms", witness, tol)
 
 
 def _restricted_min_eig(bases: Sequence[np.ndarray], op: ModuleOperator) -> float:
@@ -535,7 +535,7 @@ def conjugation_audit(
         verdict(res_ksk, tol, 1.0),
         "frame-operator-conjugation",
         {"residual_KSK*": res_ksk, "residual_K*SK": res_adj, "matched": matched},
-        {"tol": tol},
+        tol,
     )
 
 
@@ -563,7 +563,7 @@ def coisometry_invariance_audit(
         "coisometry-bound-invariance",
         {"lambda": lam0, "lambda_moved": lam1, "mu": mu0, "mu_moved": mu1,
          "max_relative_deviation": dev},
-        {"tol": tol},
+        tol,
     )
 
 
@@ -587,7 +587,7 @@ def transform_kframe_audit(
         cert.status,
         "transform-kframe",
         {"base": base.status, "transformed": cert.status, "l_norm": l_op.norm()},
-        {"tol": tol},
+        tol,
         witness_vector=cert.witness_vector,
     )
 
@@ -627,6 +627,6 @@ def ks_inverse_frame(
             "bessel_status": bessel.status,
             "s_inv_norm": s_inv.norm(),
         },
-        {"tol": tol},
+        tol,
     )
     return new_frame, cert

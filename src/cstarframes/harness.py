@@ -8,7 +8,6 @@ serialized payload (wall clock excluded) is byte-identical across reruns.
 
 from __future__ import annotations
 
-import math
 import re
 import time
 from typing import Optional
@@ -48,7 +47,9 @@ from .sampling import (
     random_unitary,
     stream,
 )
-from .serialize import Instance, certificate_to_dict, decode_tolerance
+from .serialize import (
+    Instance, _finite_family, certificate_to_dict, decode_number, decode_tolerance,
+)
 from .tensor import tensor_frame_audit, tensor_witness
 
 PROFILES = (
@@ -367,9 +368,10 @@ def _coisometry_trial(seed: int, trial: int, tol: float) -> dict:
 def _perturbed_pair(frame: FrameSeq, seed: int, epsilon: float) -> FrameSeq:
     """The perturbed partner {f_j + epsilon r_j} of a frame, r_j drawn
     from stream(seed, 8): its synthesis is U + epsilon R, R the random
-    operator whose column j is the j-th of the draws."""
+    operator whose column j is the j-th of the draws.  A partner whose
+    frame operator overflows is an input error."""
     noise = random_operator(frame.spec, frame.n_members, frame.rank, stream(seed, 8))
-    return _family(frame.synthesis_op + noise.scalar_mul(epsilon))
+    return _finite_family(frame.synthesis_op + noise.scalar_mul(epsilon), "perturbed family")
 
 
 def _perturbed_trial(seed: int, trial: int, epsilon: float) -> tuple:
@@ -381,28 +383,27 @@ def _perturbed_trial(seed: int, trial: int, epsilon: float) -> tuple:
 
 def _perturb1_trial(seed: int, trial: int, tol: float, epsilon: float) -> dict:
     frame, h_seq, k_op, a, b = _perturbed_trial(seed, trial, epsilon)
-    rep = pertur1_audit(frame, h_seq, k_op, k_op, a, b, tol=tol)
-    m_val = rep.certified_M
+    cert = pertur1_audit(frame, h_seq, k_op, k_op, a, b, tol=tol)
+    w = cert.witness
     return {
         "trial": trial,
-        "status": rep.conclusion.status,
-        "M": m_val,
-        "branch_M_f": rep.branch_M_f,
-        "branch_M_h": rep.branch_M_h,
-        "bessel_of_h": rep.constants_used["bessel_of_h"],
+        "status": cert.status,
+        "M": w["M"],
+        "branch_M_f": w["branch_M_f"],
+        "branch_M_h": w["branch_M_h"],
+        "bessel_of_h": w["bessel_of_h"],
         # the Bessel bound the conclusion certified
-        "bessel_bound": (1.0 + math.sqrt(m_val)) * b.norm(),
-        "conclusion_status": rep.conclusion.status,
+        "bessel_bound": w["upper_const"],
     }
 
 
 def _perturb2_trial(seed: int, trial: int, tol: float, epsilon: float) -> dict:
     frame, h_seq, k_op, a, b = _perturbed_trial(seed, trial, epsilon)
-    rep = pertur2_audit(frame, h_seq, k_op, k_op, 0.2, 0.1, 0.05, a, b, tol=tol)
-    hypothesis = rep.constants_used["hypothesis"]
+    cert = pertur2_audit(frame, h_seq, k_op, k_op, 0.2, 0.1, 0.05, a, b, tol=tol)
+    hypothesis = cert.witness["hypothesis"]
     # a falsified hypothesis leaves nothing to check; an undecided one
     # leaves the row undecided unless the conclusion holds regardless
-    if rep.conclusion.ok or hypothesis == FALSIFIED:
+    if cert.ok or hypothesis == FALSIFIED:
         status = CERTIFIED
     else:
         status = INCONCLUSIVE if hypothesis == INCONCLUSIVE else FALSIFIED
@@ -412,11 +413,10 @@ def _perturb2_trial(seed: int, trial: int, tol: float, epsilon: float) -> dict:
         "hypothesis": hypothesis,
         # null where the hypothesis status carries no such margin
         **{
-            f"hypothesis_{k}": rep.constants_used.get(f"hypothesis_{k}")
+            f"hypothesis_{k}": cert.witness.get(f"hypothesis_{k}")
             for k in HYPOTHESIS_MARGINS
         },
-        "conclusion_status": rep.conclusion.status,
-        "M": rep.certified_M,
+        "conclusion_status": cert.status,
     }
 
 
@@ -440,6 +440,7 @@ def run_suite(
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
     tol = decode_tolerance(tol, "tol")
+    epsilon = decode_number(epsilon, "epsilon")
     t0 = time.perf_counter()
     rows: list[dict] = []
     if suite == "paper-example":

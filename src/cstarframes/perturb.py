@@ -5,8 +5,11 @@ synthesis operator of the difference family {f_j - h_j}: the min-type
 quadratic comparison (a constant M controlling the difference quadratic
 against one of the families), and the three-constant comparison
 ||D* f|| <= alpha ||U_F* f|| + beta ||U_H* f|| + gamma ||K* f||.
-Conclusions (Bessel bound and lower frame bound of the perturbed family,
-with explicit constants) are certified through operator pencils.
+Each audit returns one certificate.  Its conclusion about the perturbed
+family is one `certify_kframe` of {h_j} against L: the upper bound is the
+theorem's explicit constant, recorded as `upper_const`, and the lower
+bound comes from the pencil of (L L*, U_H U_H*).  The audit's constants
+are witness fields of that certificate.
 
 Verdicts draw nothing.  The min-type constants are exact per branch
 (`exact_branch_M`).  The three-constant hypothesis is decided from
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -32,23 +34,11 @@ from .certify import (
 )
 from .douglas import pencil_lower_bound, range_residual
 from .errors import InputError, PreconditionError
-from .frames import BOUND_INSET, FrameSeq, certify_kframe, certify_star_bessel
+from .frames import FrameSeq, certify_kframe
 from .hilbmod import ModuleOperator, ModuleVector, identity_operator
 
 # Relative inset of the L-frame lower bound taken from a pencil value.
 PENCIL_INSET = 1e-12
-
-
-@dataclass
-class PerturbReport:
-    branch_M_f: float
-    branch_M_h: float
-    conclusion: Certificate
-    constants_used: dict = field(default_factory=dict)
-
-    @property
-    def certified_M(self) -> float:
-        return min(self.branch_M_f, self.branch_M_h)
 
 
 def difference_synthesis(f_seq: FrameSeq, h_seq: FrameSeq) -> ModuleOperator:
@@ -76,25 +66,17 @@ def _branch_value(d_op: ModuleOperator, u_op: ModuleOperator, tol: float) -> flo
     return 1.0 / mu
 
 
-def exact_branch_M(f_seq: FrameSeq, h_seq: FrameSeq) -> tuple[float, float]:
+def exact_branch_M(
+    f_seq: FrameSeq, h_seq: FrameSeq, tol: float = DEFAULT_TOL
+) -> tuple[float, float]:
     """Exact single-branch constants of the min-type comparison: the
     smallest M with ||D* f||^2 <= M ||U* f||^2 against each family, with
-    range inclusion at DEFAULT_TOL."""
-    return _branch_constants(difference_synthesis(f_seq, h_seq), f_seq, h_seq, DEFAULT_TOL)
-
-
-def _branch_constants(
-    d_op: ModuleOperator, f_seq: FrameSeq, h_seq: FrameSeq, tol: float
-) -> tuple[float, float]:
-    """`exact_branch_M` given the difference synthesis D."""
+    range inclusion at tol."""
+    d_op = difference_synthesis(f_seq, h_seq)
     return (
         _branch_value(d_op, f_seq.synthesis_op, tol),
         _branch_value(d_op, h_seq.synthesis_op, tol),
     )
-
-
-def _central_sigma_min(a: AlgElement) -> float:
-    return float(np.abs(a.central_scalars()).min())
 
 
 def _require_hypotheses(
@@ -128,7 +110,7 @@ def pertur1_audit(
     b: AlgElement,
     tol: float = DEFAULT_TOL,
     converse: bool = False,
-) -> PerturbReport:
+) -> Certificate:
     """Audit the min-type perturbation statement.
 
     The hypothesis form is the branchwise one: ||D* f||^2 <= M ||U_F* f||^2
@@ -139,63 +121,47 @@ def pertur1_audit(
     (the sup of the pointwise min-ratio); its exact bracket is left open in
     ROADMAP.md (item 1), and no estimate of it is reported.
 
-    Forward mode: with M the smaller exact branch constant, certify that
-    {h_j} is Bessel with bound (1 + sqrt(M)) ||B|| and an L-frame with a
-    scalar lower bound obtained from the pencil of (L L*, U_H U_H*); the
-    classical reference constant ||A||^2 lambda / (1 + sqrt(M))^2 is
-    recorded alongside.
+    Forward mode: one certificate "perturb-min-conclusion", the L-frame
+    certificate of {h_j} (`_lframe_certificate`) with upper bound
+    upper_const = (1 + sqrt(M)) ||B|| and a scalar lower bound from the
+    pencil of (L L*, U_H U_H*).  Its witness holds M, both branch
+    constants, upper_const and the classical reference lower constant
+    ||A||^2 lambda / (1 + sqrt(M))^2; it is falsified, with those
+    constants, when both branch constants are infinite.
 
-    Converse mode (co-isometric K, R(K) <= R(L)): checks that the reported
-    M does not exceed min{(1 + ||D||/||A||)^2, (1 + sqrt(lambda)||B||/||C||)^2}
-    evaluated from certified bounds of both families.
+    Converse mode (co-isometric K, R(K) <= R(L)): one certificate
+    "perturb-min-converse" that M does not exceed min{(1 + ||D||/||A||)^2,
+    (1 + sqrt(lambda)||B||/||C||)^2} evaluated from certified bounds of
+    both families.
     """
-    d_op = difference_synthesis(f_seq, h_seq)
-    m_f, m_h = _branch_constants(d_op, f_seq, h_seq, tol)
+    m_f, m_h = exact_branch_M(f_seq, h_seq, tol)
     m_val = min(m_f, m_h)
-
+    constants: dict = {"M": m_val, "branch_M_f": m_f, "branch_M_h": m_h}
     if converse:
-        return _pertur1_converse(
-            f_seq, h_seq, k_op, l_op, a, b, m_f, m_h, tol
-        )
+        return _pertur1_converse(h_seq, k_op, l_op, a, b, constants, tol)
 
     _require_hypotheses(f_seq, k_op, l_op, a, b, tol)
-    b_norm = b.norm()
-    a_norm = a.norm()
-    sqrt_m = math.sqrt(m_val) if math.isfinite(m_val) else math.inf
-    constants: dict = {
-        "M": m_val,
-        "branch_M_f": m_f,
-        "branch_M_h": m_h,
-        "norm_A": a_norm,
-        "norm_B": b_norm,
-    }
+    a_norm, b_norm = a.norm(), b.norm()
+    constants.update(norm_A=a_norm, norm_B=b_norm)
+    claim = "perturb-min-conclusion"
     if not math.isfinite(m_val):
-        conclusion = Certificate(
-            FALSIFIED,
-            "perturb-min-conclusion",
-            {"reason": "both branch constants are infinite"},
-            {"tol": tol},
-        )
-        return PerturbReport(m_f, m_h, conclusion, constants)
+        witness = {**constants, "reason": "both branch constants are infinite"}
+        return Certificate(FALSIFIED, claim, witness, tol)
 
-    bessel_bound = ((1.0 + sqrt_m) * b_norm) * f_seq.spec.unit()
-    bessel = certify_star_bessel(h_seq, bessel_bound, tol)
-
+    sqrt_m = math.sqrt(m_val)
+    upper_const = (1.0 + sqrt_m) * b_norm
     lam_lk = pencil_lower_bound(l_op, k_op, tol)
     nu = pencil_lower_bound(l_op, h_seq.synthesis_op, tol)
     lam_ref = lam_lk if math.isfinite(lam_lk) else 1.0
-    constants["lambda_LK"] = lam_lk if math.isfinite(lam_lk) else float("inf")
-    constants["pencil_lower_H"] = nu if math.isfinite(nu) else float("inf")
-    constants["reference_lower_floor"] = (
-        a_norm**2 * lam_ref / (1.0 + sqrt_m) ** 2
+    constants.update(
+        upper_const=upper_const,
+        lambda_LK=lam_lk,
+        pencil_lower_H=nu,
+        reference_lower_floor=a_norm**2 * lam_ref / (1.0 + sqrt_m) ** 2,
+        bessel_of_h=math.sqrt(h_seq.frame_op.norm()),
     )
-    constants["bessel_of_h"] = math.sqrt(h_seq.frame_op.norm())
-
-    frame_cert = _lframe_certificate(
-        h_seq, l_op, nu, (1.0 + sqrt_m) * b_norm, tol, "perturb-lframe"
-    )
-    conclusion = combine("perturb-min-conclusion", [bessel, frame_cert])
-    return PerturbReport(m_f, m_h, conclusion, constants)
+    frame_cert = _lframe_certificate(h_seq, l_op, nu, upper_const, tol, "perturb-lframe")
+    return combine(claim, [frame_cert], extra=constants)
 
 
 def _lframe_certificate(
@@ -206,24 +172,22 @@ def _lframe_certificate(
     with lower bound sqrt(nu (1 - PENCIL_INSET)) (1 when nu is infinite,
     L = 0) and upper bound `upper`."""
     if nu == 0.0:
-        return Certificate(FALSIFIED, claim, {"pencil_lower_H": 0.0}, {"tol": tol})
+        return Certificate(FALSIFIED, claim, {"pencil_lower_H": 0.0}, tol)
     low = math.sqrt(max(nu * (1.0 - PENCIL_INSET), 0.0)) if math.isfinite(nu) else 1.0
     unit = h_seq.spec.unit()
     return certify_kframe(h_seq, l_op, low * unit, upper * unit, tol)
 
 
 def _pertur1_converse(
-    f_seq: FrameSeq,
     h_seq: FrameSeq,
     k_op: ModuleOperator,
     l_op: ModuleOperator,
     a: AlgElement,
     b: AlgElement,
-    m_f: float,
-    m_h: float,
+    constants: dict,
     tol: float,
-) -> PerturbReport:
-    ident = identity_operator(f_seq.spec, f_seq.rank)
+) -> Certificate:
+    ident = identity_operator(h_seq.spec, h_seq.rank)
     if (k_op.compose(k_op.adjoint()) - ident).norm() > DEFAULT_TOL:
         raise PreconditionError("converse mode needs a co-isometric K")
     resid = range_residual(k_op, l_op)
@@ -243,15 +207,8 @@ def _pertur1_converse(
         (1.0 + d_norm / a.norm()) ** 2,
         (1.0 + math.sqrt(lam_val) * b.norm() / c_norm) ** 2,
     )
-    m_val = min(m_f, m_h)
-    conclusion = Certificate(
-        verdict(m_val - m_reference, tol, max(1.0, m_reference)),
-        "perturb-min-converse",
-        {"reported_M": m_val, "reference_M": m_reference},
-        {"tol": tol},
-    )
-    constants = {
-        "M": m_val,
+    witness = {
+        **constants,
         "reference_M": m_reference,
         "norm_A": a.norm(),
         "norm_B": b.norm(),
@@ -259,7 +216,8 @@ def _pertur1_converse(
         "norm_D": d_norm,
         "lambda": lam_val,
     }
-    return PerturbReport(m_f, m_h, conclusion, constants)
+    status = verdict(constants["M"] - m_reference, tol, max(1.0, m_reference))
+    return Certificate(status, "perturb-min-converse", witness, tol)
 
 
 # Witness fields of a certified or undecided three-constant hypothesis
@@ -324,17 +282,17 @@ def _abg_hypothesis(
             if verdict(lhs - rhs, tol, max(1.0, rhs)) != CERTIFIED:
                 witness = {"lhs": lhs, "rhs": rhs, "min_eig": cert.witness["min_eig"],
                            "weights": [float(w) for w in weights]}
-                return Certificate(FALSIFIED, claim, witness, {"tol": tol}, witness_vector=f)
+                return Certificate(FALSIFIED, claim, witness, tol, witness_vector=f)
             best = max(best, lhs - rhs)
         if not cert.ok:
             pending.extend(_split(tri))
     if pending:
         witness = {**gaps[0].witness, "lhs_minus_rhs_max": best, "triangles": len(gaps)}
-        return Certificate(INCONCLUSIVE, claim, witness, {"tol": tol})
+        return Certificate(INCONCLUSIVE, claim, witness, tol)
     if len(gaps) == 1:
         return gaps[0]
     leaf = min((g for g in gaps if g.ok), key=lambda g: g.witness["min_eig"] / g.witness["scale"])
-    return Certificate(CERTIFIED, claim, {**leaf.witness, "triangles": len(gaps)}, {"tol": tol})
+    return Certificate(CERTIFIED, claim, {**leaf.witness, "triangles": len(gaps)}, tol)
 
 
 def pertur2_audit(
@@ -348,21 +306,23 @@ def pertur2_audit(
     a: AlgElement,
     b: AlgElement,
     tol: float = DEFAULT_TOL,
-) -> PerturbReport:
+) -> Certificate:
     """Audit the three-constant perturbation statement.
 
     The hypothesis ||D* f|| <= alpha ||U_F* f|| + beta ||U_H* f|| +
-    gamma ||K* f|| is decided by `_abg_hypothesis`, and its status is
-    recorded as constants_used["hypothesis"].  When it is falsified, the
-    conclusion is that certificate, with its witness.  Otherwise its
-    margins are recorded too, as "hypothesis_<field>" for each field of
-    HYPOTHESIS_MARGINS that its witness holds.  The
-    conclusion is certified: the Bessel norm of {h_j} against the explicit
-    constant ||B|| (1 + (alpha + beta + gamma/||A||)/(1 - beta)), the
-    L-frame property through pencils, and the lower constant g_sound, with
-    sigma_min(A) replacing ||A|| where soundness requires it, decided
-    exactly as g_sound^2 <= `pencil_lower_bound(K, U_H)`; its
-    `worst_margin` is the pencil value minus g_sound^2.
+    gamma ||K* f|| is decided by `_abg_hypothesis`.  When it is falsified,
+    that certificate is returned, with its witness vector, and alpha,
+    beta, gamma and hypothesis added to its witness.  Otherwise one
+    certificate "perturb-abg-conclusion" combines two parts: the L-frame
+    certificate of {h_j} (`_lframe_certificate`) with upper bound the
+    explicit constant upper_const = ||B|| (1 + (alpha + beta +
+    gamma/||A||)/(1 - beta)) and a lower bound from the pencil of
+    (L L*, U_H U_H*); and the lower constant g_sound, with sigma_min(A)
+    replacing ||A|| where soundness requires it, decided exactly as
+    g_sound^2 <= `pencil_lower_bound(K, U_H)`, whose `worst_margin` is the
+    pencil value minus g_sound^2.  Its witness holds the constants, the
+    hypothesis status and, as "hypothesis_<field>", each field of
+    HYPOTHESIS_MARGINS that the hypothesis witness holds.
     """
     if min(alpha, beta, gamma) < 0:
         raise InputError("alpha, beta, gamma must be nonnegative")
@@ -372,29 +332,20 @@ def pertur2_audit(
     d_op = difference_synthesis(f_seq, h_seq)
     _require_hypotheses(f_seq, k_op, l_op, a, b, tol)
 
-    m_f, m_h = _branch_constants(d_op, f_seq, h_seq, tol)
     hypothesis = _abg_hypothesis(
         d_op, [(alpha, f_seq.synthesis_op), (beta, h_seq.synthesis_op), (gamma, k_op)], tol
     )
     if hypothesis.status == FALSIFIED:
-        constants = {"alpha": alpha, "beta": beta, "gamma": gamma, "hypothesis": FALSIFIED}
-        return PerturbReport(m_f, m_h, hypothesis, constants)
+        hypothesis.witness.update(alpha=alpha, beta=beta, gamma=gamma, hypothesis=FALSIFIED)
+        return hypothesis
 
     b_norm = b.norm()
-    sigma_min = _central_sigma_min(a)
+    sigma_min = float(np.abs(a.central_scalars()).min())
     ratio = (alpha + beta + gamma / a_norm) / (1.0 - beta)
     upper_const = b_norm * (1.0 + ratio)
-    bessel_h = math.sqrt(h_seq.frame_op.norm())
-    upper_cert = Certificate(
-        verdict(bessel_h - upper_const, tol, max(1.0, upper_const)),
-        "perturb-abg-upper",
-        {"bessel_of_h": bessel_h, "upper_const": upper_const},
-        {"tol": tol},
-    )
-
     frame_cert = _lframe_certificate(
         h_seq, l_op, pencil_lower_bound(l_op, h_seq.synthesis_op, tol),
-        bessel_h * (1.0 + BOUND_INSET) + tol, tol, "perturb-abg-lframe",
+        upper_const, tol, "perturb-abg-lframe",
     )
 
     g_reference = a_norm * (1.0 - (alpha + beta + gamma / a_norm) / (1.0 + beta))
@@ -418,10 +369,7 @@ def pertur2_audit(
             "worst_margin": worst_margin,
             "pencil_lower_K": pencil_k,
         },
-        {"tol": tol},
-    )
-    conclusion = combine(
-        "perturb-abg-conclusion", [upper_cert, frame_cert, lower_cert]
+        tol,
     )
     constants = {
         "alpha": alpha,
@@ -440,4 +388,4 @@ def pertur2_audit(
             if k in hypothesis.witness
         },
     }
-    return PerturbReport(m_f, m_h, conclusion, constants)
+    return combine("perturb-abg-conclusion", [frame_cert, lower_cert], extra=constants)

@@ -152,7 +152,12 @@ def _decode_family(spec: AlgebraSpec, rank: int, data, path: str) -> FrameSeq:
     names the field rather than the first later step that meets the inf."""
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: required non-empty list")
-    u = _decode_grid(spec, data, rank, path, f"expected {rank} entries")
+    return _finite_family(_decode_grid(spec, data, rank, path, f"expected {rank} entries"), path)
+
+
+def _finite_family(u: ModuleOperator, path: str) -> FrameSeq:
+    """The family with synthesis operator u, rejected with an InputError
+    naming path when its frame operator U U* overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         family = _family(u)
     if not all(np.isfinite(m).all() for m in family.frame_op.block_matrices()):
@@ -176,7 +181,7 @@ class Instance:
     operators: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
     perturbation: Optional[dict] = None
-    tolerances: dict = field(default_factory=dict)
+    tol: Optional[float] = None
     seed: Optional[int] = None
     right: Optional["Instance"] = None
 
@@ -203,8 +208,8 @@ def instance_to_dict(inst: Instance) -> dict:
             for k in ("alpha", "beta", "gamma")
             if k in inst.perturbation
         }
-    if inst.tolerances:
-        out["tolerances"] = {k: float(v) for k, v in sorted(inst.tolerances.items())}
+    if inst.tol is not None:
+        out["tolerances"] = {"tol": float(inst.tol)}
     if inst.seed is not None:
         out["seed"] = int(inst.seed)
     if inst.right is not None:
@@ -257,7 +262,7 @@ def parse_instance(data: dict, path: str = "instance") -> Instance:
         for k, v in tols.items():
             if k != "tol":
                 raise InputError(f"{path}.tolerances.{k}: unknown tolerance key")
-            inst.tolerances[k] = decode_tolerance(v, f"{path}.tolerances.{k}")
+            inst.tol = decode_tolerance(v, f"{path}.tolerances.{k}")
     if "seed" in data:
         inst.seed = _integer(data["seed"], f"{path}.seed", 0, "must be a nonnegative integer")
     if "right" in data:
@@ -317,7 +322,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "claim": cert.claim,
         "status": cert.status,
         "witness": sanitize(cert.witness),
-        "tolerances": sanitize(cert.tolerances),
+        "tolerances": {"tol": sanitize(cert.tol)},
         "witness_vector": (
             encode_vector(cert.witness_vector) if cert.witness_vector is not None else None
         ),

@@ -111,7 +111,7 @@ def tensor_frame_audit(
     s_expected = w.operator(left.frame_op, right.frame_op)
     rel = (prod.frame_op - s_expected).norm() / max(1.0, s_expected.norm())
     op_cert = Certificate(
-        verdict(rel, tol, 1.0), "tensor-frame-operator", {"relative_residual": rel}, {"tol": tol}
+        verdict(rel, tol, 1.0), "tensor-frame-operator", {"relative_residual": rel}, tol
     )
     kl = w.operator(k_op, l_op)
     ac = w.element(a, c)

@@ -459,7 +459,7 @@ def reference_equivalence_audit(t, s, tol=1e-9):
     else:
         status = FALSIFIED
     return Certificate(
-        status, "douglas-equivalence", witness, {"tol": tol},
+        status, "douglas-equivalence", witness, tol,
         witness_vector=witness_vector if status == FALSIFIED else None,
     )
 

@@ -280,15 +280,15 @@ def test_criterion_7_perturbation_soundness():
             [m + random_vector(inst.spec, inst.rank, rng).scalar_mul(eps)
              for m in frame.members]
         )
-        rep1 = pertur1_audit(frame, h_seq, k_op, k_op, a, b, tol=1e-9)
-        if rep1.conclusion.ok:
+        cert1 = pertur1_audit(frame, h_seq, k_op, k_op, a, b, tol=1e-9)
+        if cert1.ok:
             p1_passed += 1
-        m_val = rep1.certified_M
-        if rep1.constants_used["bessel_of_h"] <= (1 + math.sqrt(m_val)) * b.norm() + 1e-9:
+        m_val = cert1.witness["M"]
+        if cert1.witness["bessel_of_h"] <= (1 + math.sqrt(m_val)) * b.norm() + 1e-9:
             bessel_passed += 1
-        rep2 = pertur2_audit(frame, h_seq, k_op, k_op, 0.2, 0.1, 0.05, a, b, tol=1e-9)
-        hypothesis_passed = rep2.constants_used["hypothesis"] == "certified"
-        if (not hypothesis_passed) or rep2.conclusion.ok:
+        cert2 = pertur2_audit(frame, h_seq, k_op, k_op, 0.2, 0.1, 0.05, a, b, tol=1e-9)
+        hypothesis_passed = cert2.witness["hypothesis"] == "certified"
+        if (not hypothesis_passed) or cert2.ok:
             p2_passed += 1
     dt = time.perf_counter() - t0
     ok = p1_passed == total and bessel_passed == total and p2_passed == total and dt < 120.0

@@ -176,12 +176,12 @@ def test_console_script_runs():
 @pytest.mark.parametrize(("tol", "code"), [(1e-6, 0), (0.0, 1)])
 def test_instance_tolerances_and_seed_apply_when_flags_absent(tmp_path, capsys, tol, code):
     inst = random_instance(4, "generic")
-    inst.tolerances = {"tol": 0.0}
+    inst.tol = 0.0
     # the stored bounds keep a margin, so tol 0 certifies them
     assert main(["check-kframe", "--input", write_instance(tmp_path, inst, "stored.json")]) == 0
     lam, _ = optimal_scalar_bounds(inst.members, inst.operators["K"])
     inst.bounds["A"] = math.sqrt(lam * (1.0 + 1e-11)) * inst.spec.unit()
-    inst.tolerances = {"tol": tol}
+    inst.tol = tol
     inst.seed = 77
     path = write_instance(tmp_path, inst)
     out = tmp_path / "rep.json"
@@ -373,12 +373,13 @@ def test_perturb2_report_carries_lower_constant(tmp_path, capsys):
                  "--report", str(out)]) == 0
     report = json.loads(out.read_text())
     values = report["values"]
-    assert values["const.hypothesis"] == "certified"
-    assert values["const.hypothesis_min_eig"] >= 0 and values["const.hypothesis_scale"] >= 1.0
-    assert "const.hypothesis_lhs_minus_rhs_max" not in values
+    assert values["hypothesis"] == "certified"
+    assert values["hypothesis_min_eig"] >= 0 and values["hypothesis_scale"] >= 1.0
+    assert "hypothesis_lhs_minus_rhs_max" not in values
+    assert values["upper_const"] > values["norm_B"]
     witness = report["certificates"][0]["witness"]
-    upper, frame, lower = witness["parts"]
-    assert set(upper) == {"bessel_of_h", "upper_const"}
+    assert witness == values
+    frame, lower = witness["parts"]
     assert len(frame["parts"]) == 2
     assert lower["worst_margin"] > 0 and lower["pencil_lower_K"] > 0
     assert lower["worst_margin"] == pytest.approx(lower["pencil_lower_K"] - lower["g_sound"] ** 2)
@@ -496,5 +497,5 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                 digest.update(f"{profile} {command} {seed} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "a6719bc9b39435775ba4d7ee4451a99d0fc23e7f3008aca1a025ecba7d9eabc4"
+        "2147224c814b5fc12d70052daffe152833366d3da7972b8484ab98749cdd0baa"
     )

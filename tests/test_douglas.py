@@ -340,8 +340,8 @@ def same_bits(a, b):
 def same_certificate(a, b):
     vec_a, vec_b = a.witness_vector, b.witness_vector
     return (
-        (a.status, a.claim, repr(a.witness), a.tolerances)
-        == (b.status, b.claim, repr(b.witness), b.tolerances)
+        (a.status, a.claim, repr(a.witness), a.tol)
+        == (b.status, b.claim, repr(b.witness), b.tol)
         and (vec_a is None) == (vec_b is None)
         and (vec_a is None or all(x.tobytes() == y.tobytes()
                                   for x, y in zip(vec_a.stacks, vec_b.stacks)))
@@ -427,8 +427,8 @@ def test_factored_douglas_toolkit_matches_per_function_reference(spec):
             )
         cert = equivalence_audit(t, s, 1e-9)
         ref = oracles.reference_equivalence_audit(t, s, 1e-9)
-        assert (cert.status, cert.claim, cert.tolerances) == (
-            ref.status, ref.claim, ref.tolerances
+        assert (cert.status, cert.claim, cert.tol) == (
+            ref.status, ref.claim, ref.tol
         ), name
         vec, ref_vec = cert.witness_vector, ref.witness_vector
         assert (vec is None) == (ref_vec is None), name

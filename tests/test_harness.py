@@ -5,6 +5,7 @@ import math
 import pytest
 
 from cstarframes import (
+    SUITES,
     InputError,
     instance_digest,
     load_instance,
@@ -49,6 +50,31 @@ def test_instance_bytes_are_pinned():
     assert hashlib.sha256("".join(digests).encode()).hexdigest() == (
         "912f23832c625683a450f86fd0ea43d790a0619afce441cae9328c8e1d03a605"
     )
+
+
+# sha256 over the payloads of run_suite(suite, trials=3, seed=k), k = 0, 1
+SUITE_PAYLOADS = {
+    "douglas-equivalence": "dc13df4de65e9fb5f99bb297892fba58fff64096b9e41555e010f162fd5128f1",
+    "kframe-main": "3f69de9a56ac0549462c8a6ecaf0614ff5b4a4627e1717449604418854a326e7",
+    "paper-example": "94d94a18f9b255b4f506ab21634c0c72917ae60991bd032be5fb702ce522ee96",
+    "conjugation": "0de79c73b502663ef8409ec262cf65352e663502bf633daa8801909542f9ba15",
+    "tensor": "2c21df17c5954937980787bafb6b21fb575e5c1c2313b8099c8675f796bf6b2b",
+    "co-isometry": "d62cd2d87d695c4857100a99103c9504050b7335db642d1835a1bfae01729b82",
+    "perturb1": "a1872a32b1d2580dfb4b800390baa9dbc4c308c519ef5a0d97fc307ce7bcc2a2",
+    "perturb2": "e1dbd66b51eceb68ff02db2ac3570b2b21f235a8a5d9b9fe1783b2edc8d51e3b",
+}
+
+
+def test_suite_payload_bytes_are_pinned():
+    # every suite's payload bytes, one hash per suite so a change names the
+    # suites it moved; a pure speed-up moves no byte
+    got = {}
+    for suite in SUITES:
+        digest = hashlib.sha256()
+        for seed in (0, 1):
+            digest.update(report_payload_bytes(run_suite(suite, trials=3, seed=seed)))
+        got[suite] = digest.hexdigest()
+    assert got == SUITE_PAYLOADS
 
 
 def test_profile_determinism():
@@ -183,11 +209,12 @@ def test_paper_example_suite():
 def test_perturb_suites_audit_at_the_suite_tolerance(monkeypatch, suite):
     name = {"perturb1": "pertur1_audit", "perturb2": "pertur2_audit"}[suite]
     real = getattr(harness, name)
-    seen = []
+    seen, certs = [], []
 
     def spy(*args, **kwargs):
         seen.append(kwargs["tol"])
-        return real(*args, **kwargs)
+        certs.append(real(*args, **kwargs))
+        return certs[-1]
 
     monkeypatch.setattr(harness, name, spy)
     rep = run_suite(suite, trials=2, seed=5, tol=1e-6, samples=10)
@@ -195,11 +222,12 @@ def test_perturb_suites_audit_at_the_suite_tolerance(monkeypatch, suite):
     assert rep["config"]["tol"] == 1e-6
     if suite == "perturb1":
         # the row records the Bessel bound (1 + sqrt(M)) ||B|| of {h_j} that
-        # the conclusion certified at the suite's tol, and takes its status
-        for row in rep["trials"]:
+        # the conclusion certified at the suite's tol, its upper_const
+        for row, cert in zip(rep["trials"], certs):
             b = random_instance(harness._trial_seed(5, row["trial"]), "generic").bounds["B"]
             assert row["bessel_bound"] == (1.0 + math.sqrt(row["M"])) * b.norm()
-            assert row["status"] == row["conclusion_status"]
+            assert row["bessel_bound"] == cert.witness["upper_const"]
+            assert row["status"] == cert.status
 
 
 @pytest.mark.parametrize("suite", ["conjugation", "co-isometry", "tensor"])
@@ -234,11 +262,27 @@ def test_run_suite_rejects_a_negative_seed():
         run_suite("kframe-main", trials=1, seed=-1)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
-@pytest.mark.parametrize("suite", ["conjugation", "douglas-equivalence"])
-def test_run_suite_rejects_invalid_tolerance(suite, tol):
-    with pytest.raises(InputError, match="tol: "):
-        run_suite(suite, trials=1, tol=tol)
+INVALID_VALUES = {"nan": math.nan, "inf": math.inf, "negative": -1.0, "overflow": 1e300}
+INVALID_INPUTS = [
+    (suite, "tol", value) for suite in ("conjugation", "douglas-equivalence")
+    for value in ("nan", "inf", "negative")
+] + [(suite, "epsilon", value) for suite in ("perturb1", "perturb2")
+     for value in ("nan", "inf", "overflow")]
+
+
+@pytest.mark.parametrize(
+    ("suite", "field", "value"), INVALID_INPUTS,
+    ids=[f"{s}-{v}" if f == "tol" else f"{s}-{f}-{v}" for s, f, v in INVALID_INPUTS],
+)
+def test_run_suite_rejects_invalid_tolerance(suite, field, value):
+    # a non-finite epsilon is rejected like a bad tol; a finite one whose
+    # perturbed family's frame operator overflows makes the trial an error row
+    if value == "overflow":
+        (row,) = run_suite(suite, trials=1, epsilon=INVALID_VALUES[value])["trials"]
+        assert row["status"] == "error" and "frame operator U U* overflows" in row["error"]
+        return
+    with pytest.raises(InputError, match=f"{field}: "):
+        run_suite(suite, trials=1, **{field: INVALID_VALUES[value]})
 
 
 def test_run_suite_runs_at_zero_tolerance():

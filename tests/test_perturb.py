@@ -20,7 +20,7 @@ from cstarframes import (
     run_suite,
     transform_frame,
 )
-from cstarframes import harness, perturb
+from cstarframes import frames, harness, perturb
 from cstarframes.harness import random_instance
 from cstarframes.perturb import difference_synthesis
 from cstarframes.sampling import random_operator, random_unitary, random_vector, stream
@@ -140,9 +140,9 @@ def test_pertur1_trivial_equal_families():
     fr = random_frame(2, 5, rng)
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
     a, b = margin_bounds(fr, k)
-    rep = pertur1_audit(fr, fr, k, k, a, b)
-    assert rep.certified_M == 0.0
-    assert rep.conclusion.status == "certified"
+    cert = pertur1_audit(fr, fr, k, k, a, b)
+    assert cert.witness["M"] == 0.0
+    assert cert.status == "certified"
 
 
 def test_pertur1_planted_small_perturbation():
@@ -151,11 +151,11 @@ def test_pertur1_planted_small_perturbation():
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
     a, b = margin_bounds(fr, k)
     hs = perturbed(fr, rng, 1e-3)
-    rep = pertur1_audit(fr, hs, k, k, a, b)
-    assert rep.conclusion.status == "certified"
-    assert rep.certified_M < 1e-2
-    assert math.sqrt(rep.constants_used["bessel_of_h"] ** 2) <= (
-        1 + math.sqrt(rep.certified_M)
+    cert = pertur1_audit(fr, hs, k, k, a, b)
+    assert cert.status == "certified"
+    assert cert.witness["M"] < 1e-2
+    assert math.sqrt(cert.witness["bessel_of_h"] ** 2) <= (
+        1 + math.sqrt(cert.witness["M"])
     ) * b.norm() + 1e-9
 
 
@@ -167,9 +167,9 @@ def test_pertur1_sampled_ratio_below_branches():
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 4, rng))
     a, b = margin_bounds(fr, k)
     hs = perturbed(fr, rng, 0.4)
-    rep = pertur1_audit(fr, hs, k, k, a, b)
+    cert = pertur1_audit(fr, hs, k, k, a, b)
     sampled = sequential_min_ratio(fr, hs, 200, 3)
-    assert 0.0 < sampled <= min(rep.branch_M_f, rep.branch_M_h) + 1e-9
+    assert 0.0 < sampled <= min(cert.witness["branch_M_f"], cert.witness["branch_M_h"]) + 1e-9
 
 
 def test_pertur1_conclusion_soundness():
@@ -181,12 +181,12 @@ def test_pertur1_conclusion_soundness():
         k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
         a, b = margin_bounds(fr, k)
         hs = perturbed(fr, rng, 1e-3)
-        rep = pertur1_audit(fr, hs, k, k, a, b)
-        if rep.conclusion.status != "certified":
+        cert = pertur1_audit(fr, hs, k, k, a, b)
+        if cert.status != "certified":
             continue
-        nu = rep.constants_used["pencil_lower_H"]
+        nu = cert.witness["pencil_lower_H"]
         low = math.sqrt(nu * (1 - 1e-9)) * SPEC.unit()
-        up = (1 + math.sqrt(rep.certified_M)) * b.norm() * SPEC.unit()
+        up = (1 + math.sqrt(cert.witness["M"])) * b.norm() * SPEC.unit()
         direct = certify_kframe(hs, k, low, up, 1e-9)
         assert direct.status == "certified"
 
@@ -220,9 +220,9 @@ def test_pertur1_converse_constant():
     ident = identity_operator(SPEC, 2)
     a, b = margin_bounds(fr, ident)
     hs = perturbed(fr, rng, 0.2)
-    rep = pertur1_audit(fr, hs, ident, ident, a, b, converse=True)
-    assert rep.conclusion.status == "certified"
-    assert rep.certified_M <= rep.constants_used["reference_M"] + 1e-9
+    cert = pertur1_audit(fr, hs, ident, ident, a, b, converse=True)
+    assert cert.status == "certified"
+    assert cert.witness["M"] <= cert.witness["reference_M"] + 1e-9
 
 
 # -- three-constant audit -------------------------------------------------------------------
@@ -233,9 +233,9 @@ def test_pertur2_exact_zero_constants():
     fr = random_frame(2, 5, rng)
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
     a, b = margin_bounds(fr, k)
-    rep = pertur2_audit(fr, fr, k, k, 0.0, 0.0, 0.0, a, b)
-    assert rep.constants_used["hypothesis"] == "certified"
-    assert rep.conclusion.status == "certified"
+    cert = pertur2_audit(fr, fr, k, k, 0.0, 0.0, 0.0, a, b)
+    assert cert.witness["hypothesis"] == "certified"
+    assert cert.status == "certified"
 
 
 def test_pertur2_closed_form_scaling():
@@ -247,9 +247,9 @@ def test_pertur2_closed_form_scaling():
     a, b = margin_bounds(fr, k)
     delta = 0.1
     hs = FrameSeq([m.scalar_mul(1 - delta) for m in fr.members])
-    rep = pertur2_audit(fr, hs, k, k, delta, 0.0, 0.0, a, b)
-    assert rep.constants_used["hypothesis"] == "certified"
-    assert rep.conclusion.status == "certified"
+    cert = pertur2_audit(fr, hs, k, k, delta, 0.0, 0.0, a, b)
+    assert cert.witness["hypothesis"] == "certified"
+    assert cert.status == "certified"
 
 
 def test_pertur2_planted_ensemble():
@@ -259,9 +259,9 @@ def test_pertur2_planted_ensemble():
         k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
         a, b = margin_bounds(fr, k)
         hs = perturbed(fr, rng, 1e-3)
-        rep = pertur2_audit(fr, hs, k, k, 0.2, 0.1, 0.05, a, b)
-        assert rep.constants_used["hypothesis"] == "certified"
-        assert rep.conclusion.status == "certified"
+        cert = pertur2_audit(fr, hs, k, k, 0.2, 0.1, 0.05, a, b)
+        assert cert.witness["hypothesis"] == "certified"
+        assert cert.status == "certified"
 
 
 def sequential_lower_violation(hs, k, g, tol, samples, seed):
@@ -286,9 +286,9 @@ def test_pertur2_lower_constant_is_the_pencil_bound():
         k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
         a, b = margin_bounds(fr, k)
         hs = perturbed(fr, rng, 1e-3)
-        rep = pertur2_audit(fr, hs, k, k, 0.2, 0.1, 0.05, a, b)
-        assert rep.conclusion.witness["part2:perturb-abg-lower"] == "certified"
-        g_sound = rep.constants_used["g_sound"]
+        cert = pertur2_audit(fr, hs, k, k, 0.2, 0.1, 0.05, a, b)
+        assert cert.witness["part1:perturb-abg-lower"] == "certified"
+        g_sound = cert.witness["g_sound"]
         pencil = pencil_lower_bound(k, hs.synthesis_op)
         assert 0.0 < g_sound**2 <= pencil
         assert sequential_lower_violation(hs, k, g_sound, 1e-9, 200, trial) is None
@@ -321,10 +321,10 @@ def test_pertur2_falsifies_violated_hypothesis():
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 5, rng))
     a, b = margin_bounds(fr, k)
     hs = perturbed(fr, rng, 0.5)
-    rep = pertur2_audit(fr, hs, k, k, 0.0, 0.0, 0.0, a, b)
-    assert rep.constants_used["hypothesis"] == "falsified"
-    assert rep.conclusion.claim == "perturb-abg-hypothesis"
-    assert_witness_rechecks(rep.conclusion, fr, hs, k, (0.0, 0.0, 0.0))
+    cert = pertur2_audit(fr, hs, k, k, 0.0, 0.0, 0.0, a, b)
+    assert cert.witness["hypothesis"] == "falsified"
+    assert cert.claim == "perturb-abg-hypothesis"
+    assert_witness_rechecks(cert, fr, hs, k, (0.0, 0.0, 0.0))
 
 
 # -- shared invariants --------------------------------------------------------------------------
@@ -420,15 +420,15 @@ def test_exact_hypothesis_agrees_with_sequential_loop(case):
     # hypothesis whose own witness re-checks
     fr, hs, k, constants, samples, seed = _abg_setup(case)
     a, b = margin_bounds(fr, k)
-    rep = pertur2_audit(fr, hs, k, k, *constants, a, b)
+    cert = pertur2_audit(fr, hs, k, k, *constants, a, b)
     found = sequential_abg_violation(fr, hs, k, *constants, 1e-9, samples, seed)
     if case == "scaled":
         assert found is None
-        assert rep.constants_used["hypothesis"] == "certified"
+        assert cert.witness["hypothesis"] == "certified"
         return
     assert found is not None and (found[0] > 0) == (case == "mixed")
-    assert rep.constants_used["hypothesis"] == "falsified"
-    assert_witness_rechecks(rep.conclusion, fr, hs, k, constants)
+    assert cert.witness["hypothesis"] == "falsified"
+    assert_witness_rechecks(cert, fr, hs, k, constants)
 
 
 def _suite_trial(trial, epsilon, seed=0):
@@ -440,15 +440,39 @@ def _suite_trial(trial, epsilon, seed=0):
     return frame, h_seq, inst.operators["K"], inst.bounds["A"], inst.bounds["B"]
 
 
+def test_each_conclusion_is_decided_once(monkeypatch):
+    # pertur1_audit certifies the base K-frame and the L-frame of {h_j},
+    # two gaps each, with no Bessel check beside the L-frame's upper half;
+    # pertur2_audit takes the pencils of (L L*, U_H U_H*) and (K K*, U_H U_H*)
+    # and no min-type branch
+    fr, hs, k, a, b = _suite_trial(0, 1e-3)
+    calls = []
+    for module in (douglas, frames, perturb):
+        for name in ("psd_certificate", "pencil_lower_bound"):
+            real = getattr(module, name, None)
+            if real is not None:
+
+                def counting(*args, _real=real, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+    assert pertur1_audit(fr, hs, k, k, a, b).ok
+    assert calls.count("psd_certificate") == 4
+    calls.clear()
+    assert pertur2_audit(fr, hs, k, k, *ABG, a, b).ok
+    assert calls.count("pencil_lower_bound") == 2
+
+
 @pytest.mark.parametrize("trial", [10, 20])
 def test_pertur2_wrong_sampled_pass_is_falsified(trial):
     # epsilon = 0.3, seed 0: 1000 samples found no violation of the
     # hypothesis here, yet a rank-one vector read off the weighted pencil
     # violates it
     fr, hs, k, a, b = _suite_trial(trial, 0.3)
-    rep = pertur2_audit(fr, hs, k, k, *ABG, a, b)
-    assert rep.constants_used["hypothesis"] == "falsified"
-    assert_witness_rechecks(rep.conclusion, fr, hs, k, ABG)
+    cert = pertur2_audit(fr, hs, k, k, *ABG, a, b)
+    assert cert.witness["hypothesis"] == "falsified"
+    assert_witness_rechecks(cert, fr, hs, k, ABG)
 
 
 def _hypothesis_inputs(trial, epsilon, seed=0):
@@ -518,8 +542,8 @@ def test_hypothesis_budget_leaves_a_split_row_inconclusive(monkeypatch):
     # undecided, below the falsifying bound on both margins
     monkeypatch.setattr(perturb, "_TRIANGLES", 1)
     fr, hs, k, a, b = _suite_trial(11, 0.05)
-    rep = pertur2_audit(fr, hs, k, k, *ABG, a, b)
-    c = rep.constants_used
+    cert = pertur2_audit(fr, hs, k, k, *ABG, a, b)
+    c = cert.witness
     assert c["hypothesis"] == "inconclusive" and c["hypothesis_triangles"] == 1
     assert c["hypothesis_min_eig"] < 0 and c["hypothesis_scale"] >= 1.0
     assert c["hypothesis_lhs_minus_rhs_max"] < 0
@@ -534,9 +558,9 @@ def test_perturb2_suite_at_larger_epsilon(epsilon):
             assert row["hypothesis"] == "inconclusive"
         if row["hypothesis"] == "falsified":
             fr, hs, k, a, b = _suite_trial(row["trial"], epsilon)
-            rep = pertur2_audit(fr, hs, k, k, *ABG, a, b)
+            cert = pertur2_audit(fr, hs, k, k, *ABG, a, b)
             assert row["conclusion_status"] == "falsified"
-            assert_witness_rechecks(rep.conclusion, fr, hs, k, ABG)
+            assert_witness_rechecks(cert, fr, hs, k, ABG)
 
 
 def test_perturb2_rows_carry_hypothesis_margins():
@@ -556,8 +580,8 @@ def test_perturb2_rows_carry_hypothesis_margins():
             if triangles is not None:
                 split += 1
                 fr, hs, k, a, b = _suite_trial(row["trial"], 0.05)
-                rep = pertur2_audit(fr, hs, k, k, *ABG, a, b)
-                assert [rep.constants_used.get(k) for k in margins] == [
+                cert = pertur2_audit(fr, hs, k, k, *ABG, a, b)
+                assert [cert.witness.get(k) for k in margins] == [
                     min_eig, scale, None, triangles]
                 assert triangles > 1
         else:

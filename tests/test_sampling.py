@@ -149,10 +149,10 @@ def test_exact_checks_draw_nothing(tmp_path, monkeypatch):
     cert = equivalence_audit(k, l, 1e-9, seed=5)
     assert cert.status == "certified" and unsampled(cert)
     atomic_coefficients(frame, k, 1e-9, seed=5)
-    assert unsampled(pertur1_audit(frame, h_seq, k, l, a, b).conclusion)
-    rep = pertur2_audit(frame, h_seq, k, l, 0.2, 0.1, 0.05, a, b)
-    assert rep.constants_used["hypothesis"] == "falsified"
-    assert unsampled(rep.conclusion)
+    assert unsampled(pertur1_audit(frame, h_seq, k, l, a, b))
+    cert = pertur2_audit(frame, h_seq, k, l, 0.2, 0.1, 0.05, a, b)
+    assert cert.witness["hypothesis"] == "falsified"
+    assert unsampled(cert)
 
     for argv in (["douglas", "--input", paths["generic"]],
                  ["atomic-system", "--input", paths["generic"]],
