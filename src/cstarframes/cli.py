@@ -38,10 +38,10 @@ from .hilbmod import ModuleOperator, identity_operator
 from .perturb import pertur1_audit, pertur2_audit
 from .serialize import (
     Instance,
+    _load_with_digest,
     certificate_to_dict,
     decode_tolerance,
     instance_digest,
-    load_instance,
     write_report,
 )
 
@@ -60,6 +60,10 @@ COMMANDS = (
 )
 
 EXIT_CODES = {CERTIFIED: 0, FALSIFIED: 1, INCONCLUSIVE: 2}
+
+# the values a status line shows where the first four are not the
+# decision: perturb2's first four are the audit's inputs
+_STATUS_KEYS = {"perturb1": ("M", "upper_const"), "perturb2": ("hypothesis", "upper_const")}
 
 
 @functools.cache
@@ -107,16 +111,19 @@ def _resolve_defaults(args, inst: Instance | None) -> None:
         args.seed = (inst.seed if inst and inst.seed is not None else None) or 0
 
 
-def _get_instance(args, command: str) -> Instance:
+def _get_instance(args, command: str) -> tuple[Instance, str]:
+    """The instance and its digest."""
     if args.input:
-        inst = load_instance(args.input)
+        inst, digest = _load_with_digest(args.input)
         _resolve_defaults(args, inst)
-        return inst
+        return inst, digest
     _resolve_defaults(args, None)
     if args.profile:
         if command == "tensor":
-            return tensor_pair_instance(args.seed)
-        return random_instance(args.seed, args.profile)
+            inst = tensor_pair_instance(args.seed)
+        else:
+            inst = random_instance(args.seed, args.profile)
+        return inst, instance_digest(inst)
     raise InputError(f"{command} needs --input or --profile")
 
 
@@ -286,7 +293,7 @@ _HANDLERS = {
 
 def _run_single(args) -> tuple[dict, int]:
     t0 = time.perf_counter()
-    inst = _get_instance(args, args.command)
+    inst, digest = _get_instance(args, args.command)
     status, values, certs = _HANDLERS[args.command](inst, args)
     report = {
         "tool": "cstarframes",
@@ -300,7 +307,7 @@ def _run_single(args) -> tuple[dict, int]:
             "seed": args.seed,
         },
         "seed": args.seed,
-        "instance_digest": instance_digest(inst),
+        "instance_digest": digest,
         "status": status,
         "values": values,
         "certificates": [certificate_to_dict(c) for c in certs],
@@ -347,9 +354,11 @@ def main(argv=None) -> int:
             )
         else:
             report, code = _run_single(args)
+            values = report["values"]
+            keys = _STATUS_KEYS.get(args.command, list(values)[:4])
             extras = ", ".join(
-                f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                for k, v in list(report["values"].items())[:4]
+                f"{k}={values[k]:.6g}" if isinstance(values[k], float) else f"{k}={values[k]}"
+                for k in keys if k in values
             )
             print(f"{args.command}: {report['status']}" + (f" ({extras})" if extras else ""))
         if args.report:

@@ -12,9 +12,18 @@ strings "inf", "-inf", "nan" so reports stay strict JSON.
 
 Vectors, operators and families are encoded from their per-block arrays,
 one reshape/transpose and one `tolist` per block; operators and families
-are decoded straight into them: every scalar is checked with its field
-path, then each block is one float array viewed as complex.  No algebra
-element or member vector is built per entry.
+are decoded straight into them.  A grid whose containers all have the
+expected lengths and whose scalars are all finite floats is checked level
+by level in C and read as one float array; any other grid goes to the
+element walker, which checks every scalar and alone writes the diagnostic
+with its field path.  No algebra element or member vector is built per
+entry.
+
+`dumps_stable` writes exactly `json.dumps(sanitize(obj), indent=2,
+allow_nan=False)` in one walk, without json's pure-Python indenting
+encoder.  The CLI takes an instance file's digest from the file's parsed
+JSON when its sorted compact dump is the canonical one (the dump of
+`instance_to_dict`), and re-encodes the instance otherwise.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -93,7 +104,7 @@ def _check_element(spec: AlgebraSpec, data, path: str) -> None:
 
 
 def _pairs(z: np.ndarray) -> list:
-    return np.stack((z.real, z.imag), -1).tolist()
+    return np.ascontiguousarray(z).view(float).reshape(*z.shape, 2).tolist()
 
 
 def _complex(pairs) -> np.ndarray:
@@ -104,7 +115,45 @@ def encode_element(a: AlgElement) -> list:
     return [_pairs(blk) for blk in a.blocks]
 
 
+def _element_lengths(spec: AlgebraSpec, k: int) -> tuple[list, ...]:
+    """The container lengths, level by level, of k encoded elements: k
+    lists of blocks, their block rows, their entries, their [re, im]."""
+    dims = spec.block_dims
+    rows = [d for d in dims for _ in range(d)]
+    return [len(dims)] * k, list(dims) * k, rows * k, [2] * (k * spec.total_dim)
+
+
+def _float_leaves(level: list, lengths) -> Optional[np.ndarray]:
+    """The scalars of the nested lists in level, in order, as one complex
+    array, when the containers of the i-th level are lists of lengths
+    lengths[i] and every scalar is a finite float; else None.  Each level
+    is checked and flattened in C, so no Python loop visits a scalar; a
+    bool, string, null or int never passes (only `float` does)."""
+    for want in lengths:
+        if set(map(type, level)) != {list} or list(map(len, level)) != want:
+            return None
+        level = list(chain.from_iterable(level))
+    if set(map(type, level)) != {float}:
+        return None
+    z = np.array(level, dtype=float)
+    return z.view(complex) if np.isfinite(z).all() else None
+
+
+def _split_blocks(spec: AlgebraSpec, z: np.ndarray) -> list:
+    """Per block, the contiguous (..., d, d) array of z's last axis, which
+    holds each element's blocks one after another, row-major."""
+    blocks, start = [], 0
+    for d in spec.block_dims:
+        blk = np.ascontiguousarray(z[..., start:start + d * d])
+        blocks.append(blk.reshape(*z.shape[:-1], d, d))
+        start += d * d
+    return blocks
+
+
 def decode_element(spec: AlgebraSpec, data, path: str) -> AlgElement:
+    z = _float_leaves([data], _element_lengths(spec, 1))
+    if z is not None:
+        return AlgElement(spec, _split_blocks(spec, z))
     _check_element(spec, data, path)
     return AlgElement(spec, [_complex(blk) for blk in data])
 
@@ -125,17 +174,22 @@ def encode_vector(f: ModuleVector) -> list:
 
 def _decode_grid(spec: AlgebraSpec, data: list, m: int, path: str, what: str) -> ModuleOperator:
     """The operator A^n -> A^m with grid data, entry [j][i] at input j and
-    output i, after checking every scalar and that each row j holds m
-    elements, else `{path}[j]: {what}`."""
-    for j, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != m:
-            raise InputError(f"{path}[{j}]: {what}")
-        for i, e in enumerate(row):
-            _check_element(spec, e, f"{path}[{j}][{i}]")
+    output i.  A grid that `_float_leaves` does not take is walked: every
+    scalar is checked, and each row j must hold m elements, else
+    `{path}[j]: {what}`."""
     n = len(data)
+    z = _float_leaves(data, ([m] * n, *_element_lengths(spec, n * m)))
+    if z is not None:
+        blocks = _split_blocks(spec, z.reshape(n, m, spec.total_dim))
+    else:
+        for j, row in enumerate(data):
+            if not isinstance(row, list) or len(row) != m:
+                raise InputError(f"{path}[{j}]: {what}")
+            for i, e in enumerate(row):
+                _check_element(spec, e, f"{path}[{j}][{i}]")
+        blocks = [_complex([[e[b] for e in row] for row in data]) for b in range(spec.n_blocks)]
     return _operator(spec, n, m, [
-        _complex([[e[b] for e in row] for row in data]).transpose(1, 3, 0, 2).reshape(m * d, n * d)
-        for b, d in enumerate(spec.block_dims)
+        blk.transpose(1, 3, 0, 2).reshape(m * d, n * d) for d, blk in zip(spec.block_dims, blocks)
     ])
 
 
@@ -270,30 +324,65 @@ def parse_instance(data: dict, path: str = "instance") -> Instance:
     return inst
 
 
-def load_instance(path: str | Path) -> Instance:
+def _read_instance(path: str | Path) -> tuple[Instance, object, int]:
+    """The instance in the file at path, the file's parsed JSON and the
+    number of integer tokens in the file."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read instance file {p}: {exc}") from exc
+    ints = 0
+
+    def count(token: str) -> int:
+        nonlocal ints
+        ints += 1
+        return int(token)
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=count)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{p}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_instance(data, path=str(p))
+    return parse_instance(data, path=str(p)), data, ints
+
+
+def load_instance(path: str | Path) -> Instance:
+    return _read_instance(path)[0]
+
+
+def _load_with_digest(path: str | Path) -> tuple[Instance, str]:
+    """The instance in the file at path and its `instance_digest`.
+
+    The digest hashes the sorted compact dump of `instance_to_dict`.  The
+    dump of the file's parsed JSON is that same text when the file holds
+    no integer token beyond each level's block dimensions, rank and seed
+    (an integer scalar or tolerance is re-encoded as a float) and no empty
+    operators, bounds or tolerances object (the encoder leaves those out);
+    key order and number spelling (1.50, 1e0) do not survive parsing.
+    Otherwise the instance is re-encoded."""
+    inst, data, ints = _read_instance(path)
+    expected, level = 0, data
+    while level is not None:
+        if any(level.get(k) == {} for k in ("operators", "bounds", "tolerances")):
+            return inst, instance_digest(inst)
+        expected += len(level["algebra"]) + 1 + ("seed" in level)
+        level = level.get("right")
+    return inst, (_digest(data) if ints == expected else instance_digest(inst))
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:
     Path(path).write_text(dumps_stable(instance_to_dict(inst)), encoding="utf-8")
 
 
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def instance_digest(inst: Instance) -> str:
-    payload = json.dumps(
-        instance_to_dict(inst), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    return _digest(instance_to_dict(inst))
 
 
 # -- reports --------------------------------------------------------------------
@@ -302,6 +391,10 @@ def instance_digest(inst: Instance) -> str:
 def sanitize(obj):
     """Replace non-finite floats by strings so output is strict JSON; any
     other type raises TypeError, as its repr may hold a memory address."""
+    return _sanitize(obj)
+
+
+def _sanitize(obj):
     if isinstance(obj, float):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
@@ -309,9 +402,9 @@ def sanitize(obj):
             return "nan"
         return obj
     if isinstance(obj, dict):
-        return {k: sanitize(v) for k, v in obj.items()}
+        return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [sanitize(v) for v in obj]
+        return [_sanitize(v) for v in obj]
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     raise TypeError(f"cannot encode {type(obj).__name__} in a report")
@@ -329,9 +422,54 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
+class _Unusual(Exception):
+    """A value `_encode` leaves to the reference encoder: a dict key that
+    is not a string, or a type that `sanitize` rejects."""
+
+
+def _encode(x, pad: str) -> str:
+    """x as `json.dumps(sanitize(x), indent=2, allow_nan=False)` writes it
+    inside a container whose closing bracket follows pad (a newline and
+    that container's indent)."""
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return '"nan"' if x != x else ('"inf"' if x > 0 else '"-inf"')
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for k, v in x.items():
+            if not isinstance(k, str):
+                raise _Unusual
+            items.append(f"{encode_basestring_ascii(k)}: {_encode(v, inner)}")
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in x]) + pad + "]"
+    if x is None:
+        return "null"
+    if x is True or x is False:
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise _Unusual
+
+
 def dumps_stable(obj) -> str:
-    """Deterministic JSON text: fixed insertion order, sanitized floats."""
-    return json.dumps(sanitize(obj), indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON text: fixed insertion order, sanitized floats.
+    The text is exactly `json.dumps(sanitize(obj), indent=2,
+    allow_nan=False) + "\n"`; a non-string key or a type `sanitize`
+    rejects goes to that reference, which writes the key or raises."""
+    try:
+        return _encode(obj, "\n") + "\n"
+    except _Unusual:
+        return json.dumps(sanitize(obj), indent=2, allow_nan=False) + "\n"
 
 
 def report_payload_bytes(report: dict) -> bytes:

@@ -386,6 +386,35 @@ def test_perturb2_report_carries_lower_constant(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    ("command", "keys"),
+    [("perturb1", ("M", "upper_const")), ("perturb2", ("hypothesis", "upper_const")),
+     ("check-kframe", ("lambda_star", "mu_star"))],
+)
+def test_status_line_shows_the_decision(tmp_path, capsys, command, keys):
+    # perturb2's first four values are the audit's inputs (alpha, beta,
+    # gamma, norm_A); its status line shows the hypothesis and the
+    # constant instead, and the report keeps its field order
+    out = tmp_path / "r.json"
+    assert main([command, "--profile", "generic", "--seed", "1", "--report", str(out)]) == 0
+    values = json.loads(out.read_text())["values"]
+    shown = ", ".join(
+        f"{k}={values[k]:.6g}" if isinstance(values[k], float) else f"{k}={values[k]}"
+        for k in keys)
+    assert capsys.readouterr().out == f"{command}: certified ({shown})\n"
+    if command == "perturb2":
+        assert list(values)[:4] == ["alpha", "beta", "gamma", "norm_A"]
+
+
+def test_status_line_of_a_falsified_hypothesis(tmp_path, capsys):
+    # a falsified hypothesis has no upper constant to show
+    inst = random_instance(5, "generic")
+    inst.h_members = FrameSeq([m.scalar_mul(3.0) for m in inst.members.members])
+    inst.perturbation = {"alpha": 0.2, "beta": 0.1, "gamma": 0.05}
+    assert main(["perturb2", "--input", write_instance(tmp_path, inst)]) == 1
+    assert capsys.readouterr().out == "perturb2: falsified (hypothesis=falsified)\n"
+
+
 # -- the CLI path reads and writes per-block arrays only ------------------------------
 
 
@@ -498,4 +527,31 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert digest.hexdigest() == (
         "2147224c814b5fc12d70052daffe152833366d3da7972b8484ab98749cdd0baa"
+    )
+
+
+def test_input_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # every single command on instance files that save_instance writes,
+    # read through --input: exit code and the report bytes without the
+    # wall_clock_s line (none where the command rejects the file)
+    monkeypatch.chdir(tmp_path)
+    files = [(f"{profile}-{seed}.json", random_instance(seed, profile))
+             for profile in ("generic", "rank-deficient-K") for seed in range(4)]
+    files += [(f"tensor-{seed}.json", tensor_pair_instance(seed)) for seed in range(4)]
+    report = Path("r.json")
+    digest = hashlib.sha256()
+    for name, inst in files:
+        save_instance(inst, name)
+        for command in COMMANDS:
+            if command == "suite":
+                continue
+            report.unlink(missing_ok=True)
+            code = main([command, "--input", name, "--report", str(report)])
+            payload = b"".join(
+                line for line in (report.read_bytes() if report.exists() else b"").splitlines(True)
+                if b'"wall_clock_s"' not in line)
+            digest.update(f"{name} {command} {code}\n".encode() + payload)
+    capsys.readouterr()
+    assert digest.hexdigest() == (
+        "fb89f05833afd209b8c24f6d61d68807d304090c3e751bd672841efe3d547d57"
     )

@@ -1,6 +1,10 @@
+import collections
+import enum
 import json
 import math
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from cstarframes import (
     AlgebraSpec, FrameSeq, InputError, Instance, certify_star_bessel, coordinate_frame,
     identity_operator, transform_frame,
 )
+from cstarframes import cli, serialize
 from cstarframes.frames import _family
 from cstarframes.serialize import (
     certificate_to_dict,
@@ -21,11 +26,15 @@ from cstarframes.serialize import (
     encode_element,
     encode_operator,
     encode_vector,
+    instance_digest,
     instance_to_dict,
+    load_instance,
     parse_instance,
     sanitize,
+    save_instance,
     write_report,
 )
+from cstarframes.harness import random_instance, tensor_pair_instance
 from cstarframes.hilbmod import ModuleOperator, _vector
 from cstarframes.sampling import random_operator, random_vector, stream
 
@@ -226,3 +235,278 @@ def test_write_report_rewrites_in_place(tmp_path):
     write_report(long, target)
     assert hard.read_bytes() == dumps_stable(long).encode("utf-8")
     assert target.stat().st_mode & 0o777 == 0o600
+
+
+# -- malformed grids: the walker writes every diagnostic ---------------------------------
+
+
+def _malformed_base() -> dict:
+    data = instance_to_dict(random_instance(4, "generic"))
+    data["h_members"] = data["members"]
+    data["right"] = instance_to_dict(random_instance(5, "generic"))
+    return json.loads(json.dumps(data))
+
+
+# field -> (the field path of its first element, that element)
+MALFORMED_FIELDS = {
+    "members": ("members[0][0]", lambda d: d["members"][0][0]),
+    "h_members": ("h_members[0][0]", lambda d: d["h_members"][0][0]),
+    "operators.K": ("operators.K[0][0]", lambda d: d["operators"]["K"][0][0]),
+    "bounds.A": ("bounds.A", lambda d: d["bounds"]["A"]),
+    "right.members": ("right.members[0][0]", lambda d: d["right"]["members"][0][0]),
+}
+
+
+def _set_first_scalar(value):
+    def edit(element):
+        element[0][0][0][0] = value
+    return edit
+
+
+# defect -> (edit of the first element, the walker's diagnostic after its
+# field path), recorded before grids were read in bulk
+MALFORMED_DEFECTS = {
+    "bool": (_set_first_scalar(True), "[0][0][0]: expected a number, got True"),
+    "string": (_set_first_scalar("1.5"), "[0][0][0]: expected a number, got '1.5'"),
+    "null": (_set_first_scalar(None), "[0][0][0]: expected a number, got None"),
+    "nan": (_set_first_scalar(math.nan), "[0][0][0]: non-finite number, got nan"),
+    "infinity": (_set_first_scalar(math.inf), "[0][0][0]: non-finite number, got inf"),
+    "int-overflow": (_set_first_scalar(10**400),
+                     "[0][0][0]: non-finite number, got 10000000000000000000"),
+    "ragged-row": (lambda e: e[0][0].pop(), "[0][0]: block must be a 2x2 array"),
+    "block-count": (lambda e: e.pop(), ": expected 2 blocks, got 1"),
+    "three-element-pair": (lambda e: e[0][0][0].append(0.0),
+                           "[0][0][0]: complex scalars are two-element arrays [re, im]"),
+}
+
+
+def _load_error(tmp_path, monkeypatch, data) -> str:
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(InputError) as exc:
+        load_instance("bad.json")
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED_DEFECTS))
+@pytest.mark.parametrize("where", sorted(MALFORMED_FIELDS))
+def test_malformed_grid_keeps_its_diagnostic(tmp_path, monkeypatch, where, defect):
+    data = _malformed_base()
+    path, element = MALFORMED_FIELDS[where]
+    edit, message = MALFORMED_DEFECTS[defect]
+    edit(element(data))
+    assert _load_error(tmp_path, monkeypatch, data) == f"bad.json.{path}{message}"
+
+
+@pytest.mark.parametrize(
+    ("where", "message"),
+    [("members", "members[1]: expected 3 entries"),
+     ("h_members", "h_members[1]: expected 3 entries"),
+     ("operators.K", "operators.K[1]: ragged operator rows"),
+     ("right.members", "right.members[1]: expected 3 entries")],
+)
+def test_ragged_grid_row_keeps_its_diagnostic(tmp_path, monkeypatch, where, message):
+    data = _malformed_base()
+    grid = data
+    for key in where.split("."):
+        grid = grid[key]
+    grid[1].append(grid[1][0])
+    assert _load_error(tmp_path, monkeypatch, data) == f"bad.json.{message}"
+
+
+# -- the report encoder against json's own indenting encoder -----------------------------
+
+
+def _reference_dump(x) -> str:
+    return json.dumps(sanitize(x), indent=2, allow_nan=False) + "\n"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+encodable_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2**64, -(2**200), _Level.LOW]),
+    st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan, np.float64(2.5)]),
+    st.text(), st.sampled_from(["é ü", "☃", "\U0001f600", 'q"\\\n\t']),
+)
+unsupported_leaves = st.sampled_from([object(), 1 + 2j, np.int64(3), {1, 2}, b"x"])
+dict_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.lists(kids, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=3), kids, max_size=4),
+            st.dictionaries(dict_keys, kids, max_size=3),
+        ),
+        max_leaves=25,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(json_trees(encodable_leaves),
+                   json_trees(st.one_of(encodable_leaves, unsupported_leaves))))
+def test_dumps_stable_matches_the_json_reference(x):
+    # nan, inf, -0.0, big ints, non-ASCII text, empty containers, tuples
+    # and non-string keys: the same text, or the same exception type
+    try:
+        want = _reference_dump(x)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            dumps_stable(x)
+        return
+    assert dumps_stable(x) == want
+
+
+def test_dumps_stable_never_enters_the_python_encoder(monkeypatch):
+    # json falls back to its pure-Python encoder for indent=2; the report
+    # encoder writes the same text without it
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python json encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps([1.0], indent=2)
+    cert = certify_star_bessel(
+        transform_frame(coordinate_frame(SPEC, 2), identity_operator(SPEC, 2).scalar_mul(2.0)),
+        SPEC.unit(), 1e-9)
+    report = {"values": {"x": math.inf, "y": [math.nan, -0.0, 10**30], "z": ()},
+              "certificates": [certificate_to_dict(cert)], "ok": True, "none": None}
+    assert json.loads(dumps_stable(report))["values"]["x"] == "inf"
+    dumps_stable(instance_to_dict(random_instance(4, "generic")))
+
+
+# -- the digest the CLI takes from the parsed file ------------------------------------
+
+
+def _write_text(path, data, replace=()):
+    text = json.dumps(data, indent=2)
+    for old, new in replace:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _scalar(d, value):
+    d["members"][0][0][0][0][0][0] = value
+
+
+def _right_scalar(d, value):
+    d["right"]["members"][0][0][0][0][0][0] = value
+
+
+def _reverse_keys(d):
+    for level in (d, d["bounds"], d["right"]):
+        for k in reversed(list(level)):
+            level[k] = level.pop(k)
+
+
+def _respell_floats(d):
+    _scalar(d, 1234.5)
+    _right_scalar(d, 4321.0)
+
+
+def _drop_seeds(d):
+    del d["seed"], d["right"]["seed"]
+
+
+# name -> (in-place edit of the instance data, token replacements in its
+# text, whether the dump of the parsed file is the canonical one)
+DIGEST_VARIANTS = {
+    "canonical": (lambda d: None, (), True),
+    "shuffled-keys": (_reverse_keys, (), True),
+    "float-spelling": (
+        _respell_floats, (("1234.5", "1234.50"), ("4321.0", "4.321e3"), ("2.5e-09", "25e-10")),
+        True),
+    "int-scalar": (lambda d: _scalar(d, 3), (), False),
+    "int-scalar-in-right": (lambda d: _right_scalar(d, -2), (), False),
+    "int-tol": (lambda d: d.update(tolerances={"tol": 0}), (), False),
+    "int-perturbation": (lambda d: d.update(perturbation={"alpha": 1}), (), False),
+    "float-perturbation": (lambda d: d.update(perturbation={"alpha": 0.5}), (), True),
+    "empty-perturbation": (lambda d: d.update(perturbation={}), (), True),
+    "empty-operators": (lambda d: d.update(operators={}), (), False),
+    "empty-bounds-in-right": (lambda d: d["right"].update(bounds={}), (), False),
+    "empty-tolerances": (lambda d: d.update(tolerances={}), (), False),
+    "no-seed": (_drop_seeds, (), True),
+}
+
+
+@pytest.mark.parametrize("name", list(DIGEST_VARIANTS))
+def test_cli_digest_equals_the_instance_digest(tmp_path, monkeypatch, name):
+    edit, replace, canonical = DIGEST_VARIANTS[name]
+    data = instance_to_dict(random_instance(4, "generic"))
+    data["right"] = instance_to_dict(random_instance(5, "generic"))
+    data["tolerances"] = {"tol": 2.5e-9}
+    edit(data)
+    path = _write_text(tmp_path / f"{name}.json", data, replace)
+    want = instance_digest(load_instance(path))
+    reencoded = []
+    monkeypatch.setattr(serialize, "instance_digest",
+                        lambda inst: reencoded.append(inst) or want)
+    inst, digest = serialize._load_with_digest(path)
+    assert digest == want
+    assert len(reencoded) == (0 if canonical else 1)
+
+
+def test_equal_instances_in_other_spellings_share_a_digest(tmp_path):
+    # an int scalar, an empty operators object and shuffled keys leave the
+    # instance, and so its digest, unchanged
+    data = instance_to_dict(random_instance(4, "generic"))
+    data["members"][0][0][0][0][0][0] = 3.0
+    del data["operators"]
+    want = serialize._load_with_digest(_write_text(tmp_path / "a.json", data))[1]
+    data["members"][0][0][0][0][0][0] = 3
+    data["operators"] = {}
+    data = {k: data[k] for k in reversed(list(data))}
+    assert serialize._load_with_digest(_write_text(tmp_path / "b.json", data))[1] == want
+
+
+# -- structural guards ---------------------------------------------------------------
+
+
+def test_loading_a_canonical_file_walks_no_scalar(tmp_path, monkeypatch):
+    walked = []
+    monkeypatch.setattr(serialize, "_check_element", lambda *args: walked.append(args[2]))
+    pair = tensor_pair_instance(2)
+    pair.h_members = pair.members
+    for k, inst in enumerate([random_instance(4, "generic"),
+                              random_instance(4, "rank-deficient-K"), pair]):
+        path = tmp_path / f"{k}.json"
+        save_instance(inst, path)
+        serialize._load_with_digest(path)
+        load_instance(path)
+    assert walked == []
+    data = instance_to_dict(random_instance(4, "generic"))
+    data["members"][0][0][0][0][0][0] = 3  # an int scalar is walked, and accepted
+    load_instance(_write_text(tmp_path / "int.json", data))
+    assert walked
+
+
+def test_tracer_sees_the_public_codec_calls_only(tmp_path, capsys):
+    # the benchmark's tracer wraps public names: one span per codec call,
+    # none per encoded node, and the file's decode under parse_instance
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+
+    path = tmp_path / "inst.json"
+    save_instance(random_instance(4, "generic"), path)
+    argv = ["check-kframe", "--input", str(path), "--report", str(tmp_path / "r.json")]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert t.timed_call(0, lambda: cli.main(argv)) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    spans = collections.Counter(
+        t.names[i] for i in t.name if t.names[i].startswith("serialize."))
+    assert spans == {"serialize.parse_instance": 1, "serialize.Instance.__init__": 1,
+                     "serialize.decode_operator": 2,
+                     "serialize.decode_element": 2, "serialize.certificate_to_dict": 1,
+                     "serialize.sanitize": 2, "serialize.write_report": 1,
+                     "serialize.dumps_stable": 1}
