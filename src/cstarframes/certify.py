@@ -6,6 +6,8 @@ inequality), or inconclusive for near-boundary cases.
 
 Every verdict of the library is `verdict(excess, tol, scale)` at the
 caller's tol, scale = max(1, size of the quantity the rounding follows).
+Where that size is an operator norm ||T|| that nothing else reads,
+`verdict_at_norm` takes it only for an excess above tol.
 Every operator inequality ends in `psd_certificate`, that rule on the
 gap's least eigenvalue: one values-only eigensolve per block of the gap,
 and eigenvectors (one block's) only when it falsifies.
@@ -35,6 +37,14 @@ def verdict(excess: float, tol: float, scale: float) -> str:
     if excess <= tol * scale:
         return CERTIFIED
     return FALSIFIED if excess > BOUNDARY_FACTOR * tol * scale else INCONCLUSIVE
+
+
+def verdict_at_norm(excess: float, tol: float, t: ModuleOperator) -> str:
+    """`verdict` at scale max(1, ||t||), taking ||t|| only for an excess
+    above tol: at or below a tol >= 0 it certifies at every scale >= 1."""
+    if 0.0 <= tol and excess <= tol:
+        return CERTIFIED
+    return verdict(excess, tol, max(1.0, t.norm()))
 
 
 def pencil_verdict(mu: float, tol: float) -> str:

@@ -15,10 +15,13 @@ S_b = U_b diag(sigma_b) V_b^H per reduced block, with U_b square, and one
 rank decision at DEFAULT_RTOL times the largest singular value over all
 blocks (`_Factorization`), built on first use by `_factorization` and
 kept on S like its norm.  With k_b singular values kept in block b, the
-pseudo-inverse, the complement perp_b = U_b[:, k_b:] of R(S_b) and
-left_b = diag(1 / sigma_k) U_k^H are read off that one SVD, so every call
-after the first on the same S makes no SVD of S.  S's arrays are
-read-only, so the kept factorization cannot go stale.
+complement perp_b = U_b[:, k_b:] of R(S_b) and left_b = diag(1 / sigma_k)
+U_k^H are read off that one SVD, so every call after the first on the
+same S makes no SVD of S.  The pseudo-inverse is formed from the same
+SVD factors only when a solve or `pseudo_inverse` first reads it, and
+the factors are dropped then: the pencil, the range residual and the
+cokernel witness never form it.  S's arrays are read-only, so the kept
+factorization cannot go stale.
 
 The other decompositions, per reduced block: the range residual
 ||(I - S S^+) T|| is a values-only SVD (the spectral norm) of
@@ -33,6 +36,10 @@ inequality is one `psd_certificate`: a values-only `eigvalsh` per block,
 and an `eigh` of one block only when it is falsified.
 Every decision is `certify.verdict` at the caller's tol: range
 inclusion, the pencil's too, holds at residual <= tol max(1, ||T||).
+That scale is `certify.verdict_at_norm`'s, so ||T|| is taken only for a
+residual above tol or for `_majorization`'s size.
+The pencil of T = 0 is math.inf, read off T's entries before S is
+factored.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import numpy as np
 from .algebra import DEFAULT_TOL, _spectral_norm
 from .certify import (
     CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict, psd_certificate, verdict,
+    verdict_at_norm,
 )
 from .errors import InputError
 from .hilbmod import ModuleOperator, ModuleVector, _operator
@@ -74,7 +82,7 @@ class _Factorization:
     values <= DEFAULT_RTOL * sigma_max (the global largest) treated as
     zero.  With k_b the number kept, it holds, per block:
 
-    - S^+ (`pinv`), V_k diag(1 / sigma_k) U_k^H;
+    - S^+ (`pinv`), V_k diag(1 / sigma_k) U_k^H, formed on first use;
     - `lefts`: diag(1 / sigma_k) U_k^H, so that ||left_b T_b|| =
       ||S_b^+ T_b|| (V_k has orthonormal columns); None when k_b = 0;
     - `perps`: perp_b^H, with perp_b = U_b[:, k_b:] an orthonormal basis
@@ -84,10 +92,12 @@ class _Factorization:
     S^+ is the thin-SVD formula on U_b's first min(rows, cols) columns.
     For a large tall block (seen at 200 x 20, not up to 72 x 24) LAPACK's
     full U differs from its thin U in the last bits, so S^+ rounds there
-    as another SVD of S_b would.  The SVDs are dropped once these are
-    built.  `s` is a twin of S over the same read-only arrays, not S
-    itself, so the factorization kept on S holds no reference back to it
-    and S with everything kept on it is freed by reference counting."""
+    as another SVD of S_b would.  Only S^+ reads V_b, so the SVD factors
+    are kept until S^+ is formed, and dropped then; the pencil, the range
+    residual and the cokernel witness never form it.  `s` is a twin of S
+    over the same read-only arrays, not S itself, so the factorization
+    kept on S holds no reference back to it and S with everything kept on
+    it is freed by reference counting."""
 
     def __init__(self, s: ModuleOperator):
         self.s = _operator(s.spec, s.in_rank, s.out_rank, s.block_matrices())
@@ -97,20 +107,31 @@ class _Factorization:
         self.cut = DEFAULT_RTOL * self.smax
         self.lefts: list[Optional[np.ndarray]] = []
         self.perps: list[Optional[np.ndarray]] = []
-        pinvs = []
+        self._factors: Optional[list] = []
+        self._pinv: Optional[ModuleOperator] = None
         for u, sig, vh in svds:
-            keep = sig > self.cut
-            k = int(keep.sum())
+            k = int((sig > self.cut).sum())
             uh = u.conj().T
-            if self.smax == 0.0:
-                pinvs.append(np.zeros((vh.shape[1], u.shape[0]), dtype=complex))
-            else:
-                inv = np.where(keep, 1.0 / np.where(sig > 0, sig, 1.0), 0.0)
-                pinvs.append((vh.conj().T * inv) @ uh[: sig.size])
             self.lefts.append(uh[:k] / sig[:k, None] if k else None)
             self.perps.append(uh[k:] if k < len(uh) else None)
-        # S^+, inverted per reduced block in place, hence A-linear
-        self.pinv = _operator(s.spec, s.out_rank, s.in_rank, pinvs)
+            self._factors.append((uh, sig, vh))
+
+    @property
+    def pinv(self) -> ModuleOperator:
+        """S^+, formed on first use from the kept SVD factors, which are
+        then dropped."""
+        if self._pinv is None:
+            pinvs = []
+            for uh, sig, vh in self._factors:
+                if self.smax == 0.0:
+                    pinvs.append(np.zeros((vh.shape[1], uh.shape[1]), dtype=complex))
+                else:
+                    inv = np.where(sig > self.cut, 1.0 / np.where(sig > 0, sig, 1.0), 0.0)
+                    pinvs.append((vh.conj().T * inv) @ uh[: sig.size])
+            # S^+, inverted per reduced block in place, hence A-linear
+            self._pinv = _operator(self.s.spec, self.s.out_rank, self.s.in_rank, pinvs)
+            self._factors = None
+        return self._pinv
 
     def coresidual(self, t: ModuleOperator) -> ModuleOperator:
         """(I - S S^+) T = perp (perp^H T), the part of T outside R(S)."""
@@ -133,7 +154,7 @@ class _Factorization:
             return None, None
         s_norm, t_norm = self.s.adjoint().apply(f).norm(), t.adjoint().apply(f).norm()
         found = (verdict(s_norm, tol, max(1.0, self.smax)) == CERTIFIED
-                 and verdict(t_norm, tol, max(1.0, t.norm())) != CERTIFIED)
+                 and verdict_at_norm(t_norm, tol, t) != CERTIFIED)
         return (f if found else None), (s_norm, t_norm)
 
     def range_residual(self, t: ModuleOperator) -> float:
@@ -149,18 +170,15 @@ class _Factorization:
     def pencil(
         self,
         t: ModuleOperator,
-        tnorm: float,
         tol: float,
         residual: Optional[float] = None,
         qnorm: Optional[float] = None,
     ) -> float:
-        """`pencil_lower_bound` given ||T|| and, if already known, the
-        range residual of T and ||S^+ T||."""
-        if tnorm == 0.0:
-            return math.inf
+        """`pencil_lower_bound` given, if already known, the range residual
+        of T and ||S^+ T||; math.inf for T = 0, where both are 0."""
         if residual is None:
             residual = self.range_residual(t)
-        if verdict(residual, tol, max(1.0, tnorm)) != CERTIFIED:
+        if verdict_at_norm(residual, tol, t) != CERTIFIED:
             return 0.0
         if qnorm is None:
             qnorm = self.whitened_norm(t)
@@ -210,7 +228,7 @@ def range_residual(t: ModuleOperator, s: ModuleOperator) -> float:
 
 
 def range_inclusion(t: ModuleOperator, s: ModuleOperator, tol: float) -> bool:
-    return verdict(range_residual(t, s), tol, max(1.0, t.norm())) == CERTIFIED
+    return verdict_at_norm(range_residual(t, s), tol, t) == CERTIFIED
 
 
 def pencil_lower_bound(
@@ -222,13 +240,13 @@ def pencil_lower_bound(
     tol max(1, ||T||)), math.inf for T = 0.  Otherwise it is
     1 / ||S^+ T||^2 (Douglas: the minimal solution Q of T = S Q has
     ||Q||^2 = 1 / mu), with ||S^+ T|| = max_b ||diag(1 / sigma_k) U_k^H T_b||
-    read off S's kept SVD.
+    read off S's kept SVD.  ||T|| is taken only for a residual above
+    tol, and T = 0 is recognised from its entries, so S is not factored.
     """
     _check_common_target(t, s)
-    tnorm = t.norm()
-    if tnorm == 0.0:
+    if not any(m.any() for m in t.block_matrices()):
         return math.inf
-    return _factorization(s).pencil(t, tnorm, tol)
+    return _factorization(s).pencil(t, tol)
 
 
 def douglas_solve(t: ModuleOperator, s: ModuleOperator, tol: float) -> DouglasReport:
@@ -236,12 +254,11 @@ def douglas_solve(t: ModuleOperator, s: ModuleOperator, tol: float) -> DouglasRe
     the factorization residual and the pencil value of (T, S)."""
     _check_common_target(t, s)
     fac = _factorization(s)
-    tnorm = t.norm()
     q, residual = fac.solve(t)
     return DouglasReport(
-        inclusion_ok=verdict(residual, tol, max(1.0, tnorm)) == CERTIFIED,
+        inclusion_ok=verdict_at_norm(residual, tol, t) == CERTIFIED,
         residual=residual,
-        pencil_mu=fac.pencil(t, tnorm, tol, qnorm=q.norm()),
+        pencil_mu=fac.pencil(t, tol, qnorm=q.norm()),
         q=q,
         q_norm=q.norm(),
     )
@@ -296,16 +313,13 @@ def equivalence_audit(
     """
     _check_common_target(t, s)
     fac = _factorization(s)
-    tnorm = t.norm()
-    tscale = max(1.0, tnorm)
-
     residual = fac.range_residual(t)
-    cond_i = verdict(residual, tol, tscale) == CERTIFIED
+    cond_i = verdict_at_norm(residual, tol, t) == CERTIFIED
 
     q, fact_residual = fac.solve(t)
-    cond_iv = verdict(fact_residual, tol, tscale) == CERTIFIED
+    cond_iv = verdict_at_norm(fact_residual, tol, t) == CERTIFIED
 
-    mu = fac.pencil(t, tnorm, tol, residual, q.norm())
+    mu = fac.pencil(t, tol, residual, q.norm())
     pencil_status = pencil_verdict(mu, tol)
     near_boundary = pencil_status == INCONCLUSIVE
     cond_ii = pencil_status == CERTIFIED
@@ -315,7 +329,7 @@ def equivalence_audit(
     if math.isinf(mu):
         cond_iii = True
     elif cond_ii:
-        norm_cert = _majorization(t, s, mu, tol, max(fac.smax**2, mu * tnorm**2))
+        norm_cert = _majorization(t, s, mu, tol, max(fac.smax**2, mu * t.norm() ** 2))
         found["cond_iii_min_eig"] = norm_cert.witness["min_eig"]
         found["cond_iii_scale"] = norm_cert.witness["scale"]
         near_boundary = near_boundary or norm_cert.status == INCONCLUSIVE

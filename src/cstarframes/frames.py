@@ -36,7 +36,8 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement
 from .certify import (
-    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, psd_certificate, verdict, worst,
+    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, psd_certificate, verdict,
+    verdict_at_norm, worst,
 )
 from .douglas import _factorization, pencil_lower_bound
 from .errors import AtomicSystemError, InputError, PreconditionError
@@ -362,7 +363,7 @@ def atomic_coefficients(
     if k_op.spec != frame.spec or k_op.in_rank != n or k_op.out_rank != n:
         raise InputError("K must be a square operator on the frame's module")
     q, residual = _factorization(frame.synthesis_op).solve(k_op)
-    if verdict(residual, tol, max(1.0, k_op.norm())) != CERTIFIED:
+    if verdict_at_norm(residual, tol, k_op) != CERTIFIED:
         raise AtomicSystemError(
             "not an atomic system: range-inclusion residual "
             f"{residual:.3e} exceeds tol {tol:g} x max(1, ||K||)"
@@ -403,7 +404,7 @@ def dual_atoms_audit(
     h_frame = _family(q.adjoint())
     bessel = certify_star_bessel(h_frame, max(c.norm(), tol) * frame.spec.unit(), tol)
     return Certificate(
-        worst(verdict(recon, tol, max(1.0, k_op.norm())), bessel.status),
+        worst(verdict_at_norm(recon, tol, k_op), bessel.status),
         "dual-atoms",
         {
             "max_reconstruction_residual": recon,

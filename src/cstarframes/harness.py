@@ -17,7 +17,8 @@ import numpy as np
 from ._version import __version__
 from .algebra import DEFAULT_TOL, AlgebraSpec
 from .certify import (
-    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict, verdict, worst,
+    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict, verdict, verdict_at_norm,
+    worst,
 )
 from .douglas import douglas_solve, equivalence_audit, pseudo_inverse
 from .errors import InputError
@@ -273,7 +274,7 @@ def _paper_example_run(seed: int, n_terms: int, tol: float) -> dict:
     mc = diagonal_operator(inst.bounds["C"], 1)
     cc = mc.compose(mc.adjoint())
     max_dev = (sol.q.adjoint().compose(sol.q) - cc).norm()
-    factorization = verdict(sol.residual, tol, max(1.0, k_op.norm()))
+    factorization = verdict_at_norm(sol.residual, tol, k_op)
     return {
         "trial": 0,
         "status": worst(bessel.status, factorization, verdict(max_dev, tol, max(1.0, cc.norm()))),

@@ -24,13 +24,17 @@ arrays it computes with `_vector` and `_operator`, unchecked.  The
 arrays are read-only.  Because the arrays never change, an operator
 computes its norm once, through the algebra's one spectral-norm kernel,
 and keeps it; `douglas` keeps the operator's factorization (rank cut,
-pseudo-inverse, the complement of the range, the whitening factors
-diag(1 / sigma) U^H) in its `_fac` slot the same way, and sets the norm
-of a Douglas solution Q from that factorization, so Q takes no SVD.
+the complement of the range, the whitening factors diag(1 / sigma) U^H,
+and the pseudo-inverse once a solve reads it) in its `_fac` slot the
+same way, and sets the norm of a Douglas solution Q from that
+factorization, so Q takes no SVD.
 
 Where each decomposition is taken, per reduced block: `norm` is a
-values-only SVD; `herm_block_eigs`, which `certify.psd_certificate` reads
-to decide positivity, a values-only `eigvalsh` of the Hermitian part;
+values-only SVD, taken by a verdict scaled by max(1, ||T||) only past
+tol (`certify.verdict_at_norm`); the Douglas factorization one full
+SVD, and the pseudo-inverse two products of its factors, formed on first
+use; `herm_block_eigs`, which `certify.psd_certificate` reads to decide
+positivity, a values-only `eigvalsh` of the Hermitian part;
 `negative_witness`, for a falsified verdict only, one `eigh` of the block
 with the least eigenvalue; `adjoint_norm_witness` a full SVD of every block.
 """

@@ -31,6 +31,7 @@ import numpy as np
 from .algebra import AlgElement, DEFAULT_TOL
 from .certify import (
     CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, psd_certificate, verdict,
+    verdict_at_norm,
 )
 from .douglas import pencil_lower_bound, range_residual
 from .errors import InputError, PreconditionError
@@ -95,7 +96,7 @@ def _require_hypotheses(
             f"hypothesis failed: base family is not a certified K-frame ({base.status})"
         )
     resid = range_residual(l_op, k_op)
-    if verdict(resid, tol, max(1.0, l_op.norm())) != CERTIFIED:
+    if verdict_at_norm(resid, tol, l_op) != CERTIFIED:
         raise PreconditionError(
             f"hypothesis failed: R(L) not contained in R(K), residual {resid:.3e}"
         )
@@ -191,7 +192,7 @@ def _pertur1_converse(
     if (k_op.compose(k_op.adjoint()) - ident).norm() > DEFAULT_TOL:
         raise PreconditionError("converse mode needs a co-isometric K")
     resid = range_residual(k_op, l_op)
-    if verdict(resid, tol, max(1.0, k_op.norm())) != CERTIFIED:
+    if verdict_at_norm(resid, tol, k_op) != CERTIFIED:
         raise PreconditionError(
             f"converse hypothesis failed: R(K) not contained in R(L), residual {resid:.3e}"
         )
@@ -319,10 +320,11 @@ def pertur2_audit(
     gamma/||A||)/(1 - beta)) and a lower bound from the pencil of
     (L L*, U_H U_H*); and the lower constant g_sound, with sigma_min(A)
     replacing ||A|| where soundness requires it, decided exactly as
-    g_sound^2 <= `pencil_lower_bound(K, U_H)`, whose `worst_margin` is the
-    pencil value minus g_sound^2.  Its witness holds the constants, the
-    hypothesis status and, as "hypothesis_<field>", each field of
-    HYPOTHESIS_MARGINS that the hypothesis witness holds.
+    g_sound^2 <= `pencil_lower_bound(K, U_H)` (the L-frame's pencil when
+    L is K), whose `worst_margin` is the pencil value minus g_sound^2.
+    Its witness holds the constants, the hypothesis status and, as
+    "hypothesis_<field>", each field of HYPOTHESIS_MARGINS that the
+    hypothesis witness holds.
     """
     if min(alpha, beta, gamma) < 0:
         raise InputError("alpha, beta, gamma must be nonnegative")
@@ -343,17 +345,15 @@ def pertur2_audit(
     sigma_min = float(np.abs(a.central_scalars()).min())
     ratio = (alpha + beta + gamma / a_norm) / (1.0 - beta)
     upper_const = b_norm * (1.0 + ratio)
-    frame_cert = _lframe_certificate(
-        h_seq, l_op, pencil_lower_bound(l_op, h_seq.synthesis_op, tol),
-        upper_const, tol, "perturb-abg-lframe",
-    )
+    nu = pencil_lower_bound(l_op, h_seq.synthesis_op, tol)
+    frame_cert = _lframe_certificate(h_seq, l_op, nu, upper_const, tol, "perturb-abg-lframe")
 
     g_reference = a_norm * (1.0 - (alpha + beta + gamma / a_norm) / (1.0 + beta))
     g_sound = sigma_min * (1.0 - (alpha + gamma / sigma_min)) / (1.0 + beta)
     # ||U_H* f|| >= g ||K* f|| for all f iff g^2 K K* <= U_H U_H* (the
     # rank-one reduction of `douglas._majorization`), iff g^2 is at most
-    # the pencil value
-    pencil_k = pencil_lower_bound(k_op, h_seq.synthesis_op, tol)
+    # the pencil value, nu's own when L is K
+    pencil_k = nu if l_op is k_op else pencil_lower_bound(k_op, h_seq.synthesis_op, tol)
     worst_margin = 0.0
     lower = CERTIFIED
     if g_sound > 0:

@@ -51,10 +51,10 @@ def random_operator(
     if in_rank < 1 or out_rank < 1:
         raise InputError("rank-0 modules are rejected")
     z = rng.standard_normal((in_rank, out_rank, 2 * spec.total_dim))
-    segs = np.split(z, np.cumsum([2 * d * d for d in spec.block_dims])[:-1], axis=2)
-    mats = []
-    for d, seg in zip(spec.block_dims, segs):
-        re_im = seg.reshape(in_rank, out_rank, 2, d, d)
+    mats, start = [], 0
+    for d in spec.block_dims:
+        re_im = z[:, :, start : start + 2 * d * d].reshape(in_rank, out_rank, 2, d, d)
+        start += 2 * d * d
         e = (re_im[:, :, 0] + 1j * re_im[:, :, 1]) / np.sqrt(2.0)
         # t[j][i] block b is the (i, j) d x d block of the reduced matrix, transposed
         mats.append(e.transpose(1, 3, 0, 2).reshape(out_rank * d, in_rank * d))

@@ -330,7 +330,7 @@ def _read_instance(path: str | Path) -> tuple[Instance, object, int]:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read instance file {p}: {exc}") from exc
     ints = 0
 
@@ -345,6 +345,10 @@ def _read_instance(path: str | Path) -> tuple[Instance, object, int]:
         raise InputError(
             f"{p}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer token past Python's digit limit, or nesting past the
+        # parser's recursion limit
+        raise InputError(f"{p}: unreadable JSON: {exc}") from exc
     return parse_instance(data, path=str(p)), data, ints
 
 

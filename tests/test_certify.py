@@ -9,7 +9,8 @@ from cstarframes import (
     AlgebraSpec, FrameSeq, certify_kframe, certify_star_bessel, identity_operator,
 )
 from cstarframes.certify import (
-    CERTIFIED, FALSIFIED, INCONCLUSIVE, pencil_verdict, psd_certificate, verdict, worst,
+    CERTIFIED, FALSIFIED, INCONCLUSIVE, pencil_verdict, psd_certificate, verdict,
+    verdict_at_norm, worst,
 )
 from cstarframes.harness import random_instance
 from cstarframes.sampling import random_operator, random_vector, stream
@@ -124,6 +125,16 @@ def test_verdict_is_the_three_way_rule_at_tol_times_scale(excess, status):
 def test_verdict_at_zero_tolerance_follows_the_sign():
     assert verdict(0.0, 0.0, 1.0) == CERTIFIED
     assert verdict(1e-300, 0.0, 1.0) == FALSIFIED
+
+
+@pytest.mark.parametrize("norm", [0.5, 3.0])
+@pytest.mark.parametrize("tol", [0.0, 1e-9, -1e-9])
+@pytest.mark.parametrize("excess", [-1.0, -2e-9, 0.0, 1e-9, 2e-9, 2e-8, math.inf, math.nan])
+def test_verdict_at_norm_is_verdict_at_max_1_norm(norm, tol, excess):
+    # ||T|| is taken only for an excess above a tol >= 0
+    t = identity_operator(SPEC, 2).scalar_mul(norm)
+    assert verdict_at_norm(excess, tol, t) == verdict(excess, tol, max(1.0, norm))
+    assert (t._norm is None) == (tol >= 0 and excess <= tol)
 
 
 @pytest.mark.parametrize(("mu", "tol", "status"), [

@@ -292,6 +292,34 @@ def test_overflowing_members_name_their_field(tmp_path, capsys, key):
             assert f"huge.json.{key}: " in capsys.readouterr().err, command
 
 
+def _long_rank(path: Path) -> None:
+    text = json.dumps(instance_to_dict(random_instance(4, "generic")))
+    path.write_text(re.sub(r'"rank": \d+', '"rank": ' + "7" * 5000, text, count=1),
+                    encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    ("write", "message"),
+    [
+        # an integer token past Python's 4300-digit conversion limit
+        (_long_rank, "unreadable JSON: Exceeds the limit"),
+        # a UTF-16 byte-order mark is not UTF-8
+        (lambda p: p.write_bytes(b"\xff\xfe" + b"{}"), "cannot read instance file"),
+        # nesting past the JSON parser's recursion limit
+        (lambda p: p.write_text("[" * 100000, encoding="utf-8"), "unreadable JSON: maximum"),
+    ],
+    ids=["rank-5000-digits", "utf16-bom", "nested-100000"],
+)
+def test_unreadable_instance_file_is_input_error(tmp_path, capsys, write, message):
+    path = tmp_path / "unreadable.json"
+    write(path)
+    with pytest.raises(InputError, match=re.escape(str(path))):
+        load_instance(path)
+    assert main(["bounds", "--input", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
 @pytest.mark.parametrize(
     ("argv", "flag"),
     [

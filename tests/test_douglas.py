@@ -576,10 +576,11 @@ def test_atomic_coefficients_evaluates_no_pencil(monkeypatch):
     frame = FrameSeq([random_vector(spec, 4, rng) for _ in range(12)])
     u = frame.synthesis_op
     k = u.compose(random_operator(spec, 4, 12, rng))
-    pencil_lower_bound(k, u)  # factors U and takes ||K||
+    pencil_lower_bound(k, u)  # factors U; R(K) is inside R(U), so no ||K||
     fac = douglas._factorization(u)
     seen = _record_svd_arguments(monkeypatch)
     q, c, residual = atomic_coefficients(frame, k, 1e-9)
+    assert k._norm is None  # a residual within tol certifies at any ||K||
     # per block, the norms of U Q - K and of left_b K_b, which is ||Q||;
     # no SVD of a block of Q
     factored_residual = [a - b for a, b in zip(u.compose(q).block_matrices(), k.block_matrices())]
@@ -699,6 +700,41 @@ def test_kept_factorization_gives_the_bits_of_a_fresh_one(spec):
             assert (cold._fac is None) == (case == "zero-T" and name == "pencil_lower_bound")
             assert same_result(first, call(t, cold)), (case, name)
             assert same_result(first, call(t, warm)), (case, name)
+            # only a solve forms S^+, and formed after any call it has the
+            # bits of warm's, formed right after its SVDs
+            unformed = cold._fac is None or cold._fac._pinv is None
+            assert unformed == (name in ("range_residual", "pencil_lower_bound")), (case, name)
+            assert same_result(pseudo_inverse(cold), pseudo_inverse(warm)), (case, name)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+def test_pencil_residual_and_witness_form_no_pseudo_inverse(spec):
+    for case, t, s in douglas_cases(spec, stream(77, spec.n_blocks)):
+        lazy = _copy(s)
+        range_residual(t, lazy)
+        pencil_lower_bound(t, lazy)
+        fac = douglas._factorization(lazy)
+        fac.cokernel_witness(t, 1e-9)
+        assert fac._pinv is None and fac._factors is not None, case
+        eager = _copy(s)
+        assert same_result(pseudo_inverse(lazy), pseudo_inverse(eager)), case
+        assert fac._factors is None, case  # the SVD factors go once S^+ is formed
+
+
+def test_pencil_takes_no_norm_of_t_within_tol():
+    cases = {case: (t, s) for case, t, s in douglas_cases(SPEC, stream(78, 0))}
+    for case in ("generic", "rank-deficient-S", "onto-S"):
+        t, s = cases[case]
+        assert 0.0 < pencil_lower_bound(t, s) < math.inf, case
+        assert range_residual(t, s) <= 1e-9 and t._norm is None, case
+    # past tol the residual is weighed against max(1, ||T||)
+    t, s = cases["failed-inclusion"]
+    assert pencil_lower_bound(t, s) == 0.0 and t._norm is not None
+    # T = 0 is read off its entries: no norm and no factorization
+    t, s = cases["zero-T"]
+    fresh = _copy(s)
+    assert pencil_lower_bound(t, fresh) == math.inf
+    assert t._norm is None and fresh._fac is None
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)

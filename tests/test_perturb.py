@@ -22,6 +22,7 @@ from cstarframes import (
 )
 from cstarframes import frames, harness, perturb
 from cstarframes.harness import random_instance
+from cstarframes.hilbmod import ModuleOperator
 from cstarframes.perturb import difference_synthesis
 from cstarframes.sampling import random_operator, random_unitary, random_vector, stream
 
@@ -443,8 +444,8 @@ def _suite_trial(trial, epsilon, seed=0):
 def test_each_conclusion_is_decided_once(monkeypatch):
     # pertur1_audit certifies the base K-frame and the L-frame of {h_j},
     # two gaps each, with no Bessel check beside the L-frame's upper half;
-    # pertur2_audit takes the pencils of (L L*, U_H U_H*) and (K K*, U_H U_H*)
-    # and no min-type branch
+    # pertur2_audit takes the pencils of (L L*, U_H U_H*) and (K K*, U_H U_H*),
+    # one pencil when L is K, and no min-type branch
     fr, hs, k, a, b = _suite_trial(0, 1e-3)
     calls = []
     for module in (douglas, frames, perturb):
@@ -461,7 +462,53 @@ def test_each_conclusion_is_decided_once(monkeypatch):
     assert calls.count("psd_certificate") == 4
     calls.clear()
     assert pertur2_audit(fr, hs, k, k, *ABG, a, b).ok
+    assert calls.count("pencil_lower_bound") == 1
+    calls.clear()
+    assert pertur2_audit(fr, hs, k, k.scalar_mul(0.5), *ABG, a, b).ok
     assert calls.count("pencil_lower_bound") == 2
+
+
+def test_one_pencil_when_l_is_k_gives_the_bits_of_two():
+    # the pencil of (K K*, U_H U_H*) is the one of (L L*, U_H U_H*) when L
+    # is K; an equal copy of K takes it a second time, to the same bits
+    fr, hs, k, a, b = _suite_trial(0, 1e-3)
+    same = pertur2_audit(fr, hs, k, k, *ABG, a, b)
+    copy = ModuleOperator(k.spec, k.in_rank, k.out_rank, k.block_matrices())
+    assert repr(same.witness) == repr(pertur2_audit(fr, hs, k, copy, *ABG, a, b).witness)
+
+
+def _kernel_calls(monkeypatch) -> dict:
+    """Count full SVDs, values-only SVDs, eigvalsh and eigh calls."""
+    counts = dict.fromkeys(("svd", "svd_values", "eigvalsh", "eigh"), 0)
+    for name in ("svd", "eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            values = _name == "svd" and kwargs.get("compute_uv") is False
+            counts["svd_values" if values else _name] += 1
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    ("suite", "expected"),
+    [
+        # three factorizations (U_F, U_H and K), one full SVD per block of
+        # spec (2,1) each; no S^+ is formed and a residual within tol takes
+        # no ||T||
+        ("perturb1", {"svd": 6, "svd_values": 14, "eigvalsh": 8, "eigh": 0}),
+        # one pencil of (K K*, U_H U_H*), since the suite passes L = K
+        ("perturb2", {"svd": 6, "svd_values": 6, "eigvalsh": 10, "eigh": 0}),
+    ],
+)
+def test_suite_trial_kernel_calls(monkeypatch, suite, expected, seed):
+    counts = _kernel_calls(monkeypatch)
+    report = run_suite(suite, trials=1, seed=seed)
+    assert report["summary"]["certified"] == 1
+    assert counts == expected
 
 
 @pytest.mark.parametrize("trial", [10, 20])
