@@ -9,14 +9,18 @@ caller's tol, scale = max(1, size of the quantity the rounding follows).
 Where that size is an operator norm ||T|| that nothing else reads,
 `verdict_at_norm` takes it only for an excess above tol.
 Every operator inequality ends in `psd_certificate`, that rule on the
-gap's least eigenvalue: one values-only eigensolve per block of the gap,
-and eigenvectors (one block's) only when it falsifies.
+gap's least eigenvalue: one values-only eigensolve per block of the gap
+whose eigenvalues the caller does not already know exactly (a central
+upper frame bound's blocks are |c|^2 - sigma(U_b)^2, read off U's kept
+singular values), and eigenvectors (one block's) only when it falsifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from .hilbmod import ModuleOperator, ModuleVector
 
@@ -85,10 +89,11 @@ class Certificate:
 
 
 def psd_certificate(
-    gap: ModuleOperator,
+    gap: Union[ModuleOperator, Callable[[], ModuleOperator]],
     tol: float,
     claim: str,
     scale: Optional[float] = None,
+    eigs: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> Certificate:
     """Certify that a Hermitian gap operator is positive semidefinite.
 
@@ -106,19 +111,31 @@ def psd_certificate(
     (`herm_block_eigs`) gives the eigenvalues.  scale defaults to
     max(1, max |eigenvalue|) = max(1, ||gap||); a caller whose gap is a
     difference of larger terms passes their size, since rounding follows
-    them.  Only a falsified certificate takes eigenvectors: one `eigh` of
-    the block attaining the minimum, through `negative_witness`.
+    them.  A caller that knows some blocks' ascending eigenvalues exactly
+    passes them as `eigs`, None for a block still to be eigensolved; they
+    are decided by the same rule.  Such a caller may pass, as `gap`, the
+    function that forms the gap operator: it is called at most once, only
+    for a block still to be eigensolved or a falsified certificate.  Only
+    a falsified certificate takes eigenvectors: one `eigh` of the block
+    attaining the minimum, through `negative_witness`.
     """
-    eigs = gap.herm_block_eigs()
+    if eigs is None or any(w is None for w in eigs):
+        gap = _formed(gap)
+        eigs = gap.herm_block_eigs(eigs)
     min_eig = min(float(w[0]) for w in eigs)
     if scale is None:
         scale = max(1.0, *(max(-float(w[0]), float(w[-1])) for w in eigs))
     status = verdict(-min_eig, tol, scale)
-    witness_vec = gap.negative_witness(eigs)[1] if status == FALSIFIED else None
+    witness_vec = _formed(gap).negative_witness(eigs)[1] if status == FALSIFIED else None
     return Certificate(
         status, claim, {"min_eig": min_eig, "scale": scale}, tol,
         witness_vector=witness_vec,
     )
+
+
+def _formed(gap: Union[ModuleOperator, Callable[[], ModuleOperator]]) -> ModuleOperator:
+    """The gap operator, formed now where `gap` is the function forming it."""
+    return gap if isinstance(gap, ModuleOperator) else gap()
 
 
 def combine(claim: str, parts: list[Certificate], extra: Optional[dict] = None) -> Certificate:

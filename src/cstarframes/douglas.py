@@ -17,9 +17,12 @@ blocks (`_Factorization`), built on first use by `_factorization` and
 kept on S like its norm.  With k_b singular values kept in block b, the
 complement perp_b = U_b[:, k_b:] of R(S_b) and left_b = diag(1 / sigma_k)
 U_k^H are read off that one SVD, so every call after the first on the
-same S makes no SVD of S.  The pseudo-inverse is formed from the same
-SVD factors only when a solve or `pseudo_inverse` first reads it, and
-the factors are dropped then: the pencil, the range residual and the
+same S makes no SVD of S.  The singular values are kept too: for a
+synthesis operator U they are sigma_max(U), read as a Bessel bound, and
+the eigenvalues |c|^2 - sigma(U_b)^2 of a central upper frame bound's
+gap (`frames._certify_upper`).  The pseudo-inverse is formed from the
+same SVD factors only when a solve or `pseudo_inverse` first reads it,
+and the factors are dropped then: the pencil, the range residual and the
 cokernel witness never form it.  S's arrays are read-only, so the kept
 factorization cannot go stale.
 
@@ -39,7 +42,9 @@ inclusion, the pencil's too, holds at residual <= tol max(1, ||T||).
 That scale is `certify.verdict_at_norm`'s, so ||T|| is taken only for a
 residual above tol or for `_majorization`'s size.
 The pencil of T = 0 is math.inf, read off T's entries before S is
-factored.
+factored.  T is S decides exactly, with no factorization: its range
+residual is 0 and its pencil 1 (for T != 0), as when a perturbation
+audit asks whether R(K) lies in R(K).
 """
 
 from __future__ import annotations
@@ -82,6 +87,10 @@ class _Factorization:
     values <= DEFAULT_RTOL * sigma_max (the global largest) treated as
     zero.  With k_b the number kept, it holds, per block:
 
+    - `sigmas`: sigma_b, descending, min(rows, cols) of them, kept for
+      S's lifetime, so sigma_max(S) = `smax` and the eigenvalues of
+      S_b S_b^H (sigma_b^2, padded with zeros up to the rows) cost no
+      further kernel call;
     - S^+ (`pinv`), V_k diag(1 / sigma_k) U_k^H, formed on first use;
     - `lefts`: diag(1 / sigma_k) U_k^H, so that ||left_b T_b|| =
       ||S_b^+ T_b|| (V_k has orthonormal columns); None when k_b = 0;
@@ -105,6 +114,7 @@ class _Factorization:
                 for m in s.block_matrices()]
         self.smax = max((sig.max() if sig.size else 0.0) for _, sig, _ in svds)
         self.cut = DEFAULT_RTOL * self.smax
+        self.sigmas = [sig for _, sig, _ in svds]
         self.lefts: list[Optional[np.ndarray]] = []
         self.perps: list[Optional[np.ndarray]] = []
         self._factors: Optional[list] = []
@@ -222,8 +232,11 @@ def pseudo_inverse(t: ModuleOperator) -> ModuleOperator:
 
 
 def range_residual(t: ModuleOperator, s: ModuleOperator) -> float:
-    """Norm of (I - S S^+) T, zero exactly when R(T) is inside R(S)."""
+    """Norm of (I - S S^+) T, zero exactly when R(T) is inside R(S); the
+    exact 0.0 when t is s, with S not factored."""
     _check_common_target(t, s)
+    if t is s:
+        return 0.0
     return _factorization(s).range_residual(t)
 
 
@@ -241,11 +254,15 @@ def pencil_lower_bound(
     1 / ||S^+ T||^2 (Douglas: the minimal solution Q of T = S Q has
     ||Q||^2 = 1 / mu), with ||S^+ T|| = max_b ||diag(1 / sigma_k) U_k^H T_b||
     read off S's kept SVD.  ||T|| is taken only for a residual above
-    tol, and T = 0 is recognised from its entries, so S is not factored.
+    tol.  T = 0 is recognised from its entries, and t is s gives the
+    exact 1.0 (mu T T* <= T T* iff mu <= 1 for T != 0), so in neither case
+    is S factored.
     """
     _check_common_target(t, s)
     if not any(m.any() for m in t.block_matrices()):
         return math.inf
+    if t is s:
+        return 1.0
     return _factorization(s).pencil(t, tol)
 
 

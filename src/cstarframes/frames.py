@@ -18,8 +18,10 @@ holds only if S (upper) or K K* (lower) vanishes on that block; see
 one gap operator handed to `psd_certificate`, formed per block by `_gap`
 from the bound's block alone, with no kernel call on the bound and no
 operator for it; where the block is exactly c 1 the lower gap is
-S_k - T_k T_k^H with T_k = conj(c) K_k.  A violation
-on a non-scalar block comes with a constructed rank-one witness.
+S_k - T_k T_k^H with T_k = conj(c) K_k, and the upper gap's eigenvalues
+are |c|^2 - sigma(U_k)^2, read off U's kept singular values, so that
+gap is formed only to witness a violation.  A violation on a non-scalar
+block comes with a constructed rank-one witness.
 
 No check here samples.  The atomic coefficient bound C = ||Q|| 1 holds
 by construction, and the local-atom reconstruction on range(P) is the
@@ -30,7 +32,7 @@ through `certify.verdict`.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -155,7 +157,11 @@ def certify_star_bessel(
     Scalar B_k = beta 1 (within tol, `AlgElement.scalar_blocks`): the gap
     is the form of |beta|^2 1 - S_k, the central operator check, formed
     per block as I_n (x) (B_k^T conj(B_k)) - S_k by `_gap`, with no kernel
-    call on B and no operator M_B.
+    call on B and no operator M_B.  Where B_k is exactly beta 1 its
+    eigenvalues are |beta|^2 - sigma(U_k)^2, padded with |beta|^2 where
+    U_k has fewer columns than rows: they are read off U's kept Douglas
+    factorization (built on first use), and the gap block is formed only
+    for a falsified verdict's eigenvector.
     Non-scalar B_k: take xi with B_k* xi not parallel to xi and w with
     w^H conj(xi) = 1, w^H conj(B_k* xi) = 0.  Then F = g w^H gives the gap
     xi*(B<f,f>B* - sum)xi = -g^H S_k g, which is -lambda_max(S_k) for a
@@ -176,8 +182,9 @@ def certify_kframe(
 ) -> Certificate:
     """Certify the two-sided K-frame inequality with bounds A, B.
 
-    The upper inequality is decided as in `certify_star_bessel`.  The lower
-    one, per algebra block k with F, S_k as there and K_k the reduced
+    The upper inequality is decided as in `certify_star_bessel`, from U's
+    kept singular values where B is exactly central.  The lower one, per
+    algebra block k with F, S_k as there and K_k the reduced
     matrix of K, uses
 
         xi* A<K*f, K*f>A* xi = ||K_k^H F conj(A_k* xi)||^2.
@@ -204,7 +211,27 @@ def certify_kframe(
 
 
 def _certify_upper(frame: FrameSeq, b: AlgElement, tol: float, claim: str) -> Certificate:
-    return _decide(frame, b, None, _gap(b, frame.frame_op, tol), tol, claim)
+    """The upper inequality.  Where B_b is exactly c 1 the gap block
+    |c|^2 I - U_b U_b^H has the eigenvalues |c|^2 - sigma(U_b)^2, padded
+    with |c|^2 where U_b has fewer columns than rows, read off U's kept
+    factorization, which is built here on first use, so they never depend
+    on what was cached.  The `_gap` is formed only where a block is not
+    exactly scalar, for its `eigvalsh`, or where the verdict falsifies,
+    for the `eigh` of `psd_certificate`'s witness."""
+    n, sigmas = frame.rank, _factorization(frame.synthesis_op).sigmas
+    eigs = [
+        None if c is None else _scalar_upper_eigs(c, sig, n * d)
+        for c, sig, d in zip(b.exact_scalars(), sigmas, b.spec.block_dims)
+    ]
+    return _decide(frame, b, None, lambda: _gap(b, frame.frame_op, tol), tol, claim, eigs)
+
+
+def _scalar_upper_eigs(c: complex, sig: np.ndarray, rows: int) -> np.ndarray:
+    """Ascending eigenvalues of |c|^2 I - U_b U_b^H from the descending
+    singular values sig of U_b: |c|^2 - sig^2, then |c|^2 up to rows."""
+    abs2 = c.real**2 + c.imag**2
+    w = abs2 - sig * sig
+    return w if sig.size == rows else np.concatenate((w, np.full(rows - sig.size, abs2)))
 
 
 def _gap(
@@ -254,20 +281,23 @@ def _decide(
     frame: FrameSeq,
     bound: AlgElement,
     k_op: Optional[ModuleOperator],
-    gap: ModuleOperator,
+    gap: Union[ModuleOperator, Callable[[], ModuleOperator]],
     tol: float,
     claim: str,
+    eigs: Optional[list[Optional[np.ndarray]]] = None,
 ) -> Certificate:
     """Decide the upper inequality (k_op None) or the lower one with K
-    from its `_gap`.  A violation on a non-scalar block gets the
-    rank-one witness f = g w^H of `certify_star_bessel` and
-    `certify_kframe`, with g the eigenvector psd_certificate found.  It is
-    reported falsified only if psd_certificate falsifies the
-    algebra-valued gap at f, as an operator on A^1, else inconclusive:
-    for a bound block eps from scalar, ||w|| grows like 1/eps and the gap
-    like 1/eps^2, so roundoff swamps the violation.
+    from its `_gap`, or the function forming it, and the blocks'
+    eigenvalues already known (`eigs`), as `psd_certificate` takes them.
+    A violation on a non-scalar block gets the rank-one witness f = g w^H
+    of `certify_star_bessel` and `certify_kframe`, with g the eigenvector
+    psd_certificate found.  It is reported falsified only if
+    psd_certificate falsifies the algebra-valued gap at f, as an operator
+    on A^1, else inconclusive: for a bound block eps from scalar, ||w||
+    grows like 1/eps and the gap like 1/eps^2, so roundoff swamps the
+    violation.
     """
-    cert = psd_certificate(gap, tol, claim)
+    cert = psd_certificate(gap, tol, claim, eigs=eigs)
     if cert.status != FALSIFIED:
         return cert
     stacks = cert.witness_vector.stacks

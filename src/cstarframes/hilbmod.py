@@ -23,18 +23,23 @@ arrays, which the constructors copy and check; library code wraps the
 arrays it computes with `_vector` and `_operator`, unchecked.  The
 arrays are read-only.  Because the arrays never change, an operator
 computes its norm once, through the algebra's one spectral-norm kernel,
-and keeps it; `douglas` keeps the operator's factorization (rank cut,
-the complement of the range, the whitening factors diag(1 / sigma) U^H,
-and the pseudo-inverse once a solve reads it) in its `_fac` slot the
+and keeps it; `douglas` keeps the operator's factorization (singular
+values, rank cut, the complement of the range, the whitening factors
+diag(1 / sigma) U^H, and the pseudo-inverse once a solve reads it) in
+its `_fac` slot the
 same way, and sets the norm of a Douglas solution Q from that
 factorization, so Q takes no SVD.
 
 Where each decomposition is taken, per reduced block: `norm` is a
 values-only SVD, taken by a verdict scaled by max(1, ||T||) only past
 tol (`certify.verdict_at_norm`); the Douglas factorization one full
-SVD, and the pseudo-inverse two products of its factors, formed on first
-use; `herm_block_eigs`, which `certify.psd_certificate` reads to decide
-positivity, a values-only `eigvalsh` of the Hermitian part;
+SVD, whose singular values it keeps, and the pseudo-inverse two products
+of its factors, formed on first use; `herm_block_eigs`, which
+`certify.psd_certificate` reads to decide positivity, a values-only
+`eigvalsh` of the Hermitian part, except for a block whose eigenvalues
+the caller already knows (an exactly central upper frame bound's gap
+|c|^2 - sigma(U_b)^2, from the synthesis operator's kept singular
+values, so that the gap is not even formed unless it falsifies);
 `negative_witness`, for a falsified verdict only, one `eigh` of the block
 with the least eigenvalue; `adjoint_norm_witness` a full SVD of every block.
 """
@@ -173,16 +178,22 @@ class ModuleOperator:
             self._norm = max(float(_spectral_norm(m)) for m in self._mats)
         return self._norm
 
-    def herm_block_eigs(self) -> list[np.ndarray]:
+    def herm_block_eigs(
+        self, known: Optional[Sequence[Optional[np.ndarray]]] = None
+    ) -> list[np.ndarray]:
         """Ascending eigenvalues of the Hermitian part of each reduced block
-        matrix, one values-only `eigvalsh` per block.
+        matrix, one values-only `eigvalsh` per block, except where `known`
+        already holds a block's (None marks one to compute).
 
         For a Hermitian operator, block b's are the flattening's eigenvalues
         on that block, each with multiplicity d_b.
         """
         if self.in_rank != self.out_rank:
             raise InputError("eigenvalues need a square operator")
-        return [np.linalg.eigvalsh(_hermitian_part(m)) for m in self._mats]
+        if known is None:
+            known = (None,) * len(self._mats)
+        return [np.linalg.eigvalsh(_hermitian_part(m)) if w is None else w
+                for w, m in zip(known, self._mats)]
 
     def is_projection(self, tol: float = DEFAULT_TOL) -> bool:
         if self.in_rank != self.out_rank:

@@ -33,7 +33,7 @@ from .certify import (
     CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, psd_certificate, verdict,
     verdict_at_norm,
 )
-from .douglas import pencil_lower_bound, range_residual
+from .douglas import _factorization, pencil_lower_bound, range_residual
 from .errors import InputError, PreconditionError
 from .frames import FrameSeq, certify_kframe
 from .hilbmod import ModuleOperator, ModuleVector, identity_operator
@@ -126,9 +126,13 @@ def pertur1_audit(
     certificate of {h_j} (`_lframe_certificate`) with upper bound
     upper_const = (1 + sqrt(M)) ||B|| and a scalar lower bound from the
     pencil of (L L*, U_H U_H*).  Its witness holds M, both branch
-    constants, upper_const and the classical reference lower constant
-    ||A||^2 lambda / (1 + sqrt(M))^2; it is falsified, with those
-    constants, when both branch constants are infinite.
+    constants, upper_const, lambda_LK, the pencil of (L L*, K K*) (exactly
+    1 when L is K, with K not factored), the classical reference lower
+    constant ||A||^2 lambda / (1 + sqrt(M))^2 (lambda = lambda_LK, or 1
+    where that is infinite, L = 0), and bessel_of_h =
+    sigma_max(U_H) = ||S_H||^(1/2), read off U_H's kept factorization; it
+    is falsified, with those constants, when both branch constants are
+    infinite.  The hypothesis R(L) inside R(K) holds exactly when L is K.
 
     Converse mode (co-isometric K, R(K) <= R(L)): one certificate
     "perturb-min-converse" that M does not exceed min{(1 + ||D||/||A||)^2,
@@ -159,7 +163,7 @@ def pertur1_audit(
         lambda_LK=lam_lk,
         pencil_lower_H=nu,
         reference_lower_floor=a_norm**2 * lam_ref / (1.0 + sqrt_m) ** 2,
-        bessel_of_h=math.sqrt(h_seq.frame_op.norm()),
+        bessel_of_h=float(_factorization(h_seq.synthesis_op).smax),
     )
     frame_cert = _lframe_certificate(h_seq, l_op, nu, upper_const, tol, "perturb-lframe")
     return combine(claim, [frame_cert], extra=constants)
@@ -201,7 +205,7 @@ def _pertur1_converse(
     if nu <= 0.0:
         raise PreconditionError("converse hypothesis failed: {h_j} is not an L-frame")
     c_norm = math.sqrt(nu) if math.isfinite(nu) else 1.0
-    d_norm = math.sqrt(h_seq.frame_op.norm())
+    d_norm = float(_factorization(h_seq.synthesis_op).smax)
     lam = pencil_lower_bound(k_op, l_op, tol)
     lam_val = 1.0 / lam if lam not in (0.0, math.inf) else 0.0
     m_reference = min(

@@ -57,11 +57,18 @@ def test_certified_bessel_takes_values_only(monkeypatch):
     calls = _counting(monkeypatch)
     cert = certify_star_bessel(frame, b, 1e-9)
     assert cert.status == CERTIFIED
-    # one values-only eigensolve per block, no eigenvectors
-    assert [a.shape for a in calls["eigvalsh"]] == [(RANK * d, RANK * d) for d in SPEC.block_dims]
-    assert calls["eigh"] == []
+    # B is exactly scalar: the gap's eigenvalues are |beta|^2 - sigma(U_b)^2,
+    # read off U's factorization, one SVD per block of U, built on first use
+    assert calls["eigvalsh"] == [] and calls["eigh"] == []
+    u_blocks = frame.synthesis_op.block_matrices()
+    assert len(calls["svd"]) == len(u_blocks)
+    assert all(np.array_equal(a, m) for a, m in zip(calls["svd"], u_blocks))
     # the gap is Hermitian by construction: no SVD of a gap-sized matrix
     assert not any(_gap_shaped(a) for a in calls["svd"])
+    # a second call finds the factorization kept on U: no kernel call
+    calls["svd"].clear()
+    assert certify_star_bessel(frame, b, 1e-9).witness == cert.witness
+    assert calls == {"eigvalsh": [], "eigh": [], "svd": []}
 
 
 def test_falsified_bessel_takes_one_eigh(monkeypatch):
@@ -70,8 +77,8 @@ def test_falsified_bessel_takes_one_eigh(monkeypatch):
     calls = _counting(monkeypatch)
     cert = certify_star_bessel(frame, b, 1e-9)
     assert cert.status == FALSIFIED and cert.witness_vector is not None
-    assert len(calls["eigvalsh"]) == SPEC.n_blocks
-    assert len(calls["eigh"]) == 1
+    assert calls["eigvalsh"] == []
+    assert len(calls["eigh"]) == 1 and _gap_shaped(calls["eigh"][0])
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -554,7 +554,7 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                 digest.update(f"{profile} {command} {seed} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "2147224c814b5fc12d70052daffe152833366d3da7972b8484ab98749cdd0baa"
+        "a9675947abd77eb4a6dde9f5bedeffe8b078f89301a0037b44ae57c534007803"
     )
 
 
@@ -581,5 +581,5 @@ def test_input_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
             digest.update(f"{name} {command} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "fb89f05833afd209b8c24f6d61d68807d304090c3e751bd672841efe3d547d57"
+        "1ef2b132327bf3b0a0f7ac5438aaf449eea8e6b821bc5467651ba13df59f7d00"
     )

@@ -738,6 +738,27 @@ def test_pencil_takes_no_norm_of_t_within_tol():
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+def test_t_is_s_is_decided_exactly_without_a_factorization(spec, monkeypatch):
+    # mu S S* <= S S* iff mu <= 1, and R(S) is inside R(S): both exact for
+    # the operator itself, while an equal copy is another operator, factored
+    rng = stream(79, spec.n_blocks)
+    s = make_rank_deficient(spec, 2, 3, rng)
+    seen = _record_svd_arguments(monkeypatch)
+    assert range_residual(s, s) == 0.0
+    assert range_inclusion(s, s, 0.0)
+    assert pencil_lower_bound(s, s, 0.0) == 1.0
+    assert seen == [] and s._fac is None and s._norm is None
+    zero = zero_operator(spec, 2, 3)
+    assert math.isinf(pencil_lower_bound(zero, zero)) and range_residual(zero, zero) == 0.0
+    assert seen == [] and zero._fac is None
+    copy = _copy(s)
+    residual, mu = range_residual(copy, s), pencil_lower_bound(copy, s, 1e-9)
+    assert s._fac is not None
+    assert all(any(a is m for a in seen) for m in s.block_matrices())
+    assert residual <= 1e-12 and mu == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
 def test_kept_factorization_gives_the_bits_of_a_fresh_one_on_frames(spec):
     rng = stream(74, spec.n_blocks)
     frame = FrameSeq([random_vector(spec, 3, rng) for _ in range(5)])

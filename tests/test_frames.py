@@ -1028,13 +1028,14 @@ def test_derived_families_are_built_from_their_synthesis_operators(tmp_path, mon
 
 
 def recorded_gaps(monkeypatch):
-    """The gap operators `frames` hands to psd_certificate, in call order."""
+    """The gap operators `frames` hands to psd_certificate, in call order,
+    formed here where it hands over the function forming one."""
     gaps = []
     decide = frames.psd_certificate
 
     def recording(gap, *args, **kwargs):
-        gaps.append(gap)
-        return decide(gap, *args, **kwargs)
+        gaps.append(gap if isinstance(gap, ModuleOperator) else gap())
+        return decide(gaps[-1], *args, **kwargs)
 
     monkeypatch.setattr(frames, "psd_certificate", recording)
     return gaps
@@ -1137,8 +1138,119 @@ def test_central_bounds_take_no_kernel_call_and_no_diagonal_operator(seed, monke
     for scale in (1.0, 4.0):
         fr, k, a, b, loc_fr, p, atoms, c = gap_inputs(seed, scale)
         calls.clear()
+        # U was factored when the instance derived its bounds, so the upper
+        # halves read its kept singular values
         certify_kframe(fr, k, a, b, 1e-9)
         certify_star_bessel(fr, b, 1e-9)
         assert calls == []
         local_atoms_check(loc_fr, p, atoms, c, 1e-9)
         assert not any(np.shares_memory(x, blk) for x in calls for blk in c.blocks)
+
+
+# -- the upper inequality from U's kept singular values ---------------------------------------
+
+
+def eigen_route_upper(frame, b, tol, claim="star-bessel"):
+    """The upper inequality decided by an eigvalsh of every formed gap block."""
+    return frames._decide(frame, b, None, frames._gap(b, frame.frame_op, tol), tol, claim)
+
+
+# per block of a bound: |c|^2 as a multiple of sigma_max(U_b)^2, spread
+# over falsified (0.5), inconclusive (1 - 5e-9) and certified (1 + 1e-6, 2)
+UPPER_FACTORS = (0.5, 1.0 - 5e-9, 1.0 + 1e-6, 2.0)
+UPPER_KINDS = ("real", "complex", "within-tol", "non-scalar")
+
+
+def upper_case(seed):
+    """A frame, possibly tall (J < n), and a bound whose blocks mix exact
+    real and complex scalars, near-scalars within tol and non-scalars;
+    1 x 1 blocks are exact."""
+    rng = stream(seed, 9)
+    spec = AlgebraSpec([(3, 2, 1), (1,), (1, 1), (2, 1)][seed % 4])
+    n, count = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+    u = random_operator(spec, count, n, rng)
+    blocks = []
+    for i, (d, m) in enumerate(zip(spec.block_dims, u.block_matrices())):
+        kind = UPPER_KINDS[(seed // 4 + i) % (4 if d > 1 else 2)]
+        size = UPPER_FACTORS[int(rng.integers(4))] ** 0.5 * np.linalg.norm(m, 2)
+        c = size * (cmath.exp(0.7j) if kind == "complex" else 1.0)
+        blk = c * np.eye(d, dtype=complex)
+        if kind in ("within-tol", "non-scalar"):
+            blk[0, 1] = size * (1e-12 if kind == "within-tol" else 0.3)
+        blocks.append(blk)
+    return frames._family(u), spec.element(blocks)
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_upper_route_decides_as_the_eigen_route(seed):
+    frame, b = upper_case(seed)
+    cert = certify_star_bessel(frame, b, 1e-9)
+    ref = eigen_route_upper(_copy_frame(frame), b, 1e-9)
+    scale = ref.witness["scale"]
+    assert cert.status == ref.status
+    assert abs(cert.witness["min_eig"] - ref.witness["min_eig"]) <= 1e-12 * scale
+    assert abs(cert.witness["scale"] - scale) <= 1e-12 * scale
+    # the rest of the witness, and a falsified witness vector, bit for bit
+    drop = ("min_eig", "scale")
+    assert {k: v for k, v in cert.witness.items() if k not in drop} == {
+        k: v for k, v in ref.witness.items() if k not in drop}
+    if ref.witness_vector is None:
+        assert cert.witness_vector is None
+    else:
+        assert all(x.tobytes() == y.tobytes()
+                   for x, y in zip(cert.witness_vector.stacks, ref.witness_vector.stacks))
+    # the upper half of a K-frame certificate is the same decision
+    k = identity_operator(frame.spec, frame.rank).scalar_mul(0.0)
+    kframe = certify_kframe(frame, k, frame.spec.unit(), b, 1e-9)
+    assert kframe.witness["parts"][1] == cert.witness
+
+
+def test_upper_route_cases_cover_tall_frames_1x1_blocks_and_every_status():
+    cases = [upper_case(seed) for seed in range(48)]
+    assert any(fr.n_members < fr.rank for fr, _ in cases)
+    assert any(fr.spec.block_dims == (1,) for fr, _ in cases)
+    kinds = set()
+    for _, b in cases:
+        exact, scalar = b.exact_scalars(), b.scalar_blocks(1e-9)
+        kinds.add((any(c is not None for c in exact),
+                   any(s and c is None for c, s in zip(exact, scalar)), not all(scalar)))
+    assert (True, True, True) in kinds
+    statuses = {certify_star_bessel(fr, b, 1e-9).status for fr, b in cases}
+    assert statuses == {"certified", "falsified", "inconclusive"}
+
+
+def _copy_frame(frame):
+    u = frame.synthesis_op
+    return frames._family(ModuleOperator(u.spec, u.in_rank, u.out_rank, u.block_matrices()))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_upper_route_does_not_depend_on_a_kept_factorization(seed):
+    # the route factors U on first use, so a cold U and one factored by an
+    # earlier pencil give the same bits
+    frame, b = upper_case(seed)
+    warm = _copy_frame(frame)
+    pencil_lower_bound(identity_operator(frame.spec, frame.rank), warm.synthesis_op)
+    cold = _copy_frame(frame)
+    assert cold.synthesis_op._fac is None
+    got = [certify_star_bessel(fr, b, 1e-9) for fr in (cold, warm)]
+    assert repr(got[0].witness) == repr(got[1].witness)
+    assert got[0].status == got[1].status
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_upper_route_forms_the_gap_only_to_eigensolve_or_witness(seed, monkeypatch):
+    frame, b = upper_case(seed)
+    cert = certify_star_bessel(frame, b, 1e-9)
+    formed = []
+    real_gap = frames._gap
+
+    def counting_gap(*args, **kwargs):
+        formed.append(args)
+        return real_gap(*args, **kwargs)
+
+    monkeypatch.setattr(frames, "_gap", counting_gap)
+    again = certify_star_bessel(frame, b, 1e-9)
+    assert repr(again.witness) == repr(cert.witness)
+    all_exact = all(c is not None for c in b.exact_scalars())
+    assert len(formed) == (0 if all_exact and cert.status != "falsified" else 1)

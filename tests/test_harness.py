@@ -58,9 +58,9 @@ SUITE_PAYLOADS = {
     "kframe-main": "3f69de9a56ac0549462c8a6ecaf0614ff5b4a4627e1717449604418854a326e7",
     "paper-example": "94d94a18f9b255b4f506ab21634c0c72917ae60991bd032be5fb702ce522ee96",
     "conjugation": "0de79c73b502663ef8409ec262cf65352e663502bf633daa8801909542f9ba15",
-    "tensor": "2c21df17c5954937980787bafb6b21fb575e5c1c2313b8099c8675f796bf6b2b",
+    "tensor": "cf48b510ec035c3980380839fbbdae1fb2bd427c471083baffdc6fb1a3c43f94",
     "co-isometry": "d62cd2d87d695c4857100a99103c9504050b7335db642d1835a1bfae01729b82",
-    "perturb1": "a1872a32b1d2580dfb4b800390baa9dbc4c308c519ef5a0d97fc307ce7bcc2a2",
+    "perturb1": "233b65296ea7a1a4941f9bb2342a667f403baed8ed33343416296b2822019e42",
     "perturb2": "e1dbd66b51eceb68ff02db2ac3570b2b21f235a8a5d9b9fe1783b2edc8d51e3b",
 }
 

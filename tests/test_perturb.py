@@ -468,6 +468,26 @@ def test_each_conclusion_is_decided_once(monkeypatch):
     assert calls.count("pencil_lower_bound") == 2
 
 
+@pytest.mark.parametrize("audit", ["perturb1", "perturb2"])
+def test_l_is_k_certifies_a_rank_deficient_k_at_tol_zero(audit):
+    # K of generic seed 0 with its last slot dropped is rank-deficient;
+    # R(K) inside R(K) and the pencil of (K K*, K K*) are exact, so tol 0
+    # meets no rounding of a factorization of K, whose residual is 6.1e-16
+    inst = random_instance(0, "generic")
+    fr = inst.members
+    k = inst.operators["K"].compose(harness._drop_last_slot(inst.spec, inst.rank))
+    assert any(np.linalg.matrix_rank(m) < len(m) for m in k.block_matrices())
+    a, b = frames.derived_bounds(fr, *optimal_scalar_bounds(fr, k, 0.0), 0.05)
+    hs = harness._perturbed_pair(fr, 3, 1e-3)
+    if audit == "perturb1":
+        cert = pertur1_audit(fr, hs, k, k, a, b, tol=0.0)
+        assert cert.witness["lambda_LK"] == 1.0
+    else:
+        cert = pertur2_audit(fr, hs, k, k, *ABG, a, b, tol=0.0)
+    assert cert.status == "certified"
+    assert k._fac is None
+
+
 def test_one_pencil_when_l_is_k_gives_the_bits_of_two():
     # the pencil of (K K*, U_H U_H*) is the one of (L L*, U_H U_H*) when L
     # is K; an equal copy of K takes it a second time, to the same bits
@@ -496,12 +516,14 @@ def _kernel_calls(monkeypatch) -> dict:
 @pytest.mark.parametrize(
     ("suite", "expected"),
     [
-        # three factorizations (U_F, U_H and K), one full SVD per block of
-        # spec (2,1) each; no S^+ is formed and a residual within tol takes
-        # no ||T||
-        ("perturb1", {"svd": 6, "svd_values": 14, "eigvalsh": 8, "eigh": 0}),
-        # one pencil of (K K*, U_H U_H*), since the suite passes L = K
-        ("perturb2", {"svd": 6, "svd_values": 6, "eigvalsh": 10, "eigh": 0}),
+        # two factorizations (U_F and U_H), one full SVD per block of spec
+        # (2,1) each, and none of K, since the suite passes L = K; no S^+
+        # is formed, a residual within tol takes no ||T||, the two upper
+        # halves read sigma(U_F), sigma(U_H) and bessel_of_h sigma_max(U_H)
+        ("perturb1", {"svd": 4, "svd_values": 10, "eigvalsh": 4, "eigh": 0}),
+        # one pencil of (K K*, U_H U_H*); the base K-frame's upper half
+        # factors U_F
+        ("perturb2", {"svd": 4, "svd_values": 6, "eigvalsh": 6, "eigh": 0}),
     ],
 )
 def test_suite_trial_kernel_calls(monkeypatch, suite, expected, seed):
