@@ -38,10 +38,10 @@ from .hilbmod import ModuleOperator, identity_operator
 from .perturb import pertur1_audit, pertur2_audit
 from .serialize import (
     Instance,
-    _load_with_digest,
     certificate_to_dict,
     decode_tolerance,
     instance_digest,
+    load_instance,
     write_report,
 )
 
@@ -114,17 +114,15 @@ def _resolve_defaults(args, inst: Instance | None) -> None:
 def _get_instance(args, command: str) -> tuple[Instance, str]:
     """The instance and its digest."""
     if args.input:
-        inst, digest = _load_with_digest(args.input)
+        inst = load_instance(args.input)
         _resolve_defaults(args, inst)
-        return inst, digest
-    _resolve_defaults(args, None)
-    if args.profile:
-        if command == "tensor":
-            inst = tensor_pair_instance(args.seed)
-        else:
-            inst = random_instance(args.seed, args.profile)
-        return inst, instance_digest(inst)
-    raise InputError(f"{command} needs --input or --profile")
+    else:
+        _resolve_defaults(args, None)
+        if not args.profile:
+            raise InputError(f"{command} needs --input or --profile")
+        inst = (tensor_pair_instance(args.seed) if command == "tensor"
+                else random_instance(args.seed, args.profile))
+    return inst, instance_digest(inst)
 
 
 def _need_operator(inst: Instance, key: str, command: str):
@@ -206,7 +204,7 @@ def _cmd_local_atoms(inst: Instance, args):
         g_frame = _family(s_pinv.compose(frame.synthesis_op))
     c = inst.bounds.get("C")
     if c is None:
-        c = (s_pinv.norm() * frame.synthesis_op.norm()) * inst.spec.unit()
+        c = inst.spec.central([s_pinv.norm() * frame.synthesis_op.norm()] * inst.spec.n_blocks)
     cert = local_atoms_check(frame, p_op, g_frame, c, args.tol)
     return cert.status, dict(cert.witness), [cert]
 

@@ -117,19 +117,24 @@ def _paper_truncation_instance(n_terms: int, seed: int) -> Instance:
     )
 
 
-def _generic_instance(seed: int) -> Instance:
+def _generic_draw(seed: int) -> tuple[FrameSeq, ModuleOperator, np.random.Generator]:
+    """The generic profile's family, K = U Q0 and the stream L is drawn
+    from; trials that read no bound take these, not the instance."""
     rng = stream(seed, 1)
     spec = AlgebraSpec((2, 1))
     n = int(rng.integers(1, 4))
     j_count = int(rng.integers(n, 7))
     frame = _family(random_operator(spec, j_count, n, rng))
-    q0 = random_operator(spec, n, j_count, rng)
-    k_op = frame.synthesis_op.compose(q0)
-    l_op = k_op.compose(random_operator(spec, n, n, rng))
+    return frame, frame.synthesis_op.compose(random_operator(spec, n, j_count, rng)), rng
+
+
+def _generic_instance(seed: int) -> Instance:
+    frame, k_op, rng = _generic_draw(seed)
+    l_op = k_op.compose(random_operator(frame.spec, frame.rank, frame.rank, rng))
     a, b = derived_bounds(frame, *optimal_scalar_bounds(frame, k_op), BOUND_MARGIN)
     return Instance(
-        spec=spec,
-        rank=n,
+        spec=frame.spec,
+        rank=frame.rank,
         members=frame,
         operators={"K": k_op, "L": l_op},
         bounds={"A": a, "B": b},
@@ -162,18 +167,23 @@ def _rank_deficient_instance(seed: int) -> Instance:
     )
 
 
-def _coisometry_instance(seed: int) -> Instance:
+def _coisometry_draw(seed: int) -> tuple[FrameSeq, ModuleOperator, ModuleOperator]:
+    """The co-isometry profile's family, central K and unitary T."""
     rng = stream(seed, 1)
     spec = AlgebraSpec((2, 1))
     n = int(rng.integers(1, 4))
     j_count = int(rng.integers(n, 7))
     frame = _family(random_operator(spec, j_count, n, rng))
     k_op = central_mult(random_central(spec, rng), n)
-    t_op = random_unitary(spec, n, rng)
+    return frame, k_op, random_unitary(spec, n, rng)
+
+
+def _coisometry_instance(seed: int) -> Instance:
+    frame, k_op, t_op = _coisometry_draw(seed)
     a, b = derived_bounds(frame, *optimal_scalar_bounds(frame, k_op), BOUND_MARGIN)
     return Instance(
-        spec=spec,
-        rank=n,
+        spec=frame.spec,
+        rank=frame.rank,
         members=frame,
         operators={"K": k_op, "T": t_op},
         bounds={"A": a, "B": b},
@@ -232,9 +242,11 @@ def _kframe_main_trial(seed: int, trial: int, tol: float) -> dict:
     reconstruct K; an inconclusive `pencil_verdict` of lambda* leaves the
     row inconclusive."""
     profile = "generic" if trial % 2 == 0 else "rank-deficient-K"
-    inst = random_instance(_trial_seed(seed, trial), profile)
-    frame = inst.members
-    k_op = inst.operators["K"]
+    if profile == "generic":
+        frame, k_op, _ = _generic_draw(_trial_seed(seed, trial))
+    else:
+        inst = _rank_deficient_instance(_trial_seed(seed, trial))
+        frame, k_op = inst.members, inst.operators["K"]
     lam, mu = optimal_scalar_bounds(frame, k_op, tol)
     gate = pencil_verdict(lam, tol)
     kframe_ok = False
@@ -286,10 +298,9 @@ def _paper_example_run(seed: int, n_terms: int, tol: float) -> dict:
 
 
 def _conjugation_trial(seed: int, trial: int, tol: float) -> dict:
-    inst = random_instance(_trial_seed(seed, trial), "generic")
-    rng = stream(seed, 6, trial)
-    k_op = random_operator(inst.spec, inst.rank, inst.rank, rng)
-    cert = conjugation_audit(inst.members, k_op, tol)
+    frame, _, _ = _generic_draw(_trial_seed(seed, trial))
+    k_op = random_operator(frame.spec, frame.rank, frame.rank, stream(seed, 6, trial))
+    cert = conjugation_audit(frame, k_op, tol)
     return {
         "trial": trial,
         "status": cert.status,
@@ -355,10 +366,8 @@ def _tensor_trial(seed: int, trial: int, tol: float) -> dict:
 
 
 def _coisometry_trial(seed: int, trial: int, tol: float) -> dict:
-    inst = random_instance(_trial_seed(seed, trial), "co-isometry-commuting")
-    cert = coisometry_invariance_audit(
-        inst.members, inst.operators["T"], inst.operators["K"], tol
-    )
+    frame, k_op, t_op = _coisometry_draw(_trial_seed(seed, trial))
+    cert = coisometry_invariance_audit(frame, t_op, k_op, tol)
     return {
         "trial": trial,
         "status": cert.status,

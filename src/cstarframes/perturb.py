@@ -179,8 +179,8 @@ def _lframe_certificate(
     if nu == 0.0:
         return Certificate(FALSIFIED, claim, {"pencil_lower_H": 0.0}, tol)
     low = math.sqrt(max(nu * (1.0 - PENCIL_INSET), 0.0)) if math.isfinite(nu) else 1.0
-    unit = h_seq.spec.unit()
-    return certify_kframe(h_seq, l_op, low * unit, upper * unit, tol)
+    a, b = (h_seq.spec.central([x] * h_seq.spec.n_blocks) for x in (low, upper))
+    return certify_kframe(h_seq, l_op, a, b, tol)
 
 
 def _pertur1_converse(

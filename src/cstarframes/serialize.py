@@ -21,9 +21,9 @@ entry.
 
 `dumps_stable` writes exactly `json.dumps(sanitize(obj), indent=2,
 allow_nan=False)` in one walk, without json's pure-Python indenting
-encoder.  The CLI takes an instance file's digest from the file's parsed
-JSON when its sorted compact dump is the canonical one (the dump of
-`instance_to_dict`), and re-encodes the instance otherwise.
+encoder.  `instance_digest` hashes the decoded arrays, not their JSON
+text, so two files that parse to one instance share a digest and no
+float is written out to take it.
 """
 
 from __future__ import annotations
@@ -324,23 +324,14 @@ def parse_instance(data: dict, path: str = "instance") -> Instance:
     return inst
 
 
-def _read_instance(path: str | Path) -> tuple[Instance, object, int]:
-    """The instance in the file at path, the file's parsed JSON and the
-    number of integer tokens in the file."""
+def load_instance(path: str | Path) -> Instance:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read instance file {p}: {exc}") from exc
-    ints = 0
-
-    def count(token: str) -> int:
-        nonlocal ints
-        ints += 1
-        return int(token)
-
     try:
-        data = json.loads(text, parse_int=count)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{p}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -349,44 +340,42 @@ def _read_instance(path: str | Path) -> tuple[Instance, object, int]:
         # an integer token past Python's digit limit, or nesting past the
         # parser's recursion limit
         raise InputError(f"{p}: unreadable JSON: {exc}") from exc
-    return parse_instance(data, path=str(p)), data, ints
-
-
-def load_instance(path: str | Path) -> Instance:
-    return _read_instance(path)[0]
-
-
-def _load_with_digest(path: str | Path) -> tuple[Instance, str]:
-    """The instance in the file at path and its `instance_digest`.
-
-    The digest hashes the sorted compact dump of `instance_to_dict`.  The
-    dump of the file's parsed JSON is that same text when the file holds
-    no integer token beyond each level's block dimensions, rank and seed
-    (an integer scalar or tolerance is re-encoded as a float) and no empty
-    operators, bounds or tolerances object (the encoder leaves those out);
-    key order and number spelling (1.50, 1e0) do not survive parsing.
-    Otherwise the instance is re-encoded."""
-    inst, data, ints = _read_instance(path)
-    expected, level = 0, data
-    while level is not None:
-        if any(level.get(k) == {} for k in ("operators", "bounds", "tolerances")):
-            return inst, instance_digest(inst)
-        expected += len(level["algebra"]) + 1 + ("seed" in level)
-        level = level.get("right")
-    return inst, (_digest(data) if ints == expected else instance_digest(inst))
+    return parse_instance(data, path=str(p))
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:
     Path(path).write_text(dumps_stable(instance_to_dict(inst)), encoding="utf-8")
 
 
-def _digest(obj) -> str:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def instance_digest(inst: Instance) -> str:
-    return _digest(instance_to_dict(inst))
+    """SHA-256 of the decoded instance: per level (the instance, then its
+    `right`), a compact sorted-JSON header of its scalars, of whether a
+    `right` follows and of every array's name and block shapes, then the
+    arrays' '<c16' block bytes in name order."""
+    h = hashlib.sha256()
+    level = inst
+    while level is not None:
+        arrays = {k: getattr(level, k) for k in ("members", "h_members", "g_members")}
+        arrays = {k: f.synthesis_op.block_matrices() for k, f in arrays.items() if f is not None}
+        arrays.update((f"operators.{k}", v.block_matrices()) for k, v in level.operators.items())
+        arrays.update((f"bounds.{k}", v.blocks) for k, v in level.bounds.items())
+        names = sorted(arrays)
+        pert = level.perturbation
+        header = {
+            "algebra": list(level.spec.block_dims),
+            "rank": int(level.rank),
+            "seed": None if level.seed is None else int(level.seed),
+            "tol": None if level.tol is None else float(level.tol),
+            "perturbation": None if pert is None else {k: float(v) for k, v in pert.items()},
+            "right": level.right is not None,
+            "arrays": {k: [m.shape for m in arrays[k]] for k in names},
+        }
+        h.update(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+        for k in names:
+            for m in arrays[k]:
+                h.update(np.ascontiguousarray(m, dtype="<c16"))
+        level = level.right
+    return h.hexdigest()
 
 
 # -- reports --------------------------------------------------------------------

@@ -5,8 +5,9 @@ with dimensions d_i * e_k (the spatial tensor product, which is the only
 C*-tensor product in finite dimensions).  Product blocks and module
 slots are ordered lexicographically left-first; the witness records the
 block pairs in that order.
-Products are formed on the per-block arrays: one kron of the factors'
-reduced matrices per block pair, reordered by a fixed reshape/transpose.
+Products are formed on the per-block arrays: one broadcast product of
+the factors' reduced matrices per block pair, laid out in product order,
+with the entries of `np.kron` bit for bit.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class TensorWitness:
     def element(self, a: AlgElement, b: AlgElement) -> AlgElement:
         if a.spec != self.left or b.spec != self.right:
             raise InputError("tensor factors do not match the witness specs")
-        blocks = [np.kron(a.blocks[i], b.blocks[k]) for i, k in self.block_pairs]
-        return AlgElement(self.product, blocks)
+        return AlgElement(self.product, [
+            (a.blocks[i][:, None, :, None] * b.blocks[k][None, :, None, :]).reshape(dim, dim)
+            for (i, k), dim in zip(self.block_pairs, self.product.block_dims)])
 
     def vector(self, f: ModuleVector, h: ModuleVector) -> ModuleVector:
         """f tensor h in (A tensor B)^(n m), slots ordered (left, right).
@@ -62,16 +64,17 @@ class TensorWitness:
         """K tensor L acting by (K tensor L)(f tensor h) = Kf tensor Lh.
 
         Block (i, k) is kron(K_i, L_k) with rows (s, p, s', p') reordered to
-        (s, s', p, p') and columns likewise: slots (left, right) outermost."""
+        (s, s', p, p') and columns likewise: slots (left, right) outermost,
+        formed as one broadcast product with each index on its own axis."""
         if k_op.spec != self.left or l_op.spec != self.right:
             raise InputError("tensor factors do not match the witness specs")
         n, n_out, m, m_out = k_op.in_rank, k_op.out_rank, l_op.in_rank, l_op.out_rank
         mats = []
         for i, k in self.block_pairs:
             d, e = self.left.block_dims[i], self.right.block_dims[k]
-            z = np.kron(k_op.block_matrices()[i], l_op.block_matrices()[k])
-            z = z.reshape(n_out, d, m_out, e, n, d, m, e).transpose(0, 2, 1, 3, 4, 6, 5, 7)
-            mats.append(z.reshape(n_out * m_out * d * e, n * m * d * e))
+            kb = k_op.block_matrices()[i].reshape(n_out, 1, d, 1, n, 1, d, 1)
+            lb = l_op.block_matrices()[k].reshape(1, m_out, 1, e, 1, m, 1, e)
+            mats.append((kb * lb).reshape(n_out * m_out * d * e, n * m * d * e))
         return _operator(self.product, n * m, n_out * m_out, mats)
 
 

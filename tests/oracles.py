@@ -15,8 +15,10 @@ independent route its exact decisions are tested against.  Witnesses
 re-check through `is_positive`, the positivity rule those sampled
 checks applied, on an element's blocks with numpy alone: the library
 keeps no such rule of its own.  The
-element-walking codec and the entrywise tensor products pin the array
-codec and the per-block kron products bit for bit.
+element-walking codec, the entrywise tensor products and the `np.kron`
+ones pin the array codec and the per-block broadcast products bit for
+bit, and the Bessel bounds the library records as holding by
+construction are re-checked on the families themselves.
 """
 
 import math
@@ -33,8 +35,12 @@ from cstarframes.certify import (
     psd_certificate,
 )
 from cstarframes.algebra import AlgElement
+from cstarframes import douglas
 from cstarframes.douglas import DouglasReport
 from cstarframes.errors import InputError
+from cstarframes.frames import (
+    BOUND_INSET, _family, atomic_coefficients, certify_star_bessel, ks_inverse_frame,
+)
 from cstarframes.hilbmod import ModuleOperator, ModuleVector, _operator, _vector, diagonal_operator
 from cstarframes.sampling import _gauss_matrix, random_vector, stream
 
@@ -469,8 +475,8 @@ def reference_equivalence_audit(t, s, tol=1e-9):
 # These walk the algebra elements one scalar at a time through `entries`
 # and rebuild vectors and operators from element grids, as the library
 # once did.  The library's array codec must write the same JSON text and
-# decode the same bits, and its per-block kron products must equal the
-# entrywise ones bit for bit.
+# decode the same bits, and its per-block tensor products must equal the
+# entrywise ones, and the `np.kron` ones it once formed, bit for bit.
 
 
 def reference_encode_element(a):
@@ -498,6 +504,26 @@ def reference_decode_vector(spec, data):
 
 def reference_decode_operator(spec, data):
     return grid_operator(spec, [[reference_decode_element(spec, e) for e in row] for row in data])
+
+
+def kron_tensor_element(w, a, b):
+    """a tensor b as the library once formed it: one `np.kron` per block
+    pair."""
+    return AlgElement(w.product, [np.kron(a.blocks[i], b.blocks[k]) for i, k in w.block_pairs])
+
+
+def kron_tensor_operator(w, k_op, l_op):
+    """K tensor L as the library once formed it: per block pair (i, k),
+    kron(K_i, L_k) with rows (s, p, s', p') reordered to (s, s', p, p')
+    by a reshape and a transpose, and columns likewise."""
+    n, n_out, m, m_out = k_op.in_rank, k_op.out_rank, l_op.in_rank, l_op.out_rank
+    mats = []
+    for i, k in w.block_pairs:
+        d, e = w.left.block_dims[i], w.right.block_dims[k]
+        z = np.kron(k_op.block_matrices()[i], l_op.block_matrices()[k])
+        z = z.reshape(n_out, d, m_out, e, n, d, m, e).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+        mats.append(z.reshape(n_out * m_out * d * e, n * m * d * e))
+    return _operator(w.product, n * m, n_out * m_out, mats)
 
 
 def reference_tensor_vector(w, f, h):
@@ -554,3 +580,35 @@ def reference_local_atoms_gap(p_op, s_g, c, tol):
         c, p_op.compose(mc.compose(mc.adjoint()) - s_g).compose(p_op),
         p_op.compose(s_g).compose(p_op).scalar_mul(-1.0), tol,
     )
+
+
+# -- Bessel bounds that hold by construction ------------------------------------
+#
+# `dual_atoms_audit` and `ks_inverse_frame` record their families' Bessel
+# bounds as certified without a check; these re-check each bound on the
+# family itself, through its own factorization, and count the
+# factorizations a call builds.
+
+
+def counted_factorizations(monkeypatch):
+    """The list that receives the operator of every Douglas factorization
+    built from now on (until monkeypatch undoes the patch)."""
+    built, init = [], douglas._Factorization.__init__
+    monkeypatch.setattr(douglas._Factorization, "__init__",
+                        lambda self, s: built.append(s) or init(self, s))
+    return built
+
+
+def dual_atoms_bessel(frame, k_op, tol):
+    """`certify_star_bessel` of the dual atoms, the family with synthesis
+    Q*, at the bound ||Q|| 1 of `atomic_coefficients`."""
+    q, c, _ = atomic_coefficients(frame, k_op, tol)
+    return certify_star_bessel(_family(q.adjoint()), c, tol)
+
+
+def ks_inverse_bessel(frame, k_op, tol):
+    """`certify_star_bessel` of the family {K S^-1 f_j} at
+    ||K|| ||S^-1|| ||U|| (1 + BOUND_INSET) 1."""
+    moved, _ = ks_inverse_frame(frame, k_op, tol)
+    bound = k_op.norm() * frame.frame_op.inverse().norm() * frame.synthesis_op.norm()
+    return certify_star_bessel(moved, (bound * (1.0 + BOUND_INSET)) * frame.spec.unit(), tol)

@@ -554,7 +554,7 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                 digest.update(f"{profile} {command} {seed} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "a9675947abd77eb4a6dde9f5bedeffe8b078f89301a0037b44ae57c534007803"
+        "70b929a232db0017a26e571fafbd760f3ac34173018dd629d69a0a0f6c5e8f02"
     )
 
 
@@ -581,5 +581,5 @@ def test_input_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
             digest.update(f"{name} {command} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "1ef2b132327bf3b0a0f7ac5438aaf449eea8e6b821bc5467651ba13df59f7d00"
+        "3101c3b74b8839131927b9df0e8e75c13d63dd7deac6b68bf3fbf1d12955975e"
     )

@@ -50,6 +50,7 @@ from cstarframes.sampling import (
     stream,
 )
 
+import oracles
 from oracles import (
     coefficient_gram_direct,
     coordinate_vector,
@@ -721,6 +722,47 @@ def test_dual_atoms_audit_residual_matches_atoms_synthesis():
         direct = (k - fr.synthesis_op.compose(h.analysis_op)).norm()
         assert repr(cert.witness["max_reconstruction_residual"]) == repr(direct)
         assert direct == pytest.approx(cert.witness["factorization_residual"], rel=1e-12)
+
+
+def test_dual_atoms_audit_factors_only_the_frame(monkeypatch):
+    # the atoms' Bessel bound holds by construction: Q* is not factored
+    built = oracles.counted_factorizations(monkeypatch)
+    for seed in range(10):
+        rng = stream(99, seed)
+        fr = random_frame(SPEC, 2, 4, rng)
+        k = fr.synthesis_op.compose(random_operator(SPEC, 2, 4, rng))
+        built.clear()
+        cert = dual_atoms_audit(fr, k, 1e-9)
+        assert (cert.status, cert.witness["bessel_status"]) == ("certified", "certified")
+        assert len(built) == 1 and built[0] is fr.synthesis_op
+
+
+def test_dual_atoms_of_a_zero_k_certify_at_tol_zero():
+    # the atoms are all zero and so is their Bessel bound ||Q|| 1, which
+    # holds; no zero bound reaches certify_star_bessel's nonzero check
+    inst = random_instance(0, "generic")
+    cert = dual_atoms_audit(inst.members, inst.operators["K"].scalar_mul(0.0), 0.0)
+    assert (cert.status, cert.witness["bessel_status"], cert.witness["q_norm"]) == (
+        "certified", "certified", 0.0)
+
+
+@pytest.mark.parametrize("profile", ["generic", "rank-deficient-K"])
+def test_bessel_bounds_held_by_construction_certify(profile):
+    # dual_atoms_audit and ks_inverse_frame record these bounds as certified
+    # without a check; each certifies on the family's own factorization
+    for seed in range(40):
+        inst = random_instance(seed, profile)
+        fr = inst.members
+        # the rank-deficient frame is an atomic system for P, not for K = I
+        k = inst.operators["K" if profile == "generic" else "P"]
+        assert dual_atoms_audit(fr, k, 1e-9).witness["bessel_status"] == "certified"
+        assert oracles.dual_atoms_bessel(fr, k, 1e-9).status == "certified"
+        if profile == "generic":
+            assert ks_inverse_frame(fr, k, 1e-9)[1].witness["bessel_status"] == "certified"
+            assert oracles.ks_inverse_bessel(fr, k, 1e-9).status == "certified"
+        else:  # S is singular, so there is no K S^-1 family
+            with pytest.raises(PreconditionError, match="not invertible"):
+                ks_inverse_frame(fr, k, 1e-9)
 
 
 def test_local_atoms_requires_projection():

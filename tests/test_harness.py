@@ -21,6 +21,7 @@ from cstarframes.harness import paper_truncation_values, tensor_pair_instance
 from cstarframes.sampling import random_vector, stream
 from cstarframes.serialize import dumps_stable, instance_to_dict
 
+import oracles
 from oracles import entries
 
 
@@ -42,11 +43,18 @@ def test_paper_truncation_member_values():
     assert paper_truncation_values(3) == pytest.approx(expect)
 
 
+def _text_digest(inst) -> str:
+    # SHA-256 of the sorted compact JSON dump of the instance file's fields:
+    # every float as its text, so a moved bit in any array moves it
+    text = json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_instance_bytes_are_pinned():
     # the files' bytes, through their digests, as the member-list encoding wrote them
     profiles = ("generic", "rank-deficient-K", "co-isometry-commuting", "paper-example-truncation")
-    digests = [instance_digest(random_instance(seed, p)) for p in profiles for seed in range(10)]
-    digests += [instance_digest(tensor_pair_instance(seed)) for seed in range(10)]
+    digests = [_text_digest(random_instance(seed, p)) for p in profiles for seed in range(10)]
+    digests += [_text_digest(tensor_pair_instance(seed)) for seed in range(10)]
     assert hashlib.sha256("".join(digests).encode()).hexdigest() == (
         "912f23832c625683a450f86fd0ea43d790a0619afce441cae9328c8e1d03a605"
     )
@@ -75,6 +83,22 @@ def test_suite_payload_bytes_are_pinned():
             digest.update(report_payload_bytes(run_suite(suite, trials=3, seed=seed)))
         got[suite] = digest.hexdigest()
     assert got == SUITE_PAYLOADS
+
+
+def test_trials_factor_only_what_their_rows_read(monkeypatch):
+    # a conjugation row reads no bound, so nothing is factored; a generic
+    # kframe-main row factors its frame once (the pencil, then the dual
+    # atoms' coefficients), and no bound of its instance is derived
+    built = oracles.counted_factorizations(monkeypatch)
+    for trial in range(6):
+        built.clear()
+        harness._conjugation_trial(0, trial, 1e-9)
+        assert built == []
+    for trial in (0, 2, 4):
+        built.clear()
+        row = harness._kframe_main_trial(0, trial, 1e-9)
+        assert row["profile"] == "generic"
+        assert len(built) == 1
 
 
 def test_profile_determinism():

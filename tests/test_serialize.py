@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -380,7 +381,7 @@ def test_dumps_stable_never_enters_the_python_encoder(monkeypatch):
     dumps_stable(instance_to_dict(random_instance(4, "generic")))
 
 
-# -- the digest the CLI takes from the parsed file ------------------------------------
+# -- the digest of the decoded instance ------------------------------------------------
 
 
 def _write_text(path, data, replace=()):
@@ -415,55 +416,130 @@ def _drop_seeds(d):
     del d["seed"], d["right"]["seed"]
 
 
+def _unchanged(d):
+    pass
+
+
 # name -> (in-place edit of the instance data, token replacements in its
-# text, whether the dump of the parsed file is the canonical one)
+# text, in-place edit that gives the same instance spelled canonically)
 DIGEST_VARIANTS = {
-    "canonical": (lambda d: None, (), True),
-    "shuffled-keys": (_reverse_keys, (), True),
+    "canonical": (_unchanged, (), _unchanged),
+    "shuffled-keys": (_reverse_keys, (), _unchanged),
     "float-spelling": (
         _respell_floats, (("1234.5", "1234.50"), ("4321.0", "4.321e3"), ("2.5e-09", "25e-10")),
-        True),
-    "int-scalar": (lambda d: _scalar(d, 3), (), False),
-    "int-scalar-in-right": (lambda d: _right_scalar(d, -2), (), False),
-    "int-tol": (lambda d: d.update(tolerances={"tol": 0}), (), False),
-    "int-perturbation": (lambda d: d.update(perturbation={"alpha": 1}), (), False),
-    "float-perturbation": (lambda d: d.update(perturbation={"alpha": 0.5}), (), True),
-    "empty-perturbation": (lambda d: d.update(perturbation={}), (), True),
-    "empty-operators": (lambda d: d.update(operators={}), (), False),
-    "empty-bounds-in-right": (lambda d: d["right"].update(bounds={}), (), False),
-    "empty-tolerances": (lambda d: d.update(tolerances={}), (), False),
-    "no-seed": (_drop_seeds, (), True),
+        _respell_floats),
+    "int-scalar": (lambda d: _scalar(d, 3), (), lambda d: _scalar(d, 3.0)),
+    "int-scalar-in-right": (lambda d: _right_scalar(d, -2), (), lambda d: _right_scalar(d, -2.0)),
+    "int-tol": (lambda d: d.update(tolerances={"tol": 0}), (),
+                lambda d: d.update(tolerances={"tol": 0.0})),
+    "int-perturbation": (lambda d: d.update(perturbation={"alpha": 1}), (),
+                         lambda d: d.update(perturbation={"alpha": 1.0})),
+    "float-perturbation": (lambda d: d.update(perturbation={"alpha": 0.5}), (),
+                           lambda d: d.update(perturbation={"alpha": 0.5})),
+    "empty-perturbation": (lambda d: d.update(perturbation={}), (),
+                           lambda d: d.update(perturbation={})),
+    "empty-operators": (lambda d: d.update(operators={}), (), lambda d: d.pop("operators")),
+    "empty-bounds-in-right": (lambda d: d["right"].update(bounds={}), (),
+                              lambda d: d["right"].pop("bounds")),
+    "empty-tolerances": (lambda d: d.update(tolerances={}), (), lambda d: d.pop("tolerances")),
+    "no-seed": (_drop_seeds, (), _drop_seeds),
 }
 
 
-@pytest.mark.parametrize("name", list(DIGEST_VARIANTS))
-def test_cli_digest_equals_the_instance_digest(tmp_path, monkeypatch, name):
-    edit, replace, canonical = DIGEST_VARIANTS[name]
+def _digest_data() -> dict:
     data = instance_to_dict(random_instance(4, "generic"))
     data["right"] = instance_to_dict(random_instance(5, "generic"))
     data["tolerances"] = {"tol": 2.5e-9}
+    return data
+
+
+def _cli_digest(path, tmp_path, monkeypatch) -> str:
+    # the report's digest, taken with the encoders refused: the CLI hashes
+    # the decoded arrays and writes no instance back out to do it
+    def refuse(*args):
+        raise AssertionError("an --input file is re-encoded")
+
+    report = tmp_path / "digest-report.json"
+    with monkeypatch.context() as m:
+        m.setattr(serialize, "instance_to_dict", refuse)
+        m.setattr(serialize, "encode_operator", refuse)
+        assert cli.main(["bounds", "--input", str(path), "--report", str(report)]) == 0
+    return json.loads(report.read_text(encoding="utf-8"))["instance_digest"]
+
+
+@pytest.mark.parametrize("name", list(DIGEST_VARIANTS))
+def test_cli_digest_equals_the_instance_digest(tmp_path, monkeypatch, capsys, name):
+    # a file and its canonically spelled twin parse to one instance and
+    # share its digest
+    edit, replace, twin = DIGEST_VARIANTS[name]
+    data, same = _digest_data(), _digest_data()
     edit(data)
+    twin(same)
     path = _write_text(tmp_path / f"{name}.json", data, replace)
-    want = instance_digest(load_instance(path))
-    reencoded = []
-    monkeypatch.setattr(serialize, "instance_digest",
-                        lambda inst: reencoded.append(inst) or want)
-    inst, digest = serialize._load_with_digest(path)
-    assert digest == want
-    assert len(reencoded) == (0 if canonical else 1)
+    want = instance_digest(parse_instance(same))
+    assert _cli_digest(path, tmp_path, monkeypatch) == want
+    assert instance_digest(load_instance(path)) == want
+    capsys.readouterr()
 
 
-def test_equal_instances_in_other_spellings_share_a_digest(tmp_path):
+def test_equal_instances_in_other_spellings_share_a_digest(tmp_path, monkeypatch, capsys):
     # an int scalar, an empty operators object and shuffled keys leave the
     # instance, and so its digest, unchanged
     data = instance_to_dict(random_instance(4, "generic"))
     data["members"][0][0][0][0][0][0] = 3.0
     del data["operators"]
-    want = serialize._load_with_digest(_write_text(tmp_path / "a.json", data))[1]
+    want = _cli_digest(_write_text(tmp_path / "a.json", data), tmp_path, monkeypatch)
     data["members"][0][0][0][0][0][0] = 3
     data["operators"] = {}
     data = {k: data[k] for k in reversed(list(data))}
-    assert serialize._load_with_digest(_write_text(tmp_path / "b.json", data))[1] == want
+    assert _cli_digest(_write_text(tmp_path / "b.json", data), tmp_path, monkeypatch) == want
+    capsys.readouterr()
+
+
+def _last_bit(inst):
+    # the real part of one scalar of the members moved by one ulp
+    mats = [m.copy() for m in inst.members.synthesis_op.block_matrices()]
+    mats[0][0, 0] = np.nextafter(mats[0][0, 0].real, np.inf) + 1j * mats[0][0, 0].imag
+    u = ModuleOperator(inst.spec, inst.members.n_members, inst.rank, mats)
+    return replace(inst, members=_family(u))
+
+
+# name -> a change of the instance that its digest must see
+DIGEST_SENSITIVITY = {
+    "scalar-last-bit": _last_bit,
+    "rank": lambda i: replace(i, rank=i.rank + 1),
+    "seed": lambda i: replace(i, seed=i.seed + 1),
+    "no-seed": lambda i: replace(i, seed=None),
+    "tol": lambda i: replace(i, tol=float(np.nextafter(i.tol, 1.0))),
+    "no-tol": lambda i: replace(i, tol=None),
+    "bound-key": lambda i: replace(i, bounds={"B": i.bounds["A"]}),
+    "operator-key": lambda i: replace(i, operators={"L": i.operators["K"]}),
+    "h-members": lambda i: replace(i, h_members=i.members),
+    "g-members": lambda i: replace(i, g_members=i.members),
+    "perturbation": lambda i: replace(i, perturbation={"alpha": 0.5}),
+    "empty-perturbation": lambda i: replace(i, perturbation={}),
+    "no-right": lambda i: replace(i, right=None),
+    "right-scalar-last-bit": lambda i: replace(i, right=_last_bit(i.right)),
+    "right-twice": lambda i: replace(i, right=replace(i.right, right=i.right)),
+}
+
+
+@pytest.mark.parametrize("name", list(DIGEST_SENSITIVITY))
+def test_digest_sees_every_field(name):
+    inst = parse_instance(_digest_data())
+    inst.bounds = {"A": inst.bounds["A"]}
+    inst.operators = {"K": inst.operators["K"]}
+    assert instance_digest(DIGEST_SENSITIVITY[name](inst)) != instance_digest(inst)
+
+
+def test_digest_does_not_confuse_shapes_with_the_same_bytes():
+    # one member of A^2 and two members of A^1 hold the same bytes; with the
+    # rank field equal, only the arrays' shapes tell the instances apart
+    spec = AlgebraSpec((1,))
+    column = _family(ModuleOperator(spec, 1, 2, [np.array([[1.0], [2.0]], dtype=complex)]))
+    row = _family(ModuleOperator(spec, 2, 1, [np.array([[1.0, 2.0]], dtype=complex)]))
+    a, b = Instance(spec, 2, column), Instance(spec, 2, row)
+    assert instance_digest(a) != instance_digest(b)
 
 
 # -- structural guards ---------------------------------------------------------------
@@ -478,7 +554,6 @@ def test_loading_a_canonical_file_walks_no_scalar(tmp_path, monkeypatch):
                               random_instance(4, "rank-deficient-K"), pair]):
         path = tmp_path / f"{k}.json"
         save_instance(inst, path)
-        serialize._load_with_digest(path)
         load_instance(path)
     assert walked == []
     data = instance_to_dict(random_instance(4, "generic"))
@@ -505,7 +580,8 @@ def test_tracer_sees_the_public_codec_calls_only(tmp_path, capsys):
     capsys.readouterr()
     spans = collections.Counter(
         t.names[i] for i in t.name if t.names[i].startswith("serialize."))
-    assert spans == {"serialize.parse_instance": 1, "serialize.Instance.__init__": 1,
+    assert spans == {"serialize.load_instance": 1, "serialize.parse_instance": 1,
+                     "serialize.Instance.__init__": 1, "serialize.instance_digest": 1,
                      "serialize.decode_operator": 2,
                      "serialize.decode_element": 2, "serialize.certificate_to_dict": 1,
                      "serialize.sanitize": 2, "serialize.write_report": 1,

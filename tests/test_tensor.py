@@ -13,7 +13,7 @@ from cstarframes import (
     tensor_frame_audit,
     tensor_witness,
 )
-from cstarframes.harness import random_instance
+from cstarframes.harness import random_instance, tensor_pair_instance
 from cstarframes.hilbmod import ModuleOperator, _vector
 from cstarframes.sampling import (
     random_operator,
@@ -236,6 +236,50 @@ def test_kron_products_match_entrywise_reference(left, right):
             x.tobytes() == y.tobytes()
             for x, y in zip(got.block_matrices(), want.block_matrices())
         )
+
+
+@pytest.mark.parametrize(("left", "right"), [((2,), (1, 1)), ((2, 1), (3,)), ((1,), (1,)),
+                                           ((3, 2), (2, 1))])
+def test_broadcast_products_are_the_kron_products_bit_for_bit(left, right):
+    w = tensor_witness(AlgebraSpec(left), AlgebraSpec(right))
+    rng = stream(135, len(left), len(right))
+    for n, m, n_out, m_out in ((1, 1, 1, 1), (1, 2, 3, 1), (2, 1, 1, 2), (3, 2, 2, 3)):
+        k = random_operator(w.left, n, n_out, rng)
+        k = ModuleOperator(w.left, n, n_out, _with_signed_zeros(k.block_matrices()))
+        l_op = random_operator(w.right, m, m_out, rng)
+        got, want = w.operator(k, l_op), oracles.kron_tensor_operator(w, k, l_op)
+        assert (got.in_rank, got.out_rank) == (want.in_rank, want.out_rank) == (n * m, n_out * m_out)
+        assert all(
+            x.tobytes() == y.tobytes()
+            for x, y in zip(got.block_matrices(), want.block_matrices())
+        )
+    a = random_element(w.left, rng)
+    a = w.left.element(_with_signed_zeros(a.blocks))
+    b = random_element(w.right, rng)
+    got, want = w.element(a, b), oracles.kron_tensor_element(w, a, b)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got.blocks, want.blocks))
+
+
+def test_suite_pairs_take_the_kron_products_bit_for_bit():
+    # every product the tensor suite forms: K tensor L, the bounds A tensor
+    # C and B tensor D, and the syntheses and frame operators
+    for seed in range(20):
+        pair = tensor_pair_instance(seed)
+        right = pair.right
+        w = tensor_witness(pair.spec, right.spec)
+        ops = [(pair.operators["K"], right.operators["L"]),
+               (pair.members.synthesis_op, right.members.synthesis_op),
+               (pair.members.frame_op, right.members.frame_op)]
+        for k, l_op in ops:
+            got, want = w.operator(k, l_op), oracles.kron_tensor_operator(w, k, l_op)
+            assert all(
+                x.tobytes() == y.tobytes()
+                for x, y in zip(got.block_matrices(), want.block_matrices())
+            )
+        for a, c in (("A", "C"), ("B", "D")):
+            got = w.element(pair.bounds[a], right.bounds[c])
+            want = oracles.kron_tensor_element(w, pair.bounds[a], right.bounds[c])
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got.blocks, want.blocks))
 
 
 def test_tensor_frame_is_the_member_products_bit_for_bit():
