@@ -37,7 +37,6 @@ from .hilbmod import (
     ModuleVector,
     central_mult,
     identity_operator,
-    zero_operator,
 )
 from .perturb import (
     difference_quadratic,
@@ -115,7 +114,6 @@ __all__ = [
     "transform_frame",
     "transform_kframe_audit",
     "write_report",
-    "zero_operator",
     "PROFILES",
     "SUITES",
 ]

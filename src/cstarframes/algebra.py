@@ -10,7 +10,9 @@ Every spectral norm in the library goes through one kernel,
 computes its value once and keeps it.  An element also keeps, once, its
 exact per-block scalars: a block equal to its (0, 0) entry c times the
 identity (every 1 x 1 block) is c 1, and its norm is |c| with no kernel
-call.  `frames` forms the gap of a frame inequality per block from the
+call.  A central element from `AlgebraSpec.central`, which builds every
+bound the library derives, carries those scalars from construction.
+`frames` forms the gap of a frame inequality per block from the
 bound's blocks, with no operator for the bound.
 
 Elements carry no positivity test: the library decides every positivity
@@ -24,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 
 DEFAULT_TOL = 1e-9
 
@@ -65,21 +67,29 @@ class AlgebraSpec:
         return AlgElement(self, blocks)
 
     def unit(self) -> "AlgElement":
-        return AlgElement(self, [np.eye(d, dtype=complex) for d in self.block_dims])
+        return self.central([1.0] * self.n_blocks)
 
     def zero(self) -> "AlgElement":
         return AlgElement(self, [np.zeros((d, d), dtype=complex) for d in self.block_dims])
 
     def central(self, scalars: Sequence[complex]) -> "AlgElement":
-        """Central element with block i equal to scalars[i] times the identity."""
+        """Central element with block i equal to scalars[i] times the identity.
+
+        Each scalar is checked finite once; the blocks are not copied and
+        scanned as `AlgElement` does, and the element carries from
+        construction the exact scalars that `AlgElement.exact_scalars`
+        would find, signed zeros included."""
         if len(scalars) != self.n_blocks:
             raise InputError(
                 f"need {self.n_blocks} scalars for a central element, got {len(scalars)}"
             )
-        return AlgElement(
-            self,
-            [s * np.eye(d, dtype=complex) for s, d in zip(scalars, self.block_dims)],
-        )
+        if not all(np.isfinite(s) for s in scalars):
+            raise InputError("algebra element blocks must have finite entries")
+        blocks = [s * np.eye(d, dtype=complex) for s, d in zip(scalars, self.block_dims)]
+        a = object.__new__(AlgElement)
+        a.spec, a.blocks, a._norm = self, _readonly(blocks), None
+        a._exact = tuple(m[0, 0] for m in blocks)
+        return a
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AlgebraSpec) and self.block_dims == other.block_dims
@@ -89,6 +99,12 @@ class AlgebraSpec:
 
     def __repr__(self) -> str:
         return f"AlgebraSpec{self.block_dims}"
+
+
+def _readonly(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return tuple(arrays)
 
 
 def _check_same_spec(a: "AlgElement", b: "AlgElement") -> None:
@@ -119,10 +135,9 @@ class AlgElement:
                 raise InputError(f"block shape {m.shape} does not match dimension {d}")
             if not np.isfinite(m).all():
                 raise InputError("algebra element blocks must have finite entries")
-            m.flags.writeable = False
             mats.append(m)
         self.spec = spec
-        self.blocks = tuple(mats)
+        self.blocks = _readonly(mats)
         self._norm = None
         self._exact = None
 
@@ -221,13 +236,6 @@ class AlgElement:
     def central_scalars(self) -> np.ndarray:
         """Per-block nearest scalars (trace/d); meaningful for central elements."""
         return np.array([np.trace(b) / b.shape[0] for b in self.blocks])
-
-    def inverse(self) -> "AlgElement":
-        """Blockwise inverse; valid for strictly nonzero elements."""
-        try:
-            return AlgElement(self.spec, [np.linalg.inv(b) for b in self.blocks])
-        except np.linalg.LinAlgError as exc:
-            raise PreconditionError(f"element is not invertible: {exc}") from exc
 
     def __repr__(self) -> str:
         return f"AlgElement(spec={self.spec.block_dims}, norm={self.norm():.4g})"

@@ -112,7 +112,7 @@ class _Factorization:
         self.s = _operator(s.spec, s.in_rank, s.out_rank, s.block_matrices())
         svds = [np.linalg.svd(m, full_matrices=m.shape[0] > m.shape[1])
                 for m in s.block_matrices()]
-        self.smax = max((sig.max() if sig.size else 0.0) for _, sig, _ in svds)
+        self.smax = max((sig[0] if sig.size else 0.0) for _, sig, _ in svds)
         self.cut = DEFAULT_RTOL * self.smax
         self.sigmas = [sig for _, sig, _ in svds]
         self.lefts: list[Optional[np.ndarray]] = []

@@ -385,10 +385,11 @@ def _perturbed_pair(frame: FrameSeq, seed: int, epsilon: float) -> FrameSeq:
 
 
 def _perturbed_trial(seed: int, trial: int, epsilon: float) -> tuple:
-    """A trial's generic family, its perturbed partner, K and bounds A, B."""
-    inst = random_instance(_trial_seed(seed, trial), "generic")
-    h_seq = _perturbed_pair(inst.members, _trial_seed(seed, trial) + 3, epsilon)
-    return inst.members, h_seq, inst.operators["K"], inst.bounds["A"], inst.bounds["B"]
+    """A trial's generic family, its perturbed partner, K and bounds A, B:
+    those of the generic instance, without its unread L, the last draw."""
+    frame, k_op, _ = _generic_draw(_trial_seed(seed, trial))
+    a, b = derived_bounds(frame, *optimal_scalar_bounds(frame, k_op), BOUND_MARGIN)
+    return frame, _perturbed_pair(frame, _trial_seed(seed, trial) + 3, epsilon), k_op, a, b
 
 
 def _perturb1_trial(seed: int, trial: int, tol: float, epsilon: float) -> dict:

@@ -21,12 +21,14 @@ Tf is M_b F_b, <f, g> is F_b^T conj(G_b) and T* is M_b^H, one matrix
 product per block.  Callers build vectors and operators from these
 arrays, which the constructors copy and check; library code wraps the
 arrays it computes with `_vector` and `_operator`, unchecked.  The
-arrays are read-only.  Because the arrays never change, an operator
-computes its norm once, through the algebra's one spectral-norm kernel,
-and keeps it; `douglas` keeps the operator's factorization (singular
-values, rank cut, the complement of the range, the whitening factors
-diag(1 / sigma) U^H, and the pseudo-inverse once a solve reads it) in
-its `_fac` slot the
+arrays are read-only, as are an algebra element's blocks; the central
+bounds the library derives carry their exact scalars from construction
+(`AlgebraSpec.central`), so no decision compares them with c 1.
+Because the arrays never change, an operator computes its norm once,
+through the algebra's one spectral-norm kernel, and keeps it; `douglas`
+keeps the operator's factorization (singular values, rank cut, the
+complement of the range, the whitening factors diag(1 / sigma) U^H,
+and the pseudo-inverse once a solve reads it) in its `_fac` slot the
 same way, and sets the norm of a Douglas solution Q from that
 factorization, so Q takes no SVD.
 
@@ -50,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement, _spectral_norm
+from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement, _readonly, _spectral_norm
 from .errors import InputError, PreconditionError
 
 
@@ -262,12 +264,6 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _readonly(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return tuple(arrays)
-
-
 def _checked_copies(
     spec: AlgebraSpec, rows: int, cols: int, arrays: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, ...]:
@@ -317,11 +313,6 @@ def _operator(
 def identity_operator(spec: AlgebraSpec, rank: int) -> ModuleOperator:
     mats = [np.eye(rank * d, dtype=complex) for d in spec.block_dims]
     return _operator(spec, rank, rank, mats)
-
-
-def zero_operator(spec: AlgebraSpec, in_rank: int, out_rank: int) -> ModuleOperator:
-    mats = [np.zeros((out_rank * d, in_rank * d), dtype=complex) for d in spec.block_dims]
-    return _operator(spec, in_rank, out_rank, mats)
 
 
 def central_mult(a: AlgElement, rank: int, tol: float = DEFAULT_TOL) -> ModuleOperator:

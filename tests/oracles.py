@@ -98,6 +98,12 @@ def grid_operator(spec, grid):
     )
 
 
+def zero_operator(spec, in_rank, out_rank):
+    """The zero operator A^in_rank -> A^out_rank."""
+    mats = [np.zeros((out_rank * d, in_rank * d), dtype=complex) for d in spec.block_dims]
+    return _operator(spec, in_rank, out_rank, mats)
+
+
 def coordinate_vector(spec, rank, slot):
     """Unit coordinate vector: 1_A at the given slot, zero elsewhere."""
     return grid_vector(spec, [spec.unit() if k == slot else spec.zero() for k in range(rank)])

@@ -66,6 +66,57 @@ def test_unit_blocks_are_identities():
     assert np.allclose(one.blocks[1], np.eye(1))
 
 
+# signed zeros, negative reals and negative imaginary parts
+CENTRAL_SCALARS = [
+    -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), -2.5, complex(1.5, -3.0),
+    complex(-1e-300, -7.0), 0.0, 1.0,
+]
+CENTRAL_SPECS = [(1,), (2, 1), (3, 3)]
+
+
+def _bits(scalars):
+    return [np.asarray(x).tobytes() for x in scalars]
+
+
+@pytest.mark.parametrize("dims", CENTRAL_SPECS, ids=str)
+def test_central_elements_carry_the_exact_scalars_of_their_blocks(dims):
+    # a central element skips the element constructor's copy and scan; the
+    # exact scalars it carries are those that the constructor's element of
+    # the same blocks finds by comparison, bit for bit
+    spec = AlgebraSpec(dims)
+    n = spec.n_blocks
+    cases = [[s] * n for s in CENTRAL_SCALARS] + [
+        CENTRAL_SCALARS[k : k + n] for k in range(len(CENTRAL_SCALARS) - n + 1)
+    ]
+    for scalars in cases:
+        c = spec.central(scalars)
+        assert _bits(c.exact_scalars()) == _bits(spec.element(c.blocks).exact_scalars())
+        for s, d, m in zip(scalars, dims, c.blocks):
+            assert m.tobytes() == (s * np.eye(d, dtype=complex)).tobytes()
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+    unit = spec.unit()
+    assert [m.tobytes() for m in unit.blocks] == [np.eye(d, dtype=complex).tobytes() for d in dims]
+    assert _bits(unit.exact_scalars()) == _bits(spec.element(unit.blocks).exact_scalars())
+
+
+@pytest.mark.parametrize("dims", CENTRAL_SPECS, ids=str)
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, np.inf)], ids=["inf", "nan", "imag-inf"])
+def test_central_rejects_nonfinite_scalars(dims, bad):
+    spec = AlgebraSpec(dims)
+    with pytest.raises(InputError, match="^algebra element blocks must have finite entries$"):
+        spec.central([1.0] * (spec.n_blocks - 1) + [bad])
+
+
+@pytest.mark.parametrize("dims", CENTRAL_SPECS, ids=str)
+def test_central_rejects_a_wrong_scalar_count(dims):
+    spec = AlgebraSpec(dims)
+    for count in (spec.n_blocks - 1, spec.n_blocks + 1):
+        with pytest.raises(InputError, match=f"need {spec.n_blocks} scalars.*got {count}"):
+            spec.central([1.0] * count)
+
+
 # -- arithmetic ---------------------------------------------------------------
 
 
@@ -364,13 +415,3 @@ def test_order_compatibility_under_conjugation():
         b = a + x.adjoint() * x
         c = random_element(SPEC21, rng)
         assert is_positive(c * b * c.adjoint() - c * a * c.adjoint(), 1e-9)
-
-
-def test_strictly_nonzero_implies_invertible():
-    rng = stream(10, 0)
-    for _ in range(20):
-        a = random_element(SPEC21, rng)
-        if not a.is_strictly_nonzero(1e-9):
-            continue
-        inv = a.inverse()
-        assert (a * inv - SPEC21.unit()).norm() <= 1e-9

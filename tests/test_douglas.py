@@ -27,7 +27,6 @@ from cstarframes import (
     pseudo_inverse,
     range_inclusion,
     range_residual,
-    zero_operator,
 )
 from cstarframes.certify import BOUNDARY_FACTOR
 from cstarframes.hilbmod import ModuleOperator
@@ -39,7 +38,7 @@ from cstarframes.sampling import (
 )
 
 import oracles
-from oracles import grid_operator, module_mul, pencil_oracle, random_element
+from oracles import grid_operator, module_mul, pencil_oracle, random_element, zero_operator
 
 SPEC = AlgebraSpec((2, 1))
 

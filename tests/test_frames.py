@@ -35,7 +35,6 @@ from cstarframes import (
     tensor_witness,
     transform_frame,
     transform_kframe_audit,
-    zero_operator,
 )
 from cstarframes import frames
 from cstarframes.cli import COMMANDS, main
@@ -68,6 +67,7 @@ from oracles import (
     sampled_bessel_violation,
     sampled_kframe_violation,
     spectrum,
+    zero_operator,
 )
 
 SPEC = AlgebraSpec((2, 1))

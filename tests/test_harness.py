@@ -340,3 +340,38 @@ def test_generic_members_are_sequential_draws_bit_for_bit():
         assert (inst.rank, len(inst.members)) == (n, j_count)
         for m, r in zip(inst.members.members, ref):
             assert all(x.tobytes() == y.tobytes() for x, y in zip(m.stacks, r.stacks))
+
+
+def _arrays(*objects):
+    """Every stored array of the operators and elements, as bytes."""
+    return [
+        [m.tobytes() for m in (x.blocks if hasattr(x, "blocks") else x.block_matrices())]
+        for x in objects
+    ]
+
+
+def test_perturbed_trials_are_the_generic_instances_without_l(monkeypatch):
+    # a perturbation trial's family, partner, K, A and B are the generic
+    # instance's and its perturbed pair's bit for bit; L, the instance's
+    # last draw, is not drawn
+    real = harness.random_operator
+    drawn = []
+
+    def counted(*args, **kwargs):
+        drawn.append(args)
+        return real(*args, **kwargs)
+
+    for seed in range(20):
+        trial = seed % 3
+        t_seed = harness._trial_seed(seed, trial)
+        inst = random_instance(t_seed, "generic")
+        h_ref = harness._perturbed_pair(inst.members, t_seed + 3, 1e-3)
+        monkeypatch.setattr(harness, "random_operator", counted)
+        drawn.clear()
+        frame, h_seq, k_op, a, b = harness._perturbed_trial(seed, trial, 1e-3)
+        assert len(drawn) == 3
+        monkeypatch.setattr(harness, "random_operator", real)
+        assert _arrays(frame.synthesis_op, h_seq.synthesis_op, k_op, a, b) == _arrays(
+            inst.members.synthesis_op, h_ref.synthesis_op, inst.operators["K"],
+            inst.bounds["A"], inst.bounds["B"],
+        )

@@ -21,6 +21,7 @@ from cstarframes import (
     transform_frame,
 )
 from cstarframes import frames, harness, perturb
+from cstarframes.algebra import AlgElement
 from cstarframes.harness import random_instance
 from cstarframes.hilbmod import ModuleOperator
 from cstarframes.perturb import difference_synthesis
@@ -435,10 +436,7 @@ def test_exact_hypothesis_agrees_with_sequential_loop(case):
 def _suite_trial(trial, epsilon, seed=0):
     """Families, K and bounds of a perturb2 suite trial, built as
     `harness._perturb2_trial` builds them."""
-    inst = random_instance(harness._trial_seed(seed, trial), "generic")
-    frame = inst.members
-    h_seq = harness._perturbed_pair(frame, harness._trial_seed(seed, trial) + 3, epsilon)
-    return frame, h_seq, inst.operators["K"], inst.bounds["A"], inst.bounds["B"]
+    return harness._perturbed_trial(seed, trial, epsilon)
 
 
 def test_each_conclusion_is_decided_once(monkeypatch):
@@ -531,6 +529,25 @@ def test_suite_trial_kernel_calls(monkeypatch, suite, expected, seed):
     report = run_suite(suite, trials=1, seed=seed)
     assert report["summary"]["certified"] == 1
     assert counts == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("suite", ["perturb1", "perturb2"])
+def test_suite_trials_build_no_checked_element(monkeypatch, suite, seed):
+    # every element of a perturbation trial is a central bound the library
+    # derives, built with its exact scalars and without the checked
+    # constructor's copy and scan
+    real = AlgElement.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgElement, "__init__", counted)
+    report = run_suite(suite, trials=1, seed=seed)
+    assert report["summary"]["certified"] == 1
+    assert built == []
 
 
 @pytest.mark.parametrize("trial", [10, 20])
