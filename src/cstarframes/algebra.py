@@ -234,8 +234,9 @@ class AlgElement:
         return all(self.scalar_blocks(tol))
 
     def central_scalars(self) -> np.ndarray:
-        """Per-block nearest scalars (trace/d); meaningful for central elements."""
-        return np.array([np.trace(b) / b.shape[0] for b in self.blocks])
+        """Per block its `exact_scalars` entry, else trace/d (for central elements)."""
+        return np.array([np.trace(b) / len(b) if c is None else c
+                         for c, b in zip(self.exact_scalars(), self.blocks)])
 
     def __repr__(self) -> str:
         return f"AlgElement(spec={self.spec.block_dims}, norm={self.norm():.4g})"

@@ -8,6 +8,8 @@ Every verdict of the library is `verdict(excess, tol, scale)` at the
 caller's tol, scale = max(1, size of the quantity the rounding follows).
 Where that size is an operator norm ||T|| that nothing else reads,
 `verdict_at_norm` takes it only for an excess above tol.
+A residual decided at tol is `residual_verdict`'s: a Frobenius bound
+decides where it certifies, and an SVD per block is taken only elsewhere.
 Every operator inequality ends in `psd_certificate`, that rule on the
 gap's least eigenvalue: one values-only eigensolve per block of the gap
 whose eigenvalues the caller does not already know exactly (a central
@@ -22,6 +24,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .algebra import _spectral_norm
 from .hilbmod import ModuleOperator, ModuleVector
 
 CERTIFIED = "certified"
@@ -49,6 +52,19 @@ def verdict_at_norm(excess: float, tol: float, t: ModuleOperator) -> str:
     if 0.0 <= tol and excess <= tol:
         return CERTIFIED
     return verdict(excess, tol, max(1.0, t.norm()))
+
+
+def residual_verdict(blocks: Sequence[np.ndarray], tol: float,
+                     scale: Union[float, ModuleOperator]) -> tuple[str, float]:
+    """`verdict`, or `verdict_at_norm` for an operator scale, on the norm of
+    the residual with these blocks, and the value it reports: the bound
+    max_b ||R_b||_F >= ||R|| where that certifies, else ||R|| itself."""
+    decide = verdict_at_norm if isinstance(scale, ModuleOperator) else verdict
+    frob = max((float(np.linalg.norm(m)) for m in blocks), default=0.0)
+    if decide(frob, tol, scale) == CERTIFIED:
+        return CERTIFIED, frob
+    norm = max((float(_spectral_norm(m)) for m in blocks), default=0.0)
+    return decide(norm, tol, scale), norm
 
 
 def pencil_verdict(mu: float, tol: float) -> str:

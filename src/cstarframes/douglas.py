@@ -27,12 +27,12 @@ cokernel witness never form it.  S's arrays are read-only, so the kept
 factorization cannot go stale.
 
 The other decompositions, per reduced block: the range residual
-||(I - S S^+) T|| is a values-only SVD (the spectral norm) of
-perp_b^H T_b, and none at all for a block the rank cut makes onto
-(k_b = rows, perp_b empty), where it is exactly 0.  ||S^+ T|| is one of
-left_b T_b; it is 1 / sqrt(pencil) and ||Q|| for Q = S^+ T, so the pencil
-and Q's norm share it and no SVD of Q is taken.  The factorization
-residual ||S Q - T|| is one of S Q - T, checking the Q returned.
+||(I - S S^+) T|| is the norm of perp_b^H T_b, exactly 0 for a block the
+rank cut makes onto (k_b = rows, perp_b empty), and the factorization
+residual ||S Q - T|| checks the Q returned.  Decided at tol, both are
+`certify.residual_verdict`'s, an SVD only where a Frobenius norm does not
+certify.  ||S^+ T|| is a values-only SVD of left_b T_b; it is
+1 / sqrt(pencil) and ||Q||, so no SVD of Q = S^+ T is taken.
 `cokernel_witness` adds a full SVD per block of perp (perp^H T), which
 `equivalence_audit` takes only when the pencil fails.  The norm
 inequality is one `psd_certificate`: a values-only `eigvalsh` per block,
@@ -57,8 +57,8 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, _spectral_norm
 from .certify import (
-    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict, psd_certificate, verdict,
-    verdict_at_norm,
+    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict, psd_certificate,
+    residual_verdict, verdict, verdict_at_norm,
 )
 from .errors import InputError
 from .hilbmod import ModuleOperator, ModuleVector, _operator
@@ -143,23 +143,17 @@ class _Factorization:
             self._factors = None
         return self._pinv
 
-    def coresidual(self, t: ModuleOperator) -> ModuleOperator:
-        """(I - S S^+) T = perp (perp^H T), the part of T outside R(S)."""
-        mats = [
-            np.zeros_like(m) if ph is None else ph.conj().T @ (ph @ m)
-            for ph, m in zip(self.perps, t.block_matrices())
-        ]
-        return _operator(t.spec, t.in_rank, t.out_rank, mats)
-
     def cokernel_witness(
         self, t: ModuleOperator, tol: float
     ) -> tuple[Optional[ModuleVector], Optional[tuple[float, float]]]:
-        """A top left singular vector f of (I - S S^+) T, a direction in
-        the cokernel of S that T* sees, with (||S* f||, ||T* f||); None for
-        both when that operator is 0.  f is returned only where it
-        witnesses R(T) not inside R(S): `verdict` certifies ||S* f|| at
-        scale max(1, ||S||) and not ||T* f|| at max(1, ||T||)."""
-        f = self.coresidual(t).adjoint_norm_witness()
+        """A top left singular vector f of (I - S S^+) T = perp (perp^H T),
+        a direction in the cokernel of S that T* sees, with (||S* f||,
+        ||T* f||); None for both when that operator is 0.  f is returned
+        only where it witnesses R(T) not inside R(S): `verdict` certifies
+        ||S* f|| at scale max(1, ||S||) and not ||T* f|| at max(1, ||T||)."""
+        mats = [np.zeros_like(m) if ph is None else ph.conj().T @ (ph @ m)
+                for ph, m in zip(self.perps, t.block_matrices())]
+        f = _operator(t.spec, t.in_rank, t.out_rank, mats).adjoint_norm_witness()
         if f is None:
             return None, None
         s_norm, t_norm = self.s.adjoint().apply(f).norm(), t.adjoint().apply(f).norm()
@@ -167,10 +161,11 @@ class _Factorization:
                  and verdict_at_norm(t_norm, tol, t) != CERTIFIED)
         return (f if found else None), (s_norm, t_norm)
 
-    def range_residual(self, t: ModuleOperator) -> float:
-        """||(I - S S^+) T|| = max_b ||perp_b^H T_b||; 0 with no SVD on a
-        block where S_b is onto."""
-        return _max_block_norm(self.perps, t)
+    def range_residual(self, t: ModuleOperator, tol: float) -> float:
+        """`certify.residual_verdict`'s value for (I - S S^+) T at scale
+        max(1, ||T||), read on perp_b^H T_b: 0 where S_b is onto."""
+        mats = [ph @ m for ph, m in zip(self.perps, t.block_matrices()) if ph is not None]
+        return residual_verdict(mats, tol, t)[1]
 
     def whitened_norm(self, t: ModuleOperator) -> float:
         """||S^+ T|| = max_b ||left_b T_b||, which is 1 / sqrt(mu) for the
@@ -187,7 +182,7 @@ class _Factorization:
         """`pencil_lower_bound` given, if already known, the range residual
         of T and ||S^+ T||; math.inf for T = 0, where both are 0."""
         if residual is None:
-            residual = self.range_residual(t)
+            residual = self.range_residual(t, tol)
         if verdict_at_norm(residual, tol, t) != CERTIFIED:
             return 0.0
         if qnorm is None:
@@ -195,12 +190,12 @@ class _Factorization:
         lam = qnorm**2
         return math.inf if lam == 0.0 else 1.0 / lam
 
-    def solve(self, t: ModuleOperator) -> tuple[ModuleOperator, float]:
-        """Q = S^+ T, with ||S^+ T|| kept as its norm, and the factorization
-        residual ||S Q - T||; no pencil."""
+    def solve(self, t: ModuleOperator, tol: float) -> tuple[ModuleOperator, float]:
+        """Q = S^+ T, with ||S^+ T|| kept as its norm, and the value
+        `certify.residual_verdict` reports for S Q - T; no pencil."""
         q = self.pinv.compose(t)
         q._norm = self.whitened_norm(t)
-        return q, (self.s.compose(q) - t).norm()
+        return q, residual_verdict((self.s.compose(q) - t).block_matrices(), tol, t)[1]
 
 
 def _max_block_norm(factors: list[Optional[np.ndarray]], t: ModuleOperator) -> float:
@@ -237,11 +232,18 @@ def range_residual(t: ModuleOperator, s: ModuleOperator) -> float:
     _check_common_target(t, s)
     if t is s:
         return 0.0
-    return _factorization(s).range_residual(t)
+    return _max_block_norm(_factorization(s).perps, t)
 
 
 def range_inclusion(t: ModuleOperator, s: ModuleOperator, tol: float) -> bool:
-    return verdict_at_norm(range_residual(t, s), tol, t) == CERTIFIED
+    return _inclusion(t, s, tol)[0]
+
+
+def _inclusion(t: ModuleOperator, s: ModuleOperator, tol: float) -> tuple[bool, float]:
+    """R(T) inside R(S) at tol, and the residual deciding it (0, unfactored, for t is s)."""
+    _check_common_target(t, s)
+    residual = 0.0 if t is s else _factorization(s).range_residual(t, tol)
+    return verdict_at_norm(residual, tol, t) == CERTIFIED, residual
 
 
 def pencil_lower_bound(
@@ -271,7 +273,7 @@ def douglas_solve(t: ModuleOperator, s: ModuleOperator, tol: float) -> DouglasRe
     the factorization residual and the pencil value of (T, S)."""
     _check_common_target(t, s)
     fac = _factorization(s)
-    q, residual = fac.solve(t)
+    q, residual = fac.solve(t, tol)
     return DouglasReport(
         inclusion_ok=verdict_at_norm(residual, tol, t) == CERTIFIED,
         residual=residual,
@@ -330,10 +332,10 @@ def equivalence_audit(
     """
     _check_common_target(t, s)
     fac = _factorization(s)
-    residual = fac.range_residual(t)
+    residual = fac.range_residual(t, tol)
     cond_i = verdict_at_norm(residual, tol, t) == CERTIFIED
 
-    q, fact_residual = fac.solve(t)
+    q, fact_residual = fac.solve(t, tol)
     cond_iv = verdict_at_norm(fact_residual, tol, t) == CERTIFIED
 
     mu = fac.pencil(t, tol, residual, q.norm())

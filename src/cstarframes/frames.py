@@ -27,7 +27,8 @@ No check here samples.  Bounds that hold by construction are recorded,
 not re-checked: C = ||Q|| 1 for the atomic coefficients and the dual
 atoms, and the Bessel bound of {K S^-1 f_j}.  The local-atom
 reconstruction on range(P) is the norm of (I - U G*) P.  Every check
-decides at the caller's tol through `certify.verdict`.
+decides at the caller's tol through `certify.verdict`, a residual
+through `certify.residual_verdict`.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement
 from .certify import (
-    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, psd_certificate, verdict,
-    verdict_at_norm, worst,
+    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, psd_certificate,
+    residual_verdict, verdict, verdict_at_norm, worst,
 )
 from .douglas import _factorization, pencil_lower_bound
 from .errors import AtomicSystemError, InputError, PreconditionError
@@ -385,15 +386,15 @@ def atomic_coefficients(
     and C = ||Q|| 1_A witnesses the coefficient bound <a_f, a_f> <=
     C<f,f>C*: C is central, so the bound is Q*Q <= ||Q||^2 I, which always
     holds.  ||Q|| = ||U^+ K|| is read off U's kept SVD, so the call takes
-    per block one SVD of diag(1 / sigma_k) U_k^H K_b and one of U Q - K,
-    none of Q.  Raises AtomicSystemError unless the factorization residual
-    ||U Q - K|| certifies R(K) inside R(U) at tol, with scale max(1, ||K||).
+    per block one SVD of diag(1 / sigma_k) U_k^H K_b, none of Q.  Raises
+    AtomicSystemError unless `certify.residual_verdict` certifies R(K)
+    inside R(U) on U Q - K at tol, with scale max(1, ||K||).
     `seed` is ignored; nothing is sampled.
     """
     n = frame.rank
     if k_op.spec != frame.spec or k_op.in_rank != n or k_op.out_rank != n:
         raise InputError("K must be a square operator on the frame's module")
-    q, residual = _factorization(frame.synthesis_op).solve(k_op)
+    q, residual = _factorization(frame.synthesis_op).solve(k_op, tol)
     if verdict_at_norm(residual, tol, k_op) != CERTIFIED:
         raise AtomicSystemError(
             "not an atomic system: range-inclusion residual "
@@ -420,24 +421,22 @@ def dual_atoms_audit(
 ) -> Certificate:
     """Certificate version of the dual-atom reconstruction and Bessel bound.
 
-    The atoms' synthesis is H = Q*, so the reconstruction residual
-    ||K - U H*|| is taken with Q.  It is the factorization residual
-    ||U Q - K|| up to the last bit: the spectral norms of X and -X can
-    differ there, so it keeps its own norm.  Both are decided with scale
-    max(1, ||K||).  The Bessel bound ||Q|| 1 holds by construction, as
-    Q*Q <= ||Q||^2 I (`atomic_coefficients`): certified, Q* unfactored."""
+    The atoms' synthesis is H = Q*, so K - U H* is K - U Q, the certified
+    factorization residual negated bit for bit (fl(a - b) = -fl(b - a)):
+    its Frobenius norm, which decided, is the same bits, and certifies.
+    The Bessel bound ||Q|| 1 holds by construction, as Q*Q <= ||Q||^2 I
+    (`atomic_coefficients`): certified, Q* unfactored."""
     try:
-        q, c, residual = atomic_coefficients(frame, k_op, tol)
+        _, c, residual = atomic_coefficients(frame, k_op, tol)
     except AtomicSystemError as exc:
         return Certificate(
             FALSIFIED, "dual-atoms", {"error": str(exc)}, tol
         )
-    recon = (k_op - frame.synthesis_op.compose(q)).norm()
     return Certificate(
-        verdict_at_norm(recon, tol, k_op),
+        CERTIFIED,
         "dual-atoms",
         {
-            "max_reconstruction_residual": recon,
+            "max_reconstruction_residual": residual,
             "factorization_residual": residual,
             "q_norm": c.norm(),
             "bessel_status": CERTIFIED,
@@ -467,12 +466,12 @@ def local_atoms_check(
     least eigenvalue of that gap restricted to range(P).  (ii) The
     reconstruction f = sum c_j(f) f_j holds on range(P) iff
     (I - U G*) P = 0, U and G the syntheses of {f_j} and {g_j}; its norm,
-    the largest relative residual over range(P), is reported and falsifies
-    where `verdict` (scale 1) does, with a top right singular vector as
-    the witness.  It does not gate certification otherwise: its rounding
-    grows with the condition number of S_g.  Additionally certifies
-    that {P f_j} has scalar lower frame bound 1/||C|| on range(P) through
-    the restricted pencil of its frame operator.
+    the largest relative residual over range(P), falsifies where
+    `certify.residual_verdict` (scale 1) does, with a top right singular
+    vector as the witness.  It does not gate certification otherwise:
+    its rounding grows with the condition number of S_g.  Additionally
+    certifies that {P f_j} has scalar lower frame bound 1/||C|| on
+    range(P) through the restricted pencil of its frame operator.
     """
     n = frame.rank
     if p_op.in_rank != n or p_op.out_rank != n or p_op.spec != frame.spec:
@@ -501,8 +500,8 @@ def local_atoms_check(
             witness_vector=coeff.witness_vector,
         )
     recon_gap = p_op - frame.synthesis_op.compose(g_frame.analysis_op).compose(p_op)
-    worst_recon = recon_gap.norm()
-    if verdict(worst_recon, tol, 1.0) == FALSIFIED:
+    recon_status, worst_recon = residual_verdict(recon_gap.block_matrices(), tol, 1.0)
+    if recon_status == FALSIFIED:
         return Certificate(
             FALSIFIED,
             "local-atoms",
@@ -580,11 +579,10 @@ def coisometry_invariance_audit(
     {T f_j} agree with those of {f_j}, relative to max(1, bound).  T and
     K are checked at DEFAULT_TOL, whatever tol is."""
     n = frame.rank
-    ident = identity_operator(frame.spec, n)
-    if (t_op.compose(t_op.adjoint()) - ident).norm() > DEFAULT_TOL:
+    if not _is_coisometry(t_op, n):
         raise PreconditionError("T is not a co-isometry")
-    comm = (k_op.compose(t_op) - t_op.compose(k_op)).norm()
-    if comm > DEFAULT_TOL * max(1.0, k_op.norm() * t_op.norm()):
+    comm = (k_op.compose(t_op) - t_op.compose(k_op)).block_matrices()
+    if residual_verdict(comm, DEFAULT_TOL, max(1.0, k_op.norm() * t_op.norm()))[0] != CERTIFIED:
         raise PreconditionError("K and T do not commute")
     lam0, mu0 = optimal_scalar_bounds(frame, k_op, tol)
     lam1, mu1 = optimal_scalar_bounds(transform_frame(frame, t_op), k_op, tol)
@@ -596,6 +594,12 @@ def coisometry_invariance_audit(
          "max_relative_deviation": dev},
         tol,
     )
+
+
+def _is_coisometry(t_op: ModuleOperator, rank: int) -> bool:
+    """T T* = I on A^rank by `certify.residual_verdict` at DEFAULT_TOL, scale 1."""
+    gap = t_op.compose(t_op.adjoint()) - identity_operator(t_op.spec, rank)
+    return residual_verdict(gap.block_matrices(), DEFAULT_TOL, 1.0)[0] == CERTIFIED
 
 
 def transform_kframe_audit(
@@ -646,9 +650,10 @@ def ks_inverse_frame(
         raise PreconditionError("frame operator not invertible")
     s_inv = s_op.inverse()
     new_frame = transform_frame(frame, k_op.compose(s_inv))
-    recon = (k_op - new_frame.synthesis_op.compose(frame.analysis_op)).norm()
+    recon_gap = k_op - new_frame.synthesis_op.compose(frame.analysis_op)
+    status, recon = residual_verdict(recon_gap.block_matrices(), tol, k_op)
     return new_frame, Certificate(
-        verdict(recon, tol, max(1.0, k_op.norm())),
+        status,
         "ks-inverse-frame",
         {
             "max_reconstruction_residual": recon,

@@ -17,8 +17,8 @@ import numpy as np
 from ._version import __version__
 from .algebra import DEFAULT_TOL, AlgebraSpec
 from .certify import (
-    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict, verdict, verdict_at_norm,
-    worst,
+    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict, residual_verdict,
+    verdict_at_norm, worst,
 )
 from .douglas import douglas_solve, equivalence_audit, pseudo_inverse
 from .errors import InputError
@@ -275,7 +275,7 @@ def _kframe_main_trial(seed: int, trial: int, tol: float) -> dict:
 
 def _paper_example_run(seed: int, n_terms: int, tol: float) -> dict:
     """The equality <Q u, Q u> = C<u, u>C* for all u in A^1 is the operator
-    equality Q*Q = M_C M_C*, decided by `verdict` on the norm of the
+    equality Q*Q = M_C M_C*, decided by `residual_verdict` on the
     difference with scale max(1, ||M_C||^2), beside the Bessel bound and
     the factorization residual of U Q = K (scale max(1, ||K||))."""
     inst = _paper_truncation_instance(n_terms, seed)
@@ -285,11 +285,12 @@ def _paper_example_run(seed: int, n_terms: int, tol: float) -> dict:
     sol = douglas_solve(k_op, frame.synthesis_op, tol)
     mc = diagonal_operator(inst.bounds["C"], 1)
     cc = mc.compose(mc.adjoint())
-    max_dev = (sol.q.adjoint().compose(sol.q) - cc).norm()
+    equality, max_dev = residual_verdict((sol.q.adjoint().compose(sol.q) - cc).block_matrices(),
+                                         tol, cc)
     factorization = verdict_at_norm(sol.residual, tol, k_op)
     return {
         "trial": 0,
-        "status": worst(bessel.status, factorization, verdict(max_dev, tol, max(1.0, cc.norm()))),
+        "status": worst(bessel.status, factorization, equality),
         "n_terms": n_terms,
         "bessel_status": bessel.status,
         "factorization_residual": sol.residual,

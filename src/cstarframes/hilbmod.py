@@ -34,9 +34,10 @@ factorization, so Q takes no SVD.
 
 Where each decomposition is taken, per reduced block: `norm` is a
 values-only SVD, taken by a verdict scaled by max(1, ||T||) only past
-tol (`certify.verdict_at_norm`); the Douglas factorization one full
-SVD, whose singular values it keeps, and the pseudo-inverse two products
-of its factors, formed on first use; `herm_block_eigs`, which
+tol (`certify.verdict_at_norm`), and a residual's only past its
+Frobenius bound (`certify.residual_verdict`); the Douglas factorization
+one full SVD, whose singular values it keeps, and the pseudo-inverse two
+products of its factors, formed on first use; `herm_block_eigs`, which
 `certify.psd_certificate` reads to decide positivity, a values-only
 `eigvalsh` of the Hermitian part, except for a block whose eigenvalues
 the caller already knows (an exactly central upper frame bound's gap
@@ -198,11 +199,13 @@ class ModuleOperator:
                 for w, m in zip(known, self._mats)]
 
     def is_projection(self, tol: float = DEFAULT_TOL) -> bool:
+        """P P = P and P* = P, by `certify.residual_verdict` at scale 1."""
+        from .certify import CERTIFIED, residual_verdict
+
         if self.in_rank != self.out_rank:
             raise InputError("projections must be square")
-        idem = (self.compose(self) - self).norm()
-        herm = (self - self.adjoint()).norm()
-        return idem <= tol and herm <= tol
+        return all(residual_verdict(r.block_matrices(), tol, 1.0)[0] == CERTIFIED
+                   for r in (self.compose(self) - self, self - self.adjoint()))
 
     def inverse(self) -> "ModuleOperator":
         """Two-sided inverse for square invertible operators."""

@@ -31,12 +31,11 @@ import numpy as np
 from .algebra import AlgElement, DEFAULT_TOL
 from .certify import (
     CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, psd_certificate, verdict,
-    verdict_at_norm,
 )
-from .douglas import _factorization, pencil_lower_bound, range_residual
+from .douglas import _factorization, _inclusion, pencil_lower_bound
 from .errors import InputError, PreconditionError
-from .frames import FrameSeq, certify_kframe
-from .hilbmod import ModuleOperator, ModuleVector, identity_operator
+from .frames import FrameSeq, _is_coisometry, certify_kframe
+from .hilbmod import ModuleOperator, ModuleVector
 
 # Relative inset of the L-frame lower bound taken from a pencil value.
 PENCIL_INSET = 1e-12
@@ -95,8 +94,8 @@ def _require_hypotheses(
         raise PreconditionError(
             f"hypothesis failed: base family is not a certified K-frame ({base.status})"
         )
-    resid = range_residual(l_op, k_op)
-    if verdict_at_norm(resid, tol, l_op) != CERTIFIED:
+    included, resid = _inclusion(l_op, k_op, tol)
+    if not included:
         raise PreconditionError(
             f"hypothesis failed: R(L) not contained in R(K), residual {resid:.3e}"
         )
@@ -192,11 +191,10 @@ def _pertur1_converse(
     constants: dict,
     tol: float,
 ) -> Certificate:
-    ident = identity_operator(h_seq.spec, h_seq.rank)
-    if (k_op.compose(k_op.adjoint()) - ident).norm() > DEFAULT_TOL:
+    if not _is_coisometry(k_op, h_seq.rank):
         raise PreconditionError("converse mode needs a co-isometric K")
-    resid = range_residual(k_op, l_op)
-    if verdict_at_norm(resid, tol, k_op) != CERTIFIED:
+    included, resid = _inclusion(k_op, l_op, tol)
+    if not included:
         raise PreconditionError(
             f"converse hypothesis failed: R(K) not contained in R(L), residual {resid:.3e}"
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, AlgElement, DEFAULT_TOL
-from .certify import Certificate, combine, verdict
+from .certify import Certificate, combine, residual_verdict
 from .errors import InputError
 from .frames import FrameSeq, _family, certify_kframe
 from .hilbmod import ModuleOperator, ModuleVector, _operator, _vector
@@ -103,8 +103,8 @@ def tensor_frame_audit(
 ) -> Certificate:
     """Certify the product-frame facts: the frame operator of the product
     family is S_f tensor S_h, and the family is a (K tensor L)-frame with
-    bounds (A tensor C, B tensor D); the first relative to max(1, ||S_f
-    tensor S_h||)."""
+    bounds (A tensor C, B tensor D); the first by `certify.residual_verdict`
+    at scale max(1, ||S_f tensor S_h||), reported relative to it."""
     base_left = certify_kframe(left, k_op, a, b, tol)
     base_left.require("left factor K-frame certification")
     base_right = certify_kframe(right, l_op, c, d, tol)
@@ -112,10 +112,10 @@ def tensor_frame_audit(
 
     prod = tensor_frame(w, left, right)
     s_expected = w.operator(left.frame_op, right.frame_op)
-    rel = (prod.frame_op - s_expected).norm() / max(1.0, s_expected.norm())
-    op_cert = Certificate(
-        verdict(rel, tol, 1.0), "tensor-frame-operator", {"relative_residual": rel}, tol
-    )
+    scale = max(1.0, s_expected.norm())
+    status, residual = residual_verdict((prod.frame_op - s_expected).block_matrices(), tol, scale)
+    rel = residual / scale
+    op_cert = Certificate(status, "tensor-frame-operator", {"relative_residual": rel}, tol)
     kl = w.operator(k_op, l_op)
     ac = w.element(a, c)
     bd = w.element(b, d)

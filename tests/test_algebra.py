@@ -101,6 +101,16 @@ def test_central_elements_carry_the_exact_scalars_of_their_blocks(dims):
     assert _bits(unit.exact_scalars()) == _bits(spec.element(unit.blocks).exact_scalars())
 
 
+def test_central_scalars_are_the_exact_scalars_where_a_block_has_one():
+    # trace/d rounds c off on larger blocks: 0.6999999999999998 at d = 3
+    assert AlgebraSpec((3,)).central([0.7]).central_scalars()[0] == 0.7
+    assert AlgebraSpec((6,)).central([0.1]).central_scalars()[0] == 0.1
+    # a block that is not scalar keeps its nearest scalar trace/d
+    spec = AlgebraSpec((3, 1))
+    x = spec.element([np.diag([1.0, 2.0, 4.0]), np.array([[0.7]])])
+    assert list(x.central_scalars()) == [np.trace(x.blocks[0]) / 3, 0.7]
+
+
 @pytest.mark.parametrize("dims", CENTRAL_SPECS, ids=str)
 @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, np.inf)], ids=["inf", "nan", "imag-inf"])
 def test_central_rejects_nonfinite_scalars(dims, bad):

@@ -1,6 +1,7 @@
 """Guards on the library's surface: no dead private helper, a public
-name list that resolves, and no tolerance-like literal outside a named
-module constant."""
+name list that resolves, no tolerance-like literal outside a named
+module constant, and no decided residual that bypasses the residual
+rule."""
 
 import ast
 import re
@@ -93,3 +94,59 @@ def test_exponent_literals_are_named_module_constants():
                 and EXPONENT_LITERAL.search(ast.get_source_segment(source, node) or "")
             ]
     assert not found, f"unnamed exponent literals: {found}"
+
+
+# residuals whose norms are compared with each other rather than decided at
+# a tol: conjugation_audit reports which of K S K* and K* S K matches
+SPECTRAL_RESIDUALS = {"conjugation_audit": 2}
+
+
+def _is_difference(node):
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+
+
+def _norms_of_differences(tree):
+    """(function, line) of each `.norm()` taken of a subtraction, or of a
+    name its function assigns a subtraction to, for every function at
+    module or class level (nested functions count toward theirs)."""
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)] + [
+        m for c in tree.body if isinstance(c, ast.ClassDef)
+        for m in c.body if isinstance(m, ast.FunctionDef)
+    ]
+    found = []
+    for fn in functions:
+        nodes = list(ast.walk(fn))
+        differences = {
+            t.id for n in nodes if isinstance(n, ast.Assign) and _is_difference(n.value)
+            for t in n.targets if isinstance(t, ast.Name)
+        }
+        found += [
+            (fn.name, n.lineno) for n in nodes
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "norm" and not n.args
+            and (_is_difference(n.func.value)
+                 or isinstance(n.func.value, ast.Name) and n.func.value.id in differences)
+        ]
+    return found
+
+
+def test_norms_of_differences_are_found():
+    tree = ast.parse(
+        "def f(a, b):\n    r = a - b\n"
+        "    return (a - b).norm() + r.norm() + a.norm() + np.linalg.norm(a - b)\n"
+        "class C:\n    def g(self):\n        return (self - self).norm()\n"
+    )
+    assert _norms_of_differences(tree) == [("f", 3), ("f", 3), ("g", 6)]
+
+
+def test_decided_residuals_take_the_residual_rule():
+    # a residual decided at a tol goes through certify.residual_verdict,
+    # which takes an SVD only where the Frobenius bound does not decide;
+    # the norm of a difference taken directly is an SVD per block
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [(path.name, *hit) for hit in _norms_of_differences(ast.parse(path.read_text()))]
+    by_function = {}
+    for _, name, _ in found:
+        by_function[name] = by_function.get(name, 0) + 1
+    assert by_function == SPECTRAL_RESIDUALS, found

@@ -1,19 +1,25 @@
-"""psd_certificate takes the decompositions its verdict reads and no others."""
+"""psd_certificate takes the decompositions its verdict reads and no others,
+and the residual rule decides as `verdict` on the spectral norm would."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarframes import (
-    AlgebraSpec, FrameSeq, certify_kframe, certify_star_bessel, identity_operator,
+    AlgebraSpec, FrameSeq, ModuleOperator, certify_kframe, certify_star_bessel,
+    identity_operator,
 )
 from cstarframes.certify import (
-    CERTIFIED, FALSIFIED, INCONCLUSIVE, pencil_verdict, psd_certificate, verdict,
-    verdict_at_norm, worst,
+    BOUNDARY_FACTOR, CERTIFIED, FALSIFIED, INCONCLUSIVE, pencil_verdict, psd_certificate,
+    residual_verdict, verdict, verdict_at_norm, worst,
 )
 from cstarframes.harness import random_instance
 from cstarframes.sampling import random_operator, random_vector, stream
+
+import oracles
 
 EPS = np.finfo(float).eps
 # rank 3 keeps the gap's blocks (9x9, 6x6) apart from the bound's (3x3, 2x2)
@@ -157,3 +163,95 @@ def test_worst_status_dominance():
     assert worst() == CERTIFIED
     assert worst(CERTIFIED, INCONCLUSIVE) == INCONCLUSIVE
     assert worst(INCONCLUSIVE, FALSIFIED, CERTIFIED) == FALSIFIED
+
+
+# -- the residual rule ------------------------------------------------------------
+
+# within this relative distance of a threshold, rounding decides the status
+NEAR = 1e-12
+
+
+def _residual_block(kind: str, rows: int, cols: int, size: float, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=complex)
+    if kind == "1x1":
+        return size * gauss(1, 1)
+    if kind == "rank-one":
+        return size * np.outer(gauss(rows), gauss(cols).conj())
+    return size * gauss(rows, cols)
+
+
+residual_blocks = st.lists(
+    st.builds(
+        _residual_block,
+        st.sampled_from(["zero", "1x1", "rank-one", "generic"]),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.sampled_from([1e-15, 1e-9, 1.0, 1e3]),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _near(x: float, threshold: float) -> bool:
+    return abs(x - threshold) <= NEAR * abs(threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    blocks=residual_blocks,
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 0.5, -1e-9]),
+    ratio=st.sampled_from([0.01, 0.5, 0.999, 1.001, 2.0, 9.99, 10.01, 1e3]),
+    free_scale=st.floats(0.5, 1e4),
+    as_operator=st.booleans(),
+)
+def test_residual_rule_decides_as_the_spectral_norm(blocks, tol, ratio, free_scale, as_operator):
+    # ratio places ||R|| at ratio times tol * scale where that is possible,
+    # so both sides of both thresholds are drawn
+    norm = max(float(np.linalg.norm(m, 2)) for m in blocks)
+    scale = norm / (ratio * tol) if tol > 0 and norm > 0 else free_scale
+    if as_operator:
+        # scale passed as T, read as max(1, ||T||)
+        arg = ModuleOperator(AlgebraSpec((1,)), 1, 1, [np.array([[scale]])])
+        scale = max(1.0, scale)
+    else:
+        arg = scale
+    status, value = residual_verdict(blocks, tol, arg)
+    assert value >= norm * (1.0 - NEAR)
+    thresholds = (tol * scale, BOUNDARY_FACTOR * tol * scale)
+    if not any(_near(norm, thr) for thr in thresholds):
+        assert status == verdict(norm, tol, scale)
+    ref_status, ref_value = oracles.reference_residual_verdict(blocks, tol, arg)
+    frob = max(float(np.linalg.norm(m)) for m in blocks)
+    if not any(_near(x, thr) for x in (norm, frob) for thr in thresholds):
+        assert status == ref_status
+        assert abs(value - ref_value) <= 8 * EPS * ref_value
+
+
+def test_residual_rule_takes_an_svd_only_where_the_frobenius_bound_does_not_certify(
+    monkeypatch,
+):
+    rng = np.random.default_rng(5)
+    blocks = [rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)) for _ in range(2)]
+    t = identity_operator(SPEC, 2).scalar_mul(3.0)
+    calls = _counting(monkeypatch)
+    status, value = residual_verdict([1e-14 * m for m in blocks], 1e-9, t)
+    # certified on max_b ||R_b||_F: no SVD, and ||T|| not taken
+    assert (status, calls["svd"], t._norm) == (CERTIFIED, [], None)
+    assert value == max(float(np.linalg.norm(1e-14 * m)) for m in blocks)
+    status, value = residual_verdict(blocks, 1e-9, t)
+    # falsified: one values-only SVD per block of R (and of T, for ||T||),
+    # and the spectral norm reported
+    assert status == FALSIFIED
+    assert [a.shape for a in calls["svd"]].count((6, 4)) == 2 and t._norm == 3.0
+    assert value == max(float(np.linalg.norm(m, 2)) for m in blocks)
+    # no blocks: a residual of exactly 0
+    assert residual_verdict([], 1e-9, 1.0) == (CERTIFIED, 0.0)
+    assert residual_verdict([], -1e-9, 1.0) == (FALSIFIED, 0.0)

@@ -554,7 +554,7 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                 digest.update(f"{profile} {command} {seed} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "70b929a232db0017a26e571fafbd760f3ac34173018dd629d69a0a0f6c5e8f02"
+        "e18901d6451da103f45b91b95e2a539828e33eba2482e2f242a5131b9cc69668"
     )
 
 
@@ -581,5 +581,5 @@ def test_input_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
             digest.update(f"{name} {command} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "3101c3b74b8839131927b9df0e8e75c13d63dd7deac6b68bf3fbf1d12955975e"
+        "250e8d308f27e7ed2b47fbb6c82bbafa3e096f2fea6e03b6c8c99998f2905187"
     )

@@ -40,7 +40,7 @@ from cstarframes import frames
 from cstarframes.cli import COMMANDS, main
 from cstarframes.harness import SUITES, random_instance, tensor_pair_instance
 from cstarframes.hilbmod import _vector, central_mult
-from cstarframes.certify import BOUNDARY_FACTOR, psd_certificate
+from cstarframes.certify import BOUNDARY_FACTOR, psd_certificate, residual_verdict
 from cstarframes.sampling import (
     random_central,
     random_operator,
@@ -710,8 +710,9 @@ def test_local_atoms_non_central_bound_falsified_with_witness_in_range(p_slots):
 
 
 def test_dual_atoms_audit_residual_matches_atoms_synthesis():
-    # H* is Q bit for bit, so ||K - U Q|| is the old ||K - U H*|| exactly;
-    # ||U Q - K||, the factorization residual, may differ in the last bit
+    # H* is Q bit for bit, and K - U H* is U Q - K negated bit for bit, so
+    # the residual rule on the atoms' own reconstruction reports the
+    # factorization residual's bits, and certifies
     for seed in range(20):
         rng = stream(99, seed)
         fr = random_frame(SPEC, 2, 4, rng)
@@ -719,9 +720,12 @@ def test_dual_atoms_audit_residual_matches_atoms_synthesis():
         cert = dual_atoms_audit(fr, k, 1e-9)
         assert cert.status == "certified"
         h = dual_atoms(fr, k, 1e-9)
-        direct = (k - fr.synthesis_op.compose(h.analysis_op)).norm()
+        recon = (k - fr.synthesis_op.compose(h.analysis_op)).block_matrices()
+        status, direct = residual_verdict(recon, 1e-9, k)
+        assert status == "certified"
         assert repr(cert.witness["max_reconstruction_residual"]) == repr(direct)
-        assert direct == pytest.approx(cert.witness["factorization_residual"], rel=1e-12)
+        assert repr(cert.witness["factorization_residual"]) == repr(direct)
+        assert direct >= (k - fr.synthesis_op.compose(h.analysis_op)).norm() * (1 - 1e-12)
 
 
 def test_dual_atoms_audit_factors_only_the_frame(monkeypatch):

@@ -62,11 +62,11 @@ def test_instance_bytes_are_pinned():
 
 # sha256 over the payloads of run_suite(suite, trials=3, seed=k), k = 0, 1
 SUITE_PAYLOADS = {
-    "douglas-equivalence": "dc13df4de65e9fb5f99bb297892fba58fff64096b9e41555e010f162fd5128f1",
-    "kframe-main": "3f69de9a56ac0549462c8a6ecaf0614ff5b4a4627e1717449604418854a326e7",
+    "douglas-equivalence": "12ab3180a23f5f7885751aecebc9dd6ee3621dd6b52ba4951677a611eab41739",
+    "kframe-main": "2a62bdcf4269f157a62a7b8d750ab481dfe45c7623defa01f5fb1ec15b0d0818",
     "paper-example": "94d94a18f9b255b4f506ab21634c0c72917ae60991bd032be5fb702ce522ee96",
     "conjugation": "0de79c73b502663ef8409ec262cf65352e663502bf633daa8801909542f9ba15",
-    "tensor": "cf48b510ec035c3980380839fbbdae1fb2bd427c471083baffdc6fb1a3c43f94",
+    "tensor": "bd016fb3a5885ce0023ff9ca778370dd2095adf253093b78290ac226ea42a2c3",
     "co-isometry": "d62cd2d87d695c4857100a99103c9504050b7335db642d1835a1bfae01729b82",
     "perturb1": "233b65296ea7a1a4941f9bb2342a667f403baed8ed33343416296b2822019e42",
     "perturb2": "e1dbd66b51eceb68ff02db2ac3570b2b21f235a8a5d9b9fe1783b2edc8d51e3b",

@@ -304,6 +304,20 @@ def test_pertur2_lower_constant_is_the_pencil_bound():
             assert math.sqrt(hs.coefficient_gram(w).norm()) < g_high * k.adjoint().apply(w).norm()
 
 
+def test_pertur2_reads_sigma_min_of_a_the_bound_carries():
+    # on a 3 x 3 block trace/3 rounds 0.7 off; sigma_min(A) is its exact scalar
+    spec = AlgebraSpec((3,))
+    rng = stream(160, 0)
+    fr = random_frame(2, 5, rng, spec)
+    k = fr.synthesis_op.compose(random_operator(spec, 2, 5, rng))
+    lam, mu = optimal_scalar_bounds(fr, k)
+    a = spec.central([0.7 * math.sqrt(lam)])
+    b = spec.central([1.05 * math.sqrt(mu)])
+    cert = pertur2_audit(fr, fr, k, k, 0.0, 0.0, 0.0, a, b)
+    assert cert.witness["sigma_min_A"] == a.exact_scalars()[0].real == a.norm()
+    assert cert.status == "certified"
+
+
 def test_pertur2_rejects_bad_constants():
     rng = stream(158, 0)
     fr = random_frame(2, 4, rng)
