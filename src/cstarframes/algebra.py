@@ -217,15 +217,21 @@ class AlgElement:
         """Per block, whether it is within tol (relatively scaled) of a
         scalar multiple of the identity; the nearest scalar is trace/d.  An
         exactly scalar block (`exact_scalars`) is scalar at every tol, with
-        no kernel call: its trace/d can round off b[0, 0]."""
+        no kernel call: its trace/d can round off b[0, 0].  Another block's
+        residual b - trace(b)/d 1 is decided by `certify.residual_verdict`
+        at scale max(1, ||self||): on its Frobenius norm first, so an SVD
+        of it, or of self for the scale, is taken only where that does not
+        certify."""
         if tol < 0:
             raise InputError("tolerance must be nonnegative")
         exact = [c is not None for c in self.exact_scalars()]
         if all(exact):
             return tuple(exact)
-        s = self._scale()
+        from .certify import CERTIFIED, residual_verdict
+
         return tuple(
-            e or float(_spectral_norm(b - np.trace(b) / len(b) * np.eye(len(b)))) <= tol * s
+            e or residual_verdict([b - np.trace(b) / len(b) * np.eye(len(b))], tol, self)[0]
+            == CERTIFIED
             for e, b in zip(exact, self.blocks)
         )
 

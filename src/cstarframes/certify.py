@@ -8,8 +8,11 @@ Every verdict of the library is `verdict(excess, tol, scale)` at the
 caller's tol, scale = max(1, size of the quantity the rounding follows).
 Where that size is an operator norm ||T|| that nothing else reads,
 `verdict_at_norm` takes it only for an excess above tol.
-A residual decided at tol is `residual_verdict`'s: a Frobenius bound
-decides where it certifies, and an SVD per block is taken only elsewhere.
+A residual decided at tol is `residual_verdict`'s, an algebra element's
+distance from a scalar block too: a Frobenius bound decides where it
+certifies, and an SVD per block is taken only elsewhere.  No SVD measures
+the Douglas pencil: `douglas` takes ||S^+ T|| from one `eigvalsh` per
+block of a Gram.
 Every operator inequality ends in `psd_certificate`, that rule on the
 gap's least eigenvalue: one values-only eigensolve per block of the gap
 whose eigenvalues the caller does not already know exactly (a central
@@ -24,7 +27,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import _spectral_norm
+from .algebra import AlgElement, _spectral_norm
 from .hilbmod import ModuleOperator, ModuleVector
 
 CERTIFIED = "certified"
@@ -46,7 +49,7 @@ def verdict(excess: float, tol: float, scale: float) -> str:
     return FALSIFIED if excess > BOUNDARY_FACTOR * tol * scale else INCONCLUSIVE
 
 
-def verdict_at_norm(excess: float, tol: float, t: ModuleOperator) -> str:
+def verdict_at_norm(excess: float, tol: float, t: Union[ModuleOperator, AlgElement]) -> str:
     """`verdict` at scale max(1, ||t||), taking ||t|| only for an excess
     above tol: at or below a tol >= 0 it certifies at every scale >= 1."""
     if 0.0 <= tol and excess <= tol:
@@ -55,11 +58,12 @@ def verdict_at_norm(excess: float, tol: float, t: ModuleOperator) -> str:
 
 
 def residual_verdict(blocks: Sequence[np.ndarray], tol: float,
-                     scale: Union[float, ModuleOperator]) -> tuple[str, float]:
-    """`verdict`, or `verdict_at_norm` for an operator scale, on the norm of
-    the residual with these blocks, and the value it reports: the bound
-    max_b ||R_b||_F >= ||R|| where that certifies, else ||R|| itself."""
-    decide = verdict_at_norm if isinstance(scale, ModuleOperator) else verdict
+                     scale: Union[float, ModuleOperator, AlgElement]) -> tuple[str, float]:
+    """`verdict`, or `verdict_at_norm` for an operator or element scale, on
+    the norm of the residual with these blocks, and the value it reports:
+    the bound max_b ||R_b||_F >= ||R|| where that certifies, else ||R||
+    itself."""
+    decide = verdict_at_norm if isinstance(scale, (ModuleOperator, AlgElement)) else verdict
     frob = max((float(np.linalg.norm(m)) for m in blocks), default=0.0)
     if decide(frob, tol, scale) == CERTIFIED:
         return CERTIFIED, frob

@@ -18,7 +18,8 @@ kept on S like its norm.  With k_b singular values kept in block b, the
 complement perp_b = U_b[:, k_b:] of R(S_b) and left_b = diag(1 / sigma_k)
 U_k^H are read off that one SVD, so every call after the first on the
 same S makes no SVD of S.  The singular values are kept too: for a
-synthesis operator U they are sigma_max(U), read as a Bessel bound, and
+synthesis operator U they are sigma_max(U), read as a Bessel bound and
+squared as `frames.optimal_scalar_bounds`' mu* = ||U U*||, and
 the eigenvalues |c|^2 - sigma(U_b)^2 of a central upper frame bound's
 gap (`frames._certify_upper`).  The pseudo-inverse is formed from the
 same SVD factors only when a solve or `pseudo_inverse` first reads it,
@@ -31,8 +32,11 @@ The other decompositions, per reduced block: the range residual
 rank cut makes onto (k_b = rows, perp_b empty), and the factorization
 residual ||S Q - T|| checks the Q returned.  Decided at tol, both are
 `certify.residual_verdict`'s, an SVD only where a Frobenius norm does not
-certify.  ||S^+ T|| is a values-only SVD of left_b T_b; it is
-1 / sqrt(pencil) and ||Q||, so no SVD of Q = S^+ T is taken.
+certify.  ||S^+ T|| is the largest ||X_b||, X_b = left_b T_b, taken by
+`_gram_norm` from one values-only `eigvalsh` of the Gram on X_b's smaller
+side, within gamma_k || |X_b| ||^2 of ||X_b||^2 (k the larger side); it
+is 1 / sqrt(pencil) and ||Q||, so no SVD of X_b or of Q = S^+ T is
+taken.  The public `range_residual` stays an SVD per block of perp_b^H T_b.
 `cokernel_witness` adds a full SVD per block of perp (perp^H T), which
 `equivalence_audit` takes only when the pencil fails.  The norm
 inequality is one `psd_certificate`: a values-only `eigvalsh` per block,
@@ -64,6 +68,9 @@ from .errors import InputError
 from .hilbmod import ModuleOperator, ModuleVector, _operator
 
 DEFAULT_RTOL = 1e-10
+# A Gram whose largest diagonal entry lies in [2^-900, 2^900] is formed far
+# from under- and overflow; `_gram_norm` rescales X outside that range.
+_GRAM_LOW, _GRAM_HIGH = 2.0**-900, 2.0**900
 
 
 @dataclass
@@ -169,8 +176,12 @@ class _Factorization:
 
     def whitened_norm(self, t: ModuleOperator) -> float:
         """||S^+ T|| = max_b ||left_b T_b||, which is 1 / sqrt(mu) for the
-        pencil value mu when R(T) is inside R(S)."""
-        return _max_block_norm(self.lefts, t)
+        pencil value mu when R(T) is inside R(S): per block `_gram_norm` of
+        X_b = left_b T_b, one values-only `eigvalsh` and no SVD."""
+        return max(
+            (_gram_norm(f @ m) for f, m in zip(self.lefts, t.block_matrices()) if f is not None),
+            default=0.0,
+        )
 
     def pencil(
         self,
@@ -198,13 +209,34 @@ class _Factorization:
         return q, residual_verdict((self.s.compose(q) - t).block_matrices(), tol, t)[1]
 
 
-def _max_block_norm(factors: list[Optional[np.ndarray]], t: ModuleOperator) -> float:
-    """max_b ||F_b T_b|| over the blocks with a factor F_b; 0 without one."""
-    return max(
-        (float(_spectral_norm(f @ m)) for f, m in zip(factors, t.block_matrices())
-         if f is not None),
-        default=0.0,
-    )
+def _gram_norm(x: np.ndarray) -> float:
+    """||X|| = sqrt(max(lambda_top, 0)), with lambda_top the largest
+    eigenvalue of the Gram on X's smaller side (X X^H or X^H X), from one
+    values-only `eigvalsh`.
+
+    With k X's larger dimension, the Gram rounds as |fl(G) - G| <=
+    gamma_k |X| |X|^H, gamma_k = k u / (1 - k u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3), so lambda_top = ||X||^2
+    moves by at most gamma_k || |X| ||^2 beyond eigvalsh's backward error
+    of a few u ||X||^2; relative to ||X||^2 that is gamma_k
+    (|| |X| || / ||X||)^2, which an SVD of X does not pay.  Where G's
+    largest diagonal entry lies outside [2^-900, 2^900], G is formed
+    again from X scaled by the exact power of two 2^-e, e the `frexp`
+    exponent of max |x|, so a tiny X (a T of norm 1e-200) does not read
+    as 0 nor a huge one as inf; X = 0 gives 0, and an X whose product
+    overflowed (an infinite entry) gives inf, the norm rounded."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x @ x.conj().T if x.shape[0] <= x.shape[1] else x.conj().T @ x
+    if _GRAM_LOW <= np.diagonal(g).real.max() <= _GRAM_HIGH:
+        return math.sqrt(max(float(np.linalg.eigvalsh(g)[-1]), 0.0))
+    amax = max(float(np.abs(x.real).max()), float(np.abs(x.imag).max()))
+    if amax == 0.0 or math.isinf(amax):
+        return amax
+    # the scaled X has its largest real or imaginary part in [1/2, 1), so
+    # its Gram's largest diagonal entry lies in range
+    e = math.frexp(amax)[1]
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(_gram_norm(np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e)), e))
 
 
 def _factorization(s: ModuleOperator) -> _Factorization:
@@ -232,7 +264,11 @@ def range_residual(t: ModuleOperator, s: ModuleOperator) -> float:
     _check_common_target(t, s)
     if t is s:
         return 0.0
-    return _max_block_norm(_factorization(s).perps, t)
+    return max(
+        (float(_spectral_norm(p @ m)) for p, m in zip(_factorization(s).perps, t.block_matrices())
+         if p is not None),
+        default=0.0,
+    )
 
 
 def range_inclusion(t: ModuleOperator, s: ModuleOperator, tol: float) -> bool:
@@ -316,7 +352,7 @@ def equivalence_audit(
     (i) range-inclusion residual, (ii) pencil positivity, (iii) the norm
     inequality lambda ||T* f||^2 <= ||S* f||^2 at lambda equal to the
     pencil value, decided exactly by the eigen route of `_majorization`
-    (independent of the SVD pencil behind (ii)), (iv) factorization
+    (independent of the whitened Gram behind (ii)), (iv) factorization
     residual of S (S^+ T) = T.  (i), (iv) and the range inclusion behind
     (ii) hold when their residual is <= tol max(1, ||T||).  When (ii)
     fails, (iii) instead looks for a direction f in the cokernel of S

@@ -352,12 +352,13 @@ def optimal_scalar_bounds(
     lambda* is the whitened-pencil extremal value restricted to the range
     of K K*; it is 0 exactly when the family is not a K-frame with any
     scalar lower bound, that is when R(K) is not inside R(U) at tol.
+    mu* = ||U U*|| = sigma_max(U)^2 is read off U's kept factorization,
+    which the pencil builds, so U U* is neither formed nor normed.
     """
     if k_op is None:
         k_op = identity_operator(frame.spec, frame.rank)
     lam = pencil_lower_bound(k_op, frame.synthesis_op, tol)
-    mu = frame.frame_op.norm()
-    return lam, mu
+    return lam, float(_factorization(frame.synthesis_op).smax) ** 2
 
 
 def derived_bounds(
@@ -386,9 +387,10 @@ def atomic_coefficients(
     and C = ||Q|| 1_A witnesses the coefficient bound <a_f, a_f> <=
     C<f,f>C*: C is central, so the bound is Q*Q <= ||Q||^2 I, which always
     holds.  ||Q|| = ||U^+ K|| is read off U's kept SVD, so the call takes
-    per block one SVD of diag(1 / sigma_k) U_k^H K_b, none of Q.  Raises
-    AtomicSystemError unless `certify.residual_verdict` certifies R(K)
-    inside R(U) on U Q - K at tol, with scale max(1, ||K||).
+    per block one `eigvalsh` of the Gram of diag(1 / sigma_k) U_k^H K_b,
+    and no SVD of Q.  Raises AtomicSystemError unless
+    `certify.residual_verdict` certifies R(K) inside R(U) on U Q - K at
+    tol, with scale max(1, ||K||).
     `seed` is ignored; nothing is sampled.
     """
     n = frame.rank

@@ -37,7 +37,9 @@ values-only SVD, taken by a verdict scaled by max(1, ||T||) only past
 tol (`certify.verdict_at_norm`), and a residual's only past its
 Frobenius bound (`certify.residual_verdict`); the Douglas factorization
 one full SVD, whose singular values it keeps, and the pseudo-inverse two
-products of its factors, formed on first use; `herm_block_eigs`, which
+products of its factors, formed on first use; the whitened norm
+||S^+ T|| (the pencil and ||Q||) one values-only `eigvalsh` of the Gram
+of diag(1 / sigma_k) U_k^H T_b, no SVD; `herm_block_eigs`, which
 `certify.psd_certificate` reads to decide positivity, a values-only
 `eigvalsh` of the Hermitian part, except for a block whose eigenvalues
 the caller already knows (an exactly central upper frame bound's gap

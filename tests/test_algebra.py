@@ -388,6 +388,20 @@ def test_exactly_scalar_blocks_are_scalar_at_every_tol(monkeypatch):
     assert calls
 
 
+def test_scalar_block_residual_certifies_on_its_frobenius_norm(monkeypatch):
+    # b - trace(b)/d 1 within tol in Frobenius norm is decided with no SVD,
+    # of it or of the element for the scale max(1, ||a||)
+    spec = AlgebraSpec((3,))
+    a = spec.element([np.diag([0.7, 0.7, 0.7 + 1e-16])])
+    calls = _counting_svd(monkeypatch)
+    assert a.is_central(1e-9)
+    assert calls == [] and a._norm is None
+    # above tol, the scale takes ||b|| and the residual its own SVD
+    b = spec.element([np.diag([0.7, 0.7, 0.7 + 1e-6])])
+    assert not b.is_central(1e-9)
+    assert calls == [(3, 3), (3, 3)] and b._norm is not None
+
+
 # -- property tests ------------------------------------------------------------------
 
 complex_entries = st.complex_numbers(

@@ -106,9 +106,10 @@ def _is_difference(node):
 
 
 def _norms_of_differences(tree):
-    """(function, line) of each `.norm()` taken of a subtraction, or of a
-    name its function assigns a subtraction to, for every function at
-    module or class level (nested functions count toward theirs)."""
+    """(function, line) of each `.norm()` or `_spectral_norm(...)` taken of
+    a subtraction, or of a name its function assigns a subtraction to, for
+    every function at module or class level (nested functions count toward
+    theirs)."""
     functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)] + [
         m for c in tree.body if isinstance(c, ast.ClassDef)
         for m in c.body if isinstance(m, ast.FunctionDef)
@@ -120,12 +121,18 @@ def _norms_of_differences(tree):
             t.id for n in nodes if isinstance(n, ast.Assign) and _is_difference(n.value)
             for t in n.targets if isinstance(t, ast.Name)
         }
+
+        def is_difference(x):
+            return _is_difference(x) or isinstance(x, ast.Name) and x.id in differences
+
         found += [
             (fn.name, n.lineno) for n in nodes
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-            and n.func.attr == "norm" and not n.args
-            and (_is_difference(n.func.value)
-                 or isinstance(n.func.value, ast.Name) and n.func.value.id in differences)
+            if isinstance(n, ast.Call) and (
+                isinstance(n.func, ast.Attribute) and n.func.attr == "norm" and not n.args
+                and is_difference(n.func.value)
+                or isinstance(n.func, ast.Name) and n.func.id == "_spectral_norm"
+                and len(n.args) == 1 and is_difference(n.args[0])
+            )
         ]
     return found
 
@@ -135,8 +142,12 @@ def test_norms_of_differences_are_found():
         "def f(a, b):\n    r = a - b\n"
         "    return (a - b).norm() + r.norm() + a.norm() + np.linalg.norm(a - b)\n"
         "class C:\n    def g(self):\n        return (self - self).norm()\n"
+        "def h(m, c):\n    r = m - c\n"
+        "    return _spectral_norm(m - c) + _spectral_norm(r) + _spectral_norm(m)\n"
     )
-    assert _norms_of_differences(tree) == [("f", 3), ("f", 3), ("g", 6)]
+    assert _norms_of_differences(tree) == [
+        ("f", 3), ("f", 3), ("h", 9), ("h", 9), ("g", 6)
+    ]
 
 
 def test_decided_residuals_take_the_residual_rule():

@@ -554,7 +554,7 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                 digest.update(f"{profile} {command} {seed} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "e18901d6451da103f45b91b95e2a539828e33eba2482e2f242a5131b9cc69668"
+        "01ff3d0d2f29917d2a2ec7f3eb61e916ae6679e37c79d9011be27f838e49351e"
     )
 
 
@@ -581,5 +581,5 @@ def test_input_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
             digest.update(f"{name} {command} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "250e8d308f27e7ed2b47fbb6c82bbafa3e096f2fea6e03b6c8c99998f2905187"
+        "c400208c4d56ca00e1064995fbf8ac60b74081a6d75a8ff1b73b321c38c07078"
     )

@@ -29,7 +29,7 @@ from cstarframes import (
     range_inclusion,
     range_residual,
 )
-from cstarframes.certify import BOUNDARY_FACTOR
+from cstarframes.certify import BOUNDARY_FACTOR, pencil_verdict
 from cstarframes.hilbmod import ModuleOperator
 from cstarframes.sampling import (
     random_operator,
@@ -348,15 +348,34 @@ def same_certificate(a, b):
     )
 
 
-# ||S^+ T|| is read off S's kept SVD as max_b ||diag(1 / sigma_k) U_k^H T_b||,
-# where the oracles take an SVD of W T (W = U_k diag(1 / sigma_k) U_k^H) and
-# of Q.  They agree to a few rounding errors of an SVD: at this seed q_norm
-# to 2.6 eps and the pencil 1 / ||S^+ T||^2 to 3.3 eps relative.  Condition
-# (iii)'s gap S S* - mu T T* moves with mu by at most NORM_RTOL mu ||T||^2 <=
-# NORM_RTOL cond_iii_scale (0.9 eps of it at this seed).
+# Residuals the oracles take by another sum agree to a few rounding errors
+# of an SVD.  Condition (iii)'s gap S S* - mu T T* moves with mu by at most
+# gram_rtol mu ||T||^2 <= gram_rtol cond_iii_scale (0.9 eps of it at this
+# seed).
 NORM_RTOL = 8 * np.finfo(float).eps
 # what reads as rounding in a residual or a cokernel witness
 ROUNDING = 1e-12
+
+
+def gram_rounding(x):
+    """`_gram_norm`'s bound gamma_k || |X| ||^2 on how far its Gram's top
+    eigenvalue lies from ||X||^2, k the larger side of X."""
+    k, unit = max(x.shape), np.finfo(float).eps / 2
+    return k * unit / (1 - k * unit) * np.linalg.svd(np.abs(x), compute_uv=False)[0] ** 2
+
+
+def gram_rtol(t, s):
+    """How far ||S^+ T||^2 = max_b ||X_b||^2, X_b = left_b T_b, and so the
+    pencil 1 / ||S^+ T||^2 and ||Q||, may lie from the oracles' SVDs of W T
+    (W = U_k diag(1 / sigma_k) U_k^H) and of Q, relative: NORM_RTOL for
+    the SVDs' own rounding plus the largest `gram_rounding` over
+    ||S^+ T||^2."""
+    lefts = douglas._factorization(s).lefts
+    xs = [f @ m for f, m in zip(lefts, t.block_matrices()) if f is not None]
+    top = max((np.linalg.svd(x, compute_uv=False)[0] for x in xs), default=0.0)
+    if top == 0.0:
+        return NORM_RTOL
+    return NORM_RTOL + max(gram_rounding(x) for x in xs) / top**2
 
 
 def assert_rounding_close(got, want, rtol, what):
@@ -415,17 +434,17 @@ def test_factored_douglas_toolkit_matches_per_function_reference(spec):
         assert same_bits(pseudo_inverse(s), oracles.reference_pseudo_inverse(s)), name
         want_residual = oracles.reference_range_residual(t, s)
         assert_range_residual_matches(range_residual(t, s), want_residual, t, s, name)
+        rtol = gram_rtol(t, s)
         assert_rounding_close(
-            pencil_lower_bound(t, s), oracles.reference_pencil_lower_bound(t, s), NORM_RTOL, name
+            pencil_lower_bound(t, s), oracles.reference_pencil_lower_bound(t, s), rtol, name
         )
         got, want = douglas_solve(t, s, 1e-9), oracles.reference_douglas_solve(t, s, 1e-9)
         for field in ("inclusion_ok", "q"):
             assert same_bits(getattr(got, field), getattr(want, field)), (name, field)
         # the residual rule's value, from the same S Q - T by another sum
-        for field in ("residual", "pencil_mu", "q_norm"):
-            assert_rounding_close(
-                getattr(got, field), getattr(want, field), NORM_RTOL, (name, field)
-            )
+        assert_rounding_close(got.residual, want.residual, NORM_RTOL, (name, "residual"))
+        for field in ("pencil_mu", "q_norm"):
+            assert_rounding_close(getattr(got, field), getattr(want, field), rtol, (name, field))
         cert = equivalence_audit(t, s, 1e-9)
         ref = oracles.reference_equivalence_audit(t, s, 1e-9)
         assert (cert.status, cert.claim, cert.tol) == (
@@ -440,11 +459,13 @@ def test_factored_douglas_toolkit_matches_per_function_reference(spec):
         for key, value in cert.witness.items():
             if key == "range_residual":
                 assert_range_residual_matches(value, want_residual, t, s, (name, key))
-            elif key in ("pencil_mu", "q_norm", "factorization_residual"):
+            elif key in ("pencil_mu", "q_norm"):
+                assert_rounding_close(value, ref.witness[key], rtol, (name, key))
+            elif key == "factorization_residual":
                 assert_rounding_close(value, ref.witness[key], NORM_RTOL, (name, key))
             elif key == "cond_iii_min_eig":
                 scale = cert.witness["cond_iii_scale"]
-                assert abs(value - ref.witness[key]) <= NORM_RTOL * scale, (name, key)
+                assert abs(value - ref.witness[key]) <= rtol * scale, (name, key)
             elif key not in ("cond_iii_s_adj_norm", "cond_iii_t_adj_norm"):
                 assert same_bits(value, ref.witness[key]), (name, key)
         assert_cokernel_witness_matches(cert.witness, ref.witness, t, s, want_residual, name)
@@ -452,6 +473,81 @@ def test_factored_douglas_toolkit_matches_per_function_reference(spec):
     assert statuses["near-boundary"] == "inconclusive"
     assert statuses["failed-inclusion"] == "certified"
     assert statuses["onto-S"] == "certified"
+
+
+# -- the whitened norm from one eigvalsh of the Gram ---------------------------------------
+
+GRAM_SHAPES = [(1, 1), (1, 5), (5, 1), (4, 4), (6, 3), (3, 6)]
+# 1e-300 and 1e-160 underflow in the Gram and 1e300 overflows: `_gram_norm`
+# forms it again from X scaled by a power of two
+GRAM_SCALES = [1e-300, 1e-160, 1.0, 1e300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(GRAM_SHAPES),
+    rank=st.integers(0, 6),
+    scale=st.sampled_from(GRAM_SCALES),
+)
+def test_gram_norm_is_the_top_singular_value_within_its_bound(seed, shape, rank, scale):
+    # rank-deficient, and 0 at rank 0; |lambda_top - ||X||^2| <= gamma_k
+    # || |X| ||^2, k the larger side, beyond NORM_RTOL ||X||^2 for the
+    # eigensolver, the SVD and the division by max |x| below
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    r = min(rank, rows, cols)
+
+    def gaussian(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    x = gaussian(rows, r) @ gaussian(r, cols) * scale
+    got = douglas._gram_norm(x)
+    want = float(np.linalg.svd(x, compute_uv=False)[0])
+    amax = float(np.abs(x).max())
+    if amax == 0.0:
+        assert got == want == 0.0
+        return
+    g, w = got / amax, want / amax
+    assert abs(g**2 - w**2) <= gram_rounding(x / amax) + NORM_RTOL * w**2
+
+
+def test_gram_norm_of_an_overflowed_block_is_inf():
+    # an entry of left_b T_b past the largest double makes ||X|| inf; the
+    # rescaling must not loop on it
+    x = np.array([[np.inf, 1.0], [2.0, 3.0]], dtype=complex)
+    assert douglas._gram_norm(x) == math.inf
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+def test_tiny_t_keeps_its_whitened_norm(spec):
+    # ||S^+ T|| of 1e-200 T is 1e-200 ||S^+ T||, not the 0 of an underflowed
+    # Gram, which would read T as 0
+    _, t, s = douglas_cases(spec, stream(81, spec.n_blocks))[0]
+    tiny = t.scalar_mul(1e-200)
+    got = douglas_solve(tiny, s, 1e-9).q_norm
+    assert got > 0.0
+    assert_rounding_close(got, 1e-200 * douglas_solve(t, s, 1e-9).q_norm, gram_rtol(t, s), "q")
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    side=st.sampled_from([-1e-3, -1e-9, 1e-9, 1e-3]),
+)
+def test_pencil_status_is_the_svd_routes_at_the_boundary(spec, seed, side):
+    # T = S X scaled so that the SVD route's pencil is BOUNDARY_FACTOR tol
+    # (1 + side): inconclusive below, certified above, by both routes
+    tol = 1e-9
+    _, t, s = douglas_cases(spec, stream(seed, 0))[0]
+    target = BOUNDARY_FACTOR * tol * (1.0 + side)
+    t = t.scalar_mul(math.sqrt(oracles.reference_pencil_lower_bound(t, s, tol=tol) / target))
+    want = oracles.reference_pencil_lower_bound(t, s, tol=tol)
+    got = pencil_lower_bound(t, s, tol)
+    assert_rounding_close(got, want, gram_rtol(t, s), "pencil")
+    expected = "certified" if side > 0 else "inconclusive"
+    assert pencil_verdict(got, tol) == pencil_verdict(want, tol) == expected
 
 
 # -- exact condition (iii) against the one-vector-at-a-time samplers ------------------------
@@ -558,16 +654,16 @@ def test_one_svd_per_block_per_operator(dims, monkeypatch):
     assert all(a is b for a, b in zip(factored, u_copy.block_matrices()))
 
 
-def _record_svd_arguments(monkeypatch):
-    """Patch np.linalg.svd to append each argument to the returned list."""
-    real_svd = np.linalg.svd
+def _record_kernel_arguments(monkeypatch, kernel="svd"):
+    """Patch np.linalg.<kernel> to append each argument to the returned list."""
+    real = getattr(np.linalg, kernel)
     seen = []
 
-    def counting_svd(a, *args, **kwargs):
+    def counting(a, *args, **kwargs):
         seen.append(a)
-        return real_svd(a, *args, **kwargs)
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, kernel, counting)
     return seen
 
 
@@ -579,17 +675,18 @@ def test_atomic_coefficients_evaluates_no_pencil(monkeypatch):
     k = u.compose(random_operator(spec, 4, 12, rng))
     pencil_lower_bound(k, u)  # factors U; R(K) is inside R(U), so no ||K||
     fac = douglas._factorization(u)
-    seen = _record_svd_arguments(monkeypatch)
+    seen = _record_kernel_arguments(monkeypatch)
+    grams = _record_kernel_arguments(monkeypatch, "eigvalsh")
     q, c, residual = atomic_coefficients(frame, k, 1e-9)
     assert k._norm is None  # a residual within tol certifies at any ||K||
-    # per block, the norm of left_b K_b, which is ||Q||; U Q - K certifies
-    # on its Frobenius norm, and no SVD of a block of Q is taken
+    # per block, the norm of X_b = left_b K_b, which is ||Q||, from one
+    # eigvalsh of X_b X_b^H; U Q - K certifies on its Frobenius norm, and
+    # no SVD is taken, of a block of Q or of anything else
     factored_residual = [a - b for a, b in zip(u.compose(q).block_matrices(), k.block_matrices())]
     whitened = [w @ m for w, m in zip(fac.lefts, k.block_matrices())]
-    assert len(seen) == spec.n_blocks
-    assert all(np.array_equal(a, b) for a, b in zip(seen, whitened))
+    assert seen == [] and len(grams) == spec.n_blocks
+    assert all(np.array_equal(a, x @ x.conj().T) for a, x in zip(grams, whitened))
     assert residual == max(float(np.linalg.norm(m)) for m in factored_residual)
-    assert not any(a.shape == m.shape for a in seen for m in q.block_matrices())
     assert c.norm() == q.norm() == fac.whitened_norm(k)
     rep = douglas_solve(k, u, 1e-9)
     assert same_result(q, rep.q) and c.norm() == rep.q_norm and residual == rep.residual
@@ -598,37 +695,63 @@ def test_atomic_coefficients_evaluates_no_pencil(monkeypatch):
 def test_onto_frame_takes_no_svd_of_a_range_residual(monkeypatch):
     # U of a 12-member frame of A^4 is onto in both blocks, so the rank cut
     # decides its range residual (exactly 0, no kernel call), and ||S^+ T||
-    # (the pencil and ||Q||) is one SVD per block of left_b T_b
+    # (the pencil and ||Q||) is one eigvalsh per block of the Gram of
+    # left_b T_b
     spec = AlgebraSpec((24, 12))
     rng = stream(76, 2)
     frame = FrameSeq([random_vector(spec, 4, rng) for _ in range(12)])
     u = frame.synthesis_op
     k = u.compose(random_operator(spec, 4, 12, rng))
-    q_shapes = {(12 * d, 4 * d) for d in spec.block_dims}
+    gram_shapes = {(4 * d, 4 * d) for d in spec.block_dims}
     # a warm call takes the whitened norm only: U Q - K certifies on its
-    # Frobenius norm, and the dual atoms' reconstruction is that residual
+    # Frobenius norm, the dual atoms' reconstruction is that residual, and
+    # condition (iii) takes one eigvalsh per block of its gap; mu* is U's
+    # kept sigma_max squared
     calls = {
         "optimal_scalar_bounds": (lambda: optimal_scalar_bounds(frame, k), 1),
-        "equivalence_audit": (lambda: equivalence_audit(k, u, 1e-9), 1),
+        "equivalence_audit": (lambda: equivalence_audit(k, u, 1e-9), 2),
         "atomic_coefficients": (lambda: atomic_coefficients(frame, k, 1e-9), 1),
         "douglas_solve": (lambda: douglas_solve(k, u, 1e-9), 1),
         "dual_atoms_audit": (lambda: dual_atoms_audit(frame, k, 1e-9), 1),
     }
     for call, _ in calls.values():
-        call()  # factors U and takes the norms kept on K and U U*
+        call()  # factors U and takes the norms kept on K
     assert all(p is None for p in douglas._factorization(u).perps)
-    seen = _record_svd_arguments(monkeypatch)
+    seen = _record_kernel_arguments(monkeypatch)
+    grams = _record_kernel_arguments(monkeypatch, "eigvalsh")
     for name, (call, per_block) in calls.items():
-        seen.clear()
+        grams.clear()
         result = call()
-        # condition (iii)'s psd_certificate takes no SVD
-        assert len(seen) == per_block * spec.n_blocks, name
-        assert not any(a.shape in q_shapes for a in seen), name
+        assert seen == [], name
+        assert len(grams) == per_block * spec.n_blocks, name
+        assert all(a.shape in gram_shapes for a in grams), name
         if name == "equivalence_audit":
             assert result.status == "certified"
             assert result.witness["range_residual"] == 0.0
         if name == "dual_atoms_audit":
             assert result.status == "certified"
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+def test_optimal_scalar_bounds_read_mu_off_the_kept_factorization(spec, monkeypatch):
+    # a fresh frame pays its factorization, one full SVD per block of U,
+    # and the whitened norm of K, one eigvalsh per block; mu* is U's kept
+    # sigma_max squared, so no values-only SVD runs (of U U* before)
+    rng = stream(80, spec.n_blocks)
+    frame = FrameSeq([random_vector(spec, 3, rng) for _ in range(5)])
+    u = frame.synthesis_op
+    k = u.compose(random_operator(spec, 3, 5, rng))
+    svds = _record_kernel_arguments(monkeypatch)
+    grams = _record_kernel_arguments(monkeypatch, "eigvalsh")
+    eighs = _record_kernel_arguments(monkeypatch, "eigh")
+    lam, mu = optimal_scalar_bounds(frame, k)
+    monkeypatch.undo()
+    assert len(svds) == spec.n_blocks and all(a is m for a, m in zip(svds, u.block_matrices()))
+    assert [a.shape for a in grams] == [(3 * d, 3 * d) for d in spec.block_dims]
+    assert eighs == []
+    assert mu == float(douglas._factorization(u).smax) ** 2
+    assert_rounding_close(mu, frame.frame_op.norm(), NORM_RTOL, "mu*")
+    assert lam > 0.0
 
 
 def test_onto_operator_with_condition_number_1e8_includes_every_range():
@@ -748,7 +871,7 @@ def test_t_is_s_is_decided_exactly_without_a_factorization(spec, monkeypatch):
     # the operator itself, while an equal copy is another operator, factored
     rng = stream(79, spec.n_blocks)
     s = make_rank_deficient(spec, 2, 3, rng)
-    seen = _record_svd_arguments(monkeypatch)
+    seen = _record_kernel_arguments(monkeypatch)
     assert range_residual(s, s) == 0.0
     assert range_inclusion(s, s, 0.0)
     assert pencil_lower_bound(s, s, 0.0) == 1.0

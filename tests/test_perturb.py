@@ -531,11 +531,14 @@ def _kernel_calls(monkeypatch) -> dict:
         # two factorizations (U_F and U_H), one full SVD per block of spec
         # (2,1) each, and none of K, since the suite passes L = K; no S^+
         # is formed, a residual within tol takes no ||T||, the two upper
-        # halves read sigma(U_F), sigma(U_H) and bessel_of_h sigma_max(U_H)
-        ("perturb1", {"svd": 4, "svd_values": 10, "eigvalsh": 4, "eigh": 0}),
-        # one pencil of (K K*, U_H U_H*); the base K-frame's upper half
-        # factors U_F
-        ("perturb2", {"svd": 4, "svd_values": 6, "eigvalsh": 6, "eigh": 0}),
+        # halves read sigma(U_F), sigma(U_H) and bessel_of_h sigma_max(U_H),
+        # and the derived bounds' mu* sigma_max(U_F); each of the 4 pencils
+        # takes its whitened norm as one eigvalsh per block, and no
+        # values-only SVD runs
+        ("perturb1", {"svd": 4, "svd_values": 0, "eigvalsh": 12, "eigh": 0}),
+        # 2 pencils, one of them of (K K*, U_H U_H*); the base K-frame's
+        # upper half factors U_F
+        ("perturb2", {"svd": 4, "svd_values": 0, "eigvalsh": 10, "eigh": 0}),
     ],
 )
 def test_suite_trial_kernel_calls(monkeypatch, suite, expected, seed):
