@@ -4,7 +4,8 @@ Commands read a JSON instance (--input) or generate one from a named
 ensemble (--profile), run the requested certification, optionally write a
 JSON report (--report), and exit with 0 = certified / all-pass,
 1 = falsified, 2 = inconclusive, 3 = input error or an unwritable report
-path (argparse usage errors exit 2).
+path (argparse usage errors exit 2).  A K-frame verdict or bound read off
+lambda* is `frames`'.
 """
 
 from __future__ import annotations
@@ -13,17 +14,16 @@ import argparse
 import functools
 import sys
 import time
+from dataclasses import replace
 
 from ._version import __version__
 from .algebra import DEFAULT_TOL
 from .certify import CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict
-from .douglas import _factorization, equivalence_audit, pseudo_inverse
-from .errors import AtomicSystemError, InputError
+from .douglas import equivalence_audit, pseudo_inverse
+from .errors import InputError
 from .frames import (
-    BOUND_INSET,
-    FrameSeq,
     _family,
-    atomic_coefficients,
+    _pencil_certificate,
     certify_kframe,
     derived_bounds,
     dual_atoms_audit,
@@ -34,7 +34,7 @@ from .harness import (
     DEFAULT_EPSILON, SUITES, _parse_profile, _perturbed_pair, _tensor_pair_audit,
     random_instance, run_suite, tensor_pair_instance,
 )
-from .hilbmod import ModuleOperator, identity_operator
+from .hilbmod import identity_operator
 from .perturb import pertur1_audit, pertur2_audit
 from .serialize import (
     Instance,
@@ -131,26 +131,10 @@ def _need_operator(inst: Instance, key: str, command: str):
     return inst.operators[key]
 
 
-def _lambda_certificate(
-    frame: FrameSeq, k_op: ModuleOperator, lam: float, tol: float, claim: str, witness: dict
-) -> Certificate:
-    """`pencil_verdict` of lambda* for the family's synthesis U.  lambda* =
-    0 says R(K) is not inside R(U) at tol: falsified with the cokernel
-    witness f of `equivalence_audit` (U* f vanishes at tol, K* f does not)
-    where there is one, else inconclusive."""
-    status, f = pencil_verdict(lam, tol), None
-    if status == FALSIFIED:
-        f, norms = _factorization(frame.synthesis_op).cokernel_witness(k_op, tol)
-        if norms:
-            witness = dict(witness, witness_u_adj_norm=norms[0], witness_k_adj_norm=norms[1])
-        status = FALSIFIED if f is not None else INCONCLUSIVE
-    return Certificate(status, claim, witness, tol, witness_vector=f)
-
-
 def _kframe_command(inst: Instance, k_op, args, claim: str):
-    """certify_kframe with the instance's bounds, or with bounds derived
-    from lambda* where `pencil_verdict` holds it; else the certificate of
-    `_lambda_certificate`."""
+    """certify_kframe with the instance's bounds, or with `derived_bounds`
+    where `frames._pencil_certificate` certifies lambda*; else that
+    certificate."""
     frame = inst.members
     lam, mu = optimal_scalar_bounds(frame, k_op, args.tol)
     values = {"lambda_star": lam, "mu_star": mu}
@@ -158,10 +142,10 @@ def _kframe_command(inst: Instance, k_op, args, claim: str):
     b = inst.bounds.get("B")
     if a is None or b is None:
         witness = {"lambda_star": lam, "reason": "no scalar lower bound resolved at tol"}
-        cert = _lambda_certificate(frame, k_op, lam, args.tol, claim, witness)
-        if cert.status != CERTIFIED:
+        cert = _pencil_certificate(frame, k_op, lam, args.tol, claim, witness)
+        if not cert.ok:
             return cert.status, values, [cert]
-        a, b = derived_bounds(frame, lam, mu, BOUND_INSET)
+        a, b = derived_bounds(frame, lam, mu)
         values["derived_bounds"] = True
     cert = certify_kframe(frame, k_op, a, b, args.tol)
     return cert.status, values, [cert]
@@ -179,14 +163,13 @@ def _cmd_check_kframe(inst: Instance, args):
 
 def _cmd_atomic_system(inst: Instance, args):
     k_op = _need_operator(inst, "K", "atomic-system")
-    try:
-        q, c, residual = atomic_coefficients(inst.members, k_op, args.tol)
-    except AtomicSystemError as exc:
-        cert = Certificate(FALSIFIED, "atomic-system", {"error": str(exc)}, args.tol)
-        return cert.status, {}, [cert]
-    values = {"q_norm": q.norm(), "residual": residual, "coefficient_bound_norm": c.norm()}
-    cert = Certificate(CERTIFIED, "atomic-system", dict(values), args.tol)
-    return cert.status, values, [cert]
+    cert = dual_atoms_audit(inst.members, k_op, args.tol)
+    if not cert.ok:
+        return cert.status, {}, [replace(cert, claim="atomic-system")]
+    w = cert.witness
+    values = {"q_norm": w["q_norm"], "residual": w["factorization_residual"],
+              "coefficient_bound_norm": w["q_norm"]}
+    return CERTIFIED, values, [Certificate(CERTIFIED, "atomic-system", dict(values), args.tol)]
 
 
 def _cmd_dual_atoms(inst: Instance, args):
@@ -221,7 +204,7 @@ def _cmd_bounds(inst: Instance, args):
     k_op = inst.operators.get("K") or identity_operator(inst.spec, inst.rank)
     lam, mu = optimal_scalar_bounds(frame, k_op, args.tol)
     values = {"lambda_star": lam, "mu_star": mu}
-    cert = _lambda_certificate(frame, k_op, lam, args.tol, "scalar-bounds", dict(values))
+    cert = _pencil_certificate(frame, k_op, lam, args.tol, "scalar-bounds", dict(values))
     return cert.status, values, [cert]
 
 
@@ -254,7 +237,7 @@ def _perturb_common(inst: Instance, args, command: str):
         lam, mu = optimal_scalar_bounds(frame, k_op, args.tol)
         if pencil_verdict(lam, args.tol) != CERTIFIED:
             raise InputError(f"{command}: base family is not a K-frame, no bounds derivable")
-        a, b = derived_bounds(frame, lam, mu, BOUND_INSET)
+        a, b = derived_bounds(frame, lam, mu)
     return frame, h_seq, k_op, l_op, a, b
 
 

@@ -23,6 +23,11 @@ are |c|^2 - sigma(U_k)^2, read off U's kept singular values, so that
 gap is formed only to witness a violation.  A violation on a non-scalar
 block comes with a constructed rank-one witness.
 
+Whether {f_j} is a K-frame is read off the pencil value lambda of
+(K K*, U U*) (Douglas's majorization theorem) by `_pencil_certificate`
+alone, and the lower bound lambda gives, sqrt(lambda (1 - BOUND_INSET)) 1,
+never lifted above sqrt(lambda), by `_pencil_bound` alone.
+
 No check here samples.  Bounds that hold by construction are recorded,
 not re-checked: C = ||Q|| 1 for the atomic coefficients and the dual
 atoms, and the Bessel bound of {K S^-1 f_j}.  The local-atom
@@ -40,7 +45,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement
 from .certify import (
-    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, psd_certificate,
+    CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, pencil_verdict, psd_certificate,
     residual_verdict, verdict, verdict_at_norm, worst,
 )
 from .douglas import _factorization, pencil_lower_bound
@@ -58,7 +63,7 @@ from .hilbmod import (
 # Relative inset of bounds derived from optimal scalar values
 # (`derived_bounds`) and of a Bessel bound taken from a norm.
 BOUND_INSET = 1e-9
-# Least size of a derived bound, so that it stays strictly nonzero.
+# Least size of a derived upper bound, so that it stays strictly nonzero.
 BOUND_FLOOR = 1e-8
 
 
@@ -362,15 +367,50 @@ def optimal_scalar_bounds(
 
 
 def derived_bounds(
-    frame: FrameSeq, lam: float, mu: float, margin: float
+    frame: FrameSeq, lam: float, mu: float, margin: float = BOUND_INSET
 ) -> tuple[AlgElement, AlgElement]:
-    """Central bounds sqrt(lam (1 - margin)) 1 and sqrt(mu) (1 + margin) 1
-    from optimal scalar values (lam, mu), each floored at BOUND_FLOOR so it
-    stays strictly nonzero; a non-finite lam (K = 0) gives the lower bound 1."""
-    low = math.sqrt(max(lam, 0.0) * (1.0 - margin)) if math.isfinite(lam) else 1.0
-    up = math.sqrt(mu) * (1.0 + margin)
+    """Central bounds from optimal scalar values (lam, mu): `_pencil_bound`
+    and sqrt(mu) (1 + margin) 1, floored at BOUND_FLOOR (raising B is sound)."""
     spec = frame.spec
-    return tuple(spec.central([max(x, BOUND_FLOOR)] * spec.n_blocks) for x in (low, up))
+    up = max(math.sqrt(mu) * (1.0 + margin), BOUND_FLOOR)
+    return _pencil_bound(spec, lam, margin), spec.central([up] * spec.n_blocks)
+
+
+def _pencil_bound(spec: AlgebraSpec, lam: float, margin: float = BOUND_INSET) -> AlgElement:
+    """The central lower bound sqrt(lam (1 - margin)) 1 from the pencil
+    value lam of (K K*, U U*), never above sqrt(lam); 1 where lam is
+    infinite (K = 0)."""
+    low = math.sqrt(max(lam, 0.0) * (1.0 - margin)) if math.isfinite(lam) else 1.0
+    return spec.central([low] * spec.n_blocks)
+
+
+def _pencil_certificate(
+    frame: FrameSeq, k_op: ModuleOperator, lam: float, tol: float, claim: str, witness: dict
+) -> Certificate:
+    """`pencil_verdict` of the pencil value lam of (K K*, U U*) under claim.
+    lam = 0, R(K) not inside R(U) at tol, is falsified with the cokernel
+    witness f of U's kept factorization (U* f vanishes at tol, K* f does
+    not) and both norms where there is one, else inconclusive."""
+    status, f = pencil_verdict(lam, tol), None
+    if status == FALSIFIED:
+        f, norms = _factorization(frame.synthesis_op).cokernel_witness(k_op, tol)
+        if norms:
+            witness = dict(witness, witness_u_adj_norm=norms[0], witness_k_adj_norm=norms[1])
+        status = FALSIFIED if f is not None else INCONCLUSIVE
+    return Certificate(status, claim, witness, tol, witness_vector=f)
+
+
+def _pencil_kframe(frame: FrameSeq, k_op: ModuleOperator, lam: float, upper: float,
+                   tol: float, claim: str) -> Certificate:
+    """`certify_kframe` with lower bound `_pencil_bound` of the pencil value
+    lam and upper bound upper 1 where `_pencil_certificate` certifies lam
+    (no kernel call), else that certificate under claim, with lam as
+    pencil_value."""
+    gate = _pencil_certificate(frame, k_op, lam, tol, claim, {"pencil_value": lam})
+    if not gate.ok:
+        return gate
+    b = frame.spec.central([upper] * frame.spec.n_blocks)
+    return certify_kframe(frame, k_op, _pencil_bound(frame.spec, lam), b, tol)
 
 
 def atomic_coefficients(
@@ -427,24 +467,15 @@ def dual_atoms_audit(
     factorization residual negated bit for bit (fl(a - b) = -fl(b - a)):
     its Frobenius norm, which decided, is the same bits, and certifies.
     The Bessel bound ||Q|| 1 holds by construction, as Q*Q <= ||Q||^2 I
-    (`atomic_coefficients`): certified, Q* unfactored."""
+    (`atomic_coefficients`): certified, Q* unfactored.  Where the residual
+    does not certify, the certificate is `_pencil_certificate`'s at 0."""
     try:
         _, c, residual = atomic_coefficients(frame, k_op, tol)
-    except AtomicSystemError as exc:
-        return Certificate(
-            FALSIFIED, "dual-atoms", {"error": str(exc)}, tol
-        )
-    return Certificate(
-        CERTIFIED,
-        "dual-atoms",
-        {
-            "max_reconstruction_residual": residual,
-            "factorization_residual": residual,
-            "q_norm": c.norm(),
-            "bessel_status": CERTIFIED,
-        },
-        tol,
-    )
+    except AtomicSystemError as exc:  # R(K) is not inside R(U): the pencil value is 0
+        return _pencil_certificate(frame, k_op, 0.0, tol, "dual-atoms", {"error": str(exc)})
+    witness = {"max_reconstruction_residual": residual, "factorization_residual": residual,
+               "q_norm": c.norm(), "bessel_status": CERTIFIED}
+    return Certificate(CERTIFIED, "dual-atoms", witness, tol)
 
 
 def local_atoms_check(

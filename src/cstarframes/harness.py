@@ -23,7 +23,6 @@ from .certify import (
 from .douglas import douglas_solve, equivalence_audit, pseudo_inverse
 from .errors import InputError
 from .frames import (
-    BOUND_INSET,
     FrameSeq,
     _family,
     certify_kframe,
@@ -251,7 +250,7 @@ def _kframe_main_trial(seed: int, trial: int, tol: float) -> dict:
     gate = pencil_verdict(lam, tol)
     kframe_ok = False
     if gate == CERTIFIED:
-        a, b = derived_bounds(frame, lam, mu, BOUND_INSET)
+        a, b = derived_bounds(frame, lam, mu)
         kframe_ok = certify_kframe(frame, k_op, a, b, tol).ok
     # the audit measures a reconstruction only for an atomic system
     audit = dual_atoms_audit(frame, k_op, tol)

@@ -7,9 +7,10 @@ against one of the families), and the three-constant comparison
 ||D* f|| <= alpha ||U_F* f|| + beta ||U_H* f|| + gamma ||K* f||.
 Each audit returns one certificate.  Its conclusion about the perturbed
 family is one `certify_kframe` of {h_j} against L: the upper bound is the
-theorem's explicit constant, recorded as `upper_const`, and the lower
-bound comes from the pencil of (L L*, U_H U_H*).  The audit's constants
-are witness fields of that certificate.
+theorem's explicit constant, recorded as `upper_const`; the verdict and
+lower bound that the pencil value nu of (L L*, U_H U_H*) gives are
+`frames._pencil_kframe`'s, as for every K-frame read off a pencil value.
+The audit's constants are witness fields of that certificate.
 
 Verdicts draw nothing.  The min-type constants are exact per branch
 (`exact_branch_M`).  The three-constant hypothesis is decided from
@@ -34,11 +35,8 @@ from .certify import (
 )
 from .douglas import _factorization, _inclusion, pencil_lower_bound
 from .errors import InputError, PreconditionError
-from .frames import FrameSeq, _is_coisometry, certify_kframe
+from .frames import FrameSeq, _is_coisometry, _pencil_bound, _pencil_kframe, certify_kframe
 from .hilbmod import ModuleOperator, ModuleVector
-
-# Relative inset of the L-frame lower bound taken from a pencil value.
-PENCIL_INSET = 1e-12
 
 
 def difference_synthesis(f_seq: FrameSeq, h_seq: FrameSeq) -> ModuleOperator:
@@ -122,16 +120,19 @@ def pertur1_audit(
     ROADMAP.md (item 1), and no estimate of it is reported.
 
     Forward mode: one certificate "perturb-min-conclusion", the L-frame
-    certificate of {h_j} (`_lframe_certificate`) with upper bound
-    upper_const = (1 + sqrt(M)) ||B|| and a scalar lower bound from the
-    pencil of (L L*, U_H U_H*).  Its witness holds M, both branch
-    constants, upper_const, lambda_LK, the pencil of (L L*, K K*) (exactly
-    1 when L is K, with K not factored), the classical reference lower
-    constant ||A||^2 lambda / (1 + sqrt(M))^2 (lambda = lambda_LK, or 1
-    where that is infinite, L = 0), and bessel_of_h =
-    sigma_max(U_H) = ||S_H||^(1/2), read off U_H's kept factorization; it
-    is falsified, with those constants, when both branch constants are
-    infinite.  The hypothesis R(L) inside R(K) holds exactly when L is K.
+    certificate of {h_j} (`frames._pencil_kframe`) with upper bound
+    upper_const = (1 + sqrt(M)) ||B|| and the scalar lower bound of the
+    pencil value nu of (L L*, U_H U_H*), recorded as pencil_lower_H:
+    falsified with a cokernel witness where nu = 0, and inconclusive where
+    nu lies in (0, 10 tol], which resolves no lower bound at tol.  Its
+    witness holds M, both branch constants, upper_const, lambda_LK, the
+    pencil of (L L*, K K*) (exactly 1 when L is K, with K not factored),
+    the classical reference lower constant ||A||^2 lambda / (1 + sqrt(M))^2
+    (lambda = lambda_LK, or 1 where that is infinite, L = 0), and
+    bessel_of_h = sigma_max(U_H) = ||S_H||^(1/2), read off U_H's kept
+    factorization; it is falsified, with those constants, when both branch
+    constants are infinite.  The hypothesis R(L) inside R(K) holds exactly
+    when L is K.
 
     Converse mode (co-isometric K, R(K) <= R(L)): one certificate
     "perturb-min-converse" that M does not exceed min{(1 + ||D||/||A||)^2,
@@ -164,22 +165,8 @@ def pertur1_audit(
         reference_lower_floor=a_norm**2 * lam_ref / (1.0 + sqrt_m) ** 2,
         bessel_of_h=float(_factorization(h_seq.synthesis_op).smax),
     )
-    frame_cert = _lframe_certificate(h_seq, l_op, nu, upper_const, tol, "perturb-lframe")
+    frame_cert = _pencil_kframe(h_seq, l_op, nu, upper_const, tol, "perturb-lframe")
     return combine(claim, [frame_cert], extra=constants)
-
-
-def _lframe_certificate(
-    h_seq: FrameSeq, l_op: ModuleOperator, nu: float, upper: float, tol: float, claim: str
-) -> Certificate:
-    """{h_j} as an L-frame with scalar bounds: falsified under `claim` when
-    nu, the pencil value of (L L*, U_H U_H*), is 0; else `certify_kframe`
-    with lower bound sqrt(nu (1 - PENCIL_INSET)) (1 when nu is infinite,
-    L = 0) and upper bound `upper`."""
-    if nu == 0.0:
-        return Certificate(FALSIFIED, claim, {"pencil_lower_H": 0.0}, tol)
-    low = math.sqrt(max(nu * (1.0 - PENCIL_INSET), 0.0)) if math.isfinite(nu) else 1.0
-    a, b = (h_seq.spec.central([x] * h_seq.spec.n_blocks) for x in (low, upper))
-    return certify_kframe(h_seq, l_op, a, b, tol)
 
 
 def _pertur1_converse(
@@ -202,7 +189,7 @@ def _pertur1_converse(
     nu = pencil_lower_bound(l_op, h_seq.synthesis_op, tol)
     if nu <= 0.0:
         raise PreconditionError("converse hypothesis failed: {h_j} is not an L-frame")
-    c_norm = math.sqrt(nu) if math.isfinite(nu) else 1.0
+    c_norm = _pencil_bound(h_seq.spec, nu).norm()
     d_norm = float(_factorization(h_seq.synthesis_op).smax)
     lam = pencil_lower_bound(k_op, l_op, tol)
     lam_val = 1.0 / lam if lam not in (0.0, math.inf) else 0.0
@@ -317,7 +304,7 @@ def pertur2_audit(
     that certificate is returned, with its witness vector, and alpha,
     beta, gamma and hypothesis added to its witness.  Otherwise one
     certificate "perturb-abg-conclusion" combines two parts: the L-frame
-    certificate of {h_j} (`_lframe_certificate`) with upper bound the
+    certificate of {h_j} (`frames._pencil_kframe`) with upper bound the
     explicit constant upper_const = ||B|| (1 + (alpha + beta +
     gamma/||A||)/(1 - beta)) and a lower bound from the pencil of
     (L L*, U_H U_H*); and the lower constant g_sound, with sigma_min(A)
@@ -348,7 +335,7 @@ def pertur2_audit(
     ratio = (alpha + beta + gamma / a_norm) / (1.0 - beta)
     upper_const = b_norm * (1.0 + ratio)
     nu = pencil_lower_bound(l_op, h_seq.synthesis_op, tol)
-    frame_cert = _lframe_certificate(h_seq, l_op, nu, upper_const, tol, "perturb-abg-lframe")
+    frame_cert = _pencil_kframe(h_seq, l_op, nu, upper_const, tol, "perturb-abg-lframe")
 
     g_reference = a_norm * (1.0 - (alpha + beta + gamma / a_norm) / (1.0 + beta))
     g_sound = sigma_min * (1.0 - (alpha + gamma / sigma_min)) / (1.0 + beta)

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from cstarframes import (
-    AlgebraSpec, FrameSeq, InputError, Instance, coordinate_frame, optimal_scalar_bounds,
-    save_instance,
+    AlgebraSpec, FrameSeq, InputError, Instance, coordinate_frame, identity_operator, optimal_scalar_bounds, pertur1_audit, pertur2_audit, save_instance,
 )
-from cstarframes import cli
+from cstarframes import cli, harness
 from cstarframes.cli import COMMANDS, main
+from cstarframes.frames import derived_bounds
 from cstarframes.harness import SUITES, random_instance, tensor_pair_instance
-from cstarframes.hilbmod import ModuleOperator, ModuleVector
+from cstarframes.hilbmod import ModuleOperator, ModuleVector, central_mult
 from cstarframes.serialize import instance_to_dict, load_instance, report_payload_bytes
 
 import oracles
@@ -236,6 +236,96 @@ def test_no_scalar_lower_bound_is_falsified_with_a_cokernel_witness(tmp_path, ca
         assert inst.members.analysis(f).norm() == 0.0
         assert inst.operators["K"].adjoint().apply(f).norm() == pytest.approx(1.0, abs=1e-12)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-30"])
+def test_derived_lower_bound_is_never_lifted_above_root_lambda(tmp_path, capsys, tol):
+    # {1e-9 e} is a genuine K-frame for K = 1 with lambda* = 1e-18; a
+    # derived lower bound floored above sqrt(lambda*) would falsify it
+    spec = AlgebraSpec((1,))
+    members = FrameSeq([ModuleVector(spec, [np.array([[1e-9]])])])
+    inst = Instance(spec=spec, rank=1, members=members,
+                    operators={"K": identity_operator(spec, 1)})
+    path = write_instance(tmp_path, inst)
+    out = tmp_path / "rep.json"
+    assert main(["check-kframe", "--input", path, "--tol", tol, "--report", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["values"]["lambda_star"] == pytest.approx(1e-18, rel=1e-12)
+    assert rep["values"]["derived_bounds"] is True
+    a, _ = derived_bounds(members, rep["values"]["lambda_star"], rep["values"]["mu_star"])
+    assert a.norm() <= math.sqrt(rep["values"]["lambda_star"])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_failed_atomic_system_carries_the_bounds_witness(tmp_path, capsys, seed):
+    # atomic-system, dual-atoms and bounds witness one failure, R(K) not
+    # inside R(U), with one cokernel vector f; U* f = 0 and K* f != 0 are
+    # re-checked on the flattening, with no kernel of the library
+    inst = random_instance(seed, "rank-deficient-K")
+    out = tmp_path / "rep.json"
+    certs = {}
+    for command in ("atomic-system", "dual-atoms", "bounds"):
+        assert main([command, "--profile", "rank-deficient-K", "--seed", str(seed),
+                     "--report", str(out)]) == 1
+        certs[command] = json.loads(out.read_text())["certificates"][0]
+    capsys.readouterr()
+    assert certs["atomic-system"]["claim"] == "atomic-system"
+    want = certs["bounds"]["witness_vector"]
+    for command in ("atomic-system", "dual-atoms"):
+        cert = certs[command]
+        assert cert["status"] == "falsified" and "error" in cert["witness"]
+        assert cert["witness_vector"] == want
+        for key in ("witness_u_adj_norm", "witness_k_adj_norm"):
+            assert cert["witness"][key] == certs["bounds"]["witness"][key]
+    x = oracles.flat(oracles.reference_decode_vector(inst.spec, want))
+    u, k = (oracles.flatten(t).conj().T for t in (inst.members.synthesis_op, inst.operators["K"]))
+    assert np.linalg.norm(u @ x) == 0.0
+    assert np.linalg.norm(k @ x) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+
+
+TOL = 1e-9
+
+
+@pytest.mark.parametrize(
+    ("lam", "status"),
+    [(0.0, "falsified"), (5 * TOL, "inconclusive"), (100 * TOL, "certified"),
+     (math.inf, "certified")],
+)
+def test_one_pencil_value_gets_one_status_everywhere(tmp_path, monkeypatch, capsys, lam, status):
+    # the family {c} on A = C against K = 1 has lambda* = c^2, and {1}
+    # against K = 0 has lambda* = inf; the perturbed family {c} has that
+    # pencil value nu against L.  bounds, check-kframe without stored
+    # bounds, both perturbation conclusions and the kframe-main gate read
+    # it alike.  perturb2's hypothesis (alpha, beta, gamma) = (0.2, 0.1, 0)
+    # holds for f = {1.2 c}; where nu = 0 no hypothesis can hold, as it
+    # makes {h_j} an L-frame, so there the falsified hypothesis answers
+    spec = AlgebraSpec((1,))
+
+    def family(x):
+        return FrameSeq([ModuleVector(spec, [np.array([[x]])])])
+
+    c = 1.0 if math.isinf(lam) else math.sqrt(lam)
+    k = central_mult(spec.central([0.0 if math.isinf(lam) else 1.0]), 1)
+    one = identity_operator(spec, 1)
+    frame = family(c)
+    got = {}
+    path = write_instance(tmp_path, Instance(spec=spec, rank=1, members=frame, operators={"K": k}))
+    for command in ("bounds", "check-kframe"):
+        got[command] = {0: "certified", 1: "falsified", 2: "inconclusive"}[
+            main([command, "--input", path, "--tol", str(TOL)])]
+    capsys.readouterr()
+    got["perturb1"] = pertur1_audit(family(1.0), frame, one, k, spec.central([0.9]),
+                                    spec.central([1.1]), TOL).status
+    a = 1.2 * c if c else 1.0
+    got["perturb2"] = pertur2_audit(family(a), frame, one, k, 0.2, 0.1, 0.0,
+                                    spec.central([a / 2]), spec.central([2 * a]), TOL).status
+    monkeypatch.setattr(harness, "_generic_draw", lambda seed: (frame, k, None))
+    row = harness._kframe_main_trial(0, 0, TOL)
+    assert row["lambda_star"] == pytest.approx(lam, rel=1e-12)
+    got["kframe-main"] = ("inconclusive" if row["status"] == "inconclusive"
+                          else "certified" if row["kframe_ok"] else "falsified")
+    assert got == dict.fromkeys(got, status)
 
 
 # -- malformed instance fields ------------------------------------------------------
@@ -554,7 +644,7 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                 digest.update(f"{profile} {command} {seed} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "01ff3d0d2f29917d2a2ec7f3eb61e916ae6679e37c79d9011be27f838e49351e"
+        "346991774bfc5cf473684399ed6df8bb6ca0ec78d8a9d55e56b59ea2b2aea212"
     )
 
 
@@ -581,5 +671,5 @@ def test_input_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
             digest.update(f"{name} {command} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "c400208c4d56ca00e1064995fbf8ac60b74081a6d75a8ff1b73b321c38c07078"
+        "a59f31e51f2471cd2a324a0de02c5ed0c23ecc2c2229fde0812099077bafdb78"
     )

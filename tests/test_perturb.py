@@ -9,6 +9,7 @@ from cstarframes import (
     InputError,
     PreconditionError,
     certify_kframe,
+    coordinate_frame,
     difference_quadratic,
     exact_branch_M,
     identity_operator,
@@ -27,7 +28,10 @@ from cstarframes.hilbmod import ModuleOperator
 from cstarframes.perturb import difference_synthesis
 from cstarframes.sampling import random_operator, random_unitary, random_vector, stream
 
-from oracles import abg_grid_margin, branch_oracle, coefficient_gram_direct, entries, grid_vector
+from oracles import (
+    abg_grid_margin, branch_oracle, coefficient_gram_direct, coordinate_vector, entries, flat,
+    flatten, grid_vector,
+)
 
 SPEC = AlgebraSpec((2, 1))
 
@@ -214,6 +218,34 @@ def test_pertur1_requires_range_inclusion():
     l_full = identity_operator(SPEC, 2)
     with pytest.raises(PreconditionError, match="R\\(L\\)"):
         pertur1_audit(fr, fr, k, l_full, a, b)
+
+
+def test_tiny_positive_nu_is_inconclusive_not_an_input_error():
+    # {h_j} = {3e-10} is an L-frame with nu = 9e-20, inside (0, 10 tol]:
+    # no lower bound is resolved at tol, which is near the boundary, not
+    # a bound A that the caller got wrong
+    spec = AlgebraSpec((1,))
+    one = identity_operator(spec, 1)
+    fr, hs = (FrameSeq([grid_vector(spec, [x * spec.unit()])]) for x in (1.0, 3e-10))
+    cert = pertur1_audit(fr, hs, one, one, 0.9 * spec.unit(), 1.1 * spec.unit(), tol=1e-9)
+    assert cert.witness["pencil_lower_H"] == pytest.approx(9e-20, rel=1e-12)
+    assert cert.status == "inconclusive"
+
+
+def test_zero_nu_conclusion_carries_a_cokernel_witness():
+    # h = diag(1, 0) against the coordinate frame of A^2, K = L = 1: nu = 0,
+    # and the conclusion is falsified with a vector f that U_H* kills and
+    # L* does not, re-checked on the flattening with no kernel of the library
+    fr = FrameSeq(list(coordinate_frame(SPEC, 2).members))
+    hs = FrameSeq([coordinate_vector(SPEC, 2, 0), grid_vector(SPEC, [SPEC.zero()] * 2)])
+    one = identity_operator(SPEC, 2)
+    cert = pertur1_audit(fr, hs, one, one, 0.9 * SPEC.unit(), 1.1 * SPEC.unit())
+    assert (cert.status, cert.claim) == ("falsified", "perturb-min-conclusion")
+    assert cert.witness["pencil_lower_H"] == 0.0
+    x = flat(cert.witness_vector)
+    u_h, l = (flatten(t).conj().T for t in (hs.synthesis_op, one))
+    assert np.linalg.norm(u_h @ x) == 0.0 < np.linalg.norm(x)
+    assert np.linalg.norm(l @ x) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
 
 def test_pertur1_converse_constant():
