@@ -5,13 +5,13 @@ element is one complex d_i x d_i matrix per block.  The involution is the
 blockwise conjugate transpose and the norm is the largest singular value
 over all blocks, which is the C*-norm of the direct sum.
 
-Every spectral norm in the library goes through one kernel,
-`_spectral_norm`, and elements are immutable, so `AlgElement.norm`
-computes its value once and keeps it.  An element also keeps, once, its
-exact per-block scalars: a block equal to its (0, 0) entry c times the
-identity (every 1 x 1 block) is c 1, and its norm is |c| with no kernel
-call.  A central element from `AlgebraSpec.central`, which builds every
-bound the library derives, carries those scalars from construction.
+Every spectral norm in the library is `_kernels.sigma_max`, and elements
+are immutable, so `AlgElement.norm` computes its value once and keeps
+it.  An element also keeps, once, its exact per-block scalars: a block
+equal to its (0, 0) entry c times the identity (every 1 x 1 block) is
+c 1, and its norm is |c| with no kernel call.  A central element from
+`AlgebraSpec.central`, which builds every bound the library derives,
+carries those scalars from construction.
 `frames` forms the gap of a frame inequality per block from the
 bound's blocks, with no operator for the bound.
 
@@ -26,19 +26,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .errors import InputError
 
 DEFAULT_TOL = 1e-9
-
-
-def _spectral_norm(m: np.ndarray):
-    """Largest singular value of a matrix.
-
-    Bit for bit numpy's matrix 2-norm, which is the maximum of this same
-    singular-value output (LAPACK returns it in descending order) but adds
-    axis bookkeeping around the SVD.
-    """
-    return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
 class AlgebraSpec:
@@ -191,7 +182,7 @@ class AlgElement:
         exactly scalar block c 1."""
         if self._norm is None:
             self._norm = max(
-                float(abs(c)) if c is not None else float(_spectral_norm(b))
+                float(abs(c)) if c is not None else float(_kernels.sigma_max(b))
                 for c, b in zip(self.exact_scalars(), self.blocks)
             )
         return self._norm
@@ -204,14 +195,15 @@ class AlgElement:
         least singular value exceeds tol scale.  Unlike the eigenvalues of a
         non-normal block, singular values move by at most the size of a
         perturbation; for a normal block they are the eigenvalue moduli.
-        An exactly scalar block c 1 has |c| with no kernel call."""
+        An exactly scalar block c 1 has |c| with no kernel call; any other
+        gives sigma_min and sigma_max, kept as the norm, from one SVD."""
         if tol < 0:
             raise InputError("tolerance must be nonnegative")
-        sigma_min = min(
-            float(abs(c)) if c is not None else float(np.linalg.svd(b, compute_uv=False)[-1])
-            for c, b in zip(self.exact_scalars(), self.blocks)
-        )
-        return sigma_min > tol * self._scale()
+        sigmas = [(abs(c),) if c is not None else _kernels.singular_values(b)
+                  for c, b in zip(self.exact_scalars(), self.blocks)]
+        if self._norm is None:
+            self._norm = max(float(s[0]) for s in sigmas)
+        return min(float(s[-1]) for s in sigmas) > tol * self._scale()
 
     def scalar_blocks(self, tol: float = DEFAULT_TOL) -> tuple[bool, ...]:
         """Per block, whether it is within tol (relatively scaled) of a

@@ -10,14 +10,13 @@ Where that size is an operator norm ||T|| that nothing else reads,
 `verdict_at_norm` takes it only for an excess above tol.
 A residual decided at tol is `residual_verdict`'s, an algebra element's
 distance from a scalar block too: a Frobenius bound decides where it
-certifies, and an SVD per block is taken only elsewhere.  No SVD measures
-the Douglas pencil: `douglas` takes ||S^+ T|| from one `eigvalsh` per
-block of a Gram.
-Every operator inequality ends in `psd_certificate`, that rule on the
-gap's least eigenvalue: one values-only eigensolve per block of the gap
-whose eigenvalues the caller does not already know exactly (a central
-upper frame bound's blocks are |c|^2 - sigma(U_b)^2, read off U's kept
-singular values), and eigenvectors (one block's) only when it falsifies.
+certifies, and a `_kernels.sigma_max` per block only elsewhere; the
+Douglas pencil takes no SVD (`_kernels.gram_norm`).  Every operator
+inequality ends in `psd_certificate`, that rule on the gap's least
+eigenvalue: one values-only `eigvalsh` per block of the gap whose
+eigenvalues the caller does not already know exactly (a central upper
+frame bound's are |c|^2 - sigma(U_b)^2, read off U's kept singular
+values), and one block's `eigh` only when it falsifies.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import AlgElement, _spectral_norm
+from . import _kernels
+from .algebra import AlgElement
 from .hilbmod import ModuleOperator, ModuleVector
 
 CERTIFIED = "certified"
@@ -67,7 +67,7 @@ def residual_verdict(blocks: Sequence[np.ndarray], tol: float,
     frob = max((float(np.linalg.norm(m)) for m in blocks), default=0.0)
     if decide(frob, tol, scale) == CERTIFIED:
         return CERTIFIED, frob
-    norm = max((float(_spectral_norm(m)) for m in blocks), default=0.0)
+    norm = max((float(_kernels.sigma_max(m)) for m in blocks), default=0.0)
     return decide(norm, tol, scale), norm
 
 

@@ -10,37 +10,27 @@ reduces to rank-one vectors, so it is the pencil inequality decided by an
 eigen route (`_majorization`), and its failure is witnessed by a singular
 vector of (I - S S^+) T.
 
-Each operator S is factored at most once in its lifetime: one SVD
-S_b = U_b diag(sigma_b) V_b^H per reduced block, with U_b square, and one
-rank decision at DEFAULT_RTOL times the largest singular value over all
-blocks (`_Factorization`), built on first use by `_factorization` and
-kept on S like its norm.  With k_b singular values kept in block b, the
-complement perp_b = U_b[:, k_b:] of R(S_b) and left_b = diag(1 / sigma_k)
-U_k^H are read off that one SVD, so every call after the first on the
-same S makes no SVD of S.  The singular values are kept too: for a
-synthesis operator U they are sigma_max(U), read as a Bessel bound and
-squared as `frames.optimal_scalar_bounds`' mu* = ||U U*||, and
-the eigenvalues |c|^2 - sigma(U_b)^2 of a central upper frame bound's
-gap (`frames._certify_upper`).  The pseudo-inverse is formed from the
-same SVD factors only when a solve or `pseudo_inverse` first reads it,
-and the factors are dropped then: the pencil, the range residual and the
-cokernel witness never form it.  S's arrays are read-only, so the kept
-factorization cannot go stale.
+Each operator S is factored at most once in its lifetime: one
+`_kernels.douglas_svd` per reduced block and one rank decision at
+DEFAULT_RTOL times the largest singular value over all blocks
+(`_Factorization`), built on first use by `_factorization` and kept on S
+like its norm, so no later call on S takes an SVD of S.  Its singular
+values are kept too: for a synthesis operator U they are sigma_max(U),
+read as a Bessel bound and squared as `frames.optimal_scalar_bounds`'
+mu* = ||U U*||, and the eigenvalues |c|^2 - sigma(U_b)^2 of a central
+upper frame bound's gap (`frames._certify_upper`).  S's arrays are
+read-only, so the kept factorization cannot go stale.
 
 The other decompositions, per reduced block: the range residual
-||(I - S S^+) T|| is the norm of perp_b^H T_b, exactly 0 for a block the
-rank cut makes onto (k_b = rows, perp_b empty), and the factorization
-residual ||S Q - T|| checks the Q returned.  Decided at tol, both are
-`certify.residual_verdict`'s, an SVD only where a Frobenius norm does not
-certify.  ||S^+ T|| is the largest ||X_b||, X_b = left_b T_b, taken by
-`_gram_norm` from one values-only `eigvalsh` of the Gram on X_b's smaller
-side, within gamma_k || |X_b| ||^2 of ||X_b||^2 (k the larger side); it
-is 1 / sqrt(pencil) and ||Q||, so no SVD of X_b or of Q = S^+ T is
-taken.  The public `range_residual` stays an SVD per block of perp_b^H T_b.
-`cokernel_witness` adds a full SVD per block of perp (perp^H T), which
-`equivalence_audit` takes only when the pencil fails.  The norm
-inequality is one `psd_certificate`: a values-only `eigvalsh` per block,
-and an `eigh` of one block only when it is falsified.
+||(I - S S^+) T|| = ||perp_b^H T_b||, exactly 0 where the rank cut makes
+S_b onto, and the factorization residual ||S Q - T|| are
+`certify.residual_verdict`'s, a `sigma_max` only where a Frobenius norm
+does not certify; ||S^+ T|| = max_b ||left_b T_b||, 1 / sqrt(pencil) and
+||Q||, is `_kernels.gram_norm`, one values-only `eigvalsh`, and no SVD
+of Q; the public `range_residual` is a `sigma_max` per block;
+`cokernel_witness` adds a `thin_svd` per block, which
+`equivalence_audit` takes only when the pencil fails; the norm
+inequality is one `psd_certificate`.
 Every decision is `certify.verdict` at the caller's tol: range
 inclusion, the pencil's too, holds at residual <= tol max(1, ||T||).
 That scale is `certify.verdict_at_norm`'s, so ||T|| is taken only for a
@@ -59,7 +49,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, _spectral_norm
+from . import _kernels
+from .algebra import DEFAULT_TOL
 from .certify import (
     CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict, psd_certificate,
     residual_verdict, verdict, verdict_at_norm,
@@ -68,9 +59,6 @@ from .errors import InputError
 from .hilbmod import ModuleOperator, ModuleVector, _operator
 
 DEFAULT_RTOL = 1e-10
-# A Gram whose largest diagonal entry lies in [2^-900, 2^900] is formed far
-# from under- and overflow; `_gram_norm` rescales X outside that range.
-_GRAM_LOW, _GRAM_HIGH = 2.0**-900, 2.0**900
 
 
 @dataclass
@@ -88,9 +76,8 @@ def _check_common_target(t: ModuleOperator, s: ModuleOperator) -> None:
 
 
 class _Factorization:
-    """What the Douglas functions read of S, from one SVD
-    U_b diag(sigma_b) V_b^H per reduced block, U_b square (full when S_b
-    is tall, thin otherwise, where it is square already), with singular
+    """What the Douglas functions read of S, from one `douglas_svd`
+    U_b diag(sigma_b) V_b^H per reduced block, U_b square, with singular
     values <= DEFAULT_RTOL * sigma_max (the global largest) treated as
     zero.  With k_b the number kept, it holds, per block:
 
@@ -117,8 +104,7 @@ class _Factorization:
 
     def __init__(self, s: ModuleOperator):
         self.s = _operator(s.spec, s.in_rank, s.out_rank, s.block_matrices())
-        svds = [np.linalg.svd(m, full_matrices=m.shape[0] > m.shape[1])
-                for m in s.block_matrices()]
+        svds = [_kernels.douglas_svd(m) for m in s.block_matrices()]
         self.smax = max((sig[0] if sig.size else 0.0) for _, sig, _ in svds)
         self.cut = DEFAULT_RTOL * self.smax
         self.sigmas = [sig for _, sig, _ in svds]
@@ -176,10 +162,11 @@ class _Factorization:
 
     def whitened_norm(self, t: ModuleOperator) -> float:
         """||S^+ T|| = max_b ||left_b T_b||, which is 1 / sqrt(mu) for the
-        pencil value mu when R(T) is inside R(S): per block `_gram_norm` of
+        pencil value mu when R(T) is inside R(S): per block `_kernels.gram_norm` of
         X_b = left_b T_b, one values-only `eigvalsh` and no SVD."""
         return max(
-            (_gram_norm(f @ m) for f, m in zip(self.lefts, t.block_matrices()) if f is not None),
+            (_kernels.gram_norm(f @ m) for f, m in zip(self.lefts, t.block_matrices())
+             if f is not None),
             default=0.0,
         )
 
@@ -209,36 +196,6 @@ class _Factorization:
         return q, residual_verdict((self.s.compose(q) - t).block_matrices(), tol, t)[1]
 
 
-def _gram_norm(x: np.ndarray) -> float:
-    """||X|| = sqrt(max(lambda_top, 0)), with lambda_top the largest
-    eigenvalue of the Gram on X's smaller side (X X^H or X^H X), from one
-    values-only `eigvalsh`.
-
-    With k X's larger dimension, the Gram rounds as |fl(G) - G| <=
-    gamma_k |X| |X|^H, gamma_k = k u / (1 - k u) (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 3), so lambda_top = ||X||^2
-    moves by at most gamma_k || |X| ||^2 beyond eigvalsh's backward error
-    of a few u ||X||^2; relative to ||X||^2 that is gamma_k
-    (|| |X| || / ||X||)^2, which an SVD of X does not pay.  Where G's
-    largest diagonal entry lies outside [2^-900, 2^900], G is formed
-    again from X scaled by the exact power of two 2^-e, e the `frexp`
-    exponent of max |x|, so a tiny X (a T of norm 1e-200) does not read
-    as 0 nor a huge one as inf; X = 0 gives 0, and an X whose product
-    overflowed (an infinite entry) gives inf, the norm rounded."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = x @ x.conj().T if x.shape[0] <= x.shape[1] else x.conj().T @ x
-    if _GRAM_LOW <= np.diagonal(g).real.max() <= _GRAM_HIGH:
-        return math.sqrt(max(float(np.linalg.eigvalsh(g)[-1]), 0.0))
-    amax = max(float(np.abs(x.real).max()), float(np.abs(x.imag).max()))
-    if amax == 0.0 or math.isinf(amax):
-        return amax
-    # the scaled X has its largest real or imaginary part in [1/2, 1), so
-    # its Gram's largest diagonal entry lies in range
-    e = math.frexp(amax)[1]
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(_gram_norm(np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e)), e))
-
-
 def _factorization(s: ModuleOperator) -> _Factorization:
     """S's factorization, built on first use and kept on S for its lifetime."""
     if s._fac is None:
@@ -265,7 +222,8 @@ def range_residual(t: ModuleOperator, s: ModuleOperator) -> float:
     if t is s:
         return 0.0
     return max(
-        (float(_spectral_norm(p @ m)) for p, m in zip(_factorization(s).perps, t.block_matrices())
+        (float(_kernels.sigma_max(p @ m))
+         for p, m in zip(_factorization(s).perps, t.block_matrices())
          if p is not None),
         default=0.0,
     )

@@ -43,6 +43,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import _kernels
 from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement
 from .certify import (
     CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, pencil_verdict, psd_certificate,
@@ -218,13 +219,11 @@ def certify_kframe(
 
 
 def _certify_upper(frame: FrameSeq, b: AlgElement, tol: float, claim: str) -> Certificate:
-    """The upper inequality.  Where B_b is exactly c 1 the gap block
-    |c|^2 I - U_b U_b^H has the eigenvalues |c|^2 - sigma(U_b)^2, padded
-    with |c|^2 where U_b has fewer columns than rows, read off U's kept
-    factorization, which is built here on first use, so they never depend
-    on what was cached.  The `_gap` is formed only where a block is not
-    exactly scalar, for its `eigvalsh`, or where the verdict falsifies,
-    for the `eigh` of `psd_certificate`'s witness."""
+    """The upper inequality: where B_b is exactly c 1, the gap block's
+    eigenvalues are `_scalar_upper_eigs` of U's kept singular values (U is
+    factored here on first use, so they never depend on what was cached);
+    the `_gap` is formed only for another block's `eigvalsh` or for the
+    `eigh` of a falsified verdict's witness."""
     n, sigmas = frame.rank, _factorization(frame.synthesis_op).sigmas
     eigs = [
         None if c is None else _scalar_upper_eigs(c, sig, n * d)
@@ -426,9 +425,8 @@ def atomic_coefficients(
     from U's kept factorization without the pencil `douglas_solve` adds,
     and C = ||Q|| 1_A witnesses the coefficient bound <a_f, a_f> <=
     C<f,f>C*: C is central, so the bound is Q*Q <= ||Q||^2 I, which always
-    holds.  ||Q|| = ||U^+ K|| is read off U's kept SVD, so the call takes
-    per block one `eigvalsh` of the Gram of diag(1 / sigma_k) U_k^H K_b,
-    and no SVD of Q.  Raises AtomicSystemError unless
+    holds.  ||Q|| = ||U^+ K|| is U's kept factorization's whitened norm of
+    K, with no SVD of Q.  Raises AtomicSystemError unless
     `certify.residual_verdict` certifies R(K) inside R(U) on U Q - K at
     tol, with scale max(1, ||K||).
     `seed` is ignored; nothing is sampled.
@@ -547,7 +545,7 @@ def local_atoms_check(
     floor = 1.0 / (c.norm() ** 2)
     bases = []
     for pb in p_op.block_matrices():
-        w, v = np.linalg.eigh(0.5 * (pb + pb.conj().T))
+        w, v = _kernels.eigh(_kernels.hermitian_part(pb))
         bases.append(v[:, w > 0.5])
     restricted_min = _restricted_min_eig(bases, pf.frame_op)
     witness = {
@@ -569,8 +567,8 @@ def _restricted_min_eig(bases: Sequence[np.ndarray], op: ModuleOperator) -> floa
     least = math.inf
     for basis, m in zip(bases, op.block_matrices()):
         if basis.shape[1]:
-            rest = basis.conj().T @ (0.5 * (m + m.conj().T)) @ basis
-            least = min(least, float(np.linalg.eigvalsh(rest).min()))
+            rest = basis.conj().T @ _kernels.hermitian_part(m) @ basis
+            least = min(least, float(_kernels.eigvalsh(rest).min()))
     return least
 
 

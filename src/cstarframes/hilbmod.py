@@ -21,32 +21,17 @@ Tf is M_b F_b, <f, g> is F_b^T conj(G_b) and T* is M_b^H, one matrix
 product per block.  Callers build vectors and operators from these
 arrays, which the constructors copy and check; library code wraps the
 arrays it computes with `_vector` and `_operator`, unchecked.  The
-arrays are read-only, as are an algebra element's blocks; the central
-bounds the library derives carry their exact scalars from construction
-(`AlgebraSpec.central`), so no decision compares them with c 1.
-Because the arrays never change, an operator computes its norm once,
-through the algebra's one spectral-norm kernel, and keeps it; `douglas`
-keeps the operator's factorization (singular values, rank cut, the
-complement of the range, the whitening factors diag(1 / sigma) U^H,
-and the pseudo-inverse once a solve reads it) in its `_fac` slot the
-same way, and sets the norm of a Douglas solution Q from that
-factorization, so Q takes no SVD.
+arrays are read-only, as are an algebra element's blocks, so an
+operator computes its norm once and keeps it; `douglas` keeps the
+operator's factorization in its `_fac` slot the same way, and sets the
+norm of a Douglas solution Q from it.
 
-Where each decomposition is taken, per reduced block: `norm` is a
-values-only SVD, taken by a verdict scaled by max(1, ||T||) only past
-tol (`certify.verdict_at_norm`), and a residual's only past its
-Frobenius bound (`certify.residual_verdict`); the Douglas factorization
-one full SVD, whose singular values it keeps, and the pseudo-inverse two
-products of its factors, formed on first use; the whitened norm
-||S^+ T|| (the pencil and ||Q||) one values-only `eigvalsh` of the Gram
-of diag(1 / sigma_k) U_k^H T_b, no SVD; `herm_block_eigs`, which
-`certify.psd_certificate` reads to decide positivity, a values-only
-`eigvalsh` of the Hermitian part, except for a block whose eigenvalues
-the caller already knows (an exactly central upper frame bound's gap
-|c|^2 - sigma(U_b)^2, from the synthesis operator's kept singular
-values, so that the gap is not even formed unless it falsifies);
-`negative_witness`, for a falsified verdict only, one `eigh` of the block
-with the least eigenvalue; `adjoint_norm_witness` a full SVD of every block.
+Each spectral query is one `_kernels` call per reduced block: `norm` a
+`sigma_max`; `herm_block_eigs` an `eigvalsh` of the Hermitian part,
+except for a block whose eigenvalues the caller passes;
+`negative_witness` one `eigh`, of the block with the least eigenvalue;
+`adjoint_norm_witness` a `thin_svd`; `inverse` an `inv`.  When a
+decision takes them is stated in `certify` and `douglas`.
 """
 
 from __future__ import annotations
@@ -55,7 +40,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement, _readonly, _spectral_norm
+from . import _kernels
+from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement, _readonly
 from .errors import InputError, PreconditionError
 
 
@@ -180,7 +166,7 @@ class ModuleOperator:
     def norm(self) -> float:
         """Operator norm: largest singular value of the flattening."""
         if self._norm is None:
-            self._norm = max(float(_spectral_norm(m)) for m in self._mats)
+            self._norm = max(float(_kernels.sigma_max(m)) for m in self._mats)
         return self._norm
 
     def herm_block_eigs(
@@ -197,7 +183,7 @@ class ModuleOperator:
             raise InputError("eigenvalues need a square operator")
         if known is None:
             known = (None,) * len(self._mats)
-        return [np.linalg.eigvalsh(_hermitian_part(m)) if w is None else w
+        return [_kernels.eigvalsh(_kernels.hermitian_part(m)) if w is None else w
                 for w, m in zip(known, self._mats)]
 
     def is_projection(self, tol: float = DEFAULT_TOL) -> bool:
@@ -214,8 +200,8 @@ class ModuleOperator:
         if self.in_rank != self.out_rank:
             raise InputError("inverse needs a square operator")
         try:
-            mats = [np.linalg.inv(m) for m in self._mats]
-        except np.linalg.LinAlgError as exc:
+            mats = [_kernels.inv(m) for m in self._mats]
+        except _kernels.LinAlgError as exc:
             raise PreconditionError(f"operator is not invertible: {exc}") from exc
         return _operator(self.spec, self.in_rank, self.out_rank, mats)
 
@@ -233,7 +219,7 @@ class ModuleOperator:
         if eigs is None:
             eigs = self.herm_block_eigs()
         b = min(range(len(eigs)), key=lambda i: eigs[i][0])
-        w, v = np.linalg.eigh(_hermitian_part(self._mats[b]))
+        w, v = _kernels.eigh(_kernels.hermitian_part(self._mats[b]))
         stacks = [
             np.zeros((self.in_rank * d, d), dtype=complex) for d in self.spec.block_dims
         ]
@@ -246,7 +232,7 @@ class ModuleOperator:
         column 0 of that block.  None when T = 0."""
         best = (0.0, 0, None)
         for b, m in enumerate(self._mats):
-            u, sig, _ = np.linalg.svd(m, full_matrices=False)
+            u, sig, _ = _kernels.thin_svd(m)
             if sig[0] > best[0]:
                 best = (float(sig[0]), b, u[:, 0])
         sigma, b, vec = best
@@ -263,10 +249,6 @@ class ModuleOperator:
             f"ModuleOperator({self.in_rank}->{self.out_rank}, "
             f"spec={self.spec.block_dims})"
         )
-
-
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
 
 
 def _checked_copies(

@@ -130,9 +130,9 @@ def pertur1_audit(
     the classical reference lower constant ||A||^2 lambda / (1 + sqrt(M))^2
     (lambda = lambda_LK, or 1 where that is infinite, L = 0), and
     bessel_of_h = sigma_max(U_H) = ||S_H||^(1/2), read off U_H's kept
-    factorization; it is falsified, with those constants, when both branch
-    constants are infinite.  The hypothesis R(L) inside R(K) holds exactly
-    when L is K.
+    factorization.  A PreconditionError names the range residuals of a
+    failed hypothesis: R(L) inside R(K), which holds exactly when L is K,
+    or R(D) inside R(U_F) or R(U_H) (both branch constants infinite).
 
     Converse mode (co-isometric K, R(K) <= R(L)): one certificate
     "perturb-min-converse" that M does not exceed min{(1 + ||D||/||A||)^2,
@@ -146,13 +146,13 @@ def pertur1_audit(
         return _pertur1_converse(h_seq, k_op, l_op, a, b, constants, tol)
 
     _require_hypotheses(f_seq, k_op, l_op, a, b, tol)
+    if not math.isfinite(m_val):
+        d_op = difference_synthesis(f_seq, h_seq)
+        resid_f, resid_h = (_inclusion(d_op, s.synthesis_op, tol)[1] for s in (f_seq, h_seq))
+        raise PreconditionError("hypothesis failed: R(D) is inside neither R(U_F) nor R(U_H), "
+                                f"range residuals {resid_f:.3e} and {resid_h:.3e}")
     a_norm, b_norm = a.norm(), b.norm()
     constants.update(norm_A=a_norm, norm_B=b_norm)
-    claim = "perturb-min-conclusion"
-    if not math.isfinite(m_val):
-        witness = {**constants, "reason": "both branch constants are infinite"}
-        return Certificate(FALSIFIED, claim, witness, tol)
-
     sqrt_m = math.sqrt(m_val)
     upper_const = (1.0 + sqrt_m) * b_norm
     lam_lk = pencil_lower_bound(l_op, k_op, tol)
@@ -166,7 +166,7 @@ def pertur1_audit(
         bessel_of_h=float(_factorization(h_seq.synthesis_op).smax),
     )
     frame_cert = _pencil_kframe(h_seq, l_op, nu, upper_const, tol, "perturb-lframe")
-    return combine(claim, [frame_cert], extra=constants)
+    return combine("perturb-min-conclusion", [frame_cert], extra=constants)
 
 
 def _pertur1_converse(

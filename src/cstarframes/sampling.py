@@ -72,6 +72,7 @@ def random_unitary(spec: AlgebraSpec, rank: int, rng: np.random.Generator) -> Mo
     mats = []
     for d in spec.block_dims:
         g = _gauss_matrix(rng, rank * d, rank * d)
+        # generation, not a decision: the one LAPACK call outside `_kernels`
         q, r = np.linalg.qr(g)
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         mats.append(q)

@@ -35,7 +35,7 @@ from cstarframes.certify import (
     psd_certificate,
 )
 from cstarframes.algebra import AlgElement
-from cstarframes import douglas
+from cstarframes import _kernels, douglas
 from cstarframes.douglas import DouglasReport
 from cstarframes.errors import InputError
 from cstarframes.frames import (
@@ -367,8 +367,9 @@ def reference_pencil_lower_bound(t, s, rtol=1e-10, tol=1e-9):
         keep = sig > rtol * smax
         if not keep.any():
             continue
-        w = (u[:, keep] / sig[keep]) @ u[:, keep].conj().T
-        lam = float(np.linalg.norm(w @ mt, ord=2)) ** 2
+        # ||W T|| for W = U_k diag(1 / sigma_k) U_k^H is ||diag(1 / sigma_k) U_k^H T||,
+        # U_k an isometry: one product fewer to round than forming W
+        lam = float(np.linalg.norm((u[:, keep].conj().T @ mt) / sig[keep, None], ord=2)) ** 2
         lam_max = max(lam_max, lam)
     if lam_max == 0.0:
         return math.inf
@@ -636,3 +637,27 @@ def ks_inverse_bessel(frame, k_op, tol):
     moved, _ = ks_inverse_frame(frame, k_op, tol)
     bound = k_op.norm() * frame.frame_op.inverse().norm() * frame.synthesis_op.norm()
     return certify_star_bessel(moved, (bound * (1.0 + BOUND_INSET)) * frame.spec.unit(), tol)
+
+
+# -- kernel calls -------------------------------------------------------------
+
+SVDS = ("singular_values", "douglas_svd", "thin_svd")
+# `sigma_max` and `gram_norm` are recorded as the kernels they call
+KERNELS = (*SVDS, "eigvalsh", "eigh", "inv")
+
+
+class KernelCalls(list):
+    """(kernel, argument) of each kernel call, in order, the argument itself."""
+
+    def of(self, *kernels):
+        return [a for k, a in self if k in kernels]
+
+
+def record_kernels(monkeypatch):
+    """The KernelCalls that receives every kernel call until monkeypatch undoes it."""
+    calls = KernelCalls()
+    for name in KERNELS:
+        real = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name,
+                            lambda a, _real=real, _name=name: calls.append((_name, a)) or _real(a))
+    return calls

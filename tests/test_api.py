@@ -1,13 +1,17 @@
 """Guards on the library's surface: no dead private helper, a public
 name list that resolves, no tolerance-like literal outside a named
-module constant, and no decided residual that bypasses the residual
-rule."""
+module constant, no decided residual that bypasses the residual rule,
+and no LAPACK call outside `_kernels`."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import cstarframes
+from cstarframes import _kernels
+
+from oracles import KERNELS
 
 SRC = Path(cstarframes.__file__).parent
 
@@ -106,7 +110,7 @@ def _is_difference(node):
 
 
 def _norms_of_differences(tree):
-    """(function, line) of each `.norm()` or `_spectral_norm(...)` taken of
+    """(function, line) of each `.norm()` or `_kernels` spectral norm taken of
     a subtraction, or of a name its function assigns a subtraction to, for
     every function at module or class level (nested functions count toward
     theirs)."""
@@ -130,7 +134,8 @@ def _norms_of_differences(tree):
             if isinstance(n, ast.Call) and (
                 isinstance(n.func, ast.Attribute) and n.func.attr == "norm" and not n.args
                 and is_difference(n.func.value)
-                or isinstance(n.func, ast.Name) and n.func.id == "_spectral_norm"
+                or getattr(n.func, "attr", getattr(n.func, "id", None))
+                in ("sigma_max", "singular_values")
                 and len(n.args) == 1 and is_difference(n.args[0])
             )
         ]
@@ -143,10 +148,11 @@ def test_norms_of_differences_are_found():
         "    return (a - b).norm() + r.norm() + a.norm() + np.linalg.norm(a - b)\n"
         "class C:\n    def g(self):\n        return (self - self).norm()\n"
         "def h(m, c):\n    r = m - c\n"
-        "    return _spectral_norm(m - c) + _spectral_norm(r) + _spectral_norm(m)\n"
+        "    return _kernels.sigma_max(m - c) + sigma_max(r)"
+        " + singular_values(m - c) + sigma_max(m)\n"
     )
     assert _norms_of_differences(tree) == [
-        ("f", 3), ("f", 3), ("h", 9), ("h", 9), ("g", 6)
+        ("f", 3), ("f", 3), ("h", 9), ("h", 9), ("h", 9), ("g", 6)
     ]
 
 
@@ -161,3 +167,24 @@ def test_decided_residuals_take_the_residual_rule():
     for _, name, _ in found:
         by_function[name] = by_function.get(name, 0) + 1
     assert by_function == SPECTRAL_RESIDUALS, found
+
+
+# np.linalg names allowed outside `_kernels`, in any module (None) or in the
+# one given: the Frobenius norm, and the QR `sampling.random_unitary` draws with
+LINALG_OUTSIDE_KERNELS = {"norm": None, "qr": "sampling.py"}
+
+
+def test_lapack_calls_go_through_the_kernels():
+    # any other mention of linalg, an import of it too, is one, and so is a
+    # 2-norm (ord=2): every spectral norm is `_kernels.sigma_max`
+    found = [
+        f"{path.name}:{i} {line.strip()}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "_kernels.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        for m in re.finditer(r"linalg\b\.?(\w*)|ord\s*=\s*2\b", line)
+        if LINALG_OUTSIDE_KERNELS.get(m[1], path) not in (None, path.name)
+    ]
+    assert not found, f"LAPACK calls outside _kernels: {found}"
+    # `record_kernels` patches exactly the kernels that call LAPACK
+    assert {name for name, f in vars(_kernels).items() if inspect.isfunction(f)
+            and "np.linalg." in inspect.getsource(f)} == set(KERNELS)

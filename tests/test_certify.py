@@ -20,25 +20,12 @@ from cstarframes.harness import random_instance
 from cstarframes.sampling import random_operator, random_vector, stream
 
 import oracles
+from oracles import record_kernels
 
 EPS = np.finfo(float).eps
 # rank 3 keeps the gap's blocks (9x9, 6x6) apart from the bound's (3x3, 2x2)
 SPEC = AlgebraSpec((3, 2))
 RANK = 3
-
-
-def _counting(monkeypatch) -> dict:
-    """Record the argument of every eigvalsh, eigh and svd call."""
-    calls: dict = {"eigvalsh": [], "eigh": [], "svd": []}
-    for name, seen in calls.items():
-        real = getattr(np.linalg, name)
-
-        def counted(a, *args, _real=real, _seen=seen, **kwargs):
-            _seen.append(np.array(a))
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
 
 
 def _frame(seed: int) -> FrameSeq:
@@ -60,31 +47,32 @@ def _hermitian_gap(seed: int, shift: float):
 def test_certified_bessel_takes_values_only(monkeypatch):
     frame = _frame(90)
     b = math.sqrt(frame.frame_op.norm()) * (1.0 + 1e-6) * SPEC.unit()
-    calls = _counting(monkeypatch)
+    calls = record_kernels(monkeypatch)
     cert = certify_star_bessel(frame, b, 1e-9)
     assert cert.status == CERTIFIED
     # B is exactly scalar: the gap's eigenvalues are |beta|^2 - sigma(U_b)^2,
     # read off U's factorization, one SVD per block of U, built on first use
-    assert calls["eigvalsh"] == [] and calls["eigh"] == []
+    assert calls.of("eigvalsh", "eigh") == []
     u_blocks = frame.synthesis_op.block_matrices()
-    assert len(calls["svd"]) == len(u_blocks)
-    assert all(np.array_equal(a, m) for a, m in zip(calls["svd"], u_blocks))
+    svds = calls.of(*oracles.SVDS)
+    assert len(svds) == len(u_blocks)
+    assert all(np.array_equal(a, m) for a, m in zip(svds, u_blocks))
     # the gap is Hermitian by construction: no SVD of a gap-sized matrix
-    assert not any(_gap_shaped(a) for a in calls["svd"])
+    assert not any(_gap_shaped(a) for a in svds)
     # a second call finds the factorization kept on U: no kernel call
-    calls["svd"].clear()
+    calls.clear()
     assert certify_star_bessel(frame, b, 1e-9).witness == cert.witness
-    assert calls == {"eigvalsh": [], "eigh": [], "svd": []}
+    assert calls == []
 
 
 def test_falsified_bessel_takes_one_eigh(monkeypatch):
     frame = _frame(91)
     b = 0.5 * math.sqrt(frame.frame_op.norm()) * SPEC.unit()
-    calls = _counting(monkeypatch)
+    calls = record_kernels(monkeypatch)
     cert = certify_star_bessel(frame, b, 1e-9)
     assert cert.status == FALSIFIED and cert.witness_vector is not None
-    assert calls["eigvalsh"] == []
-    assert len(calls["eigh"]) == 1 and _gap_shaped(calls["eigh"][0])
+    assert calls.of("eigvalsh") == []
+    assert len(calls.of("eigh")) == 1 and _gap_shaped(calls.of("eigh")[0])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -241,16 +229,16 @@ def test_residual_rule_takes_an_svd_only_where_the_frobenius_bound_does_not_cert
     rng = np.random.default_rng(5)
     blocks = [rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)) for _ in range(2)]
     t = identity_operator(SPEC, 2).scalar_mul(3.0)
-    calls = _counting(monkeypatch)
+    calls = record_kernels(monkeypatch)
     status, value = residual_verdict([1e-14 * m for m in blocks], 1e-9, t)
     # certified on max_b ||R_b||_F: no SVD, and ||T|| not taken
-    assert (status, calls["svd"], t._norm) == (CERTIFIED, [], None)
+    assert (status, calls.of(*oracles.SVDS), t._norm) == (CERTIFIED, [], None)
     assert value == max(float(np.linalg.norm(1e-14 * m)) for m in blocks)
     status, value = residual_verdict(blocks, 1e-9, t)
     # falsified: one values-only SVD per block of R (and of T, for ||T||),
     # and the spectral norm reported
     assert status == FALSIFIED
-    assert [a.shape for a in calls["svd"]].count((6, 4)) == 2 and t._norm == 3.0
+    assert [a.shape for a in calls.of(*oracles.SVDS)].count((6, 4)) == 2 and t._norm == 3.0
     assert value == max(float(np.linalg.norm(m, 2)) for m in blocks)
     # no blocks: a residual of exactly 0
     assert residual_verdict([], 1e-9, 1.0) == (CERTIFIED, 0.0)

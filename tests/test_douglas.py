@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstarframes
+from cstarframes import _kernels
 from cstarframes import (
     AlgElement,
     AlgebraSpec,
@@ -358,7 +359,7 @@ ROUNDING = 1e-12
 
 
 def gram_rounding(x):
-    """`_gram_norm`'s bound gamma_k || |X| ||^2 on how far its Gram's top
+    """`_kernels.gram_norm`'s bound gamma_k || |X| ||^2 on how far its Gram's top
     eigenvalue lies from ||X||^2, k the larger side of X."""
     k, unit = max(x.shape), np.finfo(float).eps / 2
     return k * unit / (1 - k * unit) * np.linalg.svd(np.abs(x), compute_uv=False)[0] ** 2
@@ -366,8 +367,8 @@ def gram_rounding(x):
 
 def gram_rtol(t, s):
     """How far ||S^+ T||^2 = max_b ||X_b||^2, X_b = left_b T_b, and so the
-    pencil 1 / ||S^+ T||^2 and ||Q||, may lie from the oracles' SVDs of W T
-    (W = U_k diag(1 / sigma_k) U_k^H) and of Q, relative: NORM_RTOL for
+    pencil 1 / ||S^+ T||^2 and ||Q||, may lie from the oracles' SVDs of
+    diag(1 / sigma_k) U_k^H T and of Q, relative: NORM_RTOL for
     the SVDs' own rounding plus the largest `gram_rounding` over
     ||S^+ T||^2."""
     lefts = douglas._factorization(s).lefts
@@ -478,7 +479,7 @@ def test_factored_douglas_toolkit_matches_per_function_reference(spec):
 # -- the whitened norm from one eigvalsh of the Gram ---------------------------------------
 
 GRAM_SHAPES = [(1, 1), (1, 5), (5, 1), (4, 4), (6, 3), (3, 6)]
-# 1e-300 and 1e-160 underflow in the Gram and 1e300 overflows: `_gram_norm`
+# 1e-300 and 1e-160 underflow in the Gram and 1e300 overflows: `gram_norm`
 # forms it again from X scaled by a power of two
 GRAM_SCALES = [1e-300, 1e-160, 1.0, 1e300]
 
@@ -502,7 +503,7 @@ def test_gram_norm_is_the_top_singular_value_within_its_bound(seed, shape, rank,
         return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
 
     x = gaussian(rows, r) @ gaussian(r, cols) * scale
-    got = douglas._gram_norm(x)
+    got = _kernels.gram_norm(x)
     want = float(np.linalg.svd(x, compute_uv=False)[0])
     amax = float(np.abs(x).max())
     if amax == 0.0:
@@ -516,7 +517,7 @@ def test_gram_norm_of_an_overflowed_block_is_inf():
     # an entry of left_b T_b past the largest double makes ||X|| inf; the
     # rescaling must not loop on it
     x = np.array([[np.inf, 1.0], [2.0, 3.0]], dtype=complex)
-    assert douglas._gram_norm(x) == math.inf
+    assert _kernels.gram_norm(x) == math.inf
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
@@ -621,15 +622,7 @@ def test_one_svd_per_block_per_operator(dims, monkeypatch):
     u = frame.synthesis_op
     k = u.compose(random_operator(spec, 4, 12, rng))
     l = k.compose(random_operator(spec, 4, 4, rng))
-    real_svd = np.linalg.svd
-    factored = []
-
-    def counting_svd(a, full_matrices=True, compute_uv=True, hermitian=False):
-        if compute_uv:
-            factored.append(a)
-        return real_svd(a, full_matrices=full_matrices, compute_uv=compute_uv, hermitian=hermitian)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    kernels = oracles.record_kernels(monkeypatch)
     calls = [
         lambda: douglas_solve(k, u, 1e-9),
         lambda: pencil_lower_bound(k, u),
@@ -639,32 +632,21 @@ def test_one_svd_per_block_per_operator(dims, monkeypatch):
     for call in calls:
         call()
     # U is shared by three calls and L is used by one: each is factored
-    # once, one SVD per block of its own stored arrays
+    # once, one SVD with vectors per block of its own stored arrays
     want = [*u.block_matrices(), *l.block_matrices()]
+    factored = kernels.of("douglas_svd", "thin_svd")
     assert len(factored) == len(want) == 2 * spec.n_blocks
     assert all(a is b for a, b in zip(factored, want))
-    factored.clear()
+    kernels.clear()
     for call in calls:
         call()
-    assert factored == []
+    assert kernels.of("douglas_svd", "thin_svd") == []
     # a content-equal copy is another operator, factored afresh
     u_copy = _copy(u)
     pencil_lower_bound(k, u_copy)
+    factored = kernels.of("douglas_svd", "thin_svd")
     assert len(factored) == spec.n_blocks
     assert all(a is b for a, b in zip(factored, u_copy.block_matrices()))
-
-
-def _record_kernel_arguments(monkeypatch, kernel="svd"):
-    """Patch np.linalg.<kernel> to append each argument to the returned list."""
-    real = getattr(np.linalg, kernel)
-    seen = []
-
-    def counting(a, *args, **kwargs):
-        seen.append(a)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, kernel, counting)
-    return seen
 
 
 def test_atomic_coefficients_evaluates_no_pencil(monkeypatch):
@@ -675,9 +657,9 @@ def test_atomic_coefficients_evaluates_no_pencil(monkeypatch):
     k = u.compose(random_operator(spec, 4, 12, rng))
     pencil_lower_bound(k, u)  # factors U; R(K) is inside R(U), so no ||K||
     fac = douglas._factorization(u)
-    seen = _record_kernel_arguments(monkeypatch)
-    grams = _record_kernel_arguments(monkeypatch, "eigvalsh")
+    calls = oracles.record_kernels(monkeypatch)
     q, c, residual = atomic_coefficients(frame, k, 1e-9)
+    seen, grams = calls.of(*oracles.SVDS), calls.of("eigvalsh")
     assert k._norm is None  # a residual within tol certifies at any ||K||
     # per block, the norm of X_b = left_b K_b, which is ||Q||, from one
     # eigvalsh of X_b X_b^H; U Q - K certifies on its Frobenius norm, and
@@ -717,12 +699,12 @@ def test_onto_frame_takes_no_svd_of_a_range_residual(monkeypatch):
     for call, _ in calls.values():
         call()  # factors U and takes the norms kept on K
     assert all(p is None for p in douglas._factorization(u).perps)
-    seen = _record_kernel_arguments(monkeypatch)
-    grams = _record_kernel_arguments(monkeypatch, "eigvalsh")
+    kernels = oracles.record_kernels(monkeypatch)
     for name, (call, per_block) in calls.items():
-        grams.clear()
+        kernels.clear()
         result = call()
-        assert seen == [], name
+        grams = kernels.of("eigvalsh")
+        assert kernels.of(*oracles.SVDS) == [], name
         assert len(grams) == per_block * spec.n_blocks, name
         assert all(a.shape in gram_shapes for a in grams), name
         if name == "equivalence_audit":
@@ -741,11 +723,10 @@ def test_optimal_scalar_bounds_read_mu_off_the_kept_factorization(spec, monkeypa
     frame = FrameSeq([random_vector(spec, 3, rng) for _ in range(5)])
     u = frame.synthesis_op
     k = u.compose(random_operator(spec, 3, 5, rng))
-    svds = _record_kernel_arguments(monkeypatch)
-    grams = _record_kernel_arguments(monkeypatch, "eigvalsh")
-    eighs = _record_kernel_arguments(monkeypatch, "eigh")
+    calls = oracles.record_kernels(monkeypatch)
     lam, mu = optimal_scalar_bounds(frame, k)
     monkeypatch.undo()
+    svds, grams, eighs = calls.of(*oracles.SVDS), calls.of("eigvalsh"), calls.of("eigh")
     assert len(svds) == spec.n_blocks and all(a is m for a, m in zip(svds, u.block_matrices()))
     assert [a.shape for a in grams] == [(3 * d, 3 * d) for d in spec.block_dims]
     assert eighs == []
@@ -871,18 +852,18 @@ def test_t_is_s_is_decided_exactly_without_a_factorization(spec, monkeypatch):
     # the operator itself, while an equal copy is another operator, factored
     rng = stream(79, spec.n_blocks)
     s = make_rank_deficient(spec, 2, 3, rng)
-    seen = _record_kernel_arguments(monkeypatch)
+    calls = oracles.record_kernels(monkeypatch)
     assert range_residual(s, s) == 0.0
     assert range_inclusion(s, s, 0.0)
     assert pencil_lower_bound(s, s, 0.0) == 1.0
-    assert seen == [] and s._fac is None and s._norm is None
+    assert calls.of(*oracles.SVDS) == [] and s._fac is None and s._norm is None
     zero = zero_operator(spec, 2, 3)
     assert math.isinf(pencil_lower_bound(zero, zero)) and range_residual(zero, zero) == 0.0
-    assert seen == [] and zero._fac is None
+    assert calls.of(*oracles.SVDS) == [] and zero._fac is None
     copy = _copy(s)
     residual, mu = range_residual(copy, s), pencil_lower_bound(copy, s, 1e-9)
     assert s._fac is not None
-    assert all(any(a is m for a in seen) for m in s.block_matrices())
+    assert all(any(a is m for a in calls.of(*oracles.SVDS)) for m in s.block_matrices())
     assert residual <= 1e-12 and mu == pytest.approx(1.0, rel=1e-9)
 
 

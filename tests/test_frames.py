@@ -1169,17 +1169,10 @@ def test_other_bound_gaps_decide_as_the_reference(seed, kind, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_central_bounds_take_no_kernel_call_and_no_diagonal_operator(seed, monkeypatch):
-    calls = []
-    real_svd = np.linalg.svd
-
-    def counting_svd(x, *args, **kwargs):
-        calls.append(x)
-        return real_svd(x, *args, **kwargs)
-
     def forbidden(*args, **kwargs):
         raise AssertionError("diagonal_operator was called")
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    calls = oracles.record_kernels(monkeypatch)
     monkeypatch.setattr(frames, "diagonal_operator", forbidden)
     for scale in (1.0, 4.0):
         fr, k, a, b, loc_fr, p, atoms, c = gap_inputs(seed, scale)
@@ -1188,9 +1181,10 @@ def test_central_bounds_take_no_kernel_call_and_no_diagonal_operator(seed, monke
         # halves read its kept singular values
         certify_kframe(fr, k, a, b, 1e-9)
         certify_star_bessel(fr, b, 1e-9)
-        assert calls == []
+        assert calls.of(*oracles.SVDS) == []
         local_atoms_check(loc_fr, p, atoms, c, 1e-9)
-        assert not any(np.shares_memory(x, blk) for x in calls for blk in c.blocks)
+        assert not any(np.shares_memory(x, blk) for x in calls.of(*oracles.SVDS)
+                       for blk in c.blocks)
 
 
 # -- the upper inequality from U's kept singular values ---------------------------------------

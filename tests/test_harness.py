@@ -88,8 +88,8 @@ def test_suite_payload_bytes_are_pinned():
 
 def test_trials_factor_only_what_their_rows_read(monkeypatch):
     # a conjugation row reads no bound, so nothing is factored; a generic
-    # kframe-main row factors its frame once (the pencil, then the dual
-    # atoms' coefficients), and no bound of its instance is derived
+    # kframe-main row factors its frame once (the pencil, then the atomic
+    # coefficients), and no bound of its instance is derived
     built = oracles.counted_factorizations(monkeypatch)
     for trial in range(6):
         built.clear()
@@ -274,6 +274,16 @@ def test_kframe_main_decides_atomicity_at_the_suite_tolerance():
     rows = [run_suite("kframe-main", trials=1, tol=tol)["trials"][0] for tol in (1e-9, 0.0)]
     assert [r["atomic_ok"] for r in rows] == [True, False]
     assert [r["status"] for r in rows] == ["certified", "falsified"]
+
+
+def test_kframe_main_takes_no_witness_it_drops(monkeypatch):
+    # rank-deficient trial 1 takes no cokernel witness (a thin SVD per block
+    # and a norm) by `dual_atoms_audit`: 10 SVDs where 13 were taken
+    calls = oracles.record_kernels(monkeypatch)
+    report = run_suite("kframe-main", trials=2, seed=0)
+    assert report["summary"]["certified"] == 2
+    assert {k: len(calls.of(k)) for k in oracles.SVDS} == {
+        "singular_values": 6, "douglas_svd": 4, "thin_svd": 0}
 
 
 @pytest.mark.parametrize(("trials", "samples"), [(0, 100), (-1, 100), (2, 0), (2, -5)])

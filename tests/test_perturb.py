@@ -30,7 +30,7 @@ from cstarframes.sampling import random_operator, random_unitary, random_vector,
 
 from oracles import (
     abg_grid_margin, branch_oracle, coefficient_gram_direct, coordinate_vector, entries, flat,
-    flatten, grid_vector,
+    flatten, grid_vector, record_kernels,
 )
 
 SPEC = AlgebraSpec((2, 1))
@@ -218,6 +218,28 @@ def test_pertur1_requires_range_inclusion():
     l_full = identity_operator(SPEC, 2)
     with pytest.raises(PreconditionError, match="R\\(L\\)"):
         pertur1_audit(fr, fr, k, l_full, a, b)
+
+
+def _no_branch_instance():
+    """f = {e_1, 0}, h = {0, e_2}, K = diag(1, 0), A = 0.9, B = 1.1 on A^2, A = C."""
+    spec = AlgebraSpec((1,))
+    e1, e2, zero = (grid_vector(spec, [x * spec.unit(), y * spec.unit()])
+                    for x, y in ((1, 0), (0, 1), (0, 0)))
+    k = ModuleOperator(spec, 2, 2, [np.diag([1.0, 0.0])])
+    return FrameSeq([e1, zero]), FrameSeq([zero, e2]), k, 0.9 * spec.unit(), 1.1 * spec.unit()
+
+
+def test_pertur1_with_no_branch_is_a_precondition_error(monkeypatch):
+    # neither branch of the hypothesis holds, so there is no conclusion to
+    # falsify: the audit raises, and a suite row is an error (CLI exit 3)
+    fr, hs, k, a, b = _no_branch_instance()
+    assert exact_branch_M(fr, hs) == (math.inf, math.inf)
+    with pytest.raises(PreconditionError,
+                       match=r"R\(U_F\) nor R\(U_H\), range residuals 1.000e\+00 and 1.000e\+00"):
+        pertur1_audit(fr, hs, k, k, a, b)
+    monkeypatch.setattr(harness, "_perturbed_trial", lambda *args: _no_branch_instance())
+    row = run_suite("perturb1", trials=1, seed=0)["trials"][0]
+    assert row["status"] == "error" and "range residuals" in row["error"]
 
 
 def test_tiny_positive_nu_is_inconclusive_not_an_input_error():
@@ -541,21 +563,6 @@ def test_one_pencil_when_l_is_k_gives_the_bits_of_two():
     assert repr(same.witness) == repr(pertur2_audit(fr, hs, k, copy, *ABG, a, b).witness)
 
 
-def _kernel_calls(monkeypatch) -> dict:
-    """Count full SVDs, values-only SVDs, eigvalsh and eigh calls."""
-    counts = dict.fromkeys(("svd", "svd_values", "eigvalsh", "eigh"), 0)
-    for name in ("svd", "eigvalsh", "eigh"):
-        real = getattr(np.linalg, name)
-
-        def counted(a, *args, _real=real, _name=name, **kwargs):
-            values = _name == "svd" and kwargs.get("compute_uv") is False
-            counts["svd_values" if values else _name] += 1
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize(
     ("suite", "expected"),
@@ -567,17 +574,19 @@ def _kernel_calls(monkeypatch) -> dict:
         # and the derived bounds' mu* sigma_max(U_F); each of the 4 pencils
         # takes its whitened norm as one eigvalsh per block, and no
         # values-only SVD runs
-        ("perturb1", {"svd": 4, "svd_values": 0, "eigvalsh": 12, "eigh": 0}),
+        ("perturb1", {"douglas_svd": 4, "thin_svd": 0, "singular_values": 0, "eigvalsh": 12,
+                      "eigh": 0}),
         # 2 pencils, one of them of (K K*, U_H U_H*); the base K-frame's
         # upper half factors U_F
-        ("perturb2", {"svd": 4, "svd_values": 0, "eigvalsh": 10, "eigh": 0}),
+        ("perturb2", {"douglas_svd": 4, "thin_svd": 0, "singular_values": 0, "eigvalsh": 10,
+                      "eigh": 0}),
     ],
 )
 def test_suite_trial_kernel_calls(monkeypatch, suite, expected, seed):
-    counts = _kernel_calls(monkeypatch)
+    calls = record_kernels(monkeypatch)
     report = run_suite(suite, trials=1, seed=seed)
     assert report["summary"]["certified"] == 1
-    assert counts == expected
+    assert {name: len(calls.of(name)) for name in expected} == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -623,15 +632,7 @@ def test_hypothesis_search_repeats_no_eigensolve(monkeypatch):
     # examined triangle costs one values-only eigensolve per block, and
     # only a falsified gap an eigh, of a matrix no kernel saw before
     d_op, terms = _hypothesis_inputs(11, 0.05)
-    seen, gaps = [], []
-    for name in ("eigvalsh", "eigh"):
-        real = getattr(np.linalg, name)
-
-        def recording(m, *args, _real=real, _name=name, **kwargs):
-            seen.append((_name, m.shape, m.tobytes()))
-            return _real(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
+    calls, gaps = record_kernels(monkeypatch), []
     real_psd = perturb.psd_certificate
 
     def recording_psd(*args, **kwargs):
@@ -641,6 +642,7 @@ def test_hypothesis_search_repeats_no_eigensolve(monkeypatch):
     monkeypatch.setattr(perturb, "psd_certificate", recording_psd)
     cert = perturb._abg_hypothesis(d_op, terms, 1e-9)
     monkeypatch.undo()
+    seen = [(name, m.shape, m.tobytes()) for name, m in calls if name in ("eigvalsh", "eigh")]
     assert cert.status == "certified" and cert.witness["triangles"] == len(gaps) > 1
     n_falsified = sum(g.status == "falsified" for g in gaps)
     assert n_falsified >= 1
