@@ -1,4 +1,4 @@
-"""Random instance generation, theorem-audit ensembles, and run reports.
+"""Random instances, theorem-audit ensembles, the claim table and run reports.
 
 Every ensemble is driven by Philox streams keyed (seed, suite tag, trial
 index), so a (suite, config, seed) triple reproduces every numeric field
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 import time
-from typing import Optional
+from dataclasses import replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,12 +26,15 @@ from .errors import AtomicSystemError, InputError
 from .frames import (
     FrameSeq,
     _family,
+    _pencil_certificate,
     atomic_coefficients,
     certify_kframe,
     certify_star_bessel,
     coisometry_invariance_audit,
     conjugation_audit,
     derived_bounds,
+    dual_atoms_audit,
+    local_atoms_check,
     optimal_scalar_bounds,
 )
 from .hilbmod import (
@@ -59,23 +63,14 @@ PROFILES = (
     "paper-example-truncation(N)",
 )
 
-SUITES = (
-    "douglas-equivalence",
-    "kframe-main",
-    "paper-example",
-    "conjugation",
-    "tensor",
-    "co-isometry",
-    "perturb1",
-    "perturb2",
-)
-
 # margin between optimal scalar bounds and the bounds stored in instances,
 # so downstream perturbation checks have headroom
 BOUND_MARGIN = 0.05
 # size of the perturbation {f_j + epsilon r_j} of the perturbation suites
 # and of the perturb1/perturb2 commands on a generated instance
 DEFAULT_EPSILON = 1e-3
+# perturb2's (alpha, beta, gamma) where the instance gives none
+PERTURB2_CONSTANTS = {"alpha": 0.2, "beta": 0.1, "gamma": 0.05}
 
 
 def _parse_profile(profile: str) -> tuple[str, Optional[int]]:
@@ -207,9 +202,12 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 # -- suite trial bodies ----------------------------------------------------------
+#
+# A trial body takes (seed, trial, tol, epsilon) and returns its row, which
+# `run_suite` numbers; the bodies that read no epsilon end in *_.
 
 
-def _douglas_trial(seed: int, trial: int, tol: float) -> dict:
+def _douglas_trial(seed: int, trial: int, tol: float, *_) -> dict:
     rng = stream(seed, 2, trial)
     spec = AlgebraSpec((2, 1))
     n = 2 + trial % 2
@@ -228,7 +226,6 @@ def _douglas_trial(seed: int, trial: int, tol: float) -> dict:
     matches = bool(cert.witness.get("cond_i")) == planted_inclusion
     status = cert.status if matches else FALSIFIED
     return {
-        "trial": trial,
         "status": status,
         "planted_inclusion": planted_inclusion,
         "matches_planted": matches,
@@ -236,7 +233,7 @@ def _douglas_trial(seed: int, trial: int, tol: float) -> dict:
     }
 
 
-def _kframe_main_trial(seed: int, trial: int, tol: float) -> dict:
+def _kframe_main_trial(seed: int, trial: int, tol: float, *_) -> dict:
     """A K-frame iff an atomic system for K, whose dual atoms then
     reconstruct K (`dual_ok`); an inconclusive `pencil_verdict` of lambda*
     leaves the row inconclusive."""
@@ -258,7 +255,6 @@ def _kframe_main_trial(seed: int, trial: int, tol: float) -> dict:
         recon_residual = None
     atomic_ok = recon_residual is not None
     return {
-        "trial": trial,
         "status": INCONCLUSIVE if gate == INCONCLUSIVE else (
             CERTIFIED if kframe_ok == atomic_ok else FALSIFIED
         ),
@@ -287,7 +283,6 @@ def _paper_example_run(seed: int, n_terms: int, tol: float) -> dict:
                                          tol, cc)
     factorization = verdict_at_norm(sol.residual, tol, k_op)
     return {
-        "trial": 0,
         "status": worst(bessel.status, factorization, equality),
         "n_terms": n_terms,
         "bessel_status": bessel.status,
@@ -296,12 +291,11 @@ def _paper_example_run(seed: int, n_terms: int, tol: float) -> dict:
     }
 
 
-def _conjugation_trial(seed: int, trial: int, tol: float) -> dict:
+def _conjugation_trial(seed: int, trial: int, tol: float, *_) -> dict:
     frame, _, _ = _generic_draw(_trial_seed(seed, trial))
     k_op = random_operator(frame.spec, frame.rank, frame.rank, stream(seed, 6, trial))
     cert = conjugation_audit(frame, k_op, tol)
     return {
-        "trial": trial,
         "status": cert.status,
         "matched": cert.witness["matched"],
         "certificate": certificate_to_dict(cert),
@@ -343,32 +337,19 @@ def tensor_pair_instance(seed: int) -> Instance:
     )
 
 
-def _tensor_pair_audit(inst: Instance, tol: float) -> Certificate:
-    """`tensor_frame_audit` of a left/right instance pair, with K, A, B on
-    the left and L, C, D on the right."""
-    right = inst.right
-    return tensor_frame_audit(
-        tensor_witness(inst.spec, right.spec), inst.members, right.members,
-        inst.operators["K"], right.operators["L"], inst.bounds["A"], inst.bounds["B"],
-        right.bounds["C"], right.bounds["D"], tol,
-    )
-
-
-def _tensor_trial(seed: int, trial: int, tol: float) -> dict:
-    cert = _tensor_pair_audit(tensor_pair_instance(_trial_seed(seed, trial)), tol)
+def _tensor_trial(seed: int, trial: int, tol: float, *_) -> dict:
+    status, values, [cert] = _run_tensor(tensor_pair_instance(_trial_seed(seed, trial)), tol)
     return {
-        "trial": trial,
-        "status": cert.status,
-        "frame_operator_residual": cert.witness.get("frame_operator_residual"),
+        "status": status,
+        "frame_operator_residual": values.get("frame_operator_residual"),
         "certificate": certificate_to_dict(cert),
     }
 
 
-def _coisometry_trial(seed: int, trial: int, tol: float) -> dict:
+def _coisometry_trial(seed: int, trial: int, tol: float, *_) -> dict:
     frame, k_op, t_op = _coisometry_draw(_trial_seed(seed, trial))
     cert = coisometry_invariance_audit(frame, t_op, k_op, tol)
     return {
-        "trial": trial,
         "status": cert.status,
         "certificate": certificate_to_dict(cert),
     }
@@ -391,43 +372,231 @@ def _perturbed_trial(seed: int, trial: int, epsilon: float) -> tuple:
     return frame, _perturbed_pair(frame, _trial_seed(seed, trial) + 3, epsilon), k_op, a, b
 
 
-def _perturb1_trial(seed: int, trial: int, tol: float, epsilon: float) -> dict:
+def _perturbed_instance(seed: int, trial: int, epsilon: float) -> Instance:
+    """`_perturbed_trial` as an instance with no L, so L is K."""
     frame, h_seq, k_op, a, b = _perturbed_trial(seed, trial, epsilon)
-    cert = pertur1_audit(frame, h_seq, k_op, k_op, a, b, tol=tol)
-    w = cert.witness
-    return {
-        "trial": trial,
-        "status": cert.status,
-        "M": w["M"],
-        "branch_M_f": w["branch_M_f"],
-        "branch_M_h": w["branch_M_h"],
-        "bessel_of_h": w["bessel_of_h"],
-        # the Bessel bound the conclusion certified
-        "bessel_bound": w["upper_const"],
-    }
+    return Instance(spec=frame.spec, rank=frame.rank, members=frame, h_members=h_seq,
+                    operators={"K": k_op}, bounds={"A": a, "B": b})
+
+
+def _perturb1_trial(seed: int, trial: int, tol: float, epsilon: float) -> dict:
+    status, w, _ = _run_perturb1(_perturbed_instance(seed, trial, epsilon), tol, seed, None)
+    keys = ("M", "branch_M_f", "branch_M_h", "bessel_of_h")
+    # bessel_bound: the Bessel bound the conclusion certified
+    return {"status": status, **{k: w[k] for k in keys}, "bessel_bound": w["upper_const"]}
 
 
 def _perturb2_trial(seed: int, trial: int, tol: float, epsilon: float) -> dict:
-    frame, h_seq, k_op, a, b = _perturbed_trial(seed, trial, epsilon)
-    cert = pertur2_audit(frame, h_seq, k_op, k_op, 0.2, 0.1, 0.05, a, b, tol=tol)
-    hypothesis = cert.witness["hypothesis"]
+    conclusion, w, _ = _run_perturb2(_perturbed_instance(seed, trial, epsilon), tol, seed, None)
+    hypothesis = w["hypothesis"]
     # a falsified hypothesis leaves nothing to check; an undecided one
     # leaves the row undecided unless the conclusion holds regardless
-    if cert.ok or hypothesis == FALSIFIED:
+    if conclusion == CERTIFIED or hypothesis == FALSIFIED:
         status = CERTIFIED
     else:
         status = INCONCLUSIVE if hypothesis == INCONCLUSIVE else FALSIFIED
     return {
-        "trial": trial,
         "status": status,
         "hypothesis": hypothesis,
         # null where the hypothesis status carries no such margin
-        **{
-            f"hypothesis_{k}": cert.witness.get(f"hypothesis_{k}")
-            for k in HYPOTHESIS_MARGINS
-        },
-        "conclusion_status": cert.status,
+        **{f"hypothesis_{k}": w.get(f"hypothesis_{k}") for k in HYPOTHESIS_MARGINS},
+        "conclusion_status": conclusion,
     }
+
+
+# -- claim runners -------------------------------------------------------------------
+#
+# A runner takes (inst, tol, seed, profile) and returns (status, values,
+# certificates).  Only the perturbation runners read seed and profile: a
+# generated instance gets its perturbed family drawn from the seed.
+
+
+def _outcome(cert: Certificate) -> tuple:
+    """Status, values and certificates of a claim decided by one certificate."""
+    return cert.status, dict(cert.witness), [cert]
+
+
+def _run_kframe(inst: Instance, k_op: ModuleOperator, tol: float, claim: str) -> tuple:
+    """certify_kframe with the instance's bounds, or with `derived_bounds`
+    where `frames._pencil_certificate` certifies lambda*; else that
+    certificate."""
+    frame = inst.members
+    lam, mu = optimal_scalar_bounds(frame, k_op, tol)
+    values = {"lambda_star": lam, "mu_star": mu}
+    a = inst.bounds.get("A")
+    b = inst.bounds.get("B")
+    if a is None or b is None:
+        witness = {"lambda_star": lam, "reason": "no scalar lower bound resolved at tol"}
+        cert = _pencil_certificate(frame, k_op, lam, tol, claim, witness)
+        if not cert.ok:
+            return cert.status, values, [cert]
+        a, b = derived_bounds(frame, lam, mu)
+        values["derived_bounds"] = True
+    cert = certify_kframe(frame, k_op, a, b, tol)
+    return cert.status, values, [cert]
+
+
+def _run_check_frame(inst: Instance, tol: float, *_) -> tuple:
+    return _run_kframe(inst, identity_operator(inst.spec, inst.rank), tol, "star-frame")
+
+
+def _run_check_kframe(inst: Instance, tol: float, *_) -> tuple:
+    return _run_kframe(inst, inst.operators["K"], tol, "star-kframe")
+
+
+def _run_atomic_system(inst: Instance, tol: float, *_) -> tuple:
+    cert = dual_atoms_audit(inst.members, inst.operators["K"], tol)
+    if not cert.ok:
+        return cert.status, {}, [replace(cert, claim="atomic-system")]
+    w = cert.witness
+    values = {"q_norm": w["q_norm"], "residual": w["factorization_residual"],
+              "coefficient_bound_norm": w["q_norm"]}
+    return CERTIFIED, values, [Certificate(CERTIFIED, "atomic-system", dict(values), tol)]
+
+
+def _run_dual_atoms(inst: Instance, tol: float, *_) -> tuple:
+    return _outcome(dual_atoms_audit(inst.members, inst.operators["K"], tol))
+
+
+def _run_local_atoms(inst: Instance, tol: float, *_) -> tuple:
+    frame = inst.members
+    s_pinv = pseudo_inverse(frame.frame_op)
+    g_frame = inst.g_members
+    if g_frame is None:
+        g_frame = _family(s_pinv.compose(frame.synthesis_op))
+    c = inst.bounds.get("C")
+    if c is None:
+        c = inst.spec.central([s_pinv.norm() * frame.synthesis_op.norm()] * inst.spec.n_blocks)
+    return _outcome(local_atoms_check(frame, inst.operators["P"], g_frame, c, tol))
+
+
+def _run_douglas(inst: Instance, tol: float, *_) -> tuple:
+    return _outcome(equivalence_audit(inst.operators["K"], inst.operators["L"], tol))
+
+
+def _run_bounds(inst: Instance, tol: float, *_) -> tuple:
+    frame = inst.members
+    k_op = inst.operators.get("K") or identity_operator(inst.spec, inst.rank)
+    lam, mu = optimal_scalar_bounds(frame, k_op, tol)
+    values = {"lambda_star": lam, "mu_star": mu}
+    cert = _pencil_certificate(frame, k_op, lam, tol, "scalar-bounds", dict(values))
+    return cert.status, values, [cert]
+
+
+def _run_tensor(inst: Instance, tol: float, *_) -> tuple:
+    """`tensor_frame_audit` of a left/right instance pair, with K, A, B on
+    the left and L, C, D on the right."""
+    right = inst.right
+    return _outcome(tensor_frame_audit(
+        tensor_witness(inst.spec, right.spec), inst.members, right.members,
+        inst.operators["K"], right.operators["L"], inst.bounds["A"], inst.bounds["B"],
+        right.bounds["C"], right.bounds["D"], tol,
+    ))
+
+
+def _perturb_common(inst: Instance, tol: float, seed: int, profile: Optional[str],
+                    command: str) -> tuple:
+    """The family, its perturbed partner, K, L (K where the instance has
+    none) and bounds A, B of a perturbation claim.  A generated instance
+    (a profile) without a partner gets one drawn at DEFAULT_EPSILON, and
+    bounds the instance lacks are derived from lambda*, mu*."""
+    frame = inst.members
+    k_op = inst.operators["K"]
+    l_op = inst.operators.get("L", k_op)
+    if inst.h_members is not None:
+        h_seq = inst.h_members
+    elif profile:
+        h_seq = _perturbed_pair(frame, seed, DEFAULT_EPSILON)
+    else:
+        raise InputError(f"{command} needs h_members (the perturbed family)")
+    a = inst.bounds.get("A")
+    b = inst.bounds.get("B")
+    if a is None or b is None:
+        lam, mu = optimal_scalar_bounds(frame, k_op, tol)
+        if pencil_verdict(lam, tol) != CERTIFIED:
+            raise InputError(f"{command}: base family is not a K-frame, no bounds derivable")
+        a, b = derived_bounds(frame, lam, mu)
+    return frame, h_seq, k_op, l_op, a, b
+
+
+def _run_perturb1(inst: Instance, tol: float, seed: int, profile: Optional[str]) -> tuple:
+    frame, h_seq, k_op, l_op, a, b = _perturb_common(inst, tol, seed, profile, "perturb1")
+    return _outcome(pertur1_audit(frame, h_seq, k_op, l_op, a, b, tol=tol))
+
+
+def _run_perturb2(inst: Instance, tol: float, seed: int, profile: Optional[str]) -> tuple:
+    frame, h_seq, k_op, l_op, a, b = _perturb_common(inst, tol, seed, profile, "perturb2")
+    pert = inst.perturbation or PERTURB2_CONSTANTS
+    return _outcome(pertur2_audit(
+        frame, h_seq, k_op, l_op,
+        pert.get("alpha", 0.0), pert.get("beta", 0.0), pert.get("gamma", 0.0),
+        a, b, tol=tol,
+    ))
+
+
+# -- the claim table -----------------------------------------------------------------
+
+
+class Claim(NamedTuple):
+    """One claim the tool runs: as a CLI command, a suite, or both."""
+
+    command: Optional[str] = None
+    suite: Optional[str] = None
+    # the instance fields the command reads, checked in order by `check`:
+    # "right" or "[right.]operators.X" or "[right.]bounds.X", then an
+    # optional note on the field's role that its message carries
+    needs: tuple = ()
+    # the status line's values, where the first four are not the decision
+    status_keys: Optional[tuple] = None
+    # (inst, tol, seed, profile) -> (status, values, certificates)
+    run: Optional[Callable] = None
+    # (seed, trial, tol, epsilon) -> row
+    trial: Optional[Callable] = None
+
+    def check(self, inst: Instance) -> None:
+        """Raise the InputError naming the first of `needs` that inst lacks."""
+        for need in self.needs:
+            path, _, note = need.partition(" ")
+            who = f"{self.command} {note}".rstrip()
+            if path == "right":
+                if inst.right is None:
+                    raise InputError(f"{who} needs a nested 'right' instance (or --profile)")
+                continue
+            side, kind, key = (["left"] + path.split("."))[-3:]
+            if key not in getattr(inst.right if side == "right" else inst, kind):
+                raise InputError(f"{who} needs operators.{key} in the instance"
+                                 if kind == "operators"
+                                 else f"{who} needs bounds.{key} on the {side} instance")
+
+
+# Every claim the CLI and the suites run: its commands in order are cli.COMMANDS
+# and its suites SUITES.  paper-example runs once, at n_terms.
+CLAIMS = (
+    Claim("check-frame", run=_run_check_frame),
+    Claim("check-kframe", needs=("operators.K",), run=_run_check_kframe),
+    Claim("atomic-system", needs=("operators.K",), run=_run_atomic_system),
+    Claim("dual-atoms", needs=("operators.K",), run=_run_dual_atoms),
+    Claim("local-atoms", needs=("operators.P",), run=_run_local_atoms),
+    Claim("douglas", "douglas-equivalence",
+          needs=("operators.K (uses K as T)", "operators.L (uses L as S)"),
+          run=_run_douglas, trial=_douglas_trial),
+    Claim("bounds", run=_run_bounds),
+    Claim(suite="kframe-main", trial=_kframe_main_trial),
+    Claim(suite="paper-example"),
+    Claim(suite="conjugation", trial=_conjugation_trial),
+    Claim("tensor", "tensor",
+          needs=("right", "operators.K (left)", "right.operators.L (right)",
+                 "bounds.A", "bounds.B", "right.bounds.C", "right.bounds.D"),
+          run=_run_tensor, trial=_tensor_trial),
+    Claim(suite="co-isometry", trial=_coisometry_trial),
+    Claim("perturb1", "perturb1", needs=("operators.K",), status_keys=("M", "upper_const"),
+          run=_run_perturb1, trial=_perturb1_trial),
+    Claim("perturb2", "perturb2", needs=("operators.K",),
+          status_keys=("hypothesis", "upper_const"), run=_run_perturb2, trial=_perturb2_trial),
+)
+
+_BY_SUITE = {c.suite: c for c in CLAIMS if c.suite}
+SUITES = tuple(_BY_SUITE)
 
 
 def run_suite(
@@ -443,7 +612,7 @@ def run_suite(
 
     `samples` is checked (>= 1) and recorded in the config; no check draws
     samples."""
-    if suite not in SUITES:
+    if suite not in _BY_SUITE:
         raise InputError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
     if trials < 1 or samples < 1:
         raise InputError(f"trials and samples must be >= 1, got {trials} and {samples}")
@@ -454,20 +623,12 @@ def run_suite(
     t0 = time.perf_counter()
     rows: list[dict] = []
     if suite == "paper-example":
-        rows.append(_paper_example_run(seed, n_terms, tol))
+        rows.append({"trial": 0, **_paper_example_run(seed, n_terms, tol)})
     else:
-        body = {
-            "douglas-equivalence": lambda t: _douglas_trial(seed, t, tol),
-            "kframe-main": lambda t: _kframe_main_trial(seed, t, tol),
-            "conjugation": lambda t: _conjugation_trial(seed, t, tol),
-            "tensor": lambda t: _tensor_trial(seed, t, tol),
-            "co-isometry": lambda t: _coisometry_trial(seed, t, tol),
-            "perturb1": lambda t: _perturb1_trial(seed, t, tol, epsilon),
-            "perturb2": lambda t: _perturb2_trial(seed, t, tol, epsilon),
-        }[suite]
+        trial = _BY_SUITE[suite].trial
         for t in range(trials):
             try:
-                rows.append(body(t))
+                rows.append({"trial": t, **trial(seed, t, tol, epsilon)})
             except InputError as exc:
                 rows.append({"trial": t, "status": "error", "error": str(exc)})
     statuses = [r["status"] for r in rows]

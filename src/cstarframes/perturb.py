@@ -120,9 +120,15 @@ def pertur1_audit(
     ROADMAP.md (item 1), and no estimate of it is reported.
 
     Forward mode: one certificate "perturb-min-conclusion", the L-frame
-    certificate of {h_j} (`frames._pencil_kframe`) with upper bound
-    upper_const = (1 + sqrt(M)) ||B|| and the scalar lower bound of the
-    pencil value nu of (L L*, U_H U_H*), recorded as pencil_lower_H:
+    certificate of {h_j} (`frames._pencil_kframe`).  Its upper bound
+    upper_const is the least Bessel bound of {h_j} that a branch gives,
+    with D* f = U_F* f - U_H* f and ||U_F* f|| <= ||B|| ||f||:
+      F branch (m_f finite): ||U_H* f|| <= ||U_F* f|| + ||D* f||
+        <= (1 + sqrt(m_f)) ||U_F* f|| <= (1 + sqrt(m_f)) ||B|| ||f||;
+      H branch (m_h < 1): (1 - sqrt(m_h)) ||U_H* f|| <= ||U_H* f|| - ||D* f||
+        <= ||U_F* f|| <= ||B|| ||f||, so the bound is ||B|| / (1 - sqrt(m_h)).
+    Its lower bound is the scalar one of the pencil value nu of
+    (L L*, U_H U_H*), recorded as pencil_lower_H:
     falsified with a cokernel witness where nu = 0, and inconclusive where
     nu lies in (0, 10 tol], which resolves no lower bound at tol.  Its
     witness holds M, both branch constants, upper_const, lambda_LK, the
@@ -132,7 +138,8 @@ def pertur1_audit(
     bessel_of_h = sigma_max(U_H) = ||S_H||^(1/2), read off U_H's kept
     factorization.  A PreconditionError names the range residuals of a
     failed hypothesis: R(L) inside R(K), which holds exactly when L is K,
-    or R(D) inside R(U_F) or R(U_H) (both branch constants infinite).
+    or R(D) inside R(U_F) or R(U_H) (both branch constants infinite); and
+    it names m_h where neither branch bounds {h_j} (m_f infinite, m_h >= 1).
 
     Converse mode (co-isometric K, R(K) <= R(L)): one certificate
     "perturb-min-converse" that M does not exceed min{(1 + ||D||/||A||)^2,
@@ -153,8 +160,13 @@ def pertur1_audit(
                                 f"range residuals {resid_f:.3e} and {resid_h:.3e}")
     a_norm, b_norm = a.norm(), b.norm()
     constants.update(norm_A=a_norm, norm_B=b_norm)
+    # each branch's Bessel bound of {h_j}, infinite where it gives none
+    h_bound = b_norm / (1.0 - math.sqrt(m_h)) if m_h < 1.0 else math.inf
+    upper_const = min((1.0 + math.sqrt(m_f)) * b_norm, h_bound)
+    if math.isinf(upper_const):
+        raise PreconditionError("hypothesis gives no Bessel bound of {h_j}: R(D) is not inside "
+                                f"R(U_F), and branch_M_h = {m_h:.3e} is not below 1")
     sqrt_m = math.sqrt(m_val)
-    upper_const = (1.0 + sqrt_m) * b_norm
     lam_lk = pencil_lower_bound(l_op, k_op, tol)
     nu = pencil_lower_bound(l_op, h_seq.synthesis_op, tol)
     lam_ref = lam_lk if math.isfinite(lam_lk) else 1.0
@@ -306,22 +318,31 @@ def pertur2_audit(
     certificate "perturb-abg-conclusion" combines two parts: the L-frame
     certificate of {h_j} (`frames._pencil_kframe`) with upper bound the
     explicit constant upper_const = ||B|| (1 + (alpha + beta +
-    gamma/||A||)/(1 - beta)) and a lower bound from the pencil of
+    gamma/sigma_min(A))/(1 - beta)) and a lower bound from the pencil of
     (L L*, U_H U_H*); and the lower constant g_sound, with sigma_min(A)
-    replacing ||A|| where soundness requires it, decided exactly as
+    replacing ||A||, decided exactly as
     g_sound^2 <= `pencil_lower_bound(K, U_H)` (the L-frame's pencil when
     L is K), whose `worst_margin` is the pencil value minus g_sound^2.
     Its witness holds the constants, the hypothesis status and, as
     "hypothesis_<field>", each field of HYPOTHESIS_MARGINS that the
     hypothesis witness holds.
+
+    Both constants and the precondition max(alpha + gamma/sigma_min(A),
+    beta) < 1 divide by sigma_min(A), since the lower bound of {f_j} gives
+    ||K* f|| <= ||U_F* f|| / sigma_min(A) and no better: (1 - beta)
+    ||U_H* f|| <= (1 + alpha) ||U_F* f|| + gamma ||K* f|| <= (1 + alpha +
+    gamma/sigma_min(A)) ||B|| ||f||.
     """
     if min(alpha, beta, gamma) < 0:
         raise InputError("alpha, beta, gamma must be nonnegative")
-    a_norm = a.norm()
-    if max(alpha + gamma / a_norm, beta) >= 1.0:
-        raise InputError("constants must satisfy max(alpha + gamma/||A||, beta) < 1")
     d_op = difference_synthesis(f_seq, h_seq)
     _require_hypotheses(f_seq, k_op, l_op, a, b, tol)
+    # A is central now, so sigma_min(A) is its least block scalar
+    a_norm = a.norm()
+    sigma_min = float(np.abs(a.central_scalars()).min())
+    gamma_f = 0.0 if gamma == 0 else gamma / sigma_min if sigma_min > 0 else math.inf
+    if max(alpha + gamma_f, beta) >= 1.0:
+        raise InputError("constants must satisfy max(alpha + gamma/sigma_min(A), beta) < 1")
 
     hypothesis = _abg_hypothesis(
         d_op, [(alpha, f_seq.synthesis_op), (beta, h_seq.synthesis_op), (gamma, k_op)], tol
@@ -331,14 +352,12 @@ def pertur2_audit(
         return hypothesis
 
     b_norm = b.norm()
-    sigma_min = float(np.abs(a.central_scalars()).min())
-    ratio = (alpha + beta + gamma / a_norm) / (1.0 - beta)
-    upper_const = b_norm * (1.0 + ratio)
+    upper_const = b_norm * (1.0 + (alpha + beta + gamma_f) / (1.0 - beta))
     nu = pencil_lower_bound(l_op, h_seq.synthesis_op, tol)
     frame_cert = _pencil_kframe(h_seq, l_op, nu, upper_const, tol, "perturb-abg-lframe")
 
     g_reference = a_norm * (1.0 - (alpha + beta + gamma / a_norm) / (1.0 + beta))
-    g_sound = sigma_min * (1.0 - (alpha + gamma / sigma_min)) / (1.0 + beta)
+    g_sound = sigma_min * (1.0 - (alpha + gamma_f)) / (1.0 + beta)
     # ||U_H* f|| >= g ||K* f|| for all f iff g^2 K K* <= U_H U_H* (the
     # rank-one reduction of `douglas._majorization`), iff g^2 is at most
     # the pencil value, nu's own when L is K

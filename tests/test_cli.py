@@ -673,3 +673,16 @@ def test_input_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     assert digest.hexdigest() == (
         "a59f31e51f2471cd2a324a0de02c5ed0c23ecc2c2229fde0812099077bafdb78"
     )
+
+
+def _readme_list(label: str) -> tuple:
+    """The names of the README CLI section's `label:` paragraph."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    paragraph = section.split(f"\n{label}: ")[1].split("\n\n")[0]
+    return tuple(name.split()[0] for name in re.findall(r"`([^`]+)`", paragraph))
+
+
+def test_readme_lists_the_commands_and_suites():
+    assert _readme_list("Commands") == COMMANDS
+    assert _readme_list("Suites") == SUITES

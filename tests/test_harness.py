@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import re
+import sys
 
 import pytest
 
+import cstarframes
 from cstarframes import (
     SUITES,
     InputError,
@@ -15,7 +18,7 @@ from cstarframes import (
     run_suite,
     save_instance,
 )
-from cstarframes import harness
+from cstarframes import cli, harness
 from cstarframes.certify import psd_certificate
 from cstarframes.harness import paper_truncation_values, tensor_pair_instance
 from cstarframes.sampling import random_vector, stream
@@ -69,7 +72,7 @@ SUITE_PAYLOADS = {
     "conjugation": "0de79c73b502663ef8409ec262cf65352e663502bf633daa8801909542f9ba15",
     "tensor": "00138b4d6b6843739ca18f33464751e813f2c3ffa0daf59e7ff66e2df50d309b",
     "co-isometry": "7707488ee6f2f5f5952d907753b5d2221ec1678eae454fbe4c9c6c654eb18fb8",
-    "perturb1": "2c0083ca9a483a8fba69131da21504fef8642825ffa81adefd0d71c00a66a8ce",
+    "perturb1": "1bdaedc9f74f5694ad9e2d26f4e04988eba811a0e8bb29776429aee5739ee61e",
     "perturb2": "e1dbd66b51eceb68ff02db2ac3570b2b21f235a8a5d9b9fe1783b2edc8d51e3b",
 }
 
@@ -246,11 +249,14 @@ def test_perturb_suites_audit_at_the_suite_tolerance(monkeypatch, suite):
     assert seen == [1e-6, 1e-6]
     assert rep["config"]["tol"] == 1e-6
     if suite == "perturb1":
-        # the row records the Bessel bound (1 + sqrt(M)) ||B|| of {h_j} that
-        # the conclusion certified at the suite's tol, its upper_const
+        # the row records the Bessel bound of {h_j} that the conclusion
+        # certified at the suite's tol, its upper_const: the least of
+        # (1 + sqrt(m_f)) ||B|| and, where m_h < 1, ||B|| / (1 - sqrt(m_h))
         for row, cert in zip(rep["trials"], certs):
             b = random_instance(harness._trial_seed(5, row["trial"]), "generic").bounds["B"]
-            assert row["bessel_bound"] == (1.0 + math.sqrt(row["M"])) * b.norm()
+            m_f, m_h = row["branch_M_f"], row["branch_M_h"]
+            assert row["bessel_bound"] == min((1.0 + math.sqrt(m_f)) * b.norm(),
+                                              b.norm() / (1.0 - math.sqrt(m_h)))
             assert row["bessel_bound"] == cert.witness["upper_const"]
             assert row["status"] == cert.status
 
@@ -386,3 +392,47 @@ def test_perturbed_trials_are_the_generic_instances_without_l(monkeypatch):
             inst.members.synthesis_op, h_ref.synthesis_op, inst.operators["K"],
             inst.bounds["A"], inst.bounds["B"],
         )
+
+
+# -- the claim table ---------------------------------------------------------------------
+
+
+# a public audit, by name: certify_*, *_audit, *_check and ks_inverse_frame
+AUDIT_NAME = re.compile(r"certify_\w+|\w+_audit|\w+_check|ks_inverse_frame")
+# the audits, and audit modes, that no row of CLAIMS runs: only the
+# library and its tests reach them
+LIBRARY_ONLY = {"transform_kframe_audit", "ks_inverse_frame", "pertur1_audit(converse=True)"}
+
+
+def test_every_public_audit_is_reached_by_a_claim_or_listed_library_only(monkeypatch, capsys):
+    audits = {name for name in cstarframes.__all__ if AUDIT_NAME.fullmatch(name)}
+    reached = set()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "cstarframes"]
+    for name in audits:
+        real = getattr(cstarframes, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            reached.add(_name + ("(converse=True)" if kwargs.get("converse") else ""))
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    for claim in harness.CLAIMS:
+        if claim.command:
+            profile = "rank-deficient-K" if claim.command == "local-atoms" else "generic"
+            assert cli.main([claim.command, "--profile", profile]) in (0, 1, 2), claim
+        if claim.suite:
+            run_suite(claim.suite, trials=2)
+    capsys.readouterr()
+    assert reached.isdisjoint(LIBRARY_ONLY), reached & LIBRARY_ONLY
+    assert reached | LIBRARY_ONLY == audits | {"pertur1_audit(converse=True)"}
+
+
+def test_commands_and_suites_come_from_the_claim_table():
+    assert cli.COMMANDS == tuple(c.command for c in harness.CLAIMS if c.command) + ("suite",)
+    assert SUITES == tuple(c.suite for c in harness.CLAIMS if c.suite)
+    for claim in harness.CLAIMS:
+        assert claim.command or claim.suite
+        assert (claim.run is None) == (claim.command is None), claim
+        assert (claim.trial is None) == (claim.suite in (None, "paper-example")), claim

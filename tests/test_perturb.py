@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstarframes import (
     AlgebraSpec,
     FrameSeq,
     InputError,
+    Instance,
     PreconditionError,
+    central_mult,
     certify_kframe,
     coordinate_frame,
     difference_quadratic,
@@ -19,9 +23,10 @@ from cstarframes import (
     pertur1_audit,
     pertur2_audit,
     run_suite,
+    save_instance,
     transform_frame,
 )
-from cstarframes import frames, harness, perturb
+from cstarframes import cli, frames, harness, perturb
 from cstarframes.algebra import AlgElement
 from cstarframes.harness import random_instance
 from cstarframes.hilbmod import ModuleOperator
@@ -395,6 +400,96 @@ def test_pertur2_falsifies_violated_hypothesis():
     assert cert.witness["hypothesis"] == "falsified"
     assert cert.claim == "perturb-abg-hypothesis"
     assert_witness_rechecks(cert, fr, hs, k, (0.0, 0.0, 0.0))
+
+
+# -- constants that follow from their proofs ----------------------------------------------------
+
+
+def test_perturb1_sweep_certifies_every_bessel_bound_it_reports():
+    # the conclusion's Bessel bound is the one a holding branch proves, so
+    # no row of the sweep is falsified, and every row at epsilon <= 0.3
+    # stays certified as under the former (1 + sqrt(M)) ||B||
+    for seed in range(4):
+        for eps in (1e-3, 0.05, 0.3, 2.0, 5.0):
+            for row in run_suite("perturb1", trials=40, seed=seed, epsilon=eps)["trials"]:
+                assert row["status"] != "falsified", (seed, eps, row)
+                assert row["bessel_of_h"] <= row["bessel_bound"], (seed, eps, row)
+                if eps <= 0.3:
+                    assert row["status"] == "certified", (seed, eps, row)
+
+
+def _no_bounding_branch_instance():
+    """f = {e_1, 0}, h = {e_1 + 5 e_2, 5 e_2}, K = L = diag(1, 0), A = 0.9,
+    B = 1.1 on A^2, A = C: R(D) = span e_2 is not inside R(U_F), and
+    m_h = 2, so neither branch bounds {h_j}."""
+    spec = AlgebraSpec((1,))
+    f1, f2, h1, h2 = (grid_vector(spec, [x * spec.unit(), y * spec.unit()])
+                      for x, y in ((1, 0), (0, 0), (1, 5), (0, 5)))
+    k = ModuleOperator(spec, 2, 2, [np.diag([1.0, 0.0])])
+    return FrameSeq([f1, f2]), FrameSeq([h1, h2]), k, 0.9 * spec.unit(), 1.1 * spec.unit()
+
+
+def test_pertur1_with_no_bounding_branch_is_a_precondition_error(tmp_path, capsys):
+    # the constant (1 + sqrt(m_h)) ||B|| = 2.66 that the H branch does not
+    # prove, against sigma_max(U_H) = 7.1, was once a falsified conclusion
+    fr, hs, k, a, b = _no_bounding_branch_instance()
+    m_f, m_h = exact_branch_M(fr, hs)
+    assert m_f == math.inf and m_h == pytest.approx(2.0)
+    message = r"no Bessel bound of \{h_j\}: .* branch_M_h = 2.000e\+00 is not below 1"
+    with pytest.raises(PreconditionError, match=message):
+        pertur1_audit(fr, hs, k, k, a, b)
+    path = tmp_path / "inst.json"
+    save_instance(Instance(spec=fr.spec, rank=2, members=fr, h_members=hs,
+                           operators={"K": k}, bounds={"A": a, "B": b}), path)
+    assert cli.main(["perturb1", "--input", str(path)]) == 3
+    assert "no Bessel bound of {h_j}" in capsys.readouterr().err
+
+
+def test_pertur2_divides_by_sigma_min_of_a(tmp_path, capsys):
+    # D = -K/2 meets the hypothesis with gamma = 0.5, alpha = beta = 0, and
+    # A = (1, 0.0099) is a lower bound; ||K* f|| <= ||U_F* f|| / 0.0099 only,
+    # so gamma / sigma_min(A) = 50.5 breaks the precondition that
+    # gamma / ||A|| = 0.5 met, with upper_const 1.575 < sigma_max(U_H) = 51
+    spec = AlgebraSpec((1, 1))
+    fr, hs = (FrameSeq([grid_vector(spec, [spec.central(v)])]) for v in ([1, 1], [1.5, 51]))
+    k = central_mult(spec.central([1, 100]), 1)
+    a, b = spec.central([1, 0.0099]), 1.05 * spec.unit()
+    assert certify_kframe(fr, k, a, b).ok
+    with pytest.raises(InputError, match=r"gamma/sigma_min\(A\), beta\) < 1"):
+        pertur2_audit(fr, hs, k, k, 0.0, 0.0, 0.5, a, b)
+    path = tmp_path / "inst.json"
+    save_instance(Instance(spec=spec, rank=1, members=fr, h_members=hs, operators={"K": k},
+                           bounds={"A": a, "B": b},
+                           perturbation={"alpha": 0.0, "beta": 0.0, "gamma": 0.5}), path)
+    assert cli.main(["perturb2", "--input", str(path)]) == 3
+    assert "sigma_min(A)" in capsys.readouterr().err
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    eps=st.floats(0.0, 5.0),
+    shrink=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+    constants=st.tuples(st.floats(0.0, 0.6), st.floats(0.0, 0.6), st.floats(0.0, 0.3)),
+)
+def test_no_conclusion_is_falsified_under_a_certified_hypothesis(seed, eps, shrink, constants):
+    # A is a lower bound of {f_j} scaled block by block, so sigma_min(A) <
+    # ||A|| where the blocks differ; whatever {h_j} is, a hypothesis that
+    # holds yields a conclusion that is not falsified
+    frame, k, _ = harness._generic_draw(seed)
+    lam, mu = optimal_scalar_bounds(frame, k)
+    a = SPEC.central([s * math.sqrt(lam) for s in shrink])
+    b = SPEC.central([1.05 * math.sqrt(mu)] * 2)
+    hs = harness._perturbed_pair(frame, seed + 3, eps)
+    try:
+        assert pertur1_audit(frame, hs, k, k, a, b).status != "falsified"
+    except PreconditionError:
+        pass  # no branch of the hypothesis bounds {h_j}
+    try:
+        cert = pertur2_audit(frame, hs, k, k, *constants, a, b)
+    except InputError:
+        return  # the constants fail the precondition
+    assert not (cert.status == "falsified" and cert.witness["hypothesis"] == "certified")
 
 
 # -- shared invariants --------------------------------------------------------------------------
