@@ -5,15 +5,7 @@ operator inequalities."""
 from ._version import __version__
 from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement
 from .certify import CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE
-from .douglas import (
-    DouglasReport,
-    douglas_solve,
-    equivalence_audit,
-    pencil_lower_bound,
-    pseudo_inverse,
-    range_inclusion,
-    range_residual,
-)
+from .douglas import equivalence_audit, pencil_lower_bound, pseudo_inverse
 from .errors import AtomicSystemError, InputError, PreconditionError
 from .frames import (
     FrameSeq,
@@ -25,11 +17,9 @@ from .frames import (
     coordinate_frame,
     dual_atoms,
     dual_atoms_audit,
-    ks_inverse_frame,
     local_atoms_check,
     optimal_scalar_bounds,
     transform_frame,
-    transform_kframe_audit,
 )
 from .harness import PROFILES, SUITES, random_instance, run_suite
 from .hilbmod import (
@@ -38,12 +28,7 @@ from .hilbmod import (
     central_mult,
     identity_operator,
 )
-from .perturb import (
-    difference_quadratic,
-    exact_branch_M,
-    pertur1_audit,
-    pertur2_audit,
-)
+from .perturb import exact_branch_M, pertur1_audit, pertur2_audit
 from .serialize import (
     Instance,
     instance_digest,
@@ -69,7 +54,6 @@ __all__ = [
     "FALSIFIED",
     "INCONCLUSIVE",
     "Certificate",
-    "DouglasReport",
     "FrameSeq",
     "ModuleOperator",
     "ModuleVector",
@@ -85,15 +69,12 @@ __all__ = [
     "coisometry_invariance_audit",
     "conjugation_audit",
     "coordinate_frame",
-    "difference_quadratic",
-    "douglas_solve",
     "dual_atoms",
     "dual_atoms_audit",
     "equivalence_audit",
     "exact_branch_M",
     "identity_operator",
     "instance_digest",
-    "ks_inverse_frame",
     "load_instance",
     "local_atoms_check",
     "optimal_scalar_bounds",
@@ -103,8 +84,6 @@ __all__ = [
     "pertur2_audit",
     "pseudo_inverse",
     "random_instance",
-    "range_inclusion",
-    "range_residual",
     "report_payload_bytes",
     "run_suite",
     "save_instance",
@@ -112,7 +91,6 @@ __all__ = [
     "tensor_frame_audit",
     "tensor_witness",
     "transform_frame",
-    "transform_kframe_audit",
     "write_report",
     "PROFILES",
     "SUITES",

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-LinAlgError = np.linalg.LinAlgError
 _GRAM_LOW, _GRAM_HIGH = 2.0**-900, 2.0**900
 
 
@@ -33,10 +32,6 @@ def eigvalsh(h):
 
 def eigh(h):
     return np.linalg.eigh(h)
-
-
-def inv(m):
-    return np.linalg.inv(m)
 
 
 def sigma_max(m):

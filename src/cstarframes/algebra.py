@@ -60,9 +60,6 @@ class AlgebraSpec:
     def unit(self) -> "AlgElement":
         return self.central([1.0] * self.n_blocks)
 
-    def zero(self) -> "AlgElement":
-        return AlgElement(self, [np.zeros((d, d), dtype=complex) for d in self.block_dims])
-
     def central(self, scalars: Sequence[complex]) -> "AlgElement":
         """Central element with block i equal to scalars[i] times the identity.
 

@@ -27,8 +27,7 @@ S_b onto, and the factorization residual ||S Q - T|| are
 `certify.residual_verdict`'s, a `sigma_max` only where a Frobenius norm
 does not certify; ||S^+ T|| = max_b ||left_b T_b||, 1 / sqrt(pencil) and
 ||Q||, is `_kernels.gram_norm`, one values-only `eigvalsh`, and no SVD
-of Q; the public `range_residual` is a `sigma_max` per block;
-`cokernel_witness` adds a `thin_svd` per block, which
+of Q; `cokernel_witness` adds a `thin_svd` per block, which
 `equivalence_audit` takes only when the pencil fails; the norm
 inequality is one `psd_certificate`.
 Every decision is `certify.verdict` at the caller's tol: range
@@ -39,12 +38,14 @@ The pencil of T = 0 is math.inf, read off T's entries before S is
 factored.  T is S decides exactly, with no factorization: its range
 residual is 0 and its pencil 1 (for T != 0), as when a perturbation
 audit asks whether R(K) lies in R(K).
+The public entry points are `pseudo_inverse`, `pencil_lower_bound` and
+`equivalence_audit`; range inclusion alone is `_inclusion`, which the
+perturbation audits read, and a solve alone is `_Factorization.solve`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,15 +60,6 @@ from .errors import InputError
 from .hilbmod import ModuleOperator, ModuleVector, _operator
 
 DEFAULT_RTOL = 1e-10
-
-
-@dataclass
-class DouglasReport:
-    inclusion_ok: bool
-    residual: float
-    pencil_mu: float
-    q: Optional[ModuleOperator]
-    q_norm: float
 
 
 def _check_common_target(t: ModuleOperator, s: ModuleOperator) -> None:
@@ -215,24 +207,6 @@ def pseudo_inverse(t: ModuleOperator) -> ModuleOperator:
     return _factorization(t).pinv
 
 
-def range_residual(t: ModuleOperator, s: ModuleOperator) -> float:
-    """Norm of (I - S S^+) T, zero exactly when R(T) is inside R(S); the
-    exact 0.0 when t is s, with S not factored."""
-    _check_common_target(t, s)
-    if t is s:
-        return 0.0
-    return max(
-        (float(_kernels.sigma_max(p @ m))
-         for p, m in zip(_factorization(s).perps, t.block_matrices())
-         if p is not None),
-        default=0.0,
-    )
-
-
-def range_inclusion(t: ModuleOperator, s: ModuleOperator, tol: float) -> bool:
-    return _inclusion(t, s, tol)[0]
-
-
 def _inclusion(t: ModuleOperator, s: ModuleOperator, tol: float) -> tuple[bool, float]:
     """R(T) inside R(S) at tol, and the residual deciding it (0, unfactored, for t is s)."""
     _check_common_target(t, s)
@@ -260,21 +234,6 @@ def pencil_lower_bound(
     if t is s:
         return 1.0
     return _factorization(s).pencil(t, tol)
-
-
-def douglas_solve(t: ModuleOperator, s: ModuleOperator, tol: float) -> DouglasReport:
-    """Minimal-norm factorization T = S Q with Q = S^+ T, plus diagnostics:
-    the factorization residual and the pencil value of (T, S)."""
-    _check_common_target(t, s)
-    fac = _factorization(s)
-    q, residual = fac.solve(t, tol)
-    return DouglasReport(
-        inclusion_ok=verdict_at_norm(residual, tol, t) == CERTIFIED,
-        residual=residual,
-        pencil_mu=fac.pencil(t, tol, qnorm=q.norm()),
-        q=q,
-        q_norm=q.norm(),
-    )
 
 
 def _majorization(

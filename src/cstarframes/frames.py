@@ -30,10 +30,9 @@ never lifted above sqrt(lambda), by `_pencil_bound` alone.
 
 No check here samples.  Bounds that hold by construction are recorded,
 not re-checked: C = ||Q|| 1 for the atomic coefficients and the dual
-atoms, and the Bessel bound of {K S^-1 f_j}.  The local-atom
-reconstruction on range(P) is the norm of (I - U G*) P.  Every check
-decides at the caller's tol through `certify.verdict`, a residual
-through `certify.residual_verdict`.
+atoms.  The local-atom reconstruction on range(P) is the norm of
+(I - U G*) P.  Every check decides at the caller's tol through
+`certify.verdict`, a residual through `certify.residual_verdict`.
 """
 
 from __future__ import annotations
@@ -110,10 +109,6 @@ class FrameSeq:
     def analysis(self, f: ModuleVector) -> ModuleVector:
         """Coefficient vector {<f, f_j>} in A^J."""
         return self.analysis_op.apply(f)
-
-    def synthesis(self, g: ModuleVector) -> ModuleVector:
-        """sum_j g_j f_j for a coefficient vector g in A^J."""
-        return self.synthesis_op.apply(g)
 
     def coefficient_gram(self, f: ModuleVector) -> AlgElement:
         """sum_j <f, f_j><f_j, f>, the A-valued middle of the frame inequality."""
@@ -422,11 +417,11 @@ def atomic_coefficients(
     """Coefficient operator of the atomic decomposition K f = sum a_j f_j.
 
     Q is the minimal-norm Douglas solution U Q = K (so a_f = Q f), read
-    from U's kept factorization without the pencil `douglas_solve` adds,
-    and C = ||Q|| 1_A witnesses the coefficient bound <a_f, a_f> <=
-    C<f,f>C*: C is central, so the bound is Q*Q <= ||Q||^2 I, which always
-    holds.  ||Q|| = ||U^+ K|| is U's kept factorization's whitened norm of
-    K, with no SVD of Q.  Raises AtomicSystemError unless
+    from U's kept factorization with no pencil, and C = ||Q|| 1_A
+    witnesses the coefficient bound <a_f, a_f> <= C<f,f>C*: C is central,
+    so the bound is Q*Q <= ||Q||^2 I, which always holds.  ||Q|| =
+    ||U^+ K|| is U's kept factorization's whitened norm of K, with no SVD
+    of Q.  Raises AtomicSystemError unless
     `certify.residual_verdict` certifies R(K) inside R(U) on U Q - K at
     tol, with scale max(1, ||K||).
     `seed` is ignored; nothing is sampled.
@@ -631,65 +626,3 @@ def _is_coisometry(t_op: ModuleOperator, rank: int) -> bool:
     """T T* = I on A^rank by `certify.residual_verdict` at DEFAULT_TOL, scale 1."""
     gap = t_op.compose(t_op.adjoint()) - identity_operator(t_op.spec, rank)
     return residual_verdict(gap.block_matrices(), DEFAULT_TOL, 1.0)[0] == CERTIFIED
-
-
-def transform_kframe_audit(
-    frame: FrameSeq,
-    l_op: ModuleOperator,
-    k_op: ModuleOperator,
-    a: AlgElement,
-    b: AlgElement,
-    tol: float = DEFAULT_TOL,
-) -> Certificate:
-    """If {f_j} certifies as a K-frame with (A, B), then {L f_j} certifies
-    as an LK-frame with bounds (A, ||L|| B)."""
-    base = certify_kframe(frame, k_op, a, b, tol)
-    base.require("base K-frame certification")
-    moved = transform_frame(frame, l_op)
-    lk = l_op.compose(k_op)
-    scaled_b = l_op.norm() * b
-    cert = certify_kframe(moved, lk, a, scaled_b, tol)
-    return Certificate(
-        cert.status,
-        "transform-kframe",
-        {"base": base.status, "transformed": cert.status, "l_norm": l_op.norm()},
-        tol,
-        witness_vector=cert.witness_vector,
-    )
-
-
-def ks_inverse_frame(
-    frame: FrameSeq,
-    k_op: ModuleOperator,
-    tol: float = DEFAULT_TOL,
-) -> tuple[FrameSeq, Certificate]:
-    """The family {K S^{-1} f_j} with its reconstruction and Bessel audits.
-
-    Reconstruction: K f = sum_j <f, f_j> (K S^{-1} f_j) holds exactly; its
-    residual ||K - V U*||, V = K S^{-1} U the new family's synthesis, is
-    decided at tol with scale max(1, ||K||).  The family is Bessel with
-    bound ||K|| ||S^{-1}|| ||U|| (1 + BOUND_INSET) by construction, as
-    ||V|| <= ||K|| ||S^{-1}|| ||U|| and the inset covers the norms'
-    rounding, so `bessel_status` is certified and V is never factored.
-    Raises PreconditionError when S is not invertible relative to its
-    size: lambda_min(S) <= tol ||S||, with ||S|| read off the same
-    eigenvalues, as S >= 0.
-    """
-    s_op = frame.frame_op
-    eigs = s_op.herm_block_eigs()
-    if min(float(w[0]) for w in eigs) <= tol * max(float(w[-1]) for w in eigs):
-        raise PreconditionError("frame operator not invertible")
-    s_inv = s_op.inverse()
-    new_frame = transform_frame(frame, k_op.compose(s_inv))
-    recon_gap = k_op - new_frame.synthesis_op.compose(frame.analysis_op)
-    status, recon = residual_verdict(recon_gap.block_matrices(), tol, k_op)
-    return new_frame, Certificate(
-        status,
-        "ks-inverse-frame",
-        {
-            "max_reconstruction_residual": recon,
-            "bessel_status": CERTIFIED,
-            "s_inv_norm": s_inv.norm(),
-        },
-        tol,
-    )

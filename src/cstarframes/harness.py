@@ -21,7 +21,7 @@ from .certify import (
     CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, pencil_verdict, residual_verdict,
     verdict_at_norm, worst,
 )
-from .douglas import douglas_solve, equivalence_audit, pseudo_inverse
+from .douglas import _factorization, equivalence_audit, pseudo_inverse
 from .errors import AtomicSystemError, InputError
 from .frames import (
     FrameSeq,
@@ -234,9 +234,8 @@ def _douglas_trial(seed: int, trial: int, tol: float, *_) -> dict:
 
 
 def _kframe_main_trial(seed: int, trial: int, tol: float, *_) -> dict:
-    """A K-frame iff an atomic system for K, whose dual atoms then
-    reconstruct K (`dual_ok`); an inconclusive `pencil_verdict` of lambda*
-    leaves the row inconclusive."""
+    """A K-frame iff an atomic system for K; an inconclusive
+    `pencil_verdict` of lambda* leaves the row inconclusive."""
     profile = "generic" if trial % 2 == 0 else "rank-deficient-K"
     if profile == "generic":
         frame, k_op, _ = _generic_draw(_trial_seed(seed, trial))
@@ -261,7 +260,6 @@ def _kframe_main_trial(seed: int, trial: int, tol: float, *_) -> dict:
         "profile": profile,
         "kframe_ok": kframe_ok,
         "atomic_ok": atomic_ok,
-        "dual_ok": True,
         "lambda_star": lam,
         "reconstruction_residual": recon_residual,
     }
@@ -276,17 +274,16 @@ def _paper_example_run(seed: int, n_terms: int, tol: float) -> dict:
     frame = inst.members
     k_op = inst.operators["K"]
     bessel = certify_star_bessel(frame, inst.bounds["B"], tol)
-    sol = douglas_solve(k_op, frame.synthesis_op, tol)
+    q, residual = _factorization(frame.synthesis_op).solve(k_op, tol)
     mc = diagonal_operator(inst.bounds["C"], 1)
     cc = mc.compose(mc.adjoint())
-    equality, max_dev = residual_verdict((sol.q.adjoint().compose(sol.q) - cc).block_matrices(),
-                                         tol, cc)
-    factorization = verdict_at_norm(sol.residual, tol, k_op)
+    equality, max_dev = residual_verdict((q.adjoint().compose(q) - cc).block_matrices(), tol, cc)
+    factorization = verdict_at_norm(residual, tol, k_op)
     return {
         "status": worst(bessel.status, factorization, equality),
         "n_terms": n_terms,
         "bessel_status": bessel.status,
-        "factorization_residual": sol.residual,
+        "factorization_residual": residual,
         "max_equality_deviation": max_dev,
     }
 

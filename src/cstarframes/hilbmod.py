@@ -30,7 +30,7 @@ Each spectral query is one `_kernels` call per reduced block: `norm` a
 `sigma_max`; `herm_block_eigs` an `eigvalsh` of the Hermitian part,
 except for a block whose eigenvalues the caller passes;
 `negative_witness` one `eigh`, of the block with the least eigenvalue;
-`adjoint_norm_witness` a `thin_svd`; `inverse` an `inv`.  When a
+`adjoint_norm_witness` a `thin_svd`.  When a
 decision takes them is stated in `certify` and `douglas`.
 """
 
@@ -194,16 +194,6 @@ class ModuleOperator:
             raise InputError("projections must be square")
         return all(residual_verdict(r.block_matrices(), tol, 1.0)[0] == CERTIFIED
                    for r in (self.compose(self) - self, self - self.adjoint()))
-
-    def inverse(self) -> "ModuleOperator":
-        """Two-sided inverse for square invertible operators."""
-        if self.in_rank != self.out_rank:
-            raise InputError("inverse needs a square operator")
-        try:
-            mats = [_kernels.inv(m) for m in self._mats]
-        except _kernels.LinAlgError as exc:
-            raise PreconditionError(f"operator is not invertible: {exc}") from exc
-        return _operator(self.spec, self.in_rank, self.out_rank, mats)
 
     def negative_witness(
         self, eigs: Optional[Sequence[np.ndarray]] = None

@@ -35,8 +35,8 @@ from .certify import (
 )
 from .douglas import _factorization, _inclusion, pencil_lower_bound
 from .errors import InputError, PreconditionError
-from .frames import FrameSeq, _is_coisometry, _pencil_bound, _pencil_kframe, certify_kframe
-from .hilbmod import ModuleOperator, ModuleVector
+from .frames import FrameSeq, _pencil_kframe, certify_kframe
+from .hilbmod import ModuleOperator
 
 
 def difference_synthesis(f_seq: FrameSeq, h_seq: FrameSeq) -> ModuleOperator:
@@ -46,12 +46,6 @@ def difference_synthesis(f_seq: FrameSeq, h_seq: FrameSeq) -> ModuleOperator:
     if f_seq.spec != h_seq.spec or f_seq.rank != h_seq.rank:
         raise InputError("families must live in the same module")
     return f_seq.synthesis_op - h_seq.synthesis_op
-
-
-def difference_quadratic(f_seq: FrameSeq, h_seq: FrameSeq, f: ModuleVector) -> float:
-    """||sum_j <f, f_j - h_j><f_j - h_j, f>||, evaluated as ||<D* f, D* f>||."""
-    d = difference_synthesis(f_seq, h_seq).adjoint().apply(f)
-    return d.inner(d).norm()
 
 
 def _branch_value(d_op: ModuleOperator, u_op: ModuleOperator, tol: float) -> float:
@@ -107,7 +101,6 @@ def pertur1_audit(
     a: AlgElement,
     b: AlgElement,
     tol: float = DEFAULT_TOL,
-    converse: bool = False,
 ) -> Certificate:
     """Audit the min-type perturbation statement.
 
@@ -117,9 +110,9 @@ def pertur1_audit(
     constants of `exact_branch_M`.  The pointwise form, ||D* f||^2 <=
     M max(||U_F* f||^2, ||U_H* f||^2) for each f, has a constant no larger
     (the sup of the pointwise min-ratio); its exact bracket is left open in
-    ROADMAP.md (item 1), and no estimate of it is reported.
+    ROADMAP.md (item 4), and no estimate of it is reported.
 
-    Forward mode: one certificate "perturb-min-conclusion", the L-frame
+    It returns one certificate, "perturb-min-conclusion": the L-frame
     certificate of {h_j} (`frames._pencil_kframe`).  Its upper bound
     upper_const is the least Bessel bound of {h_j} that a branch gives,
     with D* f = U_F* f - U_H* f and ||U_F* f|| <= ||B|| ||f||:
@@ -133,25 +126,15 @@ def pertur1_audit(
     nu lies in (0, 10 tol], which resolves no lower bound at tol.  Its
     witness holds M, both branch constants, upper_const, lambda_LK, the
     pencil of (L L*, K K*) (exactly 1 when L is K, with K not factored),
-    the classical reference lower constant ||A||^2 lambda / (1 + sqrt(M))^2
-    (lambda = lambda_LK, or 1 where that is infinite, L = 0), and
-    bessel_of_h = sigma_max(U_H) = ||S_H||^(1/2), read off U_H's kept
+    and bessel_of_h = sigma_max(U_H) = ||S_H||^(1/2), read off U_H's kept
     factorization.  A PreconditionError names the range residuals of a
     failed hypothesis: R(L) inside R(K), which holds exactly when L is K,
     or R(D) inside R(U_F) or R(U_H) (both branch constants infinite); and
     it names m_h where neither branch bounds {h_j} (m_f infinite, m_h >= 1).
-
-    Converse mode (co-isometric K, R(K) <= R(L)): one certificate
-    "perturb-min-converse" that M does not exceed min{(1 + ||D||/||A||)^2,
-    (1 + sqrt(lambda)||B||/||C||)^2} evaluated from certified bounds of
-    both families.
     """
     m_f, m_h = exact_branch_M(f_seq, h_seq, tol)
     m_val = min(m_f, m_h)
     constants: dict = {"M": m_val, "branch_M_f": m_f, "branch_M_h": m_h}
-    if converse:
-        return _pertur1_converse(h_seq, k_op, l_op, a, b, constants, tol)
-
     _require_hypotheses(f_seq, k_op, l_op, a, b, tol)
     if not math.isfinite(m_val):
         d_op = difference_synthesis(f_seq, h_seq)
@@ -166,60 +149,16 @@ def pertur1_audit(
     if math.isinf(upper_const):
         raise PreconditionError("hypothesis gives no Bessel bound of {h_j}: R(D) is not inside "
                                 f"R(U_F), and branch_M_h = {m_h:.3e} is not below 1")
-    sqrt_m = math.sqrt(m_val)
     lam_lk = pencil_lower_bound(l_op, k_op, tol)
     nu = pencil_lower_bound(l_op, h_seq.synthesis_op, tol)
-    lam_ref = lam_lk if math.isfinite(lam_lk) else 1.0
     constants.update(
         upper_const=upper_const,
         lambda_LK=lam_lk,
         pencil_lower_H=nu,
-        reference_lower_floor=a_norm**2 * lam_ref / (1.0 + sqrt_m) ** 2,
         bessel_of_h=float(_factorization(h_seq.synthesis_op).smax),
     )
     frame_cert = _pencil_kframe(h_seq, l_op, nu, upper_const, tol, "perturb-lframe")
     return combine("perturb-min-conclusion", [frame_cert], extra=constants)
-
-
-def _pertur1_converse(
-    h_seq: FrameSeq,
-    k_op: ModuleOperator,
-    l_op: ModuleOperator,
-    a: AlgElement,
-    b: AlgElement,
-    constants: dict,
-    tol: float,
-) -> Certificate:
-    if not _is_coisometry(k_op, h_seq.rank):
-        raise PreconditionError("converse mode needs a co-isometric K")
-    included, resid = _inclusion(k_op, l_op, tol)
-    if not included:
-        raise PreconditionError(
-            f"converse hypothesis failed: R(K) not contained in R(L), residual {resid:.3e}"
-        )
-    # certified scalar bounds of the perturbed family against L
-    nu = pencil_lower_bound(l_op, h_seq.synthesis_op, tol)
-    if nu <= 0.0:
-        raise PreconditionError("converse hypothesis failed: {h_j} is not an L-frame")
-    c_norm = _pencil_bound(h_seq.spec, nu).norm()
-    d_norm = float(_factorization(h_seq.synthesis_op).smax)
-    lam = pencil_lower_bound(k_op, l_op, tol)
-    lam_val = 1.0 / lam if lam not in (0.0, math.inf) else 0.0
-    m_reference = min(
-        (1.0 + d_norm / a.norm()) ** 2,
-        (1.0 + math.sqrt(lam_val) * b.norm() / c_norm) ** 2,
-    )
-    witness = {
-        **constants,
-        "reference_M": m_reference,
-        "norm_A": a.norm(),
-        "norm_B": b.norm(),
-        "norm_C": c_norm,
-        "norm_D": d_norm,
-        "lambda": lam_val,
-    }
-    status = verdict(constants["M"] - m_reference, tol, max(1.0, m_reference))
-    return Certificate(status, "perturb-min-converse", witness, tol)
 
 
 # Witness fields of a certified or undecided three-constant hypothesis
@@ -338,7 +277,6 @@ def pertur2_audit(
     d_op = difference_synthesis(f_seq, h_seq)
     _require_hypotheses(f_seq, k_op, l_op, a, b, tol)
     # A is central now, so sigma_min(A) is its least block scalar
-    a_norm = a.norm()
     sigma_min = float(np.abs(a.central_scalars()).min())
     gamma_f = 0.0 if gamma == 0 else gamma / sigma_min if sigma_min > 0 else math.inf
     if max(alpha + gamma_f, beta) >= 1.0:
@@ -356,7 +294,6 @@ def pertur2_audit(
     nu = pencil_lower_bound(l_op, h_seq.synthesis_op, tol)
     frame_cert = _pencil_kframe(h_seq, l_op, nu, upper_const, tol, "perturb-abg-lframe")
 
-    g_reference = a_norm * (1.0 - (alpha + beta + gamma / a_norm) / (1.0 + beta))
     g_sound = sigma_min * (1.0 - (alpha + gamma_f)) / (1.0 + beta)
     # ||U_H* f|| >= g ||K* f|| for all f iff g^2 K K* <= U_H U_H* (the
     # rank-one reduction of `douglas._majorization`), iff g^2 is at most
@@ -369,25 +306,17 @@ def pertur2_audit(
         if math.isfinite(pencil_k):
             worst_margin = pencil_k - g_sound**2
     lower_cert = Certificate(
-        lower,
-        "perturb-abg-lower",
-        {
-            "g_reference": g_reference,
-            "g_sound": g_sound,
-            "worst_margin": worst_margin,
-            "pencil_lower_K": pencil_k,
-        },
-        tol,
+        lower, "perturb-abg-lower",
+        {"g_sound": g_sound, "worst_margin": worst_margin, "pencil_lower_K": pencil_k}, tol,
     )
     constants = {
         "alpha": alpha,
         "beta": beta,
         "gamma": gamma,
-        "norm_A": a_norm,
+        "norm_A": a.norm(),
         "norm_B": b_norm,
         "sigma_min_A": sigma_min,
         "upper_const": upper_const,
-        "g_reference": g_reference,
         "g_sound": g_sound,
         "hypothesis": hypothesis.status,
         **{

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import AlgebraSpec, AlgElement, DEFAULT_TOL
 from .certify import Certificate, combine, residual_verdict
 from .errors import InputError
 from .frames import FrameSeq, _family, certify_kframe
-from .hilbmod import ModuleOperator, ModuleVector, _operator, _vector
+from .hilbmod import ModuleOperator, _operator
 
 
 @dataclass(frozen=True)
@@ -49,16 +47,6 @@ class TensorWitness:
         return AlgElement(self.product, [
             (a.blocks[i][:, None, :, None] * b.blocks[k][None, :, None, :]).reshape(dim, dim)
             for (i, k), dim in zip(self.block_pairs, self.product.block_dims)])
-
-    def vector(self, f: ModuleVector, h: ModuleVector) -> ModuleVector:
-        """f tensor h in (A tensor B)^(n m), slots ordered (left, right).
-
-        The stacks of f are the reduced matrices of T_f: A -> A^n, a ->
-        (a f_1, ..., a f_n), and f tensor h = (T_f tensor T_h)(1 tensor 1)."""
-        t = self.operator(
-            _operator(f.spec, 1, f.rank, f.stacks), _operator(h.spec, 1, h.rank, h.stacks)
-        )
-        return _vector(self.product, t.block_matrices())
 
     def operator(self, k_op: ModuleOperator, l_op: ModuleOperator) -> ModuleOperator:
         """K tensor L acting by (K tensor L)(f tensor h) = Kf tensor Lh.

@@ -133,7 +133,7 @@ def test_criterion_3_douglas_equivalence_with_oracle():
         rng = stream(8000, trial)
         n = 2 + trial % 2
         drop_grid = [
-            [spec.unit() if (i == j and j < n - 1) else spec.zero() for i in range(n)]
+            [spec.unit() if (i == j and j < n - 1) else 0 * spec.unit() for i in range(n)]
             for j in range(n)
         ]
         s_op = grid_operator(spec, drop_grid).compose(

@@ -291,9 +291,9 @@ def test_spectrum_matches_companion_matrix_oracle():
 
 
 def test_zero_is_positive():
-    assert is_positive(SPEC21.zero(), 1e-9)
+    assert is_positive(0 * SPEC21.unit(), 1e-9)
     with pytest.raises(InputError):
-        is_positive(SPEC21.zero(), -1e-9)
+        is_positive(0 * SPEC21.unit(), -1e-9)
 
 
 def test_indefinite_not_positive():

@@ -59,6 +59,61 @@ def test_every_private_helper_is_referenced_outside_its_def():
     assert not unused, f"private helpers nothing references: {unused}"
 
 
+# the benchmark drives the library from outside it, so its references count
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+
+def _public_defs(tree):
+    """Module-level functions and class methods whose names do not start
+    with an underscore, as (qualified name, node)."""
+    found = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for c in tree.body:
+        if isinstance(c, ast.ClassDef):
+            found += [(f"{c.name}.{m.name}", m) for m in c.body if isinstance(m, ast.FunctionDef)]
+    return [(name, n) for name, n in found if not n.name.startswith("_")]
+
+
+def _references(tree):
+    """The line of every name read as an `ast.Name` or an `ast.Attribute`
+    in tree, by name; a word in a docstring or a comment is not one."""
+    lines = {}
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.Name, ast.Attribute)):
+            lines.setdefault(n.id if isinstance(n, ast.Name) else n.attr, []).append(n.lineno)
+    return lines
+
+
+def _referenced(name, node, path, references):
+    """Whether name is read anywhere in references (path -> `_references`)
+    outside node's own lines in path."""
+    return any(path != p or not node.lineno <= line <= node.end_lineno
+               for p, refs in references.items() for line in refs.get(name, ()))
+
+
+def test_references_skip_docstrings_and_the_definition():
+    tree = ast.parse('"""an inverse"""\ndef inverse(m):\n    return inverse(m)\n'
+                     'class C:\n    def norm(self):\n        """pseudo-inverse"""\n'
+                     '        return self.norm\n'
+                     'def f(c):\n    return c.norm()\n')
+    defs = _public_defs(tree)
+    assert [name for name, _ in defs] == ["inverse", "f", "C.norm"]
+    refs = {"m.py": _references(tree)}
+    assert [_referenced(n.name, n, "m.py", refs) for _, n in defs] == [False, False, True]
+
+
+def test_every_public_definition_is_referenced_or_exported():
+    paths = [*sorted(SRC.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]
+    trees = {p: ast.parse(p.read_text()) for p in paths}
+    references = {p: _references(t) for p, t in trees.items()}
+    dead = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in paths if path.parent == SRC
+        for name, node in _public_defs(trees[path])
+        if name not in cstarframes.__all__ and not _referenced(node.name, node, path, references)
+    ]
+    assert not dead, f"public definitions nothing references or exports: {dead}"
+
+
 def test_public_names_resolve_once():
     names = cstarframes.__all__
     assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)

@@ -644,7 +644,7 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                 digest.update(f"{profile} {command} {seed} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "346991774bfc5cf473684399ed6df8bb6ca0ec78d8a9d55e56b59ea2b2aea212"
+        "93b1ffc1bf3995dd378707a8fd81508064cc7fc1315d72fdc7e7e3be909c5c50"
     )
 
 

@@ -14,7 +14,6 @@ from cstarframes import (
     InputError,
     ModuleOperator,
     ModuleVector,
-    PreconditionError,
     atomic_coefficients,
     certify_kframe,
     certify_star_bessel,
@@ -24,19 +23,16 @@ from cstarframes import (
     dual_atoms,
     dual_atoms_audit,
     identity_operator,
-    ks_inverse_frame,
     local_atoms_check,
     optimal_scalar_bounds,
     pencil_lower_bound,
     pseudo_inverse,
-    range_inclusion,
     save_instance,
     tensor_frame,
     tensor_witness,
     transform_frame,
-    transform_kframe_audit,
 )
-from cstarframes import frames
+from cstarframes import douglas, frames
 from cstarframes.cli import COMMANDS, main
 from cstarframes.harness import SUITES, random_instance, tensor_pair_instance
 from cstarframes.hilbmod import _vector, central_mult
@@ -54,6 +50,7 @@ from oracles import (
     coefficient_gram_direct,
     coordinate_vector,
     entries,
+    flat,
     flatten,
     grid_operator,
     grid_vector,
@@ -114,7 +111,7 @@ def test_frame_operator_entry_formula():
     s = fr.frame_op
     for k in range(3):
         for i in range(3):
-            total = SPEC.zero()
+            total = 0 * SPEC.unit()
             for m in fr.members:
                 total = total + entries(m)[k].adjoint() * entries(m)[i]
             assert (entries(s)[k][i] - total).norm() <= 1e-12 * max(1.0, total.norm())
@@ -159,7 +156,7 @@ def test_synthesis_adjoint_law():
     fr = random_frame(SPEC, 2, 4, rng)
     g = random_vector(SPEC, 4, rng)
     f = random_vector(SPEC, 2, rng)
-    lhs = fr.synthesis(g).inner(f)
+    lhs = fr.synthesis_op.apply(g).inner(f)
     rhs = g.inner(fr.analysis(f))
     assert (lhs - rhs).norm() <= 1e-11 * max(1.0, lhs.norm())
 
@@ -169,10 +166,10 @@ def test_synthesis_pairing_formula():
     fr = random_frame(SPEC, 2, 4, rng)
     g = random_vector(SPEC, 4, rng)
     f = random_vector(SPEC, 2, rng)
-    direct = SPEC.zero()
+    direct = 0 * SPEC.unit()
     for j, m in enumerate(fr.members):
         direct = direct + entries(g)[j] * m.inner(f)
-    assert (fr.synthesis(g).inner(f) - direct).norm() <= 1e-11 * max(1.0, direct.norm())
+    assert (fr.synthesis_op.apply(g).inner(f) - direct).norm() <= 1e-11 * max(1.0, direct.norm())
 
 
 def test_paper_truncation_analysis_coefficients():
@@ -378,7 +375,7 @@ def test_exact_decision_agrees_with_reference_sampler(seed, rank, count, scale, 
 def test_bessel_rejects_degenerate_bound():
     fr = coordinate_frame(SPEC, 2)
     with pytest.raises(InputError):
-        certify_star_bessel(fr, SPEC.zero(), 1e-9)
+        certify_star_bessel(fr, 0 * SPEC.unit(), 1e-9)
 
 
 # -- K-frame certification ----------------------------------------------------------------
@@ -410,7 +407,7 @@ def test_rank_deficient_frame_falsified_with_witness():
     members = []
     for _ in range(4):
         v = random_vector(SPEC, 2, rng)
-        members.append(grid_vector(SPEC, [entries(v)[0], SPEC.zero()]))
+        members.append(grid_vector(SPEC, [entries(v)[0], 0 * SPEC.unit()]))
     fr = FrameSeq(members)
     k = identity_operator(SPEC, 2)
     cert = certify_kframe(fr, k, SPEC.unit(), 10.0 * SPEC.unit(), 1e-9)
@@ -512,7 +509,7 @@ def test_atomic_coefficients_planted_factorization():
 def test_atomic_rejects_range_violation():
     rng = stream(88, 0)
     members = [
-        grid_vector(SPEC, [entries(random_vector(SPEC, 2, rng))[0], SPEC.zero()])
+        grid_vector(SPEC, [entries(random_vector(SPEC, 2, rng))[0], 0 * SPEC.unit()])
         for _ in range(4)
     ]
     fr = FrameSeq(members)
@@ -529,7 +526,7 @@ def test_corollary_equivalence_atomic_iff_range_inclusion():
         inst = random_instance(seed, profile)
         fr = inst.members
         k = inst.operators["K"]
-        inclusion = range_inclusion(k, fr.synthesis_op, 1e-9)
+        inclusion = douglas._inclusion(k, fr.synthesis_op, 1e-9)[0]
         try:
             atomic_coefficients(fr, k, 1e-9)
             atomic_ok = True
@@ -576,13 +573,13 @@ def test_dual_atoms_identity_reproduce_canonical_dual():
     rng = stream(91, 0)
     fr = random_frame(SPEC, 2, 5, rng)
     atoms = dual_atoms(fr, identity_operator(SPEC, 2), 1e-9)
-    s_inv = fr.frame_op.inverse()
+    s_inv = pseudo_inverse(fr.frame_op)
     for h, m in zip(atoms.members, fr.members):
         assert (h - s_inv.apply(m)).norm() <= 1e-9 * max(1.0, h.norm())
     # canonical-dual reconstruction f = sum <f, S^-1 f_j> f_j
     f = random_vector(SPEC, 2, rng)
     coeffs = [f.inner(h) for h in atoms.members]
-    recon = fr.synthesis(grid_vector(SPEC, coeffs))
+    recon = fr.synthesis_op.apply(grid_vector(SPEC, coeffs))
     assert (f - recon).norm() <= 1e-9 * max(1.0, f.norm())
 
 
@@ -593,7 +590,7 @@ def test_dual_atoms_planted_reconstruction():
     h_frame = dual_atoms(fr, k, 1e-9)
     for _ in range(10):
         f = random_vector(SPEC, 2, rng)
-        recon = fr.synthesis(h_frame.analysis(f))
+        recon = fr.synthesis_op.apply(h_frame.analysis(f))
         assert (k.apply(f) - recon).norm() <= 1e-9 * max(1.0, f.norm())
 
 
@@ -616,7 +613,7 @@ def test_dual_atoms_scale_their_residual_with_k():
 def test_local_atoms_full_module_canonical():
     rng = stream(93, 0)
     fr = random_frame(SPEC, 2, 5, rng)
-    s_inv = fr.frame_op.inverse()
+    s_inv = pseudo_inverse(fr.frame_op)
     atoms = transform_frame(fr, s_inv)
     c = (s_inv.norm() * fr.synthesis_op.norm()) * SPEC.unit()
     cert = local_atoms_check(fr, identity_operator(SPEC, 2), atoms, c, 1e-9)
@@ -637,12 +634,12 @@ def test_local_atoms_planted_projection():
     rng = stream(95, 0)
     # members supported on the first slot only
     members = [
-        grid_vector(SPEC, [random_element(SPEC, rng), SPEC.zero()]) for _ in range(4)
+        grid_vector(SPEC, [random_element(SPEC, rng), 0 * SPEC.unit()]) for _ in range(4)
     ]
     fr = FrameSeq(members)
     p_grid = [
-        [SPEC.unit(), SPEC.zero()],
-        [SPEC.zero(), SPEC.zero()],
+        [SPEC.unit(), 0 * SPEC.unit()],
+        [0 * SPEC.unit(), 0 * SPEC.unit()],
     ]
     p = grid_operator(SPEC, p_grid)
     s_pinv = pseudo_inverse(fr.frame_op)
@@ -658,7 +655,7 @@ def test_local_atoms_planted_projection():
     assert cert_full.witness["failed"] == "reconstruction"
     # the witness re-checks: its residual through the atoms is the reported norm
     f = cert_full.witness_vector
-    recon = fr.synthesis(atoms.analysis(f))
+    recon = fr.synthesis_op.apply(atoms.analysis(f))
     assert (f - recon).norm() / f.norm() == pytest.approx(
         cert_full.witness["relative_residual"], rel=1e-9
     )
@@ -694,7 +691,7 @@ def test_local_atoms_non_central_bound_falsified_with_witness_in_range(p_slots):
     c = SPEC.element([np.array([[3.0, 0.5], [0.0, 3.0]]), np.array([[3.0]])])
     p = grid_operator(
         SPEC,
-        [[SPEC.unit() if i == j and j in p_slots else SPEC.zero() for i in range(2)]
+        [[SPEC.unit() if i == j and j in p_slots else 0 * SPEC.unit() for i in range(2)]
          for j in range(2)],
     )
     cert = local_atoms_check(fr, p, fr, c, 1e-9)
@@ -752,8 +749,8 @@ def test_dual_atoms_of_a_zero_k_certify_at_tol_zero():
 
 @pytest.mark.parametrize("profile", ["generic", "rank-deficient-K"])
 def test_bessel_bounds_held_by_construction_certify(profile):
-    # dual_atoms_audit and ks_inverse_frame record these bounds as certified
-    # without a check; each certifies on the family's own factorization
+    # dual_atoms_audit records this bound as certified without a check; it
+    # certifies on the family's own factorization
     for seed in range(40):
         inst = random_instance(seed, profile)
         fr = inst.members
@@ -761,12 +758,6 @@ def test_bessel_bounds_held_by_construction_certify(profile):
         k = inst.operators["K" if profile == "generic" else "P"]
         assert dual_atoms_audit(fr, k, 1e-9).witness["bessel_status"] == "certified"
         assert oracles.dual_atoms_bessel(fr, k, 1e-9).status == "certified"
-        if profile == "generic":
-            assert ks_inverse_frame(fr, k, 1e-9)[1].witness["bessel_status"] == "certified"
-            assert oracles.ks_inverse_bessel(fr, k, 1e-9).status == "certified"
-        else:  # S is singular, so there is no K S^-1 family
-            with pytest.raises(PreconditionError, match="not invertible"):
-                ks_inverse_frame(fr, k, 1e-9)
 
 
 def test_local_atoms_requires_projection():
@@ -809,12 +800,16 @@ def test_coisometry_preserves_optimal_bounds():
 
 
 def test_transform_kframe_bounds():
+    # a K-frame {f_j} with bounds (A, B) makes {L f_j} an LK-frame with
+    # bounds (A, ||L|| B)
     rng = stream(100, 0)
     fr = random_frame(SPEC, 2, 4, rng)
     k = fr.synthesis_op.compose(random_operator(SPEC, 2, 4, rng))
     a, b = scalar_bounds_with_margin(fr, k)
     l_op = random_operator(SPEC, 2, 2, rng)
-    cert = transform_kframe_audit(fr, l_op, k, a, b, 1e-9)
+    assert certify_kframe(fr, k, a, b, 1e-9).status == "certified"
+    moved = transform_frame(fr, l_op)
+    cert = certify_kframe(moved, l_op.compose(k), a, l_op.norm() * b, 1e-9)
     assert cert.status == "certified"
 
 
@@ -835,14 +830,21 @@ def test_lframe_proposition_with_pencil_scaling():
     assert cert.status == "certified"
 
 
-# -- inverse-frame constructions ----------------------------------------------------------------------
+# -- the K S^-1 family ------------------------------------------------------------------------------
+#
+# For an invertible frame operator S, K f = sum_j <f, f_j> K S^-1 f_j: the
+# family {K S^-1 f_j} is {f_j} moved by K S^+ (S^+ = S^-1), and the
+# identity is K = V U*, V its synthesis, checked here on the flattenings.
+
+
+def ks_inverse_family(fr, k):
+    return transform_frame(fr, k.compose(pseudo_inverse(fr.frame_op)))
 
 
 def test_ks_inverse_with_frame_operator_returns_members():
     rng = stream(102, 0)
     fr = random_frame(SPEC, 2, 4, rng)
-    new_frame, cert = ks_inverse_frame(fr, fr.frame_op, 1e-9)
-    assert cert.status == "certified"
+    new_frame = ks_inverse_family(fr, fr.frame_op)
     for h, m in zip(new_frame.members, fr.members):
         assert (h - m).norm() <= 1e-9 * max(1.0, m.norm())
 
@@ -850,42 +852,34 @@ def test_ks_inverse_with_frame_operator_returns_members():
 def test_ks_inverse_identity_gives_canonical_dual():
     rng = stream(103, 0)
     fr = random_frame(SPEC, 2, 4, rng)
-    new_frame, cert = ks_inverse_frame(fr, identity_operator(SPEC, 2), 1e-9)
-    assert cert.status == "certified"
-    s_inv = fr.frame_op.inverse()
+    new_frame = ks_inverse_family(fr, identity_operator(SPEC, 2))
+    s_flat = flatten(fr.frame_op)
     for h, m in zip(new_frame.members, fr.members):
-        assert (h - s_inv.apply(m)).norm() <= 1e-10 * max(1.0, h.norm())
+        want = np.linalg.solve(s_flat, flat(m))
+        assert np.linalg.norm(flat(h) - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+
+
+def assert_ks_inverse_reconstructs(fr, k):
+    k_flat = flatten(k)
+    recon = flatten(ks_inverse_family(fr, k).synthesis_op) @ flatten(fr.analysis_op)
+    assert np.linalg.norm(k_flat - recon, 2) <= 1e-10 * max(1.0, np.linalg.norm(k_flat, 2))
 
 
 def test_ks_inverse_random_k_reconstruction():
     rng = stream(104, 0)
     fr = random_frame(SPEC, 2, 4, rng)
-    k = random_operator(SPEC, 2, 2, rng)
-    new_frame, cert = ks_inverse_frame(fr, k, 1e-9)
-    assert cert.status == "certified"
-    assert cert.witness["max_reconstruction_residual"] <= 1e-10
+    assert_ks_inverse_reconstructs(fr, random_operator(SPEC, 2, 2, rng))
 
 
 def test_ks_inverse_accepts_a_small_well_conditioned_frame():
     # scaling the members by 1e-5 scales S by 1e-10 and keeps its condition
-    # number: least eigenvalue 1.6e-11, below tol, but 1e-2 of ||S||
+    # number: least eigenvalue 1.6e-11, below tol, but 1e-2 of ||S||, so the
+    # rank cut of S^+, relative to ||S||, keeps S invertible
     inst = random_instance(3, "generic")
     small = transform_frame(inst.members, identity_operator(SPEC, inst.rank).scalar_mul(1e-5))
     assert min(w[0] for w in small.frame_op.herm_block_eigs()) < 1e-9
     for fr in (inst.members, small):
-        _, cert = ks_inverse_frame(fr, inst.operators["K"], 1e-9)
-        assert cert.status == "certified"
-        assert cert.witness["max_reconstruction_residual"] <= 1e-10
-
-
-def test_ks_inverse_rejects_singular_frame_operator():
-    rng = stream(105, 0)
-    members = [
-        grid_vector(SPEC, [random_element(SPEC, rng), SPEC.zero()]) for _ in range(4)
-    ]
-    fr = FrameSeq(members)
-    with pytest.raises(PreconditionError, match="not invertible"):
-        ks_inverse_frame(fr, identity_operator(SPEC, 2), 1e-9)
+        assert_ks_inverse_reconstructs(fr, inst.operators["K"])
 
 
 # -- invariants -------------------------------------------------------------------------------------------
@@ -1056,10 +1050,8 @@ def test_derived_families_are_built_from_their_synthesis_operators(tmp_path, mon
         assert main(argv + ["--samples", "20"]) in (0, 1, 2), argv
 
     fr, k = generic.members, generic.operators["K"]
-    a, b = generic.bounds["A"], generic.bounds["B"]
     assert dual_atoms(fr, k, 1e-9).n_members == fr.n_members
-    ks_inverse_frame(fr, k)
-    transform_kframe_audit(fr, generic.operators["L"], k, a, b)
+    transform_frame(fr, generic.operators["L"])
     local_atoms_check(fr, identity_operator(SPEC, generic.rank), dual_atoms(fr, k, 1e-9),
                       SPEC.unit(), 1e-9)
     coordinate_frame(SPEC, 2)

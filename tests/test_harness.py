@@ -1,7 +1,7 @@
 import hashlib
+import inspect
 import json
 import math
-import re
 import sys
 
 import pytest
@@ -67,7 +67,7 @@ def test_instance_bytes_are_pinned():
 # sha256 over the payloads of run_suite(suite, trials=3, seed=k), k = 0, 1
 SUITE_PAYLOADS = {
     "douglas-equivalence": "b09629d27ac0125f837823374c3f86e1bada65240d05bf34da66ab8e335785ff",
-    "kframe-main": "db3e8b8ae7ff65e696e762d4e17e9abdf20c0a83479333c902ee4b9a73b6da1f",
+    "kframe-main": "ec5f6b5b260fdaa896a8c74fadc4cf137813913f1cbe5fb6bfa4bcca56335aa4",
     "paper-example": "94d94a18f9b255b4f506ab21634c0c72917ae60991bd032be5fb702ce522ee96",
     "conjugation": "0de79c73b502663ef8409ec262cf65352e663502bf633daa8801909542f9ba15",
     "tensor": "00138b4d6b6843739ca18f33464751e813f2c3ffa0daf59e7ff66e2df50d309b",
@@ -397,22 +397,29 @@ def test_perturbed_trials_are_the_generic_instances_without_l(monkeypatch):
 # -- the claim table ---------------------------------------------------------------------
 
 
-# a public audit, by name: certify_*, *_audit, *_check and ks_inverse_frame
-AUDIT_NAME = re.compile(r"certify_\w+|\w+_audit|\w+_check|ks_inverse_frame")
-# the audits, and audit modes, that no row of CLAIMS runs: only the
-# library and its tests reach them
-LIBRARY_ONLY = {"transform_kframe_audit", "ks_inverse_frame", "pertur1_audit(converse=True)"}
+# the public functions that no claim runs, each with why it stays public:
+# everything else in __all__ is reached when every claim of CLAIMS runs
+NOT_A_CLAIM = {
+    "coordinate_frame": "builds an input family",
+    "dual_atoms": "builds the atoms an input to local-atoms may carry",
+    "load_instance": "reads an instance file, the CLI's --input",
+    "parse_instance": "decodes an instance dict, the CLI's --input",
+    "save_instance": "writes an instance file",
+    "write_report": "writes a report, the CLI's --report",
+    "report_payload_bytes": "a report's bytes without its wall clock",
+}
 
 
-def test_every_public_audit_is_reached_by_a_claim_or_listed_library_only(monkeypatch, capsys):
-    audits = {name for name in cstarframes.__all__ if AUDIT_NAME.fullmatch(name)}
+def test_every_public_function_is_reached_by_a_claim_or_listed(monkeypatch, capsys):
+    functions = {name for name in cstarframes.__all__
+                 if inspect.isfunction(getattr(cstarframes, name))}
     reached = set()
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "cstarframes"]
-    for name in audits:
+    for name in functions:
         real = getattr(cstarframes, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
-            reached.add(_name + ("(converse=True)" if kwargs.get("converse") else ""))
+            reached.add(_name)
             return _real(*args, **kwargs)
 
         for module in modules:
@@ -423,10 +430,11 @@ def test_every_public_audit_is_reached_by_a_claim_or_listed_library_only(monkeyp
             profile = "rank-deficient-K" if claim.command == "local-atoms" else "generic"
             assert cli.main([claim.command, "--profile", profile]) in (0, 1, 2), claim
         if claim.suite:
-            run_suite(claim.suite, trials=2)
+            assert cli.main(["suite", claim.suite, "--trials", "2"]) in (0, 1, 2), claim
     capsys.readouterr()
-    assert reached.isdisjoint(LIBRARY_ONLY), reached & LIBRARY_ONLY
-    assert reached | LIBRARY_ONLY == audits | {"pertur1_audit(converse=True)"}
+    assert NOT_A_CLAIM.keys() <= functions, NOT_A_CLAIM.keys() - functions
+    assert reached.isdisjoint(NOT_A_CLAIM), reached & NOT_A_CLAIM.keys()
+    assert reached | NOT_A_CLAIM.keys() == functions, functions - reached - NOT_A_CLAIM.keys()
 
 
 def test_commands_and_suites_come_from_the_claim_table():

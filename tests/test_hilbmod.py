@@ -72,7 +72,7 @@ def test_sequence_example_inner_product_is_entrywise():
 
 
 def test_vector_norm():
-    z = grid_vector(SPEC, [SPEC.zero(), SPEC.zero()])
+    z = grid_vector(SPEC, [0 * SPEC.unit(), 0 * SPEC.unit()])
     assert z.norm() == 0.0
     assert coordinate_vector(SPEC, 2, 1).norm() == 1.0
     rng = stream(22, 0)
@@ -149,7 +149,7 @@ def test_adjoint_entry_convention():
 def test_compose_with_planted_inverse():
     rng = stream(27, 0)
     t = random_operator(SPEC, 3, 3, rng)
-    t_inv = t.inverse()
+    t_inv = ModuleOperator(SPEC, 3, 3, [np.linalg.inv(m) for m in t.block_matrices()])
     ident = identity_operator(SPEC, 3)
     assert (t.compose(t_inv) - ident).norm() <= 1e-9
     assert (t_inv.compose(t) - ident).norm() <= 1e-9
@@ -298,8 +298,8 @@ def test_central_mult_action_is_module_action():
 def test_projection_checks():
     assert identity_operator(SPEC, 2).is_projection(1e-9)
     grid = [
-        [SPEC.unit(), SPEC.zero()],
-        [SPEC.zero(), SPEC.zero()],
+        [SPEC.unit(), 0 * SPEC.unit()],
+        [0 * SPEC.unit(), 0 * SPEC.unit()],
     ]
     p = grid_operator(SPEC, grid)
     assert p.is_projection(1e-9)
@@ -415,11 +415,11 @@ def test_entries_view_agrees_with_stored_arrays(spec, rank):
     # one matmul per block against the entrywise definitions, summed term by term
     g = random_vector(spec, rank, rng)
     fe, ge, grid = entries(f), entries(g), entries(t)
-    ip = sum((a * b.adjoint() for a, b in zip(fe, ge)), spec.zero())
+    ip = sum((a * b.adjoint() for a, b in zip(fe, ge)), 0 * spec.unit())
     assert (f.inner(g) - ip).norm() <= 1e-13 * max(1.0, ip.norm())
     tf = grid_vector(
         spec,
-        [sum((fe[j] * grid[j][i] for j in range(rank)), spec.zero()) for i in range(4 - rank)],
+        [sum((fe[j] * grid[j][i] for j in range(rank)), 0 * spec.unit()) for i in range(4 - rank)],
     )
     assert (t.apply(f) - tf).norm() <= 1e-13 * max(1.0, tf.norm())
 
