@@ -21,26 +21,24 @@ mu* = ||U U*||, and the eigenvalues |c|^2 - sigma(U_b)^2 of a central
 upper frame bound's gap (`frames._certify_upper`).  S's arrays are
 read-only, so the kept factorization cannot go stale.
 
-The other decompositions, per reduced block: the range residual
-||(I - S S^+) T|| = ||perp_b^H T_b||, exactly 0 where the rank cut makes
-S_b onto, and the factorization residual ||S Q - T|| are
-`certify.residual_verdict`'s, a `sigma_max` only where a Frobenius norm
-does not certify; ||S^+ T|| = max_b ||left_b T_b||, 1 / sqrt(pencil) and
-||Q||, is `_kernels.gram_norm`, one values-only `eigvalsh`, and no SVD
-of Q; `cokernel_witness` adds a `thin_svd` per block, which
-`equivalence_audit` takes only when the pencil fails; the norm
-inequality is one `psd_certificate`.
-Every decision is `certify.verdict` at the caller's tol: range
-inclusion, the pencil's too, holds at residual <= tol max(1, ||T||).
-That scale is `certify.verdict_at_norm`'s, so ||T|| is taken only for a
-residual above tol or for `_majorization`'s size.
-The pencil of T = 0 is math.inf, read off T's entries before S is
-factored.  T is S decides exactly, with no factorization: its range
-residual is 0 and its pencil 1 (for T != 0), as when a perturbation
-audit asks whether R(K) lies in R(K).
-The public entry points are `pseudo_inverse`, `pencil_lower_bound` and
-`equivalence_audit`; range inclusion alone is `_inclusion`, which the
-perturbation audits read, and a solve alone is `_Factorization.solve`.
+Range inclusion at tol is decided in one place, `_inclusion`: the range
+residual ||(I - S S^+) T|| = max_b ||perp_b^H T_b||, exactly 0 where the
+rank cut makes S_b onto, holds at <= tol max(1, ||T||) by
+`certify.residual_verdict` (a `sigma_max` only where a Frobenius norm does
+not certify, and ||T|| only for a residual above tol).  T is S is
+included exactly, with S unfactored, as when a perturbation audit asks
+whether R(K) lies in R(K).  The pencil, condition (i) of
+`equivalence_audit`, the perturbation hypotheses and
+`frames.atomic_coefficients` read that verdict.  The pencil is 0 where it
+fails, else 1 / ||S^+ T||^2, where ||S^+ T|| = max_b ||left_b T_b|| (also
+||Q||) is one values-only `eigvalsh` per block (`_kernels.gram_norm`) and
+no SVD of Q; it is math.inf for T = 0, read off T's entries before S is
+factored, and 1 for T is S.  The factorization residual ||S Q - T|| of
+`_Factorization.solve` is a value that only condition (iv) decides.
+`cokernel_witness` adds a `thin_svd` per block, which `equivalence_audit`
+takes only when the pencil fails; the norm inequality is one
+`psd_certificate`.  The public entry points are `pseudo_inverse`,
+`pencil_lower_bound` and `equivalence_audit`.
 """
 
 from __future__ import annotations
@@ -146,11 +144,11 @@ class _Factorization:
                  and verdict_at_norm(t_norm, tol, t) != CERTIFIED)
         return (f if found else None), (s_norm, t_norm)
 
-    def range_residual(self, t: ModuleOperator, tol: float) -> float:
-        """`certify.residual_verdict`'s value for (I - S S^+) T at scale
-        max(1, ||T||), read on perp_b^H T_b: 0 where S_b is onto."""
+    def range_residual(self, t: ModuleOperator, tol: float) -> tuple[str, float]:
+        """`certify.residual_verdict` of (I - S S^+) T at scale max(1, ||T||),
+        read on perp_b^H T_b: 0, certified, where S_b is onto."""
         mats = [ph @ m for ph, m in zip(self.perps, t.block_matrices()) if ph is not None]
-        return residual_verdict(mats, tol, t)[1]
+        return residual_verdict(mats, tol, t)
 
     def whitened_norm(self, t: ModuleOperator) -> float:
         """||S^+ T|| = max_b ||left_b T_b||, which is 1 / sqrt(mu) for the
@@ -162,22 +160,13 @@ class _Factorization:
             default=0.0,
         )
 
-    def pencil(
-        self,
-        t: ModuleOperator,
-        tol: float,
-        residual: Optional[float] = None,
-        qnorm: Optional[float] = None,
-    ) -> float:
-        """`pencil_lower_bound` given, if already known, the range residual
-        of T and ||S^+ T||; math.inf for T = 0, where both are 0."""
-        if residual is None:
-            residual = self.range_residual(t, tol)
-        if verdict_at_norm(residual, tol, t) != CERTIFIED:
+    def pencil(self, t: ModuleOperator, included: bool, qnorm: Optional[float] = None) -> float:
+        """`pencil_lower_bound` given `_inclusion`'s verdict on T and, if
+        already known, ||S^+ T||: 0 where R(T) is not inside R(S), math.inf
+        for T = 0, where ||S^+ T|| is 0."""
+        if not included:
             return 0.0
-        if qnorm is None:
-            qnorm = self.whitened_norm(t)
-        lam = qnorm**2
+        lam = (self.whitened_norm(t) if qnorm is None else qnorm) ** 2
         return math.inf if lam == 0.0 else 1.0 / lam
 
     def solve(self, t: ModuleOperator, tol: float) -> tuple[ModuleOperator, float]:
@@ -208,10 +197,13 @@ def pseudo_inverse(t: ModuleOperator) -> ModuleOperator:
 
 
 def _inclusion(t: ModuleOperator, s: ModuleOperator, tol: float) -> tuple[bool, float]:
-    """R(T) inside R(S) at tol, and the residual deciding it (0, unfactored, for t is s)."""
+    """R(T) inside R(S) at tol, and the range residual deciding it: the one
+    place that decides it.  t is s is included exactly, S unfactored."""
     _check_common_target(t, s)
-    residual = 0.0 if t is s else _factorization(s).range_residual(t, tol)
-    return verdict_at_norm(residual, tol, t) == CERTIFIED, residual
+    if t is s:
+        return True, 0.0
+    status, residual = _factorization(s).range_residual(t, tol)
+    return status == CERTIFIED, residual
 
 
 def pencil_lower_bound(
@@ -219,21 +211,20 @@ def pencil_lower_bound(
 ) -> float:
     """sup{mu >= 0 : mu T T* <= S S*}.
 
-    Returns 0 when range inclusion fails at tol (residual above
-    tol max(1, ||T||)), math.inf for T = 0.  Otherwise it is
-    1 / ||S^+ T||^2 (Douglas: the minimal solution Q of T = S Q has
-    ||Q||^2 = 1 / mu), with ||S^+ T|| = max_b ||diag(1 / sigma_k) U_k^H T_b||
-    read off S's kept SVD.  ||T|| is taken only for a residual above
-    tol.  T = 0 is recognised from its entries, and t is s gives the
-    exact 1.0 (mu T T* <= T T* iff mu <= 1 for T != 0), so in neither case
-    is S factored.
+    Returns 0 where `_inclusion` finds R(T) not inside R(S) at tol,
+    math.inf for T = 0.  Otherwise it is 1 / ||S^+ T||^2 (Douglas: the
+    minimal solution Q of T = S Q has ||Q||^2 = 1 / mu), with ||S^+ T|| =
+    max_b ||diag(1 / sigma_k) U_k^H T_b|| read off S's kept SVD.  T = 0 is
+    recognised from its entries, and t is s gives the exact 1.0
+    (mu T T* <= T T* iff mu <= 1 for T != 0), so in neither case is S
+    factored.
     """
     _check_common_target(t, s)
     if not any(m.any() for m in t.block_matrices()):
         return math.inf
     if t is s:
         return 1.0
-    return _factorization(s).pencil(t, tol)
+    return _factorization(s).pencil(t, _inclusion(t, s, tol)[0])
 
 
 def _majorization(
@@ -266,32 +257,30 @@ def equivalence_audit(
     """Evaluate the four equivalent conditions independently and certify
     that they agree.
 
-    (i) range-inclusion residual, (ii) pencil positivity, (iii) the norm
-    inequality lambda ||T* f||^2 <= ||S* f||^2 at lambda equal to the
-    pencil value, decided exactly by the eigen route of `_majorization`
-    (independent of the whitened Gram behind (ii)), (iv) factorization
-    residual of S (S^+ T) = T.  (i), (iv) and the range inclusion behind
-    (ii) hold when their residual is <= tol max(1, ||T||).  When (ii)
-    fails, (iii) instead looks for a direction f in the cokernel of S
-    that T* sees, at the top left singular vector of (I - S S^+) T =
-    perp (perp^H T): it fails when ||S* f|| <= tol max(1, ||S||) and
-    ||T* f||, which is the range residual up to rounding, exceeds
-    tol max(1, ||T||), the bound (i) uses.  A pencil value that
-    `pencil_verdict` calls inconclusive, one that exists but lies below
-    what tol resolves, or an inconclusive (iii) gives an inconclusive
-    certificate.
+    (i) range inclusion, `_inclusion`'s verdict, (ii) pencil positivity,
+    the pencil read off that verdict, (iii) the norm inequality
+    lambda ||T* f||^2 <= ||S* f||^2 at lambda equal to the pencil value,
+    decided exactly by the eigen route of `_majorization` (independent of
+    the whitened Gram behind (ii)), (iv) factorization residual of
+    S (S^+ T) = T, which holds at <= tol max(1, ||T||), the bound (i)
+    uses.  When (ii) fails, (iii) instead looks for a direction f in the
+    cokernel of S that T* sees, at the top left singular vector of
+    (I - S S^+) T = perp (perp^H T): it fails when ||S* f|| <=
+    tol max(1, ||S||) and ||T* f||, the range residual up to rounding,
+    does not hold at (i)'s bound.  A pencil value that `pencil_verdict`
+    calls inconclusive, one that exists but lies below what tol resolves,
+    or an inconclusive (iii) gives an inconclusive certificate.  So do
+    conditions that disagree with no witness vector, from (iii)'s gap or
+    its cokernel direction: only a witness falsifies.
 
     `seed` is ignored: nothing is sampled.
     """
-    _check_common_target(t, s)
+    cond_i, residual = _inclusion(t, s, tol)
     fac = _factorization(s)
-    residual = fac.range_residual(t, tol)
-    cond_i = verdict_at_norm(residual, tol, t) == CERTIFIED
-
     q, fact_residual = fac.solve(t, tol)
     cond_iv = verdict_at_norm(fact_residual, tol, t) == CERTIFIED
 
-    mu = fac.pencil(t, tol, residual, q.norm())
+    mu = fac.pencil(t, cond_i, q.norm())
     pencil_status = pencil_verdict(mu, tol)
     near_boundary = pencil_status == INCONCLUSIVE
     cond_ii = pencil_status == CERTIFIED
@@ -330,7 +319,8 @@ def equivalence_audit(
     elif all(verdicts) or not any(verdicts):
         status = CERTIFIED
     else:
-        status = FALSIFIED
+        # conditions that disagree falsify the claim only with a witness vector
+        status = FALSIFIED if witness_vec is not None else INCONCLUSIVE
     return Certificate(
         status, "douglas-equivalence", witness, tol,
         witness_vector=witness_vec if status == FALSIFIED else None,

@@ -24,9 +24,11 @@ gap is formed only to witness a violation.  A violation on a non-scalar
 block comes with a constructed rank-one witness.
 
 Whether {f_j} is a K-frame is read off the pencil value lambda of
-(K K*, U U*) (Douglas's majorization theorem) by `_pencil_certificate`
-alone, and the lower bound lambda gives, sqrt(lambda (1 - BOUND_INSET)) 1,
-never lifted above sqrt(lambda), by `_pencil_bound` alone.
+(K K*, U U*) (Douglas's majorization theorem), 0 exactly where
+`douglas._inclusion` finds R(K) not inside R(U), as the atomic systems
+do.  `_pencil_certificate` alone makes lambda = 0 falsified or
+inconclusive, `_pencil_bound` alone gives its lower bound, and
+`_pencil_kframe` every command's K-frame verdict, none certified at 0.
 
 No check here samples.  Bounds that hold by construction are recorded,
 not re-checked: C = ||Q|| 1 for the atomic coefficients and the dual
@@ -46,9 +48,9 @@ from . import _kernels
 from .algebra import DEFAULT_TOL, AlgebraSpec, AlgElement
 from .certify import (
     CERTIFIED, Certificate, FALSIFIED, INCONCLUSIVE, combine, pencil_verdict, psd_certificate,
-    residual_verdict, verdict, verdict_at_norm, worst,
+    residual_verdict, verdict, worst,
 )
-from .douglas import _factorization, pencil_lower_bound
+from .douglas import _factorization, _inclusion, pencil_lower_bound
 from .errors import AtomicSystemError, InputError, PreconditionError
 from .hilbmod import (
     ModuleOperator,
@@ -394,16 +396,21 @@ def _pencil_certificate(
     return Certificate(status, claim, witness, tol, witness_vector=f)
 
 
-def _pencil_kframe(frame: FrameSeq, k_op: ModuleOperator, lam: float, upper: float,
-                   tol: float, claim: str) -> Certificate:
-    """`certify_kframe` with lower bound `_pencil_bound` of the pencil value
-    lam and upper bound upper 1 where `_pencil_certificate` certifies lam
-    (no kernel call), else that certificate under claim, with lam as
-    pencil_value."""
-    gate = _pencil_certificate(frame, k_op, lam, tol, claim, {"pencil_value": lam})
-    if not gate.ok:
+def _pencil_kframe(frame: FrameSeq, k_op: ModuleOperator, lam: float, b: AlgElement,
+                   tol: float, claim: str, witness: dict,
+                   a: Optional[AlgElement] = None) -> Certificate:
+    """The K-frame verdict of {f_j}, with pencil value lam of (K K*, U U*)
+    and upper bound b.  With a lower bound a, `certify_kframe`'s, unless it
+    certifies where lam = 0 (R(K) is not inside R(U) at tol); without, the
+    lower bound is `_pencil_bound` of lam where `_pencil_certificate`
+    certifies lam.  Otherwise `_pencil_certificate`'s, under claim."""
+    if a is not None:
+        cert = certify_kframe(frame, k_op, a, b, tol)
+        if not cert.ok or lam != 0.0:
+            return cert
+    gate = _pencil_certificate(frame, k_op, lam, tol, claim, witness)
+    if a is not None or not gate.ok:
         return gate
-    b = frame.spec.central([upper] * frame.spec.n_blocks)
     return certify_kframe(frame, k_op, _pencil_bound(frame.spec, lam), b, tol)
 
 
@@ -421,20 +428,21 @@ def atomic_coefficients(
     witnesses the coefficient bound <a_f, a_f> <= C<f,f>C*: C is central,
     so the bound is Q*Q <= ||Q||^2 I, which always holds.  ||Q|| =
     ||U^+ K|| is U's kept factorization's whitened norm of K, with no SVD
-    of Q.  Raises AtomicSystemError unless
-    `certify.residual_verdict` certifies R(K) inside R(U) on U Q - K at
-    tol, with scale max(1, ||K||).
+    of Q.  Raises AtomicSystemError exactly where `douglas._inclusion`
+    does not find R(K) inside R(U) at tol, before Q is formed; the
+    factorization residual ||U Q - K|| it returns is a value, not decided.
     `seed` is ignored; nothing is sampled.
     """
     n = frame.rank
     if k_op.spec != frame.spec or k_op.in_rank != n or k_op.out_rank != n:
         raise InputError("K must be a square operator on the frame's module")
-    q, residual = _factorization(frame.synthesis_op).solve(k_op, tol)
-    if verdict_at_norm(residual, tol, k_op) != CERTIFIED:
+    included, residual = _inclusion(k_op, frame.synthesis_op, tol)
+    if not included:
         raise AtomicSystemError(
             "not an atomic system: range-inclusion residual "
             f"{residual:.3e} exceeds tol {tol:g} x max(1, ||K||)"
         )
+    q, residual = _factorization(frame.synthesis_op).solve(k_op, tol)
     return q, frame.spec.central([q.norm()] * frame.spec.n_blocks), residual
 
 
@@ -445,7 +453,7 @@ def dual_atoms(frame: FrameSeq, k_op: ModuleOperator, tol: float = DEFAULT_TOL) 
     self-duality of A^J: the coefficient functional f -> (Qf)_j is the
     pairing with h_j, so the family's synthesis operator is Q*.  Raises
     AtomicSystemError, a PreconditionError, where `atomic_coefficients`
-    does not certify ||K - U Q||.
+    does: R(K) is not inside R(U) at tol.
     """
     q, _, _ = atomic_coefficients(frame, k_op, tol)
     return _family(q.adjoint())
@@ -456,12 +464,12 @@ def dual_atoms_audit(
 ) -> Certificate:
     """Certificate version of the dual-atom reconstruction and Bessel bound.
 
-    The atoms' synthesis is H = Q*, so K - U H* is K - U Q, the certified
-    factorization residual negated bit for bit (fl(a - b) = -fl(b - a)):
-    its Frobenius norm, which decided, is the same bits, and certifies.
-    The Bessel bound ||Q|| 1 holds by construction, as Q*Q <= ||Q||^2 I
-    (`atomic_coefficients`): certified, Q* unfactored.  Where the residual
-    does not certify, the certificate is `_pencil_certificate`'s at 0."""
+    Certified exactly where `atomic_coefficients` finds R(K) inside R(U),
+    where the exact Q = U^+ K has U Q = K: the atoms' synthesis is H = Q*,
+    and the residual of K - U H* = K - U Q is recorded, not decided.  The
+    Bessel bound ||Q|| 1 holds by construction, as Q*Q <= ||Q||^2 I:
+    certified, Q* unfactored.  Elsewhere the pencil value is 0, and the
+    certificate is `_pencil_certificate`'s at 0."""
     try:
         _, c, residual = atomic_coefficients(frame, k_op, tol)
     except AtomicSystemError as exc:  # R(K) is not inside R(U): the pencil value is 0

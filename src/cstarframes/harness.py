@@ -27,6 +27,7 @@ from .frames import (
     FrameSeq,
     _family,
     _pencil_certificate,
+    _pencil_kframe,
     atomic_coefficients,
     certify_kframe,
     certify_star_bessel,
@@ -244,10 +245,8 @@ def _kframe_main_trial(seed: int, trial: int, tol: float, *_) -> dict:
         frame, k_op = inst.members, inst.operators["K"]
     lam, mu = optimal_scalar_bounds(frame, k_op, tol)
     gate = pencil_verdict(lam, tol)
-    kframe_ok = False
-    if gate == CERTIFIED:
-        a, b = derived_bounds(frame, lam, mu)
-        kframe_ok = certify_kframe(frame, k_op, a, b, tol).ok
+    a, b = derived_bounds(frame, lam, mu)
+    kframe_ok = gate == CERTIFIED and certify_kframe(frame, k_op, a, b, tol).ok
     try:
         recon_residual = atomic_coefficients(frame, k_op, tol)[2]
     except AtomicSystemError:
@@ -414,22 +413,18 @@ def _outcome(cert: Certificate) -> tuple:
 
 
 def _run_kframe(inst: Instance, k_op: ModuleOperator, tol: float, claim: str) -> tuple:
-    """certify_kframe with the instance's bounds, or with `derived_bounds`
-    where `frames._pencil_certificate` certifies lambda*; else that
-    certificate."""
+    """`frames._pencil_kframe` with the instance's bounds A, B, or where it
+    lacks one with `derived_bounds`' B and a lower bound derived there."""
     frame = inst.members
     lam, mu = optimal_scalar_bounds(frame, k_op, tol)
     values = {"lambda_star": lam, "mu_star": mu}
-    a = inst.bounds.get("A")
-    b = inst.bounds.get("B")
+    a, b = inst.bounds.get("A"), inst.bounds.get("B")
     if a is None or b is None:
-        witness = {"lambda_star": lam, "reason": "no scalar lower bound resolved at tol"}
-        cert = _pencil_certificate(frame, k_op, lam, tol, claim, witness)
-        if not cert.ok:
-            return cert.status, values, [cert]
-        a, b = derived_bounds(frame, lam, mu)
-        values["derived_bounds"] = True
-    cert = certify_kframe(frame, k_op, a, b, tol)
+        a, b = None, derived_bounds(frame, lam, mu)[1]
+        if pencil_verdict(lam, tol) == CERTIFIED:
+            values["derived_bounds"] = True
+    witness = {"lambda_star": lam, "reason": "no scalar lower bound resolved at tol"}
+    cert = _pencil_kframe(frame, k_op, lam, b, tol, claim, witness, a)
     return cert.status, values, [cert]
 
 

@@ -141,8 +141,7 @@ def pertur1_audit(
         resid_f, resid_h = (_inclusion(d_op, s.synthesis_op, tol)[1] for s in (f_seq, h_seq))
         raise PreconditionError("hypothesis failed: R(D) is inside neither R(U_F) nor R(U_H), "
                                 f"range residuals {resid_f:.3e} and {resid_h:.3e}")
-    a_norm, b_norm = a.norm(), b.norm()
-    constants.update(norm_A=a_norm, norm_B=b_norm)
+    constants["norm_B"] = b_norm = b.norm()
     # each branch's Bessel bound of {h_j}, infinite where it gives none
     h_bound = b_norm / (1.0 - math.sqrt(m_h)) if m_h < 1.0 else math.inf
     upper_const = min((1.0 + math.sqrt(m_f)) * b_norm, h_bound)
@@ -157,7 +156,8 @@ def pertur1_audit(
         pencil_lower_H=nu,
         bessel_of_h=float(_factorization(h_seq.synthesis_op).smax),
     )
-    frame_cert = _pencil_kframe(h_seq, l_op, nu, upper_const, tol, "perturb-lframe")
+    frame_cert = _pencil_kframe(h_seq, l_op, nu, b.spec.central([upper_const] * b.spec.n_blocks),
+                                tol, "perturb-lframe", {"pencil_value": nu})
     return combine("perturb-min-conclusion", [frame_cert], extra=constants)
 
 
@@ -292,7 +292,8 @@ def pertur2_audit(
     b_norm = b.norm()
     upper_const = b_norm * (1.0 + (alpha + beta + gamma_f) / (1.0 - beta))
     nu = pencil_lower_bound(l_op, h_seq.synthesis_op, tol)
-    frame_cert = _pencil_kframe(h_seq, l_op, nu, upper_const, tol, "perturb-abg-lframe")
+    frame_cert = _pencil_kframe(h_seq, l_op, nu, b.spec.central([upper_const] * b.spec.n_blocks),
+                                tol, "perturb-abg-lframe", {"pencil_value": nu})
 
     g_sound = sigma_min * (1.0 - (alpha + gamma_f)) / (1.0 + beta)
     # ||U_H* f|| >= g ||K* f|| for all f iff g^2 K K* <= U_H U_H* (the
@@ -313,7 +314,6 @@ def pertur2_audit(
         "alpha": alpha,
         "beta": beta,
         "gamma": gamma,
-        "norm_A": a.norm(),
         "norm_B": b_norm,
         "sigma_min_A": sigma_min,
         "upper_const": upper_const,

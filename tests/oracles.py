@@ -479,7 +479,8 @@ def reference_equivalence_audit(t, s, tol=1e-9):
     elif all(verdicts) or not any(verdicts):
         status = CERTIFIED
     else:
-        status = FALSIFIED
+        # conditions that disagree falsify the claim only with a witness vector
+        status = FALSIFIED if witness_vector is not None else INCONCLUSIVE
     return Certificate(
         status, "douglas-equivalence", witness, tol,
         witness_vector=witness_vector if status == FALSIFIED else None,

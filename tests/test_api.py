@@ -1,7 +1,8 @@
 """Guards on the library's surface: no dead private helper, a public
 name list that resolves, no tolerance-like literal outside a named
 module constant, no decided residual that bypasses the residual rule,
-and no LAPACK call outside `_kernels`."""
+no LAPACK call outside `_kernels`, and one site that decides range
+inclusion."""
 
 import ast
 import inspect
@@ -243,3 +244,38 @@ def test_lapack_calls_go_through_the_kernels():
     # `record_kernels` patches exactly the kernels that call LAPACK
     assert {name for name, f in vars(_kernels).items() if inspect.isfunction(f)
             and "np.linalg." in inspect.getsource(f)} == set(KERNELS)
+
+
+def _sites(attr):
+    """(module, function) of every call of the name attr under src/ and of
+    every read of an attribute attr, a method call included, one per
+    occurrence; a function is a module-level one or a class's method,
+    qualified by its class."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)] + [
+            (f"{c.name}.{m.name}", m) for c in tree.body if isinstance(c, ast.ClassDef)
+            for m in c.body if isinstance(m, ast.FunctionDef)
+        ]
+        found += [
+            (path.name, name) for name, fn in functions for n in ast.walk(fn)
+            if isinstance(n, ast.Attribute) and n.attr == attr
+            or isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == attr
+        ]
+    return sorted(found)
+
+
+def test_range_inclusion_is_decided_at_one_site():
+    # "is R(T) inside R(S) at tol?" has one answer: `douglas._inclusion`
+    # decides the one range residual, which only the kept factorization's
+    # cokernel basis gives; the pencil, the Douglas audit, the atomic
+    # coefficients and the perturbation hypotheses read that verdict, and
+    # only the atomic coefficients turn it into an AtomicSystemError
+    assert _sites("range_residual") == [("douglas.py", "_inclusion")]
+    assert set(_sites("perps")) == {
+        ("douglas.py", "_Factorization.__init__"),
+        ("douglas.py", "_Factorization.range_residual"),
+        ("douglas.py", "_Factorization.cokernel_witness"),
+    }
+    assert _sites("AtomicSystemError") == [("frames.py", "atomic_coefficients")]

@@ -511,7 +511,7 @@ def test_perturb2_report_carries_lower_constant(tmp_path, capsys):
 )
 def test_status_line_shows_the_decision(tmp_path, capsys, command, keys):
     # perturb2's first four values are the audit's inputs (alpha, beta,
-    # gamma, norm_A); its status line shows the hypothesis and the
+    # gamma, norm_B); its status line shows the hypothesis and the
     # constant instead, and the report keeps its field order
     out = tmp_path / "r.json"
     assert main([command, "--profile", "generic", "--seed", "1", "--report", str(out)]) == 0
@@ -521,7 +521,7 @@ def test_status_line_shows_the_decision(tmp_path, capsys, command, keys):
         for k in keys)
     assert capsys.readouterr().out == f"{command}: certified ({shown})\n"
     if command == "perturb2":
-        assert list(values)[:4] == ["alpha", "beta", "gamma", "norm_A"]
+        assert list(values)[:4] == ["alpha", "beta", "gamma", "norm_B"]
 
 
 def test_status_line_of_a_falsified_hypothesis(tmp_path, capsys):
@@ -644,7 +644,7 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                 digest.update(f"{profile} {command} {seed} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "93b1ffc1bf3995dd378707a8fd81508064cc7fc1315d72fdc7e7e3be909c5c50"
+        "c467b4d9b570c78e53875fc80e62c15454e04ff60e85b8ed470f75146bd69843"
     )
 
 

@@ -279,6 +279,22 @@ def test_audit_near_boundary_pencil_is_inconclusive():
     assert cert.status == "inconclusive"
 
 
+@pytest.mark.parametrize(("tol", "sigma"), [(1e-12, 1e-10), (1e-12, 1e-11), (0.0, 1e-13)])
+def test_audit_failed_inclusion_without_a_witness_is_inconclusive(tol, sigma):
+    # S = diag(1, sigma): the rank cut drops sigma, so (i) finds R(I) not
+    # inside R(S), but ||S* e_2|| = sigma exceeds tol, so the cokernel
+    # direction does not re-check and (iii) is not witnessed false
+    spec = AlgebraSpec((1,))
+    t = ModuleOperator(spec, 2, 2, [np.eye(2, dtype=complex)])
+    s = ModuleOperator(spec, 2, 2, [np.diag([1.0, sigma]).astype(complex)])
+    cert = equivalence_audit(t, s, tol)
+    conds = [cert.witness[f"cond_{c}"] for c in ("i", "ii", "iii", "iv")]
+    assert (cert.status, cert.witness_vector, conds) == (
+        "inconclusive", None, [False, False, True, False])
+    assert cert.witness["cond_iii_s_adj_norm"] == pytest.approx(sigma)
+    assert oracles.reference_equivalence_audit(t, s, tol).status == "inconclusive"
+
+
 @pytest.mark.parametrize(("ratio", "tol", "included"), [
     (2e-9, 1e-9, False), (5e-9, 1e-9, False),
     (2e-8, 1e-6, True), (1e-7, 1e-6, True), (5e-7, 1e-6, True),

@@ -276,10 +276,13 @@ def test_paper_example_decides_at_the_suite_tolerance():
 
 
 def test_kframe_main_decides_atomicity_at_the_suite_tolerance():
-    # trial 0 is generic: U Q = K holds up to rounding, which tol 0 rejects
+    # trial 0 is generic, U onto: R(K) lies inside R(U) exactly, so it is an
+    # atomic system at tol 0 too, as it is a K-frame; U Q = K holds only up
+    # to rounding, which the row records as a value and does not decide
     rows = [run_suite("kframe-main", trials=1, tol=tol)["trials"][0] for tol in (1e-9, 0.0)]
-    assert [r["atomic_ok"] for r in rows] == [True, False]
-    assert [r["status"] for r in rows] == ["certified", "falsified"]
+    assert [(r["kframe_ok"], r["atomic_ok"]) for r in rows] == [(True, True)] * 2
+    assert [r["status"] for r in rows] == ["certified", "certified"]
+    assert 0.0 < rows[1]["reconstruction_residual"] < 1e-13
 
 
 def test_kframe_main_takes_no_witness_it_drops(monkeypatch):
