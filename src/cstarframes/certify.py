@@ -13,10 +13,14 @@ distance from a scalar block too: a Frobenius bound decides where it
 certifies, and a `_kernels.sigma_max` per block only elsewhere; the
 Douglas pencil takes no SVD (`_kernels.gram_norm`).  Every operator
 inequality ends in `psd_certificate`, that rule on the gap's least
-eigenvalue: one values-only `eigvalsh` per block of the gap whose
-eigenvalues the caller does not already know exactly (a central upper
-frame bound's are |c|^2 - sigma(U_b)^2, read off U's kept singular
-values), and one block's `eigh` only when it falsifies.
+eigenvalue: one values-only `eigvalsh` per block of the gap, unless its
+eigenvalues or a pencil decide the block (a central upper frame bound's
+are |c|^2 - sigma(U_b)^2, read off U's kept singular values; a central
+lower bound c 1 on onto U_b holds where |c|^2 ||U_b^+ K_b||^2 <= 1, and
+where that holds on every block beyond rounding its gap is given by
+bounds on its extreme eigenvalues, sigma_min(U_b)^2 (1 - |c|^2
+||U_b^+ K_b||^2) and sigma_max(U_b)^2), and one block's `eigh` only when
+it falsifies.
 """
 
 from __future__ import annotations
@@ -133,11 +137,16 @@ def psd_certificate(
     difference of larger terms passes their size, since rounding follows
     them.  A caller that knows some blocks' ascending eigenvalues exactly
     passes them as `eigs`, None for a block still to be eigensolved; they
-    are decided by the same rule.  Such a caller may pass, as `gap`, the
-    function that forms the gap operator: it is called at most once, only
-    for a block still to be eigensolved or a falsified certificate.  Only
-    a falsified certificate takes eigenvectors: one `eigh` of the block
-    attaining the minimum, through `negative_witness`.
+    are decided by the same rule.  A block shown positive semidefinite
+    otherwise may be given as a lower bound > 0 on its least eigenvalue
+    and an upper bound on its largest (`frames._scalar_lower_eigs`): it
+    certifies at any tol >= 0, and is reported and scaled by those
+    bounds.  Such a caller may
+    pass, as `gap`, the function that forms the gap operator: it is
+    called at most once, only for a block still to be eigensolved or a
+    falsified certificate.  Only a falsified certificate takes
+    eigenvectors: one `eigh` of the block attaining the minimum, through
+    `negative_witness`.
     """
     if eigs is None or any(w is None for w in eigs):
         gap = _formed(gap)

@@ -33,7 +33,11 @@ whether R(K) lies in R(K).  The pencil, condition (i) of
 fails, else 1 / ||S^+ T||^2, where ||S^+ T|| = max_b ||left_b T_b|| (also
 ||Q||) is one values-only `eigvalsh` per block (`_kernels.gram_norm`) and
 no SVD of Q; it is math.inf for T = 0, read off T's entries before S is
-factored, and 1 for T is S.  The factorization residual ||S Q - T|| of
+factored, and 1 for T is S.  The per-block norms are kept on S's
+factorization for the last T asked about (`_Factorization.block_norms`),
+so the pencil, ||Q||, the Douglas audit's solve and `frames`' decision of
+an exactly central lower bound pay one Gram `eigvalsh` per block between
+them on one (S, T).  The factorization residual ||S Q - T|| of
 `_Factorization.solve` is a value that only condition (iv) decides.
 `cokernel_witness` adds a `thin_svd` per block, which `equivalence_audit`
 takes only when the pencil fails; the norm inequality is one
@@ -44,6 +48,7 @@ takes only when the pencil fails; the norm inequality is one
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -80,7 +85,8 @@ class _Factorization:
       ||S_b^+ T_b|| (V_k has orthonormal columns); None when k_b = 0;
     - `perps`: perp_b^H, with perp_b = U_b[:, k_b:] an orthonormal basis
       of the complement of R(S_b), so that I - S S^+ = perp perp^H; None
-      when k_b is the number of rows, where S_b is onto.
+      when k_b is the number of rows, where S_b is onto;
+    - the norms ||left_b T_b|| of the last T asked about (`block_norms`).
 
     S^+ is the thin-SVD formula on U_b's first min(rows, cols) columns.
     For a large tall block (seen at 200 x 20, not up to 72 x 24) LAPACK's
@@ -88,8 +94,9 @@ class _Factorization:
     as another SVD of S_b would.  Only S^+ reads V_b, so the SVD factors
     are kept until S^+ is formed, and dropped then; the pencil, the range
     residual and the cokernel witness never form it.  `s` is a twin of S
-    over the same read-only arrays, not S itself, so the factorization
-    kept on S holds no reference back to it and S with everything kept on
+    over the same read-only arrays, not S itself, and T is held weakly, so
+    the factorization kept on S holds no reference back to S or to an
+    operator whose factorization may hold S, and S with everything kept on
     it is freed by reference counting."""
 
     def __init__(self, s: ModuleOperator):
@@ -102,6 +109,7 @@ class _Factorization:
         self.perps: list[Optional[np.ndarray]] = []
         self._factors: Optional[list] = []
         self._pinv: Optional[ModuleOperator] = None
+        self._kept: Optional[tuple[weakref.ref, list[Optional[float]]]] = None
         for u, sig, vh in svds:
             k = int((sig > self.cut).sum())
             uh = u.conj().T
@@ -150,15 +158,32 @@ class _Factorization:
         mats = [ph @ m for ph, m in zip(self.perps, t.block_matrices()) if ph is not None]
         return residual_verdict(mats, tol, t)
 
+    def block_norms(self, t: ModuleOperator) -> list[Optional[float]]:
+        """||X_b|| = ||S_b^+ T_b|| per block, X_b = left_b T_b, None where
+        k_b = 0: `_kernels.gram_norm`, one values-only `eigvalsh` and no SVD.
+        They are kept for the last T asked about, matched by identity and
+        held weakly, so a second call on the same T reads them (T's arrays
+        are read-only, so the bits are the same) and the factorization
+        keeps no T alive."""
+        if self._kept is not None and self._kept[0]() is t:
+            return self._kept[1]
+        norms = [None if f is None else _kernels.gram_norm(f @ m)
+                 for f, m in zip(self.lefts, t.block_matrices())]
+        self._kept = (weakref.ref(t), norms)
+        return norms
+
+    def onto_norms(self, t: ModuleOperator) -> Optional[list[float]]:
+        """`block_norms` of T where every S_b is onto at its kept rank cut
+        (k_b is the number of rows, so left_b is square and T_b = S_b S_b^+
+        T_b exactly); None, with no norm taken, where some S_b is not."""
+        if any(f is None or f.shape[0] != f.shape[1] for f in self.lefts):
+            return None
+        return self.block_norms(t)
+
     def whitened_norm(self, t: ModuleOperator) -> float:
-        """||S^+ T|| = max_b ||left_b T_b||, which is 1 / sqrt(mu) for the
-        pencil value mu when R(T) is inside R(S): per block `_kernels.gram_norm` of
-        X_b = left_b T_b, one values-only `eigvalsh` and no SVD."""
-        return max(
-            (_kernels.gram_norm(f @ m) for f, m in zip(self.lefts, t.block_matrices())
-             if f is not None),
-            default=0.0,
-        )
+        """||S^+ T|| = max_b ||X_b|| (`block_norms`), which is 1 / sqrt(mu)
+        for the pencil value mu when R(T) is inside R(S)."""
+        return max((x for x in self.block_norms(t) if x is not None), default=0.0)
 
     def pencil(self, t: ModuleOperator, included: bool, qnorm: Optional[float] = None) -> float:
         """`pencil_lower_bound` given `_inclusion`'s verdict on T and, if

@@ -20,8 +20,13 @@ from the bound's block alone, with no kernel call on the bound and no
 operator for it; where the block is exactly c 1 the lower gap is
 S_k - T_k T_k^H with T_k = conj(c) K_k, and the upper gap's eigenvalues
 are |c|^2 - sigma(U_k)^2, read off U's kept singular values, so that
-gap is formed only to witness a violation.  A violation on a non-scalar
-block comes with a constructed rank-one witness.
+gap is formed only to witness a violation.  Where every lower block is
+exactly c 1 on an onto U_k, the lower inequality holds iff
+|c|^2 ||U_k^+ K_k||^2 <= 1 (Douglas), read off the norms U's kept
+factorization holds for K's pencil (`_scalar_lower_eigs`), so the lower
+gap is formed only where that test fails on a block, or lands within
+rounding of the boundary.  A violation on a non-scalar block comes with
+a constructed rank-one witness.
 
 Whether {f_j} is a K-frame is read off the pencil value lambda of
 (K K*, U U*) (Douglas's majorization theorem), 0 exactly where
@@ -188,9 +193,11 @@ def certify_kframe(
     """Certify the two-sided K-frame inequality with bounds A, B.
 
     The upper inequality is decided as in `certify_star_bessel`, from U's
-    kept singular values where B is exactly central.  The lower one, per
-    algebra block k with F, S_k as there and K_k the reduced
-    matrix of K, uses
+    kept singular values where B is exactly central.  The lower one is
+    certified by the pencil where on every block A_k is exactly alpha 1 on
+    an onto U_k and |alpha|^2 ||U_k^+ K_k||^2 < 1 clears rounding
+    (`_scalar_lower_eigs`), with no gap formed.  Otherwise, per algebra
+    block k with F, S_k as there and K_k the reduced matrix of K, it uses
 
         xi* A<K*f, K*f>A* xi = ||K_k^H F conj(A_k* xi)||^2.
 
@@ -210,9 +217,55 @@ def certify_kframe(
     n = frame.rank
     if k_op.spec != frame.spec or k_op.in_rank != n or k_op.out_rank != n:
         raise InputError("K must be a square operator on the frame's module")
-    gap = _gap(a, frame.frame_op, tol, k_op)
-    lower = _decide(frame, a, k_op, gap, tol, "star-kframe-lower")
+    lower = _decide(frame, a, k_op, lambda: _gap(a, frame.frame_op, tol, k_op), tol,
+                    "star-kframe-lower", _scalar_lower_eigs(frame, k_op, a))
     return combine("star-kframe", [lower, _certify_upper(frame, b, tol, "star-kframe-upper")])
+
+
+def _scalar_lower_eigs(
+    frame: FrameSeq, k_op: ModuleOperator, a: AlgElement
+) -> Optional[list[np.ndarray]]:
+    """The lower gap's blocks decided by the pencil, for `psd_certificate`'s
+    `eigs`, where it decides every block; else None, and every block takes
+    the gap, since a block given by bounds would move the scale the others
+    are decided at.  Where A_b is exactly c 1 and U_b is onto at its kept
+    rank cut, U_b = W Sigma V^H with W square, so K_b = W Sigma X_b
+    exactly for X_b = Sigma^-1 W^H K_b, and the gap S_b - |c|^2 K_b K_b^H
+    is W Sigma (I - |c|^2 X_b X_b^H) Sigma W^H: its least eigenvalue is at
+    least low_b = sigma_min(U_b)^2 (1 - |c|^2 ||X_b||^2), and its largest
+    at most sigma_max(U_b)^2 (the gap is at most S_b), the pair given for
+    the block.  ||X_b|| is U's kept factorization's `onto_norms` of K,
+    kept there for the pencil of (K K*, U U*).  The pencil decides block b
+    only where low_b exceeds `_pencil_slack` sigma_max(U_b)^2, so the gap
+    route certifies the block too, at any tol >= 0."""
+    scalars = a.exact_scalars()
+    if any(c is None for c in scalars):
+        return None
+    fac = _factorization(frame.synthesis_op)
+    norms = fac.onto_norms(k_op)
+    if norms is None:
+        return None
+    eigs = []
+    for c, x, sig, d in zip(scalars, norms, fac.sigmas, a.spec.block_dims):
+        top = sig[0] * sig[0]
+        low = sig[-1] * sig[-1] * (1.0 - (c.real**2 + c.imag**2) * x * x)
+        if not low > _pencil_slack(frame.rank * d, frame.n_members * d) * top:
+            return None
+        eigs.append(np.array([low, top]))
+    return eigs
+
+
+def _pencil_slack(rows: int, cols: int) -> float:
+    """rows (rows + cols + 8) eps, relative to sigma_max(U_b)^2 for a rows x
+    cols block U_b: a bound on the rounding of the lower gap formed and
+    eigensolved, gamma_cols || |U_b| ||^2 + gamma_rows || |c| |K_b| ||^2
+    (Higham, ch. 3) with || |M| ||^2 <= rows ||M||^2 and |c|^2 ||K_b||^2 <=
+    sigma_max^2 where |c|^2 ||X_b||^2 <= 1, plus eigvalsh's backward error
+    of a few u.  It also bounds sigma_min(U_b)^2 times the relative
+    rounding of |c|^2 ||X_b||^2: gamma_rows rows from X_b's Gram (see
+    `_kernels.gram_norm`), and a few u sigma_max / sigma_min from X_b
+    itself, the SVD's backward error through Sigma^-1."""
+    return rows * (rows + cols + 8) * np.finfo(float).eps
 
 
 def _certify_upper(frame: FrameSeq, b: AlgElement, tol: float, claim: str) -> Certificate:

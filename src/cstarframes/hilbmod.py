@@ -99,7 +99,7 @@ class ModuleOperator:
     a caller's matrices; library code wraps the matrices it computes with
     `_operator`."""
 
-    __slots__ = ("spec", "in_rank", "out_rank", "_mats", "_norm", "_fac")
+    __slots__ = ("spec", "in_rank", "out_rank", "_mats", "_norm", "_fac", "__weakref__")
 
     def __init__(
         self, spec: AlgebraSpec, in_rank: int, out_rank: int, mats: Sequence[np.ndarray]

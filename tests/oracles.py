@@ -9,7 +9,8 @@ action, the tracial flattening `flat`/`flatten`, `flat_permutation` and
 `spectrum`) read those arrays as algebra elements and rebuild them the
 other way round, so the tests check the arrays against the definitions.
 Reference copies of replaced code (the per-function Douglas
-factorizations) pin the current code to what it replaced, and the
+factorizations, the K-frame lower half decided by its gap alone) pin the
+current code to what it replaced, and the
 sampled checks the library once ran, one vector at a time, are the
 independent route its exact decisions are tested against.  Witnesses
 re-check through `is_positive`, the positivity rule those sampled
@@ -32,10 +33,11 @@ from cstarframes.certify import (
     Certificate,
     FALSIFIED,
     INCONCLUSIVE,
+    combine,
     psd_certificate,
 )
 from cstarframes.algebra import AlgElement
-from cstarframes import _kernels, douglas
+from cstarframes import _kernels, douglas, frames
 from cstarframes.errors import InputError
 from cstarframes.frames import _family, atomic_coefficients, certify_star_bessel
 from cstarframes.hilbmod import ModuleOperator, ModuleVector, _operator, _vector, diagonal_operator
@@ -587,6 +589,16 @@ def reference_gap(bound, s_op, tol, k_op=None):
     return _mixed_gap(
         bound, s_op - t.compose(t.adjoint()), k_op.compose(k_op.adjoint()).scalar_mul(-1.0), tol
     )
+
+
+def gap_route_kframe(frame, k_op, a, b, tol):
+    """`certify_kframe` as it decided before its lower half read the
+    pencil: every block of the lower gap S - T T* eigensolved, a violation
+    witnessed as before, and the upper half as `certify_kframe` takes it."""
+    lower = frames._decide(frame, a, k_op, frames._gap(a, frame.frame_op, tol, k_op), tol,
+                           "star-kframe-lower")
+    return combine("star-kframe",
+                   [lower, frames._certify_upper(frame, b, tol, "star-kframe-upper")])
 
 
 def reference_local_atoms_gap(p_op, s_g, c, tol):

@@ -644,7 +644,7 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                 digest.update(f"{profile} {command} {seed} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "c467b4d9b570c78e53875fc80e62c15454e04ff60e85b8ed470f75146bd69843"
+        "bd9d48319f03cf73b125135762f7e23e6f13652b9115eb7e6fd0e5657d46ab23"
     )
 
 
@@ -671,7 +671,7 @@ def test_input_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
             digest.update(f"{name} {command} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "a59f31e51f2471cd2a324a0de02c5ed0c23ecc2c2229fde0812099077bafdb78"
+        "eaedaa4fa249a529eade310d2c279f39bef002e581bb905b924f0e898e8d467c"
     )
 
 

@@ -19,6 +19,7 @@ from cstarframes import (
     FrameSeq,
     ModuleOperator,
     atomic_coefficients,
+    certify_kframe,
     douglas,
     dual_atoms_audit,
     equivalence_audit,
@@ -669,15 +670,15 @@ def test_atomic_coefficients_evaluates_no_pencil(monkeypatch):
     fac = douglas._factorization(u)
     calls = oracles.record_kernels(monkeypatch)
     q, c, residual = atomic_coefficients(frame, k, 1e-9)
-    seen, grams = calls.of(*oracles.SVDS), calls.of("eigvalsh")
     assert k._norm is None  # a residual within tol certifies at any ||K||
-    # per block, the norm of X_b = left_b K_b, which is ||Q||, from one
-    # eigvalsh of X_b X_b^H; U Q - K certifies on its Frobenius norm, and
-    # no SVD is taken, of a block of Q or of anything else
+    # ||Q|| = max_b ||X_b||, X_b = left_b K_b, is read off the norms the
+    # pencil kept on U's factorization for K; U Q - K certifies on its
+    # Frobenius norm, and no kernel is called, on a block of Q or on
+    # anything else
+    assert calls == []
     factored_residual = [a - b for a, b in zip(u.compose(q).block_matrices(), k.block_matrices())]
     whitened = [w @ m for w, m in zip(fac.lefts, k.block_matrices())]
-    assert seen == [] and len(grams) == spec.n_blocks
-    assert all(np.array_equal(a, x @ x.conj().T) for a, x in zip(grams, whitened))
+    assert fac.block_norms(k) == [_kernels.gram_norm(x) for x in whitened]
     assert residual == max(float(np.linalg.norm(m)) for m in factored_residual)
     assert c.norm() == q.norm() == fac.whitened_norm(k)
     w = equivalence_audit(k, u, 1e-9).witness
@@ -688,26 +689,32 @@ def test_onto_frame_takes_no_svd_of_a_range_residual(monkeypatch):
     # U of a 12-member frame of A^4 is onto in both blocks, so the rank cut
     # decides its range residual (exactly 0, no kernel call), and ||S^+ T||
     # (the pencil and ||Q||) is one eigvalsh per block of the Gram of
-    # left_b T_b
+    # left_b T_b, taken once and kept on U's factorization for T
     spec = AlgebraSpec((24, 12))
     rng = stream(76, 2)
     frame = FrameSeq([random_vector(spec, 4, rng) for _ in range(12)])
     u = frame.synthesis_op
     k = u.compose(random_operator(spec, 4, 12, rng))
     gram_shapes = {(4 * d, 4 * d) for d in spec.block_dims}
-    # a warm call takes the whitened norm only: U Q - K certifies on its
-    # Frobenius norm, the dual atoms' reconstruction is that residual, and
-    # condition (iii) takes one eigvalsh per block of its gap; mu* is U's
-    # kept sigma_max squared
+    lam, mu = optimal_scalar_bounds(frame, k)  # factors U and keeps its norms of K
+    k.norm()  # kept on K; condition (iii) scales by it
+    a = math.sqrt(lam * (1.0 - 1e-6)) * spec.unit()
+    b = math.sqrt(mu) * (1.0 + 1e-6) * spec.unit()
+    # every later call reads the kept norms: the K-frame's central lower
+    # bound is decided by the pencil and its upper one by sigma(U), U Q - K
+    # certifies on its Frobenius norm, the dual atoms' reconstruction is
+    # that residual, mu* is U's kept sigma_max squared, and only condition
+    # (iii) takes one eigvalsh per block, of its gap
     calls = {
-        "optimal_scalar_bounds": (lambda: optimal_scalar_bounds(frame, k), 1),
-        "equivalence_audit": (lambda: equivalence_audit(k, u, 1e-9), 2),
-        "atomic_coefficients": (lambda: atomic_coefficients(frame, k, 1e-9), 1),
-        "dual_atoms_audit": (lambda: dual_atoms_audit(frame, k, 1e-9), 1),
+        "optimal_scalar_bounds": (lambda: optimal_scalar_bounds(frame, k), 0),
+        "certify_kframe": (lambda: certify_kframe(frame, k, a, b, 1e-9), 0),
+        "atomic_coefficients": (lambda: atomic_coefficients(frame, k, 1e-9), 0),
+        "dual_atoms_audit": (lambda: dual_atoms_audit(frame, k, 1e-9), 0),
+        "equivalence_audit": (lambda: equivalence_audit(k, u, 1e-9), 1),
     }
-    for call, _ in calls.values():
-        call()  # factors U and takes the norms kept on K
-    assert all(p is None for p in douglas._factorization(u).perps)
+    fac = douglas._factorization(u)
+    assert all(f.shape[0] == f.shape[1] for f in fac.lefts)  # k_b = rows: onto
+    assert fac.onto_norms(k) is fac.block_norms(k)
     kernels = oracles.record_kernels(monkeypatch)
     for name, (call, per_block) in calls.items():
         kernels.clear()
@@ -716,11 +723,10 @@ def test_onto_frame_takes_no_svd_of_a_range_residual(monkeypatch):
         assert kernels.of(*oracles.SVDS) == [], name
         assert len(grams) == per_block * spec.n_blocks, name
         assert all(a.shape in gram_shapes for a in grams), name
+        if name in ("certify_kframe", "equivalence_audit", "dual_atoms_audit"):
+            assert result.status == "certified"
         if name == "equivalence_audit":
-            assert result.status == "certified"
             assert result.witness["range_residual"] == 0.0
-        if name == "dual_atoms_audit":
-            assert result.status == "certified"
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
@@ -908,9 +914,39 @@ def test_kept_factorization_holds_no_reference_to_its_operator():
         assert obj is not s
         todo.extend(gc.get_referents(obj))
     del fac
+    # each audit keeps on the factorization of its second operator the
+    # norms of its first; held strongly, K -> fac(K) -> L -> fac(L) -> K
+    # would be a cycle that only the collector frees
+    rng = stream(75, 1)
+    k, l = (random_operator(SPEC, 3, 3, rng) for _ in range(2))
+    equivalence_audit(k, l, 1e-9)
+    equivalence_audit(l, k, 1e-9)
+    refs = [weakref.ref(x) for x in (k, l, k._fac, l._fac)]
     gc.disable()
     try:
-        del s
-        assert pinv_block() is None  # freed by reference counting alone
+        del s, k, l
+        # freed by reference counting alone
+        assert pinv_block() is None
+        assert [r() for r in refs] == [None] * 4
     finally:
         gc.enable()
+
+
+def test_kept_norms_are_matched_by_identity(monkeypatch):
+    # a content-equal copy of T is another operator: its norms are taken
+    # afresh, one eigvalsh per block, and come out bit for bit the same
+    rng = stream(75, 2)
+    frame = FrameSeq([random_vector(SPEC, 3, rng) for _ in range(5)])
+    u = frame.synthesis_op
+    k = u.compose(random_operator(SPEC, 3, 5, rng))
+    fac = douglas._factorization(u)
+    kept = fac.block_norms(k)
+    calls = oracles.record_kernels(monkeypatch)
+    assert fac.block_norms(k) is kept and calls == []
+    k_copy = _copy(k)
+    assert fac.block_norms(k_copy) == kept
+    assert len(calls.of("eigvalsh")) == SPEC.n_blocks
+    calls.clear()
+    lam = pencil_lower_bound(k_copy, u)
+    assert calls == []  # the copy is now the T whose norms are kept
+    assert pencil_lower_bound(k, u) == lam

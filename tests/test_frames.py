@@ -1270,6 +1270,136 @@ def test_upper_route_does_not_depend_on_a_kept_factorization(seed):
     assert got[0].status == got[1].status
 
 
+# -- the exactly central lower inequality from the pencil ---------------------------------
+
+
+def block_pencils(frame, k_op):
+    """Per block lambda_b = 1 / lambda_max(K_b^H S_b^-1 K_b), the largest
+    |c|^2 with |c|^2 K_b K_b^H <= S_b for an invertible S_b, by numpy's
+    solve; 1 where K_b = 0."""
+    lams = []
+    for s, k in zip(frame.frame_op.block_matrices(), k_op.block_matrices()):
+        m = k.conj().T @ np.linalg.solve(s, k)
+        top = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]
+        lams.append(1.0 / top if top > 0 else 1.0)
+    return lams
+
+
+def pencil_route_case(spec, seed, rank, extra, deficient):
+    """A frame of rank + extra members in A^rank, onto in every block, and
+    a generic K or one that vanishes on the last slot."""
+    rng = stream(seed, 11)
+    frame = random_frame(spec, rank, rank + extra, rng)
+    mats = [np.array(m) for m in random_operator(spec, rank, rank, rng).block_matrices()]
+    if deficient:
+        for d, m in zip(spec.block_dims, mats):
+            m[:, -d:] = 0.0
+    return frame, ModuleOperator(spec, rank, rank, mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 1), (3,)]),
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(1, 2),
+    extra=st.integers(0, 2),
+    deficient=st.booleans(),
+    sign=st.sampled_from([-1.0, 1.0]),
+    delta=st.sampled_from([1e-1, 1e-6, 0.0]),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+)
+def test_pencil_route_decides_as_the_gap_route(dims, seed, rank, extra, deficient, sign, delta,
+                                               tol):
+    # A = sqrt(lambda_b (1 -+ delta)) 1 per block: the pencil route gives
+    # the gap route's status and witness, at tol 0 too, and where it
+    # decides, every block's gap has its least eigenvalue at or above 0
+    # in floats and the pair it reports bounds the gap's extreme
+    # eigenvalues
+    spec = AlgebraSpec(dims)
+    frame, k = pencil_route_case(spec, seed, rank, extra, deficient)
+    assume(douglas._factorization(frame.synthesis_op).onto_norms(k) is not None)
+    a = spec.central([math.sqrt(lam * (1.0 + sign * delta)) for lam in block_pencils(frame, k)])
+    b = spec.central([math.sqrt(frame.frame_op.norm()) * (1.0 + 1e-6)] * spec.n_blocks)
+    cert = certify_kframe(frame, k, a, b, tol)
+    ref = oracles.gap_route_kframe(frame, k, a, b, tol)
+    assert cert.status == ref.status
+    if ref.witness_vector is None:
+        assert cert.witness_vector is None
+    else:
+        assert all(x.tobytes() == y.tobytes()
+                   for x, y in zip(cert.witness_vector.stacks, ref.witness_vector.stacks))
+    eigs = frames._scalar_lower_eigs(frame, k, a)
+    if sign < 0 and delta == 1e-1:
+        assert eigs is not None
+    if eigs is None:
+        assert repr(cert.witness) == repr(ref.witness)
+    else:
+        gap = reference_gap(a, frame.frame_op, tol, k)
+        for w, g, s in zip(eigs, gap.block_matrices(), frame.frame_op.block_matrices()):
+            ev = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+            slack = 1e-12 * max(1.0, np.linalg.norm(s, 2))
+            assert 0.0 < w[0] <= ev[0] + slack and ev[0] >= 0.0
+            assert ev[-1] <= w[-1] + slack
+    # the route reads U's kept norms of K where an earlier pencil left
+    # them, and takes them itself on a cold U: the same bits either way
+    optimal_scalar_bounds(frame, k)
+    cold = certify_kframe(_copy_frame(frame), k, a, b, tol)
+    assert repr(cold.witness) == repr(certify_kframe(frame, k, a, b, tol).witness)
+
+
+@pytest.mark.parametrize("second", ["not-onto", "onto-violated"])
+def test_pencil_route_leaves_a_mixed_lower_gap_to_the_gap_route(second):
+    # block 0: an onto U_0 of norm 100 whose central lower bound the pencil
+    # certifies on its own; block 1: a gap diag(-1e-9, .) the pencil cannot
+    # certify, on a U_1 of rank 1 or on an onto U_1.  The excess 1e-9 lies
+    # above tol but within tol times the gap's scale, which block 0's
+    # sigma_max^2 = 1e4 sets, so the gap route certifies; the pencil
+    # decides no block of it, and every reported bit is the gap route's
+    spec = AlgebraSpec((1, 1))
+    u0 = 100.0 * np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+    u1 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]] if second == "not-onto"
+                  else [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    frame = frames._family(ModuleOperator(spec, 3, 2, [u0, u1]))
+    k = ModuleOperator(spec, 2, 2, [0.5 * np.eye(2), np.diag([math.sqrt(1.0 + 1e-9), 0.5])
+                                    if second == "onto-violated"
+                                    else np.diag([math.sqrt(1.0 + 1e-9), 0.0])])
+    a, b = spec.unit(), 101.0 * spec.unit()
+    optimal_scalar_bounds(frame, k)
+    assert frames._scalar_lower_eigs(frame, k, a) is None
+    alone = frames._family(ModuleOperator(spec, 3, 2, [u0, u0]))
+    assert frames._scalar_lower_eigs(alone, ModuleOperator(spec, 2, 2, [0.5 * np.eye(2)] * 2),
+                                     a) is not None
+    cert = certify_kframe(frame, k, a, b, 1e-12)
+    ref = oracles.gap_route_kframe(frame, k, a, b, 1e-12)
+    assert ref.status == cert.status == "certified"
+    assert repr(cert.witness) == repr(ref.witness)
+    lower = cert.witness["parts"][0]
+    assert -1.1e-9 < lower["min_eig"] < -0.9e-9 and lower["scale"] > 1e3
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["derived", "stored"])
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3], ids=["24+12", "0", "1", "2", "3"])
+def test_pencil_kframe_takes_no_kernel_call_after_its_pencil(seed, stored, monkeypatch):
+    # the K-frame verdict of every command and perturbation conclusion,
+    # with the instance's stored bounds or the ones derived from the pencil
+    if seed is None:  # the large-blocks shape: 12 members in A^4, K = U Q
+        spec = AlgebraSpec((24, 12))
+        rng = stream(78, 2)
+        frame = random_frame(spec, 4, 12, rng)
+        k = frame.synthesis_op.compose(random_operator(spec, 4, 12, rng))
+    else:
+        inst = random_instance(seed, "generic")
+        frame, k = inst.members, inst.operators["K"]
+    lam, mu = optimal_scalar_bounds(frame, k)
+    a, b = frames.derived_bounds(frame, lam, mu)
+    calls = oracles.record_kernels(monkeypatch)
+    cert = frames._pencil_kframe(frame, k, lam, b, 1e-9, "star-kframe", {},
+                                 a if stored else None)
+    assert calls == []
+    monkeypatch.undo()
+    assert cert.ok
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_upper_route_forms_the_gap_only_to_eigensolve_or_witness(seed, monkeypatch):
     frame, b = upper_case(seed)

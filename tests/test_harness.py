@@ -70,7 +70,7 @@ SUITE_PAYLOADS = {
     "kframe-main": "ec5f6b5b260fdaa896a8c74fadc4cf137813913f1cbe5fb6bfa4bcca56335aa4",
     "paper-example": "94d94a18f9b255b4f506ab21634c0c72917ae60991bd032be5fb702ce522ee96",
     "conjugation": "0de79c73b502663ef8409ec262cf65352e663502bf633daa8801909542f9ba15",
-    "tensor": "00138b4d6b6843739ca18f33464751e813f2c3ffa0daf59e7ff66e2df50d309b",
+    "tensor": "f267f03e5b415df181147155d2719da9c9b69e578871eed33dcbd878d4d99762",
     "co-isometry": "7707488ee6f2f5f5952d907753b5d2221ec1678eae454fbe4c9c6c654eb18fb8",
     "perturb1": "1bdaedc9f74f5694ad9e2d26f4e04988eba811a0e8bb29776429aee5739ee61e",
     "perturb2": "e1dbd66b51eceb68ff02db2ac3570b2b21f235a8a5d9b9fe1783b2edc8d51e3b",

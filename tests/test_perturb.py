@@ -663,12 +663,15 @@ def test_one_pencil_when_l_is_k_gives_the_bits_of_two():
         # halves read sigma(U_F), sigma(U_H) and bessel_of_h sigma_max(U_H),
         # and the derived bounds' mu* sigma_max(U_F); each of the 4 pencils
         # takes its whitened norm as one eigvalsh per block, and no
-        # values-only SVD runs
-        ("perturb1", {"douglas_svd": 4, "thin_svd": 0, "singular_values": 0, "eigvalsh": 12,
+        # values-only SVD runs.  The base K-frame's lower half takes the
+        # norms of K on U_F again (the branch pencil of D replaced them),
+        # and the conclusion's reads those of its own pencil
+        ("perturb1", {"douglas_svd": 4, "thin_svd": 0, "singular_values": 0, "eigvalsh": 10,
                       "eigh": 0}),
-        # 2 pencils, one of them of (K K*, U_H U_H*); the base K-frame's
-        # upper half factors U_F
-        ("perturb2", {"douglas_svd": 4, "thin_svd": 0, "singular_values": 0, "eigvalsh": 10,
+        # 2 pencils, one of them of (K K*, U_H U_H*), and the hypothesis
+        # gap at its first vertex; the base K-frame's upper half factors
+        # U_F, and both lower halves read the norms their pencils kept
+        ("perturb2", {"douglas_svd": 4, "thin_svd": 0, "singular_values": 0, "eigvalsh": 6,
                       "eigh": 0}),
     ],
 )
