@@ -34,6 +34,25 @@ def eigh(h):
     return np.linalg.eigh(h)
 
 
+def cholesky(h):
+    """The lower Cholesky factor R of a Hermitian h (R R^H = h, read off
+    h's lower triangle), or None where the factorization meets a pivot
+    that is not positive (or is NaN).
+
+    Where it completes, R R^H = h + E with |E| <= g |R| |R|^H, g =
+    gamma_{n+1} for real and at most gamma_{4(n+1)} for complex h of order
+    n (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3
+    and sec. 3.6), so ||E|| <= g tr(R R^H) <= g / (1 - g) tr(h), and the
+    least eigenvalue of h is at least -g / (1 - g) tr(h) (Rump,
+    "Verification of positive definiteness", BIT 46, 2006); entries that
+    underflow add an absolute error of a few n^2 times the least
+    subnormal."""
+    try:
+        return np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def sigma_max(m):
     return singular_values(m)[..., 0]
 

@@ -20,7 +20,11 @@ lower bound c 1 on onto U_b holds where |c|^2 ||U_b^+ K_b||^2 <= 1, and
 where that holds on every block beyond rounding its gap is given by
 bounds on its extreme eigenvalues, sigma_min(U_b)^2 (1 - |c|^2
 ||U_b^+ K_b||^2) and sigma_max(U_b)^2), and one block's `eigh` only when
-it falsifies.
+it falsifies.  A gap whose caller passes its scale, the Douglas norm
+inequality, is first tried by one shifted Cholesky per block
+(`_cholesky_lower_bound`): where every block factors within a third of
+tol * scale it certifies with no eigensolve, else every block takes the
+eigen route.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ INCONCLUSIVE = "inconclusive"
 BOUNDARY_FACTOR = 10.0
 
 _SEVERITY = (CERTIFIED, INCONCLUSIVE, FALSIFIED)
+
+_EPS = float(np.finfo(float).eps)
+_ETA = float(np.nextafter(0.0, 1.0))
 
 
 def verdict(excess: float, tol: float, scale: float) -> str:
@@ -135,9 +142,15 @@ def psd_certificate(
     (`herm_block_eigs`) gives the eigenvalues.  scale defaults to
     max(1, max |eigenvalue|) = max(1, ||gap||); a caller whose gap is a
     difference of larger terms passes their size, since rounding follows
-    them.  A caller that knows some blocks' ascending eigenvalues exactly
-    passes them as `eigs`, None for a block still to be eigensolved; they
-    are decided by the same rule.  A block shown positive semidefinite
+    them.  Such a gap is first decided by `_cholesky_lower_bound` at
+    tol * scale: where it proves every block, the certificate is certified
+    with that proved bound as min_eig and no block is eigensolved; where a
+    block's allowance exceeds a third of tol * scale (at tol = 0 every
+    one does) or its factorization breaks down, every block takes the
+    eigen route, bit for bit as without the proof.  A caller that knows
+    some blocks' ascending eigenvalues exactly passes them as `eigs`, None
+    for a block still to be eigensolved; they are decided by the same
+    rule.  A block shown positive semidefinite
     otherwise may be given as a lower bound > 0 on its least eigenvalue
     and an upper bound on its largest (`frames._scalar_lower_eigs`): it
     certifies at any tol >= 0, and is reported and scaled by those
@@ -150,6 +163,10 @@ def psd_certificate(
     """
     if eigs is None or any(w is None for w in eigs):
         gap = _formed(gap)
+        if scale is not None and eigs is None:
+            bound = _cholesky_lower_bound(gap, tol * scale)
+            if bound is not None:
+                return Certificate(CERTIFIED, claim, {"min_eig": bound, "scale": scale}, tol)
         eigs = gap.herm_block_eigs(eigs)
     min_eig = min(float(w[0]) for w in eigs)
     if scale is None:
@@ -160,6 +177,50 @@ def psd_certificate(
         status, claim, {"min_eig": min_eig, "scale": scale}, tol,
         witness_vector=witness_vec,
     )
+
+
+def _cholesky_lower_bound(gap: ModuleOperator, budget: float) -> Optional[float]:
+    """A proved lower bound -2 max_b c_b on the least eigenvalue of the
+    gap's Hermitian part, where for every block H_b of order n the
+    allowance c_b = `_cholesky_shift` satisfies 3 c_b <= budget (= tol *
+    scale) and `_kernels.cholesky` of H_b + c_b I completes; else None,
+    and no block is eigensolved here.  Blocks are tried in turn, one
+    Hermitian part held at a time, and the first that fails the gate or
+    the factorization ends the proof (at tol = 0 the first block's gate).
+
+    A completed factorization proves lambda_min(H_b) >= -2 c_b: c_b covers
+    the Cholesky's backward error (`_kernels.cholesky`, at most
+    gamma_{4(n+1)} tr(H_b + c_b I)) and the rounding of the shift.  What
+    c_b leaves over, about 12 n u tr|H_b| with tr|H_b| >= ||H_b|| -
+    2 (n - 1) c_b, bounds `eigvalsh`'s backward error of a few n u ||H_b||,
+    so its least eigenvalue would be >= -3 c_b >= -budget: the eigen route
+    certifies every block this one certifies."""
+    allowance = 0.0
+    for m in gap.block_matrices():
+        h = _kernels.hermitian_part(m)
+        c = _cholesky_shift(h)
+        if not 3.0 * c <= budget:
+            return None
+        h.reshape(-1)[:: h.shape[0] + 1] += c  # the diagonal, in place
+        if _kernels.cholesky(h) is None:
+            return None
+        allowance = max(allowance, c)
+    return -2.0 * allowance
+
+
+def _cholesky_shift(h: np.ndarray) -> float:
+    """c = 8 (n + 2) (eps tr|h| + n eta) for a Hermitian h of order n, with
+    tr|h| = sum_i |h_ii| and eta the least subnormal: Rump's allowance
+    (BIT 46, 2006) with its constant raised to complex arithmetic, so a
+    completed Cholesky of h + c I proves lambda_min(h) >= -2 c
+    (`_cholesky_lower_bound`).  With u = eps / 2, the factorization's
+    backward error (4n + 5) u tr|h| up to O(n^2 u^2) and the shift's
+    rounding u (tr|h| + c) take less than a third of c; the n eta term
+    covers entries that underflow, and makes c > 0, so tol = 0 never
+    takes this route."""
+    n = h.shape[0]
+    trace = sum(map(abs, h.diagonal().real.tolist()))
+    return 8.0 * (n + 2) * (_EPS * trace + n * _ETA)
 
 
 def _formed(gap: Union[ModuleOperator, Callable[[], ModuleOperator]]) -> ModuleOperator:

@@ -6,9 +6,9 @@ mu T T* <= S S* for some mu > 0; a norm inequality lambda ||T* f||^2 <=
 ||S* f||^2; and a factorization T = S Q.  All four are decidable here
 because the flattened matrices are finite; Q is realized as the
 minimal-norm solution S^+ T.  Nothing here samples: the norm inequality
-reduces to rank-one vectors, so it is the pencil inequality decided by an
-eigen route (`_majorization`), and its failure is witnessed by a singular
-vector of (I - S S^+) T.
+reduces to rank-one vectors, so it is the pencil inequality decided by a
+Cholesky proof, else an eigen route (`_majorization`), and its failure is
+witnessed by a singular vector of (I - S S^+) T.
 
 Each operator S is factored at most once in its lifetime: one
 `_kernels.douglas_svd` per reduced block and one rank decision at
@@ -41,8 +41,10 @@ them on one (S, T).  The factorization residual ||S Q - T|| of
 `_Factorization.solve` is a value that only condition (iv) decides.
 `cokernel_witness` adds a `thin_svd` per block, which `equivalence_audit`
 takes only when the pencil fails; the norm inequality is one
-`psd_certificate`.  The public entry points are `pseudo_inverse`,
-`pencil_lower_bound` and `equivalence_audit`.
+`psd_certificate` at scale max(1, ||S||^2), S's kept sigma_max squared:
+one shifted `_kernels.cholesky` per block of its gap where that proves
+it, else one `eigvalsh` per block.  The public entry points are
+`pseudo_inverse`, `pencil_lower_bound` and `equivalence_audit`.
 """
 
 from __future__ import annotations
@@ -256,7 +258,8 @@ def _majorization(
     t: ModuleOperator, s: ModuleOperator, mu: float, tol: float, size: float
 ) -> Certificate:
     """The norm inequality mu ||T* f||^2 <= ||S* f||^2 for all f, decided
-    as psd_certificate(S S* - mu T T*).
+    as psd_certificate(S S* - mu T T*) at the caller's scale: a Cholesky
+    proof, else the eigen route.
 
     In block b a module vector is an (n d_b) x d_b matrix F.  With v a top
     right singular vector of T_b^H F, x = F v has ||T* x|| = ||T* F|| and
@@ -267,7 +270,9 @@ def _majorization(
     The gap cancels to about zero for equivalent pairs (T = S U, U
     unitary) while its rounding stays near eps max(||S||^2, mu ||T||^2),
     so the tolerance scales with size = max(||S||^2, mu ||T||^2), the
-    relative test the norm inequality asks for."""
+    relative test the norm inequality asks for.  At the pencil value mu =
+    1 / ||Q||^2, T = S Q gives mu ||T||^2 <= ||S||^2, so `equivalence_audit`
+    passes ||S||^2 alone and takes no norm of T."""
     gap = s.compose(s.adjoint()) - t.compose(t.adjoint()).scalar_mul(mu)
     return psd_certificate(gap, tol, "douglas-norm-inequality", scale=max(1.0, size))
 
@@ -285,10 +290,10 @@ def equivalence_audit(
     (i) range inclusion, `_inclusion`'s verdict, (ii) pencil positivity,
     the pencil read off that verdict, (iii) the norm inequality
     lambda ||T* f||^2 <= ||S* f||^2 at lambda equal to the pencil value,
-    decided exactly by the eigen route of `_majorization` (independent of
-    the whitened Gram behind (ii)), (iv) factorization residual of
-    S (S^+ T) = T, which holds at <= tol max(1, ||T||), the bound (i)
-    uses.  When (ii) fails, (iii) instead looks for a direction f in the
+    decided by `_majorization` at scale max(1, ||S||^2), a Cholesky proof,
+    else the eigen route (independent of the whitened Gram behind (ii)),
+    (iv) factorization residual of S (S^+ T) = T, which holds at <= tol
+    max(1, ||T||), the bound (i) uses.  When (ii) fails, (iii) instead looks for a direction f in the
     cokernel of S that T* sees, at the top left singular vector of
     (I - S S^+) T = perp (perp^H T): it fails when ||S* f|| <=
     tol max(1, ||S||) and ||T* f||, the range residual up to rounding,
@@ -315,7 +320,7 @@ def equivalence_audit(
     if math.isinf(mu):
         cond_iii = True
     elif cond_ii:
-        norm_cert = _majorization(t, s, mu, tol, max(fac.smax**2, mu * t.norm() ** 2))
+        norm_cert = _majorization(t, s, mu, tol, fac.smax**2)
         found["cond_iii_min_eig"] = norm_cert.witness["min_eig"]
         found["cond_iii_scale"] = norm_cert.witness["scale"]
         near_boundary = near_boundary or norm_cert.status == INCONCLUSIVE

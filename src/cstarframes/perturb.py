@@ -132,10 +132,10 @@ def pertur1_audit(
     or R(D) inside R(U_F) or R(U_H) (both branch constants infinite); and
     it names m_h where neither branch bounds {h_j} (m_f infinite, m_h >= 1).
     """
+    _require_hypotheses(f_seq, k_op, l_op, a, b, tol)
     m_f, m_h = exact_branch_M(f_seq, h_seq, tol)
     m_val = min(m_f, m_h)
     constants: dict = {"M": m_val, "branch_M_f": m_f, "branch_M_h": m_h}
-    _require_hypotheses(f_seq, k_op, l_op, a, b, tol)
     if not math.isfinite(m_val):
         d_op = difference_synthesis(f_seq, h_seq)
         resid_f, resid_h = (_inclusion(d_op, s.synthesis_op, tol)[1] for s in (f_seq, h_seq))

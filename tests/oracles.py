@@ -19,7 +19,9 @@ keeps no such rule of its own.  The
 element-walking codec, the entrywise tensor products and the `np.kron`
 ones pin the array codec and the per-block broadcast products bit for
 bit, and the Bessel bounds the library records as holding by
-construction are re-checked on the families themselves.
+construction are re-checked on the families themselves.  A gap decided
+at the caller's scale is checked against the eigen route alone
+(`eigen_psd_certificate`), the route its Cholesky proof replaces.
 """
 
 import math
@@ -34,7 +36,7 @@ from cstarframes.certify import (
     FALSIFIED,
     INCONCLUSIVE,
     combine,
-    psd_certificate,
+    verdict,
 )
 from cstarframes.algebra import AlgElement
 from cstarframes import _kernels, douglas, frames
@@ -430,11 +432,33 @@ def reference_top_left_vector(op):
     return _vector(op.spec, stacks)
 
 
+def eigen_psd_certificate(gap, tol, claim, scale):
+    """`psd_certificate` of a gap at the caller's scale by the eigen route
+    alone, with no Cholesky proof tried: one `eigvalsh` per block of the
+    Hermitian part, `verdict` on the least eigenvalue, and one `eigh` for
+    a falsified witness."""
+    eigs = [np.linalg.eigvalsh(0.5 * (m + m.conj().T)) for m in gap.block_matrices()]
+    min_eig = min(float(w[0]) for w in eigs)
+    status = verdict(-min_eig, tol, scale)
+    witness = gap.negative_witness(eigs)[1] if status == FALSIFIED else None
+    return Certificate(status, claim, {"min_eig": min_eig, "scale": scale}, tol,
+                       witness_vector=witness)
+
+
+def rump_allowance(h):
+    """Rump's rounding allowance c = 8 (n + 2) (eps tr|h| + n eta) for a
+    Hermitian h of order n, eta the least subnormal: a float Cholesky of
+    h + c 1 that completes proves lambda_min(h) >= -2 c."""
+    n = h.shape[0]
+    trace = float(np.abs(np.diagonal(h).real).sum())
+    return 8.0 * (n + 2) * (np.finfo(float).eps * trace + n * np.nextafter(0.0, 1.0))
+
+
 def reference_equivalence_audit(t, s, tol=1e-9):
     """The audit written out against the per-function factorizations, with
-    condition (iii) decided exactly: psd_certificate(S S* - mu T T*) at the
-    pencil value, scaled by max(1, ||S||^2, mu ||T||^2), or the top left
-    singular vector of (I - S S^+) T."""
+    condition (iii) decided by the eigen route: `eigen_psd_certificate` of
+    S S* - mu T T* at the pencil value, scaled by max(1, ||S||^2), or the
+    top left singular vector of (I - S S^+) T."""
     tscale = max(1.0, t.norm())
     coresidual = t - s.compose(reference_pseudo_inverse(s)).compose(t)
     status_i, residual = reference_residual_verdict(coresidual.block_matrices(), tol, t)
@@ -446,8 +470,8 @@ def reference_equivalence_audit(t, s, tol=1e-9):
     s_max = max(np.linalg.svd(m, full_matrices=False)[1].max() for m in s.block_matrices())
     if cond_ii and math.isfinite(mu):
         gap = s.compose(s.adjoint()) - t.compose(t.adjoint()).scalar_mul(mu)
-        scale = max(1.0, s_max**2, mu * t.norm() ** 2)
-        cert = psd_certificate(gap, tol, "douglas-norm-inequality", scale=scale)
+        scale = max(1.0, s_max**2)
+        cert = eigen_psd_certificate(gap, tol, "douglas-norm-inequality", scale)
         found = {"cond_iii_min_eig": cert.witness["min_eig"],
                  "cond_iii_scale": cert.witness["scale"]}
         near_boundary = near_boundary or cert.status == INCONCLUSIVE
@@ -638,7 +662,7 @@ def dual_atoms_bessel(frame, k_op, tol):
 
 SVDS = ("singular_values", "douglas_svd", "thin_svd")
 # `sigma_max` and `gram_norm` are recorded as the kernels they call
-KERNELS = (*SVDS, "eigvalsh", "eigh")
+KERNELS = (*SVDS, "eigvalsh", "eigh", "cholesky")
 
 
 class KernelCalls(list):

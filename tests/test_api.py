@@ -244,6 +244,10 @@ def test_lapack_calls_go_through_the_kernels():
     # `record_kernels` patches exactly the kernels that call LAPACK
     assert {name for name, f in vars(_kernels).items() if inspect.isfunction(f)
             and "np.linalg." in inspect.getsource(f)} == set(KERNELS)
+    # the one factorization without eigenvalues is tried where a caller
+    # passes a gap's scale, to prove it positive before any eigensolve
+    assert _sites("cholesky") == [("_kernels.py", "cholesky"),
+                                  ("certify.py", "_cholesky_lower_bound")]
 
 
 def _sites(attr):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstarframes import (
-    AlgebraSpec, FrameSeq, ModuleOperator, certify_kframe, certify_star_bessel,
-    identity_operator,
+    AlgebraSpec, FrameSeq, ModuleOperator, certify_kframe, certify_star_bessel, identity_operator,
+    pencil_lower_bound,
 )
 from cstarframes.certify import (
     BOUNDARY_FACTOR, CERTIFIED, FALSIFIED, INCONCLUSIVE, pencil_verdict, psd_certificate,
@@ -243,3 +243,126 @@ def test_residual_rule_takes_an_svd_only_where_the_frobenius_bound_does_not_cert
     # no blocks: a residual of exactly 0
     assert residual_verdict([], 1e-9, 1.0) == (CERTIFIED, 0.0)
     assert residual_verdict([], -1e-9, 1.0) == (FALSIFIED, 0.0)
+
+
+# -- the Cholesky proof of a caller-scaled gap ------------------------------------
+
+TOLS = [0.0, 1e-12, 1e-9, 1e-6]
+
+
+def _unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@st.composite
+def _gap_shapes(draw):
+    """(block dims, rank) with every block of the gap of order rank * d_b in 1..96."""
+    rank = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 96 // rank), min_size=1, max_size=2))
+    return tuple(dims), rank
+
+
+def _tight_douglas_gap(dims, rank, in_rank, size, seed):
+    """S S* - mu T T* for T = S Q at the pencil value mu, which leaves it
+    positive semidefinite and singular, and its scale max(1, ||S||^2), as
+    `equivalence_audit` passes them."""
+    spec = AlgebraSpec(dims)
+    rng = stream(seed, 0)
+    s = random_operator(spec, in_rank, rank, rng).scalar_mul(size)
+    t = s.compose(random_operator(spec, in_rank, in_rank, rng))
+    mu = pencil_lower_bound(t, s, 1e-9)
+    gap = s.compose(s.adjoint()) - t.compose(t.adjoint()).scalar_mul(mu)
+    return gap, max(1.0, s.norm() ** 2)
+
+
+def _planted_gap(dims, rank, tol, delta, size, seed):
+    """A Hermitian gap whose blocks have eigenvalues drawn from [0, size]
+    but for block 0's least, -tol * scale * (1 + delta), scale = max(1,
+    size)."""
+    rng = np.random.default_rng(seed)
+    scale = max(1.0, size)
+    mats = []
+    for b, d in enumerate(dims):
+        w = size * rng.uniform(0.0, 1.0, rank * d)
+        if b == 0:
+            w[0] = -tol * scale * (1.0 + delta)
+        v = _unitary(rank * d, rng)
+        mats.append((v * w) @ v.conj().T)
+    return ModuleOperator(AlgebraSpec(dims), rank, rank, mats), scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=_gap_shapes(),
+    tol=st.sampled_from(TOLS),
+    planted=st.booleans(),
+    delta=st.sampled_from([-0.999, -0.9, -0.5, -1e-3, 1e-3, 0.5]),
+    size=st.sampled_from([1e-3, 1.0, 1e3]),
+    in_rank=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cholesky_proof_decides_as_the_eigen_route(shape, tol, planted, delta, size, in_rank,
+                                                   seed):
+    """Where every block of H + c 1 factors and 3 c <= tol * scale, with c
+    Rump's allowance of that block, the gap certifies with the proved
+    bound -2 max c, which lies at or below the eigen route's least
+    eigenvalue; everywhere else the certificate is the eigen route's bit
+    for bit.  Tight Douglas gaps (least eigenvalue 0 up to rounding)
+    within the gate are always proved."""
+    dims, rank = shape
+    if planted:
+        gap, scale = _planted_gap(dims, rank, tol, delta, size, seed)
+    else:
+        gap, scale = _tight_douglas_gap(dims, rank, in_rank, size, seed)
+    cert = psd_certificate(gap, tol, "test", scale=scale)
+    ref = oracles.eigen_psd_certificate(gap, tol, "test", scale)
+    assert cert.status == ref.status
+    assert cert.witness["scale"] == scale
+    herms = [0.5 * (m + m.conj().T) for m in gap.block_matrices()]
+    shifts = [oracles.rump_allowance(h) for h in herms]
+    proved = -2.0 * max(shifts)
+    # the allowance's trace may be summed in another order: equal to 1e-12
+    by_proof = math.isclose(cert.witness["min_eig"], proved, rel_tol=1e-12)
+    if by_proof:
+        assert all(3.0 * c <= tol * scale for c in shifts)
+        assert cert.status == CERTIFIED and proved <= ref.witness["min_eig"]
+        assert cert.witness_vector is None
+    else:
+        assert cert.witness["min_eig"] == ref.witness["min_eig"]
+        assert (cert.witness_vector is None) == (ref.witness_vector is None)
+        if cert.witness_vector is not None:
+            assert all(x.tobytes() == y.tobytes() for x, y in
+                       zip(cert.witness_vector.stacks, ref.witness_vector.stacks))
+    least = [float(np.linalg.eigvalsh(h)[0]) for h in herms]
+    if all(3.0 * c <= tol * scale and w >= -c / 4 for c, w in zip(shifts, least)):
+        assert by_proof
+
+
+def test_a_caller_scaled_gap_takes_the_eigen_route_where_no_proof_is_tried_or_it_fails(
+    monkeypatch,
+):
+    gap = _hermitian_gap(20, 3.0)  # X X* - 3 1: negative on every block
+    scale = max(1.0, gap.norm())
+    refs = {tol: oracles.eigen_psd_certificate(gap, tol, "test", scale) for tol in (1e-9, 0.0)}
+    calls = record_kernels(monkeypatch)
+    for tol, factored in ((1e-9, 1), (0.0, 0)):
+        calls.clear()
+        cert, ref = psd_certificate(gap, tol, "test", scale=scale), refs[tol]
+        assert cert.status == ref.status == FALSIFIED
+        assert cert.witness == ref.witness
+        assert all(x.tobytes() == y.tobytes()
+                   for x, y in zip(cert.witness_vector.stacks, ref.witness_vector.stacks))
+        # at tol 1e-9 the first block's shifted Cholesky breaks down; at tol
+        # 0 no allowance fits the gate and none is tried; either way every
+        # block takes its eigvalsh and the falsified one its eigh
+        assert len(calls.of("cholesky")) == factored, tol
+        assert [a.shape for a in calls.of("eigvalsh")] == [(9, 9), (6, 6)], tol
+        assert len(calls.of("eigh")) == 1 and calls.of(*oracles.SVDS) == [], tol
+    # a tight Douglas gap at tol 0 takes the eigen route too, whatever its sign
+    gap, scale = _tight_douglas_gap((3, 2), RANK, 2, 1.0, 7)
+    calls.clear()
+    cert = psd_certificate(gap, 0.0, "test", scale=scale)
+    assert calls.of("cholesky") == [] and len(calls.of("eigvalsh")) == 2
+    assert len(calls.of("eigh")) == (cert.status == FALSIFIED)

@@ -644,7 +644,7 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                 digest.update(f"{profile} {command} {seed} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "bd9d48319f03cf73b125135762f7e23e6f13652b9115eb7e6fd0e5657d46ab23"
+        "a0ab2552ed2bddfdf9d70ee0d9050f258c8e205a9b5e596827f5c7214a628e48"
     )
 
 
@@ -671,7 +671,7 @@ def test_input_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
             digest.update(f"{name} {command} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "eaedaa4fa249a529eade310d2c279f39bef002e581bb905b924f0e898e8d467c"
+        "84f2722019e4494fb371205480c5c0aca36c94e5538d1339cffce057a999d725"
     )
 
 

@@ -66,7 +66,7 @@ def test_instance_bytes_are_pinned():
 
 # sha256 over the payloads of run_suite(suite, trials=3, seed=k), k = 0, 1
 SUITE_PAYLOADS = {
-    "douglas-equivalence": "b09629d27ac0125f837823374c3f86e1bada65240d05bf34da66ab8e335785ff",
+    "douglas-equivalence": "0236bf52ab99917419b014f219aab7b82b35778efea8dfb1461eba8bc2102cd2",
     "kframe-main": "ec5f6b5b260fdaa896a8c74fadc4cf137813913f1cbe5fb6bfa4bcca56335aa4",
     "paper-example": "94d94a18f9b255b4f506ab21634c0c72917ae60991bd032be5fb702ce522ee96",
     "conjugation": "0de79c73b502663ef8409ec262cf65352e663502bf633daa8801909542f9ba15",
