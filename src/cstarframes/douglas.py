@@ -293,8 +293,9 @@ def equivalence_audit(
     decided by `_majorization` at scale max(1, ||S||^2), a Cholesky proof,
     else the eigen route (independent of the whitened Gram behind (ii)),
     (iv) factorization residual of S (S^+ T) = T, which holds at <= tol
-    max(1, ||T||), the bound (i) uses.  When (ii) fails, (iii) instead looks for a direction f in the
-    cokernel of S that T* sees, at the top left singular vector of
+    max(1, ||T||), the bound (i) uses.  When (ii) fails, (iii) instead
+    looks for a direction f in the cokernel of S that T* sees, at the top
+    left singular vector of
     (I - S S^+) T = perp (perp^H T): it fails when ||S* f|| <=
     tol max(1, ||S||) and ||T* f||, the range residual up to rounding,
     does not hold at (i)'s bound.  A pencil value that `pencil_verdict`
