@@ -150,16 +150,14 @@ def psd_certificate(
     eigen route, bit for bit as without the proof.  A caller that knows
     some blocks' ascending eigenvalues exactly passes them as `eigs`, None
     for a block still to be eigensolved; they are decided by the same
-    rule.  A block shown positive semidefinite
-    otherwise may be given as a lower bound > 0 on its least eigenvalue
-    and an upper bound on its largest (`frames._scalar_lower_eigs`): it
-    certifies at any tol >= 0, and is reported and scaled by those
-    bounds.  Such a caller may
-    pass, as `gap`, the function that forms the gap operator: it is
-    called at most once, only for a block still to be eigensolved or a
-    falsified certificate.  Only a falsified certificate takes
-    eigenvectors: one `eigh` of the block attaining the minimum, through
-    `negative_witness`.
+    rule.  A block shown positive semidefinite otherwise may be given as a
+    lower bound > 0 on its least eigenvalue and an upper bound on its
+    largest (`frames._scalar_lower_eigs`): it certifies at any tol >= 0,
+    and is reported and scaled by those bounds.  Such a caller may pass,
+    as `gap`, the function that forms the gap operator: it is called at
+    most once, only for a block still to be eigensolved or a falsified
+    certificate.  Only a falsified certificate takes eigenvectors: one
+    `eigh` of the block attaining the minimum, through `negative_witness`.
     """
     if eigs is None or any(w is None for w in eigs):
         gap = _formed(gap)
