@@ -11,7 +11,11 @@ it.  An element also keeps, once, its exact per-block scalars: a block
 equal to its (0, 0) entry c times the identity (every 1 x 1 block) is
 c 1, and its norm is |c| with no kernel call.  A central element from
 `AlgebraSpec.central`, which builds every bound the library derives,
-carries those scalars from construction.
+carries those scalars from construction, and so does the spec's unit,
+built once and kept.  Central elements stay central under arithmetic:
+a number times one, their sums, differences, negatives, products and
+adjoints (and `tensor.TensorWitness.element` of two) keep the scalars
+of the blocks numpy computed, with no copy or scan of the blocks.
 `frames` forms the gap of a frame inequality per block from the
 bound's blocks, with no operator for the bound.
 
@@ -21,6 +25,7 @@ claim as an operator inequality, through `certify.psd_certificate`.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from typing import Iterable, Optional, Sequence
 
@@ -35,7 +40,7 @@ DEFAULT_TOL = 1e-9
 class AlgebraSpec:
     """Block structure (d_1, ..., d_B) of the algebra ⊕_i M_{d_i}(C)."""
 
-    __slots__ = ("block_dims",)
+    __slots__ = ("block_dims", "_unit")
 
     def __init__(self, block_dims: Iterable[int]):
         dims = tuple(int(d) for d in block_dims)
@@ -44,6 +49,7 @@ class AlgebraSpec:
         if any(d < 1 for d in dims):
             raise InputError(f"block dimensions must be >= 1, got {dims}")
         self.block_dims = dims
+        self._unit = None
 
     @property
     def n_blocks(self) -> int:
@@ -58,7 +64,10 @@ class AlgebraSpec:
         return AlgElement(self, blocks)
 
     def unit(self) -> "AlgElement":
-        return self.central([1.0] * self.n_blocks)
+        """The unit 1, built once and kept (elements are immutable)."""
+        if self._unit is None:
+            self._unit = self.central([1.0] * self.n_blocks)
+        return self._unit
 
     def central(self, scalars: Sequence[complex]) -> "AlgElement":
         """Central element with block i equal to scalars[i] times the identity.
@@ -73,11 +82,9 @@ class AlgebraSpec:
             )
         if not all(np.isfinite(s) for s in scalars):
             raise InputError("algebra element blocks must have finite entries")
-        blocks = [s * np.eye(d, dtype=complex) for s, d in zip(scalars, self.block_dims)]
-        a = object.__new__(AlgElement)
-        a.spec, a.blocks, a._norm = self, _readonly(blocks), None
-        a._exact = tuple(m[0, 0] for m in blocks)
-        return a
+        with np.errstate(over="ignore", invalid="ignore"):  # spurious near overflow
+            blocks = [s * np.eye(d, dtype=complex) for s, d in zip(scalars, self.block_dims)]
+        return _with_scalars(self, blocks)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AlgebraSpec) and self.block_dims == other.block_dims
@@ -93,6 +100,36 @@ def _readonly(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
     return tuple(arrays)
+
+
+def _with_scalars(spec: AlgebraSpec, blocks: list[np.ndarray]) -> "AlgElement":
+    """The element of fresh blocks, each exactly its (0, 0) entry times 1."""
+    a = object.__new__(AlgElement)
+    a.spec, a.blocks, a._norm = spec, _readonly(blocks), None
+    a._exact = tuple(m[0, 0] for m in blocks)
+    return a
+
+
+def _derived(spec: AlgebraSpec, blocks: list[np.ndarray], *operands: "AlgElement") -> "AlgElement":
+    """The element of fresh blocks computed from the operands.  Where every
+    operand block has a known exact scalar, a computed block is +-0 off its
+    diagonal, so it is c 1 for its (0, 0) entry c where c is finite and the
+    diagonal equals it: an O(d) check in place of the copy and d^2 scan.  c is
+    read off the block, never formed in Python, whose complex product can
+    differ from numpy's in the last bit.  Else the constructor decides."""
+    if all(e._exact is not None and None not in e._exact for e in operands) and all(
+        cmath.isfinite(m[0, 0]) and not np.count_nonzero(m.diagonal() != m[0, 0]) for m in blocks
+    ):
+        return _with_scalars(spec, blocks)
+    return AlgElement(spec, blocks)
+
+
+def _scalar_of(b: np.ndarray) -> Optional[complex]:
+    """c where b equals its (0, 0) entry c times 1, else None: b == c 1
+    entrywise (+-0 compare equal), decided with no c 1 formed."""
+    g = b.diagonal()
+    scalar = not np.count_nonzero(g != g[0]) and np.count_nonzero(b) == np.count_nonzero(g)
+    return g[0] if scalar else None
 
 
 def _check_same_spec(a: "AlgElement", b: "AlgElement") -> None:
@@ -133,45 +170,51 @@ class AlgElement:
 
     def __add__(self, other: "AlgElement") -> "AlgElement":
         _check_same_spec(self, other)
-        return AlgElement(self.spec, [x + y for x, y in zip(self.blocks, other.blocks)])
+        return _derived(self.spec, [x + y for x, y in zip(self.blocks, other.blocks)], self, other)
 
     def __sub__(self, other: "AlgElement") -> "AlgElement":
         _check_same_spec(self, other)
-        return AlgElement(self.spec, [x - y for x, y in zip(self.blocks, other.blocks)])
+        return _derived(self.spec, [x - y for x, y in zip(self.blocks, other.blocks)], self, other)
 
     def __neg__(self) -> "AlgElement":
-        return AlgElement(self.spec, [-x for x in self.blocks])
+        return _derived(self.spec, [-x for x in self.blocks], self)
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
             _check_same_spec(self, other)
-            return AlgElement(
-                self.spec, [x @ y for x, y in zip(self.blocks, other.blocks)]
-            )
+            return _derived(self.spec, [x @ y for x, y in zip(self.blocks, other.blocks)],
+                            self, other)
         if isinstance(other, numbers.Number):
-            return AlgElement(self.spec, [complex(other) * x for x in self.blocks])
+            return self._scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Number):
-            return AlgElement(self.spec, [complex(other) * x for x in self.blocks])
+            return self._scaled(other)
         return NotImplemented
+
+    def _scaled(self, other: numbers.Number) -> "AlgElement":
+        """other times self; a non-finite multiplier or product is refused
+        as `AlgebraSpec.central` refuses a scalar, with no numpy warning."""
+        s = complex(other)
+        if not cmath.isfinite(s):
+            raise InputError("algebra element blocks must have finite entries")
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = [s * x for x in self.blocks]
+        return _derived(self.spec, blocks, self)
 
     def adjoint(self) -> "AlgElement":
         """Involution: blockwise conjugate transpose."""
-        return AlgElement(self.spec, [x.conj().T for x in self.blocks])
+        return _derived(self.spec, [x.conj().T for x in self.blocks], self)
 
     # -- analysis -----------------------------------------------------------
 
     def exact_scalars(self) -> tuple[Optional[complex], ...]:
         """Per block, c where the block equals c 1 exactly, its (0, 0) entry
-        times the identity, else None.  A 1 x 1 block is its entry with no
-        comparison.  Computed once."""
+        times the identity, else None.  Computed once, or carried from
+        construction by a central element and by arithmetic on them."""
         if self._exact is None:
-            self._exact = tuple(
-                b[0, 0] if len(b) == 1 or np.array_equal(b, b[0, 0] * np.eye(len(b))) else None
-                for b in self.blocks
-            )
+            self._exact = tuple(_scalar_of(b) for b in self.blocks)
         return self._exact
 
     def norm(self) -> float:

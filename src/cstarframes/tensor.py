@@ -7,14 +7,15 @@ slots are ordered lexicographically left-first; the witness records the
 block pairs in that order.
 Products are formed on the per-block arrays: one broadcast product of
 the factors' reduced matrices per block pair, laid out in product order,
-with the entries of `np.kron` bit for bit.
+with the entries of `np.kron` bit for bit; the product of two exactly
+central elements keeps their scalars' products (`algebra._derived`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraSpec, AlgElement, DEFAULT_TOL
+from .algebra import AlgebraSpec, AlgElement, DEFAULT_TOL, _derived
 from .certify import Certificate, combine, residual_verdict
 from .errors import InputError
 from .frames import FrameSeq, _family, certify_kframe
@@ -44,9 +45,9 @@ class TensorWitness:
     def element(self, a: AlgElement, b: AlgElement) -> AlgElement:
         if a.spec != self.left or b.spec != self.right:
             raise InputError("tensor factors do not match the witness specs")
-        return AlgElement(self.product, [
+        return _derived(self.product, [
             (a.blocks[i][:, None, :, None] * b.blocks[k][None, :, None, :]).reshape(dim, dim)
-            for (i, k), dim in zip(self.block_pairs, self.product.block_dims)])
+            for (i, k), dim in zip(self.block_pairs, self.product.block_dims)], a, b)
 
     def operator(self, k_op: ModuleOperator, l_op: ModuleOperator) -> ModuleOperator:
         """K tensor L acting by (K tensor L)(f tensor h) = Kf tensor Lh.

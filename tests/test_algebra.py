@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -417,3 +419,173 @@ def test_order_compatibility_under_conjugation():
         b = a + x.adjoint() * x
         c = random_element(SPEC21, rng)
         assert is_positive(c * b * c.adjoint() - c * a * c.adjoint(), 1e-9)
+
+
+# -- arithmetic on exactly central elements ------------------------------------------
+
+# complex numbers with full random mantissas, where Python's product and
+# numpy's differ in the last bit for about 4 pairs in 10
+random_complex = st.integers(0, 2**32).map(
+    lambda k: complex(*np.random.default_rng(k).standard_normal(2)))
+# signed zeros, subnormals and near-overflow scalars, with ordinary ones
+central_scalars = st.one_of(
+    random_complex,
+    st.sampled_from([0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 5e-324, -2.5e-310,
+                     complex(3e-320, -1e-310), 1.7e308, complex(-1e308, 1.5e308), 1e154, 1.0]),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+multipliers = st.one_of(
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**6), 10**6).map(np.int64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
+    random_complex,
+)
+ARITH_SPECS = [AlgebraSpec(d) for d in [(1,), (2, 1), (3, 3), (1, 1, 1), (5, 1)]]
+
+
+def _fresh_exact(blocks):
+    """The exact scalars by the entrywise comparison of each block with
+    its (0, 0) entry times the identity."""
+    with np.errstate(over="ignore"):  # spurious near overflow, as in `central`
+        return tuple(b[0, 0] if np.array_equal(b, b[0, 0] * np.eye(len(b))) else None for b in blocks)
+
+
+def _operations(x, y, s, w, z):
+    """(name, the result's operands, how the element computes it, the
+    numpy expression of its blocks from the operands' blocks)."""
+    spec = x.spec
+    c = complex(s)
+    return [
+        ("rmul", (x,), lambda: s * x, spec, lambda: [c * b for b in x.blocks]),
+        ("mul", (x,), lambda: x * s, spec, lambda: [c * b for b in x.blocks]),
+        ("add", (x, y), lambda: x + y, spec, lambda: [p + q for p, q in zip(x.blocks, y.blocks)]),
+        ("sub", (x, y), lambda: x - y, spec, lambda: [p - q for p, q in zip(x.blocks, y.blocks)]),
+        ("neg", (x,), lambda: -x, spec, lambda: [-b for b in x.blocks]),
+        ("prod", (x, y), lambda: x * y, spec, lambda: [p @ q for p, q in zip(x.blocks, y.blocks)]),
+        ("adjoint", (x,), lambda: x.adjoint(), spec, lambda: [b.conj().T for b in x.blocks]),
+        ("tensor", (x, z), lambda: w.element(x, z), w.product, lambda: [
+            (x.blocks[i][:, None, :, None] * z.blocks[k][None, :, None, :]).reshape(dim, dim)
+            for (i, k), dim in zip(w.block_pairs, w.product.block_dims)]),
+    ]
+
+
+def _check_against_generic(name, operands, got_fn, spec, want_blocks):
+    # whether every operand's exact scalars are known and all present,
+    # read without scanning any operand
+    central = all(e._exact is not None and None not in e._exact for e in operands)
+    with np.errstate(all="ignore"):
+        try:
+            want = cstarframes.AlgElement(spec, want_blocks())
+        except InputError:
+            want = None
+        if want is None:
+            with pytest.raises(InputError, match="finite"):
+                got_fn()
+            return
+        got = got_fn()
+    carried = got._exact
+    # blocks bit for bit, with the generic element's memory layout
+    assert [(m.tobytes(), m.strides) for m in got.blocks] == [
+        (m.tobytes(), m.strides) for m in want.blocks], name
+    assert all(not m.flags.writeable for m in got.blocks)
+    assert _bits(got.exact_scalars()) == _bits(want.exact_scalars()) == _bits(
+        _fresh_exact(got.blocks)), name
+    if central and name != "prod":
+        # the elementwise results keep their scalars from construction; a
+        # product's diagonal entries are BLAS sums, which may round by
+        # position, and where they differ the constructor decides
+        assert carried is not None, name
+    if not central:
+        # an operand without known exact scalars, or with a block that is
+        # not scalar, takes the generic path
+        assert carried is None, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=st.sampled_from(ARITH_SPECS),
+    right=st.sampled_from(ARITH_SPECS),
+    data=st.data(),
+    s=multipliers,
+)
+def test_arithmetic_on_exactly_central_elements_matches_the_generic_element(spec, right, data, s):
+    def central(sp):
+        return sp.central(data.draw(st.lists(central_scalars, min_size=sp.n_blocks,
+                                             max_size=sp.n_blocks)))
+
+    x, y, z = central(spec), central(spec), central(right)
+    w = cstarframes.tensor_witness(spec, right)
+    for op in _operations(x, y, s, w, z):
+        _check_against_generic(*op)
+    # the same blocks arriving unscanned, and a block off the identity
+    # line, take the generic path and keep nothing from construction
+    x_plain = spec.element(x.blocks)
+    off = [np.array(b) for b in x.blocks]
+    off[-1][-1, 0] += data.draw(st.sampled_from([1.0, 5e-324, -1e-300]))
+    x_off = spec.element(off)
+    for u in (x_plain, x_off):
+        assert u._exact is None
+        for op in _operations(u, y, s, w, z):
+            _check_against_generic(*op)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=st.sampled_from(ARITH_SPECS),
+    data=st.data(),
+)
+def test_exact_scalars_of_an_unscanned_element_match_an_entrywise_comparison(spec, data):
+    # blocks that are c 1, c 1 with signed-zero off-diagonals, or c 1 off
+    # by one entry on or off the diagonal, possibly subnormal
+    blocks = []
+    for d in spec.block_dims:
+        with np.errstate(over="ignore"):  # spurious near overflow, as in `central`
+            m = data.draw(central_scalars) * np.eye(d, dtype=complex)
+        kind = data.draw(st.sampled_from(["exact", "signed-zero", "diagonal", "off-diagonal"]))
+        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        bump = data.draw(st.sampled_from([1.0, 5e-324, -1e-300, 1j]))
+        if kind == "signed-zero" and i != j:
+            m[i, j] = complex(-0.0, -0.0)
+        elif kind == "diagonal":
+            m[i, i] += bump
+        elif kind == "off-diagonal" and i != j:
+            m[i, j] = bump
+        blocks.append(m)
+    a = spec.element(blocks)
+    assert a._exact is None
+    assert _bits(a.exact_scalars()) == _bits(_fresh_exact(a.blocks))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dims", CENTRAL_SPECS, ids=str)
+def test_nonfinite_scalar_products_are_refused_without_a_numpy_warning(dims):
+    # refused as `AlgebraSpec.central` refuses a non-finite scalar
+    spec = AlgebraSpec(dims)
+    plain = spec.element([np.ones((d, d)) for d in dims])
+    for a in (spec.unit(), plain):
+        for make in (lambda: math.inf * a, lambda: a * complex(0.0, -math.inf),
+                     lambda: 1e308 * (4.0 * a), lambda: (4.0 * a) * 1e308,
+                     lambda: math.nan * a):
+            with pytest.raises(InputError, match="^algebra element blocks must have finite entries$"):
+                make()
+
+
+@pytest.mark.filterwarnings("error")
+def test_central_takes_a_finite_near_overflow_scalar_without_a_numpy_warning():
+    # numpy's complex product c (1 + 0j) raises the overflow flag for such
+    # c although every entry is finite
+    spec = AlgebraSpec((3, 1))
+    c = complex(1.7e308, 1.7e308)
+    a = spec.central([c, complex(-1e308, 1.5e308)])
+    assert a.blocks[0][1, 1] == c and a.exact_scalars()[0] == c
+
+
+def test_the_unit_is_kept_on_its_spec():
+    spec = AlgebraSpec((3, 1))
+    assert spec.unit() is spec.unit()
+    assert AlgebraSpec((3, 1)).unit() is not spec.unit()
+    assert all(not m.flags.writeable for m in spec.unit().blocks)

@@ -1400,6 +1400,35 @@ def test_pencil_kframe_takes_no_kernel_call_after_its_pencil(seed, stored, monke
     assert cert.ok
 
 
+def test_central_bounds_built_by_arithmetic_take_no_kernel_call_and_no_scan(monkeypatch):
+    # the large-blocks K-frame call: bounds c 1 and d 1 built as numbers
+    # times the unit carry their exact scalars from construction, so with
+    # U's factorization and the K norms kept the certificate takes no
+    # kernel call and scans no block of either bound
+    from cstarframes import algebra
+
+    spec = AlgebraSpec((24, 12))
+    rng = stream(78, 3)
+    frame = random_frame(spec, 4, 12, rng)
+    k = frame.synthesis_op.compose(random_operator(spec, 4, 12, rng))
+    lam, mu = optimal_scalar_bounds(frame, k)
+
+    def forbidden(b):
+        raise AssertionError("a bound's block was scanned")
+
+    calls = oracles.record_kernels(monkeypatch)
+    monkeypatch.setattr(algebra, "_scalar_of", forbidden)
+    a = math.sqrt(lam * (1.0 - 1e-6)) * spec.unit()
+    b = math.sqrt(mu) * (1.0 + 1e-6) * spec.unit()
+    assert a._exact is not None and b._exact is not None
+    cert = certify_kframe(frame, k, a, b, 1e-9)
+    assert calls == []
+    monkeypatch.undo()
+    assert cert.status == "certified"
+    assert [x.tobytes() for x in a.exact_scalars()] == [
+        x.tobytes() for x in AlgElement(spec, a.blocks).exact_scalars()]
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_upper_route_forms_the_gap_only_to_eigensolve_or_witness(seed, monkeypatch):
     frame, b = upper_case(seed)
