@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import numbers
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -110,13 +110,20 @@ def _with_scalars(spec: AlgebraSpec, blocks: list[np.ndarray]) -> "AlgElement":
     return a
 
 
-def _derived(spec: AlgebraSpec, blocks: list[np.ndarray], *operands: "AlgElement") -> "AlgElement":
-    """The element of fresh blocks computed from the operands.  Where every
-    operand block has a known exact scalar, a computed block is +-0 off its
-    diagonal, so it is c 1 for its (0, 0) entry c where c is finite and the
-    diagonal equals it: an O(d) check in place of the copy and d^2 scan.  c is
-    read off the block, never formed in Python, whose complex product can
-    differ from numpy's in the last bit.  Else the constructor decides."""
+def _derived(
+    spec: AlgebraSpec, form: Callable[[], list[np.ndarray]], *operands: "AlgElement"
+) -> "AlgElement":
+    """The element of the fresh blocks `form()` computes from the operands,
+    with numpy's overflow warnings off: a block that overflowed is not
+    finite, and the constructor refuses it with an `InputError`.  Where
+    every operand block has a known exact scalar, a computed block is +-0
+    off its diagonal, so it is c 1 for its (0, 0) entry c where c is finite
+    and the diagonal equals it: an O(d) check in place of the copy and d^2
+    scan.  c is read off the block, never formed in Python, whose complex
+    product can differ from numpy's in the last bit.  Else the constructor
+    decides."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = form()
     if all(e._exact is not None and None not in e._exact for e in operands) and all(
         cmath.isfinite(m[0, 0]) and not np.count_nonzero(m.diagonal() != m[0, 0]) for m in blocks
     ):
@@ -170,19 +177,21 @@ class AlgElement:
 
     def __add__(self, other: "AlgElement") -> "AlgElement":
         _check_same_spec(self, other)
-        return _derived(self.spec, [x + y for x, y in zip(self.blocks, other.blocks)], self, other)
+        return _derived(self.spec, lambda: [x + y for x, y in zip(self.blocks, other.blocks)],
+                        self, other)
 
     def __sub__(self, other: "AlgElement") -> "AlgElement":
         _check_same_spec(self, other)
-        return _derived(self.spec, [x - y for x, y in zip(self.blocks, other.blocks)], self, other)
+        return _derived(self.spec, lambda: [x - y for x, y in zip(self.blocks, other.blocks)],
+                        self, other)
 
     def __neg__(self) -> "AlgElement":
-        return _derived(self.spec, [-x for x in self.blocks], self)
+        return _derived(self.spec, lambda: [-x for x in self.blocks], self)
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
             _check_same_spec(self, other)
-            return _derived(self.spec, [x @ y for x, y in zip(self.blocks, other.blocks)],
+            return _derived(self.spec, lambda: [x @ y for x, y in zip(self.blocks, other.blocks)],
                             self, other)
         if isinstance(other, numbers.Number):
             return self._scaled(other)
@@ -194,18 +203,16 @@ class AlgElement:
         return NotImplemented
 
     def _scaled(self, other: numbers.Number) -> "AlgElement":
-        """other times self; a non-finite multiplier or product is refused
-        as `AlgebraSpec.central` refuses a scalar, with no numpy warning."""
+        """other times self; a non-finite multiplier is refused as
+        `AlgebraSpec.central` refuses a scalar."""
         s = complex(other)
         if not cmath.isfinite(s):
             raise InputError("algebra element blocks must have finite entries")
-        with np.errstate(over="ignore", invalid="ignore"):
-            blocks = [s * x for x in self.blocks]
-        return _derived(self.spec, blocks, self)
+        return _derived(self.spec, lambda: [s * x for x in self.blocks], self)
 
     def adjoint(self) -> "AlgElement":
         """Involution: blockwise conjugate transpose."""
-        return _derived(self.spec, [x.conj().T for x in self.blocks], self)
+        return _derived(self.spec, lambda: [x.conj().T for x in self.blocks], self)
 
     # -- analysis -----------------------------------------------------------
 

@@ -10,8 +10,8 @@ Where that size is an operator norm ||T|| that nothing else reads,
 `verdict_at_norm` takes it only for an excess above tol.
 A residual decided at tol is `residual_verdict`'s, an algebra element's
 distance from a scalar block too: a Frobenius bound decides where it
-certifies, and a `_kernels.sigma_max` per block only elsewhere; the
-Douglas pencil takes no SVD (`_kernels.gram_norm`).  Every operator
+certifies, and a `_kernels.sigma_max` per block only elsewhere (the
+Douglas pencil's norm of each whitened block is one too).  Every operator
 inequality ends in `psd_certificate`, that rule on the gap's least
 eigenvalue: one values-only `eigvalsh` per block of the gap, unless its
 eigenvalues or a pencil decide the block (a central upper frame bound's

@@ -31,13 +31,15 @@ whether R(K) lies in R(K).  The pencil, condition (i) of
 `equivalence_audit`, the perturbation hypotheses and
 `frames.atomic_coefficients` read that verdict.  The pencil is 0 where it
 fails, else 1 / ||S^+ T||^2, where ||S^+ T|| = max_b ||left_b T_b|| (also
-||Q||) is one values-only `eigvalsh` per block (`_kernels.gram_norm`) and
-no SVD of Q; it is math.inf for T = 0, read off T's entries before S is
-factored, and 1 for T is S.  The per-block norms are kept on S's
-factorization for the last T asked about (`_Factorization.block_norms`),
-so the pencil, ||Q||, the Douglas audit's solve and `frames`' decision of
-an exactly central lower bound pay one Gram `eigvalsh` per block between
-them on one (S, T).  The factorization residual ||S Q - T|| of
+||Q||) is one `_kernels.sigma_max` per block, like every spectral norm of
+the library, and no SVD of Q; it is math.inf for T = 0, read off T's
+entries before S is factored, and 1 for T is S.  The per-block norms are
+kept on S's factorization for the last T asked about
+(`_Factorization.block_norms`), so the pencil, ||Q||, the Douglas audit's
+solve and `frames`' decision of an exactly central lower bound pay one
+values-only SVD per block between them on one (S, T).  The rank cut is
+floored where every reciprocal 1 / sigma it keeps is finite, so a tiny S
+gives no NaN.  The factorization residual ||S Q - T|| of
 `_Factorization.solve` is a value that only condition (iv) decides.
 `cokernel_witness` adds a `thin_svd` per block, which `equivalence_audit`
 takes only when the pencil fails; the norm inequality is one
@@ -75,8 +77,9 @@ def _check_common_target(t: ModuleOperator, s: ModuleOperator) -> None:
 class _Factorization:
     """What the Douglas functions read of S, from one `douglas_svd`
     U_b diag(sigma_b) V_b^H per reduced block, U_b square, with singular
-    values <= DEFAULT_RTOL * sigma_max (the global largest) treated as
-    zero.  With k_b the number kept, it holds, per block:
+    values <= DEFAULT_RTOL * sigma_max (the global largest), or <= 1 / (the
+    largest double), treated as zero.  With k_b the number kept, it holds,
+    per block:
 
     - `sigmas`: sigma_b, descending, min(rows, cols) of them, kept for
       S's lifetime, so sigma_max(S) = `smax` and the eigenvalues of
@@ -105,7 +108,8 @@ class _Factorization:
         self.s = _operator(s.spec, s.in_rank, s.out_rank, s.block_matrices())
         svds = [_kernels.douglas_svd(m) for m in s.block_matrices()]
         self.smax = max((sig[0] if sig.size else 0.0) for _, sig, _ in svds)
-        self.cut = DEFAULT_RTOL * self.smax
+        # floored where every kept sigma has a finite reciprocal
+        self.cut = max(DEFAULT_RTOL * self.smax, 1.0 / np.finfo(float).max)
         self.sigmas = [sig for _, sig, _ in svds]
         self.lefts: list[Optional[np.ndarray]] = []
         self.perps: list[Optional[np.ndarray]] = []
@@ -126,11 +130,10 @@ class _Factorization:
         if self._pinv is None:
             pinvs = []
             for uh, sig, vh in self._factors:
-                if self.smax == 0.0:
-                    pinvs.append(np.zeros((vh.shape[1], uh.shape[1]), dtype=complex))
-                else:
-                    inv = np.where(sig > self.cut, 1.0 / np.where(sig > 0, sig, 1.0), 0.0)
-                    pinvs.append((vh.conj().T * inv) @ uh[: sig.size])
+                kept = sig > self.cut
+                inv = np.zeros_like(sig)
+                inv[kept] = 1.0 / sig[kept]
+                pinvs.append((vh.conj().T * inv) @ uh[: sig.size])
             # S^+, inverted per reduced block in place, hence A-linear
             self._pinv = _operator(self.s.spec, self.s.out_rank, self.s.in_rank, pinvs)
             self._factors = None
@@ -162,15 +165,18 @@ class _Factorization:
 
     def block_norms(self, t: ModuleOperator) -> list[Optional[float]]:
         """||X_b|| = ||S_b^+ T_b|| per block, X_b = left_b T_b, None where
-        k_b = 0: `_kernels.gram_norm`, one values-only `eigvalsh` and no SVD.
+        k_b = 0: `_kernels.sigma_max`, and inf where the product overflowed.
         They are kept for the last T asked about, matched by identity and
         held weakly, so a second call on the same T reads them (T's arrays
         are read-only, so the bits are the same) and the factorization
         keeps no T alive."""
         if self._kept is not None and self._kept[0]() is t:
             return self._kept[1]
-        norms = [None if f is None else _kernels.gram_norm(f @ m)
-                 for f, m in zip(self.lefts, t.block_matrices())]
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = [None if f is None else f @ m for f, m in zip(self.lefts, t.block_matrices())]
+        # the SVD of an overflowed X_b gives NaN, not inf
+        norms = [None if x is None else float(_kernels.sigma_max(x)) if np.isfinite(x).all()
+                 else math.inf for x in xs]
         self._kept = (weakref.ref(t), norms)
         return norms
 
@@ -187,13 +193,13 @@ class _Factorization:
         for the pencil value mu when R(T) is inside R(S)."""
         return max((x for x in self.block_norms(t) if x is not None), default=0.0)
 
-    def pencil(self, t: ModuleOperator, included: bool, qnorm: Optional[float] = None) -> float:
-        """`pencil_lower_bound` given `_inclusion`'s verdict on T and, if
-        already known, ||S^+ T||: 0 where R(T) is not inside R(S), math.inf
-        for T = 0, where ||S^+ T|| is 0."""
+    def pencil(self, t: ModuleOperator, included: bool) -> float:
+        """`pencil_lower_bound` given `_inclusion`'s verdict on T: 0 where
+        R(T) is not inside R(S), math.inf for T = 0, where ||S^+ T|| is 0."""
         if not included:
             return 0.0
-        lam = (self.whitened_norm(t) if qnorm is None else qnorm) ** 2
+        w = self.whitened_norm(t)
+        lam = w * w  # inf where w ** 2 of a Python float would raise OverflowError
         return math.inf if lam == 0.0 else 1.0 / lam
 
     def solve(self, t: ModuleOperator, tol: float) -> tuple[ModuleOperator, float]:
@@ -215,8 +221,8 @@ def pseudo_inverse(t: ModuleOperator) -> ModuleOperator:
     """Moore-Penrose pseudo-inverse as a module operator.
 
     Computed per reduced block with singular values <= DEFAULT_RTOL *
-    sigma_max (the global largest singular value) treated as zero.  The
-    result is automatically A-linear because each reduced block is
+    sigma_max (the global largest singular value), or so small that their
+    reciprocal overflows, treated as zero.  The result is automatically A-linear because each reduced block is
     inverted in place.  It is computed once per operator and kept, so
     every call on the same t returns the same operator.
     """
@@ -311,7 +317,7 @@ def equivalence_audit(
     q, fact_residual = fac.solve(t, tol)
     cond_iv = verdict_at_norm(fact_residual, tol, t) == CERTIFIED
 
-    mu = fac.pencil(t, cond_i, q.norm())
+    mu = fac.pencil(t, cond_i)
     pencil_status = pencil_verdict(mu, tol)
     near_boundary = pencil_status == INCONCLUSIVE
     cond_ii = pencil_status == CERTIFIED

@@ -262,9 +262,9 @@ def _pencil_slack(rows: int, cols: int) -> float:
     (Higham, ch. 3) with || |M| ||^2 <= rows ||M||^2 and |c|^2 ||K_b||^2 <=
     sigma_max^2 where |c|^2 ||X_b||^2 <= 1, plus eigvalsh's backward error
     of a few u.  It also bounds sigma_min(U_b)^2 times the relative
-    rounding of |c|^2 ||X_b||^2: gamma_rows rows from X_b's Gram (see
-    `_kernels.gram_norm`), and a few u sigma_max / sigma_min from X_b
-    itself, the SVD's backward error through Sigma^-1."""
+    rounding of |c|^2 ||X_b||^2: a few u from the SVD that takes ||X_b||,
+    and a few u sigma_max / sigma_min from X_b itself, the SVD's backward
+    error through Sigma^-1."""
     return rows * (rows + cols + 8) * np.finfo(float).eps
 
 

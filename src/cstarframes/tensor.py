@@ -45,7 +45,7 @@ class TensorWitness:
     def element(self, a: AlgElement, b: AlgElement) -> AlgElement:
         if a.spec != self.left or b.spec != self.right:
             raise InputError("tensor factors do not match the witness specs")
-        return _derived(self.product, [
+        return _derived(self.product, lambda: [
             (a.blocks[i][:, None, :, None] * b.blocks[k][None, :, None, :]).reshape(dim, dim)
             for (i, k), dim in zip(self.block_pairs, self.product.block_dims)], a, b)
 

@@ -661,7 +661,7 @@ def dual_atoms_bessel(frame, k_op, tol):
 # -- kernel calls -------------------------------------------------------------
 
 SVDS = ("singular_values", "douglas_svd", "thin_svd")
-# `sigma_max` and `gram_norm` are recorded as the kernels they call
+# `sigma_max` is recorded as the kernel it calls, `singular_values`
 KERNELS = (*SVDS, "eigvalsh", "eigh", "cholesky")
 
 

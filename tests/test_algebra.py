@@ -574,6 +574,20 @@ def test_nonfinite_scalar_products_are_refused_without_a_numpy_warning(dims):
                 make()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dims", CENTRAL_SPECS, ids=str)
+def test_overflowing_arithmetic_is_refused_without_a_numpy_warning(dims):
+    # a product, sum or difference whose entries overflow is refused as a
+    # non-finite scalar multiple is, for exactly central and plain elements
+    spec = AlgebraSpec(dims)
+    plain = spec.element([np.ones((d, d)) for d in dims])
+    for a in (spec.unit(), plain):
+        big, top = 1e200 * a, 1.7e308 * a
+        for make in (lambda: big * big, lambda: top + top, lambda: top - (-top)):
+            with pytest.raises(InputError, match="^algebra element blocks must have finite entries$"):
+                make()
+
+
 @pytest.mark.filterwarnings("error")
 def test_central_takes_a_finite_near_overflow_scalar_without_a_numpy_warning():
     # numpy's complex product c (1 + 0j) raises the overflow flag for such

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,12 @@ from cstarframes import (
 )
 from cstarframes import cli, harness
 from cstarframes.cli import COMMANDS, main
-from cstarframes.frames import derived_bounds
+from cstarframes.frames import _family, derived_bounds
 from cstarframes.harness import SUITES, random_instance, tensor_pair_instance
 from cstarframes.hilbmod import ModuleOperator, ModuleVector, central_mult
-from cstarframes.serialize import instance_to_dict, load_instance, report_payload_bytes
+from cstarframes.serialize import (
+    certificate_to_dict, instance_to_dict, load_instance, report_payload_bytes,
+)
 
 import oracles
 
@@ -284,6 +287,37 @@ def test_failed_atomic_system_carries_the_bounds_witness(tmp_path, capsys, seed)
     assert np.linalg.norm(k @ x) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
 
+TINY_COMMANDS = ("bounds", "check-frame", "check-kframe", "atomic-system", "dual-atoms", "douglas")
+
+
+@pytest.mark.parametrize("exponent", [560, 1040])
+def test_tiny_members_end_in_a_verdict_with_no_warning(tmp_path, capsys, exponent):
+    # generic seed 3 with its members scaled by 2^-exponent and its bounds
+    # dropped: at 2^-560 ||S^+ K||^2 overflows, and at 2^-1040 every
+    # singular value of U lies below the rank cut's floor, where its
+    # reciprocal would overflow.  Each command ends in an exit code, with no
+    # numpy warning, and a falsified verdict's cokernel witness f re-checks:
+    # U* f = 0 while K* f is not
+    inst = random_instance(3, "generic")
+    members = _family(inst.members.synthesis_op.scalar_mul(2.0**-exponent))
+    path = write_instance(tmp_path, replace(inst, members=members, bounds={}))
+    out = tmp_path / "rep.json"
+    for command in TINY_COMMANDS:
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "--input", path, "--report", str(out)])
+        assert code in (0, 1, 2, 3), command
+        if code == 1:
+            cert = json.loads(out.read_text())["certificates"][0]
+            f = oracles.reference_decode_vector(inst.spec, cert["witness_vector"])
+            k_op = (identity_operator(inst.spec, inst.rank) if command == "check-frame"
+                    else inst.operators["K"])
+            assert members.analysis(f).norm() == 0.0, command
+            assert k_op.adjoint().apply(f).norm() > TOL, command
+    capsys.readouterr()
+
+
 TOL = 1e-9
 
 
@@ -326,6 +360,42 @@ def test_one_pencil_value_gets_one_status_everywhere(tmp_path, monkeypatch, caps
     got["kframe-main"] = ("inconclusive" if row["status"] == "inconclusive"
                           else "certified" if row["kframe_ok"] else "falsified")
     assert got == dict.fromkeys(got, status)
+
+
+@pytest.mark.parametrize("command", ["perturb1", "perturb2"])
+def test_perturbation_derives_the_bounds_an_instance_lacks(tmp_path, capsys, command):
+    # the paper-example truncation stores B but no A, so both bounds are
+    # derived from lambda*, mu* of its members against K, and its perturbed
+    # partner is drawn at the default epsilon: the report's certificate is
+    # the audit of those
+    inst = random_instance(0, "paper-example-truncation(4)")
+    assert "A" not in inst.bounds and inst.h_members is None
+    frame, k = inst.members, inst.operators["K"]
+    a, b = derived_bounds(frame, *optimal_scalar_bounds(frame, k, TOL))
+    h_seq = harness._perturbed_pair(frame, 0, harness.DEFAULT_EPSILON)
+    if command == "perturb1":
+        cert = pertur1_audit(frame, h_seq, k, k, a, b, tol=TOL)
+    else:
+        cert = pertur2_audit(frame, h_seq, k, k, *harness.PERTURB2_CONSTANTS.values(), a, b,
+                             tol=TOL)
+    out = tmp_path / "rep.json"
+    assert main([command, "--profile", "paper-example-truncation(4)", "--tol", str(TOL),
+                 "--report", str(out)]) == 0
+    assert json.loads(out.read_text())["certificates"] == [certificate_to_dict(cert)]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["perturb1", "perturb2"])
+def test_perturbation_without_a_k_frame_derives_no_bounds(tmp_path, capsys, command):
+    # rank-deficient members vanish on the last slot, so against K = 1
+    # lambda* = 0: no bounds are derivable for the instance lacking them
+    inst = random_instance(0, "rank-deficient-K")
+    path = write_instance(tmp_path, Instance(
+        spec=inst.spec, rank=inst.rank, members=inst.members, h_members=inst.members,
+        operators={"K": identity_operator(inst.spec, inst.rank)}))
+    assert main([command, "--input", path]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {command}: base family is not a K-frame, no bounds derivable\n")
 
 
 # -- malformed instance fields ------------------------------------------------------
@@ -644,7 +714,7 @@ def test_report_bytes_are_pinned(tmp_path, capsys):
                 digest.update(f"{profile} {command} {seed} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "a0ab2552ed2bddfdf9d70ee0d9050f258c8e205a9b5e596827f5c7214a628e48"
+        "2ce7debec48167cd571562350451695c14723aa5ca2938e3ac911f7bbad6c036"
     )
 
 
@@ -671,7 +741,7 @@ def test_input_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
             digest.update(f"{name} {command} {code}\n".encode() + payload)
     capsys.readouterr()
     assert digest.hexdigest() == (
-        "84f2722019e4494fb371205480c5c0aca36c94e5538d1339cffce057a999d725"
+        "c8d1d2bf32f8cbee0426416210ea5dd63876239f06bbeba07f72da59722561b7"
     )
 
 

@@ -2,6 +2,7 @@ import gc
 import inspect
 import math
 import re
+import warnings
 import weakref
 from pathlib import Path
 
@@ -367,32 +368,34 @@ def same_certificate(a, b):
 
 # Residuals the oracles take by another sum agree to a few rounding errors
 # of an SVD.  Condition (iii)'s gap S S* - mu T T* moves with mu by at most
-# gram_rtol mu ||T||^2 <= gram_rtol cond_iii_scale (0.9 eps of it at this
-# seed).
+# whitened_rtol mu ||T||^2 <= whitened_rtol cond_iii_scale (0.9 eps of it at
+# this seed).
 NORM_RTOL = 8 * np.finfo(float).eps
 # what reads as rounding in a residual or a cokernel witness
 ROUNDING = 1e-12
 
 
-def gram_rounding(x):
-    """`_kernels.gram_norm`'s bound gamma_k || |X| ||^2 on how far its Gram's top
-    eigenvalue lies from ||X||^2, k the larger side of X."""
+def whitened_rounding(x):
+    """gamma_k || |X| ||^2, k the larger side of X: room for X's own
+    rounding in ||X||^2."""
     k, unit = max(x.shape), np.finfo(float).eps / 2
     return k * unit / (1 - k * unit) * np.linalg.svd(np.abs(x), compute_uv=False)[0] ** 2
 
 
-def gram_rtol(t, s):
+def whitened_rtol(t, s):
     """How far ||S^+ T||^2 = max_b ||X_b||^2, X_b = left_b T_b, and so the
     pencil 1 / ||S^+ T||^2 and ||Q||, may lie from the oracles' SVDs of
-    diag(1 / sigma_k) U_k^H T and of Q, relative: NORM_RTOL for
-    the SVDs' own rounding plus the largest `gram_rounding` over
-    ||S^+ T||^2."""
+    diag(1 / sigma_k) U_k^H T and of Q, relative: NORM_RTOL for the SVDs'
+    own rounding plus the largest `whitened_rounding` over ||S^+ T||^2, for
+    X_b formed here as (diag(1 / sigma_k) U_k^H) T_b and there as
+    diag(1 / sigma_k) (U_k^H T_b), from SVDs of S_b that may differ in
+    their last bits."""
     lefts = douglas._factorization(s).lefts
     xs = [f @ m for f, m in zip(lefts, t.block_matrices()) if f is not None]
     top = max((np.linalg.svd(x, compute_uv=False)[0] for x in xs), default=0.0)
     if top == 0.0:
         return NORM_RTOL
-    return NORM_RTOL + max(gram_rounding(x) for x in xs) / top**2
+    return NORM_RTOL + max(whitened_rounding(x) for x in xs) / top**2
 
 
 def assert_rounding_close(got, want, rtol, what):
@@ -450,7 +453,7 @@ def test_factored_douglas_toolkit_matches_per_function_reference(spec):
     for name, t, s in douglas_cases(spec, stream(69, spec.n_blocks)):
         assert same_bits(pseudo_inverse(s), oracles.reference_pseudo_inverse(s)), name
         want_residual = oracles.reference_range_residual(t, s)
-        rtol = gram_rtol(t, s)
+        rtol = whitened_rtol(t, s)
         assert_rounding_close(
             pencil_lower_bound(t, s), oracles.reference_pencil_lower_bound(t, s), rtol, name
         )
@@ -490,25 +493,27 @@ def test_factored_douglas_toolkit_matches_per_function_reference(spec):
     assert statuses["onto-S"] == "certified"
 
 
-# -- the whitened norm from one eigvalsh of the Gram ---------------------------------------
+# -- the whitened norm: the top singular value of each whitened block ---------------------
 
-GRAM_SHAPES = [(1, 1), (1, 5), (5, 1), (4, 4), (6, 3), (3, 6)]
-# 1e-300 and 1e-160 underflow in the Gram and 1e300 overflows: `gram_norm`
-# forms it again from X scaled by a power of two
-GRAM_SCALES = [1e-300, 1e-160, 1.0, 1e300]
+WHITENED_SHAPES = [(1, 1), (1, 5), (5, 1), (4, 4), (6, 3), (3, 6)]
+# X_b = left_b T_b underflows at 1e-300 and 1e-160 only in its square, and
+# its square overflows at 1e300: ||X_b|| is read off X_b itself
+WHITENED_SCALES = [1e-300, 1e-160, 1.0, 1e300]
+ONE = AlgebraSpec((1,))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    shape=st.sampled_from(GRAM_SHAPES),
+    shape=st.sampled_from(WHITENED_SHAPES),
     rank=st.integers(0, 6),
-    scale=st.sampled_from(GRAM_SCALES),
+    scale=st.sampled_from(WHITENED_SCALES),
 )
-def test_gram_norm_is_the_top_singular_value_within_its_bound(seed, shape, rank, scale):
-    # rank-deficient, and 0 at rank 0; |lambda_top - ||X||^2| <= gamma_k
-    # || |X| ||^2, k the larger side, beyond NORM_RTOL ||X||^2 for the
-    # eigensolver, the SVD and the division by max |x| below
+def test_block_norms_are_the_top_singular_value_of_each_whitened_block(seed, shape, rank, scale):
+    # S of one rows x (rows + 1) block, onto, and T = S Y with Y rank-deficient
+    # (0 at rank 0) and scaled, so X_b = left_b T_b is rows x cols and R(T) is
+    # inside R(S): the kept norm is X_b's top singular value bit for bit,
+    # and the pencil is 1 / ||X_b||^2, inf where that square underflows
     rng = np.random.default_rng(seed)
     rows, cols = shape
     r = min(rank, rows, cols)
@@ -516,34 +521,59 @@ def test_gram_norm_is_the_top_singular_value_within_its_bound(seed, shape, rank,
     def gaussian(m, n):
         return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
 
-    x = gaussian(rows, r) @ gaussian(r, cols) * scale
-    got = _kernels.gram_norm(x)
+    s = ModuleOperator(ONE, rows + 1, rows, [gaussian(rows, rows + 1)])
+    t = s.compose(ModuleOperator(ONE, cols, rows + 1,
+                                 [gaussian(rows + 1, r) @ gaussian(r, cols) * scale]))
+    fac = douglas._factorization(s)
+    x = fac.lefts[0] @ t.block_matrices()[0]
     want = float(np.linalg.svd(x, compute_uv=False)[0])
-    amax = float(np.abs(x).max())
-    if amax == 0.0:
-        assert got == want == 0.0
-        return
-    g, w = got / amax, want / amax
-    assert abs(g**2 - w**2) <= gram_rounding(x / amax) + NORM_RTOL * w**2
+    assert fac.block_norms(t) == [want]
+    assert pencil_lower_bound(t, s) == (1.0 / (want * want) if want * want else math.inf)
 
 
-def test_gram_norm_of_an_overflowed_block_is_inf():
-    # an entry of left_b T_b past the largest double makes ||X|| inf; the
-    # rescaling must not loop on it
-    x = np.array([[np.inf, 1.0], [2.0, 3.0]], dtype=complex)
-    assert _kernels.gram_norm(x) == math.inf
+def test_block_norms_of_an_overflowed_block_are_inf():
+    # S = 1e-300 1 keeps both singular values, so left_b T_b is [[inf, 1],
+    # [2, 3]] (a NaN imaginary part at inf) for T_b = 1e-300 [[1e600, 1],
+    # [2, 3]]: its product overflows, the SVD of it gives NaN, and ||X_b||
+    # is inf, so the pencil is 0, with no numpy warning
+    s = ModuleOperator(ONE, 2, 2, [1e-300 * np.eye(2)])
+    t = ModuleOperator(ONE, 2, 2, [np.array([[1e300, 1e-300], [2e-300, 3e-300]])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = douglas._factorization(s).lefts[0] @ t.block_matrices()[0]
+    assert x[0, 0].real == math.inf and np.isnan(np.linalg.svd(x, compute_uv=False)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert douglas._factorization(s).block_norms(t) == [math.inf]
+        assert pencil_lower_bound(t, s) == 0.0
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
 def test_tiny_t_keeps_its_whitened_norm(spec):
-    # ||S^+ T|| of 1e-200 T is 1e-200 ||S^+ T||, not the 0 of an underflowed
-    # Gram, which would read T as 0
+    # ||S^+ T|| of 1e-200 T is 1e-200 ||S^+ T||, not a 0 that would read T
+    # as 0
     _, t, s = douglas_cases(spec, stream(81, spec.n_blocks))[0]
     tiny = t.scalar_mul(1e-200)
     got = equivalence_audit(tiny, s, 1e-9).witness["q_norm"]
     assert got > 0.0
     want = 1e-200 * equivalence_audit(t, s, 1e-9).witness["q_norm"]
-    assert_rounding_close(got, want, gram_rtol(t, s), "q")
+    assert_rounding_close(got, want, whitened_rtol(t, s), "q")
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
+@pytest.mark.parametrize("scale", [1e-160, 1e-300, 1e-310, 1e-320])
+def test_tiny_s_raises_nothing(spec, scale):
+    # ||S^+ T||^2 of a tiny S overflows, and below the rank cut's floor
+    # (1e-310, 1e-320) 1 / sigma would: the pencil and the audit of every
+    # case, with the tiny S on either side, end with no exception and no
+    # numpy warning
+    for name, t, s in douglas_cases(spec, stream(82, spec.n_blocks)):
+        tiny = s.scalar_mul(scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in ((t, tiny), (tiny, t)):
+                mu = pencil_lower_bound(a, b)
+                assert mu >= 0.0 and equivalence_audit(a, b).status in (
+                    "certified", "falsified", "inconclusive"), name
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
@@ -561,7 +591,7 @@ def test_pencil_status_is_the_svd_routes_at_the_boundary(spec, seed, side):
     t = t.scalar_mul(math.sqrt(oracles.reference_pencil_lower_bound(t, s, tol=tol) / target))
     want = oracles.reference_pencil_lower_bound(t, s, tol=tol)
     got = pencil_lower_bound(t, s, tol)
-    assert_rounding_close(got, want, gram_rtol(t, s), "pencil")
+    assert_rounding_close(got, want, whitened_rtol(t, s), "pencil")
     expected = "certified" if side > 0 else "inconclusive"
     assert pencil_verdict(got, tol) == pencil_verdict(want, tol) == expected
 
@@ -682,7 +712,7 @@ def test_atomic_coefficients_evaluates_no_pencil(monkeypatch):
     assert calls == []
     factored_residual = [a - b for a, b in zip(u.compose(q).block_matrices(), k.block_matrices())]
     whitened = [w @ m for w, m in zip(fac.lefts, k.block_matrices())]
-    assert fac.block_norms(k) == [_kernels.gram_norm(x) for x in whitened]
+    assert fac.block_norms(k) == [float(_kernels.sigma_max(x)) for x in whitened]
     assert residual == max(float(np.linalg.norm(m)) for m in factored_residual)
     assert c.norm() == q.norm() == fac.whitened_norm(k)
     w = equivalence_audit(k, u, 1e-9).witness
@@ -692,8 +722,8 @@ def test_atomic_coefficients_evaluates_no_pencil(monkeypatch):
 def test_onto_frame_takes_no_svd_of_a_range_residual(monkeypatch):
     # U of a 12-member frame of A^4 is onto in both blocks, so the rank cut
     # decides its range residual (exactly 0, no kernel call), and ||S^+ T||
-    # (the pencil and ||Q||) is one eigvalsh per block of the Gram of
-    # left_b T_b, taken once and kept on U's factorization for T
+    # (the pencil and ||Q||) is one values-only SVD per block of left_b T_b,
+    # taken once and kept on U's factorization for T
     spec = AlgebraSpec((24, 12))
     rng = stream(76, 2)
     frame = FrameSeq([random_vector(spec, 4, rng) for _ in range(12)])
@@ -737,8 +767,8 @@ def test_onto_frame_takes_no_svd_of_a_range_residual(monkeypatch):
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=spec_id)
 def test_optimal_scalar_bounds_read_mu_off_the_kept_factorization(spec, monkeypatch):
     # a fresh frame pays its factorization, one full SVD per block of U,
-    # and the whitened norm of K, one eigvalsh per block; mu* is U's kept
-    # sigma_max squared, so no values-only SVD runs (of U U* before)
+    # and the whitened norm of K, one values-only SVD per block of X_b;
+    # mu* is U's kept sigma_max squared, so no values-only SVD of U U* runs
     rng = stream(80, spec.n_blocks)
     frame = FrameSeq([random_vector(spec, 3, rng) for _ in range(5)])
     u = frame.synthesis_op
@@ -746,10 +776,11 @@ def test_optimal_scalar_bounds_read_mu_off_the_kept_factorization(spec, monkeypa
     calls = oracles.record_kernels(monkeypatch)
     lam, mu = optimal_scalar_bounds(frame, k)
     monkeypatch.undo()
-    svds, grams, eighs = calls.of(*oracles.SVDS), calls.of("eigvalsh"), calls.of("eigh")
-    assert len(svds) == spec.n_blocks and all(a is m for a, m in zip(svds, u.block_matrices()))
-    assert [a.shape for a in grams] == [(3 * d, 3 * d) for d in spec.block_dims]
-    assert eighs == []
+    factored, norms = calls.of("douglas_svd", "thin_svd"), calls.of("singular_values")
+    assert len(factored) == spec.n_blocks
+    assert all(a is m for a, m in zip(factored, u.block_matrices()))
+    assert [a.shape for a in norms] == [(3 * d, 3 * d) for d in spec.block_dims]
+    assert calls.of("eigvalsh") == calls.of("eigh") == []
     assert mu == float(douglas._factorization(u).smax) ** 2
     assert_rounding_close(mu, frame.frame_op.norm(), NORM_RTOL, "mu*")
     assert lam > 0.0
@@ -939,7 +970,7 @@ def test_kept_factorization_holds_no_reference_to_its_operator():
 
 def test_kept_norms_are_matched_by_identity(monkeypatch):
     # a content-equal copy of T is another operator: its norms are taken
-    # afresh, one eigvalsh per block, and come out bit for bit the same
+    # afresh, one values-only SVD per block, and come out bit for bit the same
     rng = stream(75, 2)
     frame = FrameSeq([random_vector(SPEC, 3, rng) for _ in range(5)])
     u = frame.synthesis_op
@@ -950,7 +981,7 @@ def test_kept_norms_are_matched_by_identity(monkeypatch):
     assert fac.block_norms(k) is kept and calls == []
     k_copy = _copy(k)
     assert fac.block_norms(k_copy) == kept
-    assert len(calls.of("eigvalsh")) == SPEC.n_blocks
+    assert len(calls.of("singular_values")) == SPEC.n_blocks and calls.of("eigvalsh") == []
     calls.clear()
     lam = pencil_lower_bound(k_copy, u)
     assert calls == []  # the copy is now the T whose norms are kept

@@ -662,17 +662,18 @@ def test_one_pencil_when_l_is_k_gives_the_bits_of_two():
         # is formed, a residual within tol takes no ||T||, the two upper
         # halves read sigma(U_F), sigma(U_H) and bessel_of_h sigma_max(U_H),
         # and the derived bounds' mu* sigma_max(U_F); each of the 4 pencils
-        # takes its whitened norm as one eigvalsh per block, and no
-        # values-only SVD runs.  The hypotheses are checked before the
+        # takes its whitened norm as one values-only SVD per block, and no
+        # other values-only SVD runs.  The hypotheses are checked before the
         # branch pencils of D, so the base K-frame's lower half reads the
         # norms of K on U_F that the bounds' pencil kept, and the
         # conclusion's reads those of its own pencil
-        ("perturb1", {"douglas_svd": 4, "thin_svd": 0, "singular_values": 0, "eigvalsh": 8,
+        ("perturb1", {"douglas_svd": 4, "thin_svd": 0, "singular_values": 8, "eigvalsh": 0,
                       "eigh": 0, "cholesky": 0}),
-        # 2 pencils, one of them of (K K*, U_H U_H*), and the hypothesis
-        # gap at its first vertex; the base K-frame's upper half factors
+        # 2 pencils, one of them of (K K*, U_H U_H*), each one values-only
+        # SVD per block, and the hypothesis gap at its first vertex, one
+        # eigvalsh per block; the base K-frame's upper half factors
         # U_F, and both lower halves read the norms their pencils kept
-        ("perturb2", {"douglas_svd": 4, "thin_svd": 0, "singular_values": 0, "eigvalsh": 6,
+        ("perturb2", {"douglas_svd": 4, "thin_svd": 0, "singular_values": 4, "eigvalsh": 2,
                       "eigh": 0, "cholesky": 0}),
     ],
 )

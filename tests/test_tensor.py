@@ -6,6 +6,7 @@ import pytest
 from cstarframes import (
     AlgebraSpec,
     FrameSeq,
+    InputError,
     coordinate_frame,
     identity_operator,
     optimal_scalar_bounds,
@@ -30,6 +31,14 @@ from oracles import (
 LEFT = AlgebraSpec((2,))
 RIGHT = AlgebraSpec((1, 1))
 W = tensor_witness(LEFT, RIGHT)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_tensor_element_is_refused_without_a_numpy_warning():
+    for a, b in ((LEFT.unit(), RIGHT.unit()),
+                 (LEFT.element([np.ones((2, 2))]), RIGHT.element([np.ones((1, 1))] * 2))):
+        with pytest.raises(InputError, match="^algebra element blocks must have finite entries$"):
+            W.element(1e200 * a, 1e200 * b)
 
 
 def test_product_spec_block_dims():
